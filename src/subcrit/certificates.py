@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
 from .exact import (EDGE_CAP_DEFAULT, SPIN_CAP_DEFAULT, ising_observables,
                     perc_connect_probs)
 from .ising_mc import SpinSystem, WolffChain, equilibrate
-from .lattice import LatticeSpec, Region, ball, edge_weight
+from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .stats import Z_999, batch_means_stderr, wilson_upper
 
 EPSILON_CERT = 1e-9
@@ -105,7 +105,6 @@ class Certificate:
                 "param": self.param, "phi": self.phi.to_json(),
                 "method": self.phi.method, "epsilon": EPSILON_CERT,
                 "statement": self.statement,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                 "seed": self.phi.seed}
 
 
@@ -127,7 +126,6 @@ class Refusal:
                 "param": self.param, "phi": self.phi.to_json(),
                 "method": self.phi.method, "epsilon": EPSILON_CERT,
                 "reason": self.reason,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                 "seed": self.phi.seed}
 
 
@@ -136,15 +134,20 @@ def _check_region(lattice: LatticeSpec, region: Region) -> None:
         raise ValueError("region was built on a different lattice")
 
 
-def _boundary_coefficients(region: Region, param: float,
-                           model: str) -> dict[int, float]:
+def _boundary_coefficients(region: Region, param: float, model: str,
+                           within: Iterable[Vertex] | None = None
+                           ) -> dict[int, float]:
     """Per inside-vertex sum of boundary weights.
 
     phi collapses to sum_i c_i * P[0 <-> v_i]: each inside endpoint x
     contributes once per outside partner, weighted by the pair weight.
+    ``within`` optionally restricts the outside partners to a vertex set.
     """
+    keep = None if within is None else {tuple(v) for v in within}
     coeff: dict[int, float] = {}
-    for i, _outside, j in region.boundary_pairs:
+    for i, outside, j in region.boundary_pairs:
+        if keep is not None and outside not in keep:
+            continue
         if model == "percolation":
             w = edge_weight(region.lattice, j, param)
         else:
@@ -156,10 +159,16 @@ def _boundary_coefficients(region: Region, param: float,
 def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
                     samples: int = _DEFAULT_MC_SAMPLES, seed: int = 0,
                     allow_mc: bool = True,
-                    edge_cap: int = EDGE_CAP_DEFAULT) -> PhiResult:
-    """phi for bond percolation; exact under the edge cap, MC above it."""
+                    edge_cap: int = EDGE_CAP_DEFAULT,
+                    within: Iterable[Vertex] | None = None) -> PhiResult:
+    """phi for bond percolation; exact under the edge cap, MC above it.
+
+    ``region`` may be disconnected; connection probabilities are then zero
+    beyond the origin's component.  ``within`` optionally restricts the
+    outside endpoint of each boundary pair to a given vertex set.
+    """
     _check_region(lattice, region)
-    coeff = _boundary_coefficients(region, param, "percolation")
+    coeff = _boundary_coefficients(region, param, "percolation", within)
     try:
         conn = perc_connect_probs(region, param, cap=edge_cap)
     except CapExceeded:
@@ -218,12 +227,18 @@ def _phi_percolation_mc(region: Region, param: float,
 def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
               sweeps: int = _DEFAULT_MC_SWEEPS, seed: int = 0,
               allow_mc: bool = True,
-              spin_cap: int = SPIN_CAP_DEFAULT) -> PhiResult:
-    """phi for the Ising model; exact transfer-free sum under the spin cap."""
+              spin_cap: int = SPIN_CAP_DEFAULT,
+              within: Iterable[Vertex] | None = None) -> PhiResult:
+    """phi for the Ising model; exact transfer-free sum under the spin cap.
+
+    Correlations inside the region are taken at zero field with free
+    boundary; ``within`` restricts outside endpoints as in
+    :func:`phi_percolation`.
+    """
     _check_region(lattice, region)
     if lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
-    coeff = _boundary_coefficients(region, beta, "ising")
+    coeff = _boundary_coefficients(region, beta, "ising", within)
     try:
         obs = ising_observables(region, beta, 0.0, cap=spin_cap)
     except CapExceeded:
@@ -342,10 +357,6 @@ class BestBound:
     region: Region
     param_star: float
     rows: tuple[BoundRow, ...] = field(repr=False)
-
-    def __iter__(self):
-        yield self.region
-        yield self.param_star
 
 
 def best_bound(model: str, lattice: LatticeSpec, max_radius: int,

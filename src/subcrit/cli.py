@@ -2,9 +2,11 @@
 
 Every run resolves its options into a :class:`RunConfig`, executes one
 subcommand, and writes artifacts plus a manifest JSON recording the config
-hash, library versions, seeds and wall time.  Identical configs (including
-the seed) produce byte-identical CSV artifacts; timestamps live only in the
-manifest.
+hash, library versions, seeds and wall time.  Each subcommand handler writes
+its artifacts and returns them with its exit code; :func:`main` resolves the
+seed before the handler runs and writes the manifest after it.  Identical
+configs (including the seed) produce byte-identical CSV and JSON artifacts;
+timestamps live only in the manifest.
 
 Exit codes: 0 success, 2 when a certificate is refused, 1 on any error.
 """
@@ -36,8 +38,7 @@ from .errors import ConfigError, SubcritError
 from .ising_mc import (check_critical_divergence, estimate_magnetization,
                        estimate_two_point)
 from .lattice import LatticeSpec, Region, ball
-from .perc_mc import (estimate_exit, estimate_ghost_magnetization,
-                      estimate_susceptibility, exit_profile,
+from .perc_mc import (estimate_ghost_magnetization, exit_profile,
                       susceptibility_profile)
 from .verify import CHECK_NAMES, default_reports
 
@@ -222,6 +223,9 @@ def _validate_options(subcommand: str, provided: dict) -> dict:
         else:
             default = field.default
             options[name] = list(default) if isinstance(default, tuple) else default
+    for name in ("samples", "sweeps"):
+        if name in options and options[name] < 1:
+            raise ConfigError(f"options.{name}", "must be positive")
     if options.get("label") is None:
         options["label"] = subcommand
     return options
@@ -294,10 +298,10 @@ def _load_region(opts: dict, lattice: LatticeSpec) -> Region:
     return Region(lattice, [tuple(v) for v in data["vertices"]], origin)
 
 
-def _resolve_seed(opts: dict) -> int:
-    if opts.get("seed") is None:
+def _resolve_seed(opts: dict) -> None:
+    """Generate a seed for a schema with a ``seed`` field left unset."""
+    if "seed" in opts and opts["seed"] is None:
         opts["seed"] = int.from_bytes(os.urandom(4), "big")
-    return opts["seed"]
 
 
 def _resolve_sizes(opts: dict) -> list[int]:
@@ -368,17 +372,14 @@ def _phi_kwargs(opts: dict) -> dict:
     return {"samples": opts["samples"], "seed": opts["seed"]}
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    t0 = time.time()
+def _cmd_certify(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     lattice = _build_lattice(opts, _default_mode(opts))
     region = _load_region(opts, lattice)
-    _resolve_seed(opts)
     result = certify_subcritical(opts["model"], lattice, region,
                                  opts["param"], **_phi_kwargs(opts))
     path = _artifact(opts, ".json")
     _write_json(path, result.to_json())
-    _write_manifest(cfg, [path], t0)
     refused = isinstance(result, Refusal)
     if refused:
         print(f"refused: {result.reason}")
@@ -388,28 +389,24 @@ def _cmd_certify(cfg: RunConfig) -> int:
               f"(ucb {result.phi.upper_confidence:.12g}, "
               f"method {result.phi.method})")
     print(f"wrote {path}")
-    return EXIT_REFUSED if refused else EXIT_OK
+    return (EXIT_REFUSED if refused else EXIT_OK), [path]
 
 
-def _cmd_phi(cfg: RunConfig) -> int:
-    t0 = time.time()
+def _cmd_phi(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     lattice = _build_lattice(opts, _default_mode(opts))
     region = _load_region(opts, lattice)
-    _resolve_seed(opts)
     result = compute_phi(opts["model"], lattice, region, opts["param"],
                          **_phi_kwargs(opts))
     path = _artifact(opts, ".json")
     _write_json(path, result.to_json())
-    _write_manifest(cfg, [path], t0)
     print(f"phi = {result.value:.12g} (ucb {result.upper_confidence:.12g}, "
           f"method {result.method}, region {result.region_id})")
     print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, [path]
 
 
-def _cmd_best_bound(cfg: RunConfig) -> int:
-    t0 = time.time()
+def _cmd_best_bound(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     if opts["max_radius"] < 0:
         raise ConfigError("options.max_radius", "must be non-negative")
@@ -428,41 +425,23 @@ def _cmd_best_bound(cfg: RunConfig) -> int:
         "rows": [{"radius": r.radius, "root": r.root, "method": r.method,
                   "region_size": r.region_size} for r in result.rows],
     })
-    _write_manifest(cfg, [csv_path, json_path], t0)
     print(f"best bound for {result.model}: param <= critical point for "
           f"param = {_g17(result.param_star)} (region {region_id(result.region)})")
     print(f"wrote {csv_path}")
-    return EXIT_OK
+    return EXIT_OK, [csv_path, json_path]
 
 
-def _cmd_simulate_perc(cfg: RunConfig) -> int:
-    t0 = time.time()
+def _cmd_simulate_perc(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     lattice = _build_lattice(opts, "p")
-    seed = _resolve_seed(opts)
     observable, param, h = opts["observable"], opts["param"], opts["h"]
-    samples = opts["samples"]
-    if samples <= 0:
-        raise ConfigError("options.samples", "must be positive")
+    samples, seed = opts["samples"], opts["seed"]
     sizes = _resolve_sizes(opts)
     rows = []
-    if observable == "exit":
-        if len(sizes) == 1:
-            estimates = {sizes[0]: estimate_exit(lattice, sizes[0], param,
-                                                 samples, seed)}
-        else:
-            estimates = exit_profile(lattice, max(sizes), sizes, param,
-                                     samples, seed)
-        rows = [_measurement_row("exit", n, param, 0.0, estimates[n])
-                for n in sizes]
-    elif observable == "susceptibility":
-        if len(sizes) == 1:
-            estimates = {sizes[0]: estimate_susceptibility(
-                lattice, sizes[0], param, samples, seed)}
-        else:
-            estimates = susceptibility_profile(lattice, max(sizes), sizes,
-                                               param, samples, seed)
-        rows = [_measurement_row("susceptibility", n, param, 0.0, estimates[n])
+    if observable in ("exit", "susceptibility"):
+        profile = exit_profile if observable == "exit" else susceptibility_profile
+        estimates = profile(lattice, max(sizes), sizes, param, samples, seed)
+        rows = [_measurement_row(observable, n, param, 0.0, estimates[n])
                 for n in sizes]
     else:  # ghost
         if h <= 0.0:
@@ -474,22 +453,17 @@ def _cmd_simulate_perc(cfg: RunConfig) -> int:
             rows.append(_measurement_row("ghost", n, param, h, est))
     csv_path = _artifact(opts, ".csv")
     _write_csv(csv_path, MEASUREMENT_COLUMNS, rows)
-    _write_manifest(cfg, [csv_path], t0)
     print(f"wrote {len(rows)} row(s) to {csv_path}")
-    return EXIT_OK
+    return EXIT_OK, [csv_path]
 
 
-def _cmd_simulate_ising(cfg: RunConfig) -> int:
-    t0 = time.time()
+def _cmd_simulate_ising(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     lattice = _build_lattice(opts, "beta")
     if opts["mode"] != "beta":
         raise ConfigError("options.mode", "ising simulation needs beta mode")
-    seed = _resolve_seed(opts)
     observable, beta, h = opts["observable"], opts["param"], opts["h"]
-    sweeps, boundary = opts["sweeps"], opts["boundary"]
-    if sweeps <= 0:
-        raise ConfigError("options.sweeps", "must be positive")
+    sweeps, boundary, seed = opts["sweeps"], opts["boundary"], opts["seed"]
     rows = []
     extra_paths: list[str] = []
     if observable == "magnetization":
@@ -529,22 +503,19 @@ def _cmd_simulate_ising(cfg: RunConfig) -> int:
               f"{report.strictly_increasing_3sigma}")
     csv_path = _artifact(opts, ".csv")
     _write_csv(csv_path, MEASUREMENT_COLUMNS, rows)
-    _write_manifest(cfg, [csv_path] + extra_paths, t0)
     print(f"wrote {len(rows)} row(s) to {csv_path}")
-    return EXIT_OK
+    return EXIT_OK, [csv_path] + extra_paths
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    t0 = time.time()
+def _cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     reports = default_reports(opts["check"])
     for report in reports:
         print(report.summary_line())
     path = _artifact(opts, ".json")
     _write_json(path, [report.to_json() for report in reports])
-    _write_manifest(cfg, [path], t0)
     print(f"wrote {path}")
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR
+    return (EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR), [path]
 
 
 def _scenario_graph(data: dict) -> CurrentGraph:
@@ -571,8 +542,7 @@ def _scenario_f(spec):
                       "expected 'one', 'even-total', or ['connect', a, b]")
 
 
-def _cmd_current_lab(cfg: RunConfig) -> int:
-    t0 = time.time()
+def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     try:
         with open(opts["scenario"]) as fh:
@@ -636,14 +606,12 @@ def _cmd_current_lab(cfg: RunConfig) -> int:
         raise ConfigError("scenario.task", f"malformed task: {exc}")
     out_path = _artifact(opts, ".json")
     _write_json(out_path, {"scenario": scenario, "result": result})
-    _write_manifest(cfg, [out_path], t0)
     print(line)
     print(f"wrote {out_path}")
-    return EXIT_OK
+    return EXIT_OK, [out_path]
 
 
-def _cmd_report(cfg: RunConfig) -> int:
-    t0 = time.time()
+def _cmd_report(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     measurements: list[tuple] = []
     tables: list[tuple] = []
@@ -708,13 +676,12 @@ def _cmd_report(cfg: RunConfig) -> int:
         if not sections:
             fh.write("no input artifacts\n")
     artifacts.append(summary_path)
-    _write_manifest(cfg, artifacts, t0)
     print(f"merged {len(measurements)} measurement row(s) and "
           f"{len(tables)} table row(s) into {csv_path}")
-    return EXIT_OK
+    return EXIT_OK, artifacts
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], int]] = {
+_HANDLERS: dict[str, Callable[[RunConfig], tuple[int, list[str]]]] = {
     "certify": _cmd_certify,
     "phi": _cmd_phi,
     "best-bound": _cmd_best_bound,
@@ -782,7 +749,11 @@ def main(argv=None) -> int:
         parser.error("a subcommand is required")
     try:
         cfg = config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        t0 = time.time()
+        _resolve_seed(cfg.options)
+        code, artifacts = _HANDLERS[cfg.subcommand](cfg)
+        _write_manifest(cfg, artifacts, t0)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR

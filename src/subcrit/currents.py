@@ -92,22 +92,13 @@ class CurrentGraph:
         return pairs, bases
 
 
-@dataclass(frozen=True)
-class TruncationScheme:
+def _cap(trunc: int) -> int:
     """Multiplicity cap: per pair for single sums, per pair-sum when two
     currents are enumerated jointly."""
-
-    cap: int
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
-
-
-def _cap(trunc: TruncationScheme | int) -> int:
-    if isinstance(trunc, TruncationScheme):
-        return trunc.cap
-    return TruncationScheme(int(trunc)).cap
+    cap = int(trunc)
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -185,7 +176,7 @@ def _digit_decoder(radix: int, n_pairs: int):
 
 
 def source_sum(graph: CurrentGraph, sources: Iterable[int], beta: float,
-               h: float, trunc: TruncationScheme | int) -> float:
+               h: float, trunc: int) -> float:
     """Sum of weights over currents with the given source set, with every
     pair multiplicity capped at the truncation level."""
     cap = _cap(trunc)
@@ -221,7 +212,7 @@ def source_sum(graph: CurrentGraph, sources: Iterable[int], beta: float,
 
 def expectation_via_currents(graph: CurrentGraph, sources: Iterable[int],
                              beta: float, h: float,
-                             trunc: TruncationScheme | int) -> float:
+                             trunc: int) -> float:
     """<sigma_A> as a ratio of source sums (truncated).
 
     Odd source sets route the leftover parity through the ghost; at h = 0
@@ -240,7 +231,7 @@ def expectation_via_currents(graph: CurrentGraph, sources: Iterable[int],
 
 def correlation_via_currents(graph: CurrentGraph, x: int, y: int,
                              beta: float, h: float,
-                             trunc: TruncationScheme | int) -> float:
+                             trunc: int) -> float:
     """<sigma_x sigma_y>; ``y`` may be the ghost index to read <sigma_x>."""
     if x == y:
         return 1.0
@@ -305,7 +296,7 @@ def resolve_f(spec) -> FCatalog:
 
 def switching_check(graph: CurrentGraph, sources: Iterable[int], u: int,
                     v: int, f_spec, beta: float, h: float,
-                    trunc: TruncationScheme | int) -> tuple[float, float]:
+                    trunc: int) -> tuple[float, float]:
     """Both sides of the source-switching identity, truncated by pair-sum.
 
     lhs sums F(n1+n2) w(n1) w(n2) over pairs of currents with sources
@@ -442,7 +433,7 @@ def extract_backbone(current: Current, h: float = 0.0) -> tuple[Pair, ...]:
 
 def enumerate_currents(graph: CurrentGraph, sources: Iterable[int],
                        beta: float, h: float,
-                       trunc: TruncationScheme | int
+                       trunc: int
                        ) -> Iterator[tuple[Current, float]]:
     """Yield (current, weight) under a per-pair cap; test-scale only."""
     cap = _cap(trunc)

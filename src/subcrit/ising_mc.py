@@ -9,12 +9,13 @@ and never flipped:
   ``1 - exp(-2 h)``.
 
 One update grows a cluster from a uniform seed site, activating bonds
-between aligned endpoints, each bond considered at most once; a cluster
-containing the ghost is left unflipped (the proposal leaves the constrained
-state space, so it is rejected), which preserves detailed balance for the
-Gibbs weight exp(-H).  Growth is frontier-vectorized with numpy, and
-candidate bonds are processed in sorted bond-id order so runs are
-bit-reproducible for a fixed seed.
+between aligned endpoints, each bond considered at most once.  A cluster
+without the ghost is flipped; for a cluster containing the ghost the
+complement is flipped instead (flip the cluster, then restore the ghost to
++1 by a global flip), so every proposal is accepted and detailed balance
+holds for the Gibbs weight exp(-H).  Growth is frontier-vectorized with
+numpy, and candidate bonds are processed in sorted bond-id order so runs
+are bit-reproducible for a fixed seed.
 
 Measurements use the Edwards-Sokal coupling where it buys variance: growing
 a (non-flipping) cluster from the origin with the same activation rule gives
@@ -109,17 +110,6 @@ class SpinSystem:
         return cls(sites, bonds, layers=layers, vertex_index=index)
 
 
-@dataclass
-class SpinConfig:
-    """Mutable chain state: spins over the sites, plus run metadata."""
-
-    spins: np.ndarray
-    beta: float
-    h: float
-    boundary: str
-    step: int = 0
-
-
 class WolffChain:
     def __init__(self, system: SpinSystem, beta: float, h: float, seed: int,
                  boundary: str = "free", start: str | None = None):
@@ -127,9 +117,8 @@ class WolffChain:
             raise ValueError("beta and h must be non-negative")
         self.system = system
         self.seed = int(seed)
-        self.config = SpinConfig(
-            spins=np.ones(system.n_sites, dtype=np.int8),
-            beta=beta, h=h, boundary=boundary)
+        self.spins = np.ones(system.n_sites, dtype=np.int8)
+        self.stream_index = 0  # sample_stream index of the next update
         self.p_act = np.where(
             system.bond_kind == _KIND_SPIN,
             -np.expm1(-2.0 * beta * system.bond_j),
@@ -140,14 +129,10 @@ class WolffChain:
         start = start or ("plus" if boundary == "plus" else "random")
         if start == "random":
             gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF, _INIT_INDEX)
-            self.config.spins = np.where(
+            self.spins = np.where(
                 gen.random(system.n_sites) < 0.5, 1, -1).astype(np.int8)
         elif start != "plus":
             raise ValueError(f"unknown start state {start!r}")
-
-    @property
-    def spins(self) -> np.ndarray:
-        return self.config.spins
 
     def _grow(self, seed_site: int, gen: np.random.Generator,
               flip: bool) -> tuple[int, bool]:
@@ -162,7 +147,7 @@ class WolffChain:
         Returns (cluster size in real sites, ghost_in_cluster).
         """
         sysm = self.system
-        spins = self.config.spins
+        spins = self.spins
         ext = self._spins_ext
         ext[:sysm.n_sites] = spins
         in_cl = self._in_cluster
@@ -219,10 +204,10 @@ class WolffChain:
     def step(self) -> int:
         """One Wolff update; returns the grown cluster size."""
         gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF,
-                                   self.config.step)
+                                   self.stream_index)
         site = int(gen.integers(self.system.n_sites))
         size, _ = self._grow(site, gen, flip=True)
-        self.config.step += 1
+        self.stream_index += 1
         return size
 
     def fk_cluster(self, site: int = 0) -> np.ndarray:
@@ -232,20 +217,14 @@ class WolffChain:
         ``mask[ghost]`` estimates ``<sigma_site>`` when a ghost is present.
         """
         gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF,
-                                   self.config.step)
-        self.config.step += 1
+                                   self.stream_index)
+        self.stream_index += 1
         self._grow(site, gen, flip=False)
         return self._in_cluster.copy()
 
     def run(self, steps: int) -> None:
         for _ in range(steps):
             self.step()
-
-
-def wolff_step(chain: WolffChain) -> SpinConfig:
-    """Functional wrapper over ``chain.step()``; returns the updated state."""
-    chain.step()
-    return chain.config
 
 
 def equilibrate(chain: WolffChain, min_steps: int = 1000,

@@ -13,7 +13,7 @@ bit-reproducible regardless of batching.
 
 Estimators walk the open cluster of the origin by BFS, which is cheap in
 the subcritical regime and adequate at criticality for the box sizes used
-here.  ``sample_clusters`` exposes full union-find labels for one sample.
+here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from . import rng as rngmod
 from .errors import DegenerateFit
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .stats import MCEstimate, batch_means_stderr, binomial_stderr
-from .unionfind import UnionFind
 
 
 class PercBox:
@@ -122,61 +121,6 @@ def _box(lattice: LatticeSpec, n: int) -> PercBox:
     return PercBox(lattice, n)
 
 
-@dataclass(frozen=True)
-class BondConfig:
-    """One sampled bond configuration on a box (plus ghost bonds if h > 0)."""
-
-    lattice: LatticeSpec
-    n: int
-    param: float
-    h: float
-    open_edges: np.ndarray
-    ghost_open: np.ndarray | None
-    sample_index: int
-    seed: int
-
-
-def sample_clusters(lattice: LatticeSpec, n: int, param: float, h: float,
-                    seed: int, sample_index: int = 0
-                    ) -> tuple[BondConfig, list[int]]:
-    """Draw one bond configuration and label its clusters by union-find.
-
-    Labels cover the box nodes followed by the ghost (last label) when
-    ``h > 0``; two nodes share a label exactly when connected.
-    """
-    box = _box(lattice, n)
-    weights = box.open_probabilities(param)
-    open_edges, ghost_open = box.sample(weights, h, seed, rngmod.STREAM_SUSCEPTIBILITY,
-                                        sample_index)
-    n_labels = box.n_nodes + (1 if ghost_open is not None else 0)
-    uf = UnionFind(n_labels)
-    for k in np.nonzero(open_edges)[0]:
-        uf.union(int(box.edge_a[k]), int(box.edge_b[k]))
-    if ghost_open is not None:
-        ghost = box.n_nodes
-        for v in np.nonzero(ghost_open)[0]:
-            uf.union(ghost, int(v))
-    config = BondConfig(lattice, n, param, h, open_edges, ghost_open,
-                        sample_index, seed)
-    return config, uf.labels()
-
-
-def estimate_exit(lattice: LatticeSpec, n: int, param: float, samples: int,
-                  seed: int) -> MCEstimate:
-    """P[origin connected to the complement of ball(n)]."""
-    box = _box(lattice, n)
-    weights = box.open_probabilities(param)
-    hits = 0
-    for i in range(samples):
-        open_edges, _ = box.sample(weights, 0.0, seed, rngmod.STREAM_EXIT, i)
-        _, max_layer, _ = box.origin_cluster(open_edges)
-        if max_layer > n:
-            hits += 1
-    mean = hits / samples
-    return MCEstimate(f"exit[n={n}]", mean, binomial_stderr(mean, samples),
-                      samples, seed)
-
-
 def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
                  param: float, samples: int, seed: int) -> dict[int, MCEstimate]:
     """Exit estimates for every radius in one pass over box ``n_box`` samples.
@@ -205,44 +149,30 @@ def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
     return out
 
 
-def estimate_susceptibility(lattice: LatticeSpec, n: int, param: float,
-                            samples: int, seed: int) -> MCEstimate:
-    """Mean size of the origin's cluster restricted to ball(n).
+def susceptibility_profile(lattice: LatticeSpec, n_box: int,
+                           radii: Sequence[int], param: float, samples: int,
+                           seed: int) -> dict[int, MCEstimate]:
+    """Partial sums |cluster(0) ∩ ball(r)| for each r, shared samples.
 
     Cluster sizes are heavy-tailed near criticality, so the standard error
     comes from batch means rather than the naive i.i.d. formula.
     """
-    box = _box(lattice, n)
-    weights = box.open_probabilities(param)
-    sizes = []
-    for i in range(samples):
-        open_edges, _ = box.sample(weights, 0.0, seed,
-                                   rngmod.STREAM_SUSCEPTIBILITY, i)
-        members, _, _ = box.origin_cluster(open_edges)
-        sizes.append(sum(1 for m in members if m < box.n_inside))
-    mean = math.fsum(sizes) / samples
-    return MCEstimate(f"susceptibility[n={n}]", mean,
-                      batch_means_stderr(sizes), samples, seed)
-
-
-def susceptibility_profile(lattice: LatticeSpec, n_box: int,
-                           radii: Sequence[int], param: float, samples: int,
-                           seed: int) -> dict[int, MCEstimate]:
-    """Partial sums |cluster(0) ∩ ball(r)| for each r, shared samples."""
     radii = sorted(radii)
     if radii[-1] > n_box:
         raise ValueError("profile radius exceeds box radius")
     box = _box(lattice, n_box)
     weights = box.open_probabilities(param)
     counts: dict[int, list[float]] = {r: [] for r in radii}
-    layer = box.layer
+    layer = box.layer.tolist()
     for i in range(samples):
         open_edges, _ = box.sample(weights, 0.0, seed,
                                    rngmod.STREAM_SUSCEPTIBILITY, i)
         members, _, _ = box.origin_cluster(open_edges)
-        mlayers = layer[members]
+        # counted in plain Python: on small clusters a numpy call per
+        # sample costs more than the count itself
+        ml = [layer[m] for m in members]
         for r in radii:
-            counts[r].append(int(np.count_nonzero(mlayers <= r)))
+            counts[r].append(len([x for x in ml if x <= r]))
     out = {}
     for r in radii:
         vals = counts[r]
@@ -291,7 +221,7 @@ def check_mean_field(lattice: LatticeSpec, n: int, p: float, samples: int,
     p_c = 0.5
     if p <= p_c:
         raise ValueError("mean-field lower bound applies for p > p_c")
-    theta_hat = estimate_exit(lattice, n, p, samples, seed)
+    theta_hat = exit_profile(lattice, n, [n], p, samples, seed)[n]
     bound = (p - p_c) / (p * (1.0 - p_c))
     sigma = theta_hat.stderr if theta_hat.stderr > 0 else float("inf")
     margin = (theta_hat.mean - bound) / sigma

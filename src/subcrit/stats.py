@@ -26,9 +26,6 @@ class MCEstimate:
     samples: int
     seed: int
 
-    def interval(self, z: float = 3.0) -> tuple[float, float]:
-        return self.mean - z * self.stderr, self.mean + z * self.stderr
-
 
 def binomial_stderr(p_hat: float, n: int) -> float:
     if n <= 0:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .certificates import phi_ising, phi_percolation
 from .exact import (
     EDGE_CAP_DEFAULT,
     SPIN_CAP_DEFAULT,
@@ -31,8 +32,6 @@ from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 
 __all__ = [
     "InequalityReport",
-    "subset_phi_percolation",
-    "subset_phi_ising",
     "phi_infimum",
     "check_perc_differential",
     "check_bk_decomposition",
@@ -119,50 +118,8 @@ def _make_report(name: str, grid: Sequence, lhs: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# subset boundary functionals
+# subset infimum of phi
 # ---------------------------------------------------------------------------
-
-def subset_phi_percolation(lattice: LatticeSpec, subset: Iterable[Vertex],
-                           param: float, *, within: Iterable[Vertex] | None = None,
-                           cap: int = EDGE_CAP_DEFAULT) -> float:
-    """phi(S) = sum over coupled pairs x in S, y outside of w * P[0 <->_S x].
-
-    ``subset`` may be disconnected; connection probabilities are then zero
-    beyond the base point's component.  ``within`` optionally restricts the
-    outside endpoint y to a given vertex set.
-    """
-    region = Region(lattice, subset)
-    conn = perc_connect_probs(region, param, cap)
-    keep = None if within is None else {tuple(v) for v in within}
-    terms = []
-    for i, y, j in region.boundary_pairs:
-        if keep is not None and y not in keep:
-            continue
-        terms.append(edge_weight(lattice, j, param) * conn.probs[region.vertices[i]])
-    return math.fsum(terms)
-
-
-def subset_phi_ising(lattice: LatticeSpec, subset: Iterable[Vertex],
-                     beta: float, *, within: Iterable[Vertex] | None = None,
-                     cap: int = SPIN_CAP_DEFAULT) -> float:
-    """phi(S) = sum of tanh(beta J) <sigma_0 sigma_x>_{S, beta, 0} over
-    coupled pairs x in S, y outside S (optionally restricted to ``within``).
-
-    Correlations inside S are taken at zero field with free boundary, as in
-    the definition of the boundary functional.
-    """
-    if lattice.mode != "beta":
-        raise ValueError("ising boundary functional needs a beta-mode lattice")
-    region = Region(lattice, subset)
-    obs = ising_observables(region, beta, 0.0, cap)
-    keep = None if within is None else {tuple(v) for v in within}
-    terms = []
-    for i, y, j in region.boundary_pairs:
-        if keep is not None and y not in keep:
-            continue
-        terms.append(math.tanh(beta * j) * obs.correlations[region.vertices[i]])
-    return math.fsum(terms)
-
 
 def phi_infimum(model: str, lattice: LatticeSpec, region: Region,
                 param: float, *, within: Iterable[Vertex] | None = None
@@ -175,17 +132,17 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region,
     if len(others) > _SUBSET_ENUM_CAP:
         raise ValueError(f"subset infimum over 2^{len(others)} sets is too large")
     if model == "percolation":
-        evaluate: Callable[[list[Vertex]], float] = (
-            lambda vs: subset_phi_percolation(lattice, vs, param, within=within))
+        phi = phi_percolation
     elif model == "ising":
-        evaluate = lambda vs: subset_phi_ising(lattice, vs, param, within=within)
+        phi = phi_ising
     else:
         raise ValueError(f"unknown model {model!r}")
     best = math.inf
     best_subset: tuple[Vertex, ...] = (origin,)
     for mask in range(1 << len(others)):
         subset = [origin] + [v for k, v in enumerate(others) if mask >> k & 1]
-        value = evaluate(subset)
+        value = phi(lattice, Region(lattice, subset), param, within=within,
+                    allow_mc=False).value
         if value < best:
             best = value
             best_subset = tuple(sorted(subset))

@@ -20,8 +20,7 @@ from subcrit.currents import (CurrentGraph, correlation_via_currents,
                               switching_check)
 from subcrit.ising_mc import check_critical_divergence, estimate_magnetization
 from subcrit.lattice import LatticeSpec, ball
-from subcrit.perc_mc import (estimate_exit, estimate_ghost_magnetization,
-                             estimate_susceptibility, exit_profile,
+from subcrit.perc_mc import (estimate_ghost_magnetization, exit_profile,
                              fit_decay_rate, susceptibility_profile)
 from subcrit.verify import check_bk_decomposition, default_report
 
@@ -100,7 +99,8 @@ def test_criterion_04():
     parts = []
     ok = abs(bound - 20.0) < 1e-12
     for n in (16, 32):
-        est = estimate_susceptibility(P_LAT, n, 0.25, samples=20_000, seed=41)
+        est = susceptibility_profile(P_LAT, n, [n], 0.25, samples=20_000,
+                                     seed=41)[n]
         ok = ok and est.mean <= bound + 3.0 * est.stderr
         parts.append(f"chi({n})={est.mean:.2f}")
     return ok, f"bound {bound:.1f}, " + ", ".join(parts)
@@ -133,7 +133,7 @@ def test_criterion_06():
     results = []
     ok = True
     for p, floor in ((0.6, 1.0 / 3.0), (0.55, 0.1818)):
-        est = estimate_exit(P_LAT, 64, p, samples=8_000, seed=43)
+        est = exit_profile(P_LAT, 64, [64], p, samples=8_000, seed=43)[64]
         ok = ok and est.mean >= floor - 3.0 * est.stderr
         results.append(f"theta64({p})={est.mean:.4f} vs floor {floor:.4f}")
     return ok, "; ".join(results)

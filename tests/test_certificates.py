@@ -205,9 +205,7 @@ def test_best_bound_table_percolation():
     assert roots[1] == pytest.approx(12.0 ** -0.5, abs=1e-8)
     assert all(row.method == "exact" for row in result.rows)
     assert result.param_star == roots[-1]
-    region, param_star = result  # tuple-style unpacking
-    assert param_star == result.param_star
-    assert len(region.vertices) == 13
+    assert len(result.region.vertices) == 13
 
 
 def test_best_bound_skips_over_cap_radii_without_budget():

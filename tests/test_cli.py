@@ -42,6 +42,19 @@ def test_certify_success_writes_certificate_and_manifest(tmp_path):
     assert len(manifest["config_sha256"]) == 64
 
 
+def test_certify_rerun_is_byte_identical(tmp_path):
+    # the wall-clock time lives only in the manifest
+    args = ("certify", "--model", "perc", "--param", "0.2", "--ball", "1",
+            "--seed", "5", "--label", "cert")
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run_cli(*args, "--out", str(out)) == EXIT_OK
+    payload = read_json(tmp_path / "a" / "cert.json")
+    assert "timestamp" not in payload
+    assert "created_utc" in read_json(tmp_path / "a" / "cert_manifest.json")
+    assert ((tmp_path / "a" / "cert.json").read_bytes()
+            == (tmp_path / "b" / "cert.json").read_bytes())
+
+
 def test_certify_refusal_exits_two(tmp_path):
     code = run_cli("certify", "--model", "perc", "--param", "0.9",
                    "--ball", "1", "--seed", "5", "--out", str(tmp_path))
@@ -158,11 +171,35 @@ def test_simulate_perc_ghost_requires_field(tmp_path, capsys):
     assert "options.h" in capsys.readouterr().err
 
 
-def test_simulate_perc_rejects_bad_samples(tmp_path):
-    code = run_cli("simulate-perc", "--observable", "exit", "--param", "0.3",
-                   "--n", "1", "--samples", "0", "--seed", "1",
-                   "--out", str(tmp_path))
-    assert code == EXIT_ERROR
+def test_simulate_perc_rejects_bad_samples(tmp_path, capsys):
+    # certify/phi regions above the exact cap would otherwise reach the
+    # Monte Carlo fallback with zero samples or sweeps
+    cases = (
+        ("simulate-perc", "--observable", "exit", "--param", "0.3",
+         "--n", "1", "--samples", "0"),
+        ("certify", "--model", "percolation", "--param", "0.28",
+         "--ball", "3", "--samples", "0"),
+        ("phi", "--model", "ising", "--param", "0.3",
+         "--ball", "3", "--sweeps", "0"),
+    )
+    for args in cases:
+        code = run_cli(*args, "--seed", "1", "--out", str(tmp_path))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+def test_simulate_perc_single_size_matches_size_list(tmp_path):
+    for observable in ("exit", "susceptibility"):
+        rows = []
+        for flag in ("--n", "--n-list"):
+            out = tmp_path / f"{observable}{flag}"
+            assert run_cli("simulate-perc", "--observable", observable,
+                           "--param", "0.4", flag, "8", "--samples", "500",
+                           "--seed", "3", "--out", str(out)) == EXIT_OK
+            rows.append(read_csv(out / "simulate-perc.csv")[1])
+        assert rows[0] == rows[1]
+        assert [row[:2] for row in rows[0]] == [[observable, "8"]]
 
 
 # --- simulate-ising ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from subcrit.currents import (Current, CurrentGraph, TruncationScheme,
+from subcrit.currents import (Current, CurrentGraph, _cap,
                               correlation_via_currents, enumerate_currents,
                               expectation_via_currents, extract_backbone,
                               f_connect, oriented_edge_order, resolve_f,
@@ -56,9 +56,9 @@ def test_graph_validation():
 
 
 def test_truncation_scheme_validation():
-    assert TruncationScheme(1).cap == 1
+    assert _cap(1) == 1
     with pytest.raises(ValueError):
-        TruncationScheme(0)
+        _cap(0)
     with pytest.raises(ValueError):
         source_sum(CurrentGraph.path(2), (), 0.5, 0.0, 0)
 

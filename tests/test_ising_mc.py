@@ -7,7 +7,7 @@ import pytest
 from subcrit.exact import ising_observables
 from subcrit.ising_mc import (SpinSystem, WolffChain, check_critical_divergence,
                               equilibrate, estimate_magnetization,
-                              estimate_two_point, wolff_step)
+                              estimate_two_point)
 from subcrit.lattice import LatticeSpec, ball
 
 B_LAT = LatticeSpec.square(mode="beta")
@@ -95,8 +95,8 @@ def test_wolff_chain_preserves_spin_support():
     chain = WolffChain(system, 0.6, 0.0, 3, boundary="plus")
     equilibrate(chain, min_steps=50)
     for _ in range(50):
-        config = wolff_step(chain)
-    assert set(np.unique(config.spins)) <= {-1, 1}
+        chain.step()
+    assert set(np.unique(chain.spins)) <= {-1, 1}
 
 
 def test_divergence_report_structure():

@@ -7,10 +7,9 @@ import pytest
 from subcrit.errors import DegenerateFit
 from subcrit.exact import naive_event_prob, perc_connect_probs, perc_exit_prob
 from subcrit.lattice import LatticeSpec, Region, ball
-from subcrit.perc_mc import (check_mean_field, estimate_exit,
-                             estimate_ghost_magnetization,
-                             estimate_susceptibility, exit_profile,
-                             fit_decay_rate, susceptibility_profile)
+from subcrit.perc_mc import (check_mean_field, estimate_ghost_magnetization,
+                             exit_profile, fit_decay_rate,
+                             susceptibility_profile)
 from subcrit.stats import MCEstimate
 
 P_LAT = LatticeSpec.square(mode="p")
@@ -22,17 +21,17 @@ def assert_within_sigmas(estimate, truth, sigmas=4.0, floor=1e-3):
         f"estimate {estimate.mean} +- {estimate.stderr} vs exact {truth}")
 
 
-def test_estimate_exit_matches_exact_small_radii():
+def test_exit_matches_exact_small_radii():
     for n, p, seed in ((1, 0.3, 11), (1, 0.6, 12), (2, 0.45, 13)):
-        est = estimate_exit(P_LAT, n, p, samples=60_000, seed=seed)
+        est = exit_profile(P_LAT, n, [n], p, samples=60_000, seed=seed)[n]
         assert_within_sigmas(est, perc_exit_prob(P_LAT, n, p))
 
 
-def test_estimate_exit_is_deterministic_per_seed():
-    a = estimate_exit(P_LAT, 2, 0.4, samples=5_000, seed=77)
-    b = estimate_exit(P_LAT, 2, 0.4, samples=5_000, seed=77)
+def test_exit_is_deterministic_per_seed():
+    a = exit_profile(P_LAT, 2, [2], 0.4, samples=5_000, seed=77)[2]
+    b = exit_profile(P_LAT, 2, [2], 0.4, samples=5_000, seed=77)[2]
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
-    c = estimate_exit(P_LAT, 2, 0.4, samples=5_000, seed=78)
+    c = exit_profile(P_LAT, 2, [2], 0.4, samples=5_000, seed=78)[2]
     assert a.mean != c.mean
 
 
@@ -44,7 +43,7 @@ def test_exit_profile_decreasing_and_consistent():
     assert_within_sigmas(profile[2], perc_exit_prob(P_LAT, 2, 0.35))
 
 
-def test_estimate_susceptibility_matches_exact_box():
+def test_susceptibility_matches_exact_box():
     # the sampling graph is ball(1) plus its shell (clusters may route
     # through shell sites); chi counts only members inside ball(1)
     p = 0.35
@@ -56,7 +55,7 @@ def test_estimate_susceptibility_matches_exact_box():
     assert len(graph.internal_edges) == 16
     conn = perc_connect_probs(graph, p)
     chi = math.fsum(conn.probs[v] for v in lam1.vertices)
-    est = estimate_susceptibility(P_LAT, 1, p, samples=60_000, seed=31)
+    est = susceptibility_profile(P_LAT, 1, [1], p, samples=60_000, seed=31)[1]
     assert_within_sigmas(est, chi, floor=5e-3)
 
 

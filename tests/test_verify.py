@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from subcrit.certificates import phi_ising, phi_percolation
 from subcrit.exact import naive_connect_probs, naive_ising_observables
 from subcrit.lattice import LatticeSpec, Region, ball, edge_weight
 from subcrit.verify import (CHECK_NAMES, InequalityReport,
                             check_bk_decomposition, check_ghs_differential,
                             check_ising_differential, check_modified_simon,
                             check_perc_differential, default_report,
-                            default_reports, phi_infimum,
-                            subset_phi_ising, subset_phi_percolation)
+                            default_reports, phi_infimum)
 
 P_LAT = LatticeSpec.square(mode="p")
 B_LAT = LatticeSpec.square(mode="beta")
@@ -49,6 +49,14 @@ def hand_phi_ising(lattice, subset, beta, within=None):
     return total
 
 
+def phi_p(subset, param, **kwargs):
+    return phi_percolation(P_LAT, Region(P_LAT, subset), param, **kwargs).value
+
+
+def phi_b(subset, beta, **kwargs):
+    return phi_ising(B_LAT, Region(B_LAT, subset), beta, **kwargs).value
+
+
 def random_subset(rng, lattice, max_extra=5):
     pool = [v for v in ball(lattice, 2).vertices if v != (0, 0)]
     k = int(rng.integers(0, max_extra + 1))
@@ -56,62 +64,61 @@ def random_subset(rng, lattice, max_extra=5):
     return [(0, 0)] + [pool[int(i)] for i in picks]  # may be disconnected
 
 
-# --- subset boundary functionals ----------------------------------------------
+# --- phi on arbitrary subsets ---------------------------------------------------
 
-def test_subset_phi_percolation_simple_values():
-    assert subset_phi_percolation(P_LAT, [(0, 0)], 0.2) == pytest.approx(0.8)
+def test_phi_on_subset_simple_values():
+    assert phi_p([(0, 0)], 0.2) == pytest.approx(0.8)
     # disconnected subset: the far vertex never connects to the origin, so
     # only the origin's own boundary contributes
-    value = subset_phi_percolation(P_LAT, [(0, 0), (2, 2)], 0.2)
+    value = phi_p([(0, 0), (2, 2)], 0.2)
     assert value == pytest.approx(0.8)
 
 
-def test_subset_phi_matches_hand_assembly():
+def test_phi_on_subset_matches_hand_assembly():
     rng = np.random.default_rng(4101)
     for _ in range(10):
         subset = random_subset(rng, P_LAT)
         p = float(rng.uniform(0.1, 0.9))
-        assert subset_phi_percolation(P_LAT, subset, p) == pytest.approx(
+        assert phi_p(subset, p) == pytest.approx(
             hand_phi_percolation(P_LAT, subset, p), rel=1e-12, abs=1e-14)
     for _ in range(5):
         subset = random_subset(rng, B_LAT, max_extra=4)
         beta = float(rng.uniform(0.1, 0.7))
-        assert subset_phi_ising(B_LAT, subset, beta) == pytest.approx(
+        assert phi_b(subset, beta) == pytest.approx(
             hand_phi_ising(B_LAT, subset, beta), rel=1e-12, abs=1e-14)
 
 
-def test_subset_phi_within_restriction():
+def test_phi_within_restriction():
     rng = np.random.default_rng(4102)
     inside = set(ball(P_LAT, 1).vertices)
     for _ in range(5):
         subset = random_subset(rng, P_LAT, max_extra=3)
         p = float(rng.uniform(0.2, 0.8))
-        got = subset_phi_percolation(P_LAT, subset, p, within=inside)
+        got = phi_p(subset, p, within=inside)
         assert got == pytest.approx(
             hand_phi_percolation(P_LAT, subset, p, within=inside),
             rel=1e-12, abs=1e-14)
-        assert got <= subset_phi_percolation(P_LAT, subset, p) + 1e-14
+        assert got <= phi_p(subset, p) + 1e-14
     # truncating to the region itself kills every boundary term
     lam = ball(B_LAT, 1)
-    assert subset_phi_ising(B_LAT, lam.vertices, 0.5,
-                            within=lam.vertices) == 0.0
+    assert phi_b(lam.vertices, 0.5, within=lam.vertices) == 0.0
 
 
-def test_subset_phi_ising_needs_beta_mode():
+def test_phi_infimum_ising_needs_beta_mode():
     with pytest.raises(ValueError):
-        subset_phi_ising(P_LAT, [(0, 0)], 0.3)
+        phi_infimum("ising", P_LAT, Region(P_LAT, [(0, 0)]), 0.3)
 
 
 def test_phi_infimum_consistency():
     region = ball(P_LAT, 1)
     value, subset = phi_infimum("percolation", P_LAT, region, 0.4)
     assert (0, 0) in subset
-    assert subset_phi_percolation(P_LAT, subset, 0.4) == pytest.approx(value)
+    assert phi_p(subset, 0.4) == pytest.approx(value)
     rng = np.random.default_rng(4103)
     for _ in range(5):
         probe = random_subset(rng, P_LAT, max_extra=2)
         if set(probe) <= set(region.vertices):
-            assert subset_phi_percolation(P_LAT, probe, 0.4) >= value - 1e-12
+            assert phi_p(probe, 0.4) >= value - 1e-12
 
 
 def test_phi_infimum_guards():
