@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .lattice import LatticeSpec, Region, Vertex, ball
+from .lattice import LatticeSpec, Region, Vertex, ball_layout
 from .stats import MCEstimate, batch_means_stderr, integrated_autocorr_time
 
 _KIND_SPIN = 0
@@ -96,17 +96,19 @@ class SpinSystem:
             h: float = 0.0) -> "SpinSystem":
         if boundary not in ("free", "plus"):
             raise ValueError(f"unknown boundary condition {boundary!r}")
-        region = ball(lattice, n)
-        sites = len(region)
-        bonds = [(a, b, _KIND_SPIN, j) for a, b, j in region.internal_edges]
+        layout = ball_layout(lattice, n)
+        sites, m = layout.n_inside, layout.n_internal
+        a, b = layout.edge_a.tolist(), layout.edge_b.tolist()
+        j = layout.edge_j.tolist()
+        bonds = [(a[k], b[k], _KIND_SPIN, j[k]) for k in range(m)]
         if boundary == "plus":
             # one ghost bond per crossing coupling keeps multiplicities honest
-            bonds += [(i, sites, _KIND_SPIN, j) for i, _, j in region.boundary_pairs]
+            bonds += [(a[k], sites, _KIND_SPIN, j[k]) for k in range(m, len(a))]
         if h > 0.0:
             bonds += [(i, sites, _KIND_FIELD, 0.0) for i in range(sites)]
-        dist = lattice.distances_from_origin(region.vertices)
-        layers = np.array([dist[v] for v in region.vertices], dtype=np.int32)
-        index = {v: i for i, v in enumerate(region.vertices)}
+        layers = layout.layer[:sites]
+        coords = layout.coords[:sites].tolist()
+        index = {tuple(v): i for i, v in enumerate(coords)}
         return cls(sites, bonds, layers=layers, vertex_index=index)
 
 

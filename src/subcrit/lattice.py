@@ -20,7 +20,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 Vertex = tuple[int, ...]
 
@@ -338,6 +340,76 @@ def ball(lattice: LatticeSpec, n: int) -> Region:
         seen.update(nxt)
         frontier = sorted(nxt)
     return Region(lattice, seen, origin)
+
+
+class BallLayout(NamedTuple):
+    """``ball(n)`` plus its one-vertex shell as flat arrays.
+
+    Nodes are the ball's vertices in ``Region`` order (BFS layers,
+    lexicographic within a layer), then the shell in sorted order.  Edges
+    are ``ball(n).internal_edges`` followed by its ``boundary_pairs``, with
+    the outside endpoint replaced by its shell node index.
+    """
+
+    coords: np.ndarray   # (n_nodes, dim) int64
+    layer: np.ndarray    # (n_nodes,) int32 graph distance; the shell is n + 1
+    n_inside: int
+    n_internal: int      # edges before this index are internal
+    edge_a: np.ndarray   # int32, the inside endpoint
+    edge_b: np.ndarray   # int32
+    edge_j: np.ndarray   # float couplings
+
+
+def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
+    """The arrays of ``ball(lattice, n)`` and its shell, built with numpy.
+
+    Vertices are int64 keys (coordinates in a mixed radix, so key order is
+    lexicographic order).  A neighbor of BFS layer k lies in layer k - 1, k
+    or k + 1, so each new layer is the set of neighbors of the last one
+    minus the last two layers.
+    """
+    if n < 0:
+        raise ValueError("radius must be non-negative")
+    dim = lattice.dim
+    offsets = [o for o, _ in lattice.couplings]
+    reach = (n + 1) * max((abs(c) for o in offsets for c in o), default=0)
+    base = 2 * reach + 1
+    if base ** dim > np.iinfo(np.int64).max:
+        raise ValueError(f"ball({n}) spans {base}^{dim} coordinate values, "
+                         f"too many for int64 keys")
+    place = np.array([base ** (dim - 1 - i) for i in range(dim)], dtype=np.int64)
+    okeys = np.array(offsets, dtype=np.int64).reshape(-1, dim) @ place
+    js = np.array([j for _, j in lattice.couplings], dtype=float)
+
+    layers = [np.array([reach * int(place.sum())], dtype=np.int64)]
+    previous = layers[0][:0]
+    for _ in range(n + 1):
+        current = layers[-1]
+        reached = np.unique((current[:, None] + okeys).ravel())
+        fresh = ~(np.isin(reached, current) | np.isin(reached, previous))
+        previous = current
+        layers.append(reached[fresh])
+    keys = np.concatenate(layers)
+    n_inside = keys.size - layers[-1].size
+    layer = np.repeat(np.arange(n + 2, dtype=np.int32), [k.size for k in layers])
+    coords = keys[:, None] // place % base - reach
+
+    # every neighbor of a ball vertex is a node; look it up in sorted keys
+    order = np.argsort(keys)
+    nbr = order[np.searchsorted(keys[order], keys[:n_inside, None] + okeys)]
+    src = np.broadcast_to(np.arange(n_inside)[:, None], nbr.shape)
+    jay = np.broadcast_to(js, nbr.shape)
+    internal = (nbr > src) & (nbr < n_inside)
+    boundary = nbr >= n_inside
+    return BallLayout(
+        coords=coords,
+        layer=layer,
+        n_inside=n_inside,
+        n_internal=int(np.count_nonzero(internal)),
+        edge_a=np.concatenate([src[internal], src[boundary]]).astype(np.int32),
+        edge_b=np.concatenate([nbr[internal], nbr[boundary]]).astype(np.int32),
+        edge_j=np.concatenate([jay[internal], jay[boundary]]),
+    )
 
 
 def translate_region(region: Region, shift: Vertex) -> Region:

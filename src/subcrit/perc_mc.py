@@ -11,15 +11,17 @@ consumed in edge-index order, then ghost-vertex order.  Estimates are
 reduced with compensated summation in sample order, so results are
 bit-reproducible regardless of batching.
 
-Estimators walk the open cluster of the origin by BFS, which is cheap in
-the subcritical regime and adequate at criticality for the box sizes used
-here.
+The box's arrays come from ``lattice.ball_layout``.  Estimators walk the
+open cluster of the origin depth-first and stop once the event is decided:
+exit profiles at the first site beyond the largest radius, the ghost
+estimate at the first open ghost bond.  The susceptibility walks whole
+clusters.  Which edges are open does not depend on the walk, so no estimate
+depends on the walk order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import DegenerateFit
-from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
+from .lattice import LatticeSpec, ball_layout, edge_weight
 from .stats import MCEstimate, batch_means_stderr, binomial_stderr
 
 
@@ -38,37 +40,31 @@ class PercBox:
     def __init__(self, lattice: LatticeSpec, n: int):
         self.lattice = lattice
         self.n = n
-        region = ball(lattice, n)
-        self.region = region
-        shell = sorted({w for _, w, _ in region.boundary_pairs})
-        self.nodes: list[Vertex] = list(region.vertices) + shell
-        self.n_inside = len(region)
-        self.n_nodes = len(self.nodes)
-        index = {v: i for i, v in enumerate(self.nodes)}
-        ea, eb, ej = [], [], []
-        for a, b, j in region.internal_edges:
-            ea.append(a); eb.append(b); ej.append(j)
-        for i, w, j in region.boundary_pairs:
-            ea.append(i); eb.append(index[w]); ej.append(j)
-        self.edge_a = np.array(ea, dtype=np.int32)
-        self.edge_b = np.array(eb, dtype=np.int32)
-        self.edge_j = np.array(ej, dtype=float)
-        self.n_edges = len(ea)
+        layout = ball_layout(lattice, n)
+        self.layer = layout.layer
+        self.n_inside = layout.n_inside
+        self.n_nodes = len(layout.layer)
+        self.edge_a = layout.edge_a
+        self.edge_b = layout.edge_b
+        self.edge_j = layout.edge_j
+        self.n_edges = len(layout.edge_a)
 
-        dist = lattice.distances_from_origin(self.nodes)
-        self.layer = np.array([dist[v] for v in self.nodes], dtype=np.int32)
-
-        nbr: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        eid: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for k in range(self.n_edges):
-            a, b = int(self.edge_a[k]), int(self.edge_b[k])
-            nbr[a].append(b); eid[a].append(k)
-            nbr[b].append(a); eid[b].append(k)
-        self._nbr = [tuple(x) for x in nbr]
-        self._eid = [tuple(x) for x in eid]
+        # adjacency CSR: each node's (neighbor, edge id) in edge-id order
+        ends = np.concatenate([self.edge_a, self.edge_b])
+        eids = np.tile(np.arange(self.n_edges), 2)
+        order = np.lexsort((eids, ends))
+        ptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.n_nodes), out=ptr[1:])
+        self._ptr = ptr.tolist()
+        self._nbr = np.concatenate([self.edge_b, self.edge_a])[order].tolist()
+        self._eid = eids[order].tolist()
+        self._layer = self.layer.tolist()
 
     def open_probabilities(self, param: float) -> np.ndarray:
-        return np.array([edge_weight(self.lattice, j, param) for j in self.edge_j])
+        # one edge_weight call per distinct coupling
+        js, inverse = np.unique(self.edge_j, return_inverse=True)
+        weights = [edge_weight(self.lattice, j, param) for j in js.tolist()]
+        return np.array(weights)[inverse]
 
     def sample(self, weights: np.ndarray, h: float, seed: int, stream: int,
                index: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -82,38 +78,44 @@ class PercBox:
             raise ValueError("h must be non-negative")
         return open_edges, ghost_open
 
-    def origin_cluster(self, open_edges, ghost_open=None,
-                       stop_at_ghost: bool = False):
-        """BFS over the origin's open cluster.
+    def origin_cluster(self, open_edges, ghost_open=None, stop_layer=None):
+        """Depth-first walk over the origin's open cluster.
 
         Returns ``(members, max_layer, hit_ghost)``; ``members`` lists node
-        indices in discovery order.  With ``stop_at_ghost`` the walk returns
-        as soon as an open ghost bond is seen (the connection event needs no
-        more).
+        indices in discovery order.  The walk returns as soon as the event
+        is decided: when a ghost bond of a member is open (if ``ghost_open``
+        is given; ``hit_ghost`` is then True), or when it reaches a node of
+        layer ``stop_layer`` or beyond (``max_layer`` is then that node's
+        layer).  Otherwise it covers the whole cluster and ``max_layer`` is
+        the cluster's largest layer.
         """
-        seen = np.zeros(self.n_nodes, dtype=bool)
-        seen[0] = True
+        is_open = open_edges.tobytes()
+        ghost = None if ghost_open is None else ghost_open.tobytes()
         members = [0]
+        if ghost is not None and ghost[0]:
+            return members, 0, True
+        stop = self.n + 2 if stop_layer is None else stop_layer
+        ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
+        seen = bytearray(self.n_nodes)
+        seen[0] = 1
         max_layer = 0
-        hit_ghost = ghost_open is not None and bool(ghost_open[0])
-        if hit_ghost and stop_at_ghost:
-            return members, max_layer, True
-        queue = deque([0])
-        nbr, eid, layer = self._nbr, self._eid, self.layer
-        while queue:
-            v = queue.popleft()
-            for w, k in zip(nbr[v], eid[v]):
-                if open_edges[k] and not seen[w]:
-                    seen[w] = True
-                    members.append(w)
-                    if layer[w] > max_layer:
-                        max_layer = int(layer[w])
-                    if ghost_open is not None and ghost_open[w]:
-                        hit_ghost = True
-                        if stop_at_ghost:
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for t in range(ptr[v], ptr[v + 1]):
+                if is_open[eid[t]]:
+                    w = nbr[t]
+                    if not seen[w]:
+                        seen[w] = 1
+                        members.append(w)
+                        if layer[w] > max_layer:
+                            max_layer = layer[w]
+                        if ghost is not None and ghost[w]:
                             return members, max_layer, True
-                    queue.append(w)
-        return members, max_layer, hit_ghost
+                        if max_layer >= stop:
+                            return members, max_layer, False
+                        stack.append(w)
+        return members, max_layer, False
 
 
 @lru_cache(maxsize=32)
@@ -134,10 +136,11 @@ def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
         raise ValueError("profile radius exceeds box radius")
     box = _box(lattice, n_box)
     weights = box.open_probabilities(param)
+    stop = radii[-1] + 1  # every indicator max_layer > r is decided there
     hits = {r: 0 for r in radii}
     for i in range(samples):
         open_edges, _ = box.sample(weights, 0.0, seed, rngmod.STREAM_EXIT, i)
-        _, max_layer, _ = box.origin_cluster(open_edges)
+        _, max_layer, _ = box.origin_cluster(open_edges, stop_layer=stop)
         for r in radii:
             if max_layer > r:
                 hits[r] += 1
@@ -163,7 +166,7 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
     box = _box(lattice, n_box)
     weights = box.open_probabilities(param)
     counts: dict[int, list[float]] = {r: [] for r in radii}
-    layer = box.layer.tolist()
+    layer = box._layer
     for i in range(samples):
         open_edges, _ = box.sample(weights, 0.0, seed,
                                    rngmod.STREAM_SUSCEPTIBILITY, i)
@@ -192,8 +195,7 @@ def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
     for i in range(samples):
         open_edges, ghost_open = box.sample(weights, h, seed,
                                             rngmod.STREAM_GHOST, i)
-        _, _, hit = box.origin_cluster(open_edges, ghost_open,
-                                       stop_at_ghost=True)
+        _, _, hit = box.origin_cluster(open_edges, ghost_open)
         if hit:
             hits += 1
     mean = hits / samples

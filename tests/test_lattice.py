@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from subcrit.lattice import (LatticeSpec, Region, ball, edge_weight,
-                             translate_region)
+from subcrit.lattice import (LatticeSpec, Region, ball, ball_layout,
+                             edge_weight, translate_region)
 
 
 def bfs_ball(lattice, n):
@@ -159,3 +159,43 @@ def test_distances_from_origin():
     lattice = LatticeSpec.square()
     dist = lattice.distances_from_origin([(0, 0), (1, 2), (-3, 1)])
     assert dist == {(0, 0): 0, (1, 2): 3, (-3, 1): 4}
+
+
+LAYOUT_LATTICES = (
+    LatticeSpec.square(),
+    LatticeSpec.triangular(),
+    LatticeSpec.hypercubic(3),
+    # non-unit couplings and a range-2 offset
+    LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 0.5),
+                        ((0, -1), 0.5), ((0, 2), 2.0), ((0, -2), 2.0)]),
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("lattice", LAYOUT_LATTICES,
+                         ids=lambda lattice: lattice.family)
+def test_ball_layout_matches_ball(lattice, n):
+    region = ball(lattice, n)
+    shell = sorted({w for _, w, _ in region.boundary_pairs})
+    nodes = list(region.vertices) + shell
+    index = {v: i for i, v in enumerate(nodes)}
+    layout = ball_layout(lattice, n)
+    assert [tuple(c) for c in layout.coords.tolist()] == nodes
+    assert layout.n_inside == len(region)
+    assert layout.n_internal == len(region.internal_edges)
+    edges = list(region.internal_edges)
+    edges += [(i, index[w], j) for i, w, j in region.boundary_pairs]
+    assert list(zip(layout.edge_a.tolist(), layout.edge_b.tolist(),
+                    layout.edge_j.tolist())) == edges
+    dist = lattice.distances_from_origin(nodes)
+    assert layout.layer.tolist() == [dist[v] for v in nodes]
+    assert set(layout.layer[len(region):].tolist()) <= {n + 1}
+
+
+def test_ball_layout_rejects_keys_beyond_int64():
+    wide = LatticeSpec.custom([((1 << 40, 0), 1.0), ((-(1 << 40), 0), 1.0)])
+    for lattice, n in ((wide, 1), (LatticeSpec.hypercubic(20), 10)):
+        with pytest.raises(ValueError, match="int64") as info:
+            ball_layout(lattice, n)
+        assert "\n" not in str(info.value)
+    assert ball_layout(LatticeSpec.hypercubic(20), 1).n_inside == 41

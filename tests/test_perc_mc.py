@@ -7,12 +7,13 @@ import pytest
 from subcrit.errors import DegenerateFit
 from subcrit.exact import naive_event_prob, perc_connect_probs, perc_exit_prob
 from subcrit.lattice import LatticeSpec, Region, ball
-from subcrit.perc_mc import (check_mean_field, estimate_ghost_magnetization,
-                             exit_profile, fit_decay_rate,
-                             susceptibility_profile)
+from subcrit.perc_mc import (PercBox, check_mean_field,
+                             estimate_ghost_magnetization, exit_profile,
+                             fit_decay_rate, susceptibility_profile)
 from subcrit.stats import MCEstimate
 
 P_LAT = LatticeSpec.square(mode="p")
+T_LAT = LatticeSpec.triangular(mode="beta")
 
 
 def assert_within_sigmas(estimate, truth, sigmas=4.0, floor=1e-3):
@@ -64,6 +65,68 @@ def test_susceptibility_profile_increasing_in_box():
                                      samples=30_000, seed=41)
     means = [profile[n].mean for n in (2, 4, 8)]
     assert means[0] <= means[1] <= means[2]
+
+
+def reference_cluster(box, open_edges):
+    adjacent = {}
+    for a, b, is_open in zip(box.edge_a.tolist(), box.edge_b.tolist(),
+                             open_edges.tolist()):
+        if is_open:
+            adjacent.setdefault(a, []).append(b)
+            adjacent.setdefault(b, []).append(a)
+    seen, todo = {0}, [0]
+    while todo:
+        for w in adjacent.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+@pytest.mark.parametrize("lattice", [P_LAT, T_LAT], ids=["square", "triangular"])
+def test_early_exit_walk_decides_like_full_walk(lattice):
+    # same draws walked to the end, stopped past the largest radius, and
+    # stopped at the first ghost bond; the profile includes r = n_box
+    n_box, radii = 6, [0, 1, 3, 6]
+    box = PercBox(lattice, n_box)
+    for param in (0.3, 0.5):
+        weights = box.open_probabilities(param)
+        for i in range(200):
+            open_edges, ghost_open = box.sample(weights, 0.05, 5, 1, i)
+            members, full, _ = box.origin_cluster(open_edges)
+            cluster = reference_cluster(box, open_edges)
+            assert set(members) == cluster
+            assert full == max(box.layer[m] for m in cluster)
+            _, early, _ = box.origin_cluster(open_edges,
+                                             stop_layer=radii[-1] + 1)
+            assert [early > r for r in radii] == [full > r for r in radii]
+            _, _, hit = box.origin_cluster(open_edges, ghost_open)
+            assert hit == any(ghost_open[m] for m in cluster)
+
+
+def test_fixed_seed_outputs_are_pinned():
+    # recorded before the numpy box layout and the early-exit walk; a change
+    # of the draws (e.g. lazy per-edge uniforms) must move these on purpose
+    exit_hits = {
+        (P_LAT, 12, 0.5, 3000, 7): {2: 2605, 5: 2453, 12: 2253},
+        (P_LAT, 10, 0.6, 2000, 8): {3: 1907, 10: 1902},
+        (T_LAT, 6, 0.3, 2000, 9): {2: 1179, 6: 548},
+    }
+    for (lattice, n_box, param, samples, seed), hits in exit_hits.items():
+        profile = exit_profile(lattice, n_box, list(hits), param, samples, seed)
+        assert {r: round(e.mean * samples) for r, e in profile.items()} == hits
+    chi_means = {
+        (P_LAT, 8, 0.45, 2000, 41): {2: 7.302, 4: 17.005, 8: 36.9465},
+        (T_LAT, 5, 0.25, 1000, 42): {1: 3.011, 5: 7.995},
+    }
+    for (lattice, n_box, param, samples, seed), means in chi_means.items():
+        profile = susceptibility_profile(lattice, n_box, list(means), param,
+                                         samples, seed)
+        assert {r: e.mean for r, e in profile.items()} == means
+    ghost = estimate_ghost_magnetization(P_LAT, 6, 0.45, 0.05, 2000, 61)
+    assert round(ghost.mean * 2000) == 1235
+    ghost = estimate_ghost_magnetization(T_LAT, 4, 0.2, 0.1, 1000, 62)
+    assert round(ghost.mean * 1000) == 338
 
 
 def test_ghost_magnetization_matches_exact_line():

@@ -121,6 +121,16 @@ def test_phi_infimum_consistency():
             assert phi_p(probe, 0.4) >= value - 1e-12
 
 
+def test_phi_infimum_keeps_the_base_point():
+    shape = [(0, 0), (1, 0), (0, 1)]
+    moved = Region(P_LAT, [(5 + x, 5 + y) for x, y in shape], (5, 5))
+    value, subset = phi_infimum("percolation", P_LAT, moved, 0.3)
+    expected, at_origin = phi_infimum("percolation", P_LAT,
+                                      Region(P_LAT, shape), 0.3)
+    assert value == expected
+    assert subset == tuple(sorted((5 + x, 5 + y) for x, y in at_origin))
+
+
 def test_phi_infimum_guards():
     with pytest.raises(ValueError):
         phi_infimum("potts", P_LAT, ball(P_LAT, 1), 0.3)
