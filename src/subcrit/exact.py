@@ -1,32 +1,33 @@
 """Exact finite-volume computations by exhaustive enumeration.
 
-Percolation
------------
-Connection probabilities inside a finite region are polynomial in the edge
-weights.  We therefore enumerate every bond configuration once, label its
-clusters, and tally integer *count tables*: for each target vertex and each
-vector of per-weight-class open-edge counts, the number of configurations
-connecting the base point to the target.  A count table is independent of
-the parameter, so a single enumeration supports arbitrarily many evaluations
-(bisection on p or beta costs nothing extra) and the final evaluation is one
-compensated sum of count * weight-monomial terms.
+One chunked enumerator (``_bit_chunks``) and one evaluator of integer count
+tables (``_table_sum``) serve both models.  The tables do not depend on the
+parameter, so one enumeration per region supports any number of
+evaluations (bisection on p or beta costs nothing extra), each one
+compensated sum of count * monomial terms.  Plain-Python enumerators
+(``naive_*``) are kept alongside as the oracles.
 
-The enumeration is vectorized: configurations are processed in chunks, with
-cluster labels obtained by min-label propagation over the open edges until a
-fixed point.  A plain-Python reference enumerator (``naive_event_prob``) with
-independent BFS connectivity is kept alongside as the oracle.
+Percolation: ``ReachTables`` enumerates the configurations of a region's
+internal bonds and labels their clusters by min-label propagation.  *Ties*
+are extra bonds (vertex, coupling) into a set the internal bonds cannot
+reach.  Tallying, for each target t, the open bonds k_c per coupling class
+and the ties b_d per coupling class carried by t's cluster gives
 
-Ising
------
-Finite-volume Gibbs expectations are computed by summing over all spin
-assignments.  The Hamiltonian is
+    P[t reaches the tied set]
+        = sum count * prod_c w_c^k_c (1 - w_c)^(n_c - k_c)
+                    * -expm1(sum_d b_d log1p(-q_d)),
 
-    H(sigma) = -beta * sum_{internal pairs {x,y}} J_xy sigma_x sigma_y
-               - h * sum_x sigma_x,
+which keeps its relative accuracy for small tie weights q.  Connection to
+the base point is one always-open tie there; the exit event ties every
+boundary pair of ball(n).
 
-with each unordered pair counted once and the Gibbs weight exp(-H)
-normalized against the all-plus ground state so every weight lies in (0, 1].
-A plain-Python ``naive_ising_observables`` is the oracle.
+Ising: with H(sigma) = -beta * sum_{internal pairs {x,y}} J_xy sigma_x
+sigma_y - h * sum_x sigma_x (each unordered pair counted once), a spin
+assignment weighs prod_c u_c^k_c * v^m relative to the all-plus state,
+where k_c counts the unsatisfied pairs of coupling class c, m the minus
+spins, u_c = exp(-2 beta J_c) and v = exp(-2h).  ``SpinTables`` tabulates
+by (k, m) the number of assignments and their sums of sigma_x and of
+sigma_base sigma_x.
 
 Both engines refuse (``CapExceeded``) beyond configurable caps chosen so the
 worst-case enumeration stays near 1e8 elementary steps.
@@ -42,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded
-from .lattice import LatticeSpec, Region, Vertex, edge_weight
+from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 
 EDGE_CAP_DEFAULT = 26
 SPIN_CAP_DEFAULT = 22
@@ -51,127 +52,134 @@ _CHUNK_BITS = 18  # configurations per vectorized chunk
 
 
 # ---------------------------------------------------------------------------
-# generic bond-configuration enumeration
+# the enumerator and the evaluator shared by both models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightClass:
-    """Edges sharing one open-probability.
-
-    ``fold > 1`` marks a collapsed bundle of ``fold`` parallel bonds with
-    coupling ``j`` each: the merged bond is open with probability
-    ``1 - (1 - w)**fold``, which is probabilistically exact for connection
-    events into a merged target.
-    """
-
-    j: float
-    fold: int = 1
-
-    def weight(self, lattice: LatticeSpec, param: float) -> float:
-        w = edge_weight(lattice, self.j, param)
-        if self.fold == 1:
-            return w
-        return 1.0 - (1.0 - w) ** self.fold
+def _bit_chunks(n_bits: int):
+    """Every assignment of ``n_bits`` bits, as (n_bits, chunk) bool arrays
+    with at most 2^_CHUNK_BITS configurations per chunk."""
+    n_cfg = 1 << n_bits
+    chunk = min(n_cfg, 1 << _CHUNK_BITS)
+    for start in range(0, n_cfg, chunk):
+        idx = np.arange(start, min(start + chunk, n_cfg), dtype=np.uint64)
+        bits = np.empty((n_bits, idx.size), dtype=bool)
+        for e in range(n_bits):
+            bits[e] = (idx >> np.uint64(e)) & np.uint64(1) != 0
+        yield bits
 
 
-class ConnectivityTables:
-    """Count tables for connection events on a fixed finite edge set.
+def _table_sum(counts: np.ndarray, factors: list[np.ndarray]) -> float:
+    """Compensated sum of counts[k0, k1, ...] * factors[0][k0] * factors[1][k1] ..."""
+    nz = np.nonzero(counts)
+    terms = counts[nz].astype(float)
+    for axis, factor in enumerate(factors):
+        terms = terms * factor[nz[axis]]
+    return math.fsum(terms.tolist())
 
-    ``counts[t][k0, k1, ...]`` = number of bond configurations with ``k_c``
-    open edges in weight class ``c`` in which node ``t`` is connected to
-    ``base``.  ``totals[k0, k1, ...]`` counts all configurations (for
-    normalization checks).
-    """
 
-    def __init__(self, n_nodes: int, edges: list[tuple[int, int, int]],
-                 classes: list[WeightClass], base: int, targets: list[int],
-                 cap: int = EDGE_CAP_DEFAULT):
-        m = len(edges)
-        if m > cap:
-            raise CapExceeded("bond enumeration", m, cap)
-        self.n_nodes = n_nodes
-        self.edges = list(edges)
-        self.classes = list(classes)
-        self.base = base
-        self.targets = list(targets)
-        self.class_sizes = [0] * len(classes)
-        for _, _, c in edges:
-            self.class_sizes[c] += 1
-        shape = tuple(s + 1 for s in self.class_sizes)
-        self.counts = {t: np.zeros(shape, dtype=np.int64) for t in self.targets}
-        self._enumerate()
+def _coupling_classes(js) -> tuple[list[float], list[int]]:
+    """Distinct couplings in order of first appearance, and their counts."""
+    classes: dict[float, int] = {}
+    for j in js:
+        classes[j] = classes.get(j, 0) + 1
+    return list(classes), list(classes.values())
 
-    def _enumerate(self) -> None:
-        m = len(self.edges)
-        ea = np.array([e[0] for e in self.edges], dtype=np.int64)
-        eb = np.array([e[1] for e in self.edges], dtype=np.int64)
-        ecls = [e[2] for e in self.edges]
-        n_cfg = 1 << m
-        chunk = min(n_cfg, 1 << _CHUNK_BITS)
-        shape = tuple(s + 1 for s in self.class_sizes)
-        flat_strides = np.zeros(len(self.edges), dtype=np.int64)
-        # per-edge contribution to the flattened class-count index
-        stride_of_class = []
-        acc = 1
-        for s in reversed(shape):
-            stride_of_class.append(acc)
-            acc *= s
-        stride_of_class.reverse()
-        for i, c in enumerate(ecls):
-            flat_strides[i] = stride_of_class[c]
-        total_states = acc
 
-        for start in range(0, n_cfg, chunk):
-            idx = np.arange(start, min(start + chunk, n_cfg), dtype=np.uint64)
-            nloc = idx.size
-            open_edges = np.empty((m, nloc), dtype=bool)
-            for e in range(m):
-                open_edges[e] = (idx >> np.uint64(e)) & np.uint64(1) != 0
-            labels = np.broadcast_to(
-                np.arange(self.n_nodes, dtype=np.int16), (nloc, self.n_nodes)
-            ).copy()
-            # min-label propagation to a fixed point
-            changed = True
-            while changed:
-                changed = False
-                for e in range(m):
-                    sel = open_edges[e]
-                    la = labels[sel, ea[e]]
-                    lb = labels[sel, eb[e]]
-                    lo = np.minimum(la, lb)
-                    if (la != lo).any():
-                        labels[sel, ea[e]] = lo
-                        changed = True
-                    if (lb != lo).any():
-                        labels[sel, eb[e]] = lo
-                        changed = True
-            flat = np.zeros(nloc, dtype=np.int64)
-            for e in range(m):
-                flat += flat_strides[e] * open_edges[e]
-            base_labels = labels[:, self.base]
-            for t in self.targets:
-                connected = labels[:, t] == base_labels
-                binned = np.bincount(flat[connected], minlength=total_states)
-                self.counts[t] += binned.reshape(shape)
-
-    def prob(self, t: int, lattice: LatticeSpec, param: float) -> float:
-        """P[base <-> t] at the given parameter (compensated final sum)."""
-        weights = [wc.weight(lattice, param) for wc in self.classes]
-        pw = []
-        for c, w in enumerate(weights):
-            k = np.arange(self.class_sizes[c] + 1, dtype=float)
-            pw.append(np.power(w, k) * np.power(1.0 - w, self.class_sizes[c] - k))
-        counts = np.atleast_1d(self.counts[t])
-        nz = np.nonzero(counts)
-        terms = counts[nz].astype(float)
-        for c in range(len(self.classes)):
-            terms = terms * pw[c][nz[c]]
-        return math.fsum(terms.tolist())
+def _strides(shape: tuple[int, ...]) -> list[int]:
+    """Flat-index step of each axis of a C-ordered array of ``shape``."""
+    return [math.prod(shape[k + 1:]) for k in range(len(shape))]
 
 
 # ---------------------------------------------------------------------------
 # percolation inside a region
 # ---------------------------------------------------------------------------
+
+def _log_closed(lattice: LatticeSpec, j: float, param: float) -> float:
+    """log P[a tie of coupling ``j`` is closed]; ``j = inf`` is always open."""
+    w = 1.0 if j == math.inf else edge_weight(lattice, j, param)
+    return math.log1p(-w) if w < 1.0 else -math.inf
+
+
+class ReachTables:
+    """Count tables for "vertex t reaches the tied set" inside a region.
+
+    ``ties`` are bonds ``(vertex index, coupling)`` into a set the region's
+    bonds cannot reach; coupling ``math.inf`` marks an always-open tie.
+    ``counts[t][k_0, ..., k_{C-1}, b]`` counts the configurations with
+    ``k_c`` open bonds of coupling class c in which t's cluster carries
+    ``b_d`` ties of tie class d (``b`` is the vector (b_d) in mixed radix).
+    Clusters that carry no tie are not counted.
+    """
+
+    def __init__(self, region: Region, ties: tuple[tuple[int, float], ...],
+                 cap: int = EDGE_CAP_DEFAULT):
+        edges = region.internal_edges
+        if len(edges) > cap:
+            raise CapExceeded("bond enumeration", len(edges), cap)
+        n = len(region)
+        self.region = region
+        self.bond_js, self.bond_sizes = _coupling_classes(j for _, _, j in edges)
+        self.tie_js, tie_sizes = _coupling_classes(j for _, j in ties)
+        tie_shape = tuple(s + 1 for s in tie_sizes)
+        # row d: the number of class-d ties under each flat tie index
+        self.tie_digits = np.indices(tie_shape).reshape(len(tie_shape),
+                                                        math.prod(tie_shape))
+        shape = (tuple(s + 1 for s in self.bond_sizes)
+                 + (math.prod(tie_shape),))
+        strides, tie_strides = _strides(shape), _strides(tie_shape)
+        bond_step = [strides[self.bond_js.index(j)] for _, _, j in edges]
+        tie_step = np.zeros(n, dtype=np.int64)
+        for v, j in ties:
+            tie_step[v] += tie_strides[self.tie_js.index(j)]
+        tied = np.flatnonzero(tie_step)
+        counts = np.zeros((n, math.prod(shape)), dtype=np.int64)
+        for open_edges in _bit_chunks(len(edges)):
+            labels = np.repeat(np.arange(n, dtype=np.int16)[:, None],
+                               open_edges.shape[1], axis=1)
+            # min-label propagation to a fixed point: an open bond whose
+            # ends disagree gives both ends the smaller label
+            changed = True
+            while changed:
+                changed = False
+                for (a, b, _), is_open in zip(edges, open_edges):
+                    la, lb = labels[a], labels[b]
+                    differ = is_open & (la != lb)
+                    if differ.any():
+                        low = np.minimum(la, lb)
+                        np.copyto(la, low, where=differ)
+                        np.copyto(lb, low, where=differ)
+                        changed = True
+            flat = np.zeros(open_edges.shape[1], dtype=np.int64)
+            for step, is_open in zip(bond_step, open_edges):
+                flat += step * is_open
+            tied_labels = labels[tied]
+            for t in range(n):
+                carried = tie_step[tied] @ (tied_labels == labels[t])
+                hit = carried != 0
+                counts[t] += np.bincount(flat[hit] + carried[hit],
+                                         minlength=counts.shape[1])
+        self.counts = counts.reshape((n,) + shape)
+
+    def probs(self, param: float) -> list[float]:
+        """P[t reaches the tied set] for every vertex index t."""
+        lattice = self.region.lattice
+        factors = []
+        for j, n in zip(self.bond_js, self.bond_sizes):
+            w = edge_weight(lattice, j, param)
+            k = np.arange(n + 1, dtype=float)
+            factors.append(np.power(w, k) * np.power(1.0 - w, n - k))
+        log_closed = np.array([_log_closed(lattice, j, param)
+                               for j in self.tie_js])
+        finite = np.isfinite(log_closed)
+        reach = -np.expm1(log_closed[finite] @ self.tie_digits[finite])
+        reach[self.tie_digits[~finite].any(axis=0)] = 1.0
+        return [_table_sum(c, factors + [reach]) for c in self.counts]
+
+
+@lru_cache(maxsize=256)
+def _reach_tables(region: Region, ties: tuple, cap: int) -> ReachTables:
+    return ReachTables(region, ties, cap)
+
 
 @dataclass(frozen=True)
 class ExactConnectivity:
@@ -185,78 +193,26 @@ class ExactConnectivity:
         return self.probs[tuple(v)]
 
 
-def _region_classes(region: Region) -> tuple[list[WeightClass], dict[float, int]]:
-    classes: list[WeightClass] = []
-    index: dict[float, int] = {}
-    for _, _, j in region.internal_edges:
-        if j not in index:
-            index[j] = len(classes)
-            classes.append(WeightClass(j))
-    return classes, index
-
-
-@lru_cache(maxsize=256)
-def _region_tables(region: Region, cap: int) -> ConnectivityTables:
-    classes, cindex = _region_classes(region)
-    edges = [(a, b, cindex[j]) for a, b, j in region.internal_edges]
-    targets = list(range(len(region)))
-    return ConnectivityTables(len(region), edges, classes, base=0,
-                              targets=targets, cap=cap)
-
-
 def perc_connect_probs(region: Region, param: float,
                        cap: int = EDGE_CAP_DEFAULT) -> ExactConnectivity:
     """Exact P[base point <-> x inside S] for every x in S.
 
-    The region's base point maps to index 0 in canonical order, so the count
-    tables are built once per region and reused across parameters.
+    The base point (index 0 in canonical order) carries one always-open
+    tie.  The count tables are built once per region and reused across
+    parameters.
     """
-    tables = _region_tables(region, cap)
-    probs = {v: tables.prob(i, region.lattice, param)
-             for i, v in enumerate(region.vertices)}
-    return ExactConnectivity(region, param, probs)
-
-
-def exit_problem(lattice: LatticeSpec, n: int):
-    """Node/edge layout for the event "origin connected outside ball(n)".
-
-    Returns (ball region, number of nodes, edges with class ids, classes,
-    exterior node index).  All exterior endpoints are merged into one node;
-    parallel bonds from a boundary vertex are collapsed into fold-classes,
-    which leaves the exit event's distribution unchanged.
-    """
-    from .lattice import ball as _ball
-
-    region = _ball(lattice, n)
-    classes, cindex = _region_classes(region)
-    edges = [(a, b, cindex[j]) for a, b, j in region.internal_edges]
-    ext = len(region)
-    bundle: dict[tuple[int, float], int] = {}
-    for i, _, j in region.boundary_pairs:
-        bundle[(i, j)] = bundle.get((i, j), 0) + 1
-    fold_index: dict[tuple[float, int], int] = {}
-    for (i, j), fold in sorted(bundle.items()):
-        key = (j, fold)
-        if key not in fold_index:
-            fold_index[key] = len(classes)
-            classes.append(WeightClass(j, fold))
-        edges.append((i, ext, fold_index[key]))
-    return region, ext + 1, edges, classes, ext
-
-
-@lru_cache(maxsize=64)
-def _exit_tables(lattice: LatticeSpec, n: int, cap: int) -> tuple:
-    region, n_nodes, edges, classes, ext = exit_problem(lattice, n)
-    tables = ConnectivityTables(n_nodes, edges, classes, base=0,
-                                targets=[ext], cap=cap)
-    return tables, ext
+    tables = _reach_tables(region, ((0, math.inf),), cap)
+    return ExactConnectivity(region, param,
+                             dict(zip(region.vertices, tables.probs(param))))
 
 
 def perc_exit_prob(lattice: LatticeSpec, n: int, param: float,
                    cap: int = EDGE_CAP_DEFAULT) -> float:
-    """Exact P[origin <-> complement of ball(n)]."""
-    tables, ext = _exit_tables(lattice, n, cap)
-    return tables.prob(ext, lattice, param)
+    """Exact P[origin <-> complement of ball(n)]: every boundary pair of
+    ball(n) is a tie, and the origin's cluster must carry an open one."""
+    region = ball(lattice, n)
+    ties = tuple((i, j) for i, _, j in region.boundary_pairs)
+    return _reach_tables(region, ties, cap).probs(param)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,54 +281,78 @@ class ExactIsing:
 def all_plus_energy(region: Region, beta: float, h: float) -> float:
     """H of the all-plus configuration: -beta * sum_int J - h * |S|.
 
-    Guards the single-count pair convention; enumeration normalizes against
-    this ground-state weight.
+    Guards the single-count pair convention; the tables count weights
+    relative to this ground-state weight.
     """
     j_sum = math.fsum(j for _, _, j in region.internal_edges)
     return -beta * j_sum - h * len(region)
 
 
+class SpinTables:
+    """Integer tables of the Gibbs sums of one region.
+
+    Axis c < C counts the unsatisfied pairs (sigma_a != sigma_b) of
+    coupling class c, the last axis the minus spins.  Over the spin
+    assignments with those counts, ``z`` is their number, ``mags[x]`` the
+    sum of sigma_x and ``corrs[x]`` the sum of sigma_base sigma_x.
+    """
+
+    def __init__(self, region: Region):
+        edges = region.internal_edges
+        n = len(region)
+        self.region = region
+        self.js, self.sizes = _coupling_classes(j for _, _, j in edges)
+        shape = tuple(s + 1 for s in self.sizes) + (n + 1,)
+        strides = _strides(shape)
+        pair_step = [strides[self.js.index(j)] for _, _, j in edges]
+        # row 0: all assignments; row 1 + x: sigma_x = -1;
+        # row 1 + n + x: sigma_x != sigma_base
+        tallies = np.zeros((1 + 2 * n, math.prod(shape)), dtype=np.int64)
+        for down in _bit_chunks(n):
+            flat = down.sum(axis=0, dtype=np.int64)  # the last axis has step 1
+            for (a, b, _), step in zip(edges, pair_step):
+                flat += step * (down[a] != down[b])
+            tallies[0] += np.bincount(flat, minlength=tallies.shape[1])
+            for x in range(n):
+                tallies[1 + x] += np.bincount(flat[down[x]],
+                                              minlength=tallies.shape[1])
+                tallies[1 + n + x] += np.bincount(flat[down[x] != down[0]],
+                                                  minlength=tallies.shape[1])
+        tallies = tallies.reshape((1 + 2 * n,) + shape)
+        self.z = tallies[0]
+        self.mags = self.z - 2 * tallies[1:1 + n]
+        self.corrs = self.z - 2 * tallies[1 + n:]
+
+    def observables(self, beta: float, h: float) -> ExactIsing:
+        factors = [np.exp(-2.0 * beta * j * np.arange(s + 1))
+                   for j, s in zip(self.js, self.sizes)]
+        factors.append(np.exp(-2.0 * h * np.arange(len(self.region) + 1)))
+        z = _table_sum(self.z, factors)
+        vertices = self.region.vertices
+        return ExactIsing(
+            self.region, beta, h,
+            correlations={v: _table_sum(t, factors) / z
+                          for v, t in zip(vertices, self.corrs)},
+            magnetizations={v: _table_sum(t, factors) / z
+                            for v, t in zip(vertices, self.mags)},
+            log_z=math.log(z) - all_plus_energy(self.region, beta, h),
+        )
+
+
+@lru_cache(maxsize=256)
+def _spin_tables(region: Region) -> SpinTables:
+    return SpinTables(region)
+
+
 def ising_observables(region: Region, beta: float, h: float,
                       cap: int = SPIN_CAP_DEFAULT) -> ExactIsing:
-    """Exact expectations by vectorized enumeration of all 2^|S| spin states."""
+    """Exact expectations from the region's tables over all 2^|S| spin states."""
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     n = len(region)
     if n > cap:
         raise CapExceeded("spin enumeration", n, cap)
-    edges = region.internal_edges
-    ea = np.array([e[0] for e in edges], dtype=np.int64)
-    eb = np.array([e[1] for e in edges], dtype=np.int64)
-    ej = np.array([e[2] for e in edges], dtype=float)
-    e_plus = all_plus_energy(region, beta, h)
-
-    n_cfg = 1 << n
-    chunk = min(n_cfg, 1 << _CHUNK_BITS)
-    z_parts: list[float] = []
-    mag_parts: list[np.ndarray] = []
-    corr_parts: list[np.ndarray] = []
-    for start in range(0, n_cfg, chunk):
-        idx = np.arange(start, min(start + chunk, n_cfg), dtype=np.uint64)
-        spins = np.empty((idx.size, n), dtype=np.int8)
-        for v in range(n):
-            spins[:, v] = 1 - 2 * ((idx >> np.uint64(v)) & np.uint64(1)).astype(np.int8)
-        s = spins.astype(np.float64)
-        energy = -beta * ((s[:, ea] * s[:, eb]) @ ej) - h * s.sum(axis=1)
-        # relative weight <= 1: the all-plus state is the ferromagnetic ground
-        # state at h >= 0, so no overflow for any beta
-        w = np.exp(e_plus - energy)
-        z_parts.append(float(w.sum()))
-        mag_parts.append(w @ s)
-        corr_parts.append((w * s[:, 0]) @ s)
-    z = math.fsum(z_parts)
-    mags = [math.fsum(float(part[v]) for part in mag_parts) / z for v in range(n)]
-    corrs = [math.fsum(float(part[v]) for part in corr_parts) / z for v in range(n)]
-    return ExactIsing(
-        region, beta, h,
-        correlations={v: corrs[i] for i, v in enumerate(region.vertices)},
-        magnetizations={v: mags[i] for i, v in enumerate(region.vertices)},
-        log_z=math.log(z) - e_plus,
-    )
+    return _spin_tables(region).observables(beta, h)
 
 
 def naive_ising_observables(region: Region, beta: float, h: float) -> ExactIsing:

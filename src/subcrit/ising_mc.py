@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .lattice import LatticeSpec, Region, Vertex, ball_layout
+from .lattice import LatticeSpec, Region, Vertex, ball_layout, incidence_csr
 from .stats import MCEstimate, batch_means_stderr, integrated_autocorr_time
 
 _KIND_SPIN = 0
@@ -59,28 +59,10 @@ class SpinSystem:
         self.n_bonds = len(bonds)
         self.layers = layers
         self.vertex_index = vertex_index or {}
-        self._build_incidence()
-
-    def _build_incidence(self) -> None:
         # CSR over sites plus the ghost row: measurement clusters must be
         # able to expand through the ghost (correlations count ghost paths).
-        counts = np.zeros(self.n_sites + 2, dtype=np.int64)
-        for arr in (self.bond_a, self.bond_b):
-            for s in arr:
-                counts[s + 1] += 1
-        self.inc_ptr = np.cumsum(counts).astype(np.int64)
-        total = int(self.inc_ptr[-1])
-        self.inc_bond = np.empty(total, dtype=np.int32)
-        self.inc_partner = np.empty(total, dtype=np.int32)
-        cursor = self.inc_ptr[:-1].copy()
-        for k in range(self.n_bonds):
-            a, b = int(self.bond_a[k]), int(self.bond_b[k])
-            self.inc_bond[cursor[a]] = k
-            self.inc_partner[cursor[a]] = b
-            cursor[a] += 1
-            self.inc_bond[cursor[b]] = k
-            self.inc_partner[cursor[b]] = a
-            cursor[b] += 1
+        self.inc_ptr, self.inc_partner, self.inc_bond = incidence_csr(
+            n_sites + 1, self.bond_a, self.bond_b)
 
     @classmethod
     def from_region(cls, region: Region, h: float = 0.0) -> "SpinSystem":

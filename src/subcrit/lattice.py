@@ -153,15 +153,6 @@ class LatticeSpec:
         """``sum_y J(0, y)`` over all neighbors of the origin."""
         return math.fsum(j for _, j in self.couplings)
 
-    @property
-    def range_r(self) -> int:
-        """Coupling range in graph-distance units.
-
-        Every coupling offset is itself an edge of the coupling graph, so the
-        range is 1 whenever the table is non-empty.
-        """
-        return 1 if self.couplings else 0
-
     def neighbors(self, v: Vertex) -> Iterator[tuple[Vertex, float]]:
         for offset, j in self.couplings:
             yield tuple(a + b for a, b in zip(v, offset)), j
@@ -227,8 +218,9 @@ class Region:
     (inside index, outside vertex) coupled pair leaving the region.
 
     ``radius_l`` is the smallest ``n`` such that the region fits inside
-    ``ball(n - R)`` where ``R`` is the coupling range; it is the step length
-    of the exit-probability decay bound.
+    ``ball(n - 1)`` around its base point, so every coupled pair leaving it
+    ends inside ``ball(n)``; it is the step length of the exit-probability
+    decay bound.
     """
 
     def __init__(self, lattice: LatticeSpec, vertices: Iterable[Vertex],
@@ -301,7 +293,8 @@ class Region:
     def radius_l(self) -> int:
         shifted = [tuple(a - b for a, b in zip(v, self.origin)) for v in self.vertices]
         dist = self.lattice.distances_from_origin(shifted)
-        return max(dist.values()) + self.lattice.range_r
+        # every coupling offset is one step of the coupling graph
+        return max(dist.values()) + 1
 
     def boundary_weight(self, param: float) -> float:
         """Sum of open-probabilities over all boundary pairs."""
@@ -410,6 +403,21 @@ def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
         edge_b=np.concatenate([nbr[internal], nbr[boundary]]).astype(np.int32),
         edge_j=np.concatenate([jay[internal], jay[boundary]]),
     )
+
+
+def incidence_csr(n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency of an edge list as CSR, each row in edge-id order.
+
+    Returns ``(ptr, partner, edge_id)``: node v's incident edges are
+    ``edge_id[ptr[v]:ptr[v + 1]]``, leading to ``partner[ptr[v]:ptr[v + 1]]``.
+    """
+    ends = np.concatenate([edge_a, edge_b])
+    eids = np.tile(np.arange(len(edge_a)), 2)
+    order = np.lexsort((eids, ends))
+    ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n_nodes), out=ptr[1:])
+    return ptr, np.concatenate([edge_b, edge_a])[order], eids[order]
 
 
 def translate_region(region: Region, shift: Vertex) -> Region:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import DegenerateFit
-from .lattice import LatticeSpec, ball_layout, edge_weight
+from .lattice import LatticeSpec, ball_layout, edge_weight, incidence_csr
 from .stats import MCEstimate, batch_means_stderr, binomial_stderr
 
 
@@ -49,15 +49,10 @@ class PercBox:
         self.edge_j = layout.edge_j
         self.n_edges = len(layout.edge_a)
 
-        # adjacency CSR: each node's (neighbor, edge id) in edge-id order
-        ends = np.concatenate([self.edge_a, self.edge_b])
-        eids = np.tile(np.arange(self.n_edges), 2)
-        order = np.lexsort((eids, ends))
-        ptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=self.n_nodes), out=ptr[1:])
+        ptr, nbr, eid = incidence_csr(self.n_nodes, self.edge_a, self.edge_b)
         self._ptr = ptr.tolist()
-        self._nbr = np.concatenate([self.edge_b, self.edge_a])[order].tolist()
-        self._eid = eids[order].tolist()
+        self._nbr = nbr.tolist()
+        self._eid = eid.tolist()
         self._layer = self.layer.tolist()
 
     def open_probabilities(self, param: float) -> np.ndarray:

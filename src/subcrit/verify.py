@@ -22,8 +22,7 @@ from .certificates import phi_ising, phi_percolation
 from .exact import (
     EDGE_CAP_DEFAULT,
     SPIN_CAP_DEFAULT,
-    ConnectivityTables,
-    WeightClass,
+    ReachTables,
     ising_observables,
     perc_connect_probs,
     perc_exit_prob,
@@ -224,8 +223,9 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
 
     ``P[y <->_A B]`` means: y is joined to some vertex of B by an open path
     whose intermediate vertices all lie in A (1 if y is itself in B, 0 if y
-    lies outside A and B).  B is collapsed to a single super-vertex, which
-    is exact for connection events into B.
+    lies outside A and B).  The bonds inside A are enumerated, and each
+    coupled pair from A into B is a tie of A: y joins B exactly when its
+    cluster in A carries an open tie.
     """
     s_set = {tuple(v) for v in s_vertices}
     a_set = {tuple(v) for v in a_vertices}
@@ -238,57 +238,28 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
     if b_set & s_set:
         raise ValueError("B must be disjoint from S")
     if b_set & a_set:
-        raise ValueError("B must be disjoint from A (collapsed construction)")
+        raise ValueError("B must be disjoint from A")
     if not params:
         raise ValueError("empty parameter grid")
 
     region_s = Region(lattice, s_set, origin=u)
-
-    # collapsed graph on A with B as one super-vertex
-    nodes = sorted(a_set)
-    index = {v: i for i, v in enumerate(nodes)}
-    super_idx = len(nodes)
-    class_index: dict[tuple[float, int], int] = {}
-    classes: list[WeightClass] = []
-    edges: list[tuple[int, int, int]] = []
-
-    def class_of(j: float, fold: int) -> int:
-        key = (j, fold)
-        if key not in class_index:
-            class_index[key] = len(classes)
-            classes.append(WeightClass(j, fold))
-        return class_index[key]
-
-    for v in nodes:
-        crossing: dict[float, int] = {}
-        for w, j in lattice.neighbors(v):
-            if w in a_set:
-                if index[v] < index[w]:
-                    edges.append((index[v], index[w], class_of(j, 1)))
-            elif w in b_set:
-                crossing[j] = crossing.get(j, 0) + 1
-        for j, fold in sorted(crossing.items()):
-            edges.append((index[v], super_idx, class_of(j, fold)))
-
-    tables = ConnectivityTables(len(nodes) + 1, edges, classes,
-                                base=super_idx,
-                                targets=list(range(len(nodes))), cap=cap)
+    region_a = Region(lattice, a_set, origin=u)
+    ties = tuple((i, j) for i, y, j in region_a.boundary_pairs if y in b_set)
+    tables = ReachTables(region_a, ties, cap)
 
     lhs, rhs = [], []
     for p in params:
         conn_s = perc_connect_probs(region_s, p, cap)
-        reach: dict[Vertex, float] = {}
+        reach = tables.probs(p)
 
         def reach_b(y: Vertex) -> float:
             if y in b_set:
                 return 1.0
             if y not in a_set:
                 return 0.0
-            if y not in reach:
-                reach[y] = tables.prob(index[y], lattice, p)
-            return reach[y]
+            return reach[region_a.index(y)]
 
-        lhs.append(tables.prob(index[u], lattice, p))
+        lhs.append(reach[0])
         terms = []
         for i, y, j in region_s.boundary_pairs:
             q = reach_b(y)
@@ -300,7 +271,8 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
     return _make_report(
         "bk-decomposition", tuple(params), lhs, rhs, tolerance, flip=True,
         notes=(f"|S|={len(s_set)}, |A|={len(a_set)}, |B|={len(b_set)}; "
-               f"collapsed graph has {len(edges)} edges"))
+               f"{len(region_a.internal_edges)} bonds in A, "
+               f"{len(ties)} ties into B"))
 
 
 def check_ising_differential(lattice: LatticeSpec, n: int = 1,

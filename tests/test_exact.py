@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from subcrit.errors import CapExceeded
-from subcrit.exact import (ConnectivityTables, WeightClass, all_plus_energy,
-                           ising_observables, naive_connect_probs,
-                           naive_event_prob, naive_ising_observables,
-                           perc_connect_probs, perc_exit_prob)
+from subcrit.exact import (ReachTables, all_plus_energy, ising_observables,
+                           naive_connect_probs, naive_event_prob,
+                           naive_ising_observables, perc_connect_probs,
+                           perc_exit_prob)
 from subcrit.lattice import LatticeSpec, Region, ball
 from subcrit.rng import STREAM_TEST, sample_stream
+
+# three distinct couplings, so the tables carry three coupling classes
+THREE_J = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
+                              ((0, 1), 0.5), ((0, -1), 0.5),
+                              ((1, 1), 0.25), ((-1, -1), 0.25)])
 
 
 def random_region(lattice, rng, n_vertices):
@@ -29,14 +34,14 @@ def random_region(lattice, rng, n_vertices):
 
 
 def test_connect_probs_match_naive_on_random_instances():
-    for trial in range(50):
+    for trial in range(60):
         rng = sample_stream(20250817, STREAM_TEST, trial)
         mode = "p" if trial % 2 == 0 else "beta"
-        lattice = LatticeSpec.square(mode=mode)
+        lattice = LatticeSpec.square(mode=mode) if trial < 50 else THREE_J
         region = random_region(lattice, rng, int(rng.integers(2, 8)))
         if len(region.internal_edges) > 10:
             continue
-        param = float(rng.uniform(0.05, 0.95 if mode == "p" else 1.5))
+        param = float(rng.uniform(0.05, 0.95 if lattice.mode == "p" else 1.5))
         fast = perc_connect_probs(region, param)
         slow = naive_connect_probs(region, param)
         for v in region.vertices:
@@ -57,6 +62,10 @@ def test_exit_prob_closed_form_radius_zero():
     for p in (0.0, 0.12, 0.5, 0.87, 1.0):
         assert perc_exit_prob(lattice, 0, p) == pytest.approx(
             1.0 - (1.0 - p) ** 4, abs=1e-13)
+    # 1 - (1 - p)**4 cancels for small p; the four ties keep full accuracy
+    for p in (1e-6, 1e-9):
+        assert perc_exit_prob(lattice, 0, p) == pytest.approx(
+            -math.expm1(4.0 * math.log1p(-p)), rel=1e-12, abs=0.0)
 
 
 def test_exit_prob_radius_one_matches_unfolded_naive():
@@ -81,13 +90,12 @@ def test_exit_prob_monotone_in_radius_and_param():
 
 
 def test_weight_class_fold_equals_parallel_edges():
-    # one vertex tied to the base by 3 parallel bonds of weight w
+    # one vertex tied to the outside by 3 parallel bonds of weight w
     w = 0.35
-    folded = ConnectivityTables(2, [(0, 1, 0)], [WeightClass(1.0, fold=3)],
-                                base=0, targets=[1])
     lattice = LatticeSpec.square(mode="p")
+    tables = ReachTables(Region(lattice, [(0, 0)]), ((0, 1.0),) * 3)
     explicit = naive_event_prob(2, [(0, 1, w)] * 3, 0, [1])[1]
-    assert folded.prob(1, lattice, w) == pytest.approx(explicit, abs=1e-14)
+    assert tables.probs(w)[0] == pytest.approx(explicit, abs=1e-14)
 
 
 def test_edge_cap_raises():
@@ -100,12 +108,12 @@ def test_edge_cap_raises():
 
 
 def test_ising_matches_naive_on_random_instances():
-    for trial in range(50):
+    for trial in range(60):
         rng = sample_stream(633791, STREAM_TEST, trial)
-        lattice = LatticeSpec.square(mode="beta")
+        lattice = LatticeSpec.square(mode="beta") if trial < 50 else THREE_J
         region = random_region(lattice, rng, int(rng.integers(1, 9)))
         beta = float(rng.uniform(0.0, 1.0))
-        h = float(rng.uniform(0.0, 0.8)) if trial % 3 else 0.0
+        h = float(rng.uniform(0.0, 0.8)) if trial % 3 or trial >= 50 else 0.0
         fast = ising_observables(region, beta, h)
         slow = naive_ising_observables(region, beta, h)
         assert fast.log_z == pytest.approx(slow.log_z, abs=1e-11)

@@ -122,3 +122,21 @@ def test_two_point_distances_validated():
 def test_boundary_name_validated():
     with pytest.raises(ValueError):
         estimate_magnetization(B_LAT, 2, 0.4, "minus", sweeps=100, seed=1)
+
+
+def test_fixed_seed_outputs_are_pinned():
+    # values recorded before SpinSystem's incidence CSR was built with
+    # numpy; any change to the Wolff draws must re-record them on purpose
+    mag = estimate_magnetization(B_LAT, 4, 0.4, "plus", sweeps=1_500, seed=101)
+    assert (mag.mean, mag.stderr) == (0.73, 0.013593529265744506)
+    two_point = estimate_two_point(B_LAT, 3, 0.35, [1, 2], sweeps=1_500,
+                                   seed=103)
+    assert ((two_point[1].mean, two_point[1].stderr),
+            (two_point[2].mean, two_point[2].stderr)) == (
+        (0.43733333333333335, 0.015030578390323757),
+        (0.182, 0.010568876334930206))
+    report = check_critical_divergence(B_LAT, BETA_C, [1, 3], sweeps=1_000,
+                                       seed=107)
+    assert ((report.estimates[1].mean, report.estimates[1].stderr),
+            (report.estimates[3].mean, report.estimates[3].stderr)) == (
+        (3.426, 0.0544532455510437), (9.911, 0.2520756303327568))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from subcrit.certificates import phi_ising, phi_percolation
-from subcrit.exact import naive_connect_probs, naive_ising_observables
+from subcrit.exact import (naive_connect_probs, naive_event_prob,
+                           naive_ising_observables)
 from subcrit.lattice import LatticeSpec, Region, ball, edge_weight
 from subcrit.verify import (CHECK_NAMES, InequalityReport,
                             check_bk_decomposition, check_ghs_differential,
@@ -206,6 +207,29 @@ def test_bk_decomposition_small_scenario():
     assert report.lhs[-1] == pytest.approx(1.0)
     assert report.rhs[-1] == pytest.approx(4.0)
     assert "|S|=1" in report.notes
+
+
+def test_bk_lhs_matches_unfolded_naive():
+    # B as one node, with every coupled pair from A into B its own bond
+    tri = LatticeSpec.triangular(mode="p")
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    outside = sorted({w for v in triangle for w, _ in tri.neighbors(v)}
+                     - set(triangle))
+    scenarios = [(P_LAT,) + small_bk_sets(P_LAT),
+                 (tri, [(0, 0)], triangle, outside[1:])]
+    for lattice, s, a, b in scenarios:
+        index = {v: i for i, v in enumerate(a)}
+        pairs = [(index[v], len(a)) for v in a
+                 for w, _ in lattice.neighbors(v) if w in b]
+        pairs += [(index[v], index[w]) for v in a
+                  for w, _ in lattice.neighbors(v)
+                  if w in index and index[v] < index[w]]
+        report = check_bk_decomposition(lattice, s, a, b, params=(0.2, 0.5))
+        for p, lhs in zip(report.grid, report.lhs):
+            edges = [(x, y, p) for x, y in pairs]
+            want = naive_event_prob(len(a) + 1, edges, index[(0, 0)],
+                                    [len(a)])[len(a)]
+            assert lhs == pytest.approx(want, abs=1e-13)
 
 
 def test_bk_decomposition_set_validation():
