@@ -6,9 +6,12 @@ box is sampled.  An optional ghost vertex models an external field: each box
 vertex joins the ghost independently with probability ``1 - exp(-h)``.
 
 Per-sample randomness comes from a counter-based stream keyed by
-(seed, observable stream, sample index); inside a sample, uniforms are
-consumed in edge-index order, then ghost-vertex order.  Estimates are
-reduced with compensated summation in sample order, so results are
+(seed, observable stream, sample index).  Edge e's uniform is word e of the
+sample's stream and box vertex v's ghost uniform is word ``n_edges + v``.
+A sample draws only the prefix of edge words (and of ghost words) that its
+walk reads, so a small cluster costs a few hundred draws, not one per box
+edge, and the draws are the same as if every word were drawn.  Estimates
+are reduced with compensated summation in sample order, so results are
 bit-reproducible regardless of batching.
 
 The box's arrays come from ``lattice.ball_layout``.  Estimators walk the
@@ -22,6 +25,7 @@ depends on the walk order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -32,6 +36,10 @@ from . import rng as rngmod
 from .errors import DegenerateFit
 from .lattice import LatticeSpec, ball_layout, edge_weight, incidence_csr
 from .stats import MCEstimate, batch_means_stderr, binomial_stderr
+
+# smallest prefix a walk draws: below about this many words, the cost of a
+# numpy call outweighs the draws it saves
+_FIRST_DRAW = 256
 
 
 class PercBox:
@@ -54,6 +62,21 @@ class PercBox:
         self._nbr = nbr.tolist()
         self._eid = eid.tolist()
         self._layer = self.layer.tolist()
+        # A row lists its edges in id order, so node v's edges are drawn once
+        # the first need[v] words are.  The running maximum makes need
+        # sorted: nodes v < bisect_right(need, drawn) have all their edges.
+        self._need = np.maximum.accumulate(eid[ptr[1:] - 1] + 1).tolist()
+
+        # generators and draw buffers, reused by every walk (so one box
+        # serves one walk at a time); the masks are numpy views of the
+        # bytearrays the walk indexes
+        self._edge_gen = self._ghost_gen = None
+        self._edge_u = np.empty(self.n_edges)
+        self._open = bytearray(self.n_edges)
+        self._open_mask = np.frombuffer(self._open, dtype=np.bool_)
+        self._ghost_u = np.empty(self.n_nodes)
+        self._ghost_open = bytearray(self.n_nodes)
+        self._ghost_mask = np.frombuffer(self._ghost_open, dtype=np.bool_)
 
     def open_probabilities(self, param: float) -> np.ndarray:
         # one edge_weight call per distinct coupling
@@ -61,42 +84,53 @@ class PercBox:
         weights = [edge_weight(self.lattice, j, param) for j in js.tolist()]
         return np.array(weights)[inverse]
 
-    def sample(self, weights: np.ndarray, h: float, seed: int, stream: int,
-               index: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Open-edge mask (and ghost mask if h > 0) for one sample index."""
-        gen = rngmod.sample_stream(seed, stream, index)
-        open_edges = gen.random(self.n_edges) < weights
-        ghost_open = None
-        if h > 0.0:
-            ghost_open = gen.random(self.n_nodes) < -math.expm1(-h)
-        elif h < 0.0:
-            raise ValueError("h must be non-negative")
-        return open_edges, ghost_open
+    def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
+                       index: int, h: float = 0.0,
+                       stop_layer: int | None = None
+                       ) -> tuple[list[int], int, bool]:
+        """Depth-first walk over the origin's open cluster in one sample.
 
-    def origin_cluster(self, open_edges, ghost_open=None, stop_layer=None):
-        """Depth-first walk over the origin's open cluster.
+        Sample ``index`` of ``stream`` opens edge e when word e of its
+        stream is below ``weights[e]`` and, for h > 0, joins box vertex v to
+        the ghost when word ``n_edges + v`` is below ``1 - exp(-h)``.  Words
+        are drawn as the walk first needs them, a doubling prefix at a time.
 
         Returns ``(members, max_layer, hit_ghost)``; ``members`` lists node
         indices in discovery order.  The walk returns as soon as the event
-        is decided: when a ghost bond of a member is open (if ``ghost_open``
-        is given; ``hit_ghost`` is then True), or when it reaches a node of
-        layer ``stop_layer`` or beyond (``max_layer`` is then that node's
-        layer).  Otherwise it covers the whole cluster and ``max_layer`` is
-        the cluster's largest layer.
+        is decided: when a ghost bond of a member is open (``hit_ghost`` is
+        then True), or when it reaches a node of layer ``stop_layer`` or
+        beyond (``max_layer`` is then that node's layer).  Otherwise it
+        covers the whole cluster and ``max_layer`` is the cluster's largest
+        layer.
         """
-        is_open = open_edges.tobytes()
-        ghost = None if ghost_open is None else ghost_open.tobytes()
+        if h < 0.0:
+            raise ValueError("h must be non-negative")
+        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
+                                                    gen=self._edge_gen)
         members = [0]
-        if ghost is not None and ghost[0]:
-            return members, 0, True
+        ghost = None
+        if h > 0.0:
+            ghost_gen = self._ghost_gen = rngmod.sample_stream(
+                seed, stream, index, start=self.n_edges, gen=self._ghost_gen)
+            ghost, ghost_weight = self._ghost_open, -math.expm1(-h)
+            ghost_drawn = self._draw(ghost_gen, self._ghost_u,
+                                     self._ghost_mask, ghost_weight, 0, 1)
+            if ghost[0]:
+                return members, 0, True
         stop = self.n + 2 if stop_layer is None else stop_layer
         ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
+        need, is_open = self._need, self._open
+        drawn = ready = 0  # edge words drawn; nodes v < ready have all theirs
         seen = bytearray(self.n_nodes)
         seen[0] = 1
         max_layer = 0
         stack = [0]
         while stack:
             v = stack.pop()
+            if v >= ready:
+                drawn = self._draw(gen, self._edge_u, self._open_mask, weights,
+                                   drawn, need[v])
+                ready = bisect_right(need, drawn)
             for t in range(ptr[v], ptr[v + 1]):
                 if is_open[eid[t]]:
                     w = nbr[t]
@@ -105,12 +139,29 @@ class PercBox:
                         members.append(w)
                         if layer[w] > max_layer:
                             max_layer = layer[w]
-                        if ghost is not None and ghost[w]:
-                            return members, max_layer, True
+                        if ghost is not None:
+                            if w >= ghost_drawn:
+                                ghost_drawn = self._draw(
+                                    ghost_gen, self._ghost_u, self._ghost_mask,
+                                    ghost_weight, ghost_drawn, w + 1)
+                            if ghost[w]:
+                                return members, max_layer, True
                         if max_layer >= stop:
                             return members, max_layer, False
                         stack.append(w)
         return members, max_layer, False
+
+    @staticmethod
+    def _draw(gen, uniforms, mask, weights, drawn, needed):
+        """Extend the drawn prefix to at least ``needed`` words; returns its
+        new length.  The prefix at least doubles, so a walk makes O(log)
+        numpy calls however far it goes."""
+        end = min(len(uniforms), max(needed, 2 * drawn, _FIRST_DRAW))
+        part = uniforms[drawn:end]
+        gen.random(out=part)
+        bound = weights if isinstance(weights, float) else weights[drawn:end]
+        np.less(part, bound, out=mask[drawn:end])
+        return end
 
 
 @lru_cache(maxsize=32)
@@ -134,8 +185,8 @@ def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
     stop = radii[-1] + 1  # every indicator max_layer > r is decided there
     hits = {r: 0 for r in radii}
     for i in range(samples):
-        open_edges, _ = box.sample(weights, 0.0, seed, rngmod.STREAM_EXIT, i)
-        _, max_layer, _ = box.origin_cluster(open_edges, stop_layer=stop)
+        _, max_layer, _ = box.origin_cluster(weights, seed, rngmod.STREAM_EXIT,
+                                             i, stop_layer=stop)
         for r in radii:
             if max_layer > r:
                 hits[r] += 1
@@ -163,9 +214,8 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
     counts: dict[int, list[float]] = {r: [] for r in radii}
     layer = box._layer
     for i in range(samples):
-        open_edges, _ = box.sample(weights, 0.0, seed,
-                                   rngmod.STREAM_SUSCEPTIBILITY, i)
-        members, _, _ = box.origin_cluster(open_edges)
+        members, _, _ = box.origin_cluster(weights, seed,
+                                           rngmod.STREAM_SUSCEPTIBILITY, i)
         # counted in plain Python: on small clusters a numpy call per
         # sample costs more than the count itself
         ml = [layer[m] for m in members]
@@ -188,9 +238,8 @@ def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
     weights = box.open_probabilities(param)
     hits = 0
     for i in range(samples):
-        open_edges, ghost_open = box.sample(weights, h, seed,
-                                            rngmod.STREAM_GHOST, i)
-        _, _, hit = box.origin_cluster(open_edges, ghost_open)
+        _, _, hit = box.origin_cluster(weights, seed, rngmod.STREAM_GHOST, i,
+                                       h=h)
         if hit:
             hits += 1
     mean = hits / samples

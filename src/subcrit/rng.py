@@ -11,7 +11,11 @@ block counter positioned at the sample (or step) index.  Two consequences:
 
 Within one sample block, draws are consumed in a fixed documented order
 (edge index order for percolation, frontier order for cluster growth), which
-pins down the "(seed, sample index, edge index)" keying.
+pins down the "(seed, sample index, edge index)" keying.  Each uniform is
+one 64-bit word of the block, so word k of a sample depends on k alone.  A
+percolation sample reads edge e's uniform from word e and box vertex v's
+ghost uniform from word ``n_edges + v``, and draws only the prefix its walk
+reads; ``sample_stream(..., start=n_edges)`` opens the ghost words directly.
 """
 
 from __future__ import annotations
@@ -29,15 +33,35 @@ STREAM_WOLFF = 5
 STREAM_TEST = 99
 
 
-def sample_stream(seed: int, stream: int, index: int) -> np.random.Generator:
+def sample_stream(seed: int, stream: int, index: int, start: int = 0,
+                  gen: np.random.Generator | None = None
+                  ) -> np.random.Generator:
     """Generator for sample ``index`` of observable ``stream`` under ``seed``.
 
     The Philox key mixes (seed, stream); the 256-bit counter is positioned at
     ``index * 2**128`` so successive samples own disjoint counter blocks of
-    2**128 draws each.
+    2**128 draws each.  The first draw is word ``start`` of the block: Philox
+    makes four words per counter step, so the counter moves ``start // 4``
+    steps and the remaining ``start % 4`` words are discarded.
+
+    Passing ``gen``, a generator this function returned earlier, repositions
+    it in place; that costs about a tenth of building a new Philox.
     """
-    if index < 0:
-        raise ValueError("sample index must be non-negative")
+    if index < 0 or start < 0:
+        raise ValueError("sample index and word position must be non-negative")
     key = (int(seed) & _MASK64) | ((int(stream) & _MASK64) << 64)
-    bitgen = np.random.Philox(key=key, counter=int(index) << 128)
-    return np.random.Generator(bitgen)
+    counter = (int(index) << 128) + int(start) // 4
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    else:
+        # the state of a fresh Philox(key=key, counter=counter)
+        words = [counter >> shift & _MASK64 for shift in (0, 64, 128, 192)]
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": words, "key": [key & _MASK64, key >> 64]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+    if start % 4:
+        gen.bit_generator.random_raw(start % 4)
+    return gen

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from subcrit import perc_mc
+from subcrit import rng as rngmod
 from subcrit.errors import DegenerateFit
 from subcrit.exact import naive_event_prob, perc_connect_probs, perc_exit_prob
-from subcrit.lattice import LatticeSpec, Region, ball
+from subcrit.lattice import LatticeSpec, Region, ball, incidence_csr
 from subcrit.perc_mc import (PercBox, check_mean_field,
                              estimate_ghost_magnetization, exit_profile,
                              fit_decay_rate, susceptibility_profile)
@@ -67,6 +69,27 @@ def test_susceptibility_profile_increasing_in_box():
     assert means[0] <= means[1] <= means[2]
 
 
+def full_draw(box, weights, h, seed, stream, index):
+    # every word of the sample at once: n_edges edge words, then n_nodes
+    # ghost words
+    gen = rngmod.sample_stream(seed, stream, index)
+    open_edges = gen.random(box.n_edges) < weights
+    ghost_open = gen.random(box.n_nodes) < -math.expm1(-h)
+    return open_edges, ghost_open
+
+
+def test_sample_stream_opens_at_any_word():
+    # a fresh or a reused generator opened at word k continues the sample's
+    # stream from word k, whatever k % 4 and whatever the reused one drew
+    words = rngmod.sample_stream(8, 3, 2 ** 70).random(24)
+    reused = rngmod.sample_stream(1, 1, 0)
+    for k in range(13):
+        reused.integers(7)
+        for gen in (None, reused):
+            tail = rngmod.sample_stream(8, 3, 2 ** 70, start=k, gen=gen)
+            assert tail.random(24 - k).tolist() == words[k:].tolist()
+
+
 def reference_cluster(box, open_edges):
     adjacent = {}
     for a, b, is_open in zip(box.edge_a.tolist(), box.edge_b.tolist(),
@@ -83,6 +106,31 @@ def reference_cluster(box, open_edges):
     return seen
 
 
+def full_mask_walk(box, open_edges, ghost_open=None, stop_layer=None):
+    # the sampler's depth-first walk, on masks drawn whole
+    ptr, nbr, eid = incidence_csr(box.n_nodes, box.edge_a, box.edge_b)
+    layer = box.layer.tolist()
+    members = [0]
+    if ghost_open is not None and ghost_open[0]:
+        return members, 0, True
+    stop = box.n + 2 if stop_layer is None else stop_layer
+    seen, max_layer, stack = {0}, 0, [0]
+    while stack:
+        v = stack.pop()
+        for t in range(ptr[v], ptr[v + 1]):
+            w = int(nbr[t])
+            if open_edges[eid[t]] and w not in seen:
+                seen.add(w)
+                members.append(w)
+                max_layer = max(max_layer, layer[w])
+                if ghost_open is not None and ghost_open[w]:
+                    return members, max_layer, True
+                if max_layer >= stop:
+                    return members, max_layer, False
+                stack.append(w)
+    return members, max_layer, False
+
+
 @pytest.mark.parametrize("lattice", [P_LAT, T_LAT], ids=["square", "triangular"])
 def test_early_exit_walk_decides_like_full_walk(lattice):
     # same draws walked to the end, stopped past the largest radius, and
@@ -92,21 +140,59 @@ def test_early_exit_walk_decides_like_full_walk(lattice):
     for param in (0.3, 0.5):
         weights = box.open_probabilities(param)
         for i in range(200):
-            open_edges, ghost_open = box.sample(weights, 0.05, 5, 1, i)
-            members, full, _ = box.origin_cluster(open_edges)
+            open_edges, ghost_open = full_draw(box, weights, 0.05, 5, 1, i)
+            members, full, _ = box.origin_cluster(weights, 5, 1, i)
             cluster = reference_cluster(box, open_edges)
             assert set(members) == cluster
             assert full == max(box.layer[m] for m in cluster)
-            _, early, _ = box.origin_cluster(open_edges,
+            _, early, _ = box.origin_cluster(weights, 5, 1, i,
                                              stop_layer=radii[-1] + 1)
             assert [early > r for r in radii] == [full > r for r in radii]
-            _, _, hit = box.origin_cluster(open_edges, ghost_open)
+            _, _, hit = box.origin_cluster(weights, 5, 1, i, h=0.05)
             assert hit == any(ghost_open[m] for m in cluster)
 
 
+# square and nearest-neighbor Z^3 boxes have n_edges = 0 mod 4 and the
+# triangular one 2 mod 4; Z^2 with diagonal and (2, 0) bonds gives 1 and 3,
+# so the ghost words start at every offset within a Philox block
+LONG_LAT = LatticeSpec.custom(
+    [(o, 1.0) for o in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1),
+                        (2, 0), (-2, 0))], mode="p")
+LAZY_BOXES = [(P_LAT, 10), (T_LAT, 5), (LatticeSpec.hypercubic(3, mode="p"), 4),
+              (LONG_LAT, 3), (LONG_LAT, 4)]
+
+
+def test_lazy_boxes_cover_every_ghost_offset():
+    assert {PercBox(lattice, n).n_edges % 4 for lattice, n in LAZY_BOXES} == {
+        0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("first_draw", [1, perc_mc._FIRST_DRAW])
+@pytest.mark.parametrize("lattice,n_box", LAZY_BOXES,
+                         ids=["square", "triangular", "cubic", "custom3",
+                              "custom4"])
+def test_lazy_walk_is_bit_identical_to_full_mask_walk(lattice, n_box,
+                                                      first_draw, monkeypatch):
+    # with first_draw = 1 the prefix grows from a single word, so every
+    # doubling step is exercised on these small boxes
+    monkeypatch.setattr(perc_mc, "_FIRST_DRAW", first_draw)
+    box = PercBox(lattice, n_box)
+    h = 0.02
+    for param in (0.25, 0.6):
+        weights = box.open_probabilities(param)
+        for i in range(60):
+            open_edges, ghost_open = full_draw(box, weights, h, 8, 3, i)
+            for stop in (None, 1, n_box // 2 + 1, n_box + 1):
+                assert (box.origin_cluster(weights, 8, 3, i, stop_layer=stop)
+                        == full_mask_walk(box, open_edges, stop_layer=stop))
+            assert (box.origin_cluster(weights, 8, 3, i, h=h)
+                    == full_mask_walk(box, open_edges, ghost_open))
+
+
 def test_fixed_seed_outputs_are_pinned():
-    # recorded before the numpy box layout and the early-exit walk; a change
-    # of the draws (e.g. lazy per-edge uniforms) must move these on purpose
+    # recorded before the numpy box layout, the early-exit walk and the
+    # prefix-lazy draws, none of which changed a draw; a change of the
+    # draws themselves (another stream layout) must move these on purpose
     exit_hits = {
         (P_LAT, 12, 0.5, 3000, 7): {2: 2605, 5: 2453, 12: 2253},
         (P_LAT, 10, 0.6, 2000, 8): {3: 1907, 10: 1902},
