@@ -25,12 +25,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
 from .exact import (EDGE_CAP_DEFAULT, SPIN_CAP_DEFAULT, ising_observables,
                     perc_connect_probs)
 from .ising_mc import SpinSystem, WolffChain, equilibrate
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
+from .perc_mc import ClusterWalker
 from .stats import Z_999, batch_means_stderr, wilson_upper
 
 EPSILON_CERT = 1e-9
@@ -184,39 +187,29 @@ def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
 def _phi_percolation_mc(region: Region, param: float,
                         coeff: dict[int, float], samples: int,
                         seed: int) -> PhiResult:
-    """Sample-average of sum_i c_i 1[0 <-> v_i], one BFS per sample.
+    """Sample-average of sum_i c_i 1[0 <-> v_i], one cluster walk per sample.
 
     The upper confidence bound is Wilson at 99.9% applied to the mean of
     X / W where W = sum_i c_i bounds every sample; for the non-Bernoulli
     sum this is a conservative labelled approximation.
     """
-    n = len(region.vertices)
-    weights = [edge_weight(region.lattice, j, param)
-               for _, _, j in region.internal_edges]
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (a, b, _) in enumerate(region.internal_edges):
-        nbrs[a].append((b, e))
-        nbrs[b].append((a, e))
     total_w = math.fsum(coeff.values())
     if total_w == 0.0:
         return PhiResult(0.0, "monte_carlo", 0.0, param, region_id(region),
                          samples=samples, seed=seed)
+    edges = region.internal_edges
+    weights = np.array([edge_weight(region.lattice, j, param)
+                        for _, _, j in edges])
+    walker = ClusterWalker(len(region.vertices),
+                           np.array([a for a, _, _ in edges], dtype=np.int64),
+                           np.array([b for _, b, _ in edges], dtype=np.int64),
+                           np.zeros(len(region.vertices), dtype=np.int64))
     values = []
     for s in range(samples):
-        gen = rngmod.sample_stream(seed, rngmod.STREAM_PHI, s)
-        u = gen.random(len(weights))
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        x = coeff.get(0, 0.0)
-        while stack:
-            a = stack.pop()
-            for b, e in nbrs[a]:
-                if not seen[b] and u[e] < weights[e]:
-                    seen[b] = 1
-                    x += coeff.get(b, 0.0)
-                    stack.append(b)
-        values.append(x)
+        members, _, _ = walker.origin_cluster(weights, seed, rngmod.STREAM_PHI,
+                                              s)
+        # a plain sum in discovery order: the fixed-seed values depend on it
+        values.append(sum(coeff.get(m, 0.0) for m in members))
     mean = math.fsum(values) / samples
     upper = total_w * wilson_upper(mean / total_w, samples)
     return PhiResult(value=mean, method="monte_carlo", upper_confidence=upper,
@@ -266,7 +259,7 @@ def _phi_ising_mc(region: Region, beta: float, coeff: dict[int, float],
     values = []
     for _ in range(sweeps):
         chain.step()
-        mask = chain.fk_cluster(0)
+        mask = chain.measure()
         values.append(math.fsum(c for i, c in coeff.items() if mask[i]))
     mean = math.fsum(values) / sweeps
     upper = mean + Z_999 * batch_means_stderr(values)

@@ -8,33 +8,36 @@ and never flipped:
 * field ``h > 0``: every site gets a ghost bond with activation
   ``1 - exp(-2 h)``.
 
-One update grows a cluster from a uniform seed site, activating bonds
-between aligned endpoints, each bond considered at most once.  A cluster
-without the ghost is flipped; for a cluster containing the ghost the
-complement is flipped instead (flip the cluster, then restore the ghost to
-+1 by a global flip), so every proposal is accepted and detailed balance
-holds for the Gibbs weight exp(-H).  Growth is frontier-vectorized with
-numpy, and candidate bonds are processed in sorted bond-id order so runs
-are bit-reproducible for a fixed seed.
+One update walks a cluster from a seed site, each bond open with
+probability ``p_act`` when its endpoints are aligned and closed otherwise.
+A cluster without the ghost is flipped; for a cluster containing the ghost
+the complement is flipped instead (flip the cluster, then restore the ghost
+to +1 by a global flip), so every proposal is accepted and detailed balance
+holds for the Gibbs weight exp(-H).  Clusters are walked by
+``perc_mc.ClusterWalker`` over the sites plus the ghost node, which sits one
+layer past the last site.  Update k reads sample k of the chain's stream:
+word e is bond e's uniform and word ``n_bonds`` picks the seed site, and
+only the prefix of bond words the walk reads is drawn.  Runs are therefore
+bit-reproducible for a fixed seed.
 
-Measurements use the Edwards-Sokal coupling where it buys variance: growing
-a (non-flipping) cluster from the origin with the same activation rule gives
-``P[x in C_0] = <sigma_0 sigma_x>`` and ``P[ghost in C_0] = <sigma_0>``, an
-unbiased indicator estimator that resolves small correlations far better
-than the plain spin product.
+Measurements use the Edwards-Sokal coupling where it buys variance: walking
+a (non-flipping) cluster from the origin with the same activation rule, on
+the next sample of the stream, gives ``P[x in C_0] = <sigma_0 sigma_x>``
+and ``P[ghost in C_0] = <sigma_0>``, an unbiased indicator estimator that
+resolves small correlations far better than the plain spin product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import rng as rngmod
-from .lattice import LatticeSpec, Region, Vertex, ball_layout, incidence_csr
+from .lattice import LatticeSpec, Region, Vertex, ball_layout
+from .perc_mc import ClusterWalker
 from .stats import MCEstimate, batch_means_stderr, integrated_autocorr_time
 
 _KIND_SPIN = 0
@@ -57,12 +60,14 @@ class SpinSystem:
         self.bond_kind = np.array([b[2] for b in bonds], dtype=np.int8)
         self.bond_j = np.array([b[3] for b in bonds], dtype=float)
         self.n_bonds = len(bonds)
-        self.layers = layers
+        self.layers = np.zeros(n_sites, np.int32) if layers is None else layers
         self.vertex_index = vertex_index or {}
-        # CSR over sites plus the ghost row: measurement clusters must be
-        # able to expand through the ghost (correlations count ghost paths).
-        self.inc_ptr, self.inc_partner, self.inc_bond = incidence_csr(
-            n_sites + 1, self.bond_a, self.bond_b)
+        # one walker over sites plus the ghost node: measurement clusters
+        # must be able to expand through the ghost (correlations count ghost
+        # paths), and a walk stopped at the ghost layer decides <sigma_0>
+        self.ghost_layer = int(self.layers.max(initial=0)) + 1
+        self.walker = ClusterWalker(n_sites + 1, self.bond_a, self.bond_b,
+                                    np.append(self.layers, self.ghost_layer))
 
     @classmethod
     def from_region(cls, region: Region, h: float = 0.0) -> "SpinSystem":
@@ -108,8 +113,8 @@ class WolffChain:
             -np.expm1(-2.0 * beta * system.bond_j),
             -math.expm1(-2.0 * h))
         self._spins_ext = np.ones(system.n_sites + 1, dtype=np.int8)
-        self._in_cluster = np.zeros(system.n_sites + 1, dtype=bool)
-        self._used = np.zeros(system.n_bonds, dtype=bool)
+        self._weights = np.empty(system.n_bonds)
+        self._site_gen = None
         start = start or ("plus" if boundary == "plus" else "random")
         if start == "random":
             gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF, _INIT_INDEX)
@@ -118,117 +123,88 @@ class WolffChain:
         elif start != "plus":
             raise ValueError(f"unknown start state {start!r}")
 
-    def _grow(self, seed_site: int, gen: np.random.Generator,
-              flip: bool) -> tuple[int, bool]:
-        """Grow one cluster; when flipping, apply the gauge-fixed update.
+    def _walk(self, root: int, stop_layer: int | None = None) -> list[int]:
+        """Walk the cluster of ``root`` on the next sample of the stream.
 
-        The ghost is an ordinary vertex of the extended zero-field model.
-        Flipping a ghost-containing cluster and then restoring the ghost to
-        +1 by a global flip amounts to flipping the cluster complement, so
-        every proposal is accepted and the chain mixes at cluster-update
-        speed even deep in the ordered phase.
-
-        Returns (cluster size in real sites, ghost_in_cluster).
+        Bond e is open when word e is below ``p_act[e]`` and its ends are
+        aligned; the walker's ``seen`` marks the members afterwards.
         """
         sysm = self.system
-        spins = self.spins
         ext = self._spins_ext
-        ext[:sysm.n_sites] = spins
-        in_cl = self._in_cluster
-        in_cl[:] = False
-        used = self._used
-        used[:] = False
-        in_cl[seed_site] = True
-        frontier = np.array([seed_site], dtype=np.int32)
-        size = 1
-        ghost_in = False
-        ptr, inc_bond, inc_partner = sysm.inc_ptr, sysm.inc_bond, sysm.inc_partner
-        while frontier.size:
-            starts = ptr[frontier]
-            counts = (ptr[frontier + 1] - starts).astype(np.int64)
-            total = int(counts.sum())
-            if total == 0:
-                break
-            cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            flat = (np.arange(total, dtype=np.int64)
-                    - np.repeat(cum, counts) + np.repeat(starts, counts))
-            cand_bond = inc_bond[flat]
-            cand_partner = inc_partner[flat]
-            cand_src = np.repeat(frontier, counts)
-            fresh = ~used[cand_bond]
-            cand_bond = cand_bond[fresh]
-            cand_partner = cand_partner[fresh]
-            cand_src = cand_src[fresh]
-            if cand_bond.size == 0:
-                break
-            # dedupe bonds seen from both frontier endpoints; unique sorts,
-            # which fixes the order in which uniforms are consumed
-            ubond, first = np.unique(cand_bond, return_index=True)
-            upartner = cand_partner[first]
-            usrc = cand_src[first]
-            used[ubond] = True
-            aligned = ext[upartner] == ext[usrc]
-            u = gen.random(ubond.size)
-            join = aligned & (u < self.p_act[ubond]) & ~in_cl[upartner]
-            if not join.any():
-                break
-            new = np.unique(upartner[join])
-            in_cl[new] = True
-            if new[-1] == sysm.ghost:  # ghost has the largest id
-                ghost_in = True
-            size += int(np.count_nonzero(new < sysm.ghost))
-            frontier = new.astype(np.int32)
-        if flip:
-            if ghost_in:
-                np.negative(spins, where=~in_cl[:sysm.n_sites], out=spins)
-            else:
-                np.negative(spins, where=in_cl[:sysm.n_sites], out=spins)
-        return size, ghost_in
+        ext[:sysm.n_sites] = self.spins
+        np.multiply(self.p_act, ext[sysm.bond_a] == ext[sysm.bond_b],
+                    out=self._weights)
+        members, _, _ = sysm.walker.origin_cluster(
+            self._weights, self.seed, rngmod.STREAM_WOLFF, self.stream_index,
+            stop_layer=stop_layer, root=root)
+        self.stream_index += 1
+        return members
 
     def step(self) -> int:
-        """One Wolff update; returns the grown cluster size."""
-        gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF,
-                                   self.stream_index)
-        site = int(gen.integers(self.system.n_sites))
-        size, _ = self._grow(site, gen, flip=True)
-        self.stream_index += 1
-        return size
+        """One Wolff update; returns the cluster size in real sites.
 
-    def fk_cluster(self, site: int = 0) -> np.ndarray:
-        """Measurement-only cluster membership grown from ``site``.
-
-        Index ``n_sites`` of the returned mask is the ghost slot:
-        ``mask[ghost]`` estimates ``<sigma_site>`` when a ghost is present.
+        The seed site is floor(u * n_sites) for word ``n_bonds`` of the
+        update's sample.  The ghost is an ordinary vertex of the extended
+        zero-field model: flipping a ghost-containing cluster and then
+        restoring the ghost to +1 by a global flip amounts to flipping the
+        cluster complement, so every proposal is accepted and the chain
+        mixes at cluster-update speed even deep in the ordered phase.
         """
-        gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF,
-                                   self.stream_index)
-        self.stream_index += 1
-        self._grow(site, gen, flip=False)
-        return self._in_cluster.copy()
+        sysm = self.system
+        self._site_gen = rngmod.sample_stream(
+            self.seed, rngmod.STREAM_WOLFF, self.stream_index,
+            start=sysm.n_bonds, gen=self._site_gen)
+        site = int(self._site_gen.random() * sysm.n_sites)
+        members = self._walk(site)
+        seen = sysm.walker.seen
+        ghost_in = seen[sysm.ghost]
+        in_cluster = np.frombuffer(seen, dtype=np.bool_, count=sysm.n_sites)
+        spins = self.spins
+        np.negative(spins, where=~in_cluster if ghost_in else in_cluster,
+                    out=spins)
+        return len(members) - ghost_in
+
+    def measure(self, stop_layer: int | None = None) -> np.ndarray:
+        """Edwards-Sokal cluster of the origin, walked without flipping.
+
+        Returns the membership mask over sites plus the ghost slot, valid
+        until the next walk: ``mask[ghost]`` estimates ``<sigma_0>`` when a
+        ghost is present.  With ``stop_layer = system.ghost_layer`` the walk
+        stops once it reaches the ghost, which decides ``mask[ghost]`` but
+        leaves the rest of the mask partial.
+        """
+        self._walk(0, stop_layer)
+        return np.frombuffer(self.system.walker.seen, dtype=np.bool_)
 
     def run(self, steps: int) -> None:
         for _ in range(steps):
             self.step()
 
 
-def equilibrate(chain: WolffChain, min_steps: int = 1000,
+def equilibrate(chain: WolffChain, min_sweeps: int = 100,
                 tau_factor: float = 20.0) -> int:
-    """Burn in for max(min_steps, tau_factor * tau_int(|m|)) updates.
+    """Burn in for ``min_sweeps`` lattice sweeps, then to 20 tau_int updates.
 
-    The autocorrelation time is measured on the |mean spin| series of the
-    first ``min_steps`` updates and the burn-in is extended if needed.
-    Returns the number of updates consumed.
+    Phase one runs updates until their cluster sizes add up to
+    ``min_sweeps`` times the number of sites, so the burn-in covers the
+    lattice the same number of times whatever the typical cluster size.
+    The integrated autocorrelation time of the |mean spin| series of those
+    updates is then measured, and the burn-in is extended to
+    ``tau_factor * tau_int`` updates if that is longer.  Returns the number
+    of updates consumed.
     """
     n = chain.system.n_sites
-    series = np.empty(min_steps)
-    for i in range(min_steps):
-        chain.step()
-        series[i] = abs(float(chain.spins.sum())) / n
-    tau = integrated_autocorr_time(series)
-    extra = int(max(0.0, tau_factor * tau - min_steps))
+    series = []
+    covered = 0
+    while covered < min_sweeps * n:
+        covered += chain.step()
+        series.append(abs(float(chain.spins.sum())) / n)
+    steps = len(series)
+    tau = integrated_autocorr_time(np.array(series))
+    extra = int(max(0.0, tau_factor * tau - steps))
     if extra > 0:
         chain.run(extra)
-    return min_steps + extra
+    return steps + extra
 
 
 def estimate_magnetization(lattice: LatticeSpec, n: int, beta: float,
@@ -251,7 +227,7 @@ def estimate_magnetization(lattice: LatticeSpec, n: int, beta: float,
     for _ in range(sweeps):
         chain.step()
         if has_ghost:
-            mask = chain.fk_cluster(0)
+            mask = chain.measure(stop_layer=system.ghost_layer)
             values.append(1.0 if mask[system.ghost] else 0.0)
         else:
             values.append(float(chain.spins[0]))
@@ -280,7 +256,7 @@ def estimate_two_point(lattice: LatticeSpec, n: int, beta: float,
     hits: dict[int, list[float]] = {d: [] for d in targets}
     for _ in range(sweeps):
         chain.step()
-        mask = chain.fk_cluster(0)
+        mask = chain.measure()
         for d, t in targets.items():
             hits[d].append(1.0 if mask[t] else 0.0)
     out = {}
@@ -308,7 +284,7 @@ def check_critical_divergence(lattice: LatticeSpec, beta: float,
     """Estimate S_n = sum_{x in ball(n)} <sigma_0 sigma_x> for each n.
 
     One free-boundary chain on the largest ball; per measurement the
-    origin's Edwards-Sokal cluster is grown once and counted inside each
+    origin's Edwards-Sokal cluster is walked once and counted inside each
     radius, so the partial sums share samples and their increments are
     nonnegative sample by sample.
     """
@@ -321,7 +297,7 @@ def check_critical_divergence(lattice: LatticeSpec, beta: float,
     counts: dict[int, list[float]] = {r: [] for r in radii}
     for _ in range(sweeps):
         chain.step()
-        mask = chain.fk_cluster(0)
+        mask = chain.measure()
         member_layers = layers[mask[:system.n_sites]]
         for r in radii:
             counts[r].append(float(np.count_nonzero(member_layers <= r)))

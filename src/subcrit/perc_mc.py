@@ -14,12 +14,13 @@ edge, and the draws are the same as if every word were drawn.  Estimates
 are reduced with compensated summation in sample order, so results are
 bit-reproducible regardless of batching.
 
-The box's arrays come from ``lattice.ball_layout``.  Estimators walk the
-open cluster of the origin depth-first and stop once the event is decided:
-exit profiles at the first site beyond the largest radius, the ghost
-estimate at the first open ghost bond.  The susceptibility walks whole
-clusters.  Which edges are open does not depend on the walk, so no estimate
-depends on the walk order.
+The box's arrays come from ``lattice.ball_layout``, and its walk is the
+``ClusterWalker`` that the Wolff chains and the Monte Carlo phi share too.
+Estimators walk the open cluster of the origin depth-first and stop once
+the event is decided: exit profiles at the first site beyond the largest
+radius, the ghost estimate at the first open ghost bond.  The
+susceptibility walks whole clusters.  Which edges are open does not depend
+on the walk, so no estimate depends on the walk order.
 """
 
 from __future__ import annotations
@@ -42,89 +43,94 @@ from .stats import MCEstimate, batch_means_stderr, binomial_stderr
 _FIRST_DRAW = 256
 
 
-class PercBox:
-    """Sampling layout for ``ball(n)`` plus its outer shell."""
+class ClusterWalker:
+    """Prefix-lazy depth-first cluster walks on one fixed graph.
 
-    def __init__(self, lattice: LatticeSpec, n: int):
-        self.lattice = lattice
-        self.n = n
-        layout = ball_layout(lattice, n)
-        self.layer = layout.layer
-        self.n_inside = layout.n_inside
-        self.n_nodes = len(layout.layer)
-        self.edge_a = layout.edge_a
-        self.edge_b = layout.edge_b
-        self.edge_j = layout.edge_j
-        self.n_edges = len(layout.edge_a)
+    Built from ``n_nodes`` and the edge list ``(edge_a, edge_b)``; ``layer``
+    gives each node the integer a walk's ``stop_layer`` compares against.
+    Edge e is open in a walk when word e of the walk's stream is below its
+    weight.  Percolation boxes, Wolff updates, Edwards-Sokal measurements
+    and the Monte Carlo phi all grow their clusters with this one walk.
+    """
 
-        ptr, nbr, eid = incidence_csr(self.n_nodes, self.edge_a, self.edge_b)
+    def __init__(self, n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray,
+                 layer: np.ndarray):
+        self.n_nodes = n_nodes
+        self.edge_a = edge_a
+        self.edge_b = edge_b
+        self.layer = layer
+        self.n_edges = len(edge_a)
+
+        ptr, nbr, eid = incidence_csr(n_nodes, edge_a, edge_b)
         self._ptr = ptr.tolist()
         self._nbr = nbr.tolist()
         self._eid = eid.tolist()
-        self._layer = self.layer.tolist()
+        self._layer = layer.tolist()
+        self._no_stop = max(self._layer, default=0) + 1
         # A row lists its edges in id order, so node v's edges are drawn once
         # the first need[v] words are.  The running maximum makes need
         # sorted: nodes v < bisect_right(need, drawn) have all their edges.
-        self._need = np.maximum.accumulate(eid[ptr[1:] - 1] + 1).tolist()
+        last = np.zeros(n_nodes, dtype=np.int64)
+        filled = ptr[1:] > ptr[:-1]
+        last[filled] = eid[ptr[1:][filled] - 1] + 1
+        self._need = np.maximum.accumulate(last).tolist()
 
-        # generators and draw buffers, reused by every walk (so one box
+        # generators and draw buffers, reused by every walk (so one walker
         # serves one walk at a time); the masks are numpy views of the
         # bytearrays the walk indexes
         self._edge_gen = self._ghost_gen = None
         self._edge_u = np.empty(self.n_edges)
         self._open = bytearray(self.n_edges)
         self._open_mask = np.frombuffer(self._open, dtype=np.bool_)
-        self._ghost_u = np.empty(self.n_nodes)
-        self._ghost_open = bytearray(self.n_nodes)
+        self._ghost_u = np.empty(n_nodes)
+        self._ghost_open = bytearray(n_nodes)
         self._ghost_mask = np.frombuffer(self._ghost_open, dtype=np.bool_)
-
-    def open_probabilities(self, param: float) -> np.ndarray:
-        # one edge_weight call per distinct coupling
-        js, inverse = np.unique(self.edge_j, return_inverse=True)
-        weights = [edge_weight(self.lattice, j, param) for j in js.tolist()]
-        return np.array(weights)[inverse]
+        self.seen = bytearray(n_nodes)
 
     def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
                        index: int, h: float = 0.0,
-                       stop_layer: int | None = None
+                       stop_layer: int | None = None, root: int = 0
                        ) -> tuple[list[int], int, bool]:
-        """Depth-first walk over the origin's open cluster in one sample.
+        """Depth-first walk over the open cluster of ``root`` in one sample.
 
         Sample ``index`` of ``stream`` opens edge e when word e of its
-        stream is below ``weights[e]`` and, for h > 0, joins box vertex v to
-        the ghost when word ``n_edges + v`` is below ``1 - exp(-h)``.  Words
+        stream is below ``weights[e]`` and, for h > 0, joins node v to the
+        ghost when word ``n_edges + v`` is below ``1 - exp(-h)``.  Words
         are drawn as the walk first needs them, a doubling prefix at a time.
 
         Returns ``(members, max_layer, hit_ghost)``; ``members`` lists node
-        indices in discovery order.  The walk returns as soon as the event
-        is decided: when a ghost bond of a member is open (``hit_ghost`` is
-        then True), or when it reaches a node of layer ``stop_layer`` or
-        beyond (``max_layer`` is then that node's layer).  Otherwise it
-        covers the whole cluster and ``max_layer`` is the cluster's largest
-        layer.
+        indices in discovery order, and ``self.seen`` marks them until the
+        next walk.  The walk returns as soon as the event is decided: when a
+        ghost bond of a member is open (``hit_ghost`` is then True), or when
+        it reaches a node of layer ``stop_layer`` or beyond (``max_layer``
+        is then that node's layer).  Otherwise it covers the whole cluster
+        and ``max_layer`` is the cluster's largest layer.
         """
         if h < 0.0:
             raise ValueError("h must be non-negative")
         gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
                                                     gen=self._edge_gen)
-        members = [0]
+        ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
+        need, is_open = self._need, self._open
+        self.seen = seen = bytearray(self.n_nodes)
+        seen[root] = 1
+        members = [root]
+        max_layer = layer[root]
         ghost = None
         if h > 0.0:
             ghost_gen = self._ghost_gen = rngmod.sample_stream(
                 seed, stream, index, start=self.n_edges, gen=self._ghost_gen)
             ghost, ghost_weight = self._ghost_open, -math.expm1(-h)
             ghost_drawn = self._draw(ghost_gen, self._ghost_u,
-                                     self._ghost_mask, ghost_weight, 0, 1)
-            if ghost[0]:
-                return members, 0, True
-        stop = self.n + 2 if stop_layer is None else stop_layer
-        ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
-        need, is_open = self._need, self._open
+                                     self._ghost_mask, ghost_weight, 0,
+                                     root + 1)
+            if ghost[root]:
+                return members, max_layer, True
+        stop = self._no_stop if stop_layer is None else stop_layer
+        if max_layer >= stop:
+            return members, max_layer, False
         drawn = ready = 0  # edge words drawn; nodes v < ready have all theirs
-        seen = bytearray(self.n_nodes)
-        seen[0] = 1
-        max_layer = 0
-        stack = [0]
+        stack = [root]
         while stack:
             v = stack.pop()
             if v >= ready:
@@ -162,6 +168,24 @@ class PercBox:
         bound = weights if isinstance(weights, float) else weights[drawn:end]
         np.less(part, bound, out=mask[drawn:end])
         return end
+
+
+class PercBox(ClusterWalker):
+    """Sampling layout for ``ball(n)`` plus its outer shell."""
+
+    def __init__(self, lattice: LatticeSpec, n: int):
+        self.lattice = lattice
+        self.n = n
+        layout = ball_layout(lattice, n)
+        self.edge_j = layout.edge_j
+        super().__init__(len(layout.layer), layout.edge_a, layout.edge_b,
+                         layout.layer)
+
+    def open_probabilities(self, param: float) -> np.ndarray:
+        # one edge_weight call per distinct coupling
+        js, inverse = np.unique(self.edge_j, return_inverse=True)
+        weights = [edge_weight(self.lattice, j, param) for j in js.tolist()]
+        return np.array(weights)[inverse]
 
 
 @lru_cache(maxsize=32)

@@ -9,13 +9,13 @@ block counter positioned at the sample (or step) index.  Two consequences:
 * any sample can be regenerated in isolation, which keeps failures
   replayable.
 
-Within one sample block, draws are consumed in a fixed documented order
-(edge index order for percolation, frontier order for cluster growth), which
-pins down the "(seed, sample index, edge index)" keying.  Each uniform is
-one 64-bit word of the block, so word k of a sample depends on k alone.  A
-percolation sample reads edge e's uniform from word e and box vertex v's
-ghost uniform from word ``n_edges + v``, and draws only the prefix its walk
-reads; ``sample_stream(..., start=n_edges)`` opens the ghost words directly.
+Within one sample block, each uniform is one 64-bit word, so word k of a
+sample depends on k alone, which pins down the "(seed, sample index, edge
+index)" keying.  A cluster walk reads edge e's uniform from word e and, in
+a percolation sample with a field, node v's ghost uniform from word
+``n_edges + v``; a Wolff update picks its seed site with word ``n_bonds``.
+A walk draws only the prefix it reads; ``sample_stream(..., start=k)``
+opens word k directly.
 """
 
 from __future__ import annotations

@@ -151,6 +151,15 @@ def test_phi_percolation_mc_matches_exact():
     assert again.upper_confidence == mc.upper_confidence
 
 
+def test_phi_percolation_mc_is_pinned():
+    # recorded with the Monte Carlo phi's own breadth-first walk over all
+    # drawn words; the shared cluster walker reads the same words in the
+    # same discovery order, so a change here means the draws moved
+    phi = phi_percolation(P_LAT, ball(P_LAT, 2), 0.3, samples=40_000, seed=91,
+                          edge_cap=2)
+    assert (phi.value, phi.upper_confidence) == (0.8104275, 0.8426378488484881)
+
+
 def test_phi_percolation_mc_disabled_raises():
     from subcrit.errors import CapExceeded
     with pytest.raises(CapExceeded):

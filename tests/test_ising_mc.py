@@ -70,6 +70,38 @@ def test_plus_boundary_magnetization_matches_exact_small_box():
     assert_within_sigmas(est, num / den)
 
 
+def test_two_point_respects_griffiths_floor_on_large_box():
+    # <sigma_0 sigma_e1> >= tanh(beta) on every ferromagnetic graph holding
+    # the bond (Griffiths).  On the free ball(32) a cluster has about 7 of
+    # 2113 sites, so the burn-in has to be counted in lattice sweeps, not in
+    # updates.  Between two measurements the spins near the origin rarely
+    # change, so 4,000 sweeps leave the mean about 0.1 wide while the
+    # batch-means stderr reads 0.04; 20,000 make the check meaningful
+    beta = 0.3
+    est = estimate_two_point(B_LAT, 32, beta, [1], sweeps=20_000, seed=1)[1]
+    assert est.mean >= math.tanh(beta) - 3.0 * est.stderr
+
+
+@pytest.mark.parametrize("boundary,h", [("plus", 0.0), ("free", 0.1)],
+                         ids=["plus", "field"])
+def test_ghost_stopped_measurement_decides_like_full_walk(boundary, h):
+    # the Edwards-Sokal analogue of the percolation early exit: on the same
+    # draws, the magnetization walk stopped at the ghost layer reaches the
+    # ghost exactly when the whole cluster of the origin contains it
+    system = SpinSystem.box(B_LAT, 4, boundary=boundary, h=h)
+    chain = WolffChain(system, 0.4, h, 5, start="random")
+    hits = 0
+    for _ in range(300):
+        chain.step()
+        index = chain.stream_index
+        full = bool(chain.measure()[system.ghost])
+        chain.stream_index = index
+        stopped = bool(chain.measure(stop_layer=system.ghost_layer)[system.ghost])
+        assert stopped == full
+        hits += full
+    assert 0 < hits < 300
+
+
 def test_free_boundary_magnetization_vanishes():
     est = estimate_magnetization(B_LAT, 4, 0.3, "free", sweeps=10_000, seed=29)
     assert abs(est.mean) <= max(4.0 * est.stderr, 2e-2)
@@ -93,7 +125,7 @@ def test_wolff_chain_preserves_spin_support():
     import numpy as np
     system = SpinSystem.box(B_LAT, 3, boundary="plus")
     chain = WolffChain(system, 0.6, 0.0, 3, boundary="plus")
-    equilibrate(chain, min_steps=50)
+    equilibrate(chain, min_sweeps=50)
     for _ in range(50):
         chain.step()
     assert set(np.unique(chain.spins)) <= {-1, 1}
@@ -125,18 +157,20 @@ def test_boundary_name_validated():
 
 
 def test_fixed_seed_outputs_are_pinned():
-    # values recorded before SpinSystem's incidence CSR was built with
-    # numpy; any change to the Wolff draws must re-record them on purpose
+    # re-recorded when updates and measurements moved to the shared cluster
+    # walker, which moved the update and measurement draws on purpose (word
+    # e is bond e, word n_bonds picks the seed site) and the burn-in to
+    # lattice sweeps; any later change to the Wolff draws must re-record
+    # them on purpose too
     mag = estimate_magnetization(B_LAT, 4, 0.4, "plus", sweeps=1_500, seed=101)
-    assert (mag.mean, mag.stderr) == (0.73, 0.013593529265744506)
+    assert (mag.mean, mag.stderr) == (0.7106666666666667, 0.01584826614336406)
     two_point = estimate_two_point(B_LAT, 3, 0.35, [1, 2], sweeps=1_500,
                                    seed=103)
     assert ((two_point[1].mean, two_point[1].stderr),
             (two_point[2].mean, two_point[2].stderr)) == (
-        (0.43733333333333335, 0.015030578390323757),
-        (0.182, 0.010568876334930206))
+        (0.412, 0.01467220848756434), (0.186, 0.011298698176563995))
     report = check_critical_divergence(B_LAT, BETA_C, [1, 3], sweeps=1_000,
                                        seed=107)
     assert ((report.estimates[1].mean, report.estimates[1].stderr),
             (report.estimates[3].mean, report.estimates[3].stderr)) == (
-        (3.426, 0.0544532455510437), (9.911, 0.2520756303327568))
+        (3.31, 0.05659891403481559), (9.437, 0.263323529344209))

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from subcrit import perc_mc
 from subcrit import rng as rngmod
 from subcrit.errors import DegenerateFit
 from subcrit.exact import naive_event_prob, perc_connect_probs, perc_exit_prob
+from subcrit.ising_mc import SpinSystem, WolffChain
 from subcrit.lattice import LatticeSpec, Region, ball, incidence_csr
 from subcrit.perc_mc import (PercBox, check_mean_field,
                              estimate_ghost_magnetization, exit_profile,
@@ -106,15 +108,17 @@ def reference_cluster(box, open_edges):
     return seen
 
 
-def full_mask_walk(box, open_edges, ghost_open=None, stop_layer=None):
+def full_mask_walk(box, open_edges, ghost_open=None, stop_layer=None, root=0):
     # the sampler's depth-first walk, on masks drawn whole
     ptr, nbr, eid = incidence_csr(box.n_nodes, box.edge_a, box.edge_b)
     layer = box.layer.tolist()
-    members = [0]
-    if ghost_open is not None and ghost_open[0]:
-        return members, 0, True
-    stop = box.n + 2 if stop_layer is None else stop_layer
-    seen, max_layer, stack = {0}, 0, [0]
+    members, max_layer = [root], layer[root]
+    if ghost_open is not None and ghost_open[root]:
+        return members, max_layer, True
+    stop = max(layer) + 1 if stop_layer is None else stop_layer
+    if max_layer >= stop:
+        return members, max_layer, False
+    seen, stack = {root}, [root]
     while stack:
         v = stack.pop()
         for t in range(ptr[v], ptr[v + 1]):
@@ -162,31 +166,56 @@ LAZY_BOXES = [(P_LAT, 10), (T_LAT, 5), (LatticeSpec.hypercubic(3, mode="p"), 4),
               (LONG_LAT, 3), (LONG_LAT, 4)]
 
 
+def lazy_box(lattice, n_box):
+    box = PercBox(lattice, n_box)
+    return box, box.open_probabilities
+
+
+def lazy_spin_graph(boundary, h):
+    # a Wolff chain's walker: sites plus the ghost node one layer past them,
+    # with the update's weights (param on aligned bonds, 0 on the others)
+    system = SpinSystem.box(LatticeSpec.square(mode="beta"), 5,
+                            boundary=boundary, h=h)
+    ends = np.append(WolffChain(system, 0.4, h, 6, start="random").spins, 1)
+    aligned = ends[system.bond_a] == ends[system.bond_b]
+    return system.walker, lambda param: np.where(aligned, param, 0.0)
+
+
 def test_lazy_boxes_cover_every_ghost_offset():
     assert {PercBox(lattice, n).n_edges % 4 for lattice, n in LAZY_BOXES} == {
         0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("first_draw", [1, perc_mc._FIRST_DRAW])
-@pytest.mark.parametrize("lattice,n_box", LAZY_BOXES,
-                         ids=["square", "triangular", "cubic", "custom3",
-                              "custom4"])
-def test_lazy_walk_is_bit_identical_to_full_mask_walk(lattice, n_box,
-                                                      first_draw, monkeypatch):
+@pytest.mark.parametrize(
+    "make,args",
+    [(lazy_box, box) for box in LAZY_BOXES]
+    + [(lazy_spin_graph, ("plus", 0.0)), (lazy_spin_graph, ("free", 0.2))],
+    ids=["square", "triangular", "cubic", "custom3", "custom4", "spin-plus",
+         "spin-field"])
+def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
+                                                      monkeypatch):
     # with first_draw = 1 the prefix grows from a single word, so every
-    # doubling step is exercised on these small boxes
+    # doubling step is exercised on these small graphs; the spin graphs
+    # carry a ghost node as their last node, in the last layer
     monkeypatch.setattr(perc_mc, "_FIRST_DRAW", first_draw)
-    box = PercBox(lattice, n_box)
+    walker, open_probabilities = make(*args)
+    top = max(walker.layer.tolist())
     h = 0.02
     for param in (0.25, 0.6):
-        weights = box.open_probabilities(param)
+        weights = open_probabilities(param)
         for i in range(60):
-            open_edges, ghost_open = full_draw(box, weights, h, 8, 3, i)
-            for stop in (None, 1, n_box // 2 + 1, n_box + 1):
-                assert (box.origin_cluster(weights, 8, 3, i, stop_layer=stop)
-                        == full_mask_walk(box, open_edges, stop_layer=stop))
-            assert (box.origin_cluster(weights, 8, 3, i, h=h)
-                    == full_mask_walk(box, open_edges, ghost_open))
+            open_edges, ghost_open = full_draw(walker, weights, h, 8, 3, i)
+            for root in (0, walker.n_nodes // 3, walker.n_nodes - 1):
+                for stop in (None, 1, (top - 1) // 2 + 1, top):
+                    assert (walker.origin_cluster(weights, 8, 3, i,
+                                                  stop_layer=stop, root=root)
+                            == full_mask_walk(walker, open_edges,
+                                              stop_layer=stop, root=root))
+                assert (walker.origin_cluster(weights, 8, 3, i, h=h,
+                                              root=root)
+                        == full_mask_walk(walker, open_edges, ghost_open,
+                                          root=root))
 
 
 def test_fixed_seed_outputs_are_pinned():
