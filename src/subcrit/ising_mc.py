@@ -20,6 +20,14 @@ word e is bond e's uniform and word ``n_bonds`` picks the seed site, and
 only the prefix of bond words the walk reads is drawn.  Runs are therefore
 bit-reproducible for a fixed seed.
 
+A walk of a whole cluster (every update, and the two-point and divergence
+measurements) labels the sample's open bonds in numpy instead
+(``ClusterWalker.component``, which draws every bond word) once the chain's
+mean whole cluster so far exceeds max(256, n_bonds / 8) nodes, as in the
+ordered phase; smaller clusters, and walks that stop at a layer, are walked
+depth-first.  The words fix the open bonds, so both mark the same cluster
+and the chain does not depend on which one ran.
+
 Measurements use the Edwards-Sokal coupling where it buys variance: walking
 a (non-flipping) cluster from the origin with the same activation rule, on
 the next sample of the stream, gives ``P[x in C_0] = <sigma_0 sigma_x>``
@@ -44,6 +52,14 @@ _KIND_SPIN = 0
 _KIND_FIELD = 1
 
 _INIT_INDEX = 1 << 62  # stream block reserved for initial states
+
+# Labeling a cluster in numpy (ClusterWalker.component) costs about 40 us
+# plus 0.15 us per bond, whatever the cluster; the depth-first walk costs
+# about 1.2 us per member.  Labeling wins once a cluster holds more than
+# about 33 + n_bonds / 8 nodes, and loses on small clusters (252 against
+# 133 us at n=16, beta_c), so a chain labels only once its mean whole
+# cluster exceeds max(_LABEL_MIN_NODES, n_bonds / 8).
+_LABEL_MIN_NODES = 256
 
 
 class SpinSystem:
@@ -115,6 +131,8 @@ class WolffChain:
         self._spins_ext = np.ones(system.n_sites + 1, dtype=np.int8)
         self._weights = np.empty(system.n_bonds)
         self._site_gen = None
+        self.label_floor = max(_LABEL_MIN_NODES, system.n_bonds / 8)
+        self._whole_walks = self._whole_nodes = 0
         start = start or ("plus" if boundary == "plus" else "random")
         if start == "random":
             gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF, _INIT_INDEX)
@@ -123,22 +141,35 @@ class WolffChain:
         elif start != "plus":
             raise ValueError(f"unknown start state {start!r}")
 
-    def _walk(self, root: int, stop_layer: int | None = None) -> list[int]:
+    def _walk(self, root: int, stop_layer: int | None = None) -> int:
         """Walk the cluster of ``root`` on the next sample of the stream.
 
         Bond e is open when word e is below ``p_act[e]`` and its ends are
-        aligned; the walker's ``seen`` marks the members afterwards.
+        aligned; the walker's ``seen`` marks the members afterwards.  A
+        whole-cluster walk labels the cluster in numpy once the chain's
+        mean whole cluster so far exceeds ``label_floor`` nodes, and walks
+        it depth-first otherwise; both mark the same set.  Returns the
+        number of nodes marked.
         """
         sysm = self.system
         ext = self._spins_ext
         ext[:sysm.n_sites] = self.spins
         np.multiply(self.p_act, ext[sysm.bond_a] == ext[sysm.bond_b],
                     out=self._weights)
-        members, _, _ = sysm.walker.origin_cluster(
-            self._weights, self.seed, rngmod.STREAM_WOLFF, self.stream_index,
-            stop_layer=stop_layer, root=root)
+        args = (self._weights, self.seed, rngmod.STREAM_WOLFF,
+                self.stream_index)
         self.stream_index += 1
-        return members
+        if stop_layer is not None:
+            members, _, _ = sysm.walker.origin_cluster(
+                *args, stop_layer=stop_layer, root=root)
+            return len(members)
+        if self._whole_nodes > self.label_floor * self._whole_walks:
+            size = sysm.walker.component(*args, root=root)
+        else:
+            size = len(sysm.walker.origin_cluster(*args, root=root)[0])
+        self._whole_walks += 1
+        self._whole_nodes += size
+        return size
 
     def step(self) -> int:
         """One Wolff update; returns the cluster size in real sites.
@@ -149,20 +180,24 @@ class WolffChain:
         restoring the ghost to +1 by a global flip amounts to flipping the
         cluster complement, so every proposal is accepted and the chain
         mixes at cluster-update speed even deep in the ordered phase.
+
+        The cluster is walked depth-first while the chain's clusters are
+        small, and labeled in numpy once their mean so far exceeds
+        ``label_floor`` nodes (see ``_walk``); the flip is the same.
         """
         sysm = self.system
         self._site_gen = rngmod.sample_stream(
             self.seed, rngmod.STREAM_WOLFF, self.stream_index,
             start=sysm.n_bonds, gen=self._site_gen)
         site = int(self._site_gen.random() * sysm.n_sites)
-        members = self._walk(site)
+        size = self._walk(site)
         seen = sysm.walker.seen
         ghost_in = seen[sysm.ghost]
         in_cluster = np.frombuffer(seen, dtype=np.bool_, count=sysm.n_sites)
         spins = self.spins
         np.negative(spins, where=~in_cluster if ghost_in else in_cluster,
                     out=spins)
-        return len(members) - ghost_in
+        return size - ghost_in
 
     def measure(self, stop_layer: int | None = None) -> np.ndarray:
         """Edwards-Sokal cluster of the origin, walked without flipping.

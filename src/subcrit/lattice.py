@@ -379,7 +379,9 @@ def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
     for _ in range(n + 1):
         current = layers[-1]
         reached = np.unique((current[:, None] + okeys).ravel())
-        fresh = ~(np.isin(reached, current) | np.isin(reached, previous))
+        fresh = ~_sorted_member(current, reached)
+        if previous.size:
+            fresh &= ~_sorted_member(previous, reached)
         previous = current
         layers.append(reached[fresh])
     keys = np.concatenate(layers)
@@ -387,9 +389,15 @@ def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
     layer = np.repeat(np.arange(n + 2, dtype=np.int32), [k.size for k in layers])
     coords = keys[:, None] // place % base - reach
 
-    # every neighbor of a ball vertex is a node; look it up in sorted keys
+    # every neighbor of a ball vertex is a node; look it up in the sorted
+    # keys, one offset at a time with sorted queries
     order = np.argsort(keys)
-    nbr = order[np.searchsorted(keys[order], keys[:n_inside, None] + okeys)]
+    sorted_keys = keys[order]
+    inside = order[order < n_inside]  # inside nodes in key order
+    nbr = np.empty((n_inside, okeys.size), dtype=np.int64)
+    for k, okey in enumerate(okeys.tolist()):
+        nbr[inside, k] = order[np.searchsorted(sorted_keys,
+                                               keys[inside] + okey)]
     src = np.broadcast_to(np.arange(n_inside)[:, None], nbr.shape)
     jay = np.broadcast_to(js, nbr.shape)
     internal = (nbr > src) & (nbr < n_inside)
@@ -403,6 +411,12 @@ def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
         edge_b=np.concatenate([nbr[internal], nbr[boundary]]).astype(np.int32),
         edge_j=np.concatenate([jay[internal], jay[boundary]]),
     )
+
+
+def _sorted_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``np.isin(queries, sorted_keys)`` for a sorted, non-empty key array."""
+    pos = np.searchsorted(sorted_keys, queries)
+    return sorted_keys[np.minimum(pos, sorted_keys.size - 1)] == queries
 
 
 def incidence_csr(n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray

@@ -102,6 +102,26 @@ def test_ghost_stopped_measurement_decides_like_full_walk(boundary, h):
     assert 0 < hits < 300
 
 
+@pytest.mark.parametrize("n,beta,boundary", [(24, 1.1 * BETA_C, "plus"),
+                                              (8, BETA_C, "free")],
+                         ids=["ordered-plus", "critical-free"])
+def test_labeling_chain_equals_walking_chain(n, beta, boundary):
+    # a chain that labels every whole cluster after its first and one that
+    # walks every cluster depth-first flip the same spins and read the same
+    # words, whatever their mean cluster size
+    system = SpinSystem.box(B_LAT, n, boundary=boundary)
+    labeling = WolffChain(system, beta, 0.0, 17, boundary=boundary)
+    walking = WolffChain(system, beta, 0.0, 17, boundary=boundary)
+    labeling.label_floor, walking.label_floor = 0.0, math.inf
+    for k in range(300):
+        assert labeling.step() == walking.step()
+        if k % 10 == 0:
+            assert (labeling.measure().tolist()
+                    == walking.measure().tolist())
+    assert labeling.spins.tolist() == walking.spins.tolist()
+    assert labeling.stream_index == walking.stream_index
+
+
 def test_free_boundary_magnetization_vanishes():
     est = estimate_magnetization(B_LAT, 4, 0.3, "free", sweeps=10_000, seed=29)
     assert abs(est.mean) <= max(4.0 * est.stderr, 2e-2)
@@ -174,3 +194,17 @@ def test_fixed_seed_outputs_are_pinned():
     assert ((report.estimates[1].mean, report.estimates[1].stderr),
             (report.estimates[3].mean, report.estimates[3].stderr)) == (
         (3.31, 0.05659891403481559), (9.437, 0.263323529344209))
+
+
+def test_fixed_seed_outputs_that_label_are_pinned():
+    # n=24 chains at 1.1 beta_c have mean clusters far above the labeling
+    # floor, so these runs go through ClusterWalker.component; recorded
+    # before the labeling existed, when every cluster was walked
+    mag = estimate_magnetization(B_LAT, 24, 1.1 * BETA_C, "plus", sweeps=300,
+                                 seed=113)
+    assert (mag.mean, mag.stderr) == (0.8833333333333333, 0.01955255085970794)
+    two_point = estimate_two_point(B_LAT, 24, 1.1 * BETA_C, [1, 12],
+                                   sweeps=300, seed=127)
+    assert ((two_point[1].mean, two_point[1].stderr),
+            (two_point[12].mean, two_point[12].stderr)) == (
+        (0.82, 0.028111791114786722), (0.7066666666666667, 0.03332189730647918))

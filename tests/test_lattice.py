@@ -171,7 +171,7 @@ LAYOUT_LATTICES = (
 )
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
 @pytest.mark.parametrize("lattice", LAYOUT_LATTICES,
                          ids=lambda lattice: lattice.family)
 def test_ball_layout_matches_ball(lattice, n):

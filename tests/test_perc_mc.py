@@ -190,14 +190,16 @@ def test_lazy_boxes_cover_every_ghost_offset():
 @pytest.mark.parametrize(
     "make,args",
     [(lazy_box, box) for box in LAZY_BOXES]
-    + [(lazy_spin_graph, ("plus", 0.0)), (lazy_spin_graph, ("free", 0.2))],
+    + [(lazy_spin_graph, ("plus", 0.0)), (lazy_spin_graph, ("free", 0.2)),
+       (lazy_spin_graph, ("free", 0.0))],
     ids=["square", "triangular", "cubic", "custom3", "custom4", "spin-plus",
-         "spin-field"])
+         "spin-field", "spin-free"])
 def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                                                       monkeypatch):
     # with first_draw = 1 the prefix grows from a single word, so every
     # doubling step is exercised on these small graphs; the spin graphs
-    # carry a ghost node as their last node, in the last layer
+    # carry a ghost node as their last node, in the last layer.  Labeling
+    # the whole sample in numpy marks the same cluster as the walk
     monkeypatch.setattr(perc_mc, "_FIRST_DRAW", first_draw)
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
@@ -216,6 +218,10 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                                               root=root)
                         == full_mask_walk(walker, open_edges, ghost_open,
                                           root=root))
+                members, _, _ = full_mask_walk(walker, open_edges, root=root)
+                assert walker.component(weights, 8, 3, i, root=root) == len(
+                    members)
+                assert np.flatnonzero(walker.seen).tolist() == sorted(members)
 
 
 def test_fixed_seed_outputs_are_pinned():
