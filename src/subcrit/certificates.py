@@ -11,11 +11,12 @@ connection probability is replaced by the free-boundary correlation
 the parameter is at or below the critical point, so the root of
 phi(S, t) = 1 in t is a certified lower bound on the critical point.
 
-Exact evaluation is used whenever the region fits under the enumeration
-caps; otherwise a Monte Carlo estimate with a one-sided 99.9% upper
-confidence bound stands in, and the resulting certificate is labelled
-statistical.  Certificates are floating-point honest rather than interval
-arithmetic: EPSILON_CERT absorbs the rounding budget of the exact engine.
+Certificates, roots and best-bound tables evaluate phi exactly and raise
+``CapExceeded`` beyond the enumeration caps; only :func:`compute_phi`
+falls back to a Monte Carlo estimate, labelled ``method="monte_carlo"``,
+which proves nothing.  Certificates are floating-point honest rather than
+interval arithmetic: EPSILON_CERT absorbs the rounding budget of the exact
+engine in the one decision rule, :func:`_certifies`.
 """
 
 from __future__ import annotations
@@ -97,10 +98,6 @@ class Certificate:
     phi: PhiResult
     statement: str = "param <= critical point"
 
-    @property
-    def exact(self) -> bool:
-        return self.phi.method == "exact"
-
     def to_json(self) -> dict:
         return {"kind": "certificate", "model": self.model,
                 "lattice": self.lattice.to_json(),
@@ -159,12 +156,18 @@ def _boundary_coefficients(region: Region, param: float, model: str,
     return coeff
 
 
+def _exact_result(region: Region, param: float, coeff: dict[int, float],
+                  probs: dict[Vertex, float]) -> PhiResult:
+    terms = [c * probs[region.vertices[i]] for i, c in sorted(coeff.items())]
+    value = math.fsum(terms)
+    return PhiResult(value=value, method="exact", upper_confidence=value,
+                     param=param, region_id=region_id(region))
+
+
 def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
-                    samples: int = _DEFAULT_MC_SAMPLES, seed: int = 0,
-                    allow_mc: bool = True,
                     edge_cap: int = EDGE_CAP_DEFAULT,
                     within: Iterable[Vertex] | None = None) -> PhiResult:
-    """phi for bond percolation; exact under the edge cap, MC above it.
+    """Exact phi for bond percolation; ``CapExceeded`` above the edge cap.
 
     ``region`` may be disconnected; connection probabilities are then zero
     beyond the origin's component.  ``within`` optionally restricts the
@@ -172,27 +175,20 @@ def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
     """
     _check_region(lattice, region)
     coeff = _boundary_coefficients(region, param, "percolation", within)
-    try:
-        conn = perc_connect_probs(region, param, cap=edge_cap)
-    except CapExceeded:
-        if not allow_mc:
-            raise
-        return _phi_percolation_mc(region, param, coeff, samples, seed)
-    terms = [c * conn.probs[region.vertices[i]] for i, c in sorted(coeff.items())]
-    value = math.fsum(terms)
-    return PhiResult(value=value, method="exact", upper_confidence=value,
-                     param=param, region_id=region_id(region))
+    conn = perc_connect_probs(region, param, cap=edge_cap)
+    return _exact_result(region, param, coeff, conn.probs)
 
 
-def _phi_percolation_mc(region: Region, param: float,
-                        coeff: dict[int, float], samples: int,
+def _phi_percolation_mc(region: Region, param: float, samples: int,
                         seed: int) -> PhiResult:
     """Sample-average of sum_i c_i 1[0 <-> v_i], one cluster walk per sample.
 
     The upper confidence bound is Wilson at 99.9% applied to the mean of
     X / W where W = sum_i c_i bounds every sample; for the non-Bernoulli
-    sum this is a conservative labelled approximation.
+    sum this is a labelled approximation, not a proof.  It is clamped to at
+    least the mean, which the plain per-sample sums can push above W.
     """
+    coeff = _boundary_coefficients(region, param, "percolation")
     total_w = math.fsum(coeff.values())
     if total_w == 0.0:
         return PhiResult(0.0, "monte_carlo", 0.0, param, region_id(region),
@@ -211,18 +207,16 @@ def _phi_percolation_mc(region: Region, param: float,
         # a plain sum in discovery order: the fixed-seed values depend on it
         values.append(sum(coeff.get(m, 0.0) for m in members))
     mean = math.fsum(values) / samples
-    upper = total_w * wilson_upper(mean / total_w, samples)
+    upper = max(mean, total_w * wilson_upper(mean / total_w, samples))
     return PhiResult(value=mean, method="monte_carlo", upper_confidence=upper,
                      param=param, region_id=region_id(region),
                      samples=samples, seed=seed)
 
 
 def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
-              sweeps: int = _DEFAULT_MC_SWEEPS, seed: int = 0,
-              allow_mc: bool = True,
               spin_cap: int = SPIN_CAP_DEFAULT,
               within: Iterable[Vertex] | None = None) -> PhiResult:
-    """phi for the Ising model; exact transfer-free sum under the spin cap.
+    """Exact phi for the Ising model; ``CapExceeded`` above the spin cap.
 
     Correlations inside the region are taken at zero field with free
     boundary; ``within`` restricts outside endpoints as in
@@ -232,27 +226,19 @@ def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
     if lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
     coeff = _boundary_coefficients(region, beta, "ising", within)
-    try:
-        obs = ising_observables(region, beta, 0.0, cap=spin_cap)
-    except CapExceeded:
-        if not allow_mc:
-            raise
-        return _phi_ising_mc(region, beta, coeff, sweeps, seed)
-    terms = [c * obs.correlations[region.vertices[i]]
-             for i, c in sorted(coeff.items())]
-    value = math.fsum(terms)
-    return PhiResult(value=value, method="exact", upper_confidence=value,
-                     param=beta, region_id=region_id(region))
+    obs = ising_observables(region, beta, 0.0, cap=spin_cap)
+    return _exact_result(region, beta, coeff, obs.correlations)
 
 
-def _phi_ising_mc(region: Region, beta: float, coeff: dict[int, float],
-                  sweeps: int, seed: int) -> PhiResult:
+def _phi_ising_mc(region: Region, beta: float, sweeps: int,
+                  seed: int) -> PhiResult:
     """Wolff chain on the region itself; per sweep the origin's
     Edwards-Sokal cluster gives every 1[0 <-> v_i] at once.
 
     Sweeps are correlated, so the upper bound is mean + z * batch stderr
     rather than a Wilson bound.
     """
+    coeff = _boundary_coefficients(region, beta, "ising")
     system = SpinSystem.from_region(region, h=0.0)
     chain = WolffChain(system, beta, 0.0, seed, boundary="free")
     equilibrate(chain)
@@ -268,24 +254,52 @@ def _phi_ising_mc(region: Region, beta: float, coeff: dict[int, float],
                      samples=sweeps, seed=seed)
 
 
-def compute_phi(model: str, lattice: LatticeSpec, region: Region,
-                param: float, **kwargs) -> PhiResult:
-    model = _normalize_model(model)
+def _exact_phi(model: str, lattice: LatticeSpec, region: Region,
+               param: float, *, edge_cap: int = EDGE_CAP_DEFAULT,
+               spin_cap: int = SPIN_CAP_DEFAULT) -> PhiResult:
     if model == "percolation":
-        return phi_percolation(lattice, region, param, **kwargs)
-    return phi_ising(lattice, region, param, **kwargs)
+        return phi_percolation(lattice, region, param, edge_cap=edge_cap)
+    return phi_ising(lattice, region, param, spin_cap=spin_cap)
+
+
+def compute_phi(model: str, lattice: LatticeSpec, region: Region,
+                param: float, *, samples: int = _DEFAULT_MC_SAMPLES,
+                sweeps: int = _DEFAULT_MC_SWEEPS, seed: int = 0,
+                edge_cap: int = EDGE_CAP_DEFAULT,
+                spin_cap: int = SPIN_CAP_DEFAULT) -> PhiResult:
+    """phi, exact under the caps and otherwise a Monte Carlo estimate.
+
+    The estimate (``method="monte_carlo"``) draws ``samples`` cluster walks
+    for percolation or runs ``sweeps`` Wolff updates for Ising from
+    ``seed``.  It is an estimate only: certificates never call this.
+    """
+    model = _normalize_model(model)
+    try:
+        return _exact_phi(model, lattice, region, param,
+                          edge_cap=edge_cap, spin_cap=spin_cap)
+    except CapExceeded:
+        pass
+    if model == "percolation":
+        return _phi_percolation_mc(region, param, samples, seed)
+    return _phi_ising_mc(region, param, sweeps, seed)
+
+
+def _certifies(phi: PhiResult) -> bool:
+    """The one decision rule: phi's upper bound is below 1 - epsilon."""
+    return phi.upper_confidence < 1.0 - EPSILON_CERT
 
 
 def certify_subcritical(model: str, lattice: LatticeSpec, region: Region,
-                        param: float, **kwargs) -> Certificate | Refusal:
-    """Certificate iff the upper confidence bound on phi is < 1 - epsilon.
+                        param: float) -> Certificate | Refusal:
+    """Certificate iff the exact phi is < 1 - epsilon.
 
     A Refusal is not evidence of supercriticality; it only reports that
-    this region failed to witness phi < 1 at this parameter.
+    this region failed to witness phi < 1 at this parameter.  A region
+    beyond the exact caps raises ``CapExceeded``.
     """
     model = _normalize_model(model)
-    phi = compute_phi(model, lattice, region, param, **kwargs)
-    if phi.upper_confidence < 1.0 - EPSILON_CERT:
+    phi = _exact_phi(model, lattice, region, param)
+    if _certifies(phi):
         return Certificate(model=model, lattice=lattice, region=region,
                            param=param, phi=phi)
     return Refusal(model=model, lattice=lattice, region=region, param=param,
@@ -301,31 +315,31 @@ def _param_max(model: str, lattice: LatticeSpec) -> float:
 
 
 def critical_root(model: str, lattice: LatticeSpec, region: Region,
-                  tol: float = 1e-9, *, max_iter: int = 200,
-                  **kwargs) -> float:
+                  tol: float = 1e-9, *, max_iter: int = 200) -> float:
     """Bisection root of phi = 1; a certified lower bound on criticality.
 
     phi is non-decreasing in the parameter (monotone coupling of bond
     configurations for percolation, coupling monotonicity of ferromagnetic
-    correlations for Ising), so bisection applies.  Monte Carlo fallbacks
-    reuse one fixed seed across the sweep: with common draws the sampled
-    percolation phi is monotone in the parameter as well.  Returns the
-    certified (lower) end of the final bracket.
+    correlations for Ising), so bisection applies.  Every step evaluates
+    phi exactly and decides with the rule of :func:`certify_subcritical`,
+    so the returned (lower) end of the final bracket is certified.  A
+    region beyond the exact caps raises ``CapExceeded``.
     """
     model = _normalize_model(model)
 
-    def phi_upper(t: float) -> float:
-        return compute_phi(model, lattice, region, t, **kwargs).upper_confidence
+    def certified(t: float) -> bool:
+        return _certifies(_exact_phi(model, lattice, region, t))
 
     lo = 0.0
     hi = _param_max(model, lattice)
-    if phi_upper(hi) < 1.0:
-        raise NoRoot(f"phi stays below 1 up to param={hi:g}")
+    if certified(hi):
+        raise NoRoot(f"phi stays below 1 - {EPSILON_CERT:g} up to "
+                     f"param={hi:g}")
     for _ in range(max_iter):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if phi_upper(mid) < 1.0:
+        if certified(mid):
             lo = mid
         else:
             hi = mid
@@ -338,7 +352,7 @@ class BoundRow:
 
     radius: int
     root: float
-    method: str  # "exact" | "monte_carlo" | "skipped"
+    method: str  # "exact" | "skipped"
     region_size: int
 
 
@@ -352,14 +366,12 @@ class BestBound:
     rows: tuple[BoundRow, ...] = field(repr=False)
 
 
-def best_bound(model: str, lattice: LatticeSpec, max_radius: int,
-               budget: int = 0, *, tol: float = 1e-9,
-               seed: int = 0) -> BestBound:
+def best_bound(model: str, lattice: LatticeSpec, max_radius: int, *,
+               tol: float = 1e-9) -> BestBound:
     """Max of critical_root over balls of radius 0..max_radius.
 
-    ``budget`` is the Monte Carlo sample allowance per phi evaluation for
-    balls beyond the exact caps; with budget 0 those balls are skipped and
-    the table stays purely exact.
+    Every root is exact; a ball beyond the exact caps gets a ``skipped``
+    row with a NaN root.  ball(0) always fits (no bonds, one spin).
     """
     model = _normalize_model(model)
     if max_radius < 0:
@@ -370,44 +382,33 @@ def best_bound(model: str, lattice: LatticeSpec, max_radius: int,
     for r in range(max_radius + 1):
         region = ball(lattice, r)
         try:
-            root = critical_root(model, lattice, region, tol, allow_mc=False)
-            method = "exact"
+            root = critical_root(model, lattice, region, tol)
         except CapExceeded:
-            if budget <= 0:
-                rows.append(BoundRow(r, math.nan, "skipped",
-                                     len(region.vertices)))
-                continue
-            if model == "percolation":
-                root = critical_root(model, lattice, region, tol,
-                                     samples=budget, seed=seed)
-            else:
-                root = critical_root(model, lattice, region, tol,
-                                     sweeps=budget, seed=seed)
-            method = "monte_carlo"
-        rows.append(BoundRow(r, root, method, len(region.vertices)))
+            rows.append(BoundRow(r, math.nan, "skipped", len(region.vertices)))
+            continue
+        rows.append(BoundRow(r, root, "exact", len(region.vertices)))
         if root > best_root:
             best_root = root
             best_region = region
-    if best_region is None:
-        raise NoRoot("no ball produced a certified root under the budget")
     return BestBound(model=model, region=best_region, param_star=best_root,
                      rows=tuple(rows))
 
 
 def greedy_grow(model: str, lattice: LatticeSpec, param: float,
-                max_size: int, **kwargs) -> Region:
+                max_size: int) -> Region:
     """Grow a witness region one vertex at a time, greedily minimizing phi.
 
     Starts from the origin; each step scores every outside neighbour of
     the current region and keeps the one whose inclusion lowers phi the
-    most.  Stops at ``max_size`` or when no candidate helps, so the best
-    phi seen never increases along the trajectory.
+    most, with phi evaluated exactly (``CapExceeded`` once a candidate
+    outgrows the caps).  Stops at ``max_size`` or when no candidate helps,
+    so the best phi seen never increases along the trajectory.
     """
     model = _normalize_model(model)
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     region = ball(lattice, 0)
-    best_phi = compute_phi(model, lattice, region, param, **kwargs).value
+    best_phi = _exact_phi(model, lattice, region, param).value
     while len(region.vertices) < max_size:
         members = set(region.vertices)
         candidates = sorted({w for v in members
@@ -417,7 +418,7 @@ def greedy_grow(model: str, lattice: LatticeSpec, param: float,
         candidate_phi = best_phi
         for w in candidates:
             grown = Region(lattice, members | {w}, region.origin)
-            value = compute_phi(model, lattice, grown, param, **kwargs).value
+            value = _exact_phi(model, lattice, grown, param).value
             if value < candidate_phi:
                 candidate_phi = value
                 best_candidate = w
@@ -433,8 +434,8 @@ def chi_upper_bound(region: Region, param: float, phi: PhiResult) -> float:
     (summed two-point function for Ising) at any volume."""
     if phi.param != param:
         raise ValueError("phi was evaluated at a different parameter")
-    if phi.upper_confidence >= 1.0:
-        raise ValueError("phi >= 1 certifies nothing")
+    if not _certifies(phi):
+        raise ValueError("phi >= 1 - epsilon certifies nothing")
     return len(region.vertices) / (1.0 - phi.upper_confidence)
 
 
@@ -444,8 +445,8 @@ def decay_upper_bound(region: Region, phi: PhiResult, n: int) -> float:
     L is the region's reach (max vertex distance plus the coupling range);
     for n < L the floor is zero and the bound is the trivial 1.
     """
-    if phi.upper_confidence >= 1.0:
-        raise ValueError("phi >= 1 certifies nothing")
+    if not _certifies(phi):
+        raise ValueError("phi >= 1 - epsilon certifies nothing")
     if n < 0:
         raise ValueError("n must be >= 0")
     return phi.upper_confidence ** (n // region.radius_l)

@@ -87,25 +87,23 @@ _CERTIFY_FIELDS = (
     [_Field("model", "str", required=True, choices=_MODEL_CHOICES),
      _Field("param", "float", required=True,
             help="bond density p or inverse temperature beta")]
-    + _REGION_FIELDS + _LATTICE_FIELDS + [_MODE_FIELD]
-    + [_Field("samples", "int", default=100_000,
-              help="MC samples if the region exceeds the exact cap"),
-       _Field("sweeps", "int", default=20_000,
-              help="MC sweeps if the region exceeds the exact cap"),
-       _Field("seed", "int", help="RNG seed (generated and recorded if absent)")]
-    + _OUTPUT_FIELDS
+    + _REGION_FIELDS + _LATTICE_FIELDS + [_MODE_FIELD] + _OUTPUT_FIELDS
 )
+_PHI_FIELDS = _CERTIFY_FIELDS + [
+    _Field("samples", "int", default=100_000,
+           help="MC samples if the region exceeds the exact cap"),
+    _Field("sweeps", "int", default=20_000,
+           help="MC sweeps if the region exceeds the exact cap"),
+    _Field("seed", "int", help="RNG seed (generated and recorded if absent)"),
+]
 
 _SCHEMAS: dict[str, list[_Field]] = {
     "certify": _CERTIFY_FIELDS,
-    "phi": _CERTIFY_FIELDS,
+    "phi": _PHI_FIELDS,
     "best-bound": (
         [_Field("model", "str", required=True, choices=_MODEL_CHOICES),
          _Field("max_radius", "int", required=True),
-         _Field("budget", "int", default=0,
-                help="MC samples per ball beyond the exact cap (0 = skip)"),
-         _Field("tol", "float", default=1e-9),
-         _Field("seed", "int", default=0)]
+         _Field("tol", "float", default=1e-9)]
         + _LATTICE_FIELDS + [_MODE_FIELD] + _OUTPUT_FIELDS),
     "simulate-perc": (
         [_Field("observable", "str", required=True,
@@ -365,19 +363,12 @@ def _write_manifest(cfg: RunConfig, artifacts: list[str], t0: float) -> str:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _phi_kwargs(opts: dict) -> dict:
-    model = opts["model"]
-    if model == "ising":
-        return {"sweeps": opts["sweeps"], "seed": opts["seed"]}
-    return {"samples": opts["samples"], "seed": opts["seed"]}
-
-
 def _cmd_certify(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     lattice = _build_lattice(opts, _default_mode(opts))
     region = _load_region(opts, lattice)
     result = certify_subcritical(opts["model"], lattice, region,
-                                 opts["param"], **_phi_kwargs(opts))
+                                 opts["param"])
     path = _artifact(opts, ".json")
     _write_json(path, result.to_json())
     refused = isinstance(result, Refusal)
@@ -397,7 +388,8 @@ def _cmd_phi(cfg: RunConfig) -> tuple[int, list[str]]:
     lattice = _build_lattice(opts, _default_mode(opts))
     region = _load_region(opts, lattice)
     result = compute_phi(opts["model"], lattice, region, opts["param"],
-                         **_phi_kwargs(opts))
+                         samples=opts["samples"], sweeps=opts["sweeps"],
+                         seed=opts["seed"])
     path = _artifact(opts, ".json")
     _write_json(path, result.to_json())
     print(f"phi = {result.value:.12g} (ucb {result.upper_confidence:.12g}, "
@@ -412,7 +404,7 @@ def _cmd_best_bound(cfg: RunConfig) -> tuple[int, list[str]]:
         raise ConfigError("options.max_radius", "must be non-negative")
     lattice = _build_lattice(opts, _default_mode(opts))
     result = best_bound(opts["model"], lattice, opts["max_radius"],
-                        opts["budget"], tol=opts["tol"], seed=opts["seed"])
+                        tol=opts["tol"])
     rows = [(result.model, str(r.radius), str(r.region_size), r.method,
              _g17(r.root)) for r in result.rows]
     csv_path = _artifact(opts, ".csv")
@@ -713,8 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"subcrit {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
     descriptions = {
-        "certify": "produce a subcriticality certificate (exit 2 on refusal)",
-        "phi": "evaluate the boundary functional phi on a region",
+        "certify": "produce an exact subcriticality certificate "
+                   "(exit 2 on refusal)",
+        "phi": "evaluate phi on a region (a Monte Carlo estimate beyond "
+               "the exact caps)",
         "best-bound": "best certified lower bound over balls of growing radius",
         "simulate-perc": "percolation Monte Carlo (exit, susceptibility, ghost)",
         "simulate-ising": "Ising Monte Carlo (Wolff dynamics)",

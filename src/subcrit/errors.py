@@ -9,8 +9,9 @@ class CapExceeded(SubcritError):
     """An exact enumeration was requested beyond the configured size cap.
 
     Carries ``needed`` (the size the request implies) and ``cap`` (the
-    configured limit) so callers can decide whether to fall back to a
-    statistical method.
+    configured limit).  Certificates, roots and exact checks let it
+    propagate; only ``compute_phi`` catches it and returns a Monte Carlo
+    estimate instead.
     """
 
     def __init__(self, what: str, needed: int, cap: int):

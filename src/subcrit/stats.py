@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# One-sided 99.9% normal quantile, used for statistical upper confidence
-# bounds attached to Monte Carlo phi evaluations.
+# One-sided 99.9% normal quantile, used for the upper confidence bounds of
+# Monte Carlo phi estimates (which never feed a certificate).
 Z_999 = 3.090232306167813
 
 

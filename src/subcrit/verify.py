@@ -141,7 +141,7 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region,
     for mask in range(1 << len(others)):
         subset = [origin] + [v for k, v in enumerate(others) if mask >> k & 1]
         value = phi(lattice, Region(lattice, subset, origin), param,
-                    within=within, allow_mc=False).value
+                    within=within).value
         if value < best:
             best = value
             best_subset = tuple(sorted(subset))

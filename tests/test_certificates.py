@@ -10,6 +10,7 @@ from subcrit.certificates import (Certificate, PhiResult, Refusal, best_bound,
                                   compute_phi, critical_root,
                                   decay_upper_bound, greedy_grow,
                                   phi_ising, phi_percolation, region_id)
+from subcrit.errors import CapExceeded
 from subcrit.lattice import LatticeSpec, Region, ball
 
 P_LAT = LatticeSpec.square(mode="p")
@@ -99,7 +100,7 @@ def test_certificate_and_refusal():
     region = ball(P_LAT, 1)
     cert = certify_subcritical("perc", P_LAT, region, 0.25)
     assert isinstance(cert, Certificate)
-    assert cert.exact
+    assert cert.phi.method == "exact"
     assert cert.phi.value == pytest.approx(0.75)
     assert cert.statement == "param <= critical point"
     refusal = certify_subcritical("perc", P_LAT, region, 0.5)
@@ -130,23 +131,46 @@ def test_region_id_format():
     assert size == "v5" and reach == "L2" and len(digest) == 8
 
 
+def test_certificates_need_exact_regions():
+    # square ball(3) has 36 bonds, beyond the exact cap of 26
+    with pytest.raises(CapExceeded, match="need 36, cap is 26"):
+        certify_subcritical("perc", P_LAT, ball(P_LAT, 3), 0.28)
+    tri = LatticeSpec.triangular(mode="p")
+    with pytest.raises(CapExceeded, match="need 42, cap is 26"):
+        critical_root("percolation", tri, ball(tri, 2))
+
+
+def test_best_bound_roots_certify_at_fine_tolerance():
+    # the roots and certify share one decision rule, so each reported root
+    # certifies even when the bracket is far narrower than EPSILON_CERT
+    for lattice in (LatticeSpec.square, LatticeSpec.triangular):
+        for model, mode in (("percolation", "p"), ("ising", "beta")):
+            lat = lattice(mode)
+            for row in best_bound(model, lat, 2, tol=1e-10).rows:
+                if row.method == "skipped":
+                    continue
+                result = certify_subcritical(model, lat, ball(lat, row.radius),
+                                             row.root)
+                assert isinstance(result, Certificate), (model, row)
+
+
 # ---------------------------------------------------------------------------
-# Monte Carlo fallback agrees with the exact path
+# the Monte Carlo estimate of compute_phi agrees with the exact path
 # ---------------------------------------------------------------------------
 
 def test_phi_percolation_mc_matches_exact():
     region = ball(P_LAT, 2)
     exact = phi_percolation(P_LAT, region, 0.3).value
-    mc = phi_percolation(P_LAT, region, 0.3, samples=40_000, seed=91,
-                         edge_cap=2)
+    mc = compute_phi("perc", P_LAT, region, 0.3, samples=40_000, seed=91,
+                     edge_cap=2)
     assert mc.method == "monte_carlo"
     assert mc.samples == 40_000
     assert mc.upper_confidence > mc.value
     assert abs(mc.value - exact) < 0.08
     assert exact < mc.upper_confidence
     # deterministic under the same seed
-    again = phi_percolation(P_LAT, region, 0.3, samples=40_000, seed=91,
-                            edge_cap=2)
+    again = compute_phi("perc", P_LAT, region, 0.3, samples=40_000, seed=91,
+                        edge_cap=2)
     assert again.value == mc.value
     assert again.upper_confidence == mc.upper_confidence
 
@@ -155,21 +179,31 @@ def test_phi_percolation_mc_is_pinned():
     # recorded with the Monte Carlo phi's own breadth-first walk over all
     # drawn words; the shared cluster walker reads the same words in the
     # same discovery order, so a change here means the draws moved
-    phi = phi_percolation(P_LAT, ball(P_LAT, 2), 0.3, samples=40_000, seed=91,
-                          edge_cap=2)
+    phi = compute_phi("perc", P_LAT, ball(P_LAT, 2), 0.3, samples=40_000,
+                      seed=91, edge_cap=2)
     assert (phi.value, phi.upper_confidence) == (0.8104275, 0.8426378488484881)
 
 
+def test_phi_percolation_mc_upper_bound_not_below_mean():
+    # at p = 1 every sample is the full boundary weight W ~ 28, but the
+    # plain per-sample sums can average to a hair above the fsum of W,
+    # where the Wilson bound (clamped to W) would fall below the mean
+    phi = compute_phi("perc", P_LAT, ball(P_LAT, 3), 1.0, samples=2000, seed=1)
+    assert phi.method == "monte_carlo"
+    assert phi.upper_confidence >= phi.value
+
+
 def test_phi_percolation_mc_disabled_raises():
-    from subcrit.errors import CapExceeded
+    # phi_percolation is exact-only; the estimate lives in compute_phi
     with pytest.raises(CapExceeded):
-        phi_percolation(P_LAT, ball(P_LAT, 2), 0.3, edge_cap=2, allow_mc=False)
+        phi_percolation(P_LAT, ball(P_LAT, 2), 0.3, edge_cap=2)
 
 
 def test_phi_ising_mc_matches_exact():
     region = ball(B_LAT, 1)
     exact = phi_ising(B_LAT, region, 0.25).value
-    mc = phi_ising(B_LAT, region, 0.25, sweeps=4000, seed=5, spin_cap=2)
+    mc = compute_phi("ising", B_LAT, region, 0.25, sweeps=4000, seed=5,
+                     spin_cap=2)
     assert mc.method == "monte_carlo"
     assert abs(mc.value - exact) < 0.08
     assert mc.upper_confidence > mc.value
@@ -218,7 +252,7 @@ def test_best_bound_table_percolation():
 
 
 def test_best_bound_skips_over_cap_radii_without_budget():
-    result = best_bound("perc", P_LAT, 3, budget=0)
+    result = best_bound("perc", P_LAT, 3)
     last = result.rows[-1]
     assert last.method == "skipped"
     assert math.isnan(last.root)

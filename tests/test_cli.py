@@ -30,22 +30,21 @@ def read_json(path):
 
 def test_certify_success_writes_certificate_and_manifest(tmp_path):
     code = run_cli("certify", "--model", "perc", "--param", "0.2",
-                   "--ball", "1", "--seed", "5",
-                   "--out", str(tmp_path), "--label", "cert")
+                   "--ball", "1", "--out", str(tmp_path), "--label", "cert")
     assert code == EXIT_OK
     payload = read_json(tmp_path / "cert.json")
     assert payload["param"] == 0.2
     manifest = read_json(tmp_path / "cert_manifest.json")
     assert manifest["subcommand"] == "certify"
     assert manifest["artifacts"] == ["cert.json"]
-    assert manifest["seed"] == 5
+    assert manifest["seed"] is None  # exact: nothing is sampled
     assert len(manifest["config_sha256"]) == 64
 
 
 def test_certify_rerun_is_byte_identical(tmp_path):
     # the wall-clock time lives only in the manifest
     args = ("certify", "--model", "perc", "--param", "0.2", "--ball", "1",
-            "--seed", "5", "--label", "cert")
+            "--label", "cert")
     for out in (tmp_path / "a", tmp_path / "b"):
         assert run_cli(*args, "--out", str(out)) == EXIT_OK
     payload = read_json(tmp_path / "a" / "cert.json")
@@ -57,7 +56,7 @@ def test_certify_rerun_is_byte_identical(tmp_path):
 
 def test_certify_refusal_exits_two(tmp_path):
     code = run_cli("certify", "--model", "perc", "--param", "0.9",
-                   "--ball", "1", "--seed", "5", "--out", str(tmp_path))
+                   "--ball", "1", "--out", str(tmp_path))
     assert code == EXIT_REFUSED
     payload = read_json(tmp_path / "certify.json")
     assert payload["phi"]["value"] > 1.0
@@ -65,15 +64,33 @@ def test_certify_refusal_exits_two(tmp_path):
 
 def test_certify_ising_model(tmp_path):
     code = run_cli("certify", "--model", "ising", "--param", "0.2",
-                   "--ball", "1", "--seed", "5", "--out", str(tmp_path))
+                   "--ball", "1", "--out", str(tmp_path))
     assert code == EXIT_OK
 
 
 def test_certify_invalid_param_exits_one(tmp_path, capsys):
     code = run_cli("certify", "--model", "perc", "--param", "-0.5",
-                   "--ball", "1", "--seed", "5", "--out", str(tmp_path))
+                   "--ball", "1", "--out", str(tmp_path))
     assert code == EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+def test_certify_beyond_exact_cap_exits_one(tmp_path, capsys):
+    code = run_cli("certify", "--model", "perc", "--param", "0.28",
+                   "--ball", "3", "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: bond enumeration: need 36, cap is 26"]
+
+
+def test_certify_and_best_bound_take_no_sampling_options(tmp_path):
+    for args in (("certify", "--model", "perc", "--param", "0.2",
+                  "--ball", "1", "--seed", "5"),
+                 ("best-bound", "--model", "perc", "--max-radius", "1",
+                  "--budget", "1000")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--out", str(tmp_path))
+        assert exc.value.code == EXIT_ERROR
 
 
 def test_phi_reports_value(tmp_path):
@@ -172,13 +189,11 @@ def test_simulate_perc_ghost_requires_field(tmp_path, capsys):
 
 
 def test_simulate_perc_rejects_bad_samples(tmp_path, capsys):
-    # certify/phi regions above the exact cap would otherwise reach the
-    # Monte Carlo fallback with zero samples or sweeps
+    # phi regions above the exact cap would otherwise reach the Monte Carlo
+    # estimate with zero samples or sweeps
     cases = (
         ("simulate-perc", "--observable", "exit", "--param", "0.3",
          "--n", "1", "--samples", "0"),
-        ("certify", "--model", "percolation", "--param", "0.28",
-         "--ball", "3", "--samples", "0"),
         ("phi", "--model", "ising", "--param", "0.3",
          "--ball", "3", "--sweeps", "0"),
     )
@@ -344,7 +359,7 @@ def test_current_lab_rejects_malformed_scenarios(tmp_path, capsys):
 # --- config files ------------------------------------------------------------------------
 
 def test_config_file_replaces_flags(tmp_path):
-    config = {"model": "perc", "param": 0.2, "ball": 1, "seed": 9,
+    config = {"model": "perc", "param": 0.2, "ball": 1,
               "out": str(tmp_path), "label": "fromfile"}
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(config))
