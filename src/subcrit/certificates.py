@@ -30,12 +30,11 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
-from .exact import (EDGE_CAP_DEFAULT, SPIN_CAP_DEFAULT, ising_observables,
-                    perc_connect_probs)
+from .exact import ising_observables, perc_connect_probs
 from .ising_mc import SpinSystem, WolffChain, equilibrate
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .perc_mc import ClusterWalker
-from .stats import Z_999, batch_means_stderr, wilson_upper
+from .stats import Z_999, batch_means_stderr
 
 EPSILON_CERT = 1e-9
 MODELS = ("percolation", "ising")
@@ -45,6 +44,7 @@ MODELS = ("percolation", "ising")
 _BETA_MAX = 64.0
 _DEFAULT_MC_SAMPLES = 100_000
 _DEFAULT_MC_SWEEPS = 20_000
+_MAX_BISECTIONS = 200
 
 
 def _normalize_model(model: str) -> str:
@@ -165,9 +165,8 @@ def _exact_result(region: Region, param: float, coeff: dict[int, float],
 
 
 def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
-                    edge_cap: int = EDGE_CAP_DEFAULT,
                     within: Iterable[Vertex] | None = None) -> PhiResult:
-    """Exact phi for bond percolation; ``CapExceeded`` above the edge cap.
+    """Exact phi for bond percolation; ``CapExceeded`` above the bond cap.
 
     ``region`` may be disconnected; connection probabilities are then zero
     beyond the origin's component.  ``within`` optionally restricts the
@@ -175,24 +174,20 @@ def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
     """
     _check_region(lattice, region)
     coeff = _boundary_coefficients(region, param, "percolation", within)
-    conn = perc_connect_probs(region, param, cap=edge_cap)
-    return _exact_result(region, param, coeff, conn.probs)
+    return _exact_result(region, param, coeff,
+                         perc_connect_probs(region, param))
 
 
 def _phi_percolation_mc(region: Region, param: float, samples: int,
                         seed: int) -> PhiResult:
     """Sample-average of sum_i c_i 1[0 <-> v_i], one cluster walk per sample.
 
-    The upper confidence bound is Wilson at 99.9% applied to the mean of
-    X / W where W = sum_i c_i bounds every sample; for the non-Bernoulli
-    sum this is a labelled approximation, not a proof.  It is clamped to at
-    least the mean, which the plain per-sample sums can push above W.
+    Every sample X lies in [0, W] with W = sum_i c_i, so the upper
+    confidence bound is the one-sided Hoeffding bound at 99.9%,
+    mean + W sqrt(ln(1000) / (2 samples)), which is never below the mean.
     """
     coeff = _boundary_coefficients(region, param, "percolation")
     total_w = math.fsum(coeff.values())
-    if total_w == 0.0:
-        return PhiResult(0.0, "monte_carlo", 0.0, param, region_id(region),
-                         samples=samples, seed=seed)
     edges = region.internal_edges
     weights = np.array([edge_weight(region.lattice, j, param)
                         for _, _, j in edges])
@@ -207,14 +202,13 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
         # a plain sum in discovery order: the fixed-seed values depend on it
         values.append(sum(coeff.get(m, 0.0) for m in members))
     mean = math.fsum(values) / samples
-    upper = max(mean, total_w * wilson_upper(mean / total_w, samples))
+    upper = mean + total_w * math.sqrt(math.log(1000.0) / (2.0 * samples))
     return PhiResult(value=mean, method="monte_carlo", upper_confidence=upper,
                      param=param, region_id=region_id(region),
                      samples=samples, seed=seed)
 
 
 def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
-              spin_cap: int = SPIN_CAP_DEFAULT,
               within: Iterable[Vertex] | None = None) -> PhiResult:
     """Exact phi for the Ising model; ``CapExceeded`` above the spin cap.
 
@@ -226,7 +220,7 @@ def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
     if lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
     coeff = _boundary_coefficients(region, beta, "ising", within)
-    obs = ising_observables(region, beta, 0.0, cap=spin_cap)
+    obs = ising_observables(region, beta, 0.0)
     return _exact_result(region, beta, coeff, obs.correlations)
 
 
@@ -235,12 +229,12 @@ def _phi_ising_mc(region: Region, beta: float, sweeps: int,
     """Wolff chain on the region itself; per sweep the origin's
     Edwards-Sokal cluster gives every 1[0 <-> v_i] at once.
 
-    Sweeps are correlated, so the upper bound is mean + z * batch stderr
-    rather than a Wilson bound.
+    Sweeps are correlated, so the upper bound is mean + Z_999 * batch
+    stderr rather than a bound for independent samples.
     """
     coeff = _boundary_coefficients(region, beta, "ising")
-    system = SpinSystem.from_region(region, h=0.0)
-    chain = WolffChain(system, beta, 0.0, seed, boundary="free")
+    system = SpinSystem.from_region(region)
+    chain = WolffChain(system, beta, 0.0, seed)
     equilibrate(chain)
     values = []
     for _ in range(sweeps):
@@ -255,28 +249,26 @@ def _phi_ising_mc(region: Region, beta: float, sweeps: int,
 
 
 def _exact_phi(model: str, lattice: LatticeSpec, region: Region,
-               param: float, *, edge_cap: int = EDGE_CAP_DEFAULT,
-               spin_cap: int = SPIN_CAP_DEFAULT) -> PhiResult:
+               param: float) -> PhiResult:
     if model == "percolation":
-        return phi_percolation(lattice, region, param, edge_cap=edge_cap)
-    return phi_ising(lattice, region, param, spin_cap=spin_cap)
+        return phi_percolation(lattice, region, param)
+    return phi_ising(lattice, region, param)
 
 
 def compute_phi(model: str, lattice: LatticeSpec, region: Region,
                 param: float, *, samples: int = _DEFAULT_MC_SAMPLES,
-                sweeps: int = _DEFAULT_MC_SWEEPS, seed: int = 0,
-                edge_cap: int = EDGE_CAP_DEFAULT,
-                spin_cap: int = SPIN_CAP_DEFAULT) -> PhiResult:
-    """phi, exact under the caps and otherwise a Monte Carlo estimate.
+                sweeps: int = _DEFAULT_MC_SWEEPS, seed: int = 0) -> PhiResult:
+    """phi, exact within the fixed caps of ``exact``, otherwise a Monte
+    Carlo estimate.
 
     The estimate (``method="monte_carlo"``) draws ``samples`` cluster walks
-    for percolation or runs ``sweeps`` Wolff updates for Ising from
-    ``seed``.  It is an estimate only: certificates never call this.
+    for percolation, with a Hoeffding upper bound, or runs ``sweeps`` Wolff
+    updates for Ising, with a batch-means upper bound, from ``seed``.  It
+    is an estimate only: certificates never call this.
     """
     model = _normalize_model(model)
     try:
-        return _exact_phi(model, lattice, region, param,
-                          edge_cap=edge_cap, spin_cap=spin_cap)
+        return _exact_phi(model, lattice, region, param)
     except CapExceeded:
         pass
     if model == "percolation":
@@ -315,15 +307,16 @@ def _param_max(model: str, lattice: LatticeSpec) -> float:
 
 
 def critical_root(model: str, lattice: LatticeSpec, region: Region,
-                  tol: float = 1e-9, *, max_iter: int = 200) -> float:
+                  tol: float = 1e-9) -> float:
     """Bisection root of phi = 1; a certified lower bound on criticality.
 
     phi is non-decreasing in the parameter (monotone coupling of bond
     configurations for percolation, coupling monotonicity of ferromagnetic
     correlations for Ising), so bisection applies.  Every step evaluates
     phi exactly and decides with the rule of :func:`certify_subcritical`,
-    so the returned (lower) end of the final bracket is certified.  A
-    region beyond the exact caps raises ``CapExceeded``.
+    so the returned (lower) end of the final bracket is certified.  The
+    bisection stops at width ``tol`` or after 200 steps.  A region beyond
+    the exact caps raises ``CapExceeded``.
     """
     model = _normalize_model(model)
 
@@ -335,7 +328,7 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
     if certified(hi):
         raise NoRoot(f"phi stays below 1 - {EPSILON_CERT:g} up to "
                      f"param={hi:g}")
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -400,9 +393,9 @@ def greedy_grow(model: str, lattice: LatticeSpec, param: float,
 
     Starts from the origin; each step scores every outside neighbour of
     the current region and keeps the one whose inclusion lowers phi the
-    most, with phi evaluated exactly (``CapExceeded`` once a candidate
-    outgrows the caps).  Stops at ``max_size`` or when no candidate helps,
-    so the best phi seen never increases along the trajectory.
+    most, with phi evaluated exactly.  A candidate beyond the exact caps is
+    skipped.  Stops at ``max_size`` or when no candidate within the caps
+    lowers phi, so the best phi seen never increases along the trajectory.
     """
     model = _normalize_model(model)
     if max_size < 1:
@@ -418,7 +411,10 @@ def greedy_grow(model: str, lattice: LatticeSpec, param: float,
         candidate_phi = best_phi
         for w in candidates:
             grown = Region(lattice, members | {w}, region.origin)
-            value = _exact_phi(model, lattice, grown, param).value
+            try:
+                value = _exact_phi(model, lattice, grown, param).value
+            except CapExceeded:
+                continue
             if value < candidate_phi:
                 candidate_phi = value
                 best_candidate = w

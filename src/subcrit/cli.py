@@ -289,11 +289,23 @@ def _load_region(opts: dict, lattice: LatticeSpec) -> Region:
         raise ConfigError("options.region", f"cannot read file: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError("options.region", f"invalid JSON: {exc}")
-    if not isinstance(data, dict) or "vertices" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
         raise ConfigError("options.region",
                           "expected an object with a 'vertices' list")
-    origin = tuple(data["origin"]) if "origin" in data else None
-    return Region(lattice, [tuple(v) for v in data["vertices"]], origin)
+    dim = lattice.dim
+    origin = _region_vertex(data["origin"], dim) if "origin" in data else None
+    return Region(lattice, [_region_vertex(v, dim) for v in data["vertices"]],
+                  origin)
+
+
+def _region_vertex(value, dim: int) -> tuple:
+    """A region-file vertex: a list of ``dim`` integers."""
+    if (not isinstance(value, list) or len(value) != dim
+            or any(isinstance(c, bool) or not isinstance(c, int)
+                   for c in value)):
+        raise ConfigError("options.region",
+                          f"expected a vertex of {dim} integers, got {value!r}")
+    return tuple(value)
 
 
 def _resolve_seed(opts: dict) -> None:
@@ -617,13 +629,23 @@ def _cmd_report(cfg: RunConfig) -> tuple[int, list[str]]:
             raise ConfigError(where, f"cannot read manifest: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(where, f"invalid JSON: {exc}")
+        if not isinstance(manifest, dict):
+            raise ConfigError(where, "expected a manifest object")
         sub = manifest.get("subcommand", "unknown")
-        label = manifest.get("config", {}).get("label", "run")
+        config = manifest.get("config", {})
+        label = config.get("label", "run") if isinstance(config, dict) else None
+        names = manifest.get("artifacts", [])
+        if (not isinstance(sub, str) or not isinstance(label, str)
+                or not isinstance(names, list)
+                or not all(isinstance(name, str) for name in names)):
+            raise ConfigError(where, "expected a string 'subcommand', a "
+                                     "'config' object with a string 'label' "
+                                     "and a list of 'artifacts' file names")
         base = os.path.dirname(os.path.abspath(manifest_path))
         section = sections.setdefault(sub, {"runs": 0, "rows": 0,
                                             "observables": set()})
         section["runs"] += 1
-        for name in manifest.get("artifacts", ()):
+        for name in names:
             path = os.path.join(base, name)
             if not os.path.exists(path):
                 raise ConfigError(where, f"missing artifact {name}")

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NoPath, StateSpaceTooLarge
+from .errors import CapExceeded, NoPath, StateSpaceTooLarge
 
 STATE_GUARD = 1_000_000_000
 MAX_VERTICES = 5  # plus the ghost; enumeration is (cap+1)^pairs
@@ -109,9 +109,6 @@ class Current:
     graph: CurrentGraph
     multiplicities: tuple[tuple[Pair, int], ...]
 
-    def as_dict(self) -> dict[Pair, int]:
-        return {p: m for p, m in self.multiplicities if m > 0}
-
     def sources(self) -> frozenset[int]:
         degree: dict[int, int] = {}
         for (a, b), m in self.multiplicities:
@@ -159,7 +156,8 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 8)],
 
 def _check_state_space(graph: CurrentGraph, radix: int, n_pairs: int) -> int:
     if graph.n_vertices > MAX_VERTICES:
-        raise StateSpaceTooLarge(radix ** n_pairs, STATE_GUARD)
+        raise CapExceeded("current-lab vertices", graph.n_vertices,
+                          MAX_VERTICES)
     states = radix ** n_pairs
     if states > STATE_GUARD:
         raise StateSpaceTooLarge(states, STATE_GUARD)

@@ -6,12 +6,12 @@ class SubcritError(Exception):
 
 
 class CapExceeded(SubcritError):
-    """An exact enumeration was requested beyond the configured size cap.
+    """An exact enumeration was requested beyond a fixed size cap.
 
     Carries ``needed`` (the size the request implies) and ``cap`` (the
-    configured limit).  Certificates, roots and exact checks let it
-    propagate; only ``compute_phi`` catches it and returns a Monte Carlo
-    estimate instead.
+    limit).  Certificates, roots and exact checks let it propagate;
+    ``compute_phi`` catches it and returns a Monte Carlo estimate instead,
+    and ``best_bound`` and ``greedy_grow`` skip the region.
     """
 
     def __init__(self, what: str, needed: int, cap: int):

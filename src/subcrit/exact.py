@@ -29,8 +29,9 @@ spins, u_c = exp(-2 beta J_c) and v = exp(-2h).  ``SpinTables`` tabulates
 by (k, m) the number of assignments and their sums of sigma_x and of
 sigma_base sigma_x.
 
-Both engines refuse (``CapExceeded``) beyond configurable caps chosen so the
-worst-case enumeration stays near 1e8 elementary steps.
+Both engines refuse (``CapExceeded``) beyond fixed caps, ``EDGE_CAP``
+internal bonds and ``SPIN_CAP`` spins, chosen so the worst-case
+enumeration stays near 1e8 elementary steps.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import numpy as np
 from .errors import CapExceeded
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 
-EDGE_CAP_DEFAULT = 26
-SPIN_CAP_DEFAULT = 22
+EDGE_CAP = 26
+SPIN_CAP = 22
 
 _CHUNK_BITS = 18  # configurations per vectorized chunk
 
@@ -111,11 +112,10 @@ class ReachTables:
     Clusters that carry no tie are not counted.
     """
 
-    def __init__(self, region: Region, ties: tuple[tuple[int, float], ...],
-                 cap: int = EDGE_CAP_DEFAULT):
+    def __init__(self, region: Region, ties: tuple[tuple[int, float], ...]):
         edges = region.internal_edges
-        if len(edges) > cap:
-            raise CapExceeded("bond enumeration", len(edges), cap)
+        if len(edges) > EDGE_CAP:
+            raise CapExceeded("bond enumeration", len(edges), EDGE_CAP)
         n = len(region)
         self.region = region
         self.bond_js, self.bond_sizes = _coupling_classes(j for _, _, j in edges)
@@ -177,42 +177,27 @@ class ReachTables:
 
 
 @lru_cache(maxsize=256)
-def _reach_tables(region: Region, ties: tuple, cap: int) -> ReachTables:
-    return ReachTables(region, ties, cap)
+def _reach_tables(region: Region, ties: tuple) -> ReachTables:
+    return ReachTables(region, ties)
 
 
-@dataclass(frozen=True)
-class ExactConnectivity:
-    """All P[base <-> x within S] for one region at one parameter."""
-
-    region: Region
-    param: float
-    probs: dict[Vertex, float]
-
-    def __getitem__(self, v: Vertex) -> float:
-        return self.probs[tuple(v)]
-
-
-def perc_connect_probs(region: Region, param: float,
-                       cap: int = EDGE_CAP_DEFAULT) -> ExactConnectivity:
+def perc_connect_probs(region: Region, param: float) -> dict[Vertex, float]:
     """Exact P[base point <-> x inside S] for every x in S.
 
     The base point (index 0 in canonical order) carries one always-open
     tie.  The count tables are built once per region and reused across
     parameters.
     """
-    tables = _reach_tables(region, ((0, math.inf),), cap)
-    return ExactConnectivity(region, param,
-                             dict(zip(region.vertices, tables.probs(param))))
+    tables = _reach_tables(region, ((0, math.inf),))
+    return dict(zip(region.vertices, tables.probs(param)))
 
 
-def perc_exit_prob(lattice: LatticeSpec, n: int, param: float,
-                   cap: int = EDGE_CAP_DEFAULT) -> float:
+def perc_exit_prob(lattice: LatticeSpec, n: int, param: float) -> float:
     """Exact P[origin <-> complement of ball(n)]: every boundary pair of
     ball(n) is a tie, and the origin's cluster must carry an open one."""
     region = ball(lattice, n)
     ties = tuple((i, j) for i, _, j in region.boundary_pairs)
-    return _reach_tables(region, ties, cap).probs(param)[0]
+    return _reach_tables(region, ties).probs(param)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +329,13 @@ def _spin_tables(region: Region) -> SpinTables:
     return SpinTables(region)
 
 
-def ising_observables(region: Region, beta: float, h: float,
-                      cap: int = SPIN_CAP_DEFAULT) -> ExactIsing:
+def ising_observables(region: Region, beta: float, h: float) -> ExactIsing:
     """Exact expectations from the region's tables over all 2^|S| spin states."""
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     n = len(region)
-    if n > cap:
-        raise CapExceeded("spin enumeration", n, cap)
+    if n > SPIN_CAP:
+        raise CapExceeded("spin enumeration", n, SPIN_CAP)
     return _spin_tables(region).observables(beta, h)
 
 

@@ -61,6 +61,10 @@ _INIT_INDEX = 1 << 62  # stream block reserved for initial states
 # cluster exceeds max(_LABEL_MIN_NODES, n_bonds / 8).
 _LABEL_MIN_NODES = 256
 
+# burn-in: this many lattice sweeps, extended to this many tau_int updates
+_BURN_IN_SWEEPS = 100
+_BURN_IN_TAUS = 20.0
+
 
 class SpinSystem:
     """Bond structure for one finite Ising system (sites + ghost)."""
@@ -86,13 +90,11 @@ class SpinSystem:
                                     np.append(self.layers, self.ghost_layer))
 
     @classmethod
-    def from_region(cls, region: Region, h: float = 0.0) -> "SpinSystem":
-        n = len(region)
+    def from_region(cls, region: Region) -> "SpinSystem":
+        """The region's internal bonds at zero field, with free boundary."""
         bonds = [(a, b, _KIND_SPIN, j) for a, b, j in region.internal_edges]
-        if h > 0.0:
-            bonds += [(i, n, _KIND_FIELD, 0.0) for i in range(n)]
         index = {v: i for i, v in enumerate(region.vertices)}
-        return cls(n, bonds, vertex_index=index)
+        return cls(len(region), bonds, vertex_index=index)
 
     @classmethod
     def box(cls, lattice: LatticeSpec, n: int, boundary: str = "free",
@@ -116,8 +118,13 @@ class SpinSystem:
 
 
 class WolffChain:
-    def __init__(self, system: SpinSystem, beta: float, h: float, seed: int,
-                 boundary: str = "free", start: str | None = None):
+    """Wolff cluster dynamics of one system at (beta, h) from ``seed``.
+
+    A system with a plus boundary (spin bonds to the ghost) starts all-plus;
+    any other starts from random spins drawn from the seed.
+    """
+
+    def __init__(self, system: SpinSystem, beta: float, h: float, seed: int):
         if beta < 0.0 or h < 0.0:
             raise ValueError("beta and h must be non-negative")
         self.system = system
@@ -133,13 +140,11 @@ class WolffChain:
         self._site_gen = None
         self.label_floor = max(_LABEL_MIN_NODES, system.n_bonds / 8)
         self._whole_walks = self._whole_nodes = 0
-        start = start or ("plus" if boundary == "plus" else "random")
-        if start == "random":
+        plus = (system.bond_kind == _KIND_SPIN) & (system.bond_b == system.ghost)
+        if not plus.any():
             gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF, _INIT_INDEX)
             self.spins = np.where(
                 gen.random(system.n_sites) < 0.5, 1, -1).astype(np.int8)
-        elif start != "plus":
-            raise ValueError(f"unknown start state {start!r}")
 
     def _walk(self, root: int, stop_layer: int | None = None) -> int:
         """Walk the cluster of ``root`` on the next sample of the stream.
@@ -216,27 +221,25 @@ class WolffChain:
             self.step()
 
 
-def equilibrate(chain: WolffChain, min_sweeps: int = 100,
-                tau_factor: float = 20.0) -> int:
-    """Burn in for ``min_sweeps`` lattice sweeps, then to 20 tau_int updates.
+def equilibrate(chain: WolffChain) -> int:
+    """Burn in for 100 lattice sweeps, then to 20 tau_int updates.
 
-    Phase one runs updates until their cluster sizes add up to
-    ``min_sweeps`` times the number of sites, so the burn-in covers the
-    lattice the same number of times whatever the typical cluster size.
-    The integrated autocorrelation time of the |mean spin| series of those
-    updates is then measured, and the burn-in is extended to
-    ``tau_factor * tau_int`` updates if that is longer.  Returns the number
-    of updates consumed.
+    Phase one runs updates until their cluster sizes add up to 100 times
+    the number of sites, so the burn-in covers the lattice the same number
+    of times whatever the typical cluster size.  The integrated
+    autocorrelation time of the |mean spin| series of those updates is then
+    measured, and the burn-in is extended to 20 tau_int updates if that is
+    longer.  Returns the number of updates consumed.
     """
     n = chain.system.n_sites
     series = []
     covered = 0
-    while covered < min_sweeps * n:
+    while covered < _BURN_IN_SWEEPS * n:
         covered += chain.step()
         series.append(abs(float(chain.spins.sum())) / n)
     steps = len(series)
     tau = integrated_autocorr_time(np.array(series))
-    extra = int(max(0.0, tau_factor * tau - steps))
+    extra = int(max(0.0, _BURN_IN_TAUS * tau - steps))
     if extra > 0:
         chain.run(extra)
     return steps + extra
@@ -255,7 +258,7 @@ def estimate_magnetization(lattice: LatticeSpec, n: int, beta: float,
     time average of sigma_origin is used.
     """
     system = SpinSystem.box(lattice, n, boundary=boundary, h=h)
-    chain = WolffChain(system, beta, h, seed, boundary=boundary)
+    chain = WolffChain(system, beta, h, seed)
     equilibrate(chain)
     has_ghost = boundary == "plus" or h > 0.0
     values = []
@@ -286,7 +289,7 @@ def estimate_two_point(lattice: LatticeSpec, n: int, beta: float,
         if v not in system.vertex_index:
             raise ValueError(f"distance {d} leaves the box")
         targets[d] = system.vertex_index[v]
-    chain = WolffChain(system, beta, 0.0, seed, boundary=boundary)
+    chain = WolffChain(system, beta, 0.0, seed)
     equilibrate(chain)
     hits: dict[int, list[float]] = {d: [] for d in targets}
     for _ in range(sweeps):
@@ -327,7 +330,7 @@ def check_critical_divergence(lattice: LatticeSpec, beta: float,
     n_box = radii[-1]
     system = SpinSystem.box(lattice, n_box, boundary="free")
     layers = system.layers
-    chain = WolffChain(system, beta, 0.0, seed, boundary="free")
+    chain = WolffChain(system, beta, 0.0, seed)
     equilibrate(chain)
     counts: dict[int, list[float]] = {r: [] for r in radii}
     for _ in range(sweeps):

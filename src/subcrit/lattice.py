@@ -144,11 +144,6 @@ class LatticeSpec:
     # -- geometry ----------------------------------------------------------
 
     @property
-    def coordination(self) -> int:
-        """Number of couplings leaving one vertex (e.g. 4 on Z^2)."""
-        return len(self.couplings)
-
-    @property
     def total_coupling(self) -> float:
         """``sum_y J(0, y)`` over all neighbors of the origin."""
         return math.fsum(j for _, j in self.couplings)
@@ -295,26 +290,6 @@ class Region:
         dist = self.lattice.distances_from_origin(shifted)
         # every coupling offset is one step of the coupling graph
         return max(dist.values()) + 1
-
-    def boundary_weight(self, param: float) -> float:
-        """Sum of open-probabilities over all boundary pairs."""
-        return math.fsum(edge_weight(self.lattice, j, param)
-                         for _, _, j in self.boundary_pairs)
-
-    def to_json(self) -> dict:
-        return {
-            "lattice": self.lattice.to_json(),
-            "origin": list(self.origin),
-            "vertices": [list(v) for v in self.vertices],
-        }
-
-    @classmethod
-    def from_json(cls, obj, lattice: LatticeSpec | None = None) -> "Region":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        lat = lattice or LatticeSpec.from_json(obj["lattice"])
-        origin = tuple(obj.get("origin", lat.origin()))
-        return cls(lat, [tuple(v) for v in obj["vertices"]], origin)
 
 
 def ball(lattice: LatticeSpec, n: int) -> Region:

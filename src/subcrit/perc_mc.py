@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -309,41 +308,6 @@ def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
     mean = hits / samples
     return MCEstimate(f"ghost_m[n={n},h={h:g}]", mean,
                       binomial_stderr(mean, samples), samples, seed)
-
-
-@dataclass(frozen=True)
-class MeanFieldReport:
-    """Finite-box check of theta(p) >= (p - p_c) / (p (1 - p_c)) on Z^2."""
-
-    theta_hat: MCEstimate
-    bound: float
-    margin_sigmas: float
-    passed: bool
-    n: int
-    note: str
-
-
-def check_mean_field(lattice: LatticeSpec, n: int, p: float, samples: int,
-                     seed: int) -> MeanFieldReport:
-    if lattice.family != "square" or lattice.mode != "p":
-        raise ValueError("mean-field check is calibrated to Z^2 bond "
-                         "percolation, where p_c = 1/2 is known")
-    p_c = 0.5
-    if p <= p_c:
-        raise ValueError("mean-field lower bound applies for p > p_c")
-    theta_hat = exit_profile(lattice, n, [n], p, samples, seed)[n]
-    bound = (p - p_c) / (p * (1.0 - p_c))
-    sigma = theta_hat.stderr if theta_hat.stderr > 0 else float("inf")
-    margin = (theta_hat.mean - bound) / sigma
-    return MeanFieldReport(
-        theta_hat=theta_hat,
-        bound=bound,
-        margin_sigmas=margin,
-        passed=theta_hat.mean >= bound - 3.0 * theta_hat.stderr,
-        n=n,
-        note=(f"theta_hat uses the exit event from ball({n}) and "
-              f"over-approximates theta; the bound is asymptotic in n"),
-    )
 
 
 class DecayFit(NamedTuple):

@@ -7,9 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# One-sided 99.9% normal quantile, used for the upper confidence bounds of
-# Monte Carlo phi estimates (which never feed a certificate).
+# One-sided 99.9% normal quantile, used for the batch-means upper bound of
+# the Ising Monte Carlo phi estimate (which never feeds a certificate).
 Z_999 = 3.090232306167813
+
+_N_BATCHES = 32
+_WINDOW_FACTOR = 5.0  # Sokal's self-consistent window, in units of tau_int
 
 
 @dataclass(frozen=True)
@@ -33,49 +36,30 @@ def binomial_stderr(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def batch_means_stderr(values, n_batches: int = 32) -> float:
+def batch_means_stderr(values) -> float:
     """Standard error of the mean via non-overlapping batch means.
 
-    Robust to autocorrelation when the batch length exceeds the correlation
-    time; with fewer than two full batches it falls back to the naive i.i.d.
-    standard error.
+    Uses 32 batches, or max(2, n // 2) batches when there are fewer than 32
+    values.  Robust to autocorrelation when the batch length exceeds the
+    correlation time.
     """
     arr = np.asarray(values, dtype=float)
     n = arr.size
     if n < 2:
         return float("inf")
+    n_batches = _N_BATCHES if n >= _N_BATCHES else max(2, n // 2)
     length = n // n_batches
-    if length < 1:
-        n_batches = max(2, n // 2)
-        length = n // n_batches
-    if length < 1 or n_batches < 2:
-        return float(np.std(arr, ddof=1) / math.sqrt(n))
     used = n_batches * length
     batches = arr[:used].reshape(n_batches, length).mean(axis=1)
     return float(np.std(batches, ddof=1) / math.sqrt(n_batches))
 
 
-def wilson_upper(p_hat: float, n: int, z: float = Z_999) -> float:
-    """Wilson score upper confidence bound for a proportion.
-
-    Applied to scaled means in [0, 1]; for non-Bernoulli summands this is a
-    deliberately conservative, clearly labelled approximation.
-    """
-    if n <= 0:
-        raise ValueError("need at least one sample")
-    p_hat = min(max(p_hat, 0.0), 1.0)
-    denom = 1.0 + z * z / n
-    center = p_hat + z * z / (2.0 * n)
-    spread = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
-    return min(1.0, (center + spread) / denom)
-
-
-def integrated_autocorr_time(series, window_factor: float = 5.0) -> float:
+def integrated_autocorr_time(series) -> float:
     """Integrated autocorrelation time with a self-consistent cutoff.
 
-    Sums normalized autocovariances until the window exceeds
-    ``window_factor`` times the running estimate (Sokal's criterion).
-    Returns at least 0.5 (an uncorrelated series).
+    Sums normalized autocovariances until the window exceeds five times
+    the running estimate (Sokal's criterion).  Returns at least 0.5 (an
+    uncorrelated series).
     """
     arr = np.asarray(series, dtype=float)
     n = arr.size
@@ -89,6 +73,6 @@ def integrated_autocorr_time(series, window_factor: float = 5.0) -> float:
     for t in range(1, n // 2):
         rho = float(np.dot(arr[:-t], arr[t:])) / ((n - t) * var)
         tau += rho
-        if t >= window_factor * tau:
+        if t >= _WINDOW_FACTOR * tau:
             break
     return max(tau, 0.5)

@@ -20,8 +20,6 @@ from typing import Callable, Iterable, Sequence
 
 from .certificates import phi_ising, phi_percolation
 from .exact import (
-    EDGE_CAP_DEFAULT,
-    SPIN_CAP_DEFAULT,
     ReachTables,
     ising_observables,
     perc_connect_probs,
@@ -42,7 +40,7 @@ __all__ = [
     "default_reports",
 ]
 
-DELTA_DEFAULT = 1e-5
+DELTA = 1e-5  # finite-difference step of the differential checks
 TOL_DIFFERENTIAL = 1e-6
 TOL_EXACT = 1e-9
 
@@ -176,10 +174,8 @@ def _central_pair(f: Callable[[float], float], x: float, delta: float,
 
 def check_perc_differential(lattice: LatticeSpec, n: int = 1,
                             p_grid: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5,
-                                                       0.6, 0.7, 0.8, 0.9),
-                            *, delta: float = DELTA_DEFAULT,
-                            tolerance: float = TOL_DIFFERENTIAL,
-                            cap: int = EDGE_CAP_DEFAULT) -> InequalityReport:
+                                                       0.6, 0.7, 0.8, 0.9)
+                            ) -> InequalityReport:
     """d/dbeta P[0 <-> ball(n)^c] >= inf_S phi(S) * (1 - P) / beta.
 
     The grid is given as bond densities p = 1 - exp(-beta) and converted to
@@ -194,18 +190,18 @@ def check_perc_differential(lattice: LatticeSpec, n: int = 1,
     if min(p_grid) <= 0.0 or max(p_grid) >= 1.0:
         raise ValueError("p grid must stay strictly inside (0, 1)")
     region = ball(lattice, n)
-    exit_at = lambda b: perc_exit_prob(lattice, n, b, cap)
+    exit_at = lambda b: perc_exit_prob(lattice, n, b)
     lhs, rhs, spread = [], [], 0.0
     for p in p_grid:
         beta = -math.log1p(-p)
-        d_full, d_half = _central_pair(exit_at, beta, delta)
+        d_full, d_half = _central_pair(exit_at, beta, DELTA)
         prob = exit_at(beta)
         inf_phi, _ = phi_infimum("percolation", lattice, region, beta)
         lhs.append(d_full)
         rhs.append(inf_phi * (1.0 - prob) / beta)
         spread = max(spread, abs(d_full - d_half))
     return _make_report(
-        "perc-differential", tuple(p_grid), lhs, rhs, tolerance,
+        "perc-differential", tuple(p_grid), lhs, rhs, TOL_DIFFERENTIAL,
         fd_spread=spread,
         notes=(f"exit probability of ball({n}); grid in p = 1 - exp(-beta); "
                f"infimum over {1 << (len(region) - 1)} subsets"))
@@ -215,9 +211,8 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
                            a_vertices: Iterable[Vertex],
                            b_vertices: Iterable[Vertex],
                            u: Vertex | None = None,
-                           params: Sequence[float] = (0.2, 0.5, 0.8),
-                           *, tolerance: float = TOL_EXACT,
-                           cap: int = EDGE_CAP_DEFAULT) -> InequalityReport:
+                           params: Sequence[float] = (0.2, 0.5, 0.8)
+                           ) -> InequalityReport:
     """P[u <->_A B] <= sum over coupled x in S, y not in S of
     w * P[u <->_S x] * P[y <->_A B].
 
@@ -245,11 +240,11 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
     region_s = Region(lattice, s_set, origin=u)
     region_a = Region(lattice, a_set, origin=u)
     ties = tuple((i, j) for i, y, j in region_a.boundary_pairs if y in b_set)
-    tables = ReachTables(region_a, ties, cap)
+    tables = ReachTables(region_a, ties)
 
     lhs, rhs = [], []
     for p in params:
-        conn_s = perc_connect_probs(region_s, p, cap)
+        conn_s = perc_connect_probs(region_s, p)
         reach = tables.probs(p)
 
         def reach_b(y: Vertex) -> float:
@@ -266,10 +261,10 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
             if q == 0.0:
                 continue
             terms.append(edge_weight(lattice, j, p)
-                         * conn_s.probs[region_s.vertices[i]] * q)
+                         * conn_s[region_s.vertices[i]] * q)
         rhs.append(math.fsum(terms))
     return _make_report(
-        "bk-decomposition", tuple(params), lhs, rhs, tolerance, flip=True,
+        "bk-decomposition", tuple(params), lhs, rhs, TOL_EXACT, flip=True,
         notes=(f"|S|={len(s_set)}, |A|={len(a_set)}, |B|={len(b_set)}; "
                f"{len(region_a.internal_edges)} bonds in A, "
                f"{len(ties)} ties into B"))
@@ -278,10 +273,7 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
 def check_ising_differential(lattice: LatticeSpec, n: int = 1,
                              beta_grid: Sequence[float] = (0.1, 0.2, 0.3, 0.4,
                                                            0.5, 0.6, 0.7, 0.8),
-                             h: float = 0.1, *,
-                             delta: float = DELTA_DEFAULT,
-                             tolerance: float = TOL_DIFFERENTIAL,
-                             cap: int = SPIN_CAP_DEFAULT) -> InequalityReport:
+                             h: float = 0.1) -> InequalityReport:
     """d/dbeta <sigma_0>^2 >= (2 c / beta) * inf_S phi^(trunc)(S) * (1 - <sigma_0>^2).
 
     Here c = min_y <sigma_0>/<sigma_y> over the region at (beta, h), and the
@@ -297,19 +289,19 @@ def check_ising_differential(lattice: LatticeSpec, n: int = 1,
         raise ValueError("the ising functional needs a beta-mode lattice")
     if not beta_grid:
         raise ValueError("empty parameter grid")
-    if min(beta_grid) <= delta:
+    if min(beta_grid) <= DELTA:
         raise ValueError("beta grid must stay above the difference step")
     region = ball(lattice, n)
     origin = region.origin
     inside = region.vertices
 
     def m0_squared(b: float) -> float:
-        return ising_observables(region, b, h, cap).magnetizations[origin] ** 2
+        return ising_observables(region, b, h).magnetizations[origin] ** 2
 
     lhs, rhs, spread = [], [], 0.0
     for beta in beta_grid:
-        d_full, d_half = _central_pair(m0_squared, beta, delta)
-        obs = ising_observables(region, beta, h, cap)
+        d_full, d_half = _central_pair(m0_squared, beta, DELTA)
+        obs = ising_observables(region, beta, h)
         mags = obs.magnetizations
         m0 = mags[origin]
         c = min(m0 / mags[y] for y in inside)
@@ -323,14 +315,13 @@ def check_ising_differential(lattice: LatticeSpec, n: int = 1,
         notes += ("; region has no interacting pairs, which is outside the "
                   "inequality's intended scope (both sides vanish)")
     return _make_report("ising-differential", tuple(beta_grid), lhs, rhs,
-                        tolerance, fd_spread=spread, notes=notes)
+                        TOL_DIFFERENTIAL, fd_spread=spread, notes=notes)
 
 
 def check_modified_simon(lattice: LatticeSpec, lam_vertices: Iterable[Vertex],
                          s_vertices: Iterable[Vertex], z: Vertex,
                          betas: Sequence[float] = (0.2, 0.3, 0.4),
-                         h: float = 0.0, *, tolerance: float = TOL_EXACT,
-                         cap: int = SPIN_CAP_DEFAULT) -> InequalityReport:
+                         h: float = 0.0) -> InequalityReport:
     """<sigma_0 sigma_z>_Lam <= sum over coupled x in S, y in Lam \\ S of
     <sigma_0 sigma_x>_S * <sigma_x sigma_y>_{x,y} * <sigma_y sigma_z>_Lam.
 
@@ -363,14 +354,14 @@ def check_modified_simon(lattice: LatticeSpec, lam_vertices: Iterable[Vertex],
         if key not in pair_cache:
             offset = next(o for o, jj in lattice.couplings if jj == j)
             pair_region = Region(lattice, (origin, offset), origin=origin)
-            obs = ising_observables(pair_region, beta, h, cap)
+            obs = ising_observables(pair_region, beta, h)
             pair_cache[key] = obs.correlations[offset]
         return pair_cache[key]
 
     lhs, rhs = [], []
     for beta in betas:
-        obs_s = ising_observables(region_s, beta, h, cap)
-        obs_lam = ising_observables(region_lam_z, beta, h, cap)
+        obs_s = ising_observables(region_s, beta, h)
+        obs_lam = ising_observables(region_lam_z, beta, h)
         lhs.append(obs_lam.correlations[origin])
         terms = []
         for i, y, j in region_s.boundary_pairs:
@@ -381,30 +372,28 @@ def check_modified_simon(lattice: LatticeSpec, lam_vertices: Iterable[Vertex],
                          * obs_lam.correlations[y])
         rhs.append(math.fsum(terms))
     return _make_report(
-        "modified-simon", tuple(betas), lhs, rhs, tolerance, flip=True,
+        "modified-simon", tuple(betas), lhs, rhs, TOL_EXACT, flip=True,
         notes=f"|Lam|={len(lam_set)}, |S|={len(s_set)}, z={z}, h={h}")
 
 
 def check_ghs_differential(lattice: LatticeSpec, n: int = 1,
                            betas: Sequence[float] = (0.2, 0.4),
                            h_grid: Sequence[float] = (0.05, 0.14, 0.23,
-                                                      0.32, 0.41, 0.5),
-                           *, delta: float = DELTA_DEFAULT,
-                           tolerance: float = TOL_DIFFERENTIAL,
-                           cap: int = SPIN_CAP_DEFAULT) -> InequalityReport:
+                                                      0.32, 0.41, 0.5)
+                           ) -> InequalityReport:
     """dM/dbeta <= (sum_y J_{0,y}) * M * dM/dh on ball(n) at h > 0."""
     if lattice.mode != "beta":
         raise ValueError("the ising magnetization needs a beta-mode lattice")
     if not betas or not h_grid:
         raise ValueError("empty parameter grid")
-    if min(h_grid) <= delta:
+    if min(h_grid) <= DELTA:
         raise ValueError("h grid must stay above the difference step")
     region = ball(lattice, n)
     origin = region.origin
     total_j = lattice.total_coupling
 
     def magnetization(b: float, hh: float) -> float:
-        return ising_observables(region, b, hh, cap).magnetizations[origin]
+        return ising_observables(region, b, hh).magnetizations[origin]
 
     grid, lhs, rhs, spread = [], [], [], 0.0
     for beta in betas:
@@ -412,9 +401,9 @@ def check_ghs_differential(lattice: LatticeSpec, n: int = 1,
             raise ValueError("beta grid must be non-negative")
         for h in h_grid:
             db_full, db_half = _central_pair(lambda b: magnetization(b, h),
-                                             beta, delta, lower=0.0)
+                                             beta, DELTA, lower=0.0)
             dh_full, dh_half = _central_pair(lambda x: magnetization(beta, x),
-                                             h, delta)
+                                             h, DELTA)
             m = magnetization(beta, h)
             grid.append((beta, h))
             lhs.append(db_full)
@@ -423,7 +412,7 @@ def check_ghs_differential(lattice: LatticeSpec, n: int = 1,
             margin_half = total_j * m * dh_half - db_half
             spread = max(spread, abs(margin_full - margin_half))
     return _make_report(
-        "ghs-differential", tuple(grid), lhs, rhs, tolerance, flip=True,
+        "ghs-differential", tuple(grid), lhs, rhs, TOL_DIFFERENTIAL, flip=True,
         fd_spread=spread,
         notes=f"M on ball({n}); coupling sum {total_j}")
 

@@ -5,9 +5,11 @@ import math
 
 import pytest
 
-from subcrit.certificates import (Certificate, PhiResult, Refusal, best_bound,
-                                  certify_subcritical, chi_upper_bound,
-                                  compute_phi, critical_root,
+from subcrit import exact
+from subcrit.certificates import (Certificate, PhiResult, Refusal,
+                                  _phi_ising_mc, _phi_percolation_mc,
+                                  best_bound, certify_subcritical,
+                                  chi_upper_bound, compute_phi, critical_root,
                                   decay_upper_bound, greedy_grow,
                                   phi_ising, phi_percolation, region_id)
 from subcrit.errors import CapExceeded
@@ -155,22 +157,20 @@ def test_best_bound_roots_certify_at_fine_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# the Monte Carlo estimate of compute_phi agrees with the exact path
+# the Monte Carlo estimates behind compute_phi agree with the exact path
 # ---------------------------------------------------------------------------
 
 def test_phi_percolation_mc_matches_exact():
     region = ball(P_LAT, 2)
     exact = phi_percolation(P_LAT, region, 0.3).value
-    mc = compute_phi("perc", P_LAT, region, 0.3, samples=40_000, seed=91,
-                     edge_cap=2)
+    mc = _phi_percolation_mc(region, 0.3, 40_000, 91)
     assert mc.method == "monte_carlo"
     assert mc.samples == 40_000
     assert mc.upper_confidence > mc.value
     assert abs(mc.value - exact) < 0.08
     assert exact < mc.upper_confidence
     # deterministic under the same seed
-    again = compute_phi("perc", P_LAT, region, 0.3, samples=40_000, seed=91,
-                        edge_cap=2)
+    again = _phi_percolation_mc(region, 0.3, 40_000, 91)
     assert again.value == mc.value
     assert again.upper_confidence == mc.upper_confidence
 
@@ -178,16 +178,16 @@ def test_phi_percolation_mc_matches_exact():
 def test_phi_percolation_mc_is_pinned():
     # recorded with the Monte Carlo phi's own breadth-first walk over all
     # drawn words; the shared cluster walker reads the same words in the
-    # same discovery order, so a change here means the draws moved
-    phi = compute_phi("perc", P_LAT, ball(P_LAT, 2), 0.3, samples=40_000,
-                      seed=91, edge_cap=2)
-    assert (phi.value, phi.upper_confidence) == (0.8104275, 0.8426378488484881)
+    # same discovery order, so a change here means the draws moved; the
+    # upper value is the Hoeffding bound mean + 6 sqrt(ln(1000) / 80000)
+    phi = _phi_percolation_mc(ball(P_LAT, 2), 0.3, 40_000, 91)
+    assert (phi.value, phi.upper_confidence) == (0.8104275, 0.8661813328327476)
 
 
 def test_phi_percolation_mc_upper_bound_not_below_mean():
-    # at p = 1 every sample is the full boundary weight W ~ 28, but the
-    # plain per-sample sums can average to a hair above the fsum of W,
-    # where the Wilson bound (clamped to W) would fall below the mean
+    # at p = 1 every sample is the full boundary weight W ~ 28, and the
+    # plain per-sample sums can average to a hair above the fsum of W; the
+    # Hoeffding bound adds to the mean, so it stays above it
     phi = compute_phi("perc", P_LAT, ball(P_LAT, 3), 1.0, samples=2000, seed=1)
     assert phi.method == "monte_carlo"
     assert phi.upper_confidence >= phi.value
@@ -196,14 +196,13 @@ def test_phi_percolation_mc_upper_bound_not_below_mean():
 def test_phi_percolation_mc_disabled_raises():
     # phi_percolation is exact-only; the estimate lives in compute_phi
     with pytest.raises(CapExceeded):
-        phi_percolation(P_LAT, ball(P_LAT, 2), 0.3, edge_cap=2)
+        phi_percolation(P_LAT, ball(P_LAT, 3), 0.3)  # 36 bonds > cap 26
 
 
 def test_phi_ising_mc_matches_exact():
     region = ball(B_LAT, 1)
     exact = phi_ising(B_LAT, region, 0.25).value
-    mc = compute_phi("ising", B_LAT, region, 0.25, sweeps=4000, seed=5,
-                     spin_cap=2)
+    mc = _phi_ising_mc(region, 0.25, 4000, 5)
     assert mc.method == "monte_carlo"
     assert abs(mc.value - exact) < 0.08
     assert mc.upper_confidence > mc.value
@@ -272,6 +271,14 @@ def test_greedy_grow_improves_phi():
     phi_grown = compute_phi("perc", P_LAT, grown, param).value
     phi_origin = compute_phi("perc", P_LAT, ball(P_LAT, 0), param).value
     assert phi_grown < phi_origin
+
+
+def test_greedy_grow_skips_candidates_beyond_the_caps(monkeypatch):
+    # every 5-vertex candidate is past a spin cap of 4: the region grown so
+    # far is returned, not lost to CapExceeded
+    monkeypatch.setattr(exact, "SPIN_CAP", 4)
+    region = greedy_grow("ising", B_LAT, 0.2, max_size=8)
+    assert len(region.vertices) == 4
 
 
 def test_model_aliases_and_unknown_model():

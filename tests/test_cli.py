@@ -135,6 +135,19 @@ def test_phi_malformed_region_file(tmp_path, capsys):
     assert "options.region" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [{"vertices": [1, 2]},
+                                     {"vertices": [[0, 0]], "origin": 5}],
+                         ids=["bare-vertices", "bare-origin"])
+def test_certify_region_file_with_bad_vertices(tmp_path, capsys, content):
+    bad = tmp_path / "f.json"
+    bad.write_text(json.dumps(content))
+    code = run_cli("certify", "--model", "perc", "--param", "0.2",
+                   "--region", str(bad), "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: options.region")
+
+
 # --- best-bound -----------------------------------------------------------------
 
 def test_best_bound_table(tmp_path):
@@ -442,6 +455,19 @@ def test_report_missing_artifact_fails(tmp_path, capsys):
                    "--out", str(tmp_path))
     assert code == EXIT_ERROR
     assert "missing artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", [[1, 2],
+                                      {"config": [], "artifacts": []},
+                                      {"config": {}, "artifacts": 7}],
+                         ids=["list", "config", "artifacts"])
+def test_report_malformed_manifest(tmp_path, capsys, manifest):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    code = run_cli("report", "--inputs", str(path), "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: options.inputs[0]")
 
 
 def test_report_with_no_inputs(tmp_path):

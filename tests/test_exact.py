@@ -45,16 +45,16 @@ def test_connect_probs_match_naive_on_random_instances():
         fast = perc_connect_probs(region, param)
         slow = naive_connect_probs(region, param)
         for v in region.vertices:
-            assert fast.probs[v] == pytest.approx(slow[v], abs=1e-12)
+            assert fast[v] == pytest.approx(slow[v], abs=1e-12)
 
 
 def test_connect_probs_handles_disconnected_region():
     lattice = LatticeSpec.square(mode="p")
     region = Region(lattice, [(0, 0), (1, 0), (4, 4)])
     conn = perc_connect_probs(region, 0.6)
-    assert conn.probs[(0, 0)] == 1.0
-    assert conn.probs[(1, 0)] == pytest.approx(0.6)
-    assert conn.probs[(4, 4)] == 0.0
+    assert conn[(0, 0)] == 1.0
+    assert conn[(1, 0)] == pytest.approx(0.6)
+    assert conn[(4, 4)] == 0.0
 
 
 def test_exit_prob_closed_form_radius_zero():
@@ -101,10 +101,10 @@ def test_weight_class_fold_equals_parallel_edges():
 def test_edge_cap_raises():
     lattice = LatticeSpec.square(mode="p")
     with pytest.raises(CapExceeded):
-        perc_connect_probs(ball(lattice, 3), 0.3)  # 24 edges > cap 12
-    # hits the exit construction cap as well
+        perc_connect_probs(ball(lattice, 3), 0.3)  # 36 edges > cap 26
+    # hits the exit construction cap as well (ball(4) has 64 edges)
     with pytest.raises(CapExceeded):
-        perc_exit_prob(lattice, 4, 0.3, cap=10)
+        perc_exit_prob(lattice, 4, 0.3)
 
 
 def test_ising_matches_naive_on_random_instances():

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from subcrit import rng as rngmod
 from subcrit.exact import ising_observables
 from subcrit.ising_mc import (SpinSystem, WolffChain, check_critical_divergence,
                               equilibrate, estimate_magnetization,
@@ -89,7 +91,9 @@ def test_ghost_stopped_measurement_decides_like_full_walk(boundary, h):
     # draws, the magnetization walk stopped at the ghost layer reaches the
     # ghost exactly when the whole cluster of the origin contains it
     system = SpinSystem.box(B_LAT, 4, boundary=boundary, h=h)
-    chain = WolffChain(system, 0.4, h, 5, start="random")
+    chain = WolffChain(system, 0.4, h, 5)
+    gen = rngmod.sample_stream(5, rngmod.STREAM_TEST, 0)
+    chain.spins = np.where(gen.random(system.n_sites) < 0.5, 1, -1).astype(np.int8)
     hits = 0
     for _ in range(300):
         chain.step()
@@ -110,8 +114,8 @@ def test_labeling_chain_equals_walking_chain(n, beta, boundary):
     # walks every cluster depth-first flip the same spins and read the same
     # words, whatever their mean cluster size
     system = SpinSystem.box(B_LAT, n, boundary=boundary)
-    labeling = WolffChain(system, beta, 0.0, 17, boundary=boundary)
-    walking = WolffChain(system, beta, 0.0, 17, boundary=boundary)
+    labeling = WolffChain(system, beta, 0.0, 17)
+    walking = WolffChain(system, beta, 0.0, 17)
     labeling.label_floor, walking.label_floor = 0.0, math.inf
     for k in range(300):
         assert labeling.step() == walking.step()
@@ -142,10 +146,9 @@ def test_magnetization_deterministic_per_seed():
 
 
 def test_wolff_chain_preserves_spin_support():
-    import numpy as np
     system = SpinSystem.box(B_LAT, 3, boundary="plus")
-    chain = WolffChain(system, 0.6, 0.0, 3, boundary="plus")
-    equilibrate(chain, min_sweeps=50)
+    chain = WolffChain(system, 0.6, 0.0, 3)
+    equilibrate(chain)
     for _ in range(50):
         chain.step()
     assert set(np.unique(chain.spins)) <= {-1, 1}

@@ -9,11 +9,11 @@ from subcrit import perc_mc
 from subcrit import rng as rngmod
 from subcrit.errors import DegenerateFit
 from subcrit.exact import naive_event_prob, perc_connect_probs, perc_exit_prob
-from subcrit.ising_mc import SpinSystem, WolffChain
+from subcrit.ising_mc import SpinSystem
 from subcrit.lattice import LatticeSpec, Region, ball, incidence_csr
-from subcrit.perc_mc import (PercBox, check_mean_field,
-                             estimate_ghost_magnetization, exit_profile,
-                             fit_decay_rate, susceptibility_profile)
+from subcrit.perc_mc import (PercBox, estimate_ghost_magnetization,
+                             exit_profile, fit_decay_rate,
+                             susceptibility_profile)
 from subcrit.stats import MCEstimate
 
 P_LAT = LatticeSpec.square(mode="p")
@@ -59,7 +59,7 @@ def test_susceptibility_matches_exact_box():
     # region reproduces the sampler's edge set exactly
     assert len(graph.internal_edges) == 16
     conn = perc_connect_probs(graph, p)
-    chi = math.fsum(conn.probs[v] for v in lam1.vertices)
+    chi = math.fsum(conn[v] for v in lam1.vertices)
     est = susceptibility_profile(P_LAT, 1, [1], p, samples=60_000, seed=31)[1]
     assert_within_sigmas(est, chi, floor=5e-3)
 
@@ -174,9 +174,11 @@ def lazy_box(lattice, n_box):
 def lazy_spin_graph(boundary, h):
     # a Wolff chain's walker: sites plus the ghost node one layer past them,
     # with the update's weights (param on aligned bonds, 0 on the others)
+    # for random spins and the ghost at +1
     system = SpinSystem.box(LatticeSpec.square(mode="beta"), 5,
                             boundary=boundary, h=h)
-    ends = np.append(WolffChain(system, 0.4, h, 6, start="random").spins, 1)
+    gen = rngmod.sample_stream(6, rngmod.STREAM_TEST, 0)
+    ends = np.append(np.where(gen.random(system.n_sites) < 0.5, 1, -1), 1)
     aligned = ends[system.bond_a] == ends[system.bond_b]
     return system.walker, lambda param: np.where(aligned, param, 0.0)
 
@@ -275,14 +277,6 @@ def test_ghost_magnetization_monotone_in_field():
 def test_ghost_magnetization_rejects_bad_field():
     with pytest.raises(ValueError):
         estimate_ghost_magnetization(P_LAT, 4, 0.5, -0.1, samples=100, seed=1)
-
-
-def test_check_mean_field_above_half():
-    report = check_mean_field(P_LAT, 24, 0.6, samples=20_000, seed=71)
-    assert report.bound == pytest.approx((0.6 - 0.5) / (0.6 * 0.5))
-    assert report.theta_hat.mean > report.bound
-    assert report.passed
-    assert report.margin_sigmas > 0.0
 
 
 def test_fit_decay_rate_recovers_synthetic_rate():
