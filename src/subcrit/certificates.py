@@ -12,7 +12,9 @@ the parameter is at or below the critical point, so the root of
 phi(S, t) = 1 in t is a certified lower bound on the critical point.
 
 Certificates, roots and best-bound tables evaluate phi exactly and raise
-``CapExceeded`` beyond the enumeration caps; only :func:`compute_phi`
+``CapExceeded`` beyond the fixed caps of the exact engines (a percolation
+frontier of ``exact.FRONTIER_CAP`` vertices, ``exact.SPIN_CAP`` Ising
+spins); only :func:`compute_phi`
 falls back to a Monte Carlo estimate, labelled ``method="monte_carlo"``,
 which proves nothing.  Certificates are floating-point honest rather than
 interval arithmetic: EPSILON_CERT absorbs the rounding budget of the exact
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
-from .exact import ising_observables, perc_connect_probs
+from .exact import ising_observables, perc_reach
 from .ising_mc import SpinSystem, WolffChain, equilibrate
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .perc_mc import ClusterWalker
@@ -156,26 +158,27 @@ def _boundary_coefficients(region: Region, param: float, model: str,
     return coeff
 
 
-def _exact_result(region: Region, param: float, coeff: dict[int, float],
-                  probs: dict[Vertex, float]) -> PhiResult:
-    terms = [c * probs[region.vertices[i]] for i, c in sorted(coeff.items())]
-    value = math.fsum(terms)
+def _exact_result(region: Region, param: float, value: float) -> PhiResult:
     return PhiResult(value=value, method="exact", upper_confidence=value,
                      param=param, region_id=region_id(region))
 
 
 def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
                     within: Iterable[Vertex] | None = None) -> PhiResult:
-    """Exact phi for bond percolation; ``CapExceeded`` above the bond cap.
+    """Exact phi for bond percolation; ``CapExceeded`` past the frontier cap.
 
+    One frontier sweep with the boundary coefficients as its one column.
     ``region`` may be disconnected; connection probabilities are then zero
     beyond the origin's component.  ``within`` optionally restricts the
     outside endpoint of each boundary pair to a given vertex set.
     """
     _check_region(lattice, region)
     coeff = _boundary_coefficients(region, param, "percolation", within)
-    return _exact_result(region, param, coeff,
-                         perc_connect_probs(region, param))
+    column = np.zeros((len(region), 1))
+    for i, c in coeff.items():
+        column[i] = c
+    value = perc_reach(region, ((0, math.inf),), param, column)[0]
+    return _exact_result(region, param, float(value))
 
 
 def _phi_percolation_mc(region: Region, param: float, samples: int,
@@ -220,8 +223,9 @@ def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
     if lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
     coeff = _boundary_coefficients(region, beta, "ising", within)
-    obs = ising_observables(region, beta, 0.0)
-    return _exact_result(region, beta, coeff, obs.correlations)
+    corr = ising_observables(region, beta, 0.0).correlations
+    terms = [c * corr[region.vertices[i]] for i, c in sorted(coeff.items())]
+    return _exact_result(region, beta, math.fsum(terms))
 
 
 def _phi_ising_mc(region: Region, beta: float, sweeps: int,

@@ -546,6 +546,13 @@ def _scenario_f(spec):
                       "expected 'one', 'even-total', or ['connect', a, b]")
 
 
+def _scenario_number(scenario: dict, key: str) -> float:
+    try:
+        return float(scenario.get(key, 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"scenario.{key}", f"expected a number: {exc}")
+
+
 def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     try:
@@ -556,8 +563,8 @@ def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     except json.JSONDecodeError as exc:
         raise ConfigError("options.scenario", f"invalid JSON: {exc}")
     graph = _scenario_graph(scenario)
-    beta = float(scenario.get("beta", 0.0))
-    h = float(scenario.get("h", 0.0))
+    beta = _scenario_number(scenario, "beta")
+    h = _scenario_number(scenario, "h")
     trunc = scenario.get("truncation")
     task = scenario.get("task")
     if not isinstance(task, dict) or "kind" not in task:

@@ -6,7 +6,7 @@ class SubcritError(Exception):
 
 
 class CapExceeded(SubcritError):
-    """An exact enumeration was requested beyond a fixed size cap.
+    """An exact computation was requested beyond a fixed size cap.
 
     Carries ``needed`` (the size the request implies) and ``cap`` (the
     limit).  Certificates, roots and exact checks let it propagate;

@@ -1,37 +1,37 @@
-"""Exact finite-volume computations by exhaustive enumeration.
+"""Exact finite-volume computations.
 
-One chunked enumerator (``_bit_chunks``) and one evaluator of integer count
-tables (``_table_sum``) serve both models.  The tables do not depend on the
-parameter, so one enumeration per region supports any number of
-evaluations (bisection on p or beta costs nothing extra), each one
-compensated sum of count * monomial terms.  Plain-Python enumerators
-(``naive_*``) are kept alongside as the oracles.
-
-Percolation: ``ReachTables`` enumerates the configurations of a region's
-internal bonds and labels their clusters by min-label propagation.  *Ties*
-are extra bonds (vertex, coupling) into a set the internal bonds cannot
-reach.  Tallying, for each target t, the open bonds k_c per coupling class
-and the ties b_d per coupling class carried by t's cluster gives
-
-    P[t reaches the tied set]
-        = sum count * prod_c w_c^k_c (1 - w_c)^(n_c - k_c)
-                    * -expm1(sum_d b_d log1p(-q_d)),
-
-which keeps its relative accuracy for small tie weights q.  Connection to
-the base point is one always-open tie there; the exit event ties every
+Percolation: a frontier DP (frontier-based search, Knuth TAOCP 7.1.4)
+sweeps a region's vertices in a fixed order (lexicographic, with the axis
+of largest extent as the primary key), each with its bonds to the vertices
+swept before it.  *Ties* are extra bonds (vertex, coupling) into a set the
+internal bonds cannot reach; they become bonds to one permanent
+pseudo-vertex T, all ties of a vertex merged into one bond of open
+probability -expm1(sum log1p(-q_i)), which keeps its relative accuracy for
+small weights.  A state is the partition into connected blocks of the
+swept vertices that still have unswept neighbours (the frontier), T's
+block labelled 0, with each block's pending coefficient sum; a block's sum
+moves into T's slot when it joins T and is dropped when it leaves the
+frontier without T.  One sweep gives sum_v c_v P[v reaches the tied set]
+for every column of coefficients c.  The transitions do not depend on the
+parameter: ``_frontier_plan`` builds them once per (region, ties), and an
+evaluation is a few ``np.bincount`` calls per vertex.  Connection to the
+base point is one always-open tie there; the exit event ties every
 boundary pair of ball(n).
 
 Ising: with H(sigma) = -beta * sum_{internal pairs {x,y}} J_xy sigma_x
 sigma_y - h * sum_x sigma_x (each unordered pair counted once), a spin
 assignment weighs prod_c u_c^k_c * v^m relative to the all-plus state,
 where k_c counts the unsatisfied pairs of coupling class c, m the minus
-spins, u_c = exp(-2 beta J_c) and v = exp(-2h).  ``SpinTables`` tabulates
-by (k, m) the number of assignments and their sums of sigma_x and of
-sigma_base sigma_x.
+spins, u_c = exp(-2 beta J_c) and v = exp(-2h).  ``SpinTables`` enumerates
+all 2^|S| assignments once per region (``_bit_chunks``) and tabulates by
+(k, m) their number and their sums of sigma_x and of sigma_base sigma_x;
+each evaluation is a compensated sum of count * monomial terms
+(``_table_sum``).
 
-Both engines refuse (``CapExceeded``) beyond fixed caps, ``EDGE_CAP``
-internal bonds and ``SPIN_CAP`` spins, chosen so the worst-case
-enumeration stays near 1e8 elementary steps.
+Both engines refuse (``CapExceeded``) beyond fixed caps: a percolation
+frontier wider than ``FRONTIER_CAP`` vertices, checked before any state
+is built, and more than ``SPIN_CAP`` spins.  Plain-Python enumerators
+(``naive_*``) are kept alongside as the oracles.
 """
 
 from __future__ import annotations
@@ -40,156 +40,223 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapExceeded
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 
-EDGE_CAP = 26
+# admits square ball(4) and triangular ball(3); bounds a layer by Bell(10) =
+# 115,975 states on any lattice
+FRONTIER_CAP = 9
 SPIN_CAP = 22
 
 _CHUNK_BITS = 18  # configurations per vectorized chunk
 
 
 # ---------------------------------------------------------------------------
-# the enumerator and the evaluator shared by both models
+# percolation inside a region: the frontier DP
 # ---------------------------------------------------------------------------
 
-def _bit_chunks(n_bits: int):
-    """Every assignment of ``n_bits`` bits, as (n_bits, chunk) bool arrays
-    with at most 2^_CHUNK_BITS configurations per chunk."""
-    n_cfg = 1 << n_bits
-    chunk = min(n_cfg, 1 << _CHUNK_BITS)
-    for start in range(0, n_cfg, chunk):
-        idx = np.arange(start, min(start + chunk, n_cfg), dtype=np.uint64)
-        bits = np.empty((n_bits, idx.size), dtype=bool)
-        for e in range(n_bits):
-            bits[e] = (idx >> np.uint64(e)) & np.uint64(1) != 0
-        yield bits
+def _vertex_order(region: Region) -> list[int]:
+    """Region indices in sweep order: lexicographic, with the axis of
+    largest extent (the first such axis) as the primary key."""
+    vertices = region.vertices
+    extent = [max(c) - min(c) for c in zip(*vertices)]
+    axis = extent.index(max(extent))
+    return sorted(range(len(vertices)),
+                  key=lambda i: (vertices[i][axis],) + vertices[i])
 
 
-def _table_sum(counts: np.ndarray, factors: list[np.ndarray]) -> float:
-    """Compensated sum of counts[k0, k1, ...] * factors[0][k0] * factors[1][k1] ..."""
-    nz = np.nonzero(counts)
-    terms = counts[nz].astype(float)
-    for axis, factor in enumerate(factors):
-        terms = terms * factor[nz[axis]]
-    return math.fsum(terms.tolist())
+class _Step(NamedTuple):
+    """The sweep of one vertex, over every state of a layer.
+
+    The vertex joins the frontier in a block of its own, or in the tied
+    set's block if its tie is always open.  Then each of ``ops`` (a tie
+    that is not always open, as the number of bonds plus the vertex index,
+    and the vertex's bonds to swept vertices) is closed or open: branch b
+    opens op i iff bit i of b is set.  Last, the vertices whose last
+    neighbour is swept leave the frontier.
+
+    ``p_dst[b * n + s]`` is the next state of state s on branch b.  A
+    state's slot 0 holds the pending weight already joined to the tied
+    set, slot k >= 1 that of its frontier block k.  Entry i adds slot
+    ``w_src[i]`` on branch ``w_branch[i]`` to next slot ``w_dst[i]``; a
+    source index past the layer's slots, their number plus s, stands for
+    the vertex's coefficient on state s.  ``n_states`` and ``n_slots``
+    count the next layer's states and slots.
+    """
+
+    vertex: int
+    ops: tuple[int, ...]
+    p_dst: np.ndarray
+    w_src: np.ndarray
+    w_dst: np.ndarray
+    w_branch: np.ndarray
+    n_states: int
+    n_slots: int
 
 
-def _coupling_classes(js) -> tuple[list[float], list[int]]:
-    """Distinct couplings in order of first appearance, and their counts."""
-    classes: dict[float, int] = {}
-    for j in js:
-        classes[j] = classes.get(j, 0) + 1
-    return list(classes), list(classes.values())
+@lru_cache(maxsize=32)
+def _frontier_plan(region: Region, tied: tuple[int, ...],
+                   always_open: frozenset[int]) -> tuple[_Step, ...]:
+    """The parameter-free steps of the sweep of ``region`` with a tie on
+    every vertex of ``tied``, always open on those of ``always_open``;
+    ``CapExceeded`` past ``FRONTIER_CAP``, before any state is built.
+
+    A state is the partition of the frontier into blocks, in canonical
+    labels: 0 for the block joined to the tied set, then 1, 2, ... in
+    order of first appearance.
+    """
+    edges = region.internal_edges
+    n_bonds = len(edges)
+    order = _vertex_order(region)
+    pos = [0] * len(order)
+    for t, v in enumerate(order):
+        pos[v] = t
+    last = pos[:]  # the sweep position after which a vertex leaves
+    back: list[list[tuple[int, int]]] = [[] for _ in order]
+    for e, (a, b, _) in enumerate(edges):
+        if pos[a] > pos[b]:
+            a, b = b, a
+        back[b].append((pos[a], e))
+        last[a] = max(last[a], pos[b])
+    cover = [0] * (len(order) + 1)
+    for v in order:
+        cover[pos[v]] += 1
+        cover[last[v] + 1] -= 1
+    width = max(itertools.accumulate(cover))
+    if width > FRONTIER_CAP:
+        raise CapExceeded("percolation frontier", width, FRONTIER_CAP)
+
+    frontier: list[int] = []
+    layer = np.zeros((1, 0), dtype=np.int64)  # one row of labels per state
+    sizes = np.ones(1, dtype=np.int64)  # slots per state: 1 + largest label
+    offsets = np.arange(2)  # of each state's slots, and their total
+    steps = []
+    for t, v in enumerate(order):
+        ops = [e for _, e in sorted(back[v])]
+        if v in tied and v not in always_open:
+            ops.insert(0, n_bonds + v)
+        n = len(layer)
+        entry = 0 * sizes if v in always_open else sizes
+        labels = np.tile(np.hstack((layer, entry[:, None])),
+                         (1 << len(ops), 1))
+        index = np.arange(len(labels))
+        rows = index[:, None]
+        source, branch = index % n, index // n
+        old = np.arange(int(sizes.max()))
+        slot_of = old  # where each old slot's block went
+        inside = frontier + [v]
+        for i, op in enumerate(ops):
+            # open: merge block hi into block lo; closed: lo = hi = 0
+            if op >= n_bonds:
+                hi = labels[:, -1]
+                lo = 0 * hi
+            else:
+                ends = labels[:, [inside.index(x) for x in edges[op][:2]]]
+                lo, hi = ends.min(axis=1), ends.max(axis=1)
+            shut = (branch >> i & 1 == 0)[:, None]
+            lo = np.where(shut, 0, lo[:, None])
+            hi = np.where(shut, 0, hi[:, None])
+            labels = np.where(labels == hi, lo, labels)
+            slot_of = np.where(slot_of == hi, lo, slot_of)
+        keep = [i for i, x in enumerate(inside) if last[x] > t]
+        frontier = [inside[i] for i in keep]
+        merged = labels[:, keep]
+        # canonical labels: 0 stays, the others by first appearance
+        canon = np.full((len(index), len(old) + 1), -1)
+        canon[:, 0] = 0
+        count = np.ones(len(index), dtype=np.int64)
+        for column in merged.T:
+            new = canon[index, column] < 0
+            canon[index[new], column[new]] = count[new]
+            count += new
+        # a row read as base-(len(keep) + 1) digits; below 2^63 for the
+        # widths FRONTIER_CAP admits
+        base = len(keep) + 1
+        digits = base ** np.arange(len(keep))
+        keys, dst = np.unique(canon[rows, merged] @ digits,
+                              return_inverse=True)
+        layer = keys[:, None] // digits % base
+        # every slot of a state, and the vertex's coefficient, goes to its
+        # block's new slot, or is dropped with a block that left
+        slot = canon[rows, slot_of]
+        r, k = np.nonzero((old < sizes[source][:, None]) & (slot >= 0))
+        mine = canon[index, labels[:, -1]]
+        (c,) = np.nonzero(mine >= 0)
+        sizes = 1 + layer.max(axis=1, initial=0)
+        next_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        steps.append(_Step(
+            vertex=v, ops=tuple(ops), p_dst=dst,
+            w_src=np.concatenate((offsets[source[r]] + k,
+                                  offsets[-1] + source[c])),
+            w_dst=np.concatenate((next_offsets[dst[r]] + slot[r, k],
+                                  next_offsets[dst[c]] + mine[c])),
+            w_branch=np.concatenate((branch[r], branch[c])),
+            n_states=len(layer), n_slots=int(next_offsets[-1])))
+        offsets = next_offsets
+    return tuple(steps)
 
 
-def _strides(shape: tuple[int, ...]) -> list[int]:
-    """Flat-index step of each axis of a C-ordered array of ``shape``."""
-    return [math.prod(shape[k + 1:]) for k in range(len(shape))]
-
-
-# ---------------------------------------------------------------------------
-# percolation inside a region
-# ---------------------------------------------------------------------------
-
-def _log_closed(lattice: LatticeSpec, j: float, param: float) -> float:
-    """log P[a tie of coupling ``j`` is closed]; ``j = inf`` is always open."""
-    w = 1.0 if j == math.inf else edge_weight(lattice, j, param)
-    return math.log1p(-w) if w < 1.0 else -math.inf
-
-
-class ReachTables:
-    """Count tables for "vertex t reaches the tied set" inside a region.
+def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
+               param: float, coeffs: np.ndarray) -> np.ndarray:
+    """sum_v coeffs[v, k] * P[v reaches the tied set], for every column k.
 
     ``ties`` are bonds ``(vertex index, coupling)`` into a set the region's
     bonds cannot reach; coupling ``math.inf`` marks an always-open tie.
-    ``counts[t][k_0, ..., k_{C-1}, b]`` counts the configurations with
-    ``k_c`` open bonds of coupling class c in which t's cluster carries
-    ``b_d`` ties of tie class d (``b`` is the vector (b_d) in mixed radix).
-    Clusters that carry no tie are not counted.
+    All ties of a vertex merge into one bond of open probability
+    -expm1(sum log1p(-q_i)), which keeps small weights accurate.
     """
-
-    def __init__(self, region: Region, ties: tuple[tuple[int, float], ...]):
-        edges = region.internal_edges
-        if len(edges) > EDGE_CAP:
-            raise CapExceeded("bond enumeration", len(edges), EDGE_CAP)
-        n = len(region)
-        self.region = region
-        self.bond_js, self.bond_sizes = _coupling_classes(j for _, _, j in edges)
-        self.tie_js, tie_sizes = _coupling_classes(j for _, j in ties)
-        tie_shape = tuple(s + 1 for s in tie_sizes)
-        # row d: the number of class-d ties under each flat tie index
-        self.tie_digits = np.indices(tie_shape).reshape(len(tie_shape),
-                                                        math.prod(tie_shape))
-        shape = (tuple(s + 1 for s in self.bond_sizes)
-                 + (math.prod(tie_shape),))
-        strides, tie_strides = _strides(shape), _strides(tie_shape)
-        bond_step = [strides[self.bond_js.index(j)] for _, _, j in edges]
-        tie_step = np.zeros(n, dtype=np.int64)
-        for v, j in ties:
-            tie_step[v] += tie_strides[self.tie_js.index(j)]
-        tied = np.flatnonzero(tie_step)
-        counts = np.zeros((n, math.prod(shape)), dtype=np.int64)
-        for open_edges in _bit_chunks(len(edges)):
-            labels = np.repeat(np.arange(n, dtype=np.int16)[:, None],
-                               open_edges.shape[1], axis=1)
-            # min-label propagation to a fixed point: an open bond whose
-            # ends disagree gives both ends the smaller label
-            changed = True
-            while changed:
-                changed = False
-                for (a, b, _), is_open in zip(edges, open_edges):
-                    la, lb = labels[a], labels[b]
-                    differ = is_open & (la != lb)
-                    if differ.any():
-                        low = np.minimum(la, lb)
-                        np.copyto(la, low, where=differ)
-                        np.copyto(lb, low, where=differ)
-                        changed = True
-            flat = np.zeros(open_edges.shape[1], dtype=np.int64)
-            for step, is_open in zip(bond_step, open_edges):
-                flat += step * is_open
-            tied_labels = labels[tied]
-            for t in range(n):
-                carried = tie_step[tied] @ (tied_labels == labels[t])
-                hit = carried != 0
-                counts[t] += np.bincount(flat[hit] + carried[hit],
-                                         minlength=counts.shape[1])
-        self.counts = counts.reshape((n,) + shape)
-
-    def probs(self, param: float) -> list[float]:
-        """P[t reaches the tied set] for every vertex index t."""
-        lattice = self.region.lattice
-        factors = []
-        for j, n in zip(self.bond_js, self.bond_sizes):
-            w = edge_weight(lattice, j, param)
-            k = np.arange(n + 1, dtype=float)
-            factors.append(np.power(w, k) * np.power(1.0 - w, n - k))
-        log_closed = np.array([_log_closed(lattice, j, param)
-                               for j in self.tie_js])
-        finite = np.isfinite(log_closed)
-        reach = -np.expm1(log_closed[finite] @ self.tie_digits[finite])
-        reach[self.tie_digits[~finite].any(axis=0)] = 1.0
-        return [_table_sum(c, factors + [reach]) for c in self.counts]
-
-
-@lru_cache(maxsize=256)
-def _reach_tables(region: Region, ties: tuple) -> ReachTables:
-    return ReachTables(region, ties)
+    lattice = region.lattice
+    log_closed: dict[int, float] = {}
+    for v, j in ties:
+        w = 1.0 if j == math.inf else edge_weight(lattice, j, param)
+        log_closed[v] = (log_closed.get(v, 0.0)
+                         + (math.log1p(-w) if w < 1.0 else -math.inf))
+    steps = _frontier_plan(region, tuple(sorted(log_closed)),
+                           frozenset(v for v, j in ties if j == math.inf))
+    opened = [edge_weight(lattice, j, param)
+              for _, _, j in region.internal_edges]
+    closed = [1.0 - w for w in opened]
+    for v in range(len(region)):
+        lc = log_closed.get(v, 0.0)
+        opened.append(-math.expm1(lc))
+        closed.append(math.exp(lc))
+    coeffs = np.asarray(coeffs, dtype=float)
+    k = coeffs.shape[1]
+    columns = np.arange(k)
+    prob = np.ones(1)
+    pending = np.zeros(k)  # column c of slot i at i * k + c
+    for step in steps:
+        weights = [1.0]  # of each branch
+        for op in step.ops:
+            weights = ([w * closed[op] for w in weights]
+                       + [w * opened[op] for w in weights])
+        weights = np.array(weights)
+        pending = np.concatenate((pending,
+                                  np.outer(prob, coeffs[step.vertex]).ravel()))
+        src, dst, branch = step.w_src, step.w_dst, step.w_branch
+        if k > 1:
+            src = (src[:, None] * k + columns).ravel()
+            dst = (dst[:, None] * k + columns).ravel()
+            branch = np.repeat(branch, k)
+        pending = np.bincount(dst, pending[src] * weights[branch],
+                              minlength=step.n_slots * k)
+        prob = np.bincount(step.p_dst, np.outer(weights, prob).ravel(),
+                           minlength=step.n_states)
+    return pending
 
 
 def perc_connect_probs(region: Region, param: float) -> dict[Vertex, float]:
     """Exact P[base point <-> x inside S] for every x in S.
 
     The base point (index 0 in canonical order) carries one always-open
-    tie.  The count tables are built once per region and reused across
-    parameters.
+    tie; the sweep carries one coefficient column per vertex.
     """
-    tables = _reach_tables(region, ((0, math.inf),))
-    return dict(zip(region.vertices, tables.probs(param)))
+    reach = perc_reach(region, ((0, math.inf),), param, np.eye(len(region)))
+    return dict(zip(region.vertices, reach.tolist()))
 
 
 def perc_exit_prob(lattice: LatticeSpec, n: int, param: float) -> float:
@@ -197,7 +264,9 @@ def perc_exit_prob(lattice: LatticeSpec, n: int, param: float) -> float:
     ball(n) is a tie, and the origin's cluster must carry an open one."""
     region = ball(lattice, n)
     ties = tuple((i, j) for i, _, j in region.boundary_pairs)
-    return _reach_tables(region, ties).probs(param)[0]
+    origin = np.zeros((len(region), 1))
+    origin[0] = 1.0
+    return float(perc_reach(region, ties, param, origin)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +314,41 @@ def naive_connect_probs(region: Region, param: float) -> dict[Vertex, float]:
 # ---------------------------------------------------------------------------
 # Ising observables
 # ---------------------------------------------------------------------------
+
+def _bit_chunks(n_bits: int):
+    """Every assignment of ``n_bits`` bits, as (n_bits, chunk) bool arrays
+    with at most 2^_CHUNK_BITS configurations per chunk."""
+    n_cfg = 1 << n_bits
+    chunk = min(n_cfg, 1 << _CHUNK_BITS)
+    for start in range(0, n_cfg, chunk):
+        idx = np.arange(start, min(start + chunk, n_cfg), dtype=np.uint64)
+        bits = np.empty((n_bits, idx.size), dtype=bool)
+        for e in range(n_bits):
+            bits[e] = (idx >> np.uint64(e)) & np.uint64(1) != 0
+        yield bits
+
+
+def _table_sum(counts: np.ndarray, factors: list[np.ndarray]) -> float:
+    """Compensated sum of counts[k0, k1, ...] * factors[0][k0] * factors[1][k1] ..."""
+    nz = np.nonzero(counts)
+    terms = counts[nz].astype(float)
+    for axis, factor in enumerate(factors):
+        terms = terms * factor[nz[axis]]
+    return math.fsum(terms.tolist())
+
+
+def _coupling_classes(js) -> tuple[list[float], list[int]]:
+    """Distinct couplings in order of first appearance, and their counts."""
+    classes: dict[float, int] = {}
+    for j in js:
+        classes[j] = classes.get(j, 0) + 1
+    return list(classes), list(classes.values())
+
+
+def _strides(shape: tuple[int, ...]) -> list[int]:
+    """Flat-index step of each axis of a C-ordered array of ``shape``."""
+    return [math.prod(shape[k + 1:]) for k in range(len(shape))]
+
 
 @dataclass(frozen=True)
 class ExactIsing:

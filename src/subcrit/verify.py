@@ -1,7 +1,7 @@
 """Exact finite-volume checks of the core inequalities.
 
-Each check evaluates both sides of one inequality on a small region where
-the exact engine enumerates everything, and reports the margin in the
+Each check evaluates both sides of one inequality exactly on a small
+region, with the engines of ``exact``, and reports the margin in the
 inequality's favorable direction (so every margin should be ``>= -tol``).
 The two differential checks use central finite differences of exact
 function values; a step-halving comparison is recorded so derivative
@@ -18,13 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .certificates import phi_ising, phi_percolation
-from .exact import (
-    ReachTables,
-    ising_observables,
-    perc_connect_probs,
-    perc_exit_prob,
-)
+from .exact import (ising_observables, perc_connect_probs, perc_exit_prob,
+                    perc_reach)
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 
 __all__ = [
@@ -218,9 +216,8 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
 
     ``P[y <->_A B]`` means: y is joined to some vertex of B by an open path
     whose intermediate vertices all lie in A (1 if y is itself in B, 0 if y
-    lies outside A and B).  The bonds inside A are enumerated, and each
-    coupled pair from A into B is a tie of A: y joins B exactly when its
-    cluster in A carries an open tie.
+    lies outside A and B).  Each coupled pair from A into B is a tie of A:
+    y joins B exactly when its cluster in A carries an open tie.
     """
     s_set = {tuple(v) for v in s_vertices}
     a_set = {tuple(v) for v in a_vertices}
@@ -240,12 +237,10 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
     region_s = Region(lattice, s_set, origin=u)
     region_a = Region(lattice, a_set, origin=u)
     ties = tuple((i, j) for i, y, j in region_a.boundary_pairs if y in b_set)
-    tables = ReachTables(region_a, ties)
-
     lhs, rhs = [], []
     for p in params:
         conn_s = perc_connect_probs(region_s, p)
-        reach = tables.probs(p)
+        reach = perc_reach(region_a, ties, p, np.eye(len(region_a))).tolist()
 
         def reach_b(y: Vertex) -> float:
             if y in b_set:

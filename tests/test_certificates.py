@@ -134,12 +134,14 @@ def test_region_id_format():
 
 
 def test_certificates_need_exact_regions():
-    # square ball(3) has 36 bonds, beyond the exact cap of 26
-    with pytest.raises(CapExceeded, match="need 36, cap is 26"):
-        certify_subcritical("perc", P_LAT, ball(P_LAT, 3), 0.28)
+    # square ball(5) sweeps a frontier of 11 vertices, past the cap of 9
+    with pytest.raises(CapExceeded,
+                       match="percolation frontier: need 11, cap is 9"):
+        certify_subcritical("perc", P_LAT, ball(P_LAT, 5), 0.28)
     tri = LatticeSpec.triangular(mode="p")
-    with pytest.raises(CapExceeded, match="need 42, cap is 26"):
-        critical_root("percolation", tri, ball(tri, 2))
+    with pytest.raises(CapExceeded,
+                       match="percolation frontier: need 10, cap is 9"):
+        critical_root("percolation", tri, ball(tri, 4))
 
 
 def test_best_bound_roots_certify_at_fine_tolerance():
@@ -184,10 +186,13 @@ def test_phi_percolation_mc_is_pinned():
     assert (phi.value, phi.upper_confidence) == (0.8104275, 0.8661813328327476)
 
 
-def test_phi_percolation_mc_upper_bound_not_below_mean():
+def test_phi_percolation_mc_upper_bound_not_below_mean(monkeypatch):
     # at p = 1 every sample is the full boundary weight W ~ 28, and the
     # plain per-sample sums can average to a hair above the fsum of W; the
-    # Hoeffding bound adds to the mean, so it stays above it
+    # Hoeffding bound adds to the mean, so it stays above it.  ball(3)'s
+    # frontier of 7 is put past the cap, so compute_phi samples.
+    monkeypatch.setattr(exact, "FRONTIER_CAP", 5)
+    exact._frontier_plan.cache_clear()
     phi = compute_phi("perc", P_LAT, ball(P_LAT, 3), 1.0, samples=2000, seed=1)
     assert phi.method == "monte_carlo"
     assert phi.upper_confidence >= phi.value
@@ -196,7 +201,7 @@ def test_phi_percolation_mc_upper_bound_not_below_mean():
 def test_phi_percolation_mc_disabled_raises():
     # phi_percolation is exact-only; the estimate lives in compute_phi
     with pytest.raises(CapExceeded):
-        phi_percolation(P_LAT, ball(P_LAT, 3), 0.3)  # 36 bonds > cap 26
+        phi_percolation(P_LAT, ball(P_LAT, 5), 0.3)  # frontier 11 > cap 9
 
 
 def test_phi_ising_mc_matches_exact():
@@ -251,11 +256,21 @@ def test_best_bound_table_percolation():
 
 
 def test_best_bound_skips_over_cap_radii_without_budget():
-    result = best_bound("perc", P_LAT, 3)
-    last = result.rows[-1]
-    assert last.method == "skipped"
-    assert math.isnan(last.root)
-    assert result.param_star == pytest.approx(0.3217371266307605, abs=1e-7)
+    # ball(5) is past the frontier cap; ball(3) and ball(4) are exact
+    result = best_bound("perc", P_LAT, 5)
+    assert [row.method for row in result.rows] == ["exact"] * 5 + ["skipped"]
+    assert math.isnan(result.rows[-1].root)
+    assert result.param_star == pytest.approx(0.360479723, abs=1e-8)
+    assert len(result.region.vertices) == 41
+
+
+def test_best_bound_triangular_percolation_is_exact_to_radius_two():
+    tri = LatticeSpec.triangular(mode="p")
+    rows = best_bound("perc", tri, 2).rows
+    assert [row.method for row in rows] == ["exact"] * 3
+    roots = [row.root for row in rows]
+    assert roots == sorted(roots)
+    assert roots[0] == pytest.approx(1.0 / 6.0, abs=1e-8)
 
 
 def test_greedy_grow_stays_at_origin_when_nothing_helps():
@@ -279,6 +294,16 @@ def test_greedy_grow_skips_candidates_beyond_the_caps(monkeypatch):
     monkeypatch.setattr(exact, "SPIN_CAP", 4)
     region = greedy_grow("ising", B_LAT, 0.2, max_size=8)
     assert len(region.vertices) == 4
+
+
+def test_greedy_grow_past_the_old_bond_cap():
+    # 20 vertices of the square lattice; the old enumerator stopped at 26
+    # internal bonds
+    grown = greedy_grow("perc", P_LAT, 0.3, max_size=20)
+    assert len(grown.vertices) == 20
+    assert len(grown.internal_edges) > 26
+    phi = phi_percolation(P_LAT, grown, 0.3).value
+    assert phi < phi_percolation(P_LAT, ball(P_LAT, 2), 0.3).value
 
 
 def test_model_aliases_and_unknown_model():

@@ -77,10 +77,10 @@ def test_certify_invalid_param_exits_one(tmp_path, capsys):
 
 def test_certify_beyond_exact_cap_exits_one(tmp_path, capsys):
     code = run_cli("certify", "--model", "perc", "--param", "0.28",
-                   "--ball", "3", "--out", str(tmp_path))
+                   "--ball", "5", "--out", str(tmp_path))
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: bond enumeration: need 36, cap is 26"]
+    assert err == ["error: percolation frontier: need 11, cap is 9"]
 
 
 def test_certify_and_best_bound_take_no_sampling_options(tmp_path):
@@ -367,6 +367,17 @@ def test_current_lab_rejects_malformed_scenarios(tmp_path, capsys):
                    "--out", str(tmp_path)) == EXIT_ERROR
     assert run_cli("current-lab", "--scenario", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == EXIT_ERROR
+    capsys.readouterr()
+    for key, value in (("beta", [1]), ("h", "strong")):
+        scenario = triangle_scenario(kind="source-sum", sources=[0, 1])
+        scenario[key] = value
+        bad_number = tmp_path / f"bad_{key}.json"
+        bad_number.write_text(json.dumps(scenario))
+        assert run_cli("current-lab", "--scenario", str(bad_number),
+                       "--out", str(tmp_path)) == EXIT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"config error: scenario.{key}:"), err
 
 
 # --- config files ------------------------------------------------------------------------

@@ -5,18 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from subcrit import exact
+from subcrit.certificates import critical_root, phi_percolation
 from subcrit.errors import CapExceeded
-from subcrit.exact import (ReachTables, all_plus_energy, ising_observables,
+from subcrit.exact import (all_plus_energy, ising_observables,
                            naive_connect_probs, naive_event_prob,
                            naive_ising_observables, perc_connect_probs,
-                           perc_exit_prob)
-from subcrit.lattice import LatticeSpec, Region, ball
+                           perc_exit_prob, perc_reach)
+from subcrit.lattice import LatticeSpec, Region, ball, edge_weight
 from subcrit.rng import STREAM_TEST, sample_stream
 
 # three distinct couplings, so the tables carry three coupling classes
 THREE_J = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
                               ((0, 1), 0.5), ((0, -1), 0.5),
                               ((1, 1), 0.25), ((-1, -1), 0.25)])
+RANGE_TWO = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
+                                ((0, 1), 1.0), ((0, -1), 1.0),
+                                ((2, 0), 0.5), ((-2, 0), 0.5),
+                                ((0, 2), 0.5), ((0, -2), 0.5)])
 
 
 def random_region(lattice, rng, n_vertices):
@@ -34,10 +40,12 @@ def random_region(lattice, rng, n_vertices):
 
 
 def test_connect_probs_match_naive_on_random_instances():
-    for trial in range(60):
+    # the range-2 lattice is not planar: its frontier blocks can cross
+    for trial in range(75):
         rng = sample_stream(20250817, STREAM_TEST, trial)
         mode = "p" if trial % 2 == 0 else "beta"
-        lattice = LatticeSpec.square(mode=mode) if trial < 50 else THREE_J
+        lattice = (LatticeSpec.square(mode=mode) if trial < 50
+                   else THREE_J if trial < 60 else RANGE_TWO)
         region = random_region(lattice, rng, int(rng.integers(2, 8)))
         if len(region.internal_edges) > 10:
             continue
@@ -63,7 +71,7 @@ def test_exit_prob_closed_form_radius_zero():
         assert perc_exit_prob(lattice, 0, p) == pytest.approx(
             1.0 - (1.0 - p) ** 4, abs=1e-13)
     # 1 - (1 - p)**4 cancels for small p; the four ties keep full accuracy
-    for p in (1e-6, 1e-9):
+    for p in (1e-6, 1e-9, 1e-15):
         assert perc_exit_prob(lattice, 0, p) == pytest.approx(
             -math.expm1(4.0 * math.log1p(-p)), rel=1e-12, abs=0.0)
 
@@ -93,18 +101,90 @@ def test_weight_class_fold_equals_parallel_edges():
     # one vertex tied to the outside by 3 parallel bonds of weight w
     w = 0.35
     lattice = LatticeSpec.square(mode="p")
-    tables = ReachTables(Region(lattice, [(0, 0)]), ((0, 1.0),) * 3)
+    reach = perc_reach(Region(lattice, [(0, 0)]), ((0, 1.0),) * 3, w,
+                       np.ones((1, 1)))
     explicit = naive_event_prob(2, [(0, 1, w)] * 3, 0, [1])[1]
-    assert tables.probs(w)[0] == pytest.approx(explicit, abs=1e-14)
+    assert reach[0] == pytest.approx(explicit, abs=1e-14)
+    # the exit event of ball(0) is its four parallel ties
+    four = naive_event_prob(2, [(0, 1, w)] * 4, 0, [1])[1]
+    assert perc_exit_prob(lattice, 0, w) == pytest.approx(four, abs=1e-14)
+
+
+def tied_instance(lattice, rng):
+    """A random region, possibly disconnected, with random ties: several
+    on one vertex, and sometimes an always-open one."""
+    region = random_region(lattice, rng, int(rng.integers(1, 7)))
+    extra = [v for v in ball(lattice, 3).vertices if v not in region]
+    picks = rng.choice(len(extra), size=int(rng.integers(0, 3)), replace=False)
+    region = Region(lattice, list(region.vertices)
+                    + [extra[int(i)] for i in picks])
+    js = sorted({j for _, j in lattice.couplings})
+    n = len(region)
+    ties = [(int(rng.integers(n)), js[int(rng.integers(len(js)))])
+            for _ in range(int(rng.integers(0, 5)))]
+    if ties:
+        ties.append((ties[0][0], js[0]))  # a second tie on one vertex
+    if rng.random() < 0.3:
+        ties.append((int(rng.integers(n)), math.inf))
+    return region, tuple(ties)
+
+
+def test_reach_matches_naive_with_ties():
+    lattices = [LatticeSpec.square(mode="p"), LatticeSpec.square(mode="beta"),
+                THREE_J, RANGE_TWO]
+    for trial in range(80):
+        rng = sample_stream(20261018, STREAM_TEST, trial)
+        lattice = lattices[trial % 4]
+        region, ties = tied_instance(lattice, rng)
+        if len(region.internal_edges) + len(ties) > 14:
+            continue
+        param = float(rng.uniform(0.05, 0.95 if lattice.mode == "p" else 1.5))
+        n = len(region)
+        edges = [(a, b, edge_weight(lattice, j, param))
+                 for a, b, j in region.internal_edges]
+        edges += [(v, n, 1.0 if j == math.inf
+                   else edge_weight(lattice, j, param)) for v, j in ties]
+        coeffs = rng.uniform(0.0, 2.0, size=(n, 2))
+        got = perc_reach(region, ties, param, coeffs)
+        reach = naive_event_prob(n + 1, edges, n, list(range(n)))
+        want = [math.fsum(reach[v] * coeffs[v, k] for v in range(n))
+                for k in range(2)]
+        assert got == pytest.approx(want, abs=1e-12), (trial, region, ties)
+
+
+def test_phi_does_not_depend_on_the_sweep_order(monkeypatch):
+    lattice = LatticeSpec.square(mode="p")
+    regions = [ball(lattice, 2), ball(lattice, 3),
+               Region(lattice, [(x, y) for x in range(3) for y in range(4)],
+                      (1, 1))]
+    forward = [phi_percolation(lattice, r, 0.33).value for r in regions]
+    reverse_order = exact._vertex_order
+    monkeypatch.setattr(exact, "_vertex_order",
+                        lambda region: reverse_order(region)[::-1])
+    exact._frontier_plan.cache_clear()
+    try:
+        backward = [phi_percolation(lattice, r, 0.33).value for r in regions]
+    finally:
+        exact._frontier_plan.cache_clear()
+    for a, b in zip(forward, backward):
+        assert abs(a - b) <= 1e-14
+
+
+def test_square_percolation_roots_past_radius_two():
+    lattice = LatticeSpec.square(mode="p")
+    assert critical_root("perc", lattice, ball(lattice, 3)) == pytest.approx(
+        0.344234115, abs=1e-8)
+    assert critical_root("perc", lattice, ball(lattice, 4)) == pytest.approx(
+        0.360479723, abs=1e-8)
 
 
 def test_edge_cap_raises():
     lattice = LatticeSpec.square(mode="p")
-    with pytest.raises(CapExceeded):
-        perc_connect_probs(ball(lattice, 3), 0.3)  # 36 edges > cap 26
-    # hits the exit construction cap as well (ball(4) has 64 edges)
-    with pytest.raises(CapExceeded):
-        perc_exit_prob(lattice, 4, 0.3)
+    # ball(5) sweeps a frontier of 11 vertices, past the cap of 9
+    with pytest.raises(CapExceeded, match="need 11, cap is 9"):
+        perc_connect_probs(ball(lattice, 5), 0.3)
+    with pytest.raises(CapExceeded, match="need 21, cap is 9"):
+        perc_exit_prob(lattice, 10, 0.3)
 
 
 def test_ising_matches_naive_on_random_instances():
