@@ -13,8 +13,8 @@ phi(S, t) = 1 in t is a certified lower bound on the critical point.
 
 Certificates, roots and best-bound tables evaluate phi exactly and raise
 ``CapExceeded`` beyond the fixed caps of the exact engines (a percolation
-frontier of ``exact.FRONTIER_CAP`` vertices, ``exact.SPIN_CAP`` Ising
-spins); only :func:`compute_phi`
+frontier of ``exact.FRONTIER_CAP`` vertices or ``exact.BRANCH_CAP``
+branch rows, ``exact.SPIN_CAP`` Ising spins); only :func:`compute_phi`
 falls back to a Monte Carlo estimate, labelled ``method="monte_carlo"``,
 which proves nothing.  Certificates are floating-point honest rather than
 interval arithmetic: EPSILON_CERT absorbs the rounding budget of the exact

@@ -570,51 +570,56 @@ def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     if not isinstance(task, dict) or "kind" not in task:
         raise ConfigError("scenario.task", "expected an object with 'kind'")
     kind = task["kind"]
+    if kind not in ("switching", "correlation", "expectation", "source-sum",
+                    "backbone"):
+        raise ConfigError("scenario.task.kind",
+                          "expected switching, correlation, expectation, "
+                          "source-sum, or backbone")
     if kind != "backbone" and not isinstance(trunc, int):
         raise ConfigError("scenario.truncation", "expected an integer cap")
+    # read every task field before computing, so that a malformed field is
+    # a config error and the engine's own refusals keep their messages
     try:
+        if kind in ("switching", "expectation", "source-sum"):
+            sources = [int(s) for s in task["sources"]]
         if kind == "switching":
-            lhs, rhs = switching_check(graph, [int(s) for s in task["sources"]],
-                                       int(task["u"]), int(task["v"]),
-                                       _scenario_f(task.get("f", "one")),
-                                       beta, h, trunc)
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            result = {"kind": kind, "lhs": lhs, "rhs": rhs,
-                      "abs_diff": abs(lhs - rhs),
-                      "rel_diff": abs(lhs - rhs) / scale}
-            line = (f"switching: lhs = {lhs:.17g}, rhs = {rhs:.17g}, "
-                    f"rel diff = {result['rel_diff']:.3e}")
+            u, v = int(task["u"]), int(task["v"])
+            f_spec = _scenario_f(task.get("f", "one"))
         elif kind == "correlation":
-            value = correlation_via_currents(graph, int(task["x"]),
-                                             int(task["y"]), beta, h, trunc)
-            result = {"kind": kind, "value": value}
-            line = f"correlation({task['x']},{task['y']}) = {value:.17g}"
-        elif kind == "expectation":
-            value = expectation_via_currents(graph,
-                                             [int(s) for s in task["sources"]],
-                                             beta, h, trunc)
-            result = {"kind": kind, "value": value}
-            line = f"expectation{tuple(task['sources'])} = {value:.17g}"
-        elif kind == "source-sum":
-            value = source_sum(graph, [int(s) for s in task["sources"]],
-                               beta, h, trunc)
-            result = {"kind": kind, "value": value}
-            line = f"source sum{tuple(task['sources'])} = {value:.17g}"
+            x, y = int(task["x"]), int(task["y"])
         elif kind == "backbone":
             mults = tuple(((int(p[0][0]), int(p[0][1])), int(p[1]))
                           for p in task["multiplicities"])
-            current = Current(graph, mults)
-            path_edges = extract_backbone(current, h)
-            result = {"kind": kind,
-                      "path": [list(edge) for edge in path_edges],
-                      "weight": weight(current, beta, h)}
-            line = f"backbone: {result['path']}"
-        else:
-            raise ConfigError("scenario.task.kind",
-                              "expected switching, correlation, expectation, "
-                              "source-sum, or backbone")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError("scenario.task", f"malformed task: {exc}")
+    if kind == "switching":
+        lhs, rhs = switching_check(graph, sources, u, v, f_spec, beta, h,
+                                   trunc)
+        scale = max(abs(lhs), abs(rhs), 1e-300)
+        result = {"kind": kind, "lhs": lhs, "rhs": rhs,
+                  "abs_diff": abs(lhs - rhs),
+                  "rel_diff": abs(lhs - rhs) / scale}
+        line = (f"switching: lhs = {lhs:.17g}, rhs = {rhs:.17g}, "
+                f"rel diff = {result['rel_diff']:.3e}")
+    elif kind == "correlation":
+        value = correlation_via_currents(graph, x, y, beta, h, trunc)
+        result = {"kind": kind, "value": value}
+        line = f"correlation({task['x']},{task['y']}) = {value:.17g}"
+    elif kind == "expectation":
+        value = expectation_via_currents(graph, sources, beta, h, trunc)
+        result = {"kind": kind, "value": value}
+        line = f"expectation{tuple(task['sources'])} = {value:.17g}"
+    elif kind == "source-sum":
+        value = source_sum(graph, sources, beta, h, trunc)
+        result = {"kind": kind, "value": value}
+        line = f"source sum{tuple(task['sources'])} = {value:.17g}"
+    else:
+        current = Current(graph, mults)
+        path_edges = extract_backbone(current, h)
+        result = {"kind": kind,
+                  "path": [list(edge) for edge in path_edges],
+                  "weight": weight(current, beta, h)}
+        line = f"backbone: {result['path']}"
     out_path = _artifact(opts, ".json")
     _write_json(out_path, {"scenario": scenario, "result": result})
     print(line)

@@ -10,12 +10,18 @@ weight sums reproduce spin expectations:
 
 (for odd source sets the ghost absorbs the leftover parity when h > 0).
 
-Everything here enumerates multiplicity vectors exhaustively under a
-truncation cap, so graphs are limited to a handful of vertices.  Two
-truncation modes are used on purpose: single sums cap each pair's
-multiplicity, while the switching check caps the per-pair SUM of the two
-currents, because the source-switching bijection preserves the combined
-current and therefore holds exactly at every sum-capped level.
+The sums enumerate *class vectors*, not multiplicity vectors.  Each
+pair's multiplicity falls in one of three classes: 0, odd, or even >= 2,
+written as its representative multiplicity 0, 1 or 2.  A current's sources
+depend only on the parity of each pair, and every catalog F only on the
+support and the parities, so the sum over multiplicities factorizes within
+a class: a per-pair table summed over the multiplicities of each class
+(``_class_tables``) turns the (cap+1)^pairs enumeration into an exact one
+over 3^pairs class vectors.  Graphs are still limited to a handful of
+vertices.  Two truncation modes are used on purpose: single sums cap each
+pair's multiplicity, while the switching check caps the per-pair SUM of the
+two currents, because the source-switching bijection preserves the
+combined current and therefore holds exactly at every sum-capped level.
 """
 
 from __future__ import annotations
@@ -29,8 +35,12 @@ import numpy as np
 
 from .errors import CapExceeded, NoPath, StateSpaceTooLarge
 
-STATE_GUARD = 1_000_000_000
-MAX_VERTICES = 5  # plus the ghost; enumeration is (cap+1)^pairs
+# admits 3^13 class vectors: a switching_check over them took about 1.4 s
+# on a 2-core x86 host, 3^14 about 5 s
+STATE_GUARD = 3 ** 13
+MAX_VERTICES = 5  # plus the ghost; the sums enumerate 3^pairs class vectors
+MAX_CAP = 170
+_CLASSES = 3  # multiplicity classes 0, odd, even >= 2
 _CHUNK = 1 << 16
 
 Pair = tuple[int, int]
@@ -82,6 +92,7 @@ class CurrentGraph:
         Real pairs come first in lexicographic order with base beta*J;
         ghost pairs follow (ghost sorts last) with base h.
         """
+        _check_couplings(beta, h)
         pairs = sorted((min(a, b), max(a, b)) for a, b, _ in self.edges)
         j_of = {(min(a, b), max(a, b)): j for a, b, j in self.edges}
         bases = [beta * j_of[p] for p in pairs]
@@ -92,12 +103,21 @@ class CurrentGraph:
         return pairs, bases
 
 
+def _check_couplings(beta: float, h: float) -> None:
+    """Refuse a negative beta or field: current weights need non-negative
+    bases, and ``pair_bases`` would silently drop a negative field's ghost
+    pairs."""
+    if not (beta >= 0.0 and h >= 0.0):
+        raise ValueError("need beta >= 0 and h >= 0")
+
+
 def _cap(trunc: int) -> int:
     """Multiplicity cap: per pair for single sums, per pair-sum when two
-    currents are enumerated jointly."""
+    currents are enumerated jointly.  At most ``MAX_CAP``, the largest k
+    whose k! is a finite float."""
     cap = int(trunc)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if not 1 <= cap <= MAX_CAP:
+        raise ValueError(f"cap must be between 1 and {MAX_CAP}")
     return cap
 
 
@@ -173,6 +193,14 @@ def _digit_decoder(radix: int, n_pairs: int):
     return decode
 
 
+def _class_tables(table: np.ndarray) -> np.ndarray:
+    """Sum a table over its last axis, the multiplicities k = 0..cap, within
+    each class: ``out[..., c]`` sums k = 0 for c = 0, the odd k for c = 1
+    and the even k >= 2 for c = 2."""
+    return np.stack((table[..., 0], table[..., 1::2].sum(axis=-1),
+                     table[..., 2::2].sum(axis=-1)), axis=-1)
+
+
 def source_sum(graph: CurrentGraph, sources: Iterable[int], beta: float,
                h: float, trunc: int) -> float:
     """Sum of weights over currents with the given source set, with every
@@ -182,28 +210,28 @@ def source_sum(graph: CurrentGraph, sources: Iterable[int], beta: float,
     if not pairs:
         return 1.0 if _source_mask(sources, graph.n_vertices + 1) == 0 else 0.0
     n_pairs = len(pairs)
-    radix = cap + 1
-    states = _check_state_space(graph, radix, n_pairs)
+    states = _check_state_space(graph, _CLASSES, n_pairs)
     target = _source_mask(sources, graph.n_vertices + 1)
     masks = _vertex_masks(pairs)
-    # w_table[p, k] = base_p^k / k!
-    ks = np.arange(radix, dtype=np.float64)
+    # w_table[p, k] = base_p^k / k!, summed within each multiplicity class
+    ks = np.arange(cap + 1, dtype=np.float64)
     w_table = np.power(np.asarray(bases)[:, None], ks) / \
-        np.array([math.factorial(int(k)) for k in range(radix)])
-    decode = _digit_decoder(radix, n_pairs)
+        np.array([float(math.factorial(k)) for k in range(cap + 1)])
+    class_w = _class_tables(w_table)
+    decode = _digit_decoder(_CLASSES, n_pairs)
     pieces = []
     for start in range(0, states, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, states), dtype=np.int64)
         digits = decode(idx)
         parity_mask = np.bitwise_xor.reduce(
-            np.where(digits % 2 == 1, masks, 0), axis=1)
+            np.where(digits == 1, masks, 0), axis=1)
         # handshake parity: every current has an even number of odd-degree
         # vertices, ghost included
         assert (_POPCOUNT[parity_mask] % 2 == 0).all()
         keep = parity_mask == target
         if not keep.any():
             continue
-        w = np.take_along_axis(w_table, digits[keep].T, axis=1).prod(axis=0)
+        w = np.take_along_axis(class_w, digits[keep].T, axis=1).prod(axis=0)
         pieces.append(math.fsum(w))
     return math.fsum(pieces)
 
@@ -217,6 +245,7 @@ def expectation_via_currents(graph: CurrentGraph, sources: Iterable[int],
     that expectation vanishes identically and 0 is returned outright
     rather than dividing by an impossible-parity numerator.
     """
+    _check_couplings(beta, h)
     a_set = set(sources)
     if len(a_set) % 2 == 1:
         if h == 0.0:
@@ -231,6 +260,7 @@ def correlation_via_currents(graph: CurrentGraph, x: int, y: int,
                              beta: float, h: float,
                              trunc: int) -> float:
     """<sigma_x sigma_y>; ``y`` may be the ghost index to read <sigma_x>."""
+    _check_couplings(beta, h)
     if x == y:
         return 1.0
     return expectation_via_currents(graph, {x, y}, beta, h, trunc)
@@ -238,6 +268,9 @@ def correlation_via_currents(graph: CurrentGraph, x: int, y: int,
 
 # --- switching check ---------------------------------------------------------
 
+# F(digits, pairs, graph) -> one value per row of ``digits``.  A row holds
+# class representatives (0, 1 or 2 for multiplicity 0, odd, even >= 2), so
+# F may depend only on each pair's class: its support and its parity.
 FCatalog = Callable[[np.ndarray, Sequence[Pair], CurrentGraph], np.ndarray]
 
 
@@ -280,7 +313,12 @@ def f_connect(a: int, b: int) -> FCatalog:
 
 
 def resolve_f(spec) -> FCatalog:
-    """Catalog lookup: "one", "even_total", ("connect", a, b), or a callable."""
+    """Catalog lookup: "one", "even_total", ("connect", a, b), or a callable.
+
+    A callable must obey the ``FCatalog`` contract: it sees each pair's
+    multiplicity class, not its multiplicity, and may depend on nothing
+    else of it.
+    """
     if callable(spec):
         return spec
     if spec == "one":
@@ -305,7 +343,9 @@ def switching_check(graph: CurrentGraph, sources: Iterable[int], u: int,
     number of splits of m_p at fixed parity of n1_p contributes
     base^{m_p} * sum_{j <= m_p, j == parity} 1/(j!(m_p-j)!), and the
     source constraint on n1 is imposed by averaging characters of the
-    parity group over vertex subsets.
+    parity group over vertex subsets.  F, the source constraint on m and
+    the connection event see m only through its classes, so m runs over
+    class vectors with the character tables summed within each class.
     """
     if u == v:
         raise ValueError("u and v must differ; the degenerate switch is "
@@ -317,32 +357,33 @@ def switching_check(graph: CurrentGraph, sources: Iterable[int], u: int,
     n_slots = graph.n_vertices + 1
     a_mask = _source_mask(sources, n_slots)
     uv_mask = _source_mask((u, v), n_slots)
-    radix = cap + 1
-    states = _check_state_space(graph, radix, n_pairs)
+    states = _check_state_space(graph, _CLASSES, n_pairs)
     masks = _vertex_masks(pairs)
 
     # split_table[parity, p, k] = base_p^k * sum_{j<=k, j=parity mod 2}
     #                             1 / (j! (k-j)!)
-    split_table = np.zeros((2, n_pairs, radix))
+    split_table = np.zeros((2, n_pairs, cap + 1))
     powers = np.power(np.asarray(bases)[:, None],
-                      np.arange(radix, dtype=np.float64))
-    for k in range(radix):
+                      np.arange(cap + 1, dtype=np.float64))
+    for k in range(cap + 1):
         for par in (0, 1):
             s = math.fsum(1.0 / (math.factorial(j) * math.factorial(k - j))
                           for j in range(par, k + 1, 2))
             split_table[par, :, k] = powers[:, k] * s
 
     # character tables: for a vertex subset chi, chi_tables[chi, p, k] =
-    # split_table[0] + eps * split_table[1] with eps = (-1)^{|chi cap pair|}
+    # split_table[0] + eps * split_table[1] with eps = (-1)^{|chi cap pair|},
+    # summed within each multiplicity class
     chi_signs = np.empty((1 << n_slots, n_pairs))
     for chi in range(1 << n_slots):
         chi_signs[chi] = [1.0 if _POPCOUNT[chi & int(m)] % 2 == 0 else -1.0
                           for m in masks]
-    chi_tables = split_table[0][None] + \
-        chi_signs[:, :, None] * split_table[1][None]
+    chi_tables = _class_tables(split_table[0][None] +
+                               chi_signs[:, :, None] * split_table[1][None])
 
     def constrained_split(digits: np.ndarray, target_mask: int) -> np.ndarray:
-        """sum over n1 <= m with sources(n1) = target of w(n1) w(m - n1)."""
+        """sum over m in each row's classes and n1 <= m with
+        sources(n1) = target of w(n1) w(m - n1)."""
         total = np.zeros(digits.shape[0])
         for chi in range(1 << n_slots):
             sign = -1.0 if _POPCOUNT[chi & target_mask] % 2 else 1.0
@@ -350,13 +391,13 @@ def switching_check(graph: CurrentGraph, sources: Iterable[int], u: int,
                                                axis=1).prod(axis=0)
         return total / (1 << n_slots)
 
-    decode = _digit_decoder(radix, n_pairs)
+    decode = _digit_decoder(_CLASSES, n_pairs)
     lhs_pieces, rhs_pieces = [], []
     for start in range(0, states, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, states), dtype=np.int64)
         digits = decode(idx)
         parity_mask = np.bitwise_xor.reduce(
-            np.where(digits % 2 == 1, masks, 0), axis=1)
+            np.where(digits == 1, masks, 0), axis=1)
         keep = parity_mask == a_mask  # both sides force sources(m) = A
         if not keep.any():
             continue

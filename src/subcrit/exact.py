@@ -30,7 +30,8 @@ each evaluation is a compensated sum of count * monomial terms
 
 Both engines refuse (``CapExceeded``) beyond fixed caps: a percolation
 frontier wider than ``FRONTIER_CAP`` vertices, checked before any state
-is built, and more than ``SPIN_CAP`` spins.  Plain-Python enumerators
+is built, a layer of more than ``BRANCH_CAP`` branch rows, checked before
+the layer is built, and more than ``SPIN_CAP`` spins.  Plain-Python enumerators
 (``naive_*``) are kept alongside as the oracles.
 """
 
@@ -50,6 +51,11 @@ from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 # admits square ball(4) and triangular ball(3); bounds a layer by Bell(10) =
 # 115,975 states on any lattice
 FRONTIER_CAP = 9
+# branch rows (states x 2^ops) of one layer of the plan, about 1.5 KB of
+# temporaries each: a vertex with m ops branches 2^m ways, which the width
+# cap does not bound off the planar lattices.  The largest layer in use is
+# the exit plan of triangular ball(3), 22,880 rows
+BRANCH_CAP = 1 << 15
 SPIN_CAP = 22
 
 _CHUNK_BITS = 18  # configurations per vectorized chunk
@@ -103,7 +109,8 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
                    always_open: frozenset[int]) -> tuple[_Step, ...]:
     """The parameter-free steps of the sweep of ``region`` with a tie on
     every vertex of ``tied``, always open on those of ``always_open``;
-    ``CapExceeded`` past ``FRONTIER_CAP``, before any state is built.
+    ``CapExceeded`` past ``FRONTIER_CAP``, before any state is built, and
+    past ``BRANCH_CAP`` rows in a layer, before that layer is built.
 
     A state is the partition of the frontier into blocks, in canonical
     labels: 0 for the block joined to the tied set, then 1, 2, ... in
@@ -140,6 +147,9 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
         if v in tied and v not in always_open:
             ops.insert(0, n_bonds + v)
         n = len(layer)
+        if n << len(ops) > BRANCH_CAP:
+            raise CapExceeded("percolation frontier branches", n << len(ops),
+                              BRANCH_CAP)
         entry = 0 * sizes if v in always_open else sizes
         labels = np.tile(np.hstack((layer, entry[:, None])),
                          (1 << len(ops), 1))

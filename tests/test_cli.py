@@ -378,6 +378,28 @@ def test_current_lab_rejects_malformed_scenarios(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(
             f"config error: scenario.{key}:"), err
+    # a backbone with the multiplicities as a "x,y" -> count object, not
+    # the [[x, y], count] list the schema takes
+    dict_form = triangle_scenario(kind="backbone",
+                                  multiplicities={"0,1": 1})
+    bad_backbone = tmp_path / "bad_backbone.json"
+    bad_backbone.write_text(json.dumps(dict_form))
+    assert run_cli("current-lab", "--scenario", str(bad_backbone),
+                   "--out", str(tmp_path)) == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "config error: scenario.task:"), err
+
+
+def test_current_lab_refuses_negative_field(tmp_path, capsys):
+    scenario = triangle_scenario(kind="correlation", x=0, y=3)
+    scenario["h"] = -0.3
+    scenario_file = tmp_path / "neg.json"
+    scenario_file.write_text(json.dumps(scenario))
+    assert run_cli("current-lab", "--scenario", str(scenario_file),
+                   "--out", str(tmp_path)) == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: need beta >= 0 and h >= 0"]
 
 
 # --- config files ------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from subcrit.currents import (Current, CurrentGraph, _cap,
+from subcrit.currents import (MAX_CAP, Current, CurrentGraph, _cap,
                               correlation_via_currents, enumerate_currents,
                               expectation_via_currents, extract_backbone,
                               f_connect, oriented_edge_order, resolve_f,
@@ -57,8 +57,12 @@ def test_graph_validation():
 
 def test_truncation_scheme_validation():
     assert _cap(1) == 1
+    assert _cap(MAX_CAP) == MAX_CAP
     with pytest.raises(ValueError):
         _cap(0)
+    with pytest.raises(ValueError, match="between 1 and 170"):
+        switching_check(CurrentGraph.complete(3), (), 0, 1, "one",
+                        0.5, 0.0, MAX_CAP + 1)
     with pytest.raises(ValueError):
         source_sum(CurrentGraph.path(2), (), 0.5, 0.0, 0)
 
@@ -105,25 +109,31 @@ def test_current_sources_by_parity():
 
 
 def test_enumerate_currents_matches_source_sum_and_weight():
+    # the class engine against the explicit multiplicity enumeration, at
+    # caps with and without an even class >= 2, with and without a field
     rng = np.random.default_rng(2024)
-    checked = 0
-    for _ in range(10):
-        g = random_graph(rng)
-        h = 0.3 if (g.n_vertices <= 3 and len(g.edges) <= 3
-                    and rng.integers(2)) else 0.0
-        beta = float(rng.uniform(0.2, 0.8))
-        n_src = int(rng.choice([0, 2]))
-        sources = tuple(int(x) for x in
-                        rng.choice(g.n_vertices, size=n_src, replace=False))
-        total = 0.0
-        for cur, w in enumerate_currents(g, sources, beta, h, 3):
-            assert weight(cur, beta, h) == pytest.approx(w, rel=1e-12)
-            assert cur.sources() == frozenset(sources)
-            total += w
-            checked += 1
-        assert source_sum(g, sources, beta, h, 3) == pytest.approx(
-            total, rel=1e-12, abs=1e-15)
-    assert checked > 50
+    checked = with_field = 0
+    for cap in (1, 2, 3, 4):
+        for _ in range(10):
+            g = random_graph(rng)
+            small = g.n_vertices <= 3 and len(g.edges) <= 3
+            beta = float(rng.uniform(0.2, 0.8))
+            n_src = int(rng.choice([0, 1, 2]))
+            sources = [int(x) for x in
+                       rng.choice(g.n_vertices, size=n_src, replace=False)]
+            for h in ((0.0, 0.3) if small else (0.0,)):
+                # an odd source set sends its leftover parity to the ghost
+                target = tuple(sources + [g.ghost] * (n_src % 2))
+                total = 0.0
+                for cur, w in enumerate_currents(g, target, beta, h, cap):
+                    assert weight(cur, beta, h) == pytest.approx(w, rel=1e-12)
+                    assert cur.sources() == frozenset(target)
+                    total += w
+                    checked += 1
+                with_field += h > 0.0
+                assert source_sum(g, target, beta, h, cap) == pytest.approx(
+                    total, rel=1e-12, abs=1e-15)
+    assert checked > 500 and with_field >= 8
 
 
 # --- source sums and expectations --------------------------------------------
@@ -232,29 +242,80 @@ def test_switching_rejects_coincident_switch_pair():
         switching_check(CurrentGraph.path(2), (), 0, 0, "one", 0.5, 0.0, 4)
 
 
-def test_switching_lhs_matches_naive_double_sum():
-    # brute-force both sides from enumerate_currents with a per-pair cap
-    # high enough that every pair-sum <= 3 split is present
+def connected_in(current, u, v):
+    """Plain search: do u and v share a component of the positive support?"""
+    reach, stack = {u}, [u]
+    while stack:
+        at = stack.pop()
+        for (a, b), m in current.multiplicities:
+            if m > 0 and at in (a, b):
+                other = b if at == a else a
+                if other not in reach:
+                    reach.add(other)
+                    stack.append(other)
+    return v in reach
+
+
+def test_switching_sides_match_naive_double_sum():
+    # brute-force both sides from enumerate_currents, with a field and a
+    # per-pair cap high enough that every pair-sum <= cap split is present
     g = CurrentGraph.path(3)
-    beta, cap = 0.7, 3
-    f = f_connect(0, 2)
+    beta, h, cap = 0.7, 0.3, 4
+    sources, u, v = (0, 1), 0, 2
+    ab = frozenset(sources) ^ {u, v}
 
-    def f_of(current):
-        pairs = [p for p, m in current.multiplicities]
-        digits = np.array([[m for _, m in current.multiplicities]])
-        return float(f(digits, pairs, g)[0])
+    def combined(first, second):
+        """sum of w1 w2 over current pairs with these sources, by the
+        combined current, pair sums capped."""
+        seconds = [(np.array([m for _, m in n2.multiplicities]), w2)
+                   for n2, w2 in enumerate_currents(g, second, beta, h, cap)]
+        combos = {}
+        for n1, w1 in enumerate_currents(g, first, beta, h, cap):
+            pairs = [p for p, _ in n1.multiplicities]
+            m1 = np.array([m for _, m in n1.multiplicities])
+            for m2, w2 in seconds:
+                m = m1 + m2
+                if m.max() <= cap:
+                    key = tuple(zip(pairs, m.tolist()))
+                    combos[key] = combos.get(key, 0.0) + w1 * w2
+        return combos
 
-    combos = {}
-    for n1, w1 in enumerate_currents(g, (0, 2), beta, 0.0, cap):
-        for n2, w2 in enumerate_currents(g, (), beta, 0.0, cap):
-            m1, m2 = dict(n1.multiplicities), dict(n2.multiplicities)
-            key = tuple(sorted((p, m1[p] + m2[p]) for p in m1))
-            if max(m1[p] + m2[p] for p in m1) <= cap:
-                combos[key] = combos.get(key, 0.0) + w1 * w2
-    naive_lhs = math.fsum(
-        f_of(Current(g, key)) * w for key, w in combos.items())
-    lhs, _ = switching_check(g, (0, 2), 0, 2, f, beta, 0.0, cap)
-    assert lhs == pytest.approx(naive_lhs, rel=1e-12)
+    lhs_combos = combined(ab, (u, v))
+    rhs_combos = combined(sources, ())
+    for spec in ("one", "even_total", ("connect", 0, 2)):
+        f = resolve_f(spec)
+
+        def f_of(key):
+            pairs = [p for p, _ in key]
+            return float(f(np.array([[m for _, m in key]]), pairs, g)[0])
+
+        naive_lhs = math.fsum(f_of(key) * w for key, w in lhs_combos.items())
+        naive_rhs = math.fsum(
+            f_of(key) * w for key, w in rhs_combos.items()
+            if connected_in(Current(g, key), u, v))
+        lhs, rhs = switching_check(g, sources, u, v, spec, beta, h, cap)
+        assert naive_lhs > 0.0
+        assert lhs == pytest.approx(naive_lhs, rel=1e-12)
+        assert rhs == pytest.approx(naive_rhs, rel=1e-12)
+
+
+def test_catalog_f_sees_only_multiplicity_classes():
+    # the FCatalog contract the class engine relies on: every catalog F
+    # takes the same value on multiplicities as on their class
+    # representatives 0 (zero), 1 (odd) and 2 (even >= 2)
+    rng = np.random.default_rng(5)
+    g = CurrentGraph.complete(4)
+    pairs, _ = g.pair_bases(0.5, 0.2)
+    digits = rng.integers(0, 9, size=(400, len(pairs)))
+    digits[:, :4] *= rng.integers(0, 2, size=(400, 4))  # sparser supports
+    classes = np.where(digits == 0, 0, np.where(digits % 2 == 1, 1, 2))
+    specs = ["one", "even_total"] + [("connect", a, b) for a in range(5)
+                                     for b in range(5) if a != b]
+    for spec in specs:
+        f = resolve_f(spec)
+        on_digits = f(digits, pairs, g)
+        assert np.array_equal(on_digits, f(classes, pairs, g))
+        assert 0.0 < on_digits.mean() <= 1.0
 
 
 def test_resolve_f_catalog():
@@ -315,8 +376,32 @@ def test_backbone_requires_exactly_two_sources():
 def test_state_space_guard():
     with pytest.raises(CapExceeded, match="current-lab vertices: need 6, cap is 5"):
         source_sum(CurrentGraph.complete(6), (), 0.5, 0.0, 2)
-    with pytest.raises(StateSpaceTooLarge):
-        source_sum(CurrentGraph.complete(5), (), 0.5, 0.0, 8)
+    # with a field, complete(5) has 15 pairs: 3^15 class vectors
+    with pytest.raises(StateSpaceTooLarge, match="14348907 states"):
+        source_sum(CurrentGraph.complete(5), (), 0.5, 0.1, 8)
     with pytest.raises(StateSpaceTooLarge):
         switching_check(CurrentGraph.complete(5), (), 0, 1, "one",
-                        0.5, 0.0, 8)
+                        0.5, 0.1, 8)
+
+
+def test_complete_five_without_field_is_admitted():
+    # 10 pairs: 3^10 class vectors, where (cap+1)^10 currents were refused
+    g = CurrentGraph.complete(5, 0.8)
+    got = correlation_via_currents(g, 0, 3, 0.3, 0.0, 8)
+    assert got == pytest.approx(spin_expectation(g, (0, 3), 0.3, 0.0),
+                                abs=1e-6)
+
+
+def test_negative_beta_or_field_is_refused():
+    g = CurrentGraph.path(2)
+    for beta, h in ((0.4, -0.3), (-0.4, 0.0), (0.4, math.nan)):
+        for call in (lambda: source_sum(g, (0, 1), beta, h, 6),
+                     lambda: expectation_via_currents(g, (0,), beta, h, 6),
+                     lambda: correlation_via_currents(g, 0, g.ghost, beta,
+                                                      h, 12),
+                     lambda: correlation_via_currents(g, 1, 1, beta, h, 12),
+                     lambda: switching_check(g, (), 0, 1, "one", beta, h, 4),
+                     lambda: list(enumerate_currents(g, (), beta, h, 2))):
+            with pytest.raises(ValueError, match="beta >= 0 and h >= 0"):
+                call()
+    assert source_sum(g, (0, 1), 0.0, 0.0, 6) == 0.0

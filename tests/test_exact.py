@@ -1,6 +1,7 @@
 """Exact engine versus naive reference enumerations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,23 @@ def test_edge_cap_raises():
         perc_connect_probs(ball(lattice, 5), 0.3)
     with pytest.raises(CapExceeded, match="need 21, cap is 9"):
         perc_exit_prob(lattice, 10, 0.3)
+
+
+def test_branch_cap_bounds_plan_memory_off_the_plane():
+    # a range-2 vertex has four bonds back into the sweep, so a layer
+    # branches 2^5 ways at a frontier of 9, inside FRONTIER_CAP; the plan
+    # is refused before such a layer is built (unbounded, the 4x6 plan
+    # allocated about 380 MB)
+    region = Region(RANGE_TWO, [(x, y) for x in range(4) for y in range(6)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="percolation frontier branches"
+                           f": need 80080, cap is {exact.BRANCH_CAP}"):
+            perc_connect_probs(region, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
 
 
 def test_ising_matches_naive_on_random_instances():
