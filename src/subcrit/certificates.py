@@ -14,11 +14,12 @@ phi(S, t) = 1 in t is a certified lower bound on the critical point.
 Certificates, roots and best-bound tables evaluate phi exactly and raise
 ``CapExceeded`` beyond the fixed caps of the exact engines (a percolation
 frontier of ``exact.FRONTIER_CAP`` vertices or ``exact.BRANCH_CAP``
-branch rows, ``exact.SPIN_CAP`` Ising spins); only :func:`compute_phi`
-falls back to a Monte Carlo estimate, labelled ``method="monte_carlo"``,
-which proves nothing.  Certificates are floating-point honest rather than
-interval arithmetic: EPSILON_CERT absorbs the rounding budget of the exact
-engine in the one decision rule, :func:`_certifies`.
+branch rows, an Ising spin layer of ``exact.SPIN_FRONTIER_CAP`` rows);
+only :func:`compute_phi` falls back to a Monte Carlo estimate, labelled
+``method="monte_carlo"``, which proves nothing.  Certificates are
+floating-point honest rather than interval arithmetic: EPSILON_CERT absorbs
+the rounding budget of the exact engine in the one decision rule,
+:func:`_certifies`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
-from .exact import ising_observables, perc_reach
+from .exact import ising_sums, perc_reach
 from .ising_mc import SpinSystem, WolffChain, equilibrate
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .perc_mc import ClusterWalker
@@ -138,23 +139,22 @@ def _check_region(lattice: LatticeSpec, region: Region) -> None:
 
 def _boundary_coefficients(region: Region, param: float, model: str,
                            within: Iterable[Vertex] | None = None
-                           ) -> dict[int, float]:
-    """Per inside-vertex sum of boundary weights.
+                           ) -> np.ndarray:
+    """Per inside-vertex sum of boundary weights, one entry per region index.
 
     phi collapses to sum_i c_i * P[0 <-> v_i]: each inside endpoint x
     contributes once per outside partner, weighted by the pair weight.
     ``within`` optionally restricts the outside partners to a vertex set.
     """
     keep = None if within is None else {tuple(v) for v in within}
-    coeff: dict[int, float] = {}
+    coeff = np.zeros(len(region))
     for i, outside, j in region.boundary_pairs:
         if keep is not None and outside not in keep:
             continue
         if model == "percolation":
-            w = edge_weight(region.lattice, j, param)
+            coeff[i] += edge_weight(region.lattice, j, param)
         else:
-            w = math.tanh(param * j)
-        coeff[i] = coeff.get(i, 0.0) + w
+            coeff[i] += math.tanh(param * j)
     return coeff
 
 
@@ -174,10 +174,7 @@ def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
     """
     _check_region(lattice, region)
     coeff = _boundary_coefficients(region, param, "percolation", within)
-    column = np.zeros((len(region), 1))
-    for i, c in coeff.items():
-        column[i] = c
-    value = perc_reach(region, ((0, math.inf),), param, column)[0]
+    value = perc_reach(region, ((0, math.inf),), param, coeff[:, None])[0]
     return _exact_result(region, param, float(value))
 
 
@@ -189,8 +186,8 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
     confidence bound is the one-sided Hoeffding bound at 99.9%,
     mean + W sqrt(ln(1000) / (2 samples)), which is never below the mean.
     """
-    coeff = _boundary_coefficients(region, param, "percolation")
-    total_w = math.fsum(coeff.values())
+    coeff = _boundary_coefficients(region, param, "percolation").tolist()
+    total_w = math.fsum(coeff)
     edges = region.internal_edges
     weights = np.array([edge_weight(region.lattice, j, param)
                         for _, _, j in edges])
@@ -203,7 +200,7 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
         members, _, _ = walker.origin_cluster(weights, seed, rngmod.STREAM_PHI,
                                               s)
         # a plain sum in discovery order: the fixed-seed values depend on it
-        values.append(sum(coeff.get(m, 0.0) for m in members))
+        values.append(sum(coeff[m] for m in members))
     mean = math.fsum(values) / samples
     upper = mean + total_w * math.sqrt(math.log(1000.0) / (2.0 * samples))
     return PhiResult(value=mean, method="monte_carlo", upper_confidence=upper,
@@ -213,7 +210,8 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
 
 def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
               within: Iterable[Vertex] | None = None) -> PhiResult:
-    """Exact phi for the Ising model; ``CapExceeded`` above the spin cap.
+    """Exact phi for the Ising model, one spin sweep with the boundary
+    weights as its coefficient column; ``CapExceeded`` past the spin cap.
 
     Correlations inside the region are taken at zero field with free
     boundary; ``within`` restricts outside endpoints as in
@@ -223,9 +221,9 @@ def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
     if lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
     coeff = _boundary_coefficients(region, beta, "ising", within)
-    corr = ising_observables(region, beta, 0.0).correlations
-    terms = [c * corr[region.vertices[i]] for i, c in sorted(coeff.items())]
-    return _exact_result(region, beta, math.fsum(terms))
+    z, acc = ising_sums(region, beta, 0.0, coeff[:, None])
+    return _exact_result(region, beta, float((acc[0, 0] - acc[1, 0])
+                                             / (z[0] + z[1])))
 
 
 def _phi_ising_mc(region: Region, beta: float, sweeps: int,
@@ -244,7 +242,7 @@ def _phi_ising_mc(region: Region, beta: float, sweeps: int,
     for _ in range(sweeps):
         chain.step()
         mask = chain.measure()
-        values.append(math.fsum(c for i, c in coeff.items() if mask[i]))
+        values.append(math.fsum(coeff[mask[:len(coeff)]]))
     mean = math.fsum(values) / sweeps
     upper = mean + Z_999 * batch_means_stderr(values)
     return PhiResult(value=mean, method="monte_carlo", upper_confidence=upper,

@@ -588,8 +588,9 @@ def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
         elif kind == "correlation":
             x, y = int(task["x"]), int(task["y"])
         elif kind == "backbone":
-            mults = tuple(((int(p[0][0]), int(p[0][1])), int(p[1]))
-                          for p in task["multiplicities"])
+            mults = tuple(((x, y), k) for (x, y), k in task["multiplicities"])
+            if any(type(v) is not int for pair, k in mults for v in (*pair, k)):
+                raise TypeError("expected [[x, y], count] with integers")
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError("scenario.task", f"malformed task: {exc}")
     if kind == "switching":

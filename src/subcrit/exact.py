@@ -20,19 +20,21 @@ boundary pair of ball(n).
 
 Ising: with H(sigma) = -beta * sum_{internal pairs {x,y}} J_xy sigma_x
 sigma_y - h * sum_x sigma_x (each unordered pair counted once), a spin
-assignment weighs prod_c u_c^k_c * v^m relative to the all-plus state,
-where k_c counts the unsatisfied pairs of coupling class c, m the minus
-spins, u_c = exp(-2 beta J_c) and v = exp(-2h).  ``SpinTables`` enumerates
-all 2^|S| assignments once per region (``_bit_chunks``) and tabulates by
-(k, m) their number and their sums of sigma_x and of sigma_base sigma_x;
-each evaluation is a compensated sum of count * monomial terms
-(``_table_sum``).
+assignment weighs exp(-2 (beta * E + h * m)) relative to the all-plus
+state, E summing J over the unsatisfied pairs and m counting minus spins.
+A transfer matrix (Kramers-Wannier) sweeps the same order.  A state
+assigns the frontier spins, the base point's kept to the end, and carries
+Z and, per coefficient column c, sum_x c_x sigma_x Z over the swept spins;
+``_spin_plan`` builds the rows once per region.  A leaving spin is summed
+out by adding the rows' two halves, so a state and its flipped partner get
+the same sums in the same order: at h = 0 every magnetization is exactly 0.
 
 Both engines refuse (``CapExceeded``) beyond fixed caps: a percolation
 frontier wider than ``FRONTIER_CAP`` vertices, checked before any state
 is built, a layer of more than ``BRANCH_CAP`` branch rows, checked before
-the layer is built, and more than ``SPIN_CAP`` spins.  Plain-Python enumerators
-(``naive_*``) are kept alongside as the oracles.
+the layer is built, and a spin layer of more than ``SPIN_FRONTIER_CAP``
+rows times coefficient columns, checked before any row is built.
+Plain-Python enumerators (``naive_*``) are kept alongside as the oracles.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ FRONTIER_CAP = 9
 # cap does not bound off the planar lattices.  The largest layer in use is
 # the exit plan of triangular ball(3), 22,880 rows
 BRANCH_CAP = 1 << 15
-SPIN_CAP = 22
-
-_CHUNK_BITS = 18  # configurations per vectorized chunk
+# rows times coefficient columns of the widest spin layer: admits phi on
+# square ball(7) (2^15 rows) and all observables on ball(4) (2^9 x 41)
+SPIN_FRONTIER_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# percolation inside a region: the frontier DP
+# the sweep both models share, and percolation's frontier DP
 # ---------------------------------------------------------------------------
 
 def _vertex_order(region: Region) -> list[int]:
@@ -73,6 +75,34 @@ def _vertex_order(region: Region) -> list[int]:
     axis = extent.index(max(extent))
     return sorted(range(len(vertices)),
                   key=lambda i: (vertices[i][axis],) + vertices[i])
+
+
+def _sweep(region: Region, stay: int | None = None):
+    """The skeleton both frontier sweeps of ``region`` share: the region
+    indices in sweep order; per vertex, its bonds to vertices swept before
+    it (in their sweep order) and the sweep position after which it leaves
+    the frontier, its last neighbour's or its own (never, for ``stay``);
+    and the most vertices on the frontier at once, the one swept included.
+    """
+    order = _vertex_order(region)
+    pos = [0] * len(order)
+    for t, v in enumerate(order):
+        pos[v] = t
+    last = pos[:]
+    if stay is not None:
+        last[stay] = len(order)
+    back: list[list[tuple[int, int]]] = [[] for _ in order]
+    for e, (a, b, _) in enumerate(region.internal_edges):
+        if pos[a] > pos[b]:
+            a, b = b, a
+        back[b].append((pos[a], e))
+        last[a] = max(last[a], pos[b])
+    cover = [0] * (len(order) + 2)
+    for v in order:
+        cover[pos[v]] += 1
+        cover[last[v] + 1] -= 1
+    return (order, [[e for _, e in sorted(b)] for b in back], last,
+            max(itertools.accumulate(cover)))
 
 
 class _Step(NamedTuple):
@@ -118,22 +148,7 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
     """
     edges = region.internal_edges
     n_bonds = len(edges)
-    order = _vertex_order(region)
-    pos = [0] * len(order)
-    for t, v in enumerate(order):
-        pos[v] = t
-    last = pos[:]  # the sweep position after which a vertex leaves
-    back: list[list[tuple[int, int]]] = [[] for _ in order]
-    for e, (a, b, _) in enumerate(edges):
-        if pos[a] > pos[b]:
-            a, b = b, a
-        back[b].append((pos[a], e))
-        last[a] = max(last[a], pos[b])
-    cover = [0] * (len(order) + 1)
-    for v in order:
-        cover[pos[v]] += 1
-        cover[last[v] + 1] -= 1
-    width = max(itertools.accumulate(cover))
+    order, back, last, width = _sweep(region)
     if width > FRONTIER_CAP:
         raise CapExceeded("percolation frontier", width, FRONTIER_CAP)
 
@@ -143,7 +158,7 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
     offsets = np.arange(2)  # of each state's slots, and their total
     steps = []
     for t, v in enumerate(order):
-        ops = [e for _, e in sorted(back[v])]
+        ops = list(back[v])
         if v in tied and v not in always_open:
             ops.insert(0, n_bonds + v)
         n = len(layer)
@@ -325,39 +340,80 @@ def naive_connect_probs(region: Region, param: float) -> dict[Vertex, float]:
 # Ising observables
 # ---------------------------------------------------------------------------
 
-def _bit_chunks(n_bits: int):
-    """Every assignment of ``n_bits`` bits, as (n_bits, chunk) bool arrays
-    with at most 2^_CHUNK_BITS configurations per chunk."""
-    n_cfg = 1 << n_bits
-    chunk = min(n_cfg, 1 << _CHUNK_BITS)
-    for start in range(0, n_cfg, chunk):
-        idx = np.arange(start, min(start + chunk, n_cfg), dtype=np.uint64)
-        bits = np.empty((n_bits, idx.size), dtype=bool)
-        for e in range(n_bits):
-            bits[e] = (idx >> np.uint64(e)) & np.uint64(1) != 0
-        yield bits
+class _SpinStep(NamedTuple):
+    """The sweep of one vertex.  A state assigns the frontier spins, bit i
+    of its index set iff spin i is minus; row r assigns the frontier and
+    the vertex, its low bits the next state and its top ``n_leave`` bits
+    the spins that leave.  Row r extends state ``src[r]``; ``energy`` is -2
+    times the sum of J over the vertex's unsatisfied back bonds, ``sign``
+    the vertex's spin.  A global flip maps row r to len(src) - 1 - r.
+    """
+
+    vertex: int
+    src: np.ndarray
+    energy: np.ndarray
+    sign: np.ndarray
+    n_leave: int
 
 
-def _table_sum(counts: np.ndarray, factors: list[np.ndarray]) -> float:
-    """Compensated sum of counts[k0, k1, ...] * factors[0][k0] * factors[1][k1] ..."""
-    nz = np.nonzero(counts)
-    terms = counts[nz].astype(float)
-    for axis, factor in enumerate(factors):
-        terms = terms * factor[nz[axis]]
-    return math.fsum(terms.tolist())
+@lru_cache(maxsize=32)
+def _spin_plan(region: Region) -> tuple[_SpinStep, ...]:
+    """The parameter-free steps of the spin sweep of ``region``, the base
+    point (index 0) kept on the frontier to the end; ``CapExceeded`` past
+    ``SPIN_FRONTIER_CAP`` rows, before any row is built."""
+    edges = region.internal_edges
+    order, back, last, width = _sweep(region, stay=0)
+    if 1 << width > SPIN_FRONTIER_CAP:
+        raise CapExceeded("spin frontier", 1 << width, SPIN_FRONTIER_CAP)
+    frontier: list[int] = []
+    steps = []
+    for t, v in enumerate(order):
+        inside = frontier + [v]
+        stays = [x for x in inside if last[x] > t]
+        # the row index's bits: the staying spins low, in frontier order,
+        # then the leaving ones
+        rows = np.arange(1 << len(inside))
+        down = {x: rows >> i & 1 for i, x in
+                enumerate(stays + [x for x in inside if last[x] <= t])}
+        src = sum((down[x] << i for i, x in enumerate(frontier)), 0 * rows)
+        energy = sum((j * (down[a] != down[b])
+                      for a, b, j in (edges[e] for e in back[v])), 0.0 * rows)
+        steps.append(_SpinStep(v, src, -2.0 * energy, 1.0 - 2.0 * down[v],
+                               len(inside) - len(stays)))
+        frontier = stays
+    return tuple(steps)
 
 
-def _coupling_classes(js) -> tuple[list[float], list[int]]:
-    """Distinct couplings in order of first appearance, and their counts."""
-    classes: dict[float, int] = {}
-    for j in js:
-        classes[j] = classes.get(j, 0) + 1
-    return list(classes), list(classes.values())
-
-
-def _strides(shape: tuple[int, ...]) -> list[int]:
-    """Flat-index step of each axis of a C-ordered array of ``shape``."""
-    return [math.prod(shape[k + 1:]) for k in range(len(shape))]
+def ising_sums(region: Region, beta: float, h: float,
+               coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z and sum_x coeffs[x, k] sigma_x Z for every column k, split by the
+    base point's spin (s = 0 for +1, 1 for -1): ``z[s]`` and ``acc[s, k]``,
+    weights relative to the all-plus state.  ``CapExceeded`` when the
+    widest layer's rows times the columns pass ``SPIN_FRONTIER_CAP``,
+    before any state is built.  At h = 0, ``z[1] == z[0]`` and ``acc[1] ==
+    -acc[0]`` exactly.
+    """
+    if beta < 0.0:
+        raise ValueError("beta must be non-negative")
+    coeffs = np.asarray(coeffs, dtype=float)
+    steps = _spin_plan(region)
+    need = max(len(step.src) for step in steps) * coeffs.shape[1]
+    if need > SPIN_FRONTIER_CAP:
+        raise CapExceeded("spin frontier", need, SPIN_FRONTIER_CAP)
+    z = np.ones(1)
+    acc = np.zeros((coeffs.shape[1], 1))  # one row per column
+    for step in steps:
+        z = z[step.src]
+        acc = acc.take(step.src, axis=1)
+        acc += (z * step.sign) * coeffs[step.vertex][:, None]
+        weight = np.exp(beta * step.energy + h * (step.sign - 1.0))
+        z *= weight
+        acc *= weight
+        for _ in range(step.n_leave):
+            half = len(z) // 2
+            z = z[:half] + z[half:]
+            acc = acc[:, :half] + acc[:, half:]
+    return z, acc.T
 
 
 @dataclass(frozen=True)
@@ -380,77 +436,23 @@ class ExactIsing:
 def all_plus_energy(region: Region, beta: float, h: float) -> float:
     """H of the all-plus configuration: -beta * sum_int J - h * |S|.
 
-    Guards the single-count pair convention; the tables count weights
-    relative to this ground-state weight.
+    Guards the single-count pair convention; the spin sweep counts
+    weights relative to this ground-state weight.
     """
     j_sum = math.fsum(j for _, _, j in region.internal_edges)
     return -beta * j_sum - h * len(region)
 
 
-class SpinTables:
-    """Integer tables of the Gibbs sums of one region.
-
-    Axis c < C counts the unsatisfied pairs (sigma_a != sigma_b) of
-    coupling class c, the last axis the minus spins.  Over the spin
-    assignments with those counts, ``z`` is their number, ``mags[x]`` the
-    sum of sigma_x and ``corrs[x]`` the sum of sigma_base sigma_x.
-    """
-
-    def __init__(self, region: Region):
-        edges = region.internal_edges
-        n = len(region)
-        self.region = region
-        self.js, self.sizes = _coupling_classes(j for _, _, j in edges)
-        shape = tuple(s + 1 for s in self.sizes) + (n + 1,)
-        strides = _strides(shape)
-        pair_step = [strides[self.js.index(j)] for _, _, j in edges]
-        # row 0: all assignments; row 1 + x: sigma_x = -1;
-        # row 1 + n + x: sigma_x != sigma_base
-        tallies = np.zeros((1 + 2 * n, math.prod(shape)), dtype=np.int64)
-        for down in _bit_chunks(n):
-            flat = down.sum(axis=0, dtype=np.int64)  # the last axis has step 1
-            for (a, b, _), step in zip(edges, pair_step):
-                flat += step * (down[a] != down[b])
-            tallies[0] += np.bincount(flat, minlength=tallies.shape[1])
-            for x in range(n):
-                tallies[1 + x] += np.bincount(flat[down[x]],
-                                              minlength=tallies.shape[1])
-                tallies[1 + n + x] += np.bincount(flat[down[x] != down[0]],
-                                                  minlength=tallies.shape[1])
-        tallies = tallies.reshape((1 + 2 * n,) + shape)
-        self.z = tallies[0]
-        self.mags = self.z - 2 * tallies[1:1 + n]
-        self.corrs = self.z - 2 * tallies[1 + n:]
-
-    def observables(self, beta: float, h: float) -> ExactIsing:
-        factors = [np.exp(-2.0 * beta * j * np.arange(s + 1))
-                   for j, s in zip(self.js, self.sizes)]
-        factors.append(np.exp(-2.0 * h * np.arange(len(self.region) + 1)))
-        z = _table_sum(self.z, factors)
-        vertices = self.region.vertices
-        return ExactIsing(
-            self.region, beta, h,
-            correlations={v: _table_sum(t, factors) / z
-                          for v, t in zip(vertices, self.corrs)},
-            magnetizations={v: _table_sum(t, factors) / z
-                            for v, t in zip(vertices, self.mags)},
-            log_z=math.log(z) - all_plus_energy(self.region, beta, h),
-        )
-
-
-@lru_cache(maxsize=256)
-def _spin_tables(region: Region) -> SpinTables:
-    return SpinTables(region)
-
-
 def ising_observables(region: Region, beta: float, h: float) -> ExactIsing:
-    """Exact expectations from the region's tables over all 2^|S| spin states."""
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
-    n = len(region)
-    if n > SPIN_CAP:
-        raise CapExceeded("spin enumeration", n, SPIN_CAP)
-    return _spin_tables(region).observables(beta, h)
+    """Exact expectations from one spin sweep with a coefficient column per
+    vertex."""
+    z, acc = ising_sums(region, beta, h, np.eye(len(region)))
+    total = z[0] + z[1]
+    corrs, mags = (acc[0] - acc[1]) / total, (acc[0] + acc[1]) / total
+    return ExactIsing(region, beta, h,
+                      dict(zip(region.vertices, corrs.tolist())),
+                      dict(zip(region.vertices, mags.tolist())),
+                      math.log(total) - all_plus_energy(region, beta, h))
 
 
 def naive_ising_observables(region: Region, beta: float, h: float) -> ExactIsing:

@@ -63,6 +63,11 @@ def test_phi_ising_needs_beta_mode():
         phi_ising(P_LAT, ball(P_LAT, 0), 0.3)
 
 
+def test_phi_ising_refuses_negative_beta():
+    with pytest.raises(ValueError, match="beta must be non-negative"):
+        phi_ising(B_LAT, ball(B_LAT, 1), -0.1)
+
+
 # ---------------------------------------------------------------------------
 # critical roots (closed-form oracles for radius 0 and 1)
 # ---------------------------------------------------------------------------
@@ -264,6 +269,16 @@ def test_best_bound_skips_over_cap_radii_without_budget():
     assert len(result.region.vertices) == 41
 
 
+def test_best_bound_ising_is_exact_to_radius_five():
+    # the old 22-spin enumeration stopped at ball(2)
+    result = best_bound("ising", B_LAT, 5)
+    assert [row.method for row in result.rows] == ["exact"] * 6
+    roots = [row.root for row in result.rows]
+    assert roots == sorted(roots)
+    assert result.param_star == pytest.approx(0.369248012, abs=1e-8)
+    assert len(result.region.vertices) == 61
+
+
 def test_best_bound_triangular_percolation_is_exact_to_radius_two():
     tri = LatticeSpec.triangular(mode="p")
     rows = best_bound("perc", tri, 2).rows
@@ -289,11 +304,21 @@ def test_greedy_grow_improves_phi():
 
 
 def test_greedy_grow_skips_candidates_beyond_the_caps(monkeypatch):
-    # every 5-vertex candidate is past a spin cap of 4: the region grown so
-    # far is returned, not lost to CapExceeded
-    monkeypatch.setattr(exact, "SPIN_CAP", 4)
-    region = greedy_grow("ising", B_LAT, 0.2, max_size=8)
-    assert len(region.vertices) == 4
+    # a spin layer of 4 rows admits sweeps two spins wide (the base point
+    # and the vertex swept): wider candidates are skipped, not raised, and
+    # the region grows on through the ones that fit
+    wide = greedy_grow("ising", B_LAT, 0.2, max_size=8)
+    monkeypatch.setattr(exact, "SPIN_FRONTIER_CAP", 4)
+    exact._spin_plan.cache_clear()
+    try:
+        region = greedy_grow("ising", B_LAT, 0.2, max_size=8)
+        assert len(region.vertices) == 8
+        assert region.vertices != wide.vertices
+        phi_ising(B_LAT, region, 0.2)  # within the cap
+        with pytest.raises(CapExceeded):
+            phi_ising(B_LAT, wide, 0.2)
+    finally:
+        exact._spin_plan.cache_clear()
 
 
 def test_greedy_grow_past_the_old_bond_cap():

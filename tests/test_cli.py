@@ -75,6 +75,14 @@ def test_certify_invalid_param_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_certify_negative_ising_beta_exits_one(tmp_path, capsys):
+    code = run_cli("certify", "--model", "ising", "--param", "-0.1",
+                   "--ball", "1", "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: beta must be non-negative"]
+
+
 def test_certify_beyond_exact_cap_exits_one(tmp_path, capsys):
     code = run_cli("certify", "--model", "perc", "--param", "0.28",
                    "--ball", "5", "--out", str(tmp_path))
@@ -208,7 +216,7 @@ def test_simulate_perc_rejects_bad_samples(tmp_path, capsys):
         ("simulate-perc", "--observable", "exit", "--param", "0.3",
          "--n", "1", "--samples", "0"),
         ("phi", "--model", "ising", "--param", "0.3",
-         "--ball", "3", "--sweeps", "0"),
+         "--ball", "8", "--sweeps", "0"),
     )
     for args in cases:
         code = run_cli(*args, "--seed", "1", "--out", str(tmp_path))
@@ -389,6 +397,18 @@ def test_current_lab_rejects_malformed_scenarios(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(
         "config error: scenario.task:"), err
+    # a pair written as the string "01", a pair of three vertices, and a
+    # count that is not an integer: each entry must be [[x, y], count]
+    for entry in (["01", 1], [[0, 1, 2], 1], [[0, 1], "1"]):
+        scenario = triangle_scenario(kind="backbone",
+                                     multiplicities=[entry])
+        bad_pair = tmp_path / "bad_pair.json"
+        bad_pair.write_text(json.dumps(scenario))
+        assert run_cli("current-lab", "--scenario", str(bad_pair),
+                       "--out", str(tmp_path)) == EXIT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "config error: scenario.task:"), (entry, err)
 
 
 def test_current_lab_refuses_negative_field(tmp_path, capsys):

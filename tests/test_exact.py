@@ -1,13 +1,14 @@
 """Exact engine versus naive reference enumerations."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from subcrit import exact
-from subcrit.certificates import critical_root, phi_percolation
+from subcrit.certificates import critical_root, phi_ising, phi_percolation
 from subcrit.errors import CapExceeded
 from subcrit.exact import (all_plus_energy, ising_observables,
                            naive_connect_probs, naive_event_prob,
@@ -205,6 +206,23 @@ def test_branch_cap_bounds_plan_memory_off_the_plane():
     assert peak < 100 * 2 ** 20
 
 
+def test_spin_cap_bounds_plan_memory():
+    # phi on square ball(10) sweeps 21 spins at once; its plan, 57.7
+    # million rows of 24 bytes (about 1.4 GB), is refused before any row
+    # is built
+    lattice = LatticeSpec.square(mode="beta")
+    region = ball(lattice, 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="spin frontier: need 2097152"
+                           f", cap is {exact.SPIN_FRONTIER_CAP}"):
+            phi_ising(lattice, region, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
 def test_ising_matches_naive_on_random_instances():
     for trial in range(60):
         rng = sample_stream(633791, STREAM_TEST, trial)
@@ -220,6 +238,96 @@ def test_ising_matches_naive_on_random_instances():
                 slow.correlations[v], abs=1e-12)
             assert fast.magnetizations[v] == pytest.approx(
                 slow.magnetizations[v], abs=1e-12)
+
+
+def disconnected_instance(lattice, rng):
+    """A random region of up to 9 vertices, sometimes with up to two far
+    vertices that no bond reaches."""
+    region = random_region(lattice, rng, int(rng.integers(1, 10)))
+    if rng.random() < 0.4:
+        far = [(9, 9), (-9, 7), (11, -8)][:int(rng.integers(1, 3))]
+        region = Region(lattice, list(region.vertices) + far)
+    return region
+
+
+def test_ising_sums_match_naive_on_random_instances():
+    # the range-2 lattice is not planar; the far vertices of a disconnected
+    # region stay on the frontier for one step only
+    lattices = [LatticeSpec.square(mode="beta"),
+                LatticeSpec.triangular(mode="beta"), THREE_J, RANGE_TWO]
+    for trial in range(80):
+        rng = sample_stream(20261019, STREAM_TEST, trial)
+        lattice = lattices[trial % 4]
+        region = disconnected_instance(lattice, rng)
+        beta = float(rng.uniform(0.0, 1.2))
+        h = 0.0 if trial % 3 == 0 else float(rng.uniform(0.0, 0.8))
+        coeffs = rng.uniform(0.0, 2.0, size=(len(region), 2))
+        z, acc = exact.ising_sums(region, beta, h, coeffs)
+        slow = naive_ising_observables(region, beta, h)
+        total = z[0] + z[1]
+        mags = np.array([slow.magnetizations[v] for v in region.vertices])
+        corrs = np.array([slow.correlations[v] for v in region.vertices])
+        assert math.log(total) - all_plus_energy(region, beta, h) == (
+            pytest.approx(slow.log_z, abs=1e-12))
+        assert (z[0] - z[1]) / total == pytest.approx(mags[0], abs=1e-12)
+        assert (acc[0] + acc[1]) / total == pytest.approx(mags @ coeffs,
+                                                          abs=1e-12)
+        assert (acc[0] - acc[1]) / total == pytest.approx(corrs @ coeffs,
+                                                          abs=1e-12)
+        fast = ising_observables(region, beta, h)
+        for v in region.vertices:
+            assert fast.correlations[v] == pytest.approx(
+                slow.correlations[v], abs=1e-12)
+            assert fast.magnetizations[v] == pytest.approx(
+                slow.magnetizations[v], abs=1e-12)
+            if h == 0.0:
+                assert fast.magnetizations[v] == 0.0
+
+
+def test_ising_does_not_depend_on_the_sweep_order(monkeypatch):
+    lattice = LatticeSpec.square(mode="beta")
+    regions = [ball(lattice, 2), ball(lattice, 4),
+               Region(lattice, [(x, y) for x in range(3) for y in range(4)],
+                      (1, 1)),
+               Region(THREE_J, [(x, y) for x in range(3) for y in range(3)])]
+
+    def values():
+        out = [phi_ising(r.lattice, r, 0.41).value for r in regions]
+        for r in regions[2:]:
+            obs = ising_observables(r, 0.35, 0.2)
+            out += list(obs.correlations.values())
+            out += list(obs.magnetizations.values()) + [obs.log_z]
+        return out
+
+    forward = values()
+    reverse_order = exact._vertex_order
+    monkeypatch.setattr(exact, "_vertex_order",
+                        lambda region: reverse_order(region)[::-1])
+    exact._spin_plan.cache_clear()
+    try:
+        backward = values()
+    finally:
+        exact._spin_plan.cache_clear()
+    for a, b in zip(forward, backward):
+        assert abs(a - b) <= 1e-14
+
+
+def test_square_ising_roots_past_radius_two():
+    # each root was confirmed under the reversed sweep order as well
+    lattice = LatticeSpec.square(mode="beta")
+    pinned = [0.346447087, 0.359606496, 0.369248012, 0.376647553]
+    for r, root in enumerate(pinned, start=3):
+        assert critical_root("ising", lattice, ball(lattice, r)) == (
+            pytest.approx(root, abs=1e-8))
+    # ROADMAP item 1's timing gate, not a correctness check: CPU time of
+    # this process, plan build included, so load from other processes on
+    # the host does not count against it
+    exact._spin_plan.cache_clear()
+    start = time.process_time()
+    root = critical_root("ising", lattice, ball(lattice, 7), tol=1e-9)
+    elapsed = time.process_time() - start
+    assert root == pytest.approx(0.382525280, abs=1e-8)
+    assert elapsed < 2.0
 
 
 def test_single_edge_two_point_is_tanh():
@@ -270,8 +378,9 @@ def test_ising_correlations_monotone_in_beta_and_volume():
 
 def test_ising_caps_and_validation():
     lattice = LatticeSpec.square(mode="beta")
-    with pytest.raises(CapExceeded):
-        ising_observables(ball(lattice, 3), 0.3, 0.0)
+    # every vertex's observables on ball(5): 2^11 rows times 61 columns
+    with pytest.raises(CapExceeded, match="spin frontier: need 124928"):
+        ising_observables(ball(lattice, 5), 0.3, 0.0)
     with pytest.raises(CapExceeded):
         naive_ising_observables(ball(lattice, 3), 0.3, 0.0)  # 25 > naive cap 14
     with pytest.raises(ValueError):
