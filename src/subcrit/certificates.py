@@ -15,11 +15,11 @@ Certificates, roots and best-bound tables evaluate phi exactly and raise
 ``CapExceeded`` beyond the fixed caps of the exact engines (a percolation
 frontier of ``exact.FRONTIER_CAP`` vertices or ``exact.BRANCH_CAP``
 branch rows, an Ising spin layer of ``exact.SPIN_FRONTIER_CAP`` rows);
-only :func:`compute_phi` falls back to a Monte Carlo estimate, labelled
-``method="monte_carlo"``, which proves nothing.  Certificates are
-floating-point honest rather than interval arithmetic: EPSILON_CERT absorbs
-the rounding budget of the exact engine in the one decision rule,
-:func:`_certifies`.
+only :func:`compute_phi` falls back, and for percolation only, to a Monte
+Carlo estimate labelled ``method="monte_carlo"``, which proves nothing.
+Certificates are floating-point honest rather than interval arithmetic:
+EPSILON_CERT absorbs the rounding budget of the exact engine in the one
+decision rule, :func:`_certifies`.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ import numpy as np
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
 from .exact import ising_sums, perc_reach
-from .ising_mc import SpinSystem, WolffChain, equilibrate
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .perc_mc import ClusterWalker
-from .stats import Z_999, batch_means_stderr
 
 EPSILON_CERT = 1e-9
 MODELS = ("percolation", "ising")
@@ -46,7 +44,6 @@ MODELS = ("percolation", "ising")
 # phi at the bracket top is indistinguishable from its monotone limit
 _BETA_MAX = 64.0
 _DEFAULT_MC_SAMPLES = 100_000
-_DEFAULT_MC_SWEEPS = 20_000
 _MAX_BISECTIONS = 200
 
 
@@ -226,30 +223,6 @@ def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
                                              / (z[0] + z[1])))
 
 
-def _phi_ising_mc(region: Region, beta: float, sweeps: int,
-                  seed: int) -> PhiResult:
-    """Wolff chain on the region itself; per sweep the origin's
-    Edwards-Sokal cluster gives every 1[0 <-> v_i] at once.
-
-    Sweeps are correlated, so the upper bound is mean + Z_999 * batch
-    stderr rather than a bound for independent samples.
-    """
-    coeff = _boundary_coefficients(region, beta, "ising")
-    system = SpinSystem.from_region(region)
-    chain = WolffChain(system, beta, 0.0, seed)
-    equilibrate(chain)
-    values = []
-    for _ in range(sweeps):
-        chain.step()
-        mask = chain.measure()
-        values.append(math.fsum(coeff[mask[:len(coeff)]]))
-    mean = math.fsum(values) / sweeps
-    upper = mean + Z_999 * batch_means_stderr(values)
-    return PhiResult(value=mean, method="monte_carlo", upper_confidence=upper,
-                     param=beta, region_id=region_id(region),
-                     samples=sweeps, seed=seed)
-
-
 def _exact_phi(model: str, lattice: LatticeSpec, region: Region,
                param: float) -> PhiResult:
     if model == "percolation":
@@ -259,23 +232,22 @@ def _exact_phi(model: str, lattice: LatticeSpec, region: Region,
 
 def compute_phi(model: str, lattice: LatticeSpec, region: Region,
                 param: float, *, samples: int = _DEFAULT_MC_SAMPLES,
-                sweeps: int = _DEFAULT_MC_SWEEPS, seed: int = 0) -> PhiResult:
-    """phi, exact within the fixed caps of ``exact``, otherwise a Monte
-    Carlo estimate.
+                seed: int = 0) -> PhiResult:
+    """phi, exact within the fixed caps of ``exact``.
 
-    The estimate (``method="monte_carlo"``) draws ``samples`` cluster walks
-    for percolation, with a Hoeffding upper bound, or runs ``sweeps`` Wolff
-    updates for Ising, with a batch-means upper bound, from ``seed``.  It
-    is an estimate only: certificates never call this.
+    Past the caps, percolation falls back to a Monte Carlo estimate
+    (``method="monte_carlo"``): ``samples`` cluster walks from ``seed``,
+    with a Hoeffding upper bound.  It is an estimate only: certificates
+    never call this.  Ising phi is exact only and raises ``CapExceeded``
+    past the spin cap, as :func:`certify_subcritical` does.
     """
     model = _normalize_model(model)
+    if model == "ising":
+        return phi_ising(lattice, region, param)
     try:
-        return _exact_phi(model, lattice, region, param)
+        return phi_percolation(lattice, region, param)
     except CapExceeded:
-        pass
-    if model == "percolation":
         return _phi_percolation_mc(region, param, samples, seed)
-    return _phi_ising_mc(region, param, sweeps, seed)
 
 
 def _certifies(phi: PhiResult) -> bool:
@@ -317,10 +289,13 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
     correlations for Ising), so bisection applies.  Every step evaluates
     phi exactly and decides with the rule of :func:`certify_subcritical`,
     so the returned (lower) end of the final bracket is certified.  The
-    bisection stops at width ``tol`` or after 200 steps.  A region beyond
+    bisection stops at width ``tol`` (which must be positive) or after 200
+    steps.  A region beyond
     the exact caps raises ``CapExceeded``.
     """
     model = _normalize_model(model)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
 
     def certified(t: float) -> bool:
         return _certifies(_exact_phi(model, lattice, region, t))
@@ -429,7 +404,11 @@ def greedy_grow(model: str, lattice: LatticeSpec, param: float,
 
 def chi_upper_bound(region: Region, param: float, phi: PhiResult) -> float:
     """|S| / (1 - phi), an upper bound on the expected origin cluster size
-    (summed two-point function for Ising) at any volume."""
+    (summed two-point function for Ising) at any volume.
+
+    The bound is certified for an exact phi; for a ``monte_carlo`` phi it
+    holds only at the 99.9% confidence of that phi's upper bound.
+    """
     if phi.param != param:
         raise ValueError("phi was evaluated at a different parameter")
     if not _certifies(phi):
@@ -438,7 +417,8 @@ def chi_upper_bound(region: Region, param: float, phi: PhiResult) -> float:
 
 
 def decay_upper_bound(region: Region, phi: PhiResult, n: int) -> float:
-    """phi^floor(n / L): certified bound on P[0 reaches distance n].
+    """phi^floor(n / L): bound on P[0 reaches distance n], certified for
+    an exact phi and a 99.9% confidence bound for a ``monte_carlo`` one.
 
     L is the region's reach (max vertex distance plus the coupling range);
     for n < L the floor is zero and the bound is the trivial 1.

@@ -91,9 +91,7 @@ _CERTIFY_FIELDS = (
 )
 _PHI_FIELDS = _CERTIFY_FIELDS + [
     _Field("samples", "int", default=100_000,
-           help="MC samples if the region exceeds the exact cap"),
-    _Field("sweeps", "int", default=20_000,
-           help="MC sweeps if the region exceeds the exact cap"),
+           help="MC samples if a percolation region exceeds the exact cap"),
     _Field("seed", "int", help="RNG seed (generated and recorded if absent)"),
 ]
 
@@ -400,8 +398,7 @@ def _cmd_phi(cfg: RunConfig) -> tuple[int, list[str]]:
     lattice = _build_lattice(opts, _default_mode(opts))
     region = _load_region(opts, lattice)
     result = compute_phi(opts["model"], lattice, region, opts["param"],
-                         samples=opts["samples"], sweeps=opts["sweeps"],
-                         seed=opts["seed"])
+                         samples=opts["samples"], seed=opts["seed"])
     path = _artifact(opts, ".json")
     _write_json(path, result.to_json())
     print(f"phi = {result.value:.12g} (ucb {result.upper_confidence:.12g}, "
@@ -440,6 +437,8 @@ def _cmd_simulate_perc(cfg: RunConfig) -> tuple[int, list[str]]:
     lattice = _build_lattice(opts, "p")
     observable, param, h = opts["observable"], opts["param"], opts["h"]
     samples, seed = opts["samples"], opts["seed"]
+    if observable != "ghost" and h != 0.0:
+        raise ConfigError("options.h", f"{observable} is measured at zero field")
     sizes = _resolve_sizes(opts)
     rows = []
     if observable in ("exit", "susceptibility"):
@@ -464,10 +463,13 @@ def _cmd_simulate_perc(cfg: RunConfig) -> tuple[int, list[str]]:
 def _cmd_simulate_ising(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     lattice = _build_lattice(opts, "beta")
-    if opts["mode"] != "beta":
-        raise ConfigError("options.mode", "ising simulation needs beta mode")
     observable, beta, h = opts["observable"], opts["param"], opts["h"]
     sweeps, boundary, seed = opts["sweeps"], opts["boundary"], opts["seed"]
+    if observable != "magnetization" and h != 0.0:
+        raise ConfigError("options.h", f"{observable} is measured at zero field")
+    if observable == "divergence" and boundary != "free":
+        raise ConfigError("options.boundary",
+                          "divergence is measured with free boundary")
     rows = []
     extra_paths: list[str] = []
     if observable == "magnetization":

@@ -10,8 +10,9 @@ class CapExceeded(SubcritError):
 
     Carries ``needed`` (the size the request implies) and ``cap`` (the
     limit).  Certificates, roots and exact checks let it propagate;
-    ``compute_phi`` catches it and returns a Monte Carlo estimate instead,
-    and ``best_bound`` and ``greedy_grow`` skip the region.
+    ``compute_phi`` catches it for percolation only and returns a Monte
+    Carlo estimate instead, and ``best_bound`` and ``greedy_grow`` skip the
+    region.
     """
 
     def __init__(self, what: str, needed: int, cap: int):

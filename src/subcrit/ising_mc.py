@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .lattice import LatticeSpec, Region, Vertex, ball_layout
+from .lattice import LatticeSpec, Vertex, ball_layout
 from .perc_mc import ClusterWalker
 from .stats import MCEstimate, batch_means_stderr, integrated_autocorr_time
 
@@ -70,8 +70,7 @@ class SpinSystem:
     """Bond structure for one finite Ising system (sites + ghost)."""
 
     def __init__(self, n_sites: int, bonds: list[tuple[int, int, int, float]],
-                 layers: np.ndarray | None = None,
-                 vertex_index: dict[Vertex, int] | None = None):
+                 layers: np.ndarray, vertex_index: dict[Vertex, int]):
         # bonds: (site_a, site_b_or_ghost, kind, J); ghost id == n_sites
         self.n_sites = n_sites
         self.ghost = n_sites
@@ -80,21 +79,14 @@ class SpinSystem:
         self.bond_kind = np.array([b[2] for b in bonds], dtype=np.int8)
         self.bond_j = np.array([b[3] for b in bonds], dtype=float)
         self.n_bonds = len(bonds)
-        self.layers = np.zeros(n_sites, np.int32) if layers is None else layers
-        self.vertex_index = vertex_index or {}
+        self.layers = layers
+        self.vertex_index = vertex_index
         # one walker over sites plus the ghost node: measurement clusters
         # must be able to expand through the ghost (correlations count ghost
         # paths), and a walk stopped at the ghost layer decides <sigma_0>
         self.ghost_layer = int(self.layers.max(initial=0)) + 1
         self.walker = ClusterWalker(n_sites + 1, self.bond_a, self.bond_b,
                                     np.append(self.layers, self.ghost_layer))
-
-    @classmethod
-    def from_region(cls, region: Region) -> "SpinSystem":
-        """The region's internal bonds at zero field, with free boundary."""
-        bonds = [(a, b, _KIND_SPIN, j) for a, b, j in region.internal_edges]
-        index = {v: i for i, v in enumerate(region.vertices)}
-        return cls(len(region), bonds, vertex_index=index)
 
     @classmethod
     def box(cls, lattice: LatticeSpec, n: int, boundary: str = "free",
@@ -114,7 +106,7 @@ class SpinSystem:
         layers = layout.layer[:sites]
         coords = layout.coords[:sites].tolist()
         index = {tuple(v): i for i, v in enumerate(coords)}
-        return cls(sites, bonds, layers=layers, vertex_index=index)
+        return cls(sites, bonds, layers, index)
 
 
 class WolffChain:

@@ -109,7 +109,7 @@ class LatticeSpec:
     def from_json(cls, text_or_obj) -> "LatticeSpec":
         """Load a lattice from a JSON object (or its serialized text).
 
-        Either ``{"family": ..., "mode": ..., ["d": ...]}`` for a named
+        Either ``{"family": ..., "mode": ..., ["dim": ...]}`` for a named
         family, or ``{"couplings": [[offset, J], ...], "mode": ...}`` for an
         explicit table.
         """
@@ -124,7 +124,7 @@ class LatticeSpec:
             if family == "triangular":
                 return cls.triangular(mode)
             if family == "hypercubic":
-                return cls.hypercubic(int(obj.get("d", 3)), mode)
+                return cls.hypercubic(int(obj.get("dim", 3)), mode)
             raise ValueError(f"unknown lattice family {family!r}; "
                              f"expected one of {_FAMILIES}")
         if "couplings" in obj:

@@ -7,10 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# One-sided 99.9% normal quantile, used for the batch-means upper bound of
-# the Ising Monte Carlo phi estimate (which never feeds a certificate).
-Z_999 = 3.090232306167813
-
 _N_BATCHES = 32
 _WINDOW_FACTOR = 5.0  # Sokal's self-consistent window, in units of tau_int
 

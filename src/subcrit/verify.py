@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .certificates import phi_ising, phi_percolation
+from .certificates import _normalize_model, phi_ising, phi_percolation
 from .exact import (ising_observables, perc_connect_probs, perc_exit_prob,
                     perc_reach)
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
@@ -126,12 +126,10 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region,
     others = [v for v in region.vertices if v != origin]
     if len(others) > _SUBSET_ENUM_CAP:
         raise ValueError(f"subset infimum over 2^{len(others)} sets is too large")
-    if model == "percolation":
+    if _normalize_model(model) == "percolation":
         phi = phi_percolation
-    elif model == "ising":
-        phi = phi_ising
     else:
-        raise ValueError(f"unknown model {model!r}")
+        phi = phi_ising
     best = math.inf
     best_subset: tuple[Vertex, ...] = (origin,)
     for mask in range(1 << len(others)):

@@ -2,12 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
 from subcrit import exact
 from subcrit.certificates import (Certificate, PhiResult, Refusal,
-                                  _phi_ising_mc, _phi_percolation_mc,
+                                  _phi_percolation_mc,
                                   best_bound, certify_subcritical,
                                   chi_upper_bound, compute_phi, critical_root,
                                   decay_upper_bound, greedy_grow,
@@ -138,6 +140,15 @@ def test_region_id_format():
     assert size == "v5" and reach == "L2" and len(digest) == 8
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_roots_refuse_a_non_positive_tolerance(tol):
+    # a tolerance no bracket can reach would run all 200 bisection steps
+    with pytest.raises(ValueError, match="tol must be positive"):
+        critical_root("ising", B_LAT, ball(B_LAT, 1), tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        best_bound("perc", P_LAT, 1, tol=tol)
+
+
 def test_certificates_need_exact_regions():
     # square ball(5) sweeps a frontier of 11 vertices, past the cap of 9
     with pytest.raises(CapExceeded,
@@ -209,13 +220,15 @@ def test_phi_percolation_mc_disabled_raises():
         phi_percolation(P_LAT, ball(P_LAT, 5), 0.3)  # frontier 11 > cap 9
 
 
-def test_phi_ising_mc_matches_exact():
-    region = ball(B_LAT, 1)
-    exact = phi_ising(B_LAT, region, 0.25).value
-    mc = _phi_ising_mc(region, 0.25, 4000, 5)
-    assert mc.method == "monte_carlo"
-    assert abs(mc.value - exact) < 0.08
-    assert mc.upper_confidence > mc.value
+def test_certificates_do_not_load_the_wolff_layer():
+    # phi and certificates are exact, or sampled for percolation only
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, subcrit.certificates; "
+         "print(sorted(m for m in sys.modules if m.startswith('subcrit.')))"],
+        capture_output=True, text=True, check=True)
+    assert "subcrit.certificates" in proc.stdout
+    assert "subcrit.ising_mc" not in proc.stdout
 
 
 # ---------------------------------------------------------------------------

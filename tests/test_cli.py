@@ -111,6 +111,18 @@ def test_phi_reports_value(tmp_path):
     assert payload["value"] > 0.0
 
 
+def test_phi_ising_is_exact_only(tmp_path, capsys):
+    code = run_cli("phi", "--model", "ising", "--param", "0.3",
+                   "--ball", "8", "--seed", "1", "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: spin frontier:"), err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("phi", "--model", "ising", "--param", "0.3", "--ball", "1",
+                "--sweeps", "10", "--out", str(tmp_path))
+    assert exc.value.code == EXIT_ERROR
+
+
 def test_phi_region_from_json_file(tmp_path):
     region_file = tmp_path / "region.json"
     region_file.write_text(json.dumps(
@@ -170,6 +182,14 @@ def test_best_bound_table(tmp_path):
     assert payload["param_star"] == pytest.approx(12.0 ** -0.5, abs=1e-7)
 
 
+def test_best_bound_refuses_a_zero_tolerance(tmp_path, capsys):
+    code = run_cli("best-bound", "--model", "ising", "--max-radius", "1",
+                   "--tol", "0", "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: tol must be positive"]
+
+
 # --- simulate-perc ----------------------------------------------------------------
 
 def test_simulate_perc_rerun_is_byte_identical(tmp_path):
@@ -210,13 +230,13 @@ def test_simulate_perc_ghost_requires_field(tmp_path, capsys):
 
 
 def test_simulate_perc_rejects_bad_samples(tmp_path, capsys):
-    # phi regions above the exact cap would otherwise reach the Monte Carlo
-    # estimate with zero samples or sweeps
+    # a percolation phi region above the exact cap would otherwise reach
+    # the Monte Carlo estimate with zero samples
     cases = (
         ("simulate-perc", "--observable", "exit", "--param", "0.3",
          "--n", "1", "--samples", "0"),
-        ("phi", "--model", "ising", "--param", "0.3",
-         "--ball", "8", "--sweeps", "0"),
+        ("phi", "--model", "perc", "--param", "0.3",
+         "--ball", "8", "--samples", "0"),
     )
     for args in cases:
         code = run_cli(*args, "--seed", "1", "--out", str(tmp_path))
@@ -287,6 +307,29 @@ def test_simulate_ising_divergence_needs_two_sizes(tmp_path):
                    "--param", "0.44", "--n", "2", "--sweeps", "300",
                    "--seed", "3", "--out", str(tmp_path))
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("args, field", [
+    (("simulate-ising", "--observable", "two-point", "--n", "2",
+      "--distances", "1", "--h", "0.5", "--sweeps", "100"), "options.h"),
+    (("simulate-ising", "--observable", "divergence", "--n-list", "2,4",
+      "--h", "0.5", "--sweeps", "100"), "options.h"),
+    (("simulate-ising", "--observable", "divergence", "--n-list", "2,4",
+      "--boundary", "plus", "--sweeps", "100"), "options.boundary"),
+    (("simulate-perc", "--observable", "exit", "--n", "2", "--h", "0.5",
+      "--samples", "100"), "options.h"),
+    (("simulate-perc", "--observable", "susceptibility", "--n", "2",
+      "--h", "0.5", "--samples", "100"), "options.h"),
+], ids=["two-point-h", "divergence-h", "divergence-plus", "exit-h",
+        "susceptibility-h"])
+def test_simulate_rejects_options_the_observable_ignores(tmp_path, capsys,
+                                                         args, field):
+    code = run_cli(*args, "--param", "0.3", "--seed", "1",
+                   "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field}"), err
+    assert not (tmp_path / f"{args[0]}.csv").exists()
 
 
 # --- verify --------------------------------------------------------------------------

@@ -145,6 +145,9 @@ def test_json_round_trips():
     assert LatticeSpec.from_json(json.dumps(lattice.to_json())) == lattice
     custom = LatticeSpec.custom([((1, 0), 2.0), ((-1, 0), 2.0)])
     assert LatticeSpec.from_json(custom.to_json()) == custom
+    for cube in (LatticeSpec.hypercubic(4, "p"),
+                 LatticeSpec.hypercubic(2, "beta")):
+        assert LatticeSpec.from_json(cube.to_json()) == cube
 
 
 def test_distances_from_origin():

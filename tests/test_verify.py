@@ -113,6 +113,7 @@ def test_phi_infimum_ising_needs_beta_mode():
 def test_phi_infimum_consistency():
     region = ball(P_LAT, 1)
     value, subset = phi_infimum("percolation", P_LAT, region, 0.4)
+    assert phi_infimum("perc", P_LAT, region, 0.4) == (value, subset)
     assert (0, 0) in subset
     assert phi_p(subset, 0.4) == pytest.approx(value)
     rng = np.random.default_rng(4103)
