@@ -44,7 +44,7 @@ MODELS = ("percolation", "ising")
 # phi at the bracket top is indistinguishable from its monotone limit
 _BETA_MAX = 64.0
 _DEFAULT_MC_SAMPLES = 100_000
-_MAX_BISECTIONS = 200
+_MAX_STEPS = 200
 
 
 def _normalize_model(model: str) -> str:
@@ -282,37 +282,52 @@ def _param_max(model: str, lattice: LatticeSpec) -> float:
 
 def critical_root(model: str, lattice: LatticeSpec, region: Region,
                   tol: float = 1e-9) -> float:
-    """Bisection root of phi = 1; a certified lower bound on criticality.
+    """Illinois root of phi = 1; a certified lower bound on criticality.
 
     phi is non-decreasing in the parameter (monotone coupling of bond
     configurations for percolation, coupling monotonicity of ferromagnetic
-    correlations for Ising), so bisection applies.  Every step evaluates
-    phi exactly and decides with the rule of :func:`certify_subcritical`,
-    so the returned (lower) end of the final bracket is certified.  The
-    bisection stops at width ``tol`` (which must be positive) or after 200
-    steps.  A region beyond
-    the exact caps raises ``CapExceeded``.
+    correlations for Ising).  The search keeps a bracket whose lower end
+    certifies under the rule of :func:`certify_subcritical` and whose upper
+    end does not, and returns the lower end.  Each step evaluates phi
+    exactly at the Illinois point of phi - (1 - epsilon), at least tol/2
+    inside the bracket, or at the midpoint once three steps have not
+    halved it, so it takes at most about four times the steps of bisection.
+    It stops at width ``tol`` (which must be positive), when no float lies
+    inside the bracket, or after 200 steps.  A region beyond the exact caps
+    raises ``CapExceeded``.
     """
     model = _normalize_model(model)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-
-    def certified(t: float) -> bool:
-        return _certifies(_exact_phi(model, lattice, region, t))
-
-    lo = 0.0
+    target = 1.0 - EPSILON_CERT
+    lo, g_lo = 0.0, -target  # phi = 0 at parameter 0 for both models
     hi = _param_max(model, lattice)
-    if certified(hi):
+    phi = _exact_phi(model, lattice, region, hi)
+    if _certifies(phi):
         raise NoRoot(f"phi stays below 1 - {EPSILON_CERT:g} up to "
                      f"param={hi:g}")
-    for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= tol:
+    g_hi = phi.upper_confidence - target
+    kept, slow, width = None, 0, hi - lo
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= tol or math.nextafter(lo, hi) == hi:
             break
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            lo = mid
+        t = (lo - g_lo * (hi - lo) / (g_hi - g_lo) if slow < 3
+             else 0.5 * (lo + hi))
+        t = min(max(t, lo + 0.5 * tol, math.nextafter(lo, hi)),
+                hi - 0.5 * tol, math.nextafter(hi, lo))
+        phi = _exact_phi(model, lattice, region, t)
+        g_t = phi.upper_confidence - target
+        # Illinois: halve g at an end that stays for a second step running
+        if _certifies(phi):
+            if kept == "hi":
+                g_hi *= 0.5
+            lo, g_lo, kept = t, g_t, "hi"
         else:
-            hi = mid
+            if kept == "lo":
+                g_lo *= 0.5
+            hi, g_hi, kept = t, g_t, "lo"
+        slow = 0 if hi - lo <= 0.5 * width else slow + 1
+        width = width if slow else hi - lo  # width when last halved
     return lo
 
 

@@ -423,7 +423,8 @@ def _cmd_best_bound(cfg: RunConfig) -> tuple[int, list[str]]:
         "model": result.model,
         "param_star": result.param_star,
         "region_id": region_id(result.region),
-        "rows": [{"radius": r.radius, "root": r.root, "method": r.method,
+        "rows": [{"radius": r.radius, "method": r.method,
+                  "root": None if r.method == "skipped" else r.root,  # no NaN
                   "region_size": r.region_size} for r in result.rows],
     })
     print(f"best bound for {result.model}: param <= critical point for "

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from subcrit import exact
+from subcrit import certificates, exact
 from subcrit.certificates import (Certificate, PhiResult, Refusal,
                                   _phi_percolation_mc,
                                   best_bound, certify_subcritical,
@@ -142,7 +142,7 @@ def test_region_id_format():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
 def test_roots_refuse_a_non_positive_tolerance(tol):
-    # a tolerance no bracket can reach would run all 200 bisection steps
+    # a tolerance no bracket can reach would run all 200 search steps
     with pytest.raises(ValueError, match="tol must be positive"):
         critical_root("ising", B_LAT, ball(B_LAT, 1), tol)
     with pytest.raises(ValueError, match="tol must be positive"):
@@ -172,6 +172,85 @@ def test_best_bound_roots_certify_at_fine_tolerance():
                 result = certify_subcritical(model, lat, ball(lat, row.radius),
                                              row.root)
                 assert isinstance(result, Certificate), (model, row)
+
+
+# ---------------------------------------------------------------------------
+# the root search: phi evaluations and the certified bracket
+# ---------------------------------------------------------------------------
+
+def _certifies_at(model, lattice, region, param):
+    return isinstance(certify_subcritical(model, lattice, region, param),
+                      Certificate)
+
+
+def _bisection_root(model, lattice, region, tol):
+    # reference: plain bisection on the certify rule, lo certified
+    lo, hi = 0.0, 1.0 if model == "perc" and lattice.mode == "p" else 64.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _certifies_at(model, lattice, region, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _rectangle(lattice, width, height, origin):
+    return Region(lattice, [(x, y) for x in range(width)
+                            for y in range(height)], origin)
+
+
+def _root_cases():
+    tri = LatticeSpec.triangular(mode="p")
+    cases = [pytest.param("perc", tri, ball(tri, 2), id="perc-tri-ball2")]
+    for model, lat in (("perc", P_LAT), ("ising", B_LAT)):
+        cases += [pytest.param(model, lat, ball(lat, r), id=f"{model}-ball{r}")
+                  for r in range(4)]
+        cases += [pytest.param(model, lat, _rectangle(lat, w, h, origin),
+                               id=f"{model}-{w}x{h}")
+                  for w, h, origin in ((2, 7, (0, 3)), (3, 4, (1, 1)),
+                                       (3, 5, (1, 2)), (4, 4, (1, 1)))]
+    return cases
+
+
+def _counted_phi(monkeypatch):
+    params = []
+    exact_phi = certificates._exact_phi
+
+    def counted(model, lattice, region, param):
+        params.append(param)
+        return exact_phi(model, lattice, region, param)
+
+    monkeypatch.setattr(certificates, "_exact_phi", counted)
+    return params
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+@pytest.mark.parametrize("model, lattice, region", _root_cases())
+def test_root_search_keeps_a_certified_bracket(model, lattice, region, tol):
+    root = critical_root(model, lattice, region, tol)
+    assert _certifies_at(model, lattice, region, root)
+    assert not _certifies_at(model, lattice, region, root + 2 * tol)
+    assert abs(root - _bisection_root(model, lattice, region, tol)) <= tol
+
+
+def test_root_search_takes_few_phi_evaluations(monkeypatch):
+    params = _counted_phi(monkeypatch)
+    for model, lat in (("perc", P_LAT), ("ising", B_LAT)):
+        params.clear()
+        critical_root(model, lat, ball(lat, 2), 1e-9)
+        # bisection took 31 (percolation) and 37 (Ising) evaluations
+        assert len(params) <= 20, (model, len(params))
+        assert 0.0 not in params  # phi(0) = 0 is known, not evaluated
+
+
+def test_root_search_stops_when_no_float_is_left_inside(monkeypatch):
+    params = _counted_phi(monkeypatch)
+    region = ball(P_LAT, 2)
+    root = critical_root("perc", P_LAT, region, 1e-300)
+    assert len(params) <= 60
+    assert _certifies_at("perc", P_LAT, region, root)
+    assert not _certifies_at("perc", P_LAT, region, math.nextafter(root, 1.0))
 
 
 # ---------------------------------------------------------------------------

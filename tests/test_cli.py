@@ -182,6 +182,25 @@ def test_best_bound_table(tmp_path):
     assert payload["param_star"] == pytest.approx(12.0 ** -0.5, abs=1e-7)
 
 
+def test_best_bound_json_stays_valid_with_a_skipped_row(tmp_path):
+    # square ball(5) is past the percolation frontier cap, so its row is
+    # skipped; its NaN root is null in the JSON and nan in the CSV
+    code = run_cli("best-bound", "--model", "perc", "--max-radius", "5",
+                   "--out", str(tmp_path), "--label", "bb")
+    assert code == EXIT_OK
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with open(tmp_path / "bb.json") as fh:
+        payload = json.load(fh, parse_constant=refuse)
+    assert payload["rows"][5] == {"radius": 5, "root": None,
+                                  "method": "skipped", "region_size": 61}
+    assert all(row["method"] == "exact" for row in payload["rows"][:5])
+    _, rows = read_csv(tmp_path / "bb.csv")
+    assert rows[5][3:] == ["skipped", "nan"]
+
+
 def test_best_bound_refuses_a_zero_tolerance(tmp_path, capsys):
     code = run_cli("best-bound", "--model", "ising", "--max-radius", "1",
                    "--tol", "0", "--out", str(tmp_path))
