@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -170,9 +171,25 @@ def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
     outside endpoint of each boundary pair to a given vertex set.
     """
     _check_region(lattice, region)
-    coeff = _boundary_coefficients(region, param, "percolation", within)
-    value = perc_reach(region, ((0, math.inf),), param, coeff[:, None])[0]
+    value = phi_sweep("percolation", region, param, within=within)
     return _exact_result(region, param, float(value))
+
+
+def phi_sweep(model: str, region: Region, param, *,
+              within: Iterable[Vertex] | None = None):
+    """Exact phi of ``region`` at ``param``, or an array of it at every
+    parameter of a sequence, from one sweep with the boundary coefficients
+    as the column; ``model`` is "percolation" or "ising" (at zero field).
+    """
+    if isinstance(param, numbers.Real):
+        coeffs = _boundary_coefficients(region, param, model, within)[:, None]
+    else:
+        coeffs = np.array([_boundary_coefficients(region, t, model, within)
+                           for t in param])[..., None]
+    if model == "percolation":
+        return perc_reach(region, ((0, math.inf),), param, coeffs)[..., 0]
+    z, acc = ising_sums(region, param, 0.0, coeffs)
+    return (acc[..., 0, 0] - acc[..., 1, 0]) / (z[..., 0] + z[..., 1])
 
 
 def _phi_percolation_mc(region: Region, param: float, samples: int,
@@ -215,12 +232,14 @@ def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
     :func:`phi_percolation`.
     """
     _check_region(lattice, region)
+    _check_ising_mode(lattice)
+    return _exact_result(region, beta,
+                         float(phi_sweep("ising", region, beta, within=within)))
+
+
+def _check_ising_mode(lattice: LatticeSpec) -> None:
     if lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
-    coeff = _boundary_coefficients(region, beta, "ising", within)
-    z, acc = ising_sums(region, beta, 0.0, coeff[:, None])
-    return _exact_result(region, beta, float((acc[0, 0] - acc[1, 0])
-                                             / (z[0] + z[1])))
 
 
 def _exact_phi(model: str, lattice: LatticeSpec, region: Region,

@@ -735,13 +735,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names
+    one: parsing a command line needs no other subcommand's flags, and
+    adding them all costs far more than the parsing."""
     parser = _Parser(prog="subcrit",
                      description="subcriticality certificates, simulations, "
                                  "and inequality checks")
     parser.add_argument("--version", action="version",
                         version=f"subcrit {__version__}")
-    subparsers = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
+    names = [command] if command in _SCHEMAS else list(_SCHEMAS)
+    # usage lines name every subcommand either way
+    subparsers = parser.add_subparsers(
+        dest="subcommand", parser_class=_Parser,
+        metavar="{" + ",".join(_SCHEMAS) + "}" if len(names) == 1 else None)
     descriptions = {
         "certify": "produce an exact subcriticality certificate "
                    "(exit 2 on refusal)",
@@ -754,13 +761,13 @@ def build_parser() -> argparse.ArgumentParser:
         "current-lab": "truncated random-current computations from a scenario file",
         "report": "merge artifacts from prior runs (never recomputes)",
     }
-    for name, fields in _SCHEMAS.items():
+    for name in names:
         sub = subparsers.add_parser(name, description=descriptions[name],
                                     help=descriptions[name])
         sub.add_argument("--config", metavar="FILE",
                          help="JSON file with all options "
                               "(mutually exclusive with other flags)")
-        for field in fields:
+        for field in _SCHEMAS[name]:
             flag = "--" + field.name.replace("_", "-")
             kwargs: dict = {"help": field.help or None, "default": None,
                             "dest": field.name}
@@ -775,7 +782,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level options take no value: the first other token is the
+    # subcommand
+    parser = build_parser(next((a for a in argv if not a.startswith("-")),
+                               None))
     args = parser.parse_args(argv)
     if args.subcommand is None:
         parser.error("a subcommand is required")

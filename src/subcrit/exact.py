@@ -29,11 +29,23 @@ Z and, per coefficient column c, sum_x c_x sigma_x Z over the swept spins;
 out by adding the rows' two halves, so a state and its flipped partner get
 the same sums in the same order: at h = 0 every magnetization is exactly 0.
 
+Both engines take a sequence of K parameters (for Ising, K (beta, h)
+pairs) in place of one, with one coefficient matrix per parameter.  The
+parameter axis folds into the coefficient-column axis: parameter q's
+column c is column q * columns + c of one sweep, with branch (or row)
+weights per parameter, and each column is summed in the same order as in
+a sweep of its own, so the values are bit for bit the same.  One
+parameter runs the sweep with scalar weights, as before the axis existed.
+
 Both engines refuse (``CapExceeded``) beyond fixed caps: a percolation
 frontier wider than ``FRONTIER_CAP`` vertices, checked before any state
 is built, a layer of more than ``BRANCH_CAP`` branch rows, checked before
 the layer is built, and a spin layer of more than ``SPIN_FRONTIER_CAP``
-rows times coefficient columns, checked before any row is built.
+rows times coefficient columns, checked before any row is built.  A
+parameter grid counts against the same caps, branch rows times parameters
+and rows times columns times parameters: it is split into chunks that
+fit, one sweep each, so a grid is refused only where one of its
+parameters alone would be.
 Plain-Python enumerators (``naive_*``) are kept alongside as the oracles.
 """
 
@@ -41,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -225,23 +238,17 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
     return tuple(steps)
 
 
-def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
-               param: float, coeffs: np.ndarray) -> np.ndarray:
-    """sum_v coeffs[v, k] * P[v reaches the tied set], for every column k.
-
-    ``ties`` are bonds ``(vertex index, coupling)`` into a set the region's
-    bonds cannot reach; coupling ``math.inf`` marks an always-open tie.
-    All ties of a vertex merge into one bond of open probability
-    -expm1(sum log1p(-q_i)), which keeps small weights accurate.
-    """
+def _op_weights(region: Region, ties: tuple[tuple[int, float], ...],
+                param: float) -> tuple[list[float], list[float]]:
+    """Open and closed probability of every op at ``param``: the region's
+    bonds, then one merged tie per vertex (open with probability 0 on a
+    vertex without ties)."""
     lattice = region.lattice
     log_closed: dict[int, float] = {}
     for v, j in ties:
         w = 1.0 if j == math.inf else edge_weight(lattice, j, param)
         log_closed[v] = (log_closed.get(v, 0.0)
                          + (math.log1p(-w) if w < 1.0 else -math.inf))
-    steps = _frontier_plan(region, tuple(sorted(log_closed)),
-                           frozenset(v for v, j in ties if j == math.inf))
     opened = [edge_weight(lattice, j, param)
               for _, _, j in region.internal_edges]
     closed = [1.0 - w for w in opened]
@@ -249,28 +256,91 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
         lc = log_closed.get(v, 0.0)
         opened.append(-math.expm1(lc))
         closed.append(math.exp(lc))
+    return opened, closed
+
+
+def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
+               param, coeffs: np.ndarray) -> np.ndarray:
+    """sum_v coeffs[v, k] * P[v reaches the tied set], for every column k.
+
+    ``ties`` are bonds ``(vertex index, coupling)`` into a set the region's
+    bonds cannot reach; coupling ``math.inf`` marks an always-open tie.
+    All ties of a vertex merge into one bond of open probability
+    -expm1(sum log1p(-q_i)), which keeps small weights accurate.
+
+    ``param`` may be a sequence of K parameters, with ``coeffs`` of shape
+    (K, vertices, columns), one matrix per parameter; row q of the (K,
+    columns) result is then bit for bit the value at ``param[q]`` alone.
+    """
+    steps = _frontier_plan(region, tuple(sorted({v for v, _ in ties})),
+                           frozenset(v for v, j in ties if j == math.inf))
     coeffs = np.asarray(coeffs, dtype=float)
-    k = coeffs.shape[1]
-    columns = np.arange(k)
-    prob = np.ones(1)
-    pending = np.zeros(k)  # column c of slot i at i * k + c
+    if isinstance(param, numbers.Real):
+        return _perc_sweep(steps, [_op_weights(region, ties, param)], coeffs)
+    params = list(param)
+    if not params or len(coeffs) != len(params):
+        raise ValueError("need one coefficient matrix per parameter, and "
+                         "at least one parameter")
+    n_params, n_vertices, k = coeffs.shape
+    # a sweep's branch rows times parameters stay within BRANCH_CAP
+    chunk = max(1, BRANCH_CAP // max(len(step.p_dst) for step in steps))
+    return np.concatenate([
+        _perc_sweep(steps, [_op_weights(region, ties, t)
+                            for t in params[i:i + chunk]],
+                    coeffs[i:i + chunk].transpose(1, 0, 2)
+                    .reshape(n_vertices, -1)).reshape(-1, k)
+        for i in range(0, n_params, chunk)])
+
+
+def _perc_sweep(steps: tuple[_Step, ...],
+                weights_at: list[tuple[list[float], list[float]]],
+                coeffs: np.ndarray) -> np.ndarray:
+    """The frontier sweep of ``steps`` at K parameters, given each one's op
+    weights; ``coeffs[v, q * k + c]`` is parameter q's coefficient column
+    c, and so is entry q * k + c of the result.
+
+    With K = 1 the branch weights are plain floats; otherwise each is an
+    array over the parameters.
+    """
+    n_params, m = len(weights_at), coeffs.shape[1]
+    k = m // n_params
+    if n_params == 1:
+        (opened, closed), = weights_at
+        one = 1.0
+        prob = np.ones(1)
+    else:
+        opened, closed = (list(np.array(w).T) for w in zip(*weights_at))
+        one = np.ones(n_params)
+        prob = np.ones((1, n_params))
+        lanes = np.arange(n_params)
+    columns = np.arange(m)
+    pending = np.zeros(m)  # column c of slot i at i * m + c
     for step in steps:
-        weights = [1.0]  # of each branch
+        weights = [one]  # of each branch
         for op in step.ops:
             weights = ([w * closed[op] for w in weights]
                        + [w * opened[op] for w in weights])
         weights = np.array(weights)
-        pending = np.concatenate((pending,
-                                  np.outer(prob, coeffs[step.vertex]).ravel()))
-        src, dst, branch = step.w_src, step.w_dst, step.w_branch
-        if k > 1:
-            src = (src[:, None] * k + columns).ravel()
-            dst = (dst[:, None] * k + columns).ravel()
-            branch = np.repeat(branch, k)
-        pending = np.bincount(dst, pending[src] * weights[branch],
-                              minlength=step.n_slots * k)
-        prob = np.bincount(step.p_dst, np.outer(weights, prob).ravel(),
-                           minlength=step.n_states)
+        if n_params == 1:
+            entering = np.outer(prob, coeffs[step.vertex])
+            prob = np.bincount(step.p_dst, np.outer(weights, prob).ravel(),
+                               minlength=step.n_states)
+        else:
+            entering = np.repeat(prob, k, axis=1) * coeffs[step.vertex]
+            prob = np.bincount((step.p_dst[:, None] * n_params
+                                + lanes).ravel(),
+                               (weights[:, None] * prob).ravel(),
+                               minlength=step.n_states * n_params
+                               ).reshape(-1, n_params)
+        pending = np.concatenate((pending, entering.ravel()))
+        src, dst, factor = step.w_src, step.w_dst, weights[step.w_branch]
+        if m > 1:
+            src = (src[:, None] * m + columns).ravel()
+            dst = (dst[:, None] * m + columns).ravel()
+            factor = (np.repeat(factor, k, axis=-1) if k > 1
+                      else factor).ravel()
+        pending = np.bincount(dst, pending[src] * factor,
+                              minlength=step.n_slots * m)
     return pending
 
 
@@ -284,14 +354,19 @@ def perc_connect_probs(region: Region, param: float) -> dict[Vertex, float]:
     return dict(zip(region.vertices, reach.tolist()))
 
 
-def perc_exit_prob(lattice: LatticeSpec, n: int, param: float) -> float:
+def perc_exit_prob(lattice: LatticeSpec, n: int, param):
     """Exact P[origin <-> complement of ball(n)]: every boundary pair of
-    ball(n) is a tie, and the origin's cluster must carry an open one."""
+    ball(n) is a tie, and the origin's cluster must carry an open one.
+    A sequence of parameters gives an array, from one sweep."""
     region = ball(lattice, n)
     ties = tuple((i, j) for i, _, j in region.boundary_pairs)
     origin = np.zeros((len(region), 1))
     origin[0] = 1.0
-    return float(perc_reach(region, ties, param, origin)[0])
+    if isinstance(param, numbers.Real):
+        return float(perc_reach(region, ties, param, origin)[0])
+    return perc_reach(region, ties, param,
+                      np.broadcast_to(origin, (len(param),) + origin.shape)
+                      )[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +459,7 @@ def _spin_plan(region: Region) -> tuple[_SpinStep, ...]:
     return tuple(steps)
 
 
-def ising_sums(region: Region, beta: float, h: float,
+def ising_sums(region: Region, beta, h,
                coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z and sum_x coeffs[x, k] sigma_x Z for every column k, split by the
     base point's spin (s = 0 for +1, 1 for -1): ``z[s]`` and ``acc[s, k]``,
@@ -392,28 +467,67 @@ def ising_sums(region: Region, beta: float, h: float,
     widest layer's rows times the columns pass ``SPIN_FRONTIER_CAP``,
     before any state is built.  At h = 0, ``z[1] == z[0]`` and ``acc[1] ==
     -acc[0]`` exactly.
+
+    ``beta`` and ``h`` may be sequences (or one a sequence, the other a
+    number) giving K pairs, with ``coeffs`` of shape (K, vertices, columns):
+    then ``z`` has shape (K, 2) and ``acc`` (K, 2, columns), row q bit for
+    bit the sums at the q-th pair alone, from as few sweeps as the cap
+    allows (rows times columns times pairs per sweep).
     """
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
+    if isinstance(beta, numbers.Real) and isinstance(h, numbers.Real):
+        if beta < 0.0:
+            raise ValueError("beta must be non-negative")
+        coeffs = np.asarray(coeffs, dtype=float)
+        steps = _spin_plan(region)
+        _spin_cap(steps, coeffs.shape[1])
+        return _spin_sweep(steps, beta, h, coeffs)
+    betas, hs = (a[:, None, None] for a in np.broadcast_arrays(
+        np.asarray(beta, dtype=float), np.asarray(h, dtype=float)))
     coeffs = np.asarray(coeffs, dtype=float)
+    if not len(betas) or len(coeffs) != len(betas):
+        raise ValueError("need one coefficient matrix per (beta, h) pair, "
+                         "and at least one pair")
+    if (betas < 0.0).any():
+        raise ValueError("beta must be non-negative")
+    coeffs = coeffs.transpose(1, 0, 2)
     steps = _spin_plan(region)
-    need = max(len(step.src) for step in steps) * coeffs.shape[1]
+    chunk = SPIN_FRONTIER_CAP // _spin_cap(steps, coeffs.shape[2])
+    sums = [_spin_sweep(steps, betas[i:i + chunk], hs[i:i + chunk],
+                        coeffs[:, i:i + chunk])
+            for i in range(0, len(betas), chunk)]
+    return (np.concatenate([z for z, _ in sums]),
+            np.concatenate([acc for _, acc in sums]))
+
+
+def _spin_cap(steps: tuple[_SpinStep, ...], columns: int) -> int:
+    """Rows times ``columns`` of the widest layer; ``CapExceeded`` past
+    ``SPIN_FRONTIER_CAP``."""
+    need = max(len(step.src) for step in steps) * columns
     if need > SPIN_FRONTIER_CAP:
         raise CapExceeded("spin frontier", need, SPIN_FRONTIER_CAP)
-    z = np.ones(1)
-    acc = np.zeros((coeffs.shape[1], 1))  # one row per column
+    return need
+
+
+def _spin_sweep(steps: tuple[_SpinStep, ...], beta, h, coeffs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The spin sweep at one (beta, h), with ``coeffs`` of shape (vertices,
+    columns), or at K pairs given as (K, 1, 1) arrays, with ``coeffs`` of
+    shape (vertices, K, columns); the pairs lead every axis of the result.
+    """
+    z = np.ones(np.shape(beta)[:-1] + (1,))  # per pair, one row
+    acc = np.zeros(coeffs.shape[1:] + (1,))  # one row per (pair,) column
     for step in steps:
-        z = z[step.src]
-        acc = acc.take(step.src, axis=1)
-        acc += (z * step.sign) * coeffs[step.vertex][:, None]
+        z = z[step.src] if z.ndim == 1 else z[..., step.src]
+        acc = acc.take(step.src, axis=-1)
+        acc += (z * step.sign) * coeffs[step.vertex][..., None]
         weight = np.exp(beta * step.energy + h * (step.sign - 1.0))
         z *= weight
         acc *= weight
         for _ in range(step.n_leave):
-            half = len(z) // 2
-            z = z[:half] + z[half:]
-            acc = acc[:, :half] + acc[:, half:]
-    return z, acc.T
+            half = z.shape[-1] // 2
+            z = z[..., :half] + z[..., half:]
+            acc = acc[..., :half] + acc[..., half:]
+    return z.reshape(acc.shape[:-2] + (2,)), np.swapaxes(acc, -1, -2)
 
 
 @dataclass(frozen=True)

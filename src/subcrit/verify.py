@@ -3,9 +3,13 @@
 Each check evaluates both sides of one inequality exactly on a small
 region, with the engines of ``exact``, and reports the margin in the
 inequality's favorable direction (so every margin should be ``>= -tol``).
-The two differential checks use central finite differences of exact
+The differential checks use central finite differences of exact
 function values; a step-halving comparison is recorded so derivative
-quality can be asserted independently of the inequality itself.
+quality can be asserted independently of the inequality itself.  A check
+collects every stencil point of its whole grid and evaluates them in one
+exact sweep (the engines take a sequence of parameters), and sweeps every
+other region, each subset of an infimum included, once for its grid.
+Every grid is validated before the first sweep.
 
 The subset infima are taken over *all* subsets of the region that contain
 the base point, including disconnected ones (a disconnected subset can
@@ -16,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certificates import _normalize_model, phi_ising, phi_percolation
-from .exact import (ising_observables, perc_connect_probs, perc_exit_prob,
-                    perc_reach)
+from .certificates import _check_ising_mode, _normalize_model, phi_sweep
+from .exact import ising_sums, perc_exit_prob, perc_reach
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 
 __all__ = [
@@ -122,50 +125,90 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region,
     """Exact infimum of phi(S) over every subset S of ``region`` containing
     the base point (2^(|region|-1) evaluations), with the minimizing subset.
     """
+    return _phi_infima(model, lattice, region, (param,), within)[0]
+
+
+def _phi_infima(model: str, lattice: LatticeSpec, region: Region,
+                params: Sequence[float],
+                within: Iterable[Vertex] | None = None
+                ) -> list[tuple[float, tuple[Vertex, ...]]]:
+    """:func:`phi_infimum` at every parameter of ``params``: one subset
+    loop, with one region and one sweep per subset for the whole grid."""
+    model = _normalize_model(model)
     origin = region.origin
     others = [v for v in region.vertices if v != origin]
-    if len(others) > _SUBSET_ENUM_CAP:
-        raise ValueError(f"subset infimum over 2^{len(others)} sets is too large")
-    if _normalize_model(model) == "percolation":
-        phi = phi_percolation
-    else:
-        phi = phi_ising
-    best = math.inf
-    best_subset: tuple[Vertex, ...] = (origin,)
+    _check_subsets(region)
+    if model == "ising":
+        _check_ising_mode(lattice)
+    best = [math.inf] * len(params)
+    best_subset = [(origin,)] * len(params)
     for mask in range(1 << len(others)):
         subset = [origin] + [v for k, v in enumerate(others) if mask >> k & 1]
-        value = phi(lattice, Region(lattice, subset, origin), param,
-                    within=within).value
-        if value < best:
-            best = value
-            best_subset = tuple(sorted(subset))
-    return best, best_subset
+        values = phi_sweep(model, Region(lattice, subset, origin), params,
+                           within=within).tolist()
+        for q, value in enumerate(values):
+            if value < best[q]:
+                best[q] = value
+                best_subset[q] = tuple(sorted(subset))
+    return list(zip(best, best_subset))
+
+
+def _check_subsets(region: Region) -> None:
+    if len(region) - 1 > _SUBSET_ENUM_CAP:
+        raise ValueError(f"subset infimum over 2^{len(region) - 1} sets is "
+                         f"too large")
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _central_pair(f: Callable[[float], float], x: float, delta: float,
-                  lower: float | None = None) -> tuple[float, float]:
-    """Derivative of ``f`` at ``x`` with steps delta and delta/2.
+def _stencil(x: float, delta: float,
+             lower: float | None = None) -> tuple[float, ...]:
+    """The points at which :func:`_derivative_pair` reads f.
 
-    Central differences, except when ``x - delta`` would cross ``lower``
-    (e.g. a beta = 0 grid point): there a second-order one-sided formula
-    keeps the O(delta^2) truncation error.
+    Central differences with steps delta and delta/2, except when ``x -
+    delta`` would cross ``lower`` (e.g. a beta = 0 grid point): there a
+    second-order one-sided formula keeps the O(delta^2) truncation error.
     """
-    def one_sided(d: float) -> float:
-        return (-3.0 * f(x) + 4.0 * f(x + d) - f(x + 2.0 * d)) / (2.0 * d)
-
     if lower is not None and x - delta < lower:
-        return one_sided(delta), one_sided(0.5 * delta)
-    full = (f(x + delta) - f(x - delta)) / (2.0 * delta)
-    half = (f(x + 0.5 * delta) - f(x - 0.5 * delta)) / delta
-    return full, half
+        return tuple(t for d in (delta, 0.5 * delta)
+                     for t in (x, x + d, x + 2.0 * d))
+    return (x + delta, x - delta, x + 0.5 * delta, x - 0.5 * delta)
+
+
+def _derivative_pair(values: Sequence[float],
+                     delta: float) -> tuple[float, float]:
+    """Derivative with steps delta and delta/2 from f at the points of
+    :func:`_stencil`, in its order (six points for the one-sided form)."""
+    if len(values) == 4:
+        f_plus, f_minus, h_plus, h_minus = values
+        return (f_plus - f_minus) / (2.0 * delta), (h_plus - h_minus) / delta
+    return tuple((-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * d)
+                 for d, (f0, f1, f2) in ((delta, values[:3]),
+                                         (0.5 * delta, values[3:])))
+
+
+def _identities(region: Region, params: Sequence) -> np.ndarray:
+    """One coefficient column per vertex, for every parameter."""
+    eye = np.eye(len(region))
+    return np.broadcast_to(eye, (len(params),) + eye.shape)
+
+
+def _ising_rows(region: Region, betas: Sequence[float],
+                hs: Sequence[float]) -> tuple[list, list]:
+    """Per (beta, h) pair, the correlations <sigma_base sigma_x> and the
+    magnetizations <sigma_x> over the region's vertices, computed as
+    :func:`exact.ising_observables` computes them, from one spin sweep."""
+    z, acc = ising_sums(region, betas, hs, _identities(region, betas))
+    total = (z[:, 0] + z[:, 1])[:, None]
+    return (((acc[:, 0] - acc[:, 1]) / total).tolist(),
+            ((acc[:, 0] + acc[:, 1]) / total).tolist())
 
 
 # ---------------------------------------------------------------------------
-# the five checks
+# the five checks; each evaluates its whole grid, finite-difference
+# stencils included, in one exact sweep per region
 # ---------------------------------------------------------------------------
 
 def check_perc_differential(lattice: LatticeSpec, n: int = 1,
@@ -186,13 +229,16 @@ def check_perc_differential(lattice: LatticeSpec, n: int = 1,
     if min(p_grid) <= 0.0 or max(p_grid) >= 1.0:
         raise ValueError("p grid must stay strictly inside (0, 1)")
     region = ball(lattice, n)
-    exit_at = lambda b: perc_exit_prob(lattice, n, b)
+    _check_subsets(region)
+    betas = [-math.log1p(-p) for p in p_grid]
+    # per grid point: its stencil, then the point itself
+    points = [t for beta in betas for t in _stencil(beta, DELTA) + (beta,)]
+    exits = perc_exit_prob(lattice, n, points).tolist()
+    infima = _phi_infima("percolation", lattice, region, betas)
     lhs, rhs, spread = [], [], 0.0
-    for p in p_grid:
-        beta = -math.log1p(-p)
-        d_full, d_half = _central_pair(exit_at, beta, DELTA)
-        prob = exit_at(beta)
-        inf_phi, _ = phi_infimum("percolation", lattice, region, beta)
+    for i, (beta, (inf_phi, _)) in enumerate(zip(betas, infima)):
+        *stencil, prob = exits[5 * i:5 * i + 5]
+        d_full, d_half = _derivative_pair(stencil, DELTA)
         lhs.append(d_full)
         rhs.append(inf_phi * (1.0 - prob) / beta)
         spread = max(spread, abs(d_full - d_half))
@@ -231,30 +277,30 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
         raise ValueError("B must be disjoint from A")
     if not params:
         raise ValueError("empty parameter grid")
+    for p in params:
+        edge_weight(lattice, 1.0, p)  # a ValueError outside the range
 
     region_s = Region(lattice, s_set, origin=u)
     region_a = Region(lattice, a_set, origin=u)
     ties = tuple((i, j) for i, y, j in region_a.boundary_pairs if y in b_set)
+    conn_s = perc_reach(region_s, ((0, math.inf),), params,
+                        _identities(region_s, params)).tolist()
+    reach = perc_reach(region_a, ties, params,
+                       _identities(region_a, params)).tolist()
     lhs, rhs = [], []
-    for p in params:
-        conn_s = perc_connect_probs(region_s, p)
-        reach = perc_reach(region_a, ties, p, np.eye(len(region_a))).tolist()
-
-        def reach_b(y: Vertex) -> float:
-            if y in b_set:
-                return 1.0
-            if y not in a_set:
-                return 0.0
-            return reach[region_a.index(y)]
-
-        lhs.append(reach[0])
+    for p, conn, into_b in zip(params, conn_s, reach):
+        lhs.append(into_b[0])
         terms = []
         for i, y, j in region_s.boundary_pairs:
-            q = reach_b(y)
+            if y in b_set:
+                q = 1.0
+            elif y in a_set:
+                q = into_b[region_a.index(y)]
+            else:
+                continue
             if q == 0.0:
                 continue
-            terms.append(edge_weight(lattice, j, p)
-                         * conn_s[region_s.vertices[i]] * q)
+            terms.append(edge_weight(lattice, j, p) * conn[i] * q)
         rhs.append(math.fsum(terms))
     return _make_report(
         "bk-decomposition", tuple(params), lhs, rhs, TOL_EXACT, flip=True,
@@ -285,20 +331,18 @@ def check_ising_differential(lattice: LatticeSpec, n: int = 1,
     if min(beta_grid) <= DELTA:
         raise ValueError("beta grid must stay above the difference step")
     region = ball(lattice, n)
-    origin = region.origin
+    _check_subsets(region)
     inside = region.vertices
-
-    def m0_squared(b: float) -> float:
-        return ising_observables(region, b, h).magnetizations[origin] ** 2
-
+    # per grid point: its stencil, then the point itself
+    points = [t for beta in beta_grid for t in _stencil(beta, DELTA) + (beta,)]
+    _, mags = _ising_rows(region, points, [h] * len(points))
+    infima = _phi_infima("ising", lattice, region, beta_grid, within=inside)
     lhs, rhs, spread = [], [], 0.0
-    for beta in beta_grid:
-        d_full, d_half = _central_pair(m0_squared, beta, DELTA)
-        obs = ising_observables(region, beta, h)
-        mags = obs.magnetizations
-        m0 = mags[origin]
-        c = min(m0 / mags[y] for y in inside)
-        inf_phi, _ = phi_infimum("ising", lattice, region, beta, within=inside)
+    for i, (beta, (inf_phi, _)) in enumerate(zip(beta_grid, infima)):
+        *stencil, at_beta = mags[5 * i:5 * i + 5]
+        d_full, d_half = _derivative_pair([m[0] ** 2 for m in stencil], DELTA)
+        m0 = at_beta[0]
+        c = min(m0 / m for m in at_beta)
         lhs.append(d_full)
         rhs.append((2.0 * c / beta) * inf_phi * (1.0 - m0 * m0))
         spread = max(spread, abs(d_full - d_half))
@@ -335,35 +379,30 @@ def check_modified_simon(lattice: LatticeSpec, lam_vertices: Iterable[Vertex],
         raise ValueError("z must lie in the outer region but outside S")
     if not betas:
         raise ValueError("empty parameter grid")
+    if min(betas) < 0.0:
+        raise ValueError("beta grid must be non-negative")
 
     region_s = Region(lattice, s_set, origin=origin)
     region_lam_z = Region(lattice, lam_set, origin=z)
-
-    pair_cache: dict[tuple[float, float], float] = {}
-
-    def pair_correlation(j: float, beta: float) -> float:
-        """<sigma_x sigma_y> on the isolated coupled pair at (beta, h)."""
-        key = (j, beta)
-        if key not in pair_cache:
-            offset = next(o for o, jj in lattice.couplings if jj == j)
-            pair_region = Region(lattice, (origin, offset), origin=origin)
-            obs = ising_observables(pair_region, beta, h)
-            pair_cache[key] = obs.correlations[offset]
-        return pair_cache[key]
+    hs = [h] * len(betas)
+    corr_s, _ = _ising_rows(region_s, betas, hs)
+    corr_lam, _ = _ising_rows(region_lam_z, betas, hs)
+    pairs = [(i, y, j) for i, y, j in region_s.boundary_pairs if y in lam_set]
+    # <sigma_x sigma_y> on the isolated coupled pair, per coupling
+    pair_corr = {}
+    for j in dict.fromkeys(j for _, _, j in pairs):
+        offset = next(o for o, jj in lattice.couplings if jj == j)
+        pair_region = Region(lattice, (origin, offset), origin=origin)
+        corr, _ = _ising_rows(pair_region, betas, hs)
+        pair_corr[j] = [row[pair_region.index(offset)] for row in corr]
 
     lhs, rhs = [], []
-    for beta in betas:
-        obs_s = ising_observables(region_s, beta, h)
-        obs_lam = ising_observables(region_lam_z, beta, h)
-        lhs.append(obs_lam.correlations[origin])
-        terms = []
-        for i, y, j in region_s.boundary_pairs:
-            if y not in lam_set:
-                continue
-            x = region_s.vertices[i]
-            terms.append(obs_s.correlations[x] * pair_correlation(j, beta)
-                         * obs_lam.correlations[y])
-        rhs.append(math.fsum(terms))
+    for q in range(len(betas)):
+        lam_row = corr_lam[q]
+        lhs.append(lam_row[region_lam_z.index(origin)])
+        rhs.append(math.fsum(corr_s[q][i] * pair_corr[j][q]
+                             * lam_row[region_lam_z.index(y)]
+                             for i, y, j in pairs))
     return _make_report(
         "modified-simon", tuple(betas), lhs, rhs, TOL_EXACT, flip=True,
         notes=f"|Lam|={len(lam_set)}, |S|={len(s_set)}, z={z}, h={h}")
@@ -381,29 +420,31 @@ def check_ghs_differential(lattice: LatticeSpec, n: int = 1,
         raise ValueError("empty parameter grid")
     if min(h_grid) <= DELTA:
         raise ValueError("h grid must stay above the difference step")
+    if min(betas) < 0.0:
+        raise ValueError("beta grid must be non-negative")
     region = ball(lattice, n)
-    origin = region.origin
     total_j = lattice.total_coupling
+    grid = [(beta, h) for beta in betas for h in h_grid]
+    # per grid point: the beta stencil, the h stencil, then the point
+    stencils = [([(b, h) for b in _stencil(beta, DELTA, lower=0.0)],
+                 [(beta, x) for x in _stencil(h, DELTA)])
+                for beta, h in grid]
+    points = [pair for (by_beta, by_h), at in zip(stencils, grid)
+              for pair in by_beta + by_h + [at]]
+    _, mags = _ising_rows(region, *zip(*points))
+    m_at = iter(row[0] for row in mags)
 
-    def magnetization(b: float, hh: float) -> float:
-        return ising_observables(region, b, hh).magnetizations[origin]
-
-    grid, lhs, rhs, spread = [], [], [], 0.0
-    for beta in betas:
-        if beta < 0.0:
-            raise ValueError("beta grid must be non-negative")
-        for h in h_grid:
-            db_full, db_half = _central_pair(lambda b: magnetization(b, h),
-                                             beta, DELTA, lower=0.0)
-            dh_full, dh_half = _central_pair(lambda x: magnetization(beta, x),
-                                             h, DELTA)
-            m = magnetization(beta, h)
-            grid.append((beta, h))
-            lhs.append(db_full)
-            rhs.append(total_j * m * dh_full)
-            margin_full = total_j * m * dh_full - db_full
-            margin_half = total_j * m * dh_half - db_half
-            spread = max(spread, abs(margin_full - margin_half))
+    lhs, rhs, spread = [], [], 0.0
+    for by_beta, by_h in stencils:
+        db_full, db_half = _derivative_pair(
+            [next(m_at) for _ in by_beta], DELTA)
+        dh_full, dh_half = _derivative_pair([next(m_at) for _ in by_h], DELTA)
+        m = next(m_at)
+        lhs.append(db_full)
+        rhs.append(total_j * m * dh_full)
+        margin_full = total_j * m * dh_full - db_full
+        margin_half = total_j * m * dh_half - db_half
+        spread = max(spread, abs(margin_full - margin_half))
     return _make_report(
         "ghs-differential", tuple(grid), lhs, rhs, TOL_DIFFERENTIAL, flip=True,
         fd_spread=spread,

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from subcrit.cli import (EXIT_ERROR, EXIT_OK, EXIT_REFUSED,
-                         MEASUREMENT_COLUMNS, TABLE_COLUMNS, RunConfig, main)
+from subcrit.cli import (_SCHEMAS, EXIT_ERROR, EXIT_OK, EXIT_REFUSED,
+                         MEASUREMENT_COLUMNS, TABLE_COLUMNS, RunConfig,
+                         build_parser, main)
 
 
 def run_cli(*argv):
@@ -612,6 +613,39 @@ def test_missing_required_option_exits_one(tmp_path, capsys):
                    "--out", str(tmp_path))
     assert code == EXIT_ERROR
     assert "options.model" in capsys.readouterr().err
+
+
+def help_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    text = help_text(capsys, main, ["--help"])
+    assert len(_SCHEMAS) == 8
+    for name in _SCHEMAS:
+        assert f"\n    {name} " in text
+
+
+@pytest.mark.parametrize("name", list(_SCHEMAS))
+def test_subcommand_help_matches_the_full_parser(capsys, name):
+    # main builds only the named subcommand's flags
+    text = help_text(capsys, main, [name, "--help"])
+    assert text == help_text(capsys, build_parser().parse_args,
+                             [name, "--help"])
+    for field in _SCHEMAS[name]:
+        assert "--" + field.name.replace("_", "-") in text
+    assert "--config FILE" in text
+
+
+@pytest.mark.parametrize("name", list(_SCHEMAS))
+def test_unknown_flag_exits_one(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--no-such-flag"])
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
 
 def test_module_entry_point_reports_version():

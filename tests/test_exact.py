@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from subcrit import exact
-from subcrit.certificates import critical_root, phi_ising, phi_percolation
+from subcrit.certificates import (critical_root, phi_ising, phi_percolation,
+                                  phi_sweep)
 from subcrit.errors import CapExceeded
 from subcrit.exact import (all_plus_energy, ising_observables,
                            naive_connect_probs, naive_event_prob,
@@ -170,6 +171,105 @@ def test_phi_does_not_depend_on_the_sweep_order(monkeypatch):
         exact._frontier_plan.cache_clear()
     for a, b in zip(forward, backward):
         assert abs(a - b) <= 1e-14
+
+
+# --- the parameter axis: K parameters in one sweep, bit for bit ---------------
+
+GRID = [0.05, 0.2, 0.33, 0.5, 0.77, 0.95]
+
+
+def grid_instances():
+    """(region, ties) on square and triangular ball(2): an always-open tie
+    at the base point, the exit ties and a random mix."""
+    rng = sample_stream(20261019, STREAM_TEST, 0)
+    for lattice in (LatticeSpec.square(mode="p"),
+                    LatticeSpec.triangular(mode="p"),
+                    LatticeSpec.square(mode="beta")):
+        region = ball(lattice, 2)
+        yield region, ((0, math.inf),)
+        yield region, tuple((i, j) for i, _, j in region.boundary_pairs)
+        yield tied_instance(lattice, rng)
+
+
+def test_perc_grid_equals_single_sweeps():
+    for region, ties in grid_instances():
+        coeffs = sample_stream(7, STREAM_TEST, len(ties)).uniform(
+            0.0, 2.0, size=(len(GRID), len(region), 3))
+        grid = perc_reach(region, ties, GRID, coeffs)
+        assert grid.shape == (len(GRID), 3)
+        for q, param in enumerate(GRID):
+            assert (grid[q] == perc_reach(region, ties, param,
+                                          coeffs[q])).all()
+    lattice = LatticeSpec.square(mode="beta")
+    exits = perc_exit_prob(lattice, 2, GRID)
+    assert exits.tolist() == [perc_exit_prob(lattice, 2, b) for b in GRID]
+
+
+def test_phi_grid_equals_single_sweeps_with_and_without_within():
+    for lattice in (LatticeSpec.square(mode="p"),
+                    LatticeSpec.triangular(mode="p")):
+        region = ball(lattice, 2)
+        for within in (None, ball(lattice, 3).vertices[:30]):
+            values = phi_sweep("percolation", region, GRID, within=within)
+            assert values.tolist() == [
+                phi_percolation(lattice, region, p, within=within).value
+                for p in GRID]
+    lattice = LatticeSpec.square(mode="beta")
+    region = ball(lattice, 2)
+    for within in (None, region.vertices):
+        values = phi_sweep("ising", region, GRID, within=within)
+        assert values.tolist() == [
+            phi_ising(lattice, region, b, within=within).value for b in GRID]
+
+
+def test_ising_grid_equals_single_sweeps_at_positive_field():
+    for lattice in (LatticeSpec.square(mode="beta"), THREE_J):
+        region = ball(lattice, 2)
+        betas = [0.0, 0.1, 0.3, 0.45, 1.2, 0.3]
+        hs = [0.0, 0.2, 0.05, 0.3, 0.0, 0.7]
+        coeffs = sample_stream(11, STREAM_TEST, 0).uniform(
+            -1.0, 2.0, size=(len(betas), len(region), 4))
+        z, acc = exact.ising_sums(region, betas, hs, coeffs)
+        assert z.shape == (6, 2) and acc.shape == (6, 2, 4)
+        for q, (beta, h) in enumerate(zip(betas, hs)):
+            z1, acc1 = exact.ising_sums(region, beta, h, coeffs[q])
+            assert (z[q] == z1).all() and (acc[q] == acc1).all()
+        # one field shared by every beta
+        _, shared = exact.ising_sums(region, betas, 0.25, coeffs)
+        for q, beta in enumerate(betas):
+            assert (shared[q] == exact.ising_sums(region, beta, 0.25,
+                                                  coeffs[q])[1]).all()
+
+
+def test_grid_past_the_caps_is_chunked_not_refused(monkeypatch):
+    lattice = LatticeSpec.square(mode="beta")
+    region = ball(lattice, 2)
+    ties = tuple((i, j) for i, _, j in region.boundary_pairs)
+    coeffs = np.ones((len(GRID), len(region), 2))
+    perc_want = perc_reach(region, ties, GRID, coeffs)
+    spin_want = exact.ising_sums(region, GRID, 0.1, coeffs)
+    sweeps = {"perc": 0, "spin": 0}
+
+    def counted(name, sweep):
+        def run(*args):
+            sweeps[name] += 1
+            return sweep(*args)
+        return run
+
+    monkeypatch.setattr(exact, "_perc_sweep",
+                        counted("perc", exact._perc_sweep))
+    monkeypatch.setattr(exact, "_spin_sweep",
+                        counted("spin", exact._spin_sweep))
+    # room for one parameter's widest layer and a half, not for the grid
+    widest = max(len(step.p_dst) for step in exact._frontier_plan(
+        region, tuple(sorted({v for v, _ in ties})), frozenset()))
+    monkeypatch.setattr(exact, "BRANCH_CAP", widest * 3 // 2)
+    rows = max(len(step.src) for step in exact._spin_plan(region))
+    monkeypatch.setattr(exact, "SPIN_FRONTIER_CAP", rows * 2 * 3 // 2)
+    assert (perc_reach(region, ties, GRID, coeffs) == perc_want).all()
+    z, acc = exact.ising_sums(region, GRID, 0.1, coeffs)
+    assert (z == spin_want[0]).all() and (acc == spin_want[1]).all()
+    assert sweeps == {"perc": len(GRID), "spin": len(GRID)}
 
 
 def test_square_percolation_roots_past_radius_two():

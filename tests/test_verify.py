@@ -1,10 +1,13 @@
 """Tests for the exact inequality checks."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from subcrit import exact
 from subcrit.certificates import phi_ising, phi_percolation
 from subcrit.exact import (naive_connect_probs, naive_event_prob,
                            naive_ising_observables)
@@ -340,6 +343,87 @@ def test_default_report_names():
     assert CHECK_NAMES == ("perc-diff", "bk", "ising-diff", "simon", "ghs")
     with pytest.raises(ValueError):
         default_report("euler")
+
+
+# SHA-256 of json.dumps(report.to_json()) for each default report, as the
+# checks wrote them with one exact sweep per grid point and stencil point
+DEFAULT_REPORT_SHA256 = {
+    "perc-diff": "94612bf11f440d13840a70c9f41ddd58e69feb5885009cb53a969af0ffeaaedd",
+    "bk": "016ce2473f1bf90e01ce58c5629066715c83fd4a2f0c83a37f0098c9e5333759",
+    "ising-diff": "5b1ad0c48c3b3a986a7df3326cc35a261ea8480f2eb916a46bb974de59ca97cb",
+    "simon": "db1abc1a3df67aea67f0367f67b3294f9e4f8930031a54ddbdce4e22154066f6",
+    "ghs": "5a8387e486c6c1e0ac82fbb9e3ab1fd1b4e2c951ea1fdec68295624978d88143",
+}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_default_reports_are_byte_identical(name):
+    payload = json.dumps(default_report(name).to_json())
+    assert (hashlib.sha256(payload.encode()).hexdigest()
+            == DEFAULT_REPORT_SHA256[name])
+
+
+def test_each_check_sweeps_a_region_once_for_its_grid(monkeypatch):
+    sweeps = {"perc": 0, "spin": 0}
+
+    def counted(name, sweep):
+        def run(*args):
+            sweeps[name] += 1
+            return sweep(*args)
+        return run
+
+    monkeypatch.setattr(exact, "_perc_sweep",
+                        counted("perc", exact._perc_sweep))
+    monkeypatch.setattr(exact, "_spin_sweep",
+                        counted("spin", exact._spin_sweep))
+    # (perc, spin) sweeps: the exit grid plus one per subset of ball(1);
+    # BK's two regions; the Simon check's S, Lam and one coupled pair
+    expected = {"perc-diff": (17, 0), "bk": (2, 0), "ising-diff": (0, 17),
+                "simon": (0, 3), "ghs": (0, 1)}
+    for name, counts in expected.items():
+        sweeps.update(perc=0, spin=0)
+        default_report(name)
+        assert (sweeps["perc"], sweeps["spin"]) == counts, name
+
+
+def test_ising_differential_on_ball_two():
+    report = check_ising_differential(B_LAT, n=2)
+    assert report.passed
+    assert report.min_margin == pytest.approx(0.1938773064457874, abs=1e-9)
+
+
+@pytest.mark.parametrize("check, kwargs", [
+    (check_perc_differential, {"p_grid": (0.3, 1.5)}),
+    (check_perc_differential, {"n": 3}),  # 2^24 subsets
+    (check_ising_differential, {"beta_grid": (0.3, 1e-6)}),
+    (check_ising_differential, {"n": 3}),
+    (check_ghs_differential, {"betas": (0.2, -0.1)}),
+    (check_ghs_differential, {"h_grid": (0.3, 0.0)}),
+])
+def test_a_bad_grid_point_computes_nothing(monkeypatch, check, kwargs):
+    def refuse(*args):
+        raise AssertionError("swept before validating the grid")
+
+    monkeypatch.setattr(exact, "_perc_sweep", refuse)
+    monkeypatch.setattr(exact, "_spin_sweep", refuse)
+    with pytest.raises(ValueError) as info:
+        check(B_LAT, **kwargs)
+    assert "\n" not in str(info.value)
+
+
+def test_simon_and_bk_validate_their_grids_before_sweeping(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("swept before validating the grid")
+
+    monkeypatch.setattr(exact, "_perc_sweep", refuse)
+    monkeypatch.setattr(exact, "_spin_sweep", refuse)
+    lam = [(x, y) for x in range(-1, 3) for y in range(-1, 2)]
+    with pytest.raises(ValueError, match="beta grid must be non-negative"):
+        check_modified_simon(B_LAT, lam, ball(B_LAT, 1).vertices, (2, 1),
+                             betas=(0.3, -0.2))
+    s, a, b = small_bk_sets(P_LAT)
+    with pytest.raises(ValueError, match=r"p=1.5 outside \[0, 1\]"):
+        check_bk_decomposition(P_LAT, s, a, b, params=(0.2, 1.5))
 
 
 def test_default_reports_single_selection():
