@@ -222,6 +222,8 @@ def _validate_options(subcommand: str, provided: dict) -> dict:
     for name in ("samples", "sweeps"):
         if name in options and options[name] < 1:
             raise ConfigError(f"options.{name}", "must be positive")
+    if options.get("seed") is not None and not 0 <= options["seed"] < 2 ** 64:
+        raise ConfigError("options.seed", "must lie in [0, 2**64)")
     if options.get("label") is None:
         options["label"] = subcommand
     return options

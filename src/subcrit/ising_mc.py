@@ -117,8 +117,9 @@ class WolffChain:
     """
 
     def __init__(self, system: SpinSystem, beta: float, h: float, seed: int):
-        if beta < 0.0 or h < 0.0:
-            raise ValueError("beta and h must be non-negative")
+        if not (beta >= 0.0 and h >= 0.0):
+            raise ValueError(f"beta and h must be non-negative, got beta={beta} "
+                             f"and h={h}")
         self.system = system
         self.seed = int(seed)
         self.spins = np.ones(system.n_sites, dtype=np.int8)

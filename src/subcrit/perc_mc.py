@@ -16,17 +16,21 @@ bit-reproducible regardless of batching.
 
 The box's arrays come from ``lattice.ball_layout``, and its walk is the
 ``ClusterWalker`` that the Wolff chains and the Monte Carlo phi share too.
-Estimators walk the open cluster of the origin depth-first and stop once
-the event is decided: exit profiles at the first site beyond the largest
-radius, the ghost estimate at the first open ghost bond.  The
-susceptibility walks whole clusters.  Which edges are open does not depend
-on the walk, so no estimate depends on the walk order.
+Estimators walk the open cluster of the origin and stop once the event is
+decided: exit profiles at the first site beyond the largest radius, the
+ghost estimate at the first open ghost bond.  The susceptibility walks
+whole clusters.  A walk with a field goes breadth-first, every other walk
+depth-first: any member's open ghost bond decides the ghost event, and a
+breadth-first walk stays near the origin, whose edge and ghost words lead
+the drawn prefix.  Which edges are open does not depend on the walk, so no
+estimate depends on the walk order.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -43,7 +47,7 @@ _FIRST_DRAW = 256
 
 
 class ClusterWalker:
-    """Prefix-lazy depth-first cluster walks, and numpy labeling, on one graph.
+    """Prefix-lazy cluster walks, and numpy labeling, on one graph.
 
     Built from ``n_nodes`` and the edge list ``(edge_a, edge_b)``; ``layer``
     gives each node the integer a walk's ``stop_layer`` compares against.
@@ -93,12 +97,16 @@ class ClusterWalker:
                        index: int, h: float = 0.0,
                        stop_layer: int | None = None, root: int = 0
                        ) -> tuple[list[int], int, bool]:
-        """Depth-first walk over the open cluster of ``root`` in one sample.
+        """Walk over the open cluster of ``root`` in one sample.
 
         Sample ``index`` of ``stream`` opens edge e when word e of its
         stream is below ``weights[e]`` and, for h > 0, joins node v to the
         ghost when word ``n_edges + v`` is below ``1 - exp(-h)``.  Words
         are drawn as the walk first needs them, a doubling prefix at a time.
+        The walk is depth-first at h = 0 and breadth-first for h > 0: any
+        member's ghost bond decides that event, and the members nearest the
+        root have the lowest indices in the box layouts, so the walk reads
+        a shorter prefix of edge and ghost words.
 
         Returns ``(members, max_layer, hit_ghost)``; ``members`` lists node
         indices in discovery order, and ``self.seen`` marks them until the
@@ -108,8 +116,8 @@ class ClusterWalker:
         is then that node's layer).  Otherwise it covers the whole cluster
         and ``max_layer`` is the cluster's largest layer.
         """
-        if h < 0.0:
-            raise ValueError("h must be non-negative")
+        if not h >= 0.0:
+            raise ValueError(f"h must be non-negative, got {h}")
         gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
                                                     gen=self._edge_gen)
         ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
@@ -132,9 +140,10 @@ class ClusterWalker:
         if max_layer >= stop:
             return members, max_layer, False
         drawn = ready = 0  # edge words drawn; nodes v < ready have all theirs
-        stack = [root]
-        while stack:
-            v = stack.pop()
+        todo = deque([root])
+        pop = todo.pop if ghost is None else todo.popleft
+        while todo:
+            v = pop()
             if v >= ready:
                 drawn = self._draw(gen, self._edge_u, self._open_mask, weights,
                                    drawn, need[v])
@@ -156,7 +165,7 @@ class ClusterWalker:
                                 return members, max_layer, True
                         if max_layer >= stop:
                             return members, max_layer, False
-                        stack.append(w)
+                        todo.append(w)
         return members, max_layer, False
 
     def component(self, weights: np.ndarray, seed: int, stream: int,
@@ -295,8 +304,8 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
 def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
                                  h: float, samples: int, seed: int) -> MCEstimate:
     """P[origin connected to the ghost] with field h on box ball(n)."""
-    if h <= 0.0:
-        raise ValueError("ghost magnetization needs h > 0")
+    if not h > 0.0:
+        raise ValueError(f"ghost magnetization needs h > 0, got {h}")
     box = _box(lattice, n)
     weights = box.open_probabilities(param)
     hits = 0

@@ -45,11 +45,17 @@ def sample_stream(seed: int, stream: int, index: int, start: int = 0,
     steps and the remaining ``start % 4`` words are discarded.
 
     Passing ``gen``, a generator this function returned earlier, repositions
-    it in place; that costs about a tenth of building a new Philox.
+    it in place; that costs about a tenth of building a new Philox.  A seed
+    or stream tag outside [0, 2**64) raises ``ValueError``.
     """
     if index < 0 or start < 0:
         raise ValueError("sample index and word position must be non-negative")
-    key = (int(seed) & _MASK64) | ((int(stream) & _MASK64) << 64)
+    seed, stream = int(seed), int(stream)
+    if not (0 <= seed <= _MASK64 and 0 <= stream <= _MASK64):
+        # masking would alias -1 with 2**64 - 1 and hand both one stream
+        raise ValueError(f"seed and stream tag must lie in [0, 2**64), "
+                         f"got {seed} and {stream}")
+    key = seed | stream << 64
     counter = (int(index) << 128) + int(start) // 4
     if gen is None:
         gen = np.random.Generator(np.random.Philox(key=key, counter=counter))

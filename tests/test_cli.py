@@ -265,6 +265,19 @@ def test_simulate_perc_rejects_bad_samples(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("config error:"), err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_simulate_refuses_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # a masked seed -1 gave the estimates of seed 2**64 - 1 under another
+    # recorded seed
+    code = run_cli("simulate-perc", "--observable", "ghost", "--param", "0.5",
+                   "--h", "0.1", "--n", "2", "--samples", "100", "--seed", seed,
+                   "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: options.seed: must lie in [0, 2**64)"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_perc_single_size_matches_size_list(tmp_path):
     for observable in ("exit", "susceptibility"):
         rows = []

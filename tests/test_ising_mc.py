@@ -179,6 +179,16 @@ def test_boundary_name_validated():
         estimate_magnetization(B_LAT, 2, 0.4, "minus", sweeps=100, seed=1)
 
 
+@pytest.mark.parametrize("beta,h", [(math.nan, 0.0), (0.4, math.nan),
+                                    (-0.1, 0.0), (0.4, -0.1)])
+def test_chain_refuses_a_negative_or_nan_parameter(beta, h):
+    # a NaN field once ran the chain quietly at zero field
+    with pytest.raises(ValueError, match="must be non-negative"):
+        WolffChain(SpinSystem.box(B_LAT, 2), beta, h, seed=1)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        estimate_magnetization(B_LAT, 2, beta, "free", sweeps=100, seed=1, h=h)
+
+
 def test_fixed_seed_outputs_are_pinned():
     # re-recorded when updates and measurements moved to the shared cluster
     # walker, which moved the update and measurement draws on purpose (word

@@ -109,7 +109,8 @@ def reference_cluster(box, open_edges):
 
 
 def full_mask_walk(box, open_edges, ghost_open=None, stop_layer=None, root=0):
-    # the sampler's depth-first walk, on masks drawn whole
+    # the sampler's walk, on masks drawn whole: breadth-first with a ghost
+    # mask, depth-first without
     ptr, nbr, eid = incidence_csr(box.n_nodes, box.edge_a, box.edge_b)
     layer = box.layer.tolist()
     members, max_layer = [root], layer[root]
@@ -118,9 +119,9 @@ def full_mask_walk(box, open_edges, ghost_open=None, stop_layer=None, root=0):
     stop = max(layer) + 1 if stop_layer is None else stop_layer
     if max_layer >= stop:
         return members, max_layer, False
-    seen, stack = {root}, [root]
-    while stack:
-        v = stack.pop()
+    seen, todo = {root}, [root]
+    while todo:
+        v = todo.pop(0) if ghost_open is not None else todo.pop()
         for t in range(ptr[v], ptr[v + 1]):
             w = int(nbr[t])
             if open_edges[eid[t]] and w not in seen:
@@ -131,7 +132,7 @@ def full_mask_walk(box, open_edges, ghost_open=None, stop_layer=None, root=0):
                     return members, max_layer, True
                 if max_layer >= stop:
                     return members, max_layer, False
-                stack.append(w)
+                todo.append(w)
     return members, max_layer, False
 
 
@@ -274,9 +275,53 @@ def test_ghost_magnetization_monotone_in_field():
     assert means[2] > 0.9
 
 
+def test_ghost_pin_where_walk_orders_diverge():
+    # clusters at p_c on ball(24) reach far enough for the breadth-first
+    # and depth-first walks to stop at different members; recorded with
+    # the depth-first ghost walk
+    ghost = estimate_ghost_magnetization(P_LAT, 24, 0.5, 0.01, 2000, 5)
+    assert round(ghost.mean * 2000) == 1483
+
+
+def test_ghost_walk_draws_the_words_near_the_origin(monkeypatch):
+    # the depth-first ghost walk drew 3,339,190 edge and ghost words in
+    # this run, 5,565 a sample, to read about 400
+    words = []
+    draw = perc_mc.ClusterWalker._draw
+
+    def counted(gen, uniforms, mask, weights, drawn, needed):
+        end = draw(gen, uniforms, mask, weights, drawn, needed)
+        words.append(end - drawn)
+        return end
+
+    monkeypatch.setattr(perc_mc.ClusterWalker, "_draw", staticmethod(counted))
+    ghost = estimate_ghost_magnetization(P_LAT, 96, 0.5, 0.01, 600, 5)
+    assert round(ghost.mean * 600) == 451
+    assert sum(words) <= 3_339_190 // 2
+    assert sum(words) <= 2_000 * 600
+
+
 def test_ghost_magnetization_rejects_bad_field():
-    with pytest.raises(ValueError):
-        estimate_ghost_magnetization(P_LAT, 4, 0.5, -0.1, samples=100, seed=1)
+    # a NaN field once passed the guard and estimated 0 with stderr 0
+    for h in (-0.1, 0.0, math.nan):
+        with pytest.raises(ValueError, match="needs h > 0"):
+            estimate_ghost_magnetization(P_LAT, 4, 0.5, h, samples=100,
+                                         seed=1)
+
+
+def test_walk_rejects_a_nan_field():
+    box = PercBox(P_LAT, 2)
+    with pytest.raises(ValueError, match="h must be non-negative"):
+        box.origin_cluster(box.open_probabilities(0.5), 1, 1, 0, h=math.nan)
+
+
+@pytest.mark.parametrize("seed,stream", [(-1, 1), (2 ** 64, 1), (1, -1),
+                                         (1, 2 ** 64)])
+def test_sample_stream_refuses_keys_outside_64_bits(seed, stream):
+    # a mask would give seed -1 the stream of seed 2**64 - 1
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        rngmod.sample_stream(seed, stream, 0)
+    rngmod.sample_stream(2 ** 64 - 1, 2 ** 64 - 1, 0)
 
 
 def test_fit_decay_rate_recovers_synthetic_rate():
