@@ -21,7 +21,6 @@ from .certificates import (
     compute_phi,
     critical_root,
     decay_upper_bound,
-    greedy_grow,
 )
 from .errors import (
     CapExceeded,
@@ -57,6 +56,5 @@ __all__ = [
     "critical_root",
     "decay_upper_bound",
     "edge_weight",
-    "greedy_grow",
     "translate_region",
 ]

@@ -299,6 +299,23 @@ def _param_max(model: str, lattice: LatticeSpec) -> float:
     return _BETA_MAX
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _weight_axis(model: str, lattice: LatticeSpec):
+    """The pair weight at the lattice's mean coupling as a function of the
+    parameter, and its inverse on [0, 1)."""
+    j_bar = lattice.total_coupling / len(lattice.couplings)
+    if model == "ising":
+        return ((lambda t: math.tanh(t * j_bar)),
+                (lambda w: math.atanh(w) / j_bar))
+    if lattice.mode == "p":
+        return (lambda t: t), (lambda w: w)
+    return ((lambda t: -math.expm1(-t * j_bar)),
+            (lambda w: -math.log1p(-w) / j_bar))
+
+
 def critical_root(model: str, lattice: LatticeSpec, region: Region,
                   tol: float = 1e-9) -> float:
     """Illinois root of phi = 1; a certified lower bound on criticality.
@@ -308,34 +325,53 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
     correlations for Ising).  The search keeps a bracket whose lower end
     certifies under the rule of :func:`certify_subcritical` and whose upper
     end does not, and returns the lower end.  Each step evaluates phi
-    exactly at the Illinois point of phi - (1 - epsilon), at least tol/2
-    inside the bracket, or at the midpoint once three steps have not
-    halved it, so it takes at most about four times the steps of bisection.
-    It stops at width ``tol`` (which must be positive), when no float lies
-    inside the bracket, or after 200 steps.  A region beyond the exact caps
-    raises ``CapExceeded``.
+    exactly at the Illinois point, at least tol/2 inside the bracket, or at
+    the midpoint once three steps have not halved it, so it takes at most
+    about four times the steps of bisection.  It stops at width ``tol``
+    (which must be positive), when no float lies inside the bracket, or
+    after 200 steps.  A region beyond the exact caps raises ``CapExceeded``.
+
+    The bracket stays in the parameter t, but the secant runs in log-log
+    coordinates s = log w(t) and g = log(phi / (1 - epsilon)), where w is
+    the pair weight at the lattice's mean coupling J (p in p mode,
+    1 - e^{-tJ} for beta-mode percolation, tanh(tJ) for Ising).  phi is
+    close to a power law in w: percolation phi is a polynomial in it with
+    non-negative coefficients (4p on ball(0), 12p^2 on ball(1)), and Ising
+    phi a sum of tanh-weighted correlations.  So g is nearly linear in s,
+    where on the raw parameter the secant creeps up from a bracket that
+    starts far above the root.  While the lower end is 0 (g = -inf) the
+    trial point is the degree-1 power law through the upper end,
+    s = s_hi - g_hi.  The mean coupling rather than the largest keeps w
+    from saturating on strongly anisotropic lattices.
     """
     model = _normalize_model(model)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     target = 1.0 - EPSILON_CERT
-    lo, g_lo = 0.0, -target  # phi = 0 at parameter 0 for both models
+    lo, g_lo = 0.0, -math.inf  # phi = 0 at parameter 0 for both models
     hi = _param_max(model, lattice)
     phi = _exact_phi(model, lattice, region, hi)
     if _certifies(phi):
         raise NoRoot(f"phi stays below 1 - {EPSILON_CERT:g} up to "
                      f"param={hi:g}")
-    g_hi = phi.upper_confidence - target
+    g_hi = _log(phi.upper_confidence / target)
+    weight, param_of = _weight_axis(model, lattice)
     kept, slow, width = None, 0, hi - lo
     for _ in range(_MAX_STEPS):
         if hi - lo <= tol or math.nextafter(lo, hi) == hi:
             break
-        t = (lo - g_lo * (hi - lo) / (g_hi - g_lo) if slow < 3
-             else 0.5 * (lo + hi))
+        if slow >= 3:
+            t = 0.5 * (lo + hi)
+        else:
+            s_lo, s_hi = _log(weight(lo)), _log(weight(hi))
+            s = (s_hi - g_hi if g_lo == -math.inf
+                 else s_lo - g_lo * (s_hi - s_lo) / (g_hi - g_lo))
+            w = math.exp(s)
+            t = param_of(w) if w < 1.0 else hi
         t = min(max(t, lo + 0.5 * tol, math.nextafter(lo, hi)),
                 hi - 0.5 * tol, math.nextafter(hi, lo))
         phi = _exact_phi(model, lattice, region, t)
-        g_t = phi.upper_confidence - target
+        g_t = _log(phi.upper_confidence / target)
         # Illinois: halve g at an end that stays for a second step running
         if _certifies(phi):
             if kept == "hi":
@@ -396,44 +432,6 @@ def best_bound(model: str, lattice: LatticeSpec, max_radius: int, *,
             best_region = region
     return BestBound(model=model, region=best_region, param_star=best_root,
                      rows=tuple(rows))
-
-
-def greedy_grow(model: str, lattice: LatticeSpec, param: float,
-                max_size: int) -> Region:
-    """Grow a witness region one vertex at a time, greedily minimizing phi.
-
-    Starts from the origin; each step scores every outside neighbour of
-    the current region and keeps the one whose inclusion lowers phi the
-    most, with phi evaluated exactly.  A candidate beyond the exact caps is
-    skipped.  Stops at ``max_size`` or when no candidate within the caps
-    lowers phi, so the best phi seen never increases along the trajectory.
-    """
-    model = _normalize_model(model)
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    region = ball(lattice, 0)
-    best_phi = _exact_phi(model, lattice, region, param).value
-    while len(region.vertices) < max_size:
-        members = set(region.vertices)
-        candidates = sorted({w for v in members
-                             for w, _ in lattice.neighbors(v)
-                             if w not in members})
-        best_candidate = None
-        candidate_phi = best_phi
-        for w in candidates:
-            grown = Region(lattice, members | {w}, region.origin)
-            try:
-                value = _exact_phi(model, lattice, grown, param).value
-            except CapExceeded:
-                continue
-            if value < candidate_phi:
-                candidate_phi = value
-                best_candidate = w
-        if best_candidate is None:
-            break
-        region = Region(lattice, members | {best_candidate}, region.origin)
-        best_phi = candidate_phi
-    return region
 
 
 def chi_upper_bound(region: Region, param: float, phi: PhiResult) -> float:

@@ -11,8 +11,7 @@ class CapExceeded(SubcritError):
     Carries ``needed`` (the size the request implies) and ``cap`` (the
     limit).  Certificates, roots and exact checks let it propagate;
     ``compute_phi`` catches it for percolation only and returns a Monte
-    Carlo estimate instead, and ``best_bound`` and ``greedy_grow`` skip the
-    region.
+    Carlo estimate instead, and ``best_bound`` skips the region.
     """
 
     def __init__(self, what: str, needed: int, cap: int):

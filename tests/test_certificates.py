@@ -12,7 +12,7 @@ from subcrit.certificates import (Certificate, PhiResult, Refusal,
                                   _phi_percolation_mc,
                                   best_bound, certify_subcritical,
                                   chi_upper_bound, compute_phi, critical_root,
-                                  decay_upper_bound, greedy_grow,
+                                  decay_upper_bound,
                                   phi_ising, phi_percolation, region_id)
 from subcrit.errors import CapExceeded
 from subcrit.lattice import LatticeSpec, Region, ball
@@ -200,17 +200,54 @@ def _rectangle(lattice, width, height, origin):
                             for y in range(height)], origin)
 
 
+# weaker vertical couplings, mildly (1 and 0.4) and strongly anisotropic
+# (2.5 and 0.2: tanh of the larger coupling saturates near the root); and
+# a range-2 lattice with weaker second-neighbour couplings
+J_04 = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
+                           ((0, 1), 0.4), ((0, -1), 0.4)])
+ANISO = LatticeSpec.custom([((1, 0), 2.5), ((-1, 0), 2.5),
+                            ((0, 1), 0.2), ((0, -1), 0.2)])
+RANGE_TWO = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
+                                ((0, 1), 1.0), ((0, -1), 1.0),
+                                ((2, 0), 0.5), ((-2, 0), 0.5),
+                                ((0, 2), 0.5), ((0, -2), 0.5)])
+
+# phi sweeps per root at tol 1e-9 and 1e-10 when the secant ran on the
+# raw parameter, the search before the log-log coordinates
+_LINEAR_SECANT_SWEEPS = {
+    "perc-tri-ball2": (18, 19),
+    "perc-ball0": (3, 3), "perc-ball1": (13, 13), "perc-ball2": (15, 17),
+    "perc-ball3": (17, 17), "perc-2x7": (17, 17), "perc-3x4": (15, 15),
+    "perc-3x5": (16, 17), "perc-4x4": (17, 17),
+    "ising-ball0": (11, 11), "ising-ball1": (11, 12), "ising-ball2": (11, 13),
+    "ising-ball3": (14, 14), "ising-2x7": (10, 10), "ising-3x4": (9, 9),
+    "ising-3x5": (12, 12), "ising-4x4": (12, 12),
+    "perc-beta-ball2": (11, 13),
+    "perc-j04-ball2": (11, 12), "perc-aniso-ball2": (10, 10),
+    "perc-range2-ball1": (13, 14),
+    "ising-j04-ball2": (13, 13), "ising-aniso-ball2": (10, 10),
+    "ising-range2-ball1": (16, 16),
+}
+
+
 def _root_cases():
     tri = LatticeSpec.triangular(mode="p")
-    cases = [pytest.param("perc", tri, ball(tri, 2), id="perc-tri-ball2")]
+    cases = [("perc-tri-ball2", "perc", tri, ball(tri, 2))]
     for model, lat in (("perc", P_LAT), ("ising", B_LAT)):
-        cases += [pytest.param(model, lat, ball(lat, r), id=f"{model}-ball{r}")
+        cases += [(f"{model}-ball{r}", model, lat, ball(lat, r))
                   for r in range(4)]
-        cases += [pytest.param(model, lat, _rectangle(lat, w, h, origin),
-                               id=f"{model}-{w}x{h}")
+        cases += [(f"{model}-{w}x{h}", model, lat,
+                   _rectangle(lat, w, h, origin))
                   for w, h, origin in ((2, 7, (0, 3)), (3, 4, (1, 1)),
                                        (3, 5, (1, 2)), (4, 4, (1, 1)))]
-    return cases
+    cases.append(("perc-beta-ball2", "perc", B_LAT, ball(B_LAT, 2)))
+    for model in ("perc", "ising"):
+        cases += [(f"{model}-j04-ball2", model, J_04, ball(J_04, 2)),
+                  (f"{model}-aniso-ball2", model, ANISO, ball(ANISO, 2)),
+                  (f"{model}-range2-ball1", model, RANGE_TWO,
+                   ball(RANGE_TWO, 1))]
+    return [pytest.param(model, lat, region, _LINEAR_SECANT_SWEEPS[name],
+                         id=name) for name, model, lat, region in cases]
 
 
 def _counted_phi(monkeypatch):
@@ -226,12 +263,24 @@ def _counted_phi(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-10])
-@pytest.mark.parametrize("model, lattice, region", _root_cases())
-def test_root_search_keeps_a_certified_bracket(model, lattice, region, tol):
+@pytest.mark.parametrize("model, lattice, region, linear_sweeps",
+                         _root_cases())
+def test_root_search_keeps_a_certified_bracket(model, lattice, region,
+                                               linear_sweeps, tol):
     root = critical_root(model, lattice, region, tol)
     assert _certifies_at(model, lattice, region, root)
     assert not _certifies_at(model, lattice, region, root + 2 * tol)
     assert abs(root - _bisection_root(model, lattice, region, tol)) <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+@pytest.mark.parametrize("model, lattice, region, linear_sweeps",
+                         _root_cases())
+def test_root_search_takes_no_more_sweeps_than_the_linear_secant(
+        monkeypatch, model, lattice, region, linear_sweeps, tol):
+    params = _counted_phi(monkeypatch)
+    critical_root(model, lattice, region, tol)
+    assert len(params) <= linear_sweeps[(1e-9, 1e-10).index(tol)]
 
 
 def test_root_search_takes_few_phi_evaluations(monkeypatch):
@@ -239,9 +288,19 @@ def test_root_search_takes_few_phi_evaluations(monkeypatch):
     for model, lat in (("perc", P_LAT), ("ising", B_LAT)):
         params.clear()
         critical_root(model, lat, ball(lat, 2), 1e-9)
-        # bisection took 31 (percolation) and 37 (Ising) evaluations
-        assert len(params) <= 20, (model, len(params))
+        # bisection took 31 (percolation) and 37 (Ising) evaluations, the
+        # secant on the raw parameter 15 and 11
+        assert len(params) <= 10, (model, len(params))
         assert 0.0 not in params  # phi(0) = 0 is known, not evaluated
+
+
+def test_root_search_ising_ball4_takes_few_phi_evaluations(monkeypatch):
+    # phi rises steeply past the root: the secant on the raw parameter
+    # crept up from the bracket [0, 64] and took 23 sweeps
+    params = _counted_phi(monkeypatch)
+    root = critical_root("ising", B_LAT, ball(B_LAT, 4), 1e-9)
+    assert root == pytest.approx(0.359606496, abs=1e-8)
+    assert len(params) <= 10
 
 
 def test_root_search_stops_when_no_float_is_left_inside(monkeypatch):
@@ -378,49 +437,6 @@ def test_best_bound_triangular_percolation_is_exact_to_radius_two():
     roots = [row.root for row in rows]
     assert roots == sorted(roots)
     assert roots[0] == pytest.approx(1.0 / 6.0, abs=1e-8)
-
-
-def test_greedy_grow_stays_at_origin_when_nothing_helps():
-    # adding a neighbor to {0} moves phi from 4p to 3p + 3p^2, worse for p > 1/3
-    region = greedy_grow("perc", P_LAT, 0.4, max_size=6)
-    assert len(region.vertices) == 1
-
-
-def test_greedy_grow_improves_phi():
-    param = 0.29
-    grown = greedy_grow("perc", P_LAT, param, max_size=9)
-    assert len(grown.vertices) > 1
-    phi_grown = compute_phi("perc", P_LAT, grown, param).value
-    phi_origin = compute_phi("perc", P_LAT, ball(P_LAT, 0), param).value
-    assert phi_grown < phi_origin
-
-
-def test_greedy_grow_skips_candidates_beyond_the_caps(monkeypatch):
-    # a spin layer of 4 rows admits sweeps two spins wide (the base point
-    # and the vertex swept): wider candidates are skipped, not raised, and
-    # the region grows on through the ones that fit
-    wide = greedy_grow("ising", B_LAT, 0.2, max_size=8)
-    monkeypatch.setattr(exact, "SPIN_FRONTIER_CAP", 4)
-    exact._spin_plan.cache_clear()
-    try:
-        region = greedy_grow("ising", B_LAT, 0.2, max_size=8)
-        assert len(region.vertices) == 8
-        assert region.vertices != wide.vertices
-        phi_ising(B_LAT, region, 0.2)  # within the cap
-        with pytest.raises(CapExceeded):
-            phi_ising(B_LAT, wide, 0.2)
-    finally:
-        exact._spin_plan.cache_clear()
-
-
-def test_greedy_grow_past_the_old_bond_cap():
-    # 20 vertices of the square lattice; the old enumerator stopped at 26
-    # internal bonds
-    grown = greedy_grow("perc", P_LAT, 0.3, max_size=20)
-    assert len(grown.vertices) == 20
-    assert len(grown.internal_edges) > 26
-    phi = phi_percolation(P_LAT, grown, 0.3).value
-    assert phi < phi_percolation(P_LAT, ball(P_LAT, 2), 0.3).value
 
 
 def test_model_aliases_and_unknown_model():

@@ -430,6 +430,31 @@ def test_square_ising_roots_past_radius_two():
     assert elapsed < 2.0
 
 
+def test_square_box_roots_beat_the_best_balls(monkeypatch):
+    # the best balls within the caps reach 0.360480 (percolation ball(4))
+    # and 0.382525 (Ising ball(7)); each box root holds in both sweep orders
+    boxes = [("perc", LatticeSpec.square(mode="p"), 7, 7, (3, 3),
+              0.373152683),
+             ("ising", LatticeSpec.square(mode="beta"), 13, 9, (6, 4),
+              0.385496615)]
+    reverse_order = exact._vertex_order
+    for reverse in (False, True):
+        if reverse:
+            monkeypatch.setattr(exact, "_vertex_order",
+                                lambda region: reverse_order(region)[::-1])
+        exact._frontier_plan.cache_clear()
+        exact._spin_plan.cache_clear()
+        try:
+            for model, lattice, width, height, origin, root in boxes:
+                box = Region(lattice, [(x, y) for x in range(width)
+                                       for y in range(height)], origin)
+                assert critical_root(model, lattice, box) == pytest.approx(
+                    root, abs=1e-8), (model, reverse)
+        finally:
+            exact._frontier_plan.cache_clear()
+            exact._spin_plan.cache_clear()
+
+
 def test_single_edge_two_point_is_tanh():
     lattice = LatticeSpec.square(mode="beta")
     region = Region(lattice, [(0, 0), (1, 0)])
