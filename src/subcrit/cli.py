@@ -322,6 +322,8 @@ def _resolve_sizes(opts: dict) -> list[int]:
     sizes = [n] if n is not None else list(n_list)
     if any(s <= 0 for s in sizes):
         raise ConfigError("options.n", "sizes must be positive")
+    if len(set(sizes)) < len(sizes):
+        raise ConfigError("options.n_list", "sizes must be distinct")
     return sizes
 
 

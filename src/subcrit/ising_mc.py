@@ -69,16 +69,17 @@ _BURN_IN_TAUS = 20.0
 class SpinSystem:
     """Bond structure for one finite Ising system (sites + ghost)."""
 
-    def __init__(self, n_sites: int, bonds: list[tuple[int, int, int, float]],
-                 layers: np.ndarray, vertex_index: dict[Vertex, int]):
-        # bonds: (site_a, site_b_or_ghost, kind, J); ghost id == n_sites
+    def __init__(self, n_sites: int, bond_a: np.ndarray, bond_b: np.ndarray,
+                 bond_kind: np.ndarray, bond_j: np.ndarray, layers: np.ndarray,
+                 vertex_index: dict[Vertex, int]):
+        # bond e joins site bond_a[e] to a site or the ghost (id n_sites)
         self.n_sites = n_sites
         self.ghost = n_sites
-        self.bond_a = np.array([b[0] for b in bonds], dtype=np.int32)
-        self.bond_b = np.array([b[1] for b in bonds], dtype=np.int32)
-        self.bond_kind = np.array([b[2] for b in bonds], dtype=np.int8)
-        self.bond_j = np.array([b[3] for b in bonds], dtype=float)
-        self.n_bonds = len(bonds)
+        self.bond_a = bond_a.astype(np.int32)
+        self.bond_b = bond_b.astype(np.int32)
+        self.bond_kind = bond_kind.astype(np.int8)
+        self.bond_j = bond_j.astype(float)
+        self.n_bonds = len(bond_a)
         self.layers = layers
         self.vertex_index = vertex_index
         # one walker over sites plus the ghost node: measurement clusters
@@ -95,18 +96,21 @@ class SpinSystem:
             raise ValueError(f"unknown boundary condition {boundary!r}")
         layout = ball_layout(lattice, n)
         sites, m = layout.n_inside, layout.n_internal
-        a, b = layout.edge_a.tolist(), layout.edge_b.tolist()
-        j = layout.edge_j.tolist()
-        bonds = [(a[k], b[k], _KIND_SPIN, j[k]) for k in range(m)]
+        a, b, j = layout.edge_a, layout.edge_b, layout.edge_j
+        # (site, other end, J, kind) per group of bonds, in bond order
+        groups = [(a[:m], b[:m], j[:m], _KIND_SPIN)]
         if boundary == "plus":
             # one ghost bond per crossing coupling keeps multiplicities honest
-            bonds += [(a[k], sites, _KIND_SPIN, j[k]) for k in range(m, len(a))]
+            groups.append((a[m:], sites, j[m:], _KIND_SPIN))
         if h > 0.0:
-            bonds += [(i, sites, _KIND_FIELD, 0.0) for i in range(sites)]
+            groups.append((np.arange(sites), sites, 0.0, _KIND_FIELD))
+        bond_a, bond_b, bond_j, bond_kind = (
+            np.concatenate(column)
+            for column in zip(*(np.broadcast_arrays(*g) for g in groups)))
         layers = layout.layer[:sites]
         coords = layout.coords[:sites].tolist()
         index = {tuple(v): i for i, v in enumerate(coords)}
-        return cls(sites, bonds, layers, index)
+        return cls(sites, bond_a, bond_b, bond_kind, bond_j, layers, index)
 
 
 class WolffChain:
@@ -312,14 +316,14 @@ class DivergenceReport:
 def check_critical_divergence(lattice: LatticeSpec, beta: float,
                               n_list: Sequence[int], sweeps: int,
                               seed: int) -> DivergenceReport:
-    """Estimate S_n = sum_{x in ball(n)} <sigma_0 sigma_x> for each n.
+    """Estimate S_n = sum_{x in ball(n)} <sigma_0 sigma_x> for each distinct n.
 
     One free-boundary chain on the largest ball; per measurement the
     origin's Edwards-Sokal cluster is walked once and counted inside each
     radius, so the partial sums share samples and their increments are
     nonnegative sample by sample.
     """
-    radii = sorted(n_list)
+    radii = sorted(set(n_list))
     n_box = radii[-1]
     system = SpinSystem.box(lattice, n_box, boundary="free")
     layers = system.layers

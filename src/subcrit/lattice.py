@@ -32,6 +32,11 @@ _FAMILIES = ("square", "triangular", "hypercubic")
 # origin.  Closed under negation.
 _TRIANGULAR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
+# Most nodes (ball plus shell) a ball_layout builds; the largest square ball
+# within it is ball(1446).  A box's arrays and its walker's mirrored rows
+# take a few hundred bytes a node, so the cap keeps a box near a gigabyte.
+LAYOUT_VERTEX_CAP = 1 << 22
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -333,8 +338,14 @@ def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
 
     Vertices are int64 keys (coordinates in a mixed radix, so key order is
     lexicographic order).  A neighbor of BFS layer k lies in layer k - 1, k
-    or k + 1, so each new layer is the set of neighbors of the last one
-    minus the last two layers.
+    or k + 1, so each new layer is the set of neighbors of the last one,
+    sorted in place and deduplicated by adjacent differences, minus the
+    last two layers.
+
+    Raises ValueError when the keys would overflow int64, and when the
+    layers built so far hold more than ``LAYOUT_VERTEX_CAP`` nodes; that
+    is checked before each next layer is built, so a refused ball costs
+    about what a ball at the cap costs.
     """
     if n < 0:
         raise ValueError("radius must be non-negative")
@@ -351,14 +362,21 @@ def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
 
     layers = [np.array([reach * int(place.sum())], dtype=np.int64)]
     previous = layers[0][:0]
+    built = 1
     for _ in range(n + 1):
         current = layers[-1]
-        reached = np.unique((current[:, None] + okeys).ravel())
+        reached = (current[:, None] + okeys).ravel()
+        reached.sort()
+        reached = reached[np.concatenate(([True], reached[1:] != reached[:-1]))]
         fresh = ~_sorted_member(current, reached)
         if previous.size:
             fresh &= ~_sorted_member(previous, reached)
         previous = current
         layers.append(reached[fresh])
+        built += layers[-1].size
+        if built > LAYOUT_VERTEX_CAP:
+            raise ValueError(f"ball({n}) with its shell has more than "
+                             f"{LAYOUT_VERTEX_CAP} nodes, the layout cap")
     keys = np.concatenate(layers)
     n_inside = keys.size - layers[-1].size
     layer = np.repeat(np.arange(n + 2, dtype=np.int32), [k.size for k in layers])

@@ -16,6 +16,10 @@ bit-reproducible regardless of batching.
 
 The box's arrays come from ``lattice.ball_layout``, and its walk is the
 ``ClusterWalker`` that the Wolff chains and the Monte Carlo phi share too.
+The walker keeps the adjacency in numpy and mirrors a node's row into the
+Python lists its loop reads only once the walk has drawn that node's edge
+words, so a box costs what its walks reach: at p = 0.25 on ball(96) the
+walks of 800 susceptibility samples mirror about 1 % of the rows.
 Estimators walk the open cluster of the origin and stop once the event is
 decided: exit profiles at the first site beyond the largest radius, the
 ghost estimate at the first open ghost bond.  The susceptibility walks
@@ -57,6 +61,15 @@ class ClusterWalker:
     walk ``origin_cluster`` by default, and ``component``, which labels
     the whole sample in numpy and marks the same cluster, where a Wolff
     chain's clusters are large.
+
+    The adjacency is kept as numpy CSR arrays (``ptr``, ``nbr``, ``eid``:
+    node v's edges ``eid[ptr[v]:ptr[v + 1]]`` lead to ``nbr[...]``) next
+    to ``layer``.  The walk indexes Python lists mirrored from them, and
+    only for a prefix of the nodes: a walk extends the mirror when it draws
+    more edge words, to every node whose edges are then drawn, or when its
+    root lies past the prefix; the mirrored layers also cover every
+    neighbor of a mirrored row.  A walker built for a large box that its
+    walks barely leave converts only the rows near its roots.
     """
 
     def __init__(self, n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray,
@@ -67,12 +80,9 @@ class ClusterWalker:
         self.layer = layer
         self.n_edges = len(edge_a)
 
-        ptr, nbr, eid = incidence_csr(n_nodes, edge_a, edge_b)
-        self._ptr = ptr.tolist()
-        self._nbr = nbr.tolist()
-        self._eid = eid.tolist()
-        self._layer = layer.tolist()
-        self._no_stop = max(self._layer, default=0) + 1
+        self.ptr, self.nbr, self.eid = ptr, nbr, eid = incidence_csr(
+            n_nodes, edge_a, edge_b)
+        self._no_stop = int(layer.max(initial=0)) + 1
         # A row lists its edges in id order, so node v's edges are drawn once
         # the first need[v] words are.  The running maximum makes need
         # sorted: nodes v < bisect_right(need, drawn) have all their edges.
@@ -80,6 +90,10 @@ class ClusterWalker:
         filled = ptr[1:] > ptr[:-1]
         last[filled] = eid[ptr[1:][filled] - 1] + 1
         self._need = np.maximum.accumulate(last).tolist()
+        # the rows of the first _mirrored nodes as Python lists (see the
+        # class docstring)
+        self._mirrored = 0
+        self._ptr, self._nbr, self._eid, self._layer = [0], [], [], []
 
         # generators and draw buffers, reused by every walk (so one walker
         # serves one walk at a time); the masks are numpy views of the
@@ -120,6 +134,8 @@ class ClusterWalker:
             raise ValueError(f"h must be non-negative, got {h}")
         gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
                                                     gen=self._edge_gen)
+        if root >= self._mirrored:
+            self._mirror(root + 1)
         ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
         need, is_open = self._need, self._open
         self.seen = seen = bytearray(self.n_nodes)
@@ -148,6 +164,8 @@ class ClusterWalker:
                 drawn = self._draw(gen, self._edge_u, self._open_mask, weights,
                                    drawn, need[v])
                 ready = bisect_right(need, drawn)
+                if ready > self._mirrored:
+                    self._mirror(ready)
             for t in range(ptr[v], ptr[v + 1]):
                 if is_open[eid[t]]:
                     w = nbr[t]
@@ -205,6 +223,20 @@ class ClusterWalker:
         self.seen = bytearray(in_cluster.view(np.uint8))
         return int(np.count_nonzero(in_cluster))
 
+    def _mirror(self, nodes: int) -> None:
+        """Extend the Python rows to the first ``nodes`` nodes, and the
+        Python layers to every neighbor of those rows.  The lists grow in
+        place, so a walk's local names for them stay valid."""
+        start, stop = self.ptr[self._mirrored], self.ptr[nodes]
+        rows = self.nbr[start:stop]
+        self._ptr += self.ptr[self._mirrored + 1:nodes + 1].tolist()
+        self._nbr += rows.tolist()
+        self._eid += self.eid[start:stop].tolist()
+        top = max(nodes, int(rows.max(initial=-1)) + 1)
+        if top > len(self._layer):
+            self._layer += self.layer[len(self._layer):top].tolist()
+        self._mirrored = nodes
+
     @staticmethod
     def _draw(gen, uniforms, mask, weights, drawn, needed):
         """Extend the drawn prefix to at least ``needed`` words; returns its
@@ -243,13 +275,14 @@ def _box(lattice: LatticeSpec, n: int) -> PercBox:
 
 def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
                  param: float, samples: int, seed: int) -> dict[int, MCEstimate]:
-    """Exit estimates for every radius in one pass over box ``n_box`` samples.
+    """Exit estimates for every distinct radius in one pass over box
+    ``n_box`` samples.
 
     For r < n_box the witness path for "origin leaves ball(r)" lies inside
     the box edge set, so the shared-sample indicators are exact per radius
     (and nested, which the decay diagnostics rely on).
     """
-    radii = sorted(radii)
+    radii = sorted(set(radii))
     if radii[-1] > n_box:
         raise ValueError("profile radius exceeds box radius")
     box = _box(lattice, n_box)
@@ -273,18 +306,19 @@ def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
 def susceptibility_profile(lattice: LatticeSpec, n_box: int,
                            radii: Sequence[int], param: float, samples: int,
                            seed: int) -> dict[int, MCEstimate]:
-    """Partial sums |cluster(0) ∩ ball(r)| for each r, shared samples.
+    """Partial sums |cluster(0) ∩ ball(r)| for each distinct r, shared
+    samples.
 
     Cluster sizes are heavy-tailed near criticality, so the standard error
     comes from batch means rather than the naive i.i.d. formula.
     """
-    radii = sorted(radii)
+    radii = sorted(set(radii))
     if radii[-1] > n_box:
         raise ValueError("profile radius exceeds box radius")
     box = _box(lattice, n_box)
     weights = box.open_probabilities(param)
     counts: dict[int, list[float]] = {r: [] for r in radii}
-    layer = box._layer
+    layer = box._layer  # mirrored for every member a walk returns
     for i in range(samples):
         members, _, _ = box.origin_cluster(weights, seed,
                                            rngmod.STREAM_SUSCEPTIBILITY, i)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from subcrit import lattice as lattice_mod
 from subcrit.cli import (_SCHEMAS, EXIT_ERROR, EXIT_OK, EXIT_REFUSED,
                          MEASUREMENT_COLUMNS, TABLE_COLUMNS, RunConfig,
                          build_parser, main)
@@ -340,6 +341,36 @@ def test_simulate_ising_divergence_needs_two_sizes(tmp_path):
                    "--param", "0.44", "--n", "2", "--sweeps", "300",
                    "--seed", "3", "--out", str(tmp_path))
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate-perc", "--observable", "exit", "--samples", "10"),
+    ("simulate-perc", "--observable", "susceptibility", "--samples", "10"),
+    ("simulate-perc", "--observable", "ghost", "--h", "0.1", "--samples", "10"),
+    ("simulate-ising", "--observable", "divergence", "--sweeps", "10"),
+    ("simulate-ising", "--observable", "magnetization", "--sweeps", "10"),
+], ids=["exit", "susceptibility", "ghost", "divergence", "magnetization"])
+def test_simulate_refuses_a_repeated_size(tmp_path, capsys, args):
+    # --n-list 4,4 once wrote an exit "probability" of 2 and passed the
+    # divergence check's "at least two sizes" with one
+    code = run_cli(*args, "--param", "0.3", "--n-list", "4,4", "--seed", "1",
+                   "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: options.n_list")
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_refuses_a_box_past_the_layout_cap(tmp_path, capsys,
+                                                     monkeypatch):
+    # the cap is lowered so that the refusal comes within a few layers
+    monkeypatch.setattr(lattice_mod, "LAYOUT_VERTEX_CAP", 1000)
+    code = run_cli("simulate-perc", "--observable", "exit", "--param", "0.5",
+                   "--n", "100000", "--samples", "1", "--seed", "1",
+                   "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "layout cap" in err[0], err
 
 
 @pytest.mark.parametrize("args, field", [

@@ -169,6 +169,15 @@ def test_divergence_report_structure():
     assert report.strictly_increasing_3sigma == (delta > 3.0 * sigma)
 
 
+def test_divergence_counts_a_repeated_radius_once():
+    # a repeated 4 once doubled S_4 and added a zero increment 4 -> 4
+    once = check_critical_divergence(B_LAT, BETA_C, [2, 4], sweeps=200,
+                                     seed=37)
+    twice = check_critical_divergence(B_LAT, BETA_C, [4, 2, 4], sweeps=200,
+                                      seed=37)
+    assert twice == once
+
+
 def test_two_point_distances_validated():
     with pytest.raises(ValueError):
         estimate_two_point(B_LAT, 2, 0.4, [5], sweeps=100, seed=1)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from subcrit import lattice as lattice_mod
 from subcrit.lattice import (LatticeSpec, Region, ball, ball_layout,
                              edge_weight, translate_region)
 
@@ -166,9 +167,12 @@ LAYOUT_LATTICES = (
 )
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
-@pytest.mark.parametrize("lattice", LAYOUT_LATTICES,
-                         ids=lambda lattice: lattice.family)
+@pytest.mark.parametrize(
+    "lattice,n",
+    [(lattice, n) for lattice in LAYOUT_LATTICES for n in (0, 1, 2, 5, 12)]
+    + [(LAYOUT_LATTICES[0], 33), (LAYOUT_LATTICES[1], 33),
+       (LAYOUT_LATTICES[3], 20)],
+    ids=lambda arg: arg.family if isinstance(arg, LatticeSpec) else str(arg))
 def test_ball_layout_matches_ball(lattice, n):
     region = ball(lattice, n)
     shell = sorted({w for _, w, _ in region.boundary_pairs})
@@ -194,3 +198,16 @@ def test_ball_layout_rejects_keys_beyond_int64():
             ball_layout(lattice, n)
         assert "\n" not in str(info.value)
     assert ball_layout(LatticeSpec.hypercubic(20), 1).n_inside == 41
+
+
+def test_ball_layout_refuses_balls_past_the_vertex_cap(monkeypatch):
+    # square ball(n) with its shell has 2n^2 + 6n + 5 nodes: 85 at n = 5,
+    # 113 at n = 6; ball(10^5) has about 2 * 10^10 and is refused within
+    # a dozen layers
+    monkeypatch.setattr(lattice_mod, "LAYOUT_VERTEX_CAP", 100)
+    square = LatticeSpec.square()
+    assert len(ball_layout(square, 5).layer) == 85
+    for n in (6, 100_000):
+        with pytest.raises(ValueError, match="layout cap") as info:
+            ball_layout(square, n)
+        assert "\n" not in str(info.value)

@@ -71,6 +71,15 @@ def test_susceptibility_profile_increasing_in_box():
     assert means[0] <= means[1] <= means[2]
 
 
+def test_profiles_count_a_repeated_radius_once():
+    # a repeated radius once counted each hit twice: an exit "probability"
+    # of 2.0 and a doubled partial susceptibility
+    assert exit_profile(P_LAT, 4, [4, 4], 0.5, 10, 1) == exit_profile(
+        P_LAT, 4, [4], 0.5, 10, 1)
+    assert susceptibility_profile(P_LAT, 4, [2, 2, 4], 0.5, 10, 1) == (
+        susceptibility_profile(P_LAT, 4, [2, 4], 0.5, 10, 1))
+
+
 def full_draw(box, weights, h, seed, stream, index):
     # every word of the sample at once: n_edges edge words, then n_nodes
     # ghost words
@@ -189,14 +198,17 @@ def test_lazy_boxes_cover_every_ghost_offset():
         0, 1, 2, 3}
 
 
-@pytest.mark.parametrize("first_draw", [1, perc_mc._FIRST_DRAW])
-@pytest.mark.parametrize(
+WALK_GRAPHS = pytest.mark.parametrize(
     "make,args",
     [(lazy_box, box) for box in LAZY_BOXES]
     + [(lazy_spin_graph, ("plus", 0.0)), (lazy_spin_graph, ("free", 0.2)),
        (lazy_spin_graph, ("free", 0.0))],
     ids=["square", "triangular", "cubic", "custom3", "custom4", "spin-plus",
          "spin-field", "spin-free"])
+
+
+@pytest.mark.parametrize("first_draw", [1, perc_mc._FIRST_DRAW])
+@WALK_GRAPHS
 def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                                                       monkeypatch):
     # with first_draw = 1 the prefix grows from a single word, so every
@@ -225,6 +237,42 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                 assert walker.component(weights, 8, 3, i, root=root) == len(
                     members)
                 assert np.flatnonzero(walker.seen).tolist() == sorted(members)
+
+
+@WALK_GRAPHS
+def test_first_walk_of_a_fresh_walker_matches_full_mask_walk(make, args):
+    # a fresh walker has no rows mirrored: its first walk extends the
+    # mirror from its root (the last node is a spin graph's ghost) and
+    # from the words it draws
+    walker, open_probabilities = make(*args)
+    top = max(walker.layer.tolist())
+    roots = (0, walker.n_nodes // 3, walker.n_nodes - 1)
+    cases = [dict(stop_layer=stop) for stop in (None, 1, (top - 1) // 2 + 1,
+                                                top)] + [dict(h=0.02)]
+    for param in (0.25, 0.6):
+        weights = open_probabilities(param)
+        for i in range(4):
+            open_edges, ghost_open = full_draw(walker, weights, 0.02, 8, 3, i)
+            for root in roots:
+                for case in cases:
+                    fresh, _ = make(*args)
+                    expected = full_mask_walk(
+                        walker, open_edges,
+                        ghost_open if "h" in case else None,
+                        stop_layer=case.get("stop_layer"), root=root)
+                    assert fresh.origin_cluster(weights, 8, 3, i, root=root,
+                                                **case) == expected
+
+
+def test_small_clusters_mirror_few_rows():
+    # at p = 0.25 the 800 clusters on ball(96) have about two sites, and
+    # the walks draw the edge words of about 1 % of the box's rows
+    perc_mc._box.cache_clear()
+    susceptibility_profile(P_LAT, 96, [96], 0.25, 800, 1)
+    box = perc_mc._box(P_LAT, 96)
+    assert len(box._ptr) - 1 < 0.05 * box.n_nodes
+    assert len(box._nbr) < 0.05 * 2 * box.n_edges
+    assert len(box._layer) < 0.05 * box.n_nodes
 
 
 def test_fixed_seed_outputs_are_pinned():
