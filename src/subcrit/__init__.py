@@ -21,6 +21,7 @@ from .certificates import (
     compute_phi,
     critical_root,
     decay_upper_bound,
+    exact_phi,
 )
 from .errors import (
     CapExceeded,
@@ -56,5 +57,6 @@ __all__ = [
     "critical_root",
     "decay_upper_bound",
     "edge_weight",
+    "exact_phi",
     "translate_region",
 ]

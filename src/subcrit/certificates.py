@@ -11,12 +11,16 @@ connection probability is replaced by the free-boundary correlation
 the parameter is at or below the critical point, so the root of
 phi(S, t) = 1 in t is a certified lower bound on the critical point.
 
-Certificates, roots and best-bound tables evaluate phi exactly and raise
-``CapExceeded`` beyond the fixed caps of the exact engines (a percolation
-frontier of ``exact.FRONTIER_CAP`` vertices or ``exact.BRANCH_CAP``
-branch rows, an Ising spin layer of ``exact.SPIN_FRONTIER_CAP`` rows);
-only :func:`compute_phi` falls back, and for percolation only, to a Monte
-Carlo estimate labelled ``method="monte_carlo"``, which proves nothing.
+:func:`phi_sweep` is the one evaluation of phi, for either model, at one
+parameter or at every parameter of a sequence in one sweep, and
+:func:`exact_phi` gives one of its values as a :class:`PhiResult`.  Both
+are exact only and raise ``CapExceeded`` beyond the fixed caps of the
+exact engines (a percolation frontier of ``exact.FRONTIER_CAP`` vertices
+or ``exact.BRANCH_CAP`` branch rows, an Ising spin layer of
+``exact.SPIN_FRONTIER_CAP`` rows); certificates, roots and best-bound
+tables call :func:`exact_phi`.  Only :func:`compute_phi` falls back, and
+for percolation only, to a Monte Carlo estimate labelled
+``method="monte_carlo"``, which proves nothing.
 Certificates are floating-point honest rather than interval arithmetic:
 EPSILON_CERT absorbs the rounding budget of the exact engine in the one
 decision rule, :func:`_certifies`.
@@ -37,9 +41,9 @@ from .errors import CapExceeded, NoRoot
 from .exact import ising_sums, perc_reach
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .perc_mc import ClusterWalker
+from .stats import check_counts
 
 EPSILON_CERT = 1e-9
-MODELS = ("percolation", "ising")
 
 # beta large enough that every edge weight is within 1e-27 of its cap, so
 # phi at the bracket top is indistinguishable from its monotone limit
@@ -130,11 +134,6 @@ class Refusal:
                 "seed": self.phi.seed}
 
 
-def _check_region(lattice: LatticeSpec, region: Region) -> None:
-    if region.lattice != lattice:
-        raise ValueError("region was built on a different lattice")
-
-
 def _boundary_coefficients(region: Region, param: float, model: str,
                            within: Iterable[Vertex] | None = None
                            ) -> np.ndarray:
@@ -156,31 +155,22 @@ def _boundary_coefficients(region: Region, param: float, model: str,
     return coeff
 
 
-def _exact_result(region: Region, param: float, value: float) -> PhiResult:
-    return PhiResult(value=value, method="exact", upper_confidence=value,
-                     param=param, region_id=region_id(region))
-
-
-def phi_percolation(lattice: LatticeSpec, region: Region, param: float, *,
-                    within: Iterable[Vertex] | None = None) -> PhiResult:
-    """Exact phi for bond percolation; ``CapExceeded`` past the frontier cap.
-
-    One frontier sweep with the boundary coefficients as its one column.
-    ``region`` may be disconnected; connection probabilities are then zero
-    beyond the origin's component.  ``within`` optionally restricts the
-    outside endpoint of each boundary pair to a given vertex set.
-    """
-    _check_region(lattice, region)
-    value = phi_sweep("percolation", region, param, within=within)
-    return _exact_result(region, param, float(value))
-
-
 def phi_sweep(model: str, region: Region, param, *,
               within: Iterable[Vertex] | None = None):
     """Exact phi of ``region`` at ``param``, or an array of it at every
     parameter of a sequence, from one sweep with the boundary coefficients
-    as the column; ``model`` is "percolation" or "ising" (at zero field).
+    as the column.
+
+    ``model`` is "percolation" or "ising" (in any accepted spelling); Ising
+    phi needs a beta-mode lattice and takes its correlations at zero field
+    with free boundary.  ``region`` may be disconnected; connection
+    probabilities (correlations) are then zero beyond the base point's
+    component.  ``within`` optionally restricts the outside endpoint of
+    each boundary pair to a given vertex set.
     """
+    model = _normalize_model(model)
+    if model == "ising" and region.lattice.mode != "beta":
+        raise ValueError("the Ising phi needs a beta-mode lattice")
     if isinstance(param, numbers.Real):
         coeffs = _boundary_coefficients(region, param, model, within)[:, None]
     else:
@@ -200,6 +190,7 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
     confidence bound is the one-sided Hoeffding bound at 99.9%,
     mean + W sqrt(ln(1000) / (2 samples)), which is never below the mean.
     """
+    check_counts(samples=samples)
     coeff = _boundary_coefficients(region, param, "percolation").tolist()
     total_w = math.fsum(coeff)
     edges = region.internal_edges
@@ -222,37 +213,22 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
                      samples=samples, seed=seed)
 
 
-def phi_ising(lattice: LatticeSpec, region: Region, beta: float, *,
+def exact_phi(model: str, lattice: LatticeSpec, region: Region,
+              param: float, *,
               within: Iterable[Vertex] | None = None) -> PhiResult:
-    """Exact phi for the Ising model, one spin sweep with the boundary
-    weights as its coefficient column; ``CapExceeded`` past the spin cap.
-
-    Correlations inside the region are taken at zero field with free
-    boundary; ``within`` restricts outside endpoints as in
-    :func:`phi_percolation`.
-    """
-    _check_region(lattice, region)
-    _check_ising_mode(lattice)
-    return _exact_result(region, beta,
-                         float(phi_sweep("ising", region, beta, within=within)))
-
-
-def _check_ising_mode(lattice: LatticeSpec) -> None:
-    if lattice.mode != "beta":
-        raise ValueError("the Ising phi needs a beta-mode lattice")
-
-
-def _exact_phi(model: str, lattice: LatticeSpec, region: Region,
-               param: float) -> PhiResult:
-    if model == "percolation":
-        return phi_percolation(lattice, region, param)
-    return phi_ising(lattice, region, param)
+    """Exact phi of ``region`` at ``param`` from one :func:`phi_sweep`, as
+    a :class:`PhiResult`; ``CapExceeded`` past the caps of ``exact``."""
+    if region.lattice != lattice:
+        raise ValueError("region was built on a different lattice")
+    value = float(phi_sweep(model, region, param, within=within))
+    return PhiResult(value=value, method="exact", upper_confidence=value,
+                     param=param, region_id=region_id(region))
 
 
 def compute_phi(model: str, lattice: LatticeSpec, region: Region,
                 param: float, *, samples: int = _DEFAULT_MC_SAMPLES,
                 seed: int = 0) -> PhiResult:
-    """phi, exact within the fixed caps of ``exact``.
+    """phi by :func:`exact_phi` within the fixed caps of ``exact``.
 
     Past the caps, percolation falls back to a Monte Carlo estimate
     (``method="monte_carlo"``): ``samples`` cluster walks from ``seed``,
@@ -261,11 +237,11 @@ def compute_phi(model: str, lattice: LatticeSpec, region: Region,
     past the spin cap, as :func:`certify_subcritical` does.
     """
     model = _normalize_model(model)
-    if model == "ising":
-        return phi_ising(lattice, region, param)
     try:
-        return phi_percolation(lattice, region, param)
+        return exact_phi(model, lattice, region, param)
     except CapExceeded:
+        if model == "ising":
+            raise
         return _phi_percolation_mc(region, param, samples, seed)
 
 
@@ -283,7 +259,7 @@ def certify_subcritical(model: str, lattice: LatticeSpec, region: Region,
     beyond the exact caps raises ``CapExceeded``.
     """
     model = _normalize_model(model)
-    phi = _exact_phi(model, lattice, region, param)
+    phi = exact_phi(model, lattice, region, param)
     if _certifies(phi):
         return Certificate(model=model, lattice=lattice, region=region,
                            param=param, phi=phi)
@@ -350,7 +326,7 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
     target = 1.0 - EPSILON_CERT
     lo, g_lo = 0.0, -math.inf  # phi = 0 at parameter 0 for both models
     hi = _param_max(model, lattice)
-    phi = _exact_phi(model, lattice, region, hi)
+    phi = exact_phi(model, lattice, region, hi)
     if _certifies(phi):
         raise NoRoot(f"phi stays below 1 - {EPSILON_CERT:g} up to "
                      f"param={hi:g}")
@@ -370,7 +346,7 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
             t = param_of(w) if w < 1.0 else hi
         t = min(max(t, lo + 0.5 * tol, math.nextafter(lo, hi)),
                 hi - 0.5 * tol, math.nextafter(hi, lo))
-        phi = _exact_phi(model, lattice, region, t)
+        phi = exact_phi(model, lattice, region, t)
         g_t = _log(phi.upper_confidence / target)
         # Illinois: halve g at an end that stays for a second step running
         if _certifies(phi):

@@ -15,8 +15,8 @@ frontier without T.  One sweep gives sum_v c_v P[v reaches the tied set]
 for every column of coefficients c.  The transitions do not depend on the
 parameter: ``_frontier_plan`` builds them once per (region, ties), and an
 evaluation is a few ``np.bincount`` calls per vertex.  Connection to the
-base point is one always-open tie there; the exit event ties every
-boundary pair of ball(n).
+base point is one always-open tie there (``BASE_POINT_TIE``); the exit
+event ties every boundary pair of ball(n).
 
 Ising: with H(sigma) = -beta * sum_{internal pairs {x,y}} J_xy sigma_x
 sigma_y - h * sum_x sigma_x (each unordered pair counted once), a spin
@@ -30,12 +30,18 @@ out by adding the rows' two halves, so a state and its flipped partner get
 the same sums in the same order: at h = 0 every magnetization is exactly 0.
 
 Both engines take a sequence of K parameters (for Ising, K (beta, h)
-pairs) in place of one, with one coefficient matrix per parameter.  The
-parameter axis folds into the coefficient-column axis: parameter q's
-column c is column q * columns + c of one sweep, with branch (or row)
-weights per parameter, and each column is summed in the same order as in
-a sweep of its own, so the values are bit for bit the same.  One
-parameter runs the sweep with scalar weights, as before the axis existed.
+pairs) in place of one, with one coefficient matrix per parameter or one
+for all of them.  The parameter axis folds into the coefficient-column
+axis: parameter q's column c is column q * columns + c of one sweep,
+with branch (or row) weights per parameter, and each column is summed in
+the same order as in a sweep of its own, so the values are bit for bit
+the same.  One parameter runs the sweep with scalar weights, as before
+the axis existed.
+So does every observable built on them: ``perc_connect_probs``,
+``perc_exit_prob`` and ``ising_observables`` take one parameter or a
+sequence, and a sequence gives each array a leading parameter axis whose
+row q is bit for bit the call at parameter q.  Per-vertex observables are
+arrays in region-index order (``Region.index``).
 
 Both engines refuse (``CapExceeded``) beyond fixed caps: a percolation
 frontier wider than ``FRONTIER_CAP`` vertices, checked before any state
@@ -61,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceeded
-from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
+from .lattice import LatticeSpec, Region, ball, edge_weight
 
 # admits square ball(4) and triangular ball(3); bounds a layer by Bell(10) =
 # 115,975 states on any lattice
@@ -74,6 +80,9 @@ BRANCH_CAP = 1 << 15
 # rows times coefficient columns of the widest spin layer: admits phi on
 # square ball(7) (2^15 rows) and all observables on ball(4) (2^9 x 41)
 SPIN_FRONTIER_CAP = 1 << 16
+# the tie that makes "reaches the tied set" mean "is connected to the base
+# point": an always-open bond from the base point (index 0)
+BASE_POINT_TIE = ((0, math.inf),)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +278,9 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
     -expm1(sum log1p(-q_i)), which keeps small weights accurate.
 
     ``param`` may be a sequence of K parameters, with ``coeffs`` of shape
-    (K, vertices, columns), one matrix per parameter; row q of the (K,
-    columns) result is then bit for bit the value at ``param[q]`` alone.
+    (K, vertices, columns), one matrix per parameter, or (vertices,
+    columns) for all of them; row q of the (K, columns) result is then bit
+    for bit the value at ``param[q]`` alone.
     """
     steps = _frontier_plan(region, tuple(sorted({v for v, _ in ties})),
                            frozenset(v for v, j in ties if j == math.inf))
@@ -278,6 +288,8 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
     if isinstance(param, numbers.Real):
         return _perc_sweep(steps, [_op_weights(region, ties, param)], coeffs)
     params = list(param)
+    if coeffs.ndim == 2:
+        coeffs = np.broadcast_to(coeffs, (len(params),) + coeffs.shape)
     if not params or len(coeffs) != len(params):
         raise ValueError("need one coefficient matrix per parameter, and "
                          "at least one parameter")
@@ -344,14 +356,11 @@ def _perc_sweep(steps: tuple[_Step, ...],
     return pending
 
 
-def perc_connect_probs(region: Region, param: float) -> dict[Vertex, float]:
-    """Exact P[base point <-> x inside S] for every x in S.
-
-    The base point (index 0 in canonical order) carries one always-open
-    tie; the sweep carries one coefficient column per vertex.
-    """
-    reach = perc_reach(region, ((0, math.inf),), param, np.eye(len(region)))
-    return dict(zip(region.vertices, reach.tolist()))
+def perc_connect_probs(region: Region, param) -> np.ndarray:
+    """Exact P[base point <-> x inside S] for every x in S, in region
+    order, or one such row per parameter of a sequence, from one sweep
+    with a coefficient column per vertex."""
+    return perc_reach(region, BASE_POINT_TIE, param, np.eye(len(region)))
 
 
 def perc_exit_prob(lattice: LatticeSpec, n: int, param):
@@ -362,11 +371,8 @@ def perc_exit_prob(lattice: LatticeSpec, n: int, param):
     ties = tuple((i, j) for i, _, j in region.boundary_pairs)
     origin = np.zeros((len(region), 1))
     origin[0] = 1.0
-    if isinstance(param, numbers.Real):
-        return float(perc_reach(region, ties, param, origin)[0])
-    return perc_reach(region, ties, param,
-                      np.broadcast_to(origin, (len(param),) + origin.shape)
-                      )[:, 0]
+    reach = perc_reach(region, ties, param, origin)[..., 0]
+    return float(reach) if isinstance(param, numbers.Real) else reach
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +410,12 @@ def naive_event_prob(n_nodes: int, edges: list[tuple[int, int, float]],
     return {t: math.fsum(v) for t, v in probs.items()}
 
 
-def naive_connect_probs(region: Region, param: float) -> dict[Vertex, float]:
+def naive_connect_probs(region: Region, param: float) -> np.ndarray:
+    """Reference :func:`perc_connect_probs` at one parameter."""
     edges = [(a, b, edge_weight(region.lattice, j, param))
              for a, b, j in region.internal_edges]
     raw = naive_event_prob(len(region), edges, 0, list(range(len(region))))
-    return {v: raw[i] for i, v in enumerate(region.vertices)}
+    return np.array([raw[i] for i in range(len(region))])
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +476,11 @@ def ising_sums(region: Region, beta, h,
     -acc[0]`` exactly.
 
     ``beta`` and ``h`` may be sequences (or one a sequence, the other a
-    number) giving K pairs, with ``coeffs`` of shape (K, vertices, columns):
-    then ``z`` has shape (K, 2) and ``acc`` (K, 2, columns), row q bit for
-    bit the sums at the q-th pair alone, from as few sweeps as the cap
-    allows (rows times columns times pairs per sweep).
+    number) giving K pairs, with ``coeffs`` of shape (K, vertices, columns),
+    or (vertices, columns) for all of them: then ``z`` has shape (K, 2) and
+    ``acc`` (K, 2, columns), row q bit for bit the sums at the q-th pair
+    alone, from as few sweeps as the cap allows (rows times columns times
+    pairs per sweep).
     """
     if isinstance(beta, numbers.Real) and isinstance(h, numbers.Real):
         if beta < 0.0:
@@ -484,6 +492,8 @@ def ising_sums(region: Region, beta, h,
     betas, hs = (a[:, None, None] for a in np.broadcast_arrays(
         np.asarray(beta, dtype=float), np.asarray(h, dtype=float)))
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim == 2:
+        coeffs = np.broadcast_to(coeffs, (len(betas),) + coeffs.shape)
     if not len(betas) or len(coeffs) != len(betas):
         raise ValueError("need one coefficient matrix per (beta, h) pair, "
                          "and at least one pair")
@@ -532,23 +542,26 @@ def _spin_sweep(steps: tuple[_SpinStep, ...], beta, h, coeffs: np.ndarray
 
 @dataclass(frozen=True)
 class ExactIsing:
-    """Finite-volume Gibbs expectations on a region.
+    """Finite-volume Gibbs expectations on a region, in region order.
 
-    ``correlations[x]`` = <sigma_base sigma_x>, ``magnetizations[x]`` =
-    <sigma_x>, ``log_z`` the log partition function relative to exp(-H) of
-    the all-plus configuration.
+    ``correlations[i]`` = <sigma_base sigma_x> and ``magnetizations[i]`` =
+    <sigma_x> for x the region's vertex i, ``log_z`` the log partition
+    function relative to exp(-H) of the all-plus configuration.  At K
+    (beta, h) pairs ``beta`` and ``h`` are the sequences as given, and each
+    array has a leading axis of K.
     """
 
     region: Region
     beta: float
     h: float
-    correlations: dict[Vertex, float]
-    magnetizations: dict[Vertex, float]
+    correlations: np.ndarray
+    magnetizations: np.ndarray
     log_z: float
 
 
-def all_plus_energy(region: Region, beta: float, h: float) -> float:
-    """H of the all-plus configuration: -beta * sum_int J - h * |S|.
+def all_plus_energy(region: Region, beta, h):
+    """H of the all-plus configuration: -beta * sum_int J - h * |S|, also
+    elementwise over arrays of beta and h.
 
     Guards the single-count pair convention; the spin sweep counts
     weights relative to this ground-state weight.
@@ -557,16 +570,18 @@ def all_plus_energy(region: Region, beta: float, h: float) -> float:
     return -beta * j_sum - h * len(region)
 
 
-def ising_observables(region: Region, beta: float, h: float) -> ExactIsing:
-    """Exact expectations from one spin sweep with a coefficient column per
-    vertex."""
+def ising_observables(region: Region, beta, h) -> ExactIsing:
+    """Exact expectations at one (beta, h) pair, or at K pairs as
+    :func:`ising_sums` takes them, from one spin sweep with a coefficient
+    column per vertex."""
     z, acc = ising_sums(region, beta, h, np.eye(len(region)))
-    total = z[0] + z[1]
-    corrs, mags = (acc[0] - acc[1]) / total, (acc[0] + acc[1]) / total
+    total = z[..., 0] + z[..., 1]
+    norm = total[..., None]
     return ExactIsing(region, beta, h,
-                      dict(zip(region.vertices, corrs.tolist())),
-                      dict(zip(region.vertices, mags.tolist())),
-                      math.log(total) - all_plus_energy(region, beta, h))
+                      (acc[..., 0, :] - acc[..., 1, :]) / norm,
+                      (acc[..., 0, :] + acc[..., 1, :]) / norm,
+                      np.log(total) - all_plus_energy(
+                          region, np.asarray(beta), np.asarray(h)))
 
 
 def naive_ising_observables(region: Region, beta: float, h: float) -> ExactIsing:
@@ -589,9 +604,7 @@ def naive_ising_observables(region: Region, beta: float, h: float) -> ExactIsing
     z = math.fsum(z_terms)
     return ExactIsing(
         region, beta, h,
-        correlations={v: math.fsum(corr_terms[i]) / z
-                      for i, v in enumerate(region.vertices)},
-        magnetizations={v: math.fsum(mag_terms[i]) / z
-                        for i, v in enumerate(region.vertices)},
+        correlations=np.array([math.fsum(t) / z for t in corr_terms]),
+        magnetizations=np.array([math.fsum(t) / z for t in mag_terms]),
         log_z=math.log(z) - e_plus,
     )

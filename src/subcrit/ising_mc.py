@@ -46,7 +46,8 @@ import numpy as np
 from . import rng as rngmod
 from .lattice import LatticeSpec, Vertex, ball_layout
 from .perc_mc import ClusterWalker
-from .stats import MCEstimate, batch_means_stderr, integrated_autocorr_time
+from .stats import (MCEstimate, batch_means_stderr, check_counts,
+                    integrated_autocorr_time)
 
 _KIND_SPIN = 0
 _KIND_FIELD = 1
@@ -254,6 +255,7 @@ def estimate_magnetization(lattice: LatticeSpec, n: int, beta: float,
     origin-spin flips; without any ghost (free boundary, h = 0) the plain
     time average of sigma_origin is used.
     """
+    check_counts(sweeps=sweeps)
     system = SpinSystem.box(lattice, n, boundary=boundary, h=h)
     chain = WolffChain(system, beta, h, seed)
     equilibrate(chain)
@@ -279,6 +281,7 @@ def estimate_two_point(lattice: LatticeSpec, n: int, beta: float,
     Uses the cluster-membership estimator (see module docstring), so small
     correlations are resolved with binomial-scale noise.
     """
+    check_counts(sweeps=sweeps)
     system = SpinSystem.box(lattice, n, boundary=boundary)
     targets = {}
     for d in distances:
@@ -316,7 +319,8 @@ class DivergenceReport:
 def check_critical_divergence(lattice: LatticeSpec, beta: float,
                               n_list: Sequence[int], sweeps: int,
                               seed: int) -> DivergenceReport:
-    """Estimate S_n = sum_{x in ball(n)} <sigma_0 sigma_x> for each distinct n.
+    """Estimate S_n = sum_{x in ball(n)} <sigma_0 sigma_x> for each distinct
+    n, of which there must be at least two, so that there is an increment.
 
     One free-boundary chain on the largest ball; per measurement the
     origin's Edwards-Sokal cluster is walked once and counted inside each
@@ -324,6 +328,9 @@ def check_critical_divergence(lattice: LatticeSpec, beta: float,
     nonnegative sample by sample.
     """
     radii = sorted(set(n_list))
+    check_counts(sweeps=sweeps)
+    if len(radii) < 2:
+        raise ValueError(f"need at least two distinct radii, got {radii}")
     n_box = radii[-1]
     system = SpinSystem.box(lattice, n_box, boundary="free")
     layers = system.layers

@@ -43,7 +43,8 @@ import numpy as np
 from . import rng as rngmod
 from .errors import DegenerateFit
 from .lattice import LatticeSpec, ball_layout, edge_weight, incidence_csr
-from .stats import MCEstimate, batch_means_stderr, binomial_stderr
+from .stats import (MCEstimate, batch_means_stderr, binomial_stderr,
+                    check_counts)
 
 # smallest prefix a walk draws: below about this many words, the cost of a
 # numpy call outweighs the draws it saves
@@ -283,6 +284,7 @@ def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
     (and nested, which the decay diagnostics rely on).
     """
     radii = sorted(set(radii))
+    check_counts(samples=samples, radii=len(radii))
     if radii[-1] > n_box:
         raise ValueError("profile radius exceeds box radius")
     box = _box(lattice, n_box)
@@ -313,6 +315,7 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
     comes from batch means rather than the naive i.i.d. formula.
     """
     radii = sorted(set(radii))
+    check_counts(samples=samples, radii=len(radii))
     if radii[-1] > n_box:
         raise ValueError("profile radius exceeds box radius")
     box = _box(lattice, n_box)
@@ -340,6 +343,7 @@ def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
     """P[origin connected to the ghost] with field h on box ball(n)."""
     if not h > 0.0:
         raise ValueError(f"ghost magnetization needs h > 0, got {h}")
+    check_counts(samples=samples)
     box = _box(lattice, n)
     weights = box.open_probabilities(param)
     hits = 0

@@ -26,6 +26,14 @@ class MCEstimate:
     seed: int
 
 
+def check_counts(**counts: int) -> None:
+    """The one refusal of an empty Monte Carlo run: a one-line ValueError
+    unless every count (samples, sweeps, radii) is at least 1."""
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name}: need at least 1, got {n}")
+
+
 def binomial_stderr(p_hat: float, n: int) -> float:
     if n <= 0:
         raise ValueError("need at least one sample")

@@ -7,9 +7,12 @@ The differential checks use central finite differences of exact
 function values; a step-halving comparison is recorded so derivative
 quality can be asserted independently of the inequality itself.  A check
 collects every stencil point of its whole grid and evaluates them in one
-exact sweep (the engines take a sequence of parameters), and sweeps every
-other region, each subset of an infimum included, once for its grid.
-Every grid is validated before the first sweep.
+exact sweep, and sweeps every other region, each subset of an infimum
+included, once for its grid: ``certificates.phi_sweep``,
+``exact.perc_connect_probs``, ``exact.perc_exit_prob`` and
+``exact.ising_observables`` each take one parameter or a sequence, and a
+sequence gives one row per parameter, with per-vertex values in
+region-index order.  Every grid is validated before the first sweep.
 
 The subset infima are taken over *all* subsets of the region that contain
 the base point, including disconnected ones (a disconnected subset can
@@ -19,13 +22,15 @@ have a strictly smaller boundary functional).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certificates import _check_ising_mode, _normalize_model, phi_sweep
-from .exact import ising_sums, perc_exit_prob, perc_reach
+from .certificates import phi_sweep
+from .exact import (ising_observables, perc_connect_probs, perc_exit_prob,
+                    perc_reach)
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 
 __all__ = [
@@ -119,38 +124,26 @@ def _make_report(name: str, grid: Sequence, lhs: Sequence[float],
 # subset infimum of phi
 # ---------------------------------------------------------------------------
 
-def phi_infimum(model: str, lattice: LatticeSpec, region: Region,
-                param: float, *, within: Iterable[Vertex] | None = None
-                ) -> tuple[float, tuple[Vertex, ...]]:
+def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
+                within: Iterable[Vertex] | None = None):
     """Exact infimum of phi(S) over every subset S of ``region`` containing
-    the base point (2^(|region|-1) evaluations), with the minimizing subset.
+    the base point (2^(|region|-1) evaluations), with the minimizing subset:
+    ``(value, subset)`` at one parameter, or a list of them at every
+    parameter of a sequence, from one sweep per subset.
     """
-    return _phi_infima(model, lattice, region, (param,), within)[0]
-
-
-def _phi_infima(model: str, lattice: LatticeSpec, region: Region,
-                params: Sequence[float],
-                within: Iterable[Vertex] | None = None
-                ) -> list[tuple[float, tuple[Vertex, ...]]]:
-    """:func:`phi_infimum` at every parameter of ``params``: one subset
-    loop, with one region and one sweep per subset for the whole grid."""
-    model = _normalize_model(model)
+    _check_subsets(region)
+    params = [param] if isinstance(param, numbers.Real) else list(param)
     origin = region.origin
     others = [v for v in region.vertices if v != origin]
-    _check_subsets(region)
-    if model == "ising":
-        _check_ising_mode(lattice)
-    best = [math.inf] * len(params)
-    best_subset = [(origin,)] * len(params)
+    best = [(math.inf, (origin,))] * len(params)
     for mask in range(1 << len(others)):
         subset = [origin] + [v for k, v in enumerate(others) if mask >> k & 1]
         values = phi_sweep(model, Region(lattice, subset, origin), params,
                            within=within).tolist()
         for q, value in enumerate(values):
-            if value < best[q]:
-                best[q] = value
-                best_subset[q] = tuple(sorted(subset))
-    return list(zip(best, best_subset))
+            if value < best[q][0]:
+                best[q] = (value, tuple(sorted(subset)))
+    return best[0] if isinstance(param, numbers.Real) else best
 
 
 def _check_subsets(region: Region) -> None:
@@ -189,23 +182,6 @@ def _derivative_pair(values: Sequence[float],
                                          (0.5 * delta, values[3:])))
 
 
-def _identities(region: Region, params: Sequence) -> np.ndarray:
-    """One coefficient column per vertex, for every parameter."""
-    eye = np.eye(len(region))
-    return np.broadcast_to(eye, (len(params),) + eye.shape)
-
-
-def _ising_rows(region: Region, betas: Sequence[float],
-                hs: Sequence[float]) -> tuple[list, list]:
-    """Per (beta, h) pair, the correlations <sigma_base sigma_x> and the
-    magnetizations <sigma_x> over the region's vertices, computed as
-    :func:`exact.ising_observables` computes them, from one spin sweep."""
-    z, acc = ising_sums(region, betas, hs, _identities(region, betas))
-    total = (z[:, 0] + z[:, 1])[:, None]
-    return (((acc[:, 0] - acc[:, 1]) / total).tolist(),
-            ((acc[:, 0] + acc[:, 1]) / total).tolist())
-
-
 # ---------------------------------------------------------------------------
 # the five checks; each evaluates its whole grid, finite-difference
 # stencils included, in one exact sweep per region
@@ -234,7 +210,7 @@ def check_perc_differential(lattice: LatticeSpec, n: int = 1,
     # per grid point: its stencil, then the point itself
     points = [t for beta in betas for t in _stencil(beta, DELTA) + (beta,)]
     exits = perc_exit_prob(lattice, n, points).tolist()
-    infima = _phi_infima("percolation", lattice, region, betas)
+    infima = phi_infimum("percolation", lattice, region, betas)
     lhs, rhs, spread = [], [], 0.0
     for i, (beta, (inf_phi, _)) in enumerate(zip(betas, infima)):
         *stencil, prob = exits[5 * i:5 * i + 5]
@@ -283,10 +259,8 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
     region_s = Region(lattice, s_set, origin=u)
     region_a = Region(lattice, a_set, origin=u)
     ties = tuple((i, j) for i, y, j in region_a.boundary_pairs if y in b_set)
-    conn_s = perc_reach(region_s, ((0, math.inf),), params,
-                        _identities(region_s, params)).tolist()
-    reach = perc_reach(region_a, ties, params,
-                       _identities(region_a, params)).tolist()
+    conn_s = perc_connect_probs(region_s, params).tolist()
+    reach = perc_reach(region_a, ties, params, np.eye(len(region_a))).tolist()
     lhs, rhs = [], []
     for p, conn, into_b in zip(params, conn_s, reach):
         lhs.append(into_b[0])
@@ -335,8 +309,8 @@ def check_ising_differential(lattice: LatticeSpec, n: int = 1,
     inside = region.vertices
     # per grid point: its stencil, then the point itself
     points = [t for beta in beta_grid for t in _stencil(beta, DELTA) + (beta,)]
-    _, mags = _ising_rows(region, points, [h] * len(points))
-    infima = _phi_infima("ising", lattice, region, beta_grid, within=inside)
+    mags = ising_observables(region, points, h).magnetizations.tolist()
+    infima = phi_infimum("ising", lattice, region, beta_grid, within=inside)
     lhs, rhs, spread = [], [], 0.0
     for i, (beta, (inf_phi, _)) in enumerate(zip(beta_grid, infima)):
         *stencil, at_beta = mags[5 * i:5 * i + 5]
@@ -384,17 +358,16 @@ def check_modified_simon(lattice: LatticeSpec, lam_vertices: Iterable[Vertex],
 
     region_s = Region(lattice, s_set, origin=origin)
     region_lam_z = Region(lattice, lam_set, origin=z)
-    hs = [h] * len(betas)
-    corr_s, _ = _ising_rows(region_s, betas, hs)
-    corr_lam, _ = _ising_rows(region_lam_z, betas, hs)
+    corr_s = ising_observables(region_s, betas, h).correlations.tolist()
+    corr_lam = ising_observables(region_lam_z, betas, h).correlations.tolist()
     pairs = [(i, y, j) for i, y, j in region_s.boundary_pairs if y in lam_set]
     # <sigma_x sigma_y> on the isolated coupled pair, per coupling
     pair_corr = {}
     for j in dict.fromkeys(j for _, _, j in pairs):
         offset = next(o for o, jj in lattice.couplings if jj == j)
         pair_region = Region(lattice, (origin, offset), origin=origin)
-        corr, _ = _ising_rows(pair_region, betas, hs)
-        pair_corr[j] = [row[pair_region.index(offset)] for row in corr]
+        corr = ising_observables(pair_region, betas, h).correlations
+        pair_corr[j] = corr[:, pair_region.index(offset)].tolist()
 
     lhs, rhs = [], []
     for q in range(len(betas)):
@@ -431,8 +404,8 @@ def check_ghs_differential(lattice: LatticeSpec, n: int = 1,
                 for beta, h in grid]
     points = [pair for (by_beta, by_h), at in zip(stencils, grid)
               for pair in by_beta + by_h + [at]]
-    _, mags = _ising_rows(region, *zip(*points))
-    m_at = iter(row[0] for row in mags)
+    mags = ising_observables(region, *zip(*points)).magnetizations
+    m_at = iter(mags[:, 0].tolist())
 
     lhs, rhs, spread = [], [], 0.0
     for by_beta, by_h in stencils:

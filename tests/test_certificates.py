@@ -12,8 +12,7 @@ from subcrit.certificates import (Certificate, PhiResult, Refusal,
                                   _phi_percolation_mc,
                                   best_bound, certify_subcritical,
                                   chi_upper_bound, compute_phi, critical_root,
-                                  decay_upper_bound,
-                                  phi_ising, phi_percolation, region_id)
+                                  decay_upper_bound, exact_phi, region_id)
 from subcrit.errors import CapExceeded
 from subcrit.lattice import LatticeSpec, Region, ball
 
@@ -27,7 +26,7 @@ B_LAT = LatticeSpec.square(mode="beta")
 
 def test_phi_single_vertex_percolation():
     region = ball(P_LAT, 0)
-    result = phi_percolation(P_LAT, region, 0.2)
+    result = exact_phi("percolation", P_LAT, region, 0.2)
     assert result.value == pytest.approx(0.8, abs=1e-14)
     assert result.method == "exact"
     assert result.upper_confidence == result.value
@@ -37,16 +36,18 @@ def test_phi_ball1_percolation():
     # 4 boundary vertices, each reached with prob p, each with 3 exits: 12 p^2
     region = ball(P_LAT, 1)
     for p in (0.1, 0.25, 0.5):
-        result = phi_percolation(P_LAT, region, p)
+        result = exact_phi("percolation", P_LAT, region, p)
         assert result.value == pytest.approx(12.0 * p * p, abs=1e-12)
-    assert phi_percolation(P_LAT, region, 0.25).value == pytest.approx(0.75)
-    assert phi_percolation(P_LAT, region, 0.5).value == pytest.approx(3.0)
+    assert exact_phi("percolation", P_LAT, region, 0.25).value == (
+        pytest.approx(0.75))
+    assert exact_phi("percolation", P_LAT, region, 0.5).value == (
+        pytest.approx(3.0))
 
 
 def test_phi_single_vertex_ising():
     region = ball(B_LAT, 0)
     for beta in (0.1, 0.25541281188299536, 0.6):
-        result = phi_ising(B_LAT, region, beta)
+        result = exact_phi("ising", B_LAT, region, beta)
         assert result.value == pytest.approx(4.0 * math.tanh(beta), abs=1e-13)
 
 
@@ -55,19 +56,19 @@ def test_phi_parameterization_consistency():
     region_p, region_b = ball(P_LAT, 1), ball(B_LAT, 1)
     for p in (0.15, 0.4, 0.7):
         beta = -math.log1p(-p)
-        a = phi_percolation(P_LAT, region_p, p).value
-        b = phi_percolation(B_LAT, region_b, beta).value
+        a = exact_phi("percolation", P_LAT, region_p, p).value
+        b = exact_phi("percolation", B_LAT, region_b, beta).value
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_phi_ising_needs_beta_mode():
     with pytest.raises(ValueError):
-        phi_ising(P_LAT, ball(P_LAT, 0), 0.3)
+        exact_phi("ising", P_LAT, ball(P_LAT, 0), 0.3)
 
 
 def test_phi_ising_refuses_negative_beta():
     with pytest.raises(ValueError, match="beta must be non-negative"):
-        phi_ising(B_LAT, ball(B_LAT, 1), -0.1)
+        exact_phi("ising", B_LAT, ball(B_LAT, 1), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +253,13 @@ def _root_cases():
 
 def _counted_phi(monkeypatch):
     params = []
-    exact_phi = certificates._exact_phi
+    evaluate = certificates.exact_phi
 
     def counted(model, lattice, region, param):
         params.append(param)
-        return exact_phi(model, lattice, region, param)
+        return evaluate(model, lattice, region, param)
 
-    monkeypatch.setattr(certificates, "_exact_phi", counted)
+    monkeypatch.setattr(certificates, "exact_phi", counted)
     return params
 
 
@@ -318,7 +319,7 @@ def test_root_search_stops_when_no_float_is_left_inside(monkeypatch):
 
 def test_phi_percolation_mc_matches_exact():
     region = ball(P_LAT, 2)
-    exact = phi_percolation(P_LAT, region, 0.3).value
+    exact = exact_phi("percolation", P_LAT, region, 0.3).value
     mc = _phi_percolation_mc(region, 0.3, 40_000, 91)
     assert mc.method == "monte_carlo"
     assert mc.samples == 40_000
@@ -353,9 +354,9 @@ def test_phi_percolation_mc_upper_bound_not_below_mean(monkeypatch):
 
 
 def test_phi_percolation_mc_disabled_raises():
-    # phi_percolation is exact-only; the estimate lives in compute_phi
+    # exact_phi is exact-only; the estimate lives in compute_phi
     with pytest.raises(CapExceeded):
-        phi_percolation(P_LAT, ball(P_LAT, 5), 0.3)  # frontier 11 > cap 9
+        exact_phi("percolation", P_LAT, ball(P_LAT, 5), 0.3)  # frontier 11 > cap 9
 
 
 def test_certificates_do_not_load_the_wolff_layer():
@@ -375,23 +376,23 @@ def test_certificates_do_not_load_the_wolff_layer():
 
 def test_chi_upper_bound_value_and_errors():
     region = ball(P_LAT, 1)
-    phi = phi_percolation(P_LAT, region, 0.25)
+    phi = exact_phi("percolation", P_LAT, region, 0.25)
     assert chi_upper_bound(region, 0.25, phi) == pytest.approx(20.0)
     with pytest.raises(ValueError):
         chi_upper_bound(region, 0.3, phi)  # parameter mismatch
-    hot = phi_percolation(P_LAT, region, 0.5)
+    hot = exact_phi("percolation", P_LAT, region, 0.5)
     with pytest.raises(ValueError):
         chi_upper_bound(region, 0.5, hot)  # phi >= 1 certifies nothing
 
 
 def test_decay_upper_bound_value_and_errors():
     region = ball(P_LAT, 1)  # radius_l = 2
-    phi = phi_percolation(P_LAT, region, 0.25)
+    phi = exact_phi("percolation", P_LAT, region, 0.25)
     assert decay_upper_bound(region, phi, 20) == pytest.approx(0.75 ** 10)
     assert decay_upper_bound(region, phi, 1) == 1.0  # below one step
     with pytest.raises(ValueError):
         decay_upper_bound(region, phi, -1)
-    hot = phi_percolation(P_LAT, region, 0.5)
+    hot = exact_phi("percolation", P_LAT, region, 0.5)
     with pytest.raises(ValueError):
         decay_upper_bound(region, hot, 20)
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from subcrit import exact
-from subcrit.certificates import (critical_root, phi_ising, phi_percolation,
-                                  phi_sweep)
+from subcrit.certificates import critical_root, exact_phi, phi_sweep
 from subcrit.errors import CapExceeded
 from subcrit.exact import (all_plus_energy, ising_observables,
                            naive_connect_probs, naive_event_prob,
@@ -55,17 +54,16 @@ def test_connect_probs_match_naive_on_random_instances():
         param = float(rng.uniform(0.05, 0.95 if lattice.mode == "p" else 1.5))
         fast = perc_connect_probs(region, param)
         slow = naive_connect_probs(region, param)
-        for v in region.vertices:
-            assert fast[v] == pytest.approx(slow[v], abs=1e-12)
+        assert fast == pytest.approx(slow, abs=1e-12)
 
 
 def test_connect_probs_handles_disconnected_region():
     lattice = LatticeSpec.square(mode="p")
     region = Region(lattice, [(0, 0), (1, 0), (4, 4)])
     conn = perc_connect_probs(region, 0.6)
-    assert conn[(0, 0)] == 1.0
-    assert conn[(1, 0)] == pytest.approx(0.6)
-    assert conn[(4, 4)] == 0.0
+    assert conn[region.index((0, 0))] == 1.0
+    assert conn[region.index((1, 0))] == pytest.approx(0.6)
+    assert conn[region.index((4, 4))] == 0.0
 
 
 def test_exit_prob_closed_form_radius_zero():
@@ -160,13 +158,14 @@ def test_phi_does_not_depend_on_the_sweep_order(monkeypatch):
     regions = [ball(lattice, 2), ball(lattice, 3),
                Region(lattice, [(x, y) for x in range(3) for y in range(4)],
                       (1, 1))]
-    forward = [phi_percolation(lattice, r, 0.33).value for r in regions]
+    forward = [exact_phi("perc", lattice, r, 0.33).value for r in regions]
     reverse_order = exact._vertex_order
     monkeypatch.setattr(exact, "_vertex_order",
                         lambda region: reverse_order(region)[::-1])
     exact._frontier_plan.cache_clear()
     try:
-        backward = [phi_percolation(lattice, r, 0.33).value for r in regions]
+        backward = [exact_phi("perc", lattice, r, 0.33).value
+                    for r in regions]
     finally:
         exact._frontier_plan.cache_clear()
     for a, b in zip(forward, backward):
@@ -206,20 +205,16 @@ def test_perc_grid_equals_single_sweeps():
 
 
 def test_phi_grid_equals_single_sweeps_with_and_without_within():
-    for lattice in (LatticeSpec.square(mode="p"),
-                    LatticeSpec.triangular(mode="p")):
+    cases = [("perc", LatticeSpec.square(mode="p"), 3),
+             ("perc", LatticeSpec.triangular(mode="p"), 3),
+             ("ising", LatticeSpec.square(mode="beta"), 2)]
+    for model, lattice, outer in cases:
         region = ball(lattice, 2)
-        for within in (None, ball(lattice, 3).vertices[:30]):
-            values = phi_sweep("percolation", region, GRID, within=within)
+        for within in (None, ball(lattice, outer).vertices[:30]):
+            values = phi_sweep(model, region, GRID, within=within)
             assert values.tolist() == [
-                phi_percolation(lattice, region, p, within=within).value
-                for p in GRID]
-    lattice = LatticeSpec.square(mode="beta")
-    region = ball(lattice, 2)
-    for within in (None, region.vertices):
-        values = phi_sweep("ising", region, GRID, within=within)
-        assert values.tolist() == [
-            phi_ising(lattice, region, b, within=within).value for b in GRID]
+                exact_phi(model, lattice, region, t, within=within).value
+                for t in GRID]
 
 
 def test_ising_grid_equals_single_sweeps_at_positive_field():
@@ -316,7 +311,7 @@ def test_spin_cap_bounds_plan_memory():
     try:
         with pytest.raises(CapExceeded, match="spin frontier: need 2097152"
                            f", cap is {exact.SPIN_FRONTIER_CAP}"):
-            phi_ising(lattice, region, 0.3)
+            exact_phi("ising", lattice, region, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,11 +328,10 @@ def test_ising_matches_naive_on_random_instances():
         fast = ising_observables(region, beta, h)
         slow = naive_ising_observables(region, beta, h)
         assert fast.log_z == pytest.approx(slow.log_z, abs=1e-11)
-        for v in region.vertices:
-            assert fast.correlations[v] == pytest.approx(
-                slow.correlations[v], abs=1e-12)
-            assert fast.magnetizations[v] == pytest.approx(
-                slow.magnetizations[v], abs=1e-12)
+        assert fast.correlations == pytest.approx(slow.correlations,
+                                                  abs=1e-12)
+        assert fast.magnetizations == pytest.approx(slow.magnetizations,
+                                                    abs=1e-12)
 
 
 def disconnected_instance(lattice, rng):
@@ -365,8 +359,7 @@ def test_ising_sums_match_naive_on_random_instances():
         z, acc = exact.ising_sums(region, beta, h, coeffs)
         slow = naive_ising_observables(region, beta, h)
         total = z[0] + z[1]
-        mags = np.array([slow.magnetizations[v] for v in region.vertices])
-        corrs = np.array([slow.correlations[v] for v in region.vertices])
+        mags, corrs = slow.magnetizations, slow.correlations
         assert math.log(total) - all_plus_energy(region, beta, h) == (
             pytest.approx(slow.log_z, abs=1e-12))
         assert (z[0] - z[1]) / total == pytest.approx(mags[0], abs=1e-12)
@@ -375,13 +368,10 @@ def test_ising_sums_match_naive_on_random_instances():
         assert (acc[0] - acc[1]) / total == pytest.approx(corrs @ coeffs,
                                                           abs=1e-12)
         fast = ising_observables(region, beta, h)
-        for v in region.vertices:
-            assert fast.correlations[v] == pytest.approx(
-                slow.correlations[v], abs=1e-12)
-            assert fast.magnetizations[v] == pytest.approx(
-                slow.magnetizations[v], abs=1e-12)
-            if h == 0.0:
-                assert fast.magnetizations[v] == 0.0
+        assert fast.correlations == pytest.approx(corrs, abs=1e-12)
+        assert fast.magnetizations == pytest.approx(mags, abs=1e-12)
+        if h == 0.0:
+            assert (fast.magnetizations == 0.0).all()
 
 
 def test_ising_does_not_depend_on_the_sweep_order(monkeypatch):
@@ -392,11 +382,11 @@ def test_ising_does_not_depend_on_the_sweep_order(monkeypatch):
                Region(THREE_J, [(x, y) for x in range(3) for y in range(3)])]
 
     def values():
-        out = [phi_ising(r.lattice, r, 0.41).value for r in regions]
+        out = [exact_phi("ising", r.lattice, r, 0.41).value for r in regions]
         for r in regions[2:]:
             obs = ising_observables(r, 0.35, 0.2)
-            out += list(obs.correlations.values())
-            out += list(obs.magnetizations.values()) + [obs.log_z]
+            out += list(obs.correlations)
+            out += list(obs.magnetizations) + [obs.log_z]
         return out
 
     forward = values()
@@ -460,9 +450,9 @@ def test_single_edge_two_point_is_tanh():
     region = Region(lattice, [(0, 0), (1, 0)])
     for beta in (0.0, 0.2, 0.7, 1.3):
         obs = ising_observables(region, beta, 0.0)
-        assert obs.correlations[(1, 0)] == pytest.approx(math.tanh(beta),
-                                                         abs=1e-13)
-        assert obs.magnetizations[(0, 0)] == 0.0
+        assert obs.correlations[region.index((1, 0))] == pytest.approx(
+            math.tanh(beta), abs=1e-13)
+        assert obs.magnetizations[0] == 0.0
 
 
 def test_single_vertex_magnetization_is_tanh_h():
@@ -470,8 +460,8 @@ def test_single_vertex_magnetization_is_tanh_h():
     region = Region(lattice, [(0, 0)])
     for h in (0.0, 0.1, 0.9):
         obs = ising_observables(region, 0.4, h)
-        assert obs.magnetizations[(0, 0)] == pytest.approx(math.tanh(h),
-                                                           abs=1e-13)
+        assert obs.magnetizations[0] == pytest.approx(math.tanh(h),
+                                                      abs=1e-13)
     assert ising_observables(region, 0.0, 0.3).log_z == pytest.approx(
         math.log(2.0 * math.cosh(0.3)), abs=1e-12)
 
@@ -488,14 +478,16 @@ def test_ising_correlations_monotone_in_beta_and_volume():
     lattice = LatticeSpec.square(mode="beta")
     lam1, lam2 = ball(lattice, 1), ball(lattice, 2)
     target = (1, 0)
-    sweep = [ising_observables(lam1, b, 0.0).correlations[target]
+    sweep = [ising_observables(lam1, b, 0.0).correlations[lam1.index(target)]
              for b in (0.1, 0.3, 0.5, 0.8)]
     assert all(a < b for a, b in zip(sweep, sweep[1:]))
     for beta in (0.2, 0.5):
-        small = ising_observables(lam1, beta, 0.0).correlations[target]
-        large = ising_observables(lam2, beta, 0.0).correlations[target]
+        small = ising_observables(lam1, beta, 0.0).correlations[
+            lam1.index(target)]
+        large = ising_observables(lam2, beta, 0.0).correlations[
+            lam2.index(target)]
         assert small <= large + 1e-15
-    mags = [ising_observables(lam1, 0.4, h).magnetizations[(0, 0)]
+    mags = [ising_observables(lam1, 0.4, h).magnetizations[0]
             for h in (0.0, 0.1, 0.3, 0.7)]
     assert mags[0] == pytest.approx(0.0, abs=1e-13)
     assert all(a < b for a, b in zip(mags, mags[1:]))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from subcrit import ising_mc
 from subcrit import rng as rngmod
 from subcrit.exact import ising_observables
 from subcrit.ising_mc import (SpinSystem, WolffChain, check_critical_divergence,
@@ -31,11 +32,12 @@ def test_two_point_matches_exact_small_box():
     # free-boundary ball(2) is exactly enumerable (13 spins) and contains
     # both target vertices (1, 0) and (2, 0)
     beta = 0.45
-    obs = ising_observables(exact_ball_region(2), beta, 0.0)
+    region = exact_ball_region(2)
+    obs = ising_observables(region, beta, 0.0)
     estimates = estimate_two_point(B_LAT, 2, beta, [1, 2], sweeps=30_000,
                                    seed=19)
-    assert_within_sigmas(estimates[1], obs.correlations[(1, 0)])
-    assert_within_sigmas(estimates[2], obs.correlations[(2, 0)])
+    assert_within_sigmas(estimates[1], obs.correlations[region.index((1, 0))])
+    assert_within_sigmas(estimates[2], obs.correlations[region.index((2, 0))])
 
 
 def test_field_magnetization_matches_exact_small_box():
@@ -45,7 +47,7 @@ def test_field_magnetization_matches_exact_small_box():
     obs = ising_observables(exact_ball_region(1), beta, h)
     est = estimate_magnetization(B_LAT, 1, beta, "free", sweeps=30_000,
                                  seed=23, h=h)
-    assert_within_sigmas(est, obs.magnetizations[(0, 0)])
+    assert_within_sigmas(est, obs.magnetizations[0])
 
 
 def test_plus_boundary_magnetization_matches_exact_small_box():
@@ -176,6 +178,18 @@ def test_divergence_counts_a_repeated_radius_once():
     twice = check_critical_divergence(B_LAT, BETA_C, [4, 2, 4], sweeps=200,
                                       seed=37)
     assert twice == once
+
+
+@pytest.mark.parametrize("n_list", [[4], [4, 4]])
+def test_divergence_needs_two_distinct_radii(monkeypatch, n_list):
+    # one radius has no increment, so "strictly increasing" would hold
+    # vacuously; the check refuses before any chain runs
+    def refuse(*args):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(ising_mc, "WolffChain", refuse)
+    with pytest.raises(ValueError, match="at least two distinct radii"):
+        check_critical_divergence(B_LAT, 0.44, n_list, 50, 1)
 
 
 def test_two_point_distances_validated():

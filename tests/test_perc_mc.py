@@ -7,9 +7,11 @@ import pytest
 
 from subcrit import perc_mc
 from subcrit import rng as rngmod
+from subcrit.certificates import compute_phi
 from subcrit.errors import DegenerateFit
 from subcrit.exact import naive_event_prob, perc_connect_probs, perc_exit_prob
-from subcrit.ising_mc import SpinSystem
+from subcrit.ising_mc import (SpinSystem, check_critical_divergence,
+                              estimate_magnetization, estimate_two_point)
 from subcrit.lattice import LatticeSpec, Region, ball, incidence_csr
 from subcrit.perc_mc import (PercBox, estimate_ghost_magnetization,
                              exit_profile, fit_decay_rate,
@@ -18,6 +20,7 @@ from subcrit.stats import MCEstimate
 
 P_LAT = LatticeSpec.square(mode="p")
 T_LAT = LatticeSpec.triangular(mode="beta")
+B_LAT = LatticeSpec.square(mode="beta")
 
 
 def assert_within_sigmas(estimate, truth, sigmas=4.0, floor=1e-3):
@@ -59,7 +62,7 @@ def test_susceptibility_matches_exact_box():
     # region reproduces the sampler's edge set exactly
     assert len(graph.internal_edges) == 16
     conn = perc_connect_probs(graph, p)
-    chi = math.fsum(conn[v] for v in lam1.vertices)
+    chi = math.fsum(conn[graph.index(v)] for v in lam1.vertices)
     est = susceptibility_profile(P_LAT, 1, [1], p, samples=60_000, seed=31)[1]
     assert_within_sigmas(est, chi, floor=5e-3)
 
@@ -387,3 +390,25 @@ def test_fit_decay_rate_degenerate_inputs():
         fit_decay_rate(flat)
     with pytest.raises(DegenerateFit):
         fit_decay_rate([(4, MCEstimate("exit", 0.5, 1e-4, 100, 1))])
+
+
+@pytest.mark.parametrize("what, call", [
+    ("samples", lambda: exit_profile(P_LAT, 4, [2], 0.3, 0, 1)),
+    ("radii", lambda: exit_profile(P_LAT, 4, [], 0.3, 10, 1)),
+    ("samples", lambda: susceptibility_profile(P_LAT, 4, [2], 0.3, 0, 1)),
+    ("radii", lambda: susceptibility_profile(P_LAT, 4, [], 0.3, 10, 1)),
+    ("samples",
+     lambda: estimate_ghost_magnetization(P_LAT, 4, 0.3, 0.1, 0, 1)),
+    ("sweeps", lambda: estimate_magnetization(B_LAT, 4, 0.3, "free", 0, 1)),
+    ("sweeps", lambda: estimate_two_point(B_LAT, 4, 0.3, [1], 0, 1)),
+    ("sweeps", lambda: check_critical_divergence(B_LAT, 0.3, [2, 4], 0, 1)),
+    # ball(5) is past the exact cap, so compute_phi samples
+    ("samples", lambda: compute_phi("perc", P_LAT, ball(P_LAT, 5), 0.3,
+                                    samples=0)),
+], ids=["exit-samples", "exit-radii", "chi-samples", "chi-radii", "ghost",
+        "magnetization", "two-point", "divergence", "phi"])
+def test_empty_monte_carlo_runs_are_refused(what, call):
+    # an empty run has no mean: one line of ValueError, raised by the one
+    # shared check, not a ZeroDivisionError (or an IndexError for no radii)
+    with pytest.raises(ValueError, match=f"^{what}: need at least 1, got 0$"):
+        call()

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from subcrit import exact
-from subcrit.certificates import phi_ising, phi_percolation
-from subcrit.exact import (naive_connect_probs, naive_event_prob,
-                           naive_ising_observables)
+from subcrit.certificates import exact_phi
+from subcrit.exact import (ising_observables, naive_connect_probs,
+                           naive_event_prob, naive_ising_observables,
+                           perc_connect_probs)
 from subcrit.lattice import LatticeSpec, Region, ball, edge_weight
 from subcrit.verify import (CHECK_NAMES, InequalityReport,
                             check_bk_decomposition, check_ghs_differential,
@@ -34,7 +35,7 @@ def hand_phi_percolation(lattice, subset, param, within=None):
                 continue
             if within is not None and y not in within:
                 continue
-            total += edge_weight(lattice, j, param) * probs[x]
+            total += edge_weight(lattice, j, param) * probs[region.index(x)]
     return total
 
 
@@ -49,16 +50,18 @@ def hand_phi_ising(lattice, subset, beta, within=None):
                 continue
             if within is not None and y not in within:
                 continue
-            total += math.tanh(beta * j) * corr[x]
+            total += math.tanh(beta * j) * corr[region.index(x)]
     return total
 
 
 def phi_p(subset, param, **kwargs):
-    return phi_percolation(P_LAT, Region(P_LAT, subset), param, **kwargs).value
+    return exact_phi("percolation", P_LAT, Region(P_LAT, subset), param,
+                     **kwargs).value
 
 
 def phi_b(subset, beta, **kwargs):
-    return phi_ising(B_LAT, Region(B_LAT, subset), beta, **kwargs).value
+    return exact_phi("ising", B_LAT, Region(B_LAT, subset), beta,
+                     **kwargs).value
 
 
 def random_subset(rng, lattice, max_extra=5):
@@ -141,6 +144,42 @@ def test_phi_infimum_guards():
         phi_infimum("potts", P_LAT, ball(P_LAT, 1), 0.3)
     with pytest.raises(ValueError):
         phi_infimum("percolation", P_LAT, ball(P_LAT, 5), 0.3)
+
+
+# one parameter or a sequence: row q of a grid is the call at parameter q
+DISCONNECTED = [(0, 0), (1, 0), (0, 1), (3, 3), (4, 3)]
+CONTRACT_GRID = [0.15, 0.3, 0.45]
+
+
+def test_connect_probs_grid_rows_equal_single_calls():
+    for region in (ball(P_LAT, 2), Region(P_LAT, DISCONNECTED)):
+        rows = perc_connect_probs(region, CONTRACT_GRID)
+        assert rows.shape == (len(CONTRACT_GRID), len(region))
+        for q, p in enumerate(CONTRACT_GRID):
+            assert rows[q].tolist() == perc_connect_probs(region, p).tolist()
+
+
+def test_ising_observables_grid_rows_equal_single_calls():
+    hs = [0.0, 0.2, 0.1]
+    for region in (ball(B_LAT, 2), Region(B_LAT, DISCONNECTED)):
+        grid = ising_observables(region, CONTRACT_GRID, hs)
+        assert grid.correlations.shape == (len(hs), len(region))
+        for q, (beta, h) in enumerate(zip(CONTRACT_GRID, hs)):
+            one = ising_observables(region, beta, h)
+            assert grid.correlations[q].tolist() == one.correlations.tolist()
+            assert (grid.magnetizations[q].tolist()
+                    == one.magnetizations.tolist())
+            assert grid.log_z[q] == one.log_z
+
+
+def test_phi_infimum_grid_rows_equal_single_calls():
+    # ball(1) rather than ball(2): the 4,096 subsets of square ball(2)
+    # take about 8 s per percolation call
+    for model, lattice in (("percolation", P_LAT), ("ising", B_LAT)):
+        for region in (ball(lattice, 1), Region(lattice, DISCONNECTED)):
+            rows = phi_infimum(model, lattice, region, CONTRACT_GRID)
+            assert rows == [phi_infimum(model, lattice, region, t)
+                            for t in CONTRACT_GRID]
 
 
 # --- report container -----------------------------------------------------------
