@@ -16,17 +16,23 @@ to +1 by a global flip), so every proposal is accepted and detailed balance
 holds for the Gibbs weight exp(-H).  Clusters are walked by
 ``perc_mc.ClusterWalker`` over the sites plus the ghost node, which sits one
 layer past the last site.  Update k reads sample k of the chain's stream:
-word e is bond e's uniform and word ``n_bonds`` picks the seed site, and
-only the prefix of bond words the walk reads is drawn.  Runs are therefore
-bit-reproducible for a fixed seed.
+word e is bond e's uniform and word ``n_bonds`` picks the seed site.  A
+walk compares the words with ``p_act`` alone: the nodes whose spin differs
+from the root's (the ghost counts as +1) are marked seen before it starts,
+so it never crosses a bond between unaligned ends, and it draws only the
+prefix of bond words it reads.  A system whose ``n_bonds + 1`` words fit in
+the walker's first draw draws them all from one stream per update; a larger
+one opens a second stream at word ``n_bonds`` for the seed site.  Runs are
+therefore bit-reproducible for a fixed seed.
 
 A walk of a whole cluster (every update, and the two-point and divergence
 measurements) labels the sample's open bonds in numpy instead
-(``ClusterWalker.component``, which draws every bond word) once the chain's
-mean whole cluster so far exceeds max(256, n_bonds / 8) nodes, as in the
-ordered phase; smaller clusters, and walks that stop at a layer, are walked
-depth-first.  The words fix the open bonds, so both mark the same cluster
-and the chain does not depend on which one ran.
+(``ClusterWalker.component``, which draws every bond word against ``p_act``
+times the alignment of its ends) once the chain's mean whole cluster so far
+exceeds max(256, n_bonds / 8) nodes, as in the ordered phase; smaller
+clusters, and walks that stop at a layer, are walked depth-first.  The
+words fix the open bonds, so both mark the same cluster and the chain does
+not depend on which one ran.
 
 Measurements use the Edwards-Sokal coupling where it buys variance: walking
 a (non-flipping) cluster from the origin with the same activation rule, on
@@ -45,7 +51,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .lattice import LatticeSpec, Vertex, ball_layout
-from .perc_mc import ClusterWalker
+from .perc_mc import _FIRST_DRAW, ClusterWalker
 from .stats import (MCEstimate, batch_means_stderr, check_counts,
                     integrated_autocorr_time)
 
@@ -54,13 +60,20 @@ _KIND_FIELD = 1
 
 _INIT_INDEX = 1 << 62  # stream block reserved for initial states
 
-# Labeling a cluster in numpy (ClusterWalker.component) costs about 40 us
-# plus 0.15 us per bond, whatever the cluster; the depth-first walk costs
-# about 1.2 us per member.  Labeling wins once a cluster holds more than
-# about 33 + n_bonds / 8 nodes, and loses on small clusters (252 against
-# 133 us at n=16, beta_c), so a chain labels only once its mean whole
-# cluster exceeds max(_LABEL_MIN_NODES, n_bonds / 8).
+# Labeling a cluster in numpy (ClusterWalker.component, with the aligned
+# weights it reads) costs about 100 us plus 0.085 us per bond, whatever the
+# cluster; the depth-first walk costs about 15 us plus 1.2 us per member
+# (2-vCPU shared Xeon, Python 3.11, numpy 2.4).  Labeling wins once a
+# cluster holds more than about 75 + n_bonds / 14 nodes, and loses on small
+# clusters (203 against 164 us at n=16, beta_c), so a chain labels only
+# once its mean whole cluster exceeds max(_LABEL_MIN_NODES, n_bonds / 8),
+# which lies above that crossover at every size.
 _LABEL_MIN_NODES = 256
+
+# bytes.translate tables over the spin bytes (+1 is byte 1, -1 byte 255),
+# keyed by the root's byte: each marks the nodes of the other sign with 1
+_BLOCK_OTHER_SIGN = {1: bytes.maketrans(b"\x01\xff", b"\x00\x01"),
+                     255: bytes.maketrans(b"\x01\xff", b"\x01\x00")}
 
 # burn-in: this many lattice sweeps, extended to this many tau_int updates
 _BURN_IN_SWEEPS = 100
@@ -127,92 +140,155 @@ class WolffChain:
                              f"and h={h}")
         self.system = system
         self.seed = int(seed)
-        self.spins = np.ones(system.n_sites, dtype=np.int8)
         self.stream_index = 0  # sample_stream index of the next update
         self.p_act = np.where(
             system.bond_kind == _KIND_SPIN,
             -np.expm1(-2.0 * beta * system.bond_j),
             -math.expm1(-2.0 * h))
-        self._spins_ext = np.ones(system.n_sites + 1, dtype=np.int8)
-        self._weights = np.empty(system.n_bonds)
+        # the spins of the sites and the ghost (+1), one byte each: numpy
+        # views for whole-array work, a signed memoryview for single sites
+        n = system.n_sites
+        self._spin_bytes = bytearray(b"\x01" * (n + 1))
+        self._ext = np.frombuffer(self._spin_bytes, dtype=np.int8)
+        self._spins = self._ext[:n]
+        self._spin_view = memoryview(self._spin_bytes).cast("b")
+        self._weights = np.empty(system.n_bonds)  # for the labeling walk
+        # one stream per update where n_bonds + 1 words fit in a walk's
+        # first draw (see _walk)
+        self._one_stream = system.n_bonds < _FIRST_DRAW
         self._site_gen = None
+        # the mask measure returns, and the members it marks
+        self._mask_bytes = bytearray(n + 1)
+        self._mask = np.frombuffer(self._mask_bytes, dtype=np.bool_)
+        self._masked: list[int] = []
         self.label_floor = max(_LABEL_MIN_NODES, system.n_bonds / 8)
         self._whole_walks = self._whole_nodes = 0
         plus = (system.bond_kind == _KIND_SPIN) & (system.bond_b == system.ghost)
         if not plus.any():
             gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF, _INIT_INDEX)
-            self.spins = np.where(
-                gen.random(system.n_sites) < 0.5, 1, -1).astype(np.int8)
+            self.spins = np.where(gen.random(n) < 0.5, 1, -1)
 
-    def _walk(self, root: int, stop_layer: int | None = None) -> int:
+    @property
+    def spins(self) -> np.ndarray:
+        """The site spins (int8, +1 or -1), a view of the chain's state;
+        assigning copies the new spins in."""
+        return self._spins
+
+    @spins.setter
+    def spins(self, value) -> None:
+        value = np.asarray(value)
+        if not np.all((value == 1) | (value == -1)):
+            # a walk blocks nodes by the sign byte, so any other value
+            # would let it cross unaligned bonds
+            raise ValueError("spins must be +1 or -1")
+        self._spins[:] = value
+
+    def _walk(self, root: int | None, stop_layer: int | None = None
+              ) -> tuple[int, list[int] | None]:
         """Walk the cluster of ``root`` on the next sample of the stream.
 
+        A ``root`` of None takes the update's seed site, floor(u * n_sites)
+        for word ``n_bonds`` of the sample.  Where ``n_bonds + 1`` words fit
+        in a walk's first draw, one stream draws every bond word and that
+        word before the walk; otherwise the walk draws its own prefix and
+        the seed site's word comes from a second stream.
+
         Bond e is open when word e is below ``p_act[e]`` and its ends are
-        aligned; the walker's ``seen`` marks the members afterwards.  A
-        whole-cluster walk labels the cluster in numpy once the chain's
-        mean whole cluster so far exceeds ``label_floor`` nodes, and walks
-        it depth-first otherwise; both mark the same set.  Returns the
-        number of nodes marked.
+        aligned.  The walk draws against ``p_act`` alone and blocks, in
+        the walker's ``seen``, every node whose spin differs from the
+        root's (the ghost counts as +1), so it crosses exactly the open
+        bonds.  A whole-cluster walk labels the cluster in numpy once the
+        chain's mean whole cluster so far exceeds ``label_floor`` nodes;
+        the labeling reads every bond, so it draws against ``p_act`` times
+        the alignment instead, and marks the same set.
+
+        Returns ``(size, members)``: the number of nodes in the cluster,
+        and the walk's member list, or None for a labeled cluster, which
+        the walker's ``seen`` marks alone.
         """
         sysm = self.system
-        ext = self._spins_ext
-        ext[:sysm.n_sites] = self.spins
-        np.multiply(self.p_act, ext[sysm.bond_a] == ext[sysm.bond_b],
-                    out=self._weights)
-        args = (self._weights, self.seed, rngmod.STREAM_WOLFF,
-                self.stream_index)
+        walker = sysm.walker
+        args = (self.seed, rngmod.STREAM_WOLFF, self.stream_index)
         self.stream_index += 1
-        if stop_layer is not None:
-            members, _, _ = sysm.walker.origin_cluster(
-                *args, stop_layer=stop_layer, root=root)
-            return len(members)
-        if self._whole_nodes > self.label_floor * self._whole_walks:
-            size = sysm.walker.component(*args, root=root)
+        if self._one_stream:
+            gen = walker.draw_edges(self.p_act, *args)
+        if root is None:
+            if not self._one_stream:
+                gen = self._site_gen = rngmod.sample_stream(
+                    *args, start=sysm.n_bonds, gen=self._site_gen)
+            root = int(gen.random() * sysm.n_sites)
+        whole = stop_layer is None
+        if whole and self._whole_nodes > self.label_floor * self._whole_walks:
+            ext = self._ext
+            np.multiply(self.p_act, ext[sysm.bond_a] == ext[sysm.bond_b],
+                        out=self._weights)
+            size = walker.component(self._weights, *args, root=root)
+            members = None
         else:
-            size = len(sysm.walker.origin_cluster(*args, root=root)[0])
-        self._whole_walks += 1
-        self._whole_nodes += size
-        return size
+            spin_bytes = self._spin_bytes
+            blocked = spin_bytes.translate(_BLOCK_OTHER_SIGN[spin_bytes[root]])
+            members = walker.origin_cluster(
+                self.p_act, *args, stop_layer=stop_layer, root=root,
+                blocked=blocked, predrawn=self._one_stream)[0]
+            size = len(members)
+        if whole:
+            self._whole_walks += 1
+            self._whole_nodes += size
+        return size, members
 
     def step(self) -> int:
         """One Wolff update; returns the cluster size in real sites.
 
-        The seed site is floor(u * n_sites) for word ``n_bonds`` of the
-        update's sample.  The ghost is an ordinary vertex of the extended
-        zero-field model: flipping a ghost-containing cluster and then
-        restoring the ghost to +1 by a global flip amounts to flipping the
-        cluster complement, so every proposal is accepted and the chain
-        mixes at cluster-update speed even deep in the ordered phase.
+        The update walks the cluster of its seed site (see ``_walk``).  The
+        ghost is an ordinary vertex of the extended zero-field model:
+        flipping a ghost-containing cluster and then restoring the ghost to
+        +1 by a global flip amounts to flipping the cluster complement, so
+        every proposal is accepted and the chain mixes at cluster-update
+        speed even deep in the ordered phase.
 
-        The cluster is walked depth-first while the chain's clusters are
-        small, and labeled in numpy once their mean so far exceeds
-        ``label_floor`` nodes (see ``_walk``); the flip is the same.
+        A walked cluster is flipped member by member, a labeled one in
+        numpy, with the same result.
         """
         sysm = self.system
-        self._site_gen = rngmod.sample_stream(
-            self.seed, rngmod.STREAM_WOLFF, self.stream_index,
-            start=sysm.n_bonds, gen=self._site_gen)
-        site = int(self._site_gen.random() * sysm.n_sites)
-        size = self._walk(site)
-        seen = sysm.walker.seen
-        ghost_in = seen[sysm.ghost]
-        in_cluster = np.frombuffer(seen, dtype=np.bool_, count=sysm.n_sites)
-        spins = self.spins
-        np.negative(spins, where=~in_cluster if ghost_in else in_cluster,
-                    out=spins)
-        return size - ghost_in
+        size, members = self._walk(None)
+        if members is None:
+            seen = sysm.walker.seen
+            ghost_in = seen[sysm.ghost]
+            in_cluster = np.frombuffer(seen, dtype=np.bool_,
+                                       count=sysm.n_sites)
+            spins = self._spins
+            np.negative(spins, where=~in_cluster if ghost_in else in_cluster,
+                        out=spins)
+            return size - ghost_in
+        spin = self._spin_view
+        for m in members:
+            spin[m] = -spin[m]
+        if spin[sysm.ghost] < 0:
+            np.negative(self._ext, out=self._ext)
+            return size - 1
+        return size
 
     def measure(self, stop_layer: int | None = None) -> np.ndarray:
         """Edwards-Sokal cluster of the origin, walked without flipping.
 
         Returns the membership mask over sites plus the ghost slot, valid
         until the next walk: ``mask[ghost]`` estimates ``<sigma_0>`` when a
-        ghost is present.  With ``stop_layer = system.ghost_layer`` the walk
-        stops once it reaches the ghost, which decides ``mask[ghost]`` but
-        leaves the rest of the mask partial.
+        ghost is present.  A walked cluster's mask is one reused array,
+        cleared and marked from the member lists; a labeled cluster's is
+        the walker's ``seen``.  With ``stop_layer = system.ghost_layer``
+        the walk stops once it reaches the ghost, which decides
+        ``mask[ghost]`` but leaves the rest of the mask partial.
         """
-        self._walk(0, stop_layer)
-        return np.frombuffer(self.system.walker.seen, dtype=np.bool_)
+        _, members = self._walk(0, stop_layer)
+        if members is None:
+            return np.frombuffer(self.system.walker.seen, dtype=np.bool_)
+        mask = self._mask_bytes
+        for m in self._masked:
+            mask[m] = 0
+        for m in members:
+            mask[m] = 1
+        self._masked = members
+        return self._mask
 
     def run(self, steps: int) -> None:
         for _ in range(steps):

@@ -110,7 +110,9 @@ class ClusterWalker:
 
     def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
                        index: int, h: float = 0.0,
-                       stop_layer: int | None = None, root: int = 0
+                       stop_layer: int | None = None, root: int = 0,
+                       blocked: bytearray | None = None,
+                       predrawn: bool = False
                        ) -> tuple[list[int], int, bool]:
         """Walk over the open cluster of ``root`` in one sample.
 
@@ -123,23 +125,37 @@ class ClusterWalker:
         root have the lowest indices in the box layouts, so the walk reads
         a shorter prefix of edge and ghost words.
 
+        ``blocked``, a bytearray over the nodes that the walk then owns,
+        marks nodes it never enters, as if every edge into them were
+        closed; it becomes the walk's ``self.seen``.  With ``predrawn`` the
+        walk reads the edge words ``draw_edges`` drew for this sample
+        instead of opening the sample's stream.
+
         Returns ``(members, max_layer, hit_ghost)``; ``members`` lists node
-        indices in discovery order, and ``self.seen`` marks them until the
-        next walk.  The walk returns as soon as the event is decided: when a
-        ghost bond of a member is open (``hit_ghost`` is then True), or when
-        it reaches a node of layer ``stop_layer`` or beyond (``max_layer``
-        is then that node's layer).  Otherwise it covers the whole cluster
-        and ``max_layer`` is the cluster's largest layer.
+        indices in discovery order, and ``self.seen`` marks them and the
+        blocked nodes until the next walk.  The walk returns as soon as the
+        event is decided: when a ghost bond of a member is open
+        (``hit_ghost`` is then True), or when it reaches a node of layer
+        ``stop_layer`` or beyond (``max_layer`` is then that node's layer).
+        Otherwise it covers the whole cluster and ``max_layer`` is the
+        cluster's largest layer.
         """
         if not h >= 0.0:
             raise ValueError(f"h must be non-negative, got {h}")
-        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
-                                                    gen=self._edge_gen)
-        if root >= self._mirrored:
-            self._mirror(root + 1)
+        # edge words drawn; nodes v < ready have all theirs
+        if predrawn:  # draw_edges drew every word and mirrored every row
+            gen, drawn, ready = self._edge_gen, self.n_edges, self.n_nodes
+        else:
+            gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
+                                                        gen=self._edge_gen)
+            drawn = ready = 0
+            if root >= self._mirrored:
+                self._mirror(root + 1)
         ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
         need, is_open = self._need, self._open
-        self.seen = seen = bytearray(self.n_nodes)
+        if blocked is None:
+            blocked = bytearray(self.n_nodes)
+        self.seen = seen = blocked
         seen[root] = 1
         members = [root]
         max_layer = layer[root]
@@ -156,7 +172,6 @@ class ClusterWalker:
         stop = self._no_stop if stop_layer is None else stop_layer
         if max_layer >= stop:
             return members, max_layer, False
-        drawn = ready = 0  # edge words drawn; nodes v < ready have all theirs
         todo = deque([root])
         pop = todo.pop if ghost is None else todo.popleft
         while todo:
@@ -186,6 +201,21 @@ class ClusterWalker:
                             return members, max_layer, False
                         todo.append(w)
         return members, max_layer, False
+
+    def draw_edges(self, weights: np.ndarray, seed: int, stream: int,
+                   index: int) -> np.random.Generator:
+        """Draw every edge word of sample ``index`` in one call, for a walk
+        of the sample passed ``predrawn=True``; returns the sample's
+        generator, positioned at word ``n_edges``.  Where the first prefix
+        would cover every edge anyway, this lets a caller read words past
+        the edges on the same stream."""
+        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
+                                                    gen=self._edge_gen)
+        gen.random(out=self._edge_u)
+        np.less(self._edge_u, weights, out=self._open_mask)
+        if self._mirrored < self.n_nodes:
+            self._mirror(self.n_nodes)
+        return gen
 
     def component(self, weights: np.ndarray, seed: int, stream: int,
                   index: int, root: int = 0) -> int:

@@ -20,6 +20,8 @@ opens word k directly.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -31,6 +33,19 @@ STREAM_SUSCEPTIBILITY = 3
 STREAM_GHOST = 4
 STREAM_WOLFF = 5
 STREAM_TEST = 99
+
+# The state sample_stream loads into a reused generator: the setter copies
+# the words out, so one template per thread serves every generator.
+_THREAD = threading.local()
+
+
+def _state_template() -> tuple[dict, list[int], list[int]]:
+    counter, key = [0, 0, 0, 0], [0, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    return state, counter, key
 
 
 def sample_stream(seed: int, stream: int, index: int, start: int = 0,
@@ -45,8 +60,10 @@ def sample_stream(seed: int, stream: int, index: int, start: int = 0,
     steps and the remaining ``start % 4`` words are discarded.
 
     Passing ``gen``, a generator this function returned earlier, repositions
-    it in place; that costs about a tenth of building a new Philox.  A seed
-    or stream tag outside [0, 2**64) raises ``ValueError``.
+    it in place by loading a reused state template, whose key and counter
+    words are all rewritten on every call; that costs about a tenth of
+    building a new Philox.  A seed or stream tag outside [0, 2**64) raises
+    ``ValueError``.
     """
     if index < 0 or start < 0:
         raise ValueError("sample index and word position must be non-negative")
@@ -55,19 +72,22 @@ def sample_stream(seed: int, stream: int, index: int, start: int = 0,
         # masking would alias -1 with 2**64 - 1 and hand both one stream
         raise ValueError(f"seed and stream tag must lie in [0, 2**64), "
                          f"got {seed} and {stream}")
-    key = seed | stream << 64
     counter = (int(index) << 128) + int(start) // 4
     if gen is None:
-        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        gen = np.random.Generator(
+            np.random.Philox(key=seed | stream << 64, counter=counter))
     else:
-        # the state of a fresh Philox(key=key, counter=counter)
-        words = [counter >> shift & _MASK64 for shift in (0, 64, 128, 192)]
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": words, "key": [key & _MASK64, key >> 64]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
+        try:
+            state, words, key = _THREAD.template
+        except AttributeError:
+            state, words, key = _THREAD.template = _state_template()
+        # the state of a fresh Philox(key=..., counter=counter)
+        key[0], key[1] = seed, stream
+        words[0] = counter & _MASK64
+        words[1] = counter >> 64 & _MASK64
+        words[2] = counter >> 128 & _MASK64
+        words[3] = counter >> 192 & _MASK64
+        gen.bit_generator.state = state
     if start % 4:
         gen.bit_generator.random_raw(start % 4)
     return gen

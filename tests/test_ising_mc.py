@@ -95,7 +95,23 @@ def test_ghost_stopped_measurement_decides_like_full_walk(boundary, h):
     system = SpinSystem.box(B_LAT, 4, boundary=boundary, h=h)
     chain = WolffChain(system, 0.4, h, 5)
     gen = rngmod.sample_stream(5, rngmod.STREAM_TEST, 0)
-    chain.spins = np.where(gen.random(system.n_sites) < 0.5, 1, -1).astype(np.int8)
+    start = np.where(gen.random(system.n_sites) < 0.5, 1, -1).astype(np.int8)
+    chain.spins = start
+    # the chain runs from the assigned spins: the origin's clusters are
+    # aligned in them, and the next update flips one aligned cluster (or
+    # the complement of one)
+    largest = 0
+    for _ in range(5):
+        members = chain.measure()[:system.n_sites]
+        assert (start[members] == start[0]).all()
+        largest = max(largest, members.sum())
+    assert largest > 1
+    size = chain.step()
+    cluster = chain.spins != start
+    if cluster.sum() != size:  # the ghost's cluster: the rest flipped
+        cluster = ~cluster
+    assert cluster.sum() == size
+    assert len(set(start[cluster].tolist())) == 1
     hits = 0
     for _ in range(300):
         chain.step()
@@ -126,6 +142,33 @@ def test_labeling_chain_equals_walking_chain(n, beta, boundary):
                     == walking.measure().tolist())
     assert labeling.spins.tolist() == walking.spins.tolist()
     assert labeling.stream_index == walking.stream_index
+
+
+@pytest.mark.parametrize("boundary,beta", [("free", 0.3), ("plus", 0.6)])
+def test_one_stream_update_equals_two_stream_update(boundary, beta,
+                                                    monkeypatch):
+    # ball(2) has fewer bonds than a walk's first draw, so an update draws
+    # its bond words and its seed-site word from one stream; a chain forced
+    # to open a second stream for the seed site reads the same words
+    system = SpinSystem.box(B_LAT, 2, boundary=boundary)
+    one = WolffChain(system, beta, 0.0, 17)
+    monkeypatch.setattr(ising_mc, "_FIRST_DRAW", system.n_bonds)
+    two = WolffChain(system, beta, 0.0, 17)
+    assert one._one_stream and not two._one_stream
+    stop = system.ghost_layer if boundary == "plus" else None
+    for _ in range(300):
+        assert one.step() == two.step()
+        assert one.measure(stop).tolist() == two.measure(stop).tolist()
+    assert one.spins.tolist() == two.spins.tolist()
+    assert one.stream_index == two.stream_index
+
+
+def test_assigned_spins_must_be_signs():
+    chain = WolffChain(SpinSystem.box(B_LAT, 2), 0.3, 0.0, seed=1)
+    before = chain.spins.copy()
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        chain.spins = np.zeros(chain.system.n_sites, dtype=np.int8)
+    assert chain.spins.tolist() == before.tolist()
 
 
 def test_free_boundary_magnetization_vanishes():

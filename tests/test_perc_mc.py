@@ -104,6 +104,26 @@ def test_sample_stream_opens_at_any_word():
             assert tail.random(24 - k).tolist() == words[k:].tolist()
 
 
+def test_reused_stream_matches_a_fresh_philox():
+    # a reused generator is repositioned from a reused state template;
+    # each call must rewrite every key and counter word, or a word of the
+    # previous call would leak into the next stream
+    cases = [(2 ** 64 - 1, 2 ** 64 - 1, 2 ** 127 + 3, 7),
+             (0, 0, 0, 0),
+             (2 ** 64 - 1, rngmod.STREAM_WOLFF, 5, 1),
+             (12345, rngmod.STREAM_GHOST, 2 ** 100 + 7, 6),
+             (1, 0, 0, 3),
+             (0, rngmod.STREAM_TEST, 2 ** 70, 4097)]
+    reused = rngmod.sample_stream(3, 3, 3)
+    for seed, stream, index, start in cases * 2:
+        fresh = np.random.Generator(np.random.Philox(
+            key=seed | stream << 64, counter=(index << 128) + start // 4))
+        fresh.bit_generator.random_raw(start % 4)
+        ours = rngmod.sample_stream(seed, stream, index, start=start,
+                                    gen=reused)
+        assert ours.random(9).tolist() == fresh.random(9).tolist()
+
+
 def reference_cluster(box, open_edges):
     adjacent = {}
     for a, b, is_open in zip(box.edge_a.tolist(), box.edge_b.tolist(),
@@ -240,6 +260,36 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                 assert walker.component(weights, 8, 3, i, root=root) == len(
                     members)
                 assert np.flatnonzero(walker.seen).tolist() == sorted(members)
+
+
+@WALK_GRAPHS
+def test_blocked_and_predrawn_walks_match_full_mask_walk(make, args):
+    # a blocked node is never entered, as if every edge into it were
+    # closed, and stays marked in seen; a walk on the words draw_edges drew
+    # is the walk that draws them itself, and the generator draw_edges
+    # returns continues at word n_edges
+    walker, open_probabilities = make(*args)
+    weights = open_probabilities(0.6)
+    a, b = walker.edge_a, walker.edge_b
+    gen = rngmod.sample_stream(7, rngmod.STREAM_TEST, 0)
+    for i in range(20):
+        open_edges, _ = full_draw(walker, weights, 0.0, 8, 3, i)
+        blocked = gen.random(walker.n_nodes) < 0.3
+        for root in (0, walker.n_nodes // 3):
+            blocked[root] = False
+            expected = full_mask_walk(
+                walker, open_edges & ~blocked[a] & ~blocked[b], root=root)
+            assert walker.origin_cluster(
+                weights, 8, 3, i, root=root,
+                blocked=bytearray(blocked.view(np.uint8))) == expected
+            assert np.flatnonzero(walker.seen).tolist() == sorted(
+                set(expected[0]) | set(np.flatnonzero(blocked).tolist()))
+            after = walker.draw_edges(weights, 8, 3, i).random()
+            assert after == rngmod.sample_stream(
+                8, 3, i, start=walker.n_edges).random()
+            assert walker.origin_cluster(
+                weights, 8, 3, i, root=root, predrawn=True) == full_mask_walk(
+                    walker, open_edges, root=root)
 
 
 @WALK_GRAPHS
