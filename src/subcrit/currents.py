@@ -144,14 +144,18 @@ def weight(current: Current, beta: float, h: float) -> float:
     pairs, bases = current.graph.pair_bases(beta, h)
     base_of = dict(zip(pairs, bases))
     total = 1.0
-    for (a, b), m in current.multiplicities:
-        if m == 0:
-            continue
-        key = (min(a, b), max(a, b))
-        if key not in base_of:
-            raise ValueError(f"multiplicity on uncoupled pair {key}")
-        total *= base_of[key] ** m / math.factorial(m)
+    for pair, m in current.multiplicities:
+        if m:
+            total *= base_of[_coupled(pair, base_of)] ** m / math.factorial(m)
     return total
+
+
+def _coupled(pair: Pair, coupled) -> Pair:
+    """``pair`` as (low, high), refused unless ``coupled`` holds it."""
+    key = (min(pair), max(pair))
+    if key not in coupled:
+        raise ValueError(f"multiplicity on uncoupled pair {key}")
+    return key
 
 
 def _vertex_masks(pairs: Sequence[Pair]) -> np.ndarray:
@@ -312,10 +316,11 @@ def f_connect(a: int, b: int) -> FCatalog:
     return f
 
 
-def resolve_f(spec) -> FCatalog:
+def resolve_f(spec, graph: CurrentGraph) -> FCatalog:
     """Catalog lookup: "one", "even_total", ("connect", a, b), or a callable.
 
-    A callable must obey the ``FCatalog`` contract: it sees each pair's
+    The ends of a connect must be vertices of ``graph`` or its ghost.  A
+    callable must obey the ``FCatalog`` contract: it sees each pair's
     multiplicity class, not its multiplicity, and may depend on nothing
     else of it.
     """
@@ -326,7 +331,11 @@ def resolve_f(spec) -> FCatalog:
     if spec == "even_total":
         return f_even_total
     if isinstance(spec, (tuple, list)) and len(spec) == 3 and spec[0] == "connect":
-        return f_connect(int(spec[1]), int(spec[2]))
+        a, b = int(spec[1]), int(spec[2])
+        if not (0 <= a <= graph.ghost and 0 <= b <= graph.ghost):
+            raise ValueError(f"connect({a}, {b}) names a vertex outside "
+                             f"0..{graph.ghost} (ghost included)")
+        return f_connect(a, b)
     raise ValueError(f"unknown F selector {spec!r}")
 
 
@@ -351,7 +360,7 @@ def switching_check(graph: CurrentGraph, sources: Iterable[int], u: int,
         raise ValueError("u and v must differ; the degenerate switch is "
                          "ill-defined under the symmetric difference")
     cap = _cap(trunc)
-    f = resolve_f(f_spec)
+    f = resolve_f(f_spec, graph)
     pairs, bases = graph.pair_bases(beta, h)
     n_pairs = len(pairs)
     n_slots = graph.n_vertices + 1
@@ -435,13 +444,15 @@ def extract_backbone(current: Current, h: float = 0.0) -> tuple[Pair, ...]:
 
     Ordered depth-first search over the fixed oriented-edge order returns
     the first complete path, which is the lexicographic minimum.  Raises
+    ValueError for a multiplicity on a pair uncoupled at field ``h``, and
     NoPath when the input violates the two-source invariant.
     """
+    pairs, _ = current.graph.pair_bases(1.0, h)
+    support = {_coupled(p, pairs) for p, m in current.multiplicities if m > 0}
     srcs = sorted(current.sources())
     if len(srcs) != 2:
         raise NoPath(f"backbone needs exactly two sources, got {srcs}")
     x, y = srcs
-    support = {p for p, m in current.multiplicities if m > 0}
     order = [e for e in oriented_edge_order(current.graph, h)
              if (min(e), max(e)) in support]
     out: dict[int, list[Pair]] = {}

@@ -16,23 +16,21 @@ to +1 by a global flip), so every proposal is accepted and detailed balance
 holds for the Gibbs weight exp(-H).  Clusters are walked by
 ``perc_mc.ClusterWalker`` over the sites plus the ghost node, which sits one
 layer past the last site.  Update k reads sample k of the chain's stream:
-word e is bond e's uniform and word ``n_bonds`` picks the seed site.  A
-walk compares the words with ``p_act`` alone: the nodes whose spin differs
-from the root's (the ghost counts as +1) are marked seen before it starts,
-so it never crosses a bond between unaligned ends, and it draws only the
-prefix of bond words it reads.  A system whose ``n_bonds + 1`` words fit in
-the walker's first draw draws them all from one stream per update; a larger
-one opens a second stream at word ``n_bonds`` for the seed site.  Runs are
-therefore bit-reproducible for a fixed seed.
+word e is bond e's uniform and word ``n_bonds`` picks the seed site.  Every
+walk draws all the bond words against ``p_act`` in one call
+(``ClusterWalker.draw_edges``), which leaves the stream at word
+``n_bonds``, and then walks or labels them, so runs are bit-reproducible
+for a fixed seed.
 
 A walk of a whole cluster (every update, and the two-point and divergence
-measurements) labels the sample's open bonds in numpy instead
-(``ClusterWalker.component``, which draws every bond word against ``p_act``
-times the alignment of its ends) once the chain's mean whole cluster so far
-exceeds max(256, n_bonds / 8) nodes, as in the ordered phase; smaller
-clusters, and walks that stop at a layer, are walked depth-first.  The
-words fix the open bonds, so both mark the same cluster and the chain does
-not depend on which one ran.
+measurements) is labeled in numpy (``ClusterWalker.component``, keeping the
+open bonds whose ends are aligned) once the chain's mean whole cluster so
+far exceeds max(256, n_bonds / 8) nodes, as in the ordered phase.  Smaller
+clusters, and walks that stop at a layer, are walked depth-first, with the
+nodes whose spin differs from the root's (the ghost counts as +1) marked
+seen before the walk starts, so it never crosses a bond between unaligned
+ends.  The words fix the open bonds, so both mark the same cluster and the
+chain does not depend on which one ran.
 
 Measurements use the Edwards-Sokal coupling where it buys variance: walking
 a (non-flipping) cluster from the origin with the same activation rule, on
@@ -51,7 +49,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .lattice import LatticeSpec, Vertex, ball_layout
-from .perc_mc import _FIRST_DRAW, ClusterWalker
+from .perc_mc import ClusterWalker
 from .stats import (MCEstimate, batch_means_stderr, check_counts,
                     integrated_autocorr_time)
 
@@ -60,14 +58,12 @@ _KIND_FIELD = 1
 
 _INIT_INDEX = 1 << 62  # stream block reserved for initial states
 
-# Labeling a cluster in numpy (ClusterWalker.component, with the aligned
-# weights it reads) costs about 100 us plus 0.085 us per bond, whatever the
-# cluster; the depth-first walk costs about 15 us plus 1.2 us per member
-# (2-vCPU shared Xeon, Python 3.11, numpy 2.4).  Labeling wins once a
-# cluster holds more than about 75 + n_bonds / 14 nodes, and loses on small
-# clusters (203 against 164 us at n=16, beta_c), so a chain labels only
-# once its mean whole cluster exceeds max(_LABEL_MIN_NODES, n_bonds / 8),
-# which lies above that crossover at every size.
+# After the bond words are drawn (about 8 us plus 0.01 us per bond), labeling
+# a cluster in numpy costs about 110 us plus 0.08 us per bond and walking it
+# 1.2 us per member (2-vCPU shared Xeon, Python 3.11, numpy 2.4).  Labeling
+# wins above about 95 + n_bonds / 15 nodes and loses on small clusters (231
+# against 108 us at n=16, beta_c), so a chain labels only once its mean whole
+# cluster exceeds max(_LABEL_MIN_NODES, n_bonds / 8), above that crossover.
 _LABEL_MIN_NODES = 256
 
 # bytes.translate tables over the spin bytes (+1 is byte 1, -1 byte 255),
@@ -152,11 +148,6 @@ class WolffChain:
         self._ext = np.frombuffer(self._spin_bytes, dtype=np.int8)
         self._spins = self._ext[:n]
         self._spin_view = memoryview(self._spin_bytes).cast("b")
-        self._weights = np.empty(system.n_bonds)  # for the labeling walk
-        # one stream per update where n_bonds + 1 words fit in a walk's
-        # first draw (see _walk)
-        self._one_stream = system.n_bonds < _FIRST_DRAW
-        self._site_gen = None
         # the mask measure returns, and the members it marks
         self._mask_bytes = bytearray(n + 1)
         self._mask = np.frombuffer(self._mask_bytes, dtype=np.bool_)
@@ -187,20 +178,15 @@ class WolffChain:
               ) -> tuple[int, list[int] | None]:
         """Walk the cluster of ``root`` on the next sample of the stream.
 
-        A ``root`` of None takes the update's seed site, floor(u * n_sites)
-        for word ``n_bonds`` of the sample.  Where ``n_bonds + 1`` words fit
-        in a walk's first draw, one stream draws every bond word and that
-        word before the walk; otherwise the walk draws its own prefix and
-        the seed site's word comes from a second stream.
-
-        Bond e is open when word e is below ``p_act[e]`` and its ends are
-        aligned.  The walk draws against ``p_act`` alone and blocks, in
-        the walker's ``seen``, every node whose spin differs from the
-        root's (the ghost counts as +1), so it crosses exactly the open
-        bonds.  A whole-cluster walk labels the cluster in numpy once the
-        chain's mean whole cluster so far exceeds ``label_floor`` nodes;
-        the labeling reads every bond, so it draws against ``p_act`` times
-        the alignment instead, and marks the same set.
+        One ``draw_edges`` call draws every bond word against ``p_act``; a
+        ``root`` of None then takes the update's seed site, floor(u *
+        n_sites) for the next word, ``n_bonds``.  Bond e is open when word
+        e is below ``p_act[e]`` and its ends are aligned.  A whole-cluster
+        walk labels the drawn words in numpy, keeping the aligned bonds,
+        once the chain's mean whole cluster so far exceeds ``label_floor``
+        nodes; otherwise it walks them with every node whose spin differs
+        from the root's (the ghost counts as +1) blocked in the walker's
+        ``seen``.  Both cross exactly the open bonds.
 
         Returns ``(size, members)``: the number of nodes in the cluster,
         and the walk's member list, or None for a labeled cluster, which
@@ -210,26 +196,21 @@ class WolffChain:
         walker = sysm.walker
         args = (self.seed, rngmod.STREAM_WOLFF, self.stream_index)
         self.stream_index += 1
-        if self._one_stream:
-            gen = walker.draw_edges(self.p_act, *args)
+        gen = walker.draw_edges(self.p_act, *args)
         if root is None:
-            if not self._one_stream:
-                gen = self._site_gen = rngmod.sample_stream(
-                    *args, start=sysm.n_bonds, gen=self._site_gen)
             root = int(gen.random() * sysm.n_sites)
         whole = stop_layer is None
         if whole and self._whole_nodes > self.label_floor * self._whole_walks:
             ext = self._ext
-            np.multiply(self.p_act, ext[sysm.bond_a] == ext[sysm.bond_b],
-                        out=self._weights)
-            size = walker.component(self._weights, *args, root=root)
+            size = walker.component(ext[sysm.bond_a] == ext[sysm.bond_b],
+                                    root)
             members = None
         else:
             spin_bytes = self._spin_bytes
             blocked = spin_bytes.translate(_BLOCK_OTHER_SIGN[spin_bytes[root]])
             members = walker.origin_cluster(
                 self.p_act, *args, stop_layer=stop_layer, root=root,
-                blocked=blocked, predrawn=self._one_stream)[0]
+                blocked=blocked, predrawn=True)[0]
             size = len(members)
         if whole:
             self._whole_walks += 1

@@ -56,12 +56,12 @@ class ClusterWalker:
 
     Built from ``n_nodes`` and the edge list ``(edge_a, edge_b)``; ``layer``
     gives each node the integer a walk's ``stop_layer`` compares against.
-    Edge e is open in a walk when word e of the walk's stream is below its
-    weight.  Percolation boxes, Wolff updates, Edwards-Sokal measurements
-    and the Monte Carlo phi all grow their clusters with this class: the
-    walk ``origin_cluster`` by default, and ``component``, which labels
-    the whole sample in numpy and marks the same cluster, where a Wolff
-    chain's clusters are large.
+    Edge e is open in a sample when word e of the sample's stream is below
+    its weight.  Percolation boxes, Wolff updates, Edwards-Sokal
+    measurements and the Monte Carlo phi all grow their clusters with this
+    class: ``origin_cluster`` draws the words a walk reads as it goes, and
+    a Wolff walk draws them all with ``draw_edges``, then walks them
+    (``predrawn=True``) or labels them in numpy with ``component``.
 
     The adjacency is kept as numpy CSR arrays (``ptr``, ``nbr``, ``eid``:
     node v's edges ``eid[ptr[v]:ptr[v + 1]]`` lead to ``nbr[...]``) next
@@ -205,10 +205,9 @@ class ClusterWalker:
     def draw_edges(self, weights: np.ndarray, seed: int, stream: int,
                    index: int) -> np.random.Generator:
         """Draw every edge word of sample ``index`` in one call, for a walk
-        of the sample passed ``predrawn=True``; returns the sample's
-        generator, positioned at word ``n_edges``.  Where the first prefix
-        would cover every edge anyway, this lets a caller read words past
-        the edges on the same stream."""
+        passed ``predrawn=True`` or for ``component``; returns the sample's
+        generator, from which a caller reads the words from ``n_edges`` on.
+        """
         gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
                                                     gen=self._edge_gen)
         gen.random(out=self._edge_u)
@@ -217,24 +216,17 @@ class ClusterWalker:
             self._mirror(self.n_nodes)
         return gen
 
-    def component(self, weights: np.ndarray, seed: int, stream: int,
-                  index: int, root: int = 0) -> int:
-        """The open cluster of ``root`` in one sample, labeled in numpy.
-
-        Draws every edge word (edge e is open when word e is below
-        ``weights[e]``, as in ``origin_cluster``), so it marks the same
-        cluster in ``self.seen``; returns its size.  Components are labeled
-        by hooking the larger root label onto the smaller across every open
-        edge, then jumping pointers until each label is a root, until no
-        edge joins two labels: O(edges) numpy work per round instead of a
-        Python step per member.
+    def component(self, keep: np.ndarray, root: int = 0) -> int:
+        """Label the cluster of ``root`` over the edges that ``draw_edges``
+        opened and ``keep`` marks, in numpy, without drawing; marks it in
+        ``self.seen`` and returns its size.  Components are labeled by
+        hooking the larger root label onto the smaller across every kept
+        open edge, then jumping pointers until each label is a root, until
+        no edge joins two labels: O(edges) numpy work per round instead of
+        a Python step per member.
         """
-        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
-                                                    gen=self._edge_gen)
-        self._draw(gen, self._edge_u, self._open_mask, weights, 0,
-                   self.n_edges)
-        a = self.edge_a[self._open_mask]
-        b = self.edge_b[self._open_mask]
+        kept = self._open_mask & keep
+        a, b = self.edge_a[kept], self.edge_b[kept]
         label = np.arange(self.n_nodes)
         while True:
             la, lb = label[a], label[b]

@@ -529,6 +529,36 @@ def test_current_lab_refuses_negative_field(tmp_path, capsys):
     assert err == ["error: need beta >= 0 and h >= 0"]
 
 
+@pytest.mark.parametrize("a,b", [(0, 9), (-1, 0)])
+def test_current_lab_refuses_a_connect_vertex_off_the_graph(tmp_path, capsys,
+                                                            a, b):
+    # a 2-vertex graph has slots 0, 1 and the ghost 2
+    scenario = {"graph": {"n_vertices": 2, "edges": [[0, 1]]},
+                "beta": 0.4, "h": 0.2, "truncation": 4,
+                "task": {"kind": "switching", "sources": [0, 1], "u": 0,
+                         "v": 1, "f": ["connect", a, b]}}
+    scenario_file = tmp_path / "sw.json"
+    scenario_file.write_text(json.dumps(scenario))
+    assert run_cli("current-lab", "--scenario", str(scenario_file),
+                   "--out", str(tmp_path)) == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: connect({a}, {b}) names a vertex outside 0..2 "
+                   "(ghost included)"]
+
+
+def test_current_lab_refuses_a_backbone_on_an_uncoupled_pair(tmp_path,
+                                                             capsys):
+    scenario = {"graph": {"n_vertices": 3, "edges": [[0, 1], [1, 2]]},
+                "beta": 0.5,
+                "task": {"kind": "backbone", "multiplicities": [[[0, 2], 1]]}}
+    scenario_file = tmp_path / "bb.json"
+    scenario_file.write_text(json.dumps(scenario))
+    assert run_cli("current-lab", "--scenario", str(scenario_file),
+                   "--out", str(tmp_path)) == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: multiplicity on uncoupled pair (0, 2)"]
+
+
 # --- config files ------------------------------------------------------------------------
 
 def test_config_file_replaces_flags(tmp_path):

@@ -283,7 +283,7 @@ def test_switching_sides_match_naive_double_sum():
     lhs_combos = combined(ab, (u, v))
     rhs_combos = combined(sources, ())
     for spec in ("one", "even_total", ("connect", 0, 2)):
-        f = resolve_f(spec)
+        f = resolve_f(spec, g)
 
         def f_of(key):
             pairs = [p for p, _ in key]
@@ -312,19 +312,33 @@ def test_catalog_f_sees_only_multiplicity_classes():
     specs = ["one", "even_total"] + [("connect", a, b) for a in range(5)
                                      for b in range(5) if a != b]
     for spec in specs:
-        f = resolve_f(spec)
+        f = resolve_f(spec, g)
         on_digits = f(digits, pairs, g)
         assert np.array_equal(on_digits, f(classes, pairs, g))
         assert 0.0 < on_digits.mean() <= 1.0
 
 
 def test_resolve_f_catalog():
-    assert resolve_f("one").__name__ == "f_one"
-    assert resolve_f("even_total").__name__ == "f_even_total"
-    assert resolve_f(("connect", 1, 2)).__name__ == "f_connect_1_2"
-    assert resolve_f(f_connect(0, 1)).__name__ == "f_connect_0_1"
+    g = CurrentGraph.path(3)
+    assert resolve_f("one", g).__name__ == "f_one"
+    assert resolve_f("even_total", g).__name__ == "f_even_total"
+    assert resolve_f(("connect", 1, 2), g).__name__ == "f_connect_1_2"
+    assert resolve_f(f_connect(0, 1), g).__name__ == "f_connect_0_1"
     with pytest.raises(ValueError):
-        resolve_f("parity")
+        resolve_f("parity", g)
+
+
+@pytest.mark.parametrize("a,b", [(0, 9), (-1, 0), (0, 3)])
+def test_switching_refuses_a_connect_vertex_off_the_graph(a, b):
+    # on a 2-vertex graph the slots are 0, 1 and the ghost 2: connect(0, 9)
+    # once read lhs = rhs = 0 and connect(-1, 0) failed on a negative shift
+    g = CurrentGraph.path(2)
+    with pytest.raises(ValueError, match=f"connect\\({a}, {b}\\) names a "
+                       "vertex outside 0..2"):
+        switching_check(g, (0, 1), 0, 1, ("connect", a, b), 0.4, 0.2, 4)
+    # the ghost itself is a vertex a connect may name
+    lhs, rhs = switching_check(g, (0, 1), 0, 1, ("connect", 0, 2), 0.4, 0.2, 4)
+    assert lhs == pytest.approx(rhs, rel=1e-12) and lhs > 0.0
 
 
 # --- backbone ------------------------------------------------------------------
@@ -360,6 +374,26 @@ def test_backbone_is_edge_self_avoiding():
     keys = [(min(e), max(e)) for e in path]
     assert len(keys) == len(set(keys))
     assert path[0][0] == 0 and path[-1][1] == 1
+
+
+def test_backbone_refuses_a_multiplicity_on_an_uncoupled_pair():
+    # path(3) couples (0, 1) and (1, 2) only; the search once ran and
+    # reported that no positive path joins the sources 0 and 2
+    cur = Current(CurrentGraph.path(3), (((0, 2), 1),))
+    with pytest.raises(ValueError, match="uncoupled pair \\(0, 2\\)"):
+        extract_backbone(cur)
+    # a ghost pair is coupled only under a field
+    ghost = Current(CurrentGraph.path(2), (((0, 2), 1), ((2, 1), 1)))
+    with pytest.raises(ValueError, match="uncoupled pair \\(0, 2\\)"):
+        extract_backbone(ghost)
+    assert extract_backbone(ghost, h=0.3) == ((0, 2), (2, 1))
+
+
+def test_backbone_reads_a_pair_written_high_end_first():
+    # (2, 1) is the coupled pair (1, 2); the search once left it out of the
+    # support and found no path
+    cur = Current(CurrentGraph.path(3), (((0, 1), 1), ((2, 1), 1)))
+    assert extract_backbone(cur) == ((0, 1), (1, 2))
 
 
 def test_backbone_requires_exactly_two_sources():

@@ -144,23 +144,29 @@ def test_labeling_chain_equals_walking_chain(n, beta, boundary):
     assert labeling.stream_index == walking.stream_index
 
 
-@pytest.mark.parametrize("boundary,beta", [("free", 0.3), ("plus", 0.6)])
-def test_one_stream_update_equals_two_stream_update(boundary, beta,
-                                                    monkeypatch):
-    # ball(2) has fewer bonds than a walk's first draw, so an update draws
-    # its bond words and its seed-site word from one stream; a chain forced
-    # to open a second stream for the seed site reads the same words
-    system = SpinSystem.box(B_LAT, 2, boundary=boundary)
-    one = WolffChain(system, beta, 0.0, 17)
-    monkeypatch.setattr(ising_mc, "_FIRST_DRAW", system.n_bonds)
-    two = WolffChain(system, beta, 0.0, 17)
-    assert one._one_stream and not two._one_stream
-    stop = system.ghost_layer if boundary == "plus" else None
-    for _ in range(300):
-        assert one.step() == two.step()
-        assert one.measure(stop).tolist() == two.measure(stop).tolist()
-    assert one.spins.tolist() == two.spins.tolist()
-    assert one.stream_index == two.stream_index
+@pytest.mark.parametrize("label_floor", [math.inf, 0.0],
+                         ids=["walked", "labeled"])
+def test_each_update_and_measurement_opens_one_stream(label_floor,
+                                                      monkeypatch):
+    # free ball(16) has 1,024 bonds; whether a walk walks or labels, it
+    # draws its bond words and the seed-site word from the one Philox
+    # stream of its sample, opened at word 0
+    chain = WolffChain(SpinSystem.box(B_LAT, 16), BETA_C, 0.0, 17)
+    chain.label_floor = label_floor
+    opened = []
+    sample_stream = rngmod.sample_stream
+
+    def counting(*args, **kwargs):
+        opened.append((args, kwargs.get("start", 0)))
+        return sample_stream(*args, **kwargs)
+
+    monkeypatch.setattr(rngmod, "sample_stream", counting)
+    for _ in range(200):
+        chain.step()
+    assert len(opened) == 200
+    for _ in range(200):
+        chain.measure()
+    assert opened == [((17, rngmod.STREAM_WOLFF, k), 0) for k in range(400)]
 
 
 def test_assigned_spins_must_be_signs():
@@ -273,6 +279,16 @@ def test_fixed_seed_outputs_are_pinned():
     assert ((report.estimates[1].mean, report.estimates[1].stderr),
             (report.estimates[3].mean, report.estimates[3].stderr)) == (
         (3.31, 0.05659891403481559), (9.437, 0.263323529344209))
+    # free ball(16) has 1,024 bonds and these clusters stay below the
+    # labeling floor, so every update and measurement is walked on a large
+    # system; recorded when such walks read the seed-site word from a
+    # second stream
+    report = check_critical_divergence(B_LAT, BETA_C, [8, 16], sweeps=300,
+                                       seed=131)
+    assert ((report.estimates[8].mean, report.estimates[8].stderr),
+            (report.estimates[16].mean, report.estimates[16].stderr)) == (
+        (64.43333333333334, 4.078276736134932),
+        (152.63, 11.45940441121948))
 
 
 def test_fixed_seed_outputs_that_label_are_pinned():

@@ -237,7 +237,8 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
     # with first_draw = 1 the prefix grows from a single word, so every
     # doubling step is exercised on these small graphs; the spin graphs
     # carry a ghost node as their last node, in the last layer.  Labeling
-    # the whole sample in numpy marks the same cluster as the walk
+    # the edges draw_edges opened in numpy, all of them or those a random
+    # keep mask marks, marks the same cluster as the walk over those edges
     monkeypatch.setattr(perc_mc, "_FIRST_DRAW", first_draw)
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
@@ -246,6 +247,9 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
         weights = open_probabilities(param)
         for i in range(60):
             open_edges, ghost_open = full_draw(walker, weights, h, 8, 3, i)
+            keeps = (np.ones(walker.n_edges, dtype=bool),
+                     rngmod.sample_stream(9, rngmod.STREAM_TEST, i).random(
+                         walker.n_edges) < 0.7)
             for root in (0, walker.n_nodes // 3, walker.n_nodes - 1):
                 for stop in (None, 1, (top - 1) // 2 + 1, top):
                     assert (walker.origin_cluster(weights, 8, 3, i,
@@ -256,10 +260,13 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                                               root=root)
                         == full_mask_walk(walker, open_edges, ghost_open,
                                           root=root))
-                members, _, _ = full_mask_walk(walker, open_edges, root=root)
-                assert walker.component(weights, 8, 3, i, root=root) == len(
-                    members)
-                assert np.flatnonzero(walker.seen).tolist() == sorted(members)
+                for keep in keeps:
+                    walker.draw_edges(weights, 8, 3, i)
+                    members, _, _ = full_mask_walk(walker, open_edges & keep,
+                                                   root=root)
+                    assert walker.component(keep, root=root) == len(members)
+                    assert (np.flatnonzero(walker.seen).tolist()
+                            == sorted(members))
 
 
 @WALK_GRAPHS
