@@ -12,7 +12,8 @@ the parameter is at or below the critical point, so the root of
 phi(S, t) = 1 in t is a certified lower bound on the critical point.
 
 :func:`phi_sweep` is the one evaluation of phi, for either model, at one
-parameter or at every parameter of a sequence in one sweep, and
+parameter or at every parameter of a sequence in one sweep (and of
+subsets of the region, as lanes of the region's own plan), and
 :func:`exact_phi` gives one of its values as a :class:`PhiResult`.  Both
 are exact only and raise ``CapExceeded`` beyond the fixed caps of the
 exact engines (a percolation frontier of ``exact.FRONTIER_CAP`` vertices
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
-from .exact import ising_sums, perc_reach
+from .exact import (BASE_POINT_TIE, ising_sums, perc_lanes, perc_reach,
+                    spin_lanes)
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .perc_mc import ClusterWalker
 from .stats import check_counts
@@ -155,8 +157,44 @@ def _boundary_coefficients(region: Region, param: float, model: str,
     return coeff
 
 
+def _subset_coefficients(region: Region, params: list, model: str,
+                         within: Iterable[Vertex] | None,
+                         subsets: np.ndarray) -> np.ndarray:
+    """:func:`_boundary_coefficients` of every subset that a row of
+    ``subsets`` marks, at every parameter, in place of the region: an
+    (M, K, vertices) array in which a vertex of the subset counts its
+    partners outside the subset, the region's vertices among them, summed
+    in the same coupling order, and every other vertex gets 0.  One
+    vectorized pass over all the subsets, where the loop of
+    :func:`_boundary_coefficients` serves one region at the low per-call
+    cost a root search needs."""
+    lattice = region.lattice
+    keep = None if within is None else {tuple(v) for v in within}
+    # (coupling, vertex): the neighbour's region index, or -1 outside it
+    neighbours = [[tuple(a + b for a, b in zip(v, offset))
+                   for v in region.vertices]
+                  for offset, _ in lattice.couplings]
+    partner = np.array([[region.index(w) if w in region else -1
+                         for w in row] for row in neighbours],
+                       dtype=np.int64).reshape(-1, len(region))
+    counted = np.array([[keep is None or w in keep for w in row]
+                        for row in neighbours],
+                       dtype=bool).reshape(partner.shape)
+    # (coupling, subset, parameter, vertex)
+    weights = np.array([[edge_weight(lattice, j, t) if model == "percolation"
+                         else math.tanh(t * j) for t in params]
+                        for _, j in lattice.couplings],
+                       dtype=float).reshape(len(partner), 1, len(params), 1)
+    outside = (partner < 0) | ~subsets[:, np.maximum(partner, 0)]
+    terms = weights * (np.moveaxis(outside, 1, 0) & counted[:, None])[
+        :, :, None]
+    coeff = sum(terms, np.zeros(terms.shape[1:]))  # in coupling order
+    return coeff * subsets[:, None]
+
+
 def phi_sweep(model: str, region: Region, param, *,
-              within: Iterable[Vertex] | None = None):
+              within: Iterable[Vertex] | None = None,
+              subsets: np.ndarray | None = None):
     """Exact phi of ``region`` at ``param``, or an array of it at every
     parameter of a sequence, from one sweep with the boundary coefficients
     as the column.
@@ -167,19 +205,52 @@ def phi_sweep(model: str, region: Region, param, *,
     probabilities (correlations) are then zero beyond the base point's
     component.  ``within`` optionally restricts the outside endpoint of
     each boundary pair to a given vertex set.
+
+    ``subsets``, an (M, vertices) boolean array whose rows mark subsets
+    containing the base point, gives an (M, K) array for a sequence of K
+    parameters: entry (m, q) is phi of the subset of row m at
+    ``param[q]``.  All come from the plan of ``region``, as lanes of its
+    sweep: a bond with an end outside the lane's subset is closed
+    (percolation) or has J = 0 (Ising), so a spin outside the subset is
+    free and its factor 2 cancels from the correlations.  A full row gives
+    phi of ``region`` bit for bit.
     """
     model = _normalize_model(model)
     if model == "ising" and region.lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
+    keep = None
     if isinstance(param, numbers.Real):
+        if subsets is not None:
+            raise ValueError("subsets need a sequence of parameters")
         coeffs = _boundary_coefficients(region, param, model, within)[:, None]
-    else:
+    elif subsets is None:
         coeffs = np.array([_boundary_coefficients(region, t, model, within)
                            for t in param])[..., None]
+    else:
+        # lane m * K + q: subset m at parameter q
+        param = list(param)
+        coeffs = _subset_coefficients(region, param, model, within,
+                                      subsets).reshape(-1, len(region), 1)
+        ends = np.array([(a, b) for a, b, _ in region.internal_edges],
+                        dtype=np.int64).reshape(-1, 2)
+        keep = np.repeat(subsets[:, ends[:, 0]] & subsets[:, ends[:, 1]],
+                         len(param), axis=0)
+        param = param * len(subsets)
     if model == "percolation":
-        return perc_reach(region, ((0, math.inf),), param, coeffs)[..., 0]
-    z, acc = ising_sums(region, param, 0.0, coeffs)
-    return (acc[..., 0, 0] - acc[..., 1, 0]) / (z[..., 0] + z[..., 1])
+        values = perc_reach(region, BASE_POINT_TIE, param, coeffs,
+                            keep)[..., 0]
+    else:
+        z, acc = ising_sums(region, param, 0.0, coeffs, keep)
+        values = (acc[..., 0, 0] - acc[..., 1, 0]) / (z[..., 0] + z[..., 1])
+    return values if subsets is None else values.reshape(len(subsets), -1)
+
+
+def phi_lanes(model: str, region: Region) -> int:
+    """How many (parameter, subset) lanes one engine sweep of
+    :func:`phi_sweep` on ``region`` takes within the caps of ``exact``."""
+    if _normalize_model(model) == "percolation":
+        return perc_lanes(region, BASE_POINT_TIE)
+    return spin_lanes(region, 1)
 
 
 def _phi_percolation_mc(region: Region, param: float, samples: int,

@@ -30,9 +30,10 @@ out by adding the rows' two halves, so a state and its flipped partner get
 the same sums in the same order: at h = 0 every magnetization is exactly 0.
 
 Both engines take a sequence of K parameters (for Ising, K (beta, h)
-pairs) in place of one, with one coefficient matrix per parameter or one
-for all of them.  The parameter axis folds into the coefficient-column
-axis: parameter q's column c is column q * columns + c of one sweep,
+pairs) in place of one, a lane each, with one coefficient matrix per
+parameter or one for all of them.  The parameter axis folds into the
+coefficient-column axis: parameter q's column c is column q * columns + c
+of one sweep,
 with branch (or row) weights per parameter, and each column is summed in
 the same order as in a sweep of its own, so the values are bit for bit
 the same.  One parameter runs the sweep with scalar weights, as before
@@ -43,6 +44,14 @@ sequence, and a sequence gives each array a leading parameter axis whose
 row q is bit for bit the call at parameter q.  Per-vertex observables are
 arrays in region-index order (``Region.index``).
 
+A lane may also carry a mask over the region's bonds (``keep``): a bond
+the mask leaves out is closed in that lane (percolation) or has J = 0
+(Ising), and a lane that keeps every bond is bit for bit its parameter's
+plain sweep.  So one plan serves every subset S of a region: with the
+bonds leaving S masked out and zero coefficients outside S, a lane
+computes on S (a spin outside S is free, and its factor 2 cancels from
+every ratio).
+
 Both engines refuse (``CapExceeded``) beyond fixed caps: a percolation
 frontier wider than ``FRONTIER_CAP`` vertices, checked before any state
 is built, a layer of more than ``BRANCH_CAP`` branch rows, checked before
@@ -51,7 +60,8 @@ rows times coefficient columns, checked before any row is built.  A
 parameter grid counts against the same caps, branch rows times parameters
 and rows times columns times parameters: it is split into chunks that
 fit, one sweep each, so a grid is refused only where one of its
-parameters alone would be.
+parameters alone would be (``perc_lanes`` and ``spin_lanes`` say how
+many lanes one sweep takes).
 Plain-Python enumerators (``naive_*``) are kept alongside as the oracles.
 """
 
@@ -269,7 +279,7 @@ def _op_weights(region: Region, ties: tuple[tuple[int, float], ...],
 
 
 def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
-               param, coeffs: np.ndarray) -> np.ndarray:
+               param, coeffs: np.ndarray, keep=None) -> np.ndarray:
     """sum_v coeffs[v, k] * P[v reaches the tied set], for every column k.
 
     ``ties`` are bonds ``(vertex index, coupling)`` into a set the region's
@@ -280,13 +290,15 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
     ``param`` may be a sequence of K parameters, with ``coeffs`` of shape
     (K, vertices, columns), one matrix per parameter, or (vertices,
     columns) for all of them; row q of the (K, columns) result is then bit
-    for bit the value at ``param[q]`` alone.
+    for bit the value at ``param[q]`` alone.  ``keep``, a (K, bonds)
+    boolean array over ``region.internal_edges``, closes in lane q every
+    bond that its row q leaves unmarked (open weight 0, closed weight 1);
+    every other op keeps its weight, so a full row changes nothing.
     """
-    steps = _frontier_plan(region, tuple(sorted({v for v, _ in ties})),
-                           frozenset(v for v, j in ties if j == math.inf))
+    steps = _tied_plan(region, ties)
     coeffs = np.asarray(coeffs, dtype=float)
     if isinstance(param, numbers.Real):
-        return _perc_sweep(steps, [_op_weights(region, ties, param)], coeffs)
+        return _perc_sweep(steps, *_op_weights(region, ties, param), coeffs)
     params = list(param)
     if coeffs.ndim == 2:
         coeffs = np.broadcast_to(coeffs, (len(params),) + coeffs.shape)
@@ -294,34 +306,67 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
         raise ValueError("need one coefficient matrix per parameter, and "
                          "at least one parameter")
     n_params, n_vertices, k = coeffs.shape
-    # a sweep's branch rows times parameters stay within BRANCH_CAP
-    chunk = max(1, BRANCH_CAP // max(len(step.p_dst) for step in steps))
+    chunk = perc_lanes(region, ties)
     return np.concatenate([
-        _perc_sweep(steps, [_op_weights(region, ties, t)
-                            for t in params[i:i + chunk]],
-                    coeffs[i:i + chunk].transpose(1, 0, 2)
-                    .reshape(n_vertices, -1)).reshape(-1, k)
+        _perc_sweep(steps, *_lane_weights(
+            region, ties, params[i:i + chunk],
+            None if keep is None else keep[i:i + chunk]),
+            coeffs[i:i + chunk].transpose(1, 0, 2)
+            .reshape(n_vertices, -1)).reshape(-1, k)
         for i in range(0, n_params, chunk)])
 
 
-def _perc_sweep(steps: tuple[_Step, ...],
-                weights_at: list[tuple[list[float], list[float]]],
-                coeffs: np.ndarray) -> np.ndarray:
-    """The frontier sweep of ``steps`` at K parameters, given each one's op
-    weights; ``coeffs[v, q * k + c]`` is parameter q's coefficient column
-    c, and so is entry q * k + c of the result.
+def _tied_plan(region: Region, ties: tuple[tuple[int, float], ...]
+               ) -> tuple[_Step, ...]:
+    """The plan of ``region`` for the tied vertices of ``ties``."""
+    return _frontier_plan(region, tuple(sorted({v for v, _ in ties})),
+                          frozenset(v for v, j in ties if j == math.inf))
 
-    With K = 1 the branch weights are plain floats; otherwise each is an
-    array over the parameters.
+
+def perc_lanes(region: Region, ties: tuple[tuple[int, float], ...]) -> int:
+    """How many lanes (parameters, or parameter and bond-mask pairs) one
+    sweep of ``region`` with ``ties`` takes: branch rows times lanes stay
+    within ``BRANCH_CAP``, and one lane always fits."""
+    steps = _tied_plan(region, ties)
+    return max(1, BRANCH_CAP // max(len(step.p_dst) for step in steps))
+
+
+def _lane_weights(region: Region, ties: tuple[tuple[int, float], ...],
+                  params: list, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The open and closed probability of every op (row) in every lane
+    (column): :func:`_op_weights` at the lane's parameter, taken once per
+    distinct parameter, with the bonds that ``keep`` leaves unmarked in a
+    lane closed."""
+    values, lane = np.unique(np.asarray(params, dtype=float),
+                             return_inverse=True)
+    opened, closed = (np.array(w).T[:, lane] for w in zip(
+        *(_op_weights(region, ties, t) for t in values.tolist())))
+    if keep is not None:
+        kept = np.asarray(keep, dtype=bool).T
+        opened[:len(kept)] = np.where(kept, opened[:len(kept)], 0.0)
+        closed[:len(kept)] = np.where(kept, closed[:len(kept)], 1.0)
+    return opened, closed
+
+
+def _perc_sweep(steps: tuple[_Step, ...], opened, closed,
+                coeffs: np.ndarray) -> np.ndarray:
+    """The frontier sweep of ``steps`` in K lanes, given the open and
+    closed probability of every op: lists over the ops for one lane, or
+    (ops, K) arrays; ``coeffs[v, q * k + c]`` is lane q's coefficient
+    column c, and so is entry q * k + c of the result.
+
+    With one lane the branch weights are plain floats; otherwise each is
+    an array over the lanes.
     """
-    n_params, m = len(weights_at), coeffs.shape[1]
+    if isinstance(opened, np.ndarray) and opened.shape[1] == 1:
+        opened, closed = opened[:, 0].tolist(), closed[:, 0].tolist()
+    n_params = 1 if isinstance(opened, list) else opened.shape[1]
+    m = coeffs.shape[1]
     k = m // n_params
     if n_params == 1:
-        (opened, closed), = weights_at
         one = 1.0
         prob = np.ones(1)
     else:
-        opened, closed = (list(np.array(w).T) for w in zip(*weights_at))
         one = np.ones(n_params)
         prob = np.ones((1, n_params))
         lanes = np.arange(n_params)
@@ -426,13 +471,18 @@ class _SpinStep(NamedTuple):
     """The sweep of one vertex.  A state assigns the frontier spins, bit i
     of its index set iff spin i is minus; row r assigns the frontier and
     the vertex, its low bits the next state and its top ``n_leave`` bits
-    the spins that leave.  Row r extends state ``src[r]``; ``energy`` is -2
-    times the sum of J over the vertex's unsatisfied back bonds, ``sign``
-    the vertex's spin.  A global flip maps row r to len(src) - 1 - r.
+    the spins that leave.  Row r extends state ``src[r]``;
+    ``bond_energy[i][r]`` is -2 J of the vertex's i-th bond back into the
+    sweep, ``bonds[i]``, where row r leaves that bond unsatisfied and 0
+    elsewhere, and ``energy[r]`` their sum in that order (kept for the
+    sweeps that mask no bond, which would otherwise add it up each time);
+    ``sign`` is the vertex's spin.  A global flip maps row r to len(src) - 1 - r.
     """
 
     vertex: int
     src: np.ndarray
+    bonds: tuple[int, ...]
+    bond_energy: tuple[np.ndarray, ...]
     energy: np.ndarray
     sign: np.ndarray
     n_leave: int
@@ -458,16 +508,37 @@ def _spin_plan(region: Region) -> tuple[_SpinStep, ...]:
         down = {x: rows >> i & 1 for i, x in
                 enumerate(stays + [x for x in inside if last[x] <= t])}
         src = sum((down[x] << i for i, x in enumerate(frontier)), 0 * rows)
-        energy = sum((j * (down[a] != down[b])
-                      for a, b, j in (edges[e] for e in back[v])), 0.0 * rows)
-        steps.append(_SpinStep(v, src, -2.0 * energy, 1.0 - 2.0 * down[v],
+        bond_energy = tuple(-2.0 * j * (down[a] != down[b])
+                            for a, b, j in (edges[e] for e in back[v]))
+        steps.append(_SpinStep(v, src, tuple(back[v]), bond_energy,
+                               _row_energy(bond_energy, None, back[v]),
+                               1.0 - 2.0 * down[v],
                                len(inside) - len(stays)))
         frontier = stays
     return tuple(steps)
 
 
-def ising_sums(region: Region, beta, h,
-               coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_energy(bond_energy: tuple[np.ndarray, ...], keep,
+                bonds) -> np.ndarray:
+    """The arrays of ``bond_energy`` summed in order, each scaled by its
+    bond's lane factors ``keep[bond]`` unless ``keep`` is None."""
+    energy = 0.0
+    for bond, term in zip(bonds, bond_energy):
+        energy = energy + (term if keep is None else keep[bond] * term)
+    return energy
+
+
+def _check_spin_params(betas: list[float], hs: list[float]) -> None:
+    """ValueError unless every beta is non-negative and every beta and h
+    finite (NaN is neither)."""
+    if any(b < 0.0 for b in betas):
+        raise ValueError("beta must be non-negative")
+    if not all(map(math.isfinite, betas + hs)):
+        raise ValueError("beta and h must be finite")
+
+
+def ising_sums(region: Region, beta, h, coeffs: np.ndarray,
+               keep=None) -> tuple[np.ndarray, np.ndarray]:
     """Z and sum_x coeffs[x, k] sigma_x Z for every column k, split by the
     base point's spin (s = 0 for +1, 1 for -1): ``z[s]`` and ``acc[s, k]``,
     weights relative to the all-plus state.  ``CapExceeded`` when the
@@ -480,33 +551,44 @@ def ising_sums(region: Region, beta, h,
     or (vertices, columns) for all of them: then ``z`` has shape (K, 2) and
     ``acc`` (K, 2, columns), row q bit for bit the sums at the q-th pair
     alone, from as few sweeps as the cap allows (rows times columns times
-    pairs per sweep).
+    pairs per sweep).  ``keep``, a (K, bonds) boolean array over
+    ``region.internal_edges``, sets J = 0 in lane q on every bond that its
+    row q leaves unmarked; a full row changes nothing.
     """
     if isinstance(beta, numbers.Real) and isinstance(h, numbers.Real):
-        if beta < 0.0:
-            raise ValueError("beta must be non-negative")
+        _check_spin_params([beta], [h])
         coeffs = np.asarray(coeffs, dtype=float)
         steps = _spin_plan(region)
         _spin_cap(steps, coeffs.shape[1])
-        return _spin_sweep(steps, beta, h, coeffs)
+        return _spin_sweep(steps, beta, h, coeffs, None)
     betas, hs = (a[:, None, None] for a in np.broadcast_arrays(
         np.asarray(beta, dtype=float), np.asarray(h, dtype=float)))
+    _check_spin_params(betas.ravel().tolist(), hs.ravel().tolist())
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 2:
         coeffs = np.broadcast_to(coeffs, (len(betas),) + coeffs.shape)
     if not len(betas) or len(coeffs) != len(betas):
         raise ValueError("need one coefficient matrix per (beta, h) pair, "
                          "and at least one pair")
-    if (betas < 0.0).any():
-        raise ValueError("beta must be non-negative")
     coeffs = coeffs.transpose(1, 0, 2)
     steps = _spin_plan(region)
-    chunk = SPIN_FRONTIER_CAP // _spin_cap(steps, coeffs.shape[2])
+    chunk = spin_lanes(region, coeffs.shape[2])
+    # per bond, its J factor in each lane, shaped like the betas
+    lane_keep = (None if keep is None
+                 else np.asarray(keep, dtype=float).T[..., None, None])
     sums = [_spin_sweep(steps, betas[i:i + chunk], hs[i:i + chunk],
-                        coeffs[:, i:i + chunk])
+                        coeffs[:, i:i + chunk],
+                        None if keep is None else lane_keep[:, i:i + chunk])
             for i in range(0, len(betas), chunk)]
     return (np.concatenate([z for z, _ in sums]),
             np.concatenate([acc for _, acc in sums]))
+
+
+def spin_lanes(region: Region, columns: int) -> int:
+    """How many lanes ((beta, h) pairs, or pair and bond-mask lanes) with
+    ``columns`` coefficient columns one spin sweep of ``region`` takes
+    within ``SPIN_FRONTIER_CAP``; ``CapExceeded`` if not even one."""
+    return SPIN_FRONTIER_CAP // _spin_cap(_spin_plan(region), columns)
 
 
 def _spin_cap(steps: tuple[_SpinStep, ...], columns: int) -> int:
@@ -518,11 +600,13 @@ def _spin_cap(steps: tuple[_SpinStep, ...], columns: int) -> int:
     return need
 
 
-def _spin_sweep(steps: tuple[_SpinStep, ...], beta, h, coeffs: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _spin_sweep(steps: tuple[_SpinStep, ...], beta, h, coeffs: np.ndarray,
+                keep) -> tuple[np.ndarray, np.ndarray]:
     """The spin sweep at one (beta, h), with ``coeffs`` of shape (vertices,
     columns), or at K pairs given as (K, 1, 1) arrays, with ``coeffs`` of
     shape (vertices, K, columns); the pairs lead every axis of the result.
+    ``keep``, None or per bond a (K, 1, 1) array of 0 and 1, scales each
+    bond's energy in each lane.
     """
     z = np.ones(np.shape(beta)[:-1] + (1,))  # per pair, one row
     acc = np.zeros(coeffs.shape[1:] + (1,))  # one row per (pair,) column
@@ -530,7 +614,9 @@ def _spin_sweep(steps: tuple[_SpinStep, ...], beta, h, coeffs: np.ndarray
         z = z[step.src] if z.ndim == 1 else z[..., step.src]
         acc = acc.take(step.src, axis=-1)
         acc += (z * step.sign) * coeffs[step.vertex][..., None]
-        weight = np.exp(beta * step.energy + h * (step.sign - 1.0))
+        energy = (step.energy if keep is None
+                  else _row_energy(step.bond_energy, keep, step.bonds))
+        weight = np.exp(beta * energy + h * (step.sign - 1.0))
         z *= weight
         acc *= weight
         for _ in range(step.n_leave):

@@ -194,9 +194,9 @@ class WolffChain:
         """
         sysm = self.system
         walker = sysm.walker
-        args = (self.seed, rngmod.STREAM_WOLFF, self.stream_index)
+        gen = walker.draw_edges(self.p_act, self.seed, rngmod.STREAM_WOLFF,
+                                self.stream_index)
         self.stream_index += 1
-        gen = walker.draw_edges(self.p_act, *args)
         if root is None:
             root = int(gen.random() * sysm.n_sites)
         whole = stop_layer is None
@@ -208,9 +208,7 @@ class WolffChain:
         else:
             spin_bytes = self._spin_bytes
             blocked = spin_bytes.translate(_BLOCK_OTHER_SIGN[spin_bytes[root]])
-            members = walker.origin_cluster(
-                self.p_act, *args, stop_layer=stop_layer, root=root,
-                blocked=blocked, predrawn=True)[0]
+            members = walker.drawn_cluster(root, stop_layer, blocked)[0]
             size = len(members)
         if whole:
             self._whole_walks += 1

@@ -197,13 +197,14 @@ def edge_weight(lattice: LatticeSpec, j: float, param: float) -> float:
     """Probability that one bond with coupling ``j`` is open at ``param``.
 
     ``p`` mode: the parameter itself (requires ``0 <= p <= 1``).
-    ``beta`` mode: ``1 - exp(-beta * j)`` (requires ``beta >= 0``).
+    ``beta`` mode: ``1 - exp(-beta * j)`` (requires ``beta >= 0``, which
+    NaN is not).
     """
     if lattice.mode == "p":
         if not 0.0 <= param <= 1.0:
             raise ValueError(f"p={param} outside [0, 1]")
         return float(param)
-    if param < 0.0:
+    if not param >= 0.0:
         raise ValueError(f"beta={param} must be non-negative")
     return -math.expm1(-param * j)
 

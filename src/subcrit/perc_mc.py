@@ -61,7 +61,7 @@ class ClusterWalker:
     measurements and the Monte Carlo phi all grow their clusters with this
     class: ``origin_cluster`` draws the words a walk reads as it goes, and
     a Wolff walk draws them all with ``draw_edges``, then walks them
-    (``predrawn=True``) or labels them in numpy with ``component``.
+    (``drawn_cluster``) or labels them in numpy with ``component``.
 
     The adjacency is kept as numpy CSR arrays (``ptr``, ``nbr``, ``eid``:
     node v's edges ``eid[ptr[v]:ptr[v + 1]]`` lead to ``nbr[...]``) next
@@ -111,8 +111,7 @@ class ClusterWalker:
     def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
                        index: int, h: float = 0.0,
                        stop_layer: int | None = None, root: int = 0,
-                       blocked: bytearray | None = None,
-                       predrawn: bool = False
+                       blocked: bytearray | None = None
                        ) -> tuple[list[int], int, bool]:
         """Walk over the open cluster of ``root`` in one sample.
 
@@ -127,9 +126,7 @@ class ClusterWalker:
 
         ``blocked``, a bytearray over the nodes that the walk then owns,
         marks nodes it never enters, as if every edge into them were
-        closed; it becomes the walk's ``self.seen``.  With ``predrawn`` the
-        walk reads the edge words ``draw_edges`` drew for this sample
-        instead of opening the sample's stream.
+        closed; it becomes the walk's ``self.seen``.
 
         Returns ``(members, max_layer, hit_ghost)``; ``members`` lists node
         indices in discovery order, and ``self.seen`` marks them and the
@@ -142,15 +139,34 @@ class ClusterWalker:
         """
         if not h >= 0.0:
             raise ValueError(f"h must be non-negative, got {h}")
+        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
+                                                    gen=self._edge_gen)
+        if root >= self._mirrored:
+            self._mirror(root + 1)
+        ghost_gen = None
+        if h > 0.0:
+            ghost_gen = self._ghost_gen = rngmod.sample_stream(
+                seed, stream, index, start=self.n_edges, gen=self._ghost_gen)
+        return self._walk(root, stop_layer, blocked, gen, weights, ghost_gen,
+                          h)
+
+    def drawn_cluster(self, root: int = 0, stop_layer: int | None = None,
+                      blocked: bytearray | None = None
+                      ) -> tuple[list[int], int, bool]:
+        """:meth:`origin_cluster` at h = 0 on the edge words that
+        ``draw_edges`` drew for the sample, opening no stream."""
+        return self._walk(root, stop_layer, blocked)
+
+    def _walk(self, root: int, stop_layer: int | None,
+              blocked: bytearray | None, gen=None, weights=None,
+              ghost_gen=None, h: float = 0.0) -> tuple[list[int], int, bool]:
+        """The walk of :meth:`origin_cluster`, drawing edge words from
+        ``gen`` against ``weights``, or reading those ``draw_edges`` drew
+        (and the rows it mirrored) when ``gen`` is None, and ghost words
+        from ``ghost_gen`` for h > 0."""
         # edge words drawn; nodes v < ready have all theirs
-        if predrawn:  # draw_edges drew every word and mirrored every row
-            gen, drawn, ready = self._edge_gen, self.n_edges, self.n_nodes
-        else:
-            gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
-                                                        gen=self._edge_gen)
-            drawn = ready = 0
-            if root >= self._mirrored:
-                self._mirror(root + 1)
+        drawn, ready = ((0, 0) if gen is not None
+                        else (self.n_edges, self.n_nodes))
         ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
         need, is_open = self._need, self._open
         if blocked is None:
@@ -160,9 +176,7 @@ class ClusterWalker:
         members = [root]
         max_layer = layer[root]
         ghost = None
-        if h > 0.0:
-            ghost_gen = self._ghost_gen = rngmod.sample_stream(
-                seed, stream, index, start=self.n_edges, gen=self._ghost_gen)
+        if ghost_gen is not None:
             ghost, ghost_weight = self._ghost_open, -math.expm1(-h)
             ghost_drawn = self._draw(ghost_gen, self._ghost_u,
                                      self._ghost_mask, ghost_weight, 0,
@@ -204,8 +218,8 @@ class ClusterWalker:
 
     def draw_edges(self, weights: np.ndarray, seed: int, stream: int,
                    index: int) -> np.random.Generator:
-        """Draw every edge word of sample ``index`` in one call, for a walk
-        passed ``predrawn=True`` or for ``component``; returns the sample's
+        """Draw every edge word of sample ``index`` in one call, for
+        ``drawn_cluster`` or ``component``; returns the sample's
         generator, from which a caller reads the words from ``n_edges`` on.
         """
         gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,

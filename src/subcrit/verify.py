@@ -7,16 +7,19 @@ The differential checks use central finite differences of exact
 function values; a step-halving comparison is recorded so derivative
 quality can be asserted independently of the inequality itself.  A check
 collects every stencil point of its whole grid and evaluates them in one
-exact sweep, and sweeps every other region, each subset of an infimum
-included, once for its grid: ``certificates.phi_sweep``,
-``exact.perc_connect_probs``, ``exact.perc_exit_prob`` and
-``exact.ising_observables`` each take one parameter or a sequence, and a
-sequence gives one row per parameter, with per-vertex values in
-region-index order.  Every grid is validated before the first sweep.
+exact sweep, and sweeps every other region once for its grid:
+``certificates.phi_sweep``, ``exact.perc_connect_probs``,
+``exact.perc_exit_prob`` and ``exact.ising_observables`` each take one
+parameter or a sequence, and a sequence gives one row per parameter, with
+per-vertex values in region-index order.  Every grid is validated, finite
+and in range, before the first sweep, and a NaN margin fails its report.
 
 The subset infima are taken over *all* subsets of the region that contain
 the base point, including disconnected ones (a disconnected subset can
-have a strictly smaller boundary functional).
+have a strictly smaller boundary functional).  One plan of the region
+serves them all: each (parameter, subset) pair is a lane of its sweep, in
+which every bond leaving the subset is closed (percolation) or decoupled
+(Ising), so an infimum over ball(1) at a whole grid is one sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certificates import phi_sweep
+from .certificates import phi_lanes, phi_sweep
 from .exact import (ising_observables, perc_connect_probs, perc_exit_prob,
                     perc_reach)
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
@@ -78,7 +81,8 @@ class InequalityReport:
         if not (len(self.grid) == len(self.lhs) == len(self.rhs)
                 == len(self.margins)):
             raise ValueError("grid and value arrays must have equal length")
-        if self.margins and self.min_margin != min(self.margins):
+        if self.margins and not np.array_equal(
+                self.min_margin, _least(self.margins), equal_nan=True):
             raise ValueError("min_margin inconsistent with margins")
         if self.passed != (self.min_margin >= -self.tolerance):
             raise ValueError("pass flag inconsistent with margins/tolerance")
@@ -103,6 +107,12 @@ class InequalityReport:
         }
 
 
+def _least(margins: Sequence[float]) -> float:
+    """The least margin, NaN if any is NaN (``min`` skips a NaN that is
+    not first), so a NaN margin never passes."""
+    return float(np.min(margins))
+
+
 def _make_report(name: str, grid: Sequence, lhs: Sequence[float],
                  rhs: Sequence[float], tolerance: float,
                  fd_spread: float = 0.0, notes: str = "",
@@ -114,7 +124,7 @@ def _make_report(name: str, grid: Sequence, lhs: Sequence[float],
         margins = tuple(r - l for l, r in zip(lhs, rhs))
     else:
         margins = tuple(l - r for l, r in zip(lhs, rhs))
-    mm = min(margins)
+    mm = _least(margins)
     return InequalityReport(name, tuple(grid), tuple(lhs), tuple(rhs),
                             margins, mm, tolerance, mm >= -tolerance,
                             fd_spread, notes)
@@ -127,23 +137,46 @@ def _make_report(name: str, grid: Sequence, lhs: Sequence[float],
 def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
                 within: Iterable[Vertex] | None = None):
     """Exact infimum of phi(S) over every subset S of ``region`` containing
-    the base point (2^(|region|-1) evaluations), with the minimizing subset:
+    the base point (2^(|region|-1) of them), with the minimizing subset:
     ``(value, subset)`` at one parameter, or a list of them at every
-    parameter of a sequence, from one sweep per subset.
+    parameter of a sequence.
+
+    One plan of ``region`` serves every subset: each (parameter, subset)
+    pair is a lane of :func:`certificates.phi_sweep`, with every bond that
+    leaves the subset closed (percolation) or decoupled (Ising), and a
+    sweep takes as many lanes as the caps of ``exact`` allow.  Bit k of a
+    subset's mask includes region vertex k + 1; a tie goes to the first
+    mask.  Every parameter is checked, finite and in range, before the
+    first sweep.
     """
     _check_subsets(region)
+    if region.lattice != lattice:
+        raise ValueError("region was built on a different lattice")
     params = [param] if isinstance(param, numbers.Real) else list(param)
-    origin = region.origin
-    others = [v for v in region.vertices if v != origin]
-    best = [(math.inf, (origin,))] * len(params)
-    for mask in range(1 << len(others)):
-        subset = [origin] + [v for k, v in enumerate(others) if mask >> k & 1]
-        values = phi_sweep(model, Region(lattice, subset, origin), params,
-                           within=within).tolist()
-        for q, value in enumerate(values):
-            if value < best[q][0]:
-                best[q] = (value, tuple(sorted(subset)))
-    return best[0] if isinstance(param, numbers.Real) else best
+    if not params:
+        raise ValueError("empty parameter grid")
+    for t in params:
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"parameter {t} must be non-negative and finite")
+        edge_weight(lattice, 1.0, t)  # a ValueError past p = 1
+    n_others = len(region) - 1
+    # subsets per call: as many (parameter, subset) lanes as one sweep takes
+    chunk = max(1, phi_lanes(model, region) // len(params))
+    best = [(math.inf, 0)] * len(params)  # (value, mask)
+    for start in range(0, 1 << n_others, chunk):
+        mask = np.arange(start, min(start + chunk, 1 << n_others))
+        subsets = np.ones((len(mask), n_others + 1), dtype=bool)
+        subsets[:, 1:] = mask[:, None] >> np.arange(n_others) & 1
+        values = phi_sweep(model, region, params, within=within,
+                           subsets=subsets)
+        for q, i in enumerate(np.argmin(values, axis=0).tolist()):
+            if values[i, q] < best[q][0]:
+                best[q] = (float(values[i, q]), int(mask[i]))
+    vertices = region.vertices
+    found = [(value, tuple(sorted(
+        [vertices[0]] + [vertices[k + 1] for k in range(n_others)
+                         if mask >> k & 1]))) for value, mask in best]
+    return found[0] if isinstance(param, numbers.Real) else found
 
 
 def _check_subsets(region: Region) -> None:
@@ -202,7 +235,7 @@ def check_perc_differential(lattice: LatticeSpec, n: int = 1,
         raise ValueError("the beta-derivative needs a beta-mode lattice")
     if not p_grid:
         raise ValueError("empty parameter grid")
-    if min(p_grid) <= 0.0 or max(p_grid) >= 1.0:
+    if not all(0.0 < p < 1.0 for p in p_grid):
         raise ValueError("p grid must stay strictly inside (0, 1)")
     region = ball(lattice, n)
     _check_subsets(region)
@@ -255,6 +288,8 @@ def check_bk_decomposition(lattice: LatticeSpec, s_vertices: Iterable[Vertex],
         raise ValueError("empty parameter grid")
     for p in params:
         edge_weight(lattice, 1.0, p)  # a ValueError outside the range
+    if not all(map(math.isfinite, params)):
+        raise ValueError("parameter grid must be finite")
 
     region_s = Region(lattice, s_set, origin=u)
     region_a = Region(lattice, a_set, origin=u)
@@ -296,14 +331,16 @@ def check_ising_differential(lattice: LatticeSpec, n: int = 1,
     itself contributes an empty boundary, so the infimum is at most 0 and
     the check is sharp only through the nonnegativity of the derivative.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive (both sides vanish at h = 0)")
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive (both sides vanish at h = 0) "
+                         "and finite")
     if lattice.mode != "beta":
         raise ValueError("the ising functional needs a beta-mode lattice")
     if not beta_grid:
         raise ValueError("empty parameter grid")
-    if min(beta_grid) <= DELTA:
-        raise ValueError("beta grid must stay above the difference step")
+    if not all(DELTA < b < math.inf for b in beta_grid):
+        raise ValueError("beta grid must be finite and stay above the "
+                         "difference step")
     region = ball(lattice, n)
     _check_subsets(region)
     inside = region.vertices
@@ -343,8 +380,8 @@ def check_modified_simon(lattice: LatticeSpec, lam_vertices: Iterable[Vertex],
     s_set = {tuple(v) for v in s_vertices}
     z = tuple(z)
     origin = lattice.origin()
-    if h < 0.0:
-        raise ValueError("h must be non-negative")
+    if not 0.0 <= h < math.inf:
+        raise ValueError("h must be non-negative and finite")
     if origin not in s_set:
         raise ValueError("S must contain the origin")
     if not s_set <= lam_set:
@@ -353,8 +390,8 @@ def check_modified_simon(lattice: LatticeSpec, lam_vertices: Iterable[Vertex],
         raise ValueError("z must lie in the outer region but outside S")
     if not betas:
         raise ValueError("empty parameter grid")
-    if min(betas) < 0.0:
-        raise ValueError("beta grid must be non-negative")
+    if not all(0.0 <= b < math.inf for b in betas):
+        raise ValueError("beta grid must be non-negative and finite")
 
     region_s = Region(lattice, s_set, origin=origin)
     region_lam_z = Region(lattice, lam_set, origin=z)
@@ -391,10 +428,11 @@ def check_ghs_differential(lattice: LatticeSpec, n: int = 1,
         raise ValueError("the ising magnetization needs a beta-mode lattice")
     if not betas or not h_grid:
         raise ValueError("empty parameter grid")
-    if min(h_grid) <= DELTA:
-        raise ValueError("h grid must stay above the difference step")
-    if min(betas) < 0.0:
-        raise ValueError("beta grid must be non-negative")
+    if not all(DELTA < h < math.inf for h in h_grid):
+        raise ValueError("h grid must be finite and stay above the "
+                         "difference step")
+    if not all(0.0 <= b < math.inf for b in betas):
+        raise ValueError("beta grid must be non-negative and finite")
     region = ball(lattice, n)
     total_j = lattice.total_coupling
     grid = [(beta, h) for beta in betas for h in h_grid]

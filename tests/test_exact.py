@@ -236,6 +236,32 @@ def test_ising_grid_equals_single_sweeps_at_positive_field():
                                                   coeffs[q])[1]).all()
 
 
+def test_full_mask_lanes_are_the_plain_sweeps():
+    # a lane whose mask keeps every bond is bit for bit the sweep without
+    # masks, also beside lanes that close bonds; a lane that closes every
+    # bond leaves each vertex its own tie alone
+    lattice = LatticeSpec.square(mode="beta")
+    region = ball(lattice, 2)
+    ties = tuple((i, j) for i, _, j in region.boundary_pairs)
+    coeffs = sample_stream(13, STREAM_TEST, 0).uniform(
+        0.0, 2.0, size=(len(GRID), len(region), 2))
+    keep = sample_stream(13, STREAM_TEST, 1).random(
+        (len(GRID), len(region.internal_edges))) < 0.5
+    keep[::2] = True
+    keep[1] = False
+    reach = perc_reach(region, ties, GRID, coeffs, keep)
+    z, acc = exact.ising_sums(region, GRID, 0.1, coeffs, keep)
+    for q in range(0, len(GRID), 2):
+        assert (reach[q] == perc_reach(region, ties, GRID[q],
+                                       coeffs[q])).all()
+        z1, acc1 = exact.ising_sums(region, GRID[q], 0.1, coeffs[q])
+        assert (z[q] == z1).all() and (acc[q] == acc1).all()
+    alone = [1.0 - math.prod(1.0 - edge_weight(lattice, j, GRID[1])
+                             for i, j in ties if i == v)
+             for v in range(len(region))]
+    assert reach[1] == pytest.approx(alone @ coeffs[1], rel=1e-14)
+
+
 def test_grid_past_the_caps_is_chunked_not_refused(monkeypatch):
     lattice = LatticeSpec.square(mode="beta")
     region = ball(lattice, 2)
@@ -502,3 +528,11 @@ def test_ising_caps_and_validation():
         naive_ising_observables(ball(lattice, 3), 0.3, 0.0)  # 25 > naive cap 14
     with pytest.raises(ValueError):
         ising_observables(ball(lattice, 1), -0.2, 0.0)
+    # NaN is not a non-negative beta, and an infinite beta or NaN field
+    # gives NaN weights: each is refused in one line
+    for beta, h in ((math.nan, 0.0), (math.inf, 0.0), ([0.3, math.nan], 0.0),
+                    ([0.3, math.inf], 0.1), (0.3, math.nan)):
+        with pytest.raises(ValueError, match="^beta and h must be finite$"):
+            ising_observables(ball(lattice, 1), beta, h)
+    with pytest.raises(ValueError, match="^beta=nan must be non-negative$"):
+        edge_weight(lattice, 1.0, math.nan)

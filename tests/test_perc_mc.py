@@ -294,9 +294,8 @@ def test_blocked_and_predrawn_walks_match_full_mask_walk(make, args):
             after = walker.draw_edges(weights, 8, 3, i).random()
             assert after == rngmod.sample_stream(
                 8, 3, i, start=walker.n_edges).random()
-            assert walker.origin_cluster(
-                weights, 8, 3, i, root=root, predrawn=True) == full_mask_walk(
-                    walker, open_edges, root=root)
+            assert walker.drawn_cluster(root=root) == full_mask_walk(
+                walker, open_edges, root=root)
 
 
 @WALK_GRAPHS

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subcrit import exact
-from subcrit.certificates import exact_phi
+from subcrit import exact, verify
+from subcrit.certificates import exact_phi, phi_sweep
 from subcrit.exact import (ising_observables, naive_connect_probs,
                            naive_event_prob, naive_ising_observables,
                            perc_connect_probs)
@@ -173,13 +174,95 @@ def test_ising_observables_grid_rows_equal_single_calls():
 
 
 def test_phi_infimum_grid_rows_equal_single_calls():
-    # ball(1) rather than ball(2): the 4,096 subsets of square ball(2)
-    # take about 8 s per percolation call
     for model, lattice in (("percolation", P_LAT), ("ising", B_LAT)):
-        for region in (ball(lattice, 1), Region(lattice, DISCONNECTED)):
+        for region in (ball(lattice, 1), Region(lattice, DISCONNECTED),
+                       ball(lattice, 2)):
             rows = phi_infimum(model, lattice, region, CONTRACT_GRID)
             assert rows == [phi_infimum(model, lattice, region, t)
                             for t in CONTRACT_GRID]
+
+
+# --- subset lanes: one plan of the region for every subset -----------------------
+
+def every_subset(region):
+    """Row m marks the subset of mask m: the base point, and region vertex
+    k + 1 where bit k of m is set."""
+    n = len(region) - 1
+    masks = np.arange(1 << n)
+    subsets = np.ones((len(masks), n + 1), dtype=bool)
+    subsets[:, 1:] = masks[:, None] >> np.arange(n) & 1
+    return subsets
+
+
+def own_plan_phi(model, lattice, region, row, grid, within):
+    """phi of the subset ``row`` marks, from a region and plan of its own."""
+    subset = [v for v, kept in zip(region.vertices, row) if kept]
+    return phi_sweep(model, Region(lattice, subset, region.origin), grid,
+                     within=within)
+
+
+def lane_regions(lattice):
+    shape = [(0, 0), (1, 0), (0, 1)]
+    return (ball(lattice, 1), Region(lattice, DISCONNECTED),
+            Region(lattice, [(5 + x, 5 + y) for x, y in shape], (5, 5)))
+
+
+@pytest.mark.parametrize("model, lattice", [("percolation", P_LAT),
+                                            ("ising", B_LAT)])
+def test_subset_lanes_equal_own_plan_sweeps(model, lattice):
+    # every subset of the small regions, bit for bit; the infimum is the
+    # first minimum in mask order, as a loop over the subsets finds it
+    for region in lane_regions(lattice):
+        within = region.vertices if model == "ising" else None
+        subsets = every_subset(region)
+        lanes = phi_sweep(model, region, CONTRACT_GRID, within=within,
+                          subsets=subsets)
+        own = [own_plan_phi(model, lattice, region, row, CONTRACT_GRID,
+                            within).tolist() for row in subsets]
+        assert lanes.tolist() == own
+        want = []
+        for q in range(len(CONTRACT_GRID)):
+            best = (math.inf, None)
+            for row, values in zip(subsets, own):
+                if values[q] < best[0]:
+                    best = (values[q], tuple(sorted(
+                        v for v, kept in zip(region.vertices, row) if kept)))
+            want.append(best)
+        assert phi_infimum(model, lattice, region, CONTRACT_GRID,
+                           within=within) == want
+
+
+@pytest.mark.parametrize("model, lattice", [("percolation", P_LAT),
+                                            ("ising", B_LAT)])
+def test_subset_lanes_on_ball_two_agree_with_own_plans(model, lattice):
+    region = ball(lattice, 2)
+    within = region.vertices if model == "ising" else None
+    picks = np.random.default_rng(2402).choice(1 << 12, 200, replace=False)
+    subsets = every_subset(region)[np.sort(picks)]
+    lanes = phi_sweep(model, region, CONTRACT_GRID, within=within,
+                      subsets=subsets)
+    for row, values in zip(subsets, lanes):
+        own = own_plan_phi(model, lattice, region, row, CONTRACT_GRID, within)
+        assert values == pytest.approx(own, rel=1e-13, abs=1e-13)
+
+
+def test_phi_infimum_plans_only_the_region(monkeypatch):
+    planned = []
+
+    def record(plan):
+        def run(region, *args):
+            planned.append(region)
+            return plan(region, *args)
+        return run
+
+    monkeypatch.setattr(exact, "_frontier_plan",
+                        record(exact._frontier_plan))
+    monkeypatch.setattr(exact, "_spin_plan", record(exact._spin_plan))
+    for model, lattice in (("percolation", P_LAT), ("ising", B_LAT)):
+        region = ball(lattice, 2)
+        planned.clear()
+        phi_infimum(model, lattice, region, CONTRACT_GRID)
+        assert planned and set(planned) == {region}
 
 
 # --- report container -----------------------------------------------------------
@@ -415,9 +498,10 @@ def test_each_check_sweeps_a_region_once_for_its_grid(monkeypatch):
                         counted("perc", exact._perc_sweep))
     monkeypatch.setattr(exact, "_spin_sweep",
                         counted("spin", exact._spin_sweep))
-    # (perc, spin) sweeps: the exit grid plus one per subset of ball(1);
-    # BK's two regions; the Simon check's S, Lam and one coupled pair
-    expected = {"perc-diff": (17, 0), "bk": (2, 0), "ising-diff": (0, 17),
+    # (perc, spin) sweeps: the exit grid plus one for all subsets of
+    # ball(1) at every grid point; BK's two regions; the Simon check's S,
+    # Lam and one coupled pair
+    expected = {"perc-diff": (2, 0), "bk": (2, 0), "ising-diff": (0, 2),
                 "simon": (0, 3), "ghs": (0, 1)}
     for name, counts in expected.items():
         sweeps.update(perc=0, spin=0)
@@ -429,6 +513,19 @@ def test_ising_differential_on_ball_two():
     report = check_ising_differential(B_LAT, n=2)
     assert report.passed
     assert report.min_margin == pytest.approx(0.1938773064457874, abs=1e-9)
+
+
+def test_perc_differential_on_ball_two():
+    # 4,096 subsets at 9 grid points, 36,864 lanes of one plan
+    tracemalloc.start()
+    try:
+        report = check_perc_differential(B_LAT, n=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert report.min_margin == pytest.approx(2.604189551976058e-4, abs=1e-9)
+    assert peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("check, kwargs", [
@@ -448,6 +545,55 @@ def test_a_bad_grid_point_computes_nothing(monkeypatch, check, kwargs):
     with pytest.raises(ValueError) as info:
         check(B_LAT, **kwargs)
     assert "\n" not in str(info.value)
+
+
+NAN = math.nan
+LAM = [(x, y) for x in range(-1, 3) for y in range(-1, 2)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: check_perc_differential(B_LAT, 1, p_grid=(0.3, NAN)),
+    lambda: check_ising_differential(B_LAT, 1, beta_grid=(0.3, NAN)),
+    lambda: check_ising_differential(B_LAT, 1, beta_grid=(0.3, math.inf)),
+    lambda: check_ising_differential(B_LAT, 1, h=NAN),
+    lambda: check_bk_decomposition(B_LAT, *small_bk_sets(B_LAT),
+                                   params=(0.2, NAN)),
+    lambda: check_bk_decomposition(B_LAT, *small_bk_sets(B_LAT),
+                                   params=(0.2, math.inf)),
+    lambda: check_modified_simon(B_LAT, LAM, ball(B_LAT, 1).vertices,
+                                 (2, 1), betas=(0.2, NAN)),
+    lambda: check_modified_simon(B_LAT, LAM, ball(B_LAT, 1).vertices,
+                                 (2, 1), h=NAN),
+    lambda: check_ghs_differential(B_LAT, betas=(0.2, NAN)),
+    lambda: check_ghs_differential(B_LAT, h_grid=(0.3, NAN)),
+    lambda: phi_infimum("percolation", B_LAT, ball(B_LAT, 1), NAN),
+    lambda: phi_infimum("ising", B_LAT, ball(B_LAT, 1), [0.3, math.inf]),
+    lambda: phi_infimum("percolation", B_LAT, ball(B_LAT, 1), []),
+    lambda: check_ising_differential(B_LAT, 1, beta_grid=()),
+], ids=["perc-diff", "ising-diff", "ising-diff-inf", "ising-diff-h", "bk",
+        "bk-inf", "simon", "simon-h", "ghs", "ghs-h", "phi-infimum",
+        "phi-infimum-inf", "phi-infimum-empty", "ising-diff-empty"])
+def test_a_nan_or_empty_grid_is_refused_before_sweeping(monkeypatch, run):
+    def refuse(*args):
+        raise AssertionError("swept before validating the grid")
+
+    monkeypatch.setattr(exact, "_perc_sweep", refuse)
+    monkeypatch.setattr(exact, "_spin_sweep", refuse)
+    with pytest.raises(ValueError) as info:
+        run()
+    assert "\n" not in str(info.value)
+
+
+def test_a_nan_margin_never_passes():
+    report = InequalityReport("demo", (0.1, 0.2), (2.0, NAN), (1.0, 1.0),
+                              (1.0, NAN), NAN, 1e-9, False)
+    assert report.summary_line().startswith("FAIL demo: min margin nan")
+    with pytest.raises(ValueError):
+        InequalityReport("demo", (0.1, 0.2), (2.0, NAN), (1.0, 1.0),
+                         (1.0, NAN), 1.0, 1e-9, True)
+    made = verify._make_report("demo", (0.1, 0.2, 0.3), (2.0, NAN, 3.0),
+                               (1.0, 1.0, 1.0), 1e-9)
+    assert math.isnan(made.min_margin) and not made.passed
 
 
 def test_simon_and_bk_validate_their_grids_before_sweeping(monkeypatch):
