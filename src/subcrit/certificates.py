@@ -158,16 +158,15 @@ def _boundary_coefficients(region: Region, param: float, model: str,
 
 
 def _subset_coefficients(region: Region, params: list, model: str,
-                         within: Iterable[Vertex] | None,
-                         subsets: np.ndarray) -> np.ndarray:
-    """:func:`_boundary_coefficients` of every subset that a row of
-    ``subsets`` marks, at every parameter, in place of the region: an
-    (M, K, vertices) array in which a vertex of the subset counts its
-    partners outside the subset, the region's vertices among them, summed
-    in the same coupling order, and every other vertex gets 0.  One
-    vectorized pass over all the subsets, where the loop of
-    :func:`_boundary_coefficients` serves one region at the low per-call
-    cost a root search needs."""
+                         within: Iterable[Vertex] | None):
+    """:func:`_boundary_coefficients` of subsets of ``region`` at every
+    parameter, as a function of an (M, vertices) boolean array whose rows
+    mark the subsets: it gives an (M, K, vertices) array in which a vertex
+    of the subset counts its partners outside the subset, the region's
+    vertices among them, summed in the same coupling order, and every
+    other vertex gets 0.  One vectorized pass over the subsets, where the
+    loop of :func:`_boundary_coefficients` serves one region at the low
+    per-call cost a root search needs."""
     lattice = region.lattice
     keep = None if within is None else {tuple(v) for v in within}
     # (coupling, vertex): the neighbour's region index, or -1 outside it
@@ -185,11 +184,14 @@ def _subset_coefficients(region: Region, params: list, model: str,
                          else math.tanh(t * j) for t in params]
                         for _, j in lattice.couplings],
                        dtype=float).reshape(len(partner), 1, len(params), 1)
-    outside = (partner < 0) | ~subsets[:, np.maximum(partner, 0)]
-    terms = weights * (np.moveaxis(outside, 1, 0) & counted[:, None])[
-        :, :, None]
-    coeff = sum(terms, np.zeros(terms.shape[1:]))  # in coupling order
-    return coeff * subsets[:, None]
+
+    def of(subsets: np.ndarray) -> np.ndarray:
+        outside = (partner < 0) | ~subsets[:, np.maximum(partner, 0)]
+        terms = weights * (np.moveaxis(outside, 1, 0) & counted[:, None])[
+            :, :, None]
+        coeff = sum(terms, np.zeros(terms.shape[1:]))  # in coupling order
+        return coeff * subsets[:, None]
+    return of
 
 
 def phi_sweep(model: str, region: Region, param, *,
@@ -207,10 +209,12 @@ def phi_sweep(model: str, region: Region, param, *,
     each boundary pair to a given vertex set.
 
     ``subsets``, an (M, vertices) boolean array whose rows mark subsets
-    containing the base point, gives an (M, K) array for a sequence of K
-    parameters: entry (m, q) is phi of the subset of row m at
-    ``param[q]``.  All come from the plan of ``region``, as lanes of its
-    sweep: a bond with an end outside the lane's subset is closed
+    containing the base point, gives phi of each: an (M,) array at one
+    parameter, or an (M, K) array whose entry (m, q) is phi of the subset
+    of row m at ``param[q]``.  All come from the plan of ``region``, as
+    lanes of its sweeps, as many (subset, parameter) lanes per sweep as the
+    engine takes, each sweep's coefficients and bond masks built for its
+    lanes alone: a bond with an end outside the lane's subset is closed
     (percolation) or has J = 0 (Ising), so a spin outside the subset is
     free and its factor 2 cancels from the correlations.  A full row gives
     phi of ``region`` bit for bit.
@@ -218,39 +222,43 @@ def phi_sweep(model: str, region: Region, param, *,
     model = _normalize_model(model)
     if model == "ising" and region.lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
-    keep = None
-    if isinstance(param, numbers.Real):
-        if subsets is not None:
-            raise ValueError("subsets need a sequence of parameters")
-        coeffs = _boundary_coefficients(region, param, model, within)[:, None]
-    elif subsets is None:
-        coeffs = np.array([_boundary_coefficients(region, t, model, within)
-                           for t in param])[..., None]
-    else:
-        # lane m * K + q: subset m at parameter q
-        param = list(param)
-        coeffs = _subset_coefficients(region, param, model, within,
-                                      subsets).reshape(-1, len(region), 1)
-        ends = np.array([(a, b) for a, b, _ in region.internal_edges],
-                        dtype=np.int64).reshape(-1, 2)
-        keep = np.repeat(subsets[:, ends[:, 0]] & subsets[:, ends[:, 1]],
-                         len(param), axis=0)
-        param = param * len(subsets)
+    if subsets is None:
+        if isinstance(param, numbers.Real):
+            coeffs = _boundary_coefficients(region, param, model,
+                                            within)[:, None]
+        else:
+            coeffs = np.array([_boundary_coefficients(region, t, model,
+                                                      within)
+                               for t in param])[..., None]
+        return _phi_values(model, region, param, coeffs, None)
+    params = [param] if isinstance(param, numbers.Real) else list(param)
+    coefficients = _subset_coefficients(region, params, model, within)
+    ends = np.array([(a, b) for a, b, _ in region.internal_edges],
+                    dtype=np.int64).reshape(-1, 2)
+    lanes = (perc_lanes(region, BASE_POINT_TIE) if model == "percolation"
+             else spin_lanes(region, 1))
+    chunk = max(1, lanes // len(params))
+    values = []
+    for i in range(0, len(subsets), chunk):
+        part = subsets[i:i + chunk]
+        # lane m * K + q: subset m of the part at parameter q
+        values.append(_phi_values(
+            model, region, params * len(part),
+            coefficients(part).reshape(-1, len(region), 1),
+            np.repeat(part[:, ends[:, 0]] & part[:, ends[:, 1]],
+                      len(params), axis=0)))
+    values = np.concatenate(values).reshape(len(subsets), len(params))
+    return values[:, 0] if isinstance(param, numbers.Real) else values
+
+
+def _phi_values(model: str, region: Region, param, coeffs: np.ndarray,
+                keep) -> np.ndarray:
+    """phi from one engine call: the sums of ``coeffs`` over the base
+    point's cluster (percolation) or its correlations (Ising)."""
     if model == "percolation":
-        values = perc_reach(region, BASE_POINT_TIE, param, coeffs,
-                            keep)[..., 0]
-    else:
-        z, acc = ising_sums(region, param, 0.0, coeffs, keep)
-        values = (acc[..., 0, 0] - acc[..., 1, 0]) / (z[..., 0] + z[..., 1])
-    return values if subsets is None else values.reshape(len(subsets), -1)
-
-
-def phi_lanes(model: str, region: Region) -> int:
-    """How many (parameter, subset) lanes one engine sweep of
-    :func:`phi_sweep` on ``region`` takes within the caps of ``exact``."""
-    if _normalize_model(model) == "percolation":
-        return perc_lanes(region, BASE_POINT_TIE)
-    return spin_lanes(region, 1)
+        return perc_reach(region, BASE_POINT_TIE, param, coeffs, keep)[..., 0]
+    z, acc = ising_sums(region, param, 0.0, coeffs, keep)
+    return (acc[..., 0, 0] - acc[..., 1, 0]) / (z[..., 0] + z[..., 1])
 
 
 def _phi_percolation_mc(region: Region, param: float, samples: int,

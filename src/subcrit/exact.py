@@ -47,7 +47,8 @@ arrays in region-index order (``Region.index``).
 A lane may also carry a mask over the region's bonds (``keep``): a bond
 the mask leaves out is closed in that lane (percolation) or has J = 0
 (Ising), and a lane that keeps every bond is bit for bit its parameter's
-plain sweep.  So one plan serves every subset S of a region: with the
+plain sweep.  A mask needs a sequence of parameters, one lane each, and
+is refused beside a single parameter.  So one plan serves every subset S of a region: with the
 bonds leaving S masked out and zero coefficients outside S, a lane
 computes on S (a spin outside S is free, and its factor 2 cancels from
 every ratio).
@@ -298,6 +299,8 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
     steps = _tied_plan(region, ties)
     coeffs = np.asarray(coeffs, dtype=float)
     if isinstance(param, numbers.Real):
+        if keep is not None:
+            raise ValueError("a bond mask needs a sequence of parameters")
         return _perc_sweep(steps, *_op_weights(region, ties, param), coeffs)
     params = list(param)
     if coeffs.ndim == 2:
@@ -474,16 +477,14 @@ class _SpinStep(NamedTuple):
     the spins that leave.  Row r extends state ``src[r]``;
     ``bond_energy[i][r]`` is -2 J of the vertex's i-th bond back into the
     sweep, ``bonds[i]``, where row r leaves that bond unsatisfied and 0
-    elsewhere, and ``energy[r]`` their sum in that order (kept for the
-    sweeps that mask no bond, which would otherwise add it up each time);
-    ``sign`` is the vertex's spin.  A global flip maps row r to len(src) - 1 - r.
+    elsewhere; ``sign`` is the vertex's spin.  A global flip maps row r to
+    len(src) - 1 - r.
     """
 
     vertex: int
     src: np.ndarray
     bonds: tuple[int, ...]
     bond_energy: tuple[np.ndarray, ...]
-    energy: np.ndarray
     sign: np.ndarray
     n_leave: int
 
@@ -511,21 +512,20 @@ def _spin_plan(region: Region) -> tuple[_SpinStep, ...]:
         bond_energy = tuple(-2.0 * j * (down[a] != down[b])
                             for a, b, j in (edges[e] for e in back[v]))
         steps.append(_SpinStep(v, src, tuple(back[v]), bond_energy,
-                               _row_energy(bond_energy, None, back[v]),
                                1.0 - 2.0 * down[v],
                                len(inside) - len(stays)))
         frontier = stays
     return tuple(steps)
 
 
-def _row_energy(bond_energy: tuple[np.ndarray, ...], keep,
-                bonds) -> np.ndarray:
-    """The arrays of ``bond_energy`` summed in order, each scaled by its
-    bond's lane factors ``keep[bond]`` unless ``keep`` is None."""
-    energy = 0.0
-    for bond, term in zip(bonds, bond_energy):
-        energy = energy + (term if keep is None else keep[bond] * term)
-    return energy
+def _row_energy(step: _SpinStep, keep) -> np.ndarray:
+    """-2 times the sum of J over the vertex's unsatisfied back bonds, per
+    row: the arrays of ``step.bond_energy`` added in order, each scaled by
+    its bond's lane factors ``keep[bond]`` unless ``keep`` is None."""
+    terms = step.bond_energy
+    if keep is not None:
+        terms = [keep[bond] * term for bond, term in zip(step.bonds, terms)]
+    return sum(terms[1:], terms[0]) if terms else 0.0
 
 
 def _check_spin_params(betas: list[float], hs: list[float]) -> None:
@@ -556,6 +556,9 @@ def ising_sums(region: Region, beta, h, coeffs: np.ndarray,
     row q leaves unmarked; a full row changes nothing.
     """
     if isinstance(beta, numbers.Real) and isinstance(h, numbers.Real):
+        if keep is not None:
+            raise ValueError("a bond mask needs a sequence of (beta, h) "
+                             "pairs")
         _check_spin_params([beta], [h])
         coeffs = np.asarray(coeffs, dtype=float)
         steps = _spin_plan(region)
@@ -614,9 +617,8 @@ def _spin_sweep(steps: tuple[_SpinStep, ...], beta, h, coeffs: np.ndarray,
         z = z[step.src] if z.ndim == 1 else z[..., step.src]
         acc = acc.take(step.src, axis=-1)
         acc += (z * step.sign) * coeffs[step.vertex][..., None]
-        energy = (step.energy if keep is None
-                  else _row_energy(step.bond_energy, keep, step.bonds))
-        weight = np.exp(beta * energy + h * (step.sign - 1.0))
+        weight = np.exp(beta * _row_energy(step, keep)
+                        + h * (step.sign - 1.0))
         z *= weight
         acc *= weight
         for _ in range(step.n_leave):

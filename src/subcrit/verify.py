@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certificates import phi_lanes, phi_sweep
+from .certificates import phi_sweep
 from .exact import (ising_observables, perc_connect_probs, perc_exit_prob,
                     perc_reach)
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
@@ -147,7 +147,7 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
     sweep takes as many lanes as the caps of ``exact`` allow.  Bit k of a
     subset's mask includes region vertex k + 1; a tie goes to the first
     mask.  Every parameter is checked, finite and in range, before the
-    first sweep.
+    first sweep; ``region`` must be built on ``lattice``.
     """
     _check_subsets(region)
     if region.lattice != lattice:
@@ -160,22 +160,15 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
             raise ValueError(f"parameter {t} must be non-negative and finite")
         edge_weight(lattice, 1.0, t)  # a ValueError past p = 1
     n_others = len(region) - 1
-    # subsets per call: as many (parameter, subset) lanes as one sweep takes
-    chunk = max(1, phi_lanes(model, region) // len(params))
-    best = [(math.inf, 0)] * len(params)  # (value, mask)
-    for start in range(0, 1 << n_others, chunk):
-        mask = np.arange(start, min(start + chunk, 1 << n_others))
-        subsets = np.ones((len(mask), n_others + 1), dtype=bool)
-        subsets[:, 1:] = mask[:, None] >> np.arange(n_others) & 1
-        values = phi_sweep(model, region, params, within=within,
-                           subsets=subsets)
-        for q, i in enumerate(np.argmin(values, axis=0).tolist()):
-            if values[i, q] < best[q][0]:
-                best[q] = (float(values[i, q]), int(mask[i]))
-    vertices = region.vertices
-    found = [(value, tuple(sorted(
-        [vertices[0]] + [vertices[k + 1] for k in range(n_others)
-                         if mask >> k & 1]))) for value, mask in best]
+    masks = np.arange(1 << n_others)
+    subsets = np.ones((len(masks), n_others + 1), dtype=bool)
+    for k in range(n_others):
+        subsets[:, k + 1] = masks >> k & 1
+    values = phi_sweep(model, region, params, within=within, subsets=subsets)
+    # argmin takes the first least value: a tie goes to the lower mask
+    found = [(float(values[m, q]), tuple(sorted(
+        v for v, inside in zip(region.vertices, subsets[m]) if inside)))
+        for q, m in enumerate(np.argmin(values, axis=0).tolist())]
     return found[0] if isinstance(param, numbers.Real) else found
 
 

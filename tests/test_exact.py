@@ -262,6 +262,18 @@ def test_full_mask_lanes_are_the_plain_sweeps():
     assert reach[1] == pytest.approx(alone @ coeffs[1], rel=1e-14)
 
 
+def test_a_bond_mask_needs_a_parameter_sequence():
+    # a single parameter has no lane axis for the mask to ride on, so a
+    # mask beside it is refused rather than dropped
+    region = ball(LatticeSpec.square(mode="beta"), 1)
+    keep = np.zeros((1, len(region.internal_edges)), dtype=bool)
+    coeffs = np.ones((len(region), 1))
+    with pytest.raises(ValueError, match="^a bond mask needs a sequence"):
+        perc_reach(region, exact.BASE_POINT_TIE, 0.3, coeffs, keep)
+    with pytest.raises(ValueError, match="^a bond mask needs a sequence"):
+        exact.ising_sums(region, 0.3, 0.0, coeffs, keep)
+
+
 def test_grid_past_the_caps_is_chunked_not_refused(monkeypatch):
     lattice = LatticeSpec.square(mode="beta")
     region = ball(lattice, 2)

@@ -220,6 +220,10 @@ def test_subset_lanes_equal_own_plan_sweeps(model, lattice):
         own = [own_plan_phi(model, lattice, region, row, CONTRACT_GRID,
                             within).tolist() for row in subsets]
         assert lanes.tolist() == own
+        # one parameter: the column of the grid's lanes
+        at_one = phi_sweep(model, region, CONTRACT_GRID[2], within=within,
+                           subsets=subsets)
+        assert at_one.tolist() == lanes[:, 2].tolist()
         want = []
         for q in range(len(CONTRACT_GRID)):
             best = (math.inf, None)
@@ -263,6 +267,14 @@ def test_phi_infimum_plans_only_the_region(monkeypatch):
         planned.clear()
         phi_infimum(model, lattice, region, CONTRACT_GRID)
         assert planned and set(planned) == {region}
+
+
+def test_phi_infimum_refuses_a_region_of_another_lattice():
+    # every lane runs on the region's own lattice, so a region built on
+    # another one than the lattice named is refused, not evaluated on it
+    region = ball(LatticeSpec.square(mode="p"), 1)
+    with pytest.raises(ValueError, match="^region was built on a different"):
+        phi_infimum("percolation", B_LAT, region, 0.3)
 
 
 # --- report container -----------------------------------------------------------
