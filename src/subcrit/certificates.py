@@ -15,11 +15,10 @@ phi(S, t) = 1 in t is a certified lower bound on the critical point.
 parameter or at every parameter of a sequence in one sweep (and of
 subsets of the region, as lanes of the region's own plan), and
 :func:`exact_phi` gives one of its values as a :class:`PhiResult`.  Both
-are exact only and raise ``CapExceeded`` beyond the fixed caps of the
-exact engines (a percolation frontier of ``exact.FRONTIER_CAP`` vertices
-or ``exact.BRANCH_CAP`` branch rows, an Ising spin layer of
-``exact.SPIN_FRONTIER_CAP`` rows); certificates, roots and best-bound
-tables call :func:`exact_phi`.  Only :func:`compute_phi` falls back, and
+are exact only and raise ``CapExceeded`` where the exact engines' plan
+would hold more than ``exact.PLAN_BYTES`` (or a percolation frontier
+passes 15 vertices); certificates, roots and best-bound tables call
+:func:`exact_phi`.  Only :func:`compute_phi` falls back, and
 for percolation only, to a Monte Carlo estimate labelled
 ``method="monte_carlo"``, which proves nothing.
 Certificates are floating-point honest rather than interval arithmetic:
@@ -39,8 +38,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
-from .exact import (BASE_POINT_TIE, ising_sums, perc_lanes, perc_reach,
-                    spin_lanes)
+from .exact import BASE_POINT_TIE, ising_sums, perc_reach, sweep_lanes
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 from .perc_mc import ClusterWalker
 from .stats import check_counts
@@ -235,9 +233,8 @@ def phi_sweep(model: str, region: Region, param, *,
     coefficients = _subset_coefficients(region, params, model, within)
     ends = np.array([(a, b) for a, b, _ in region.internal_edges],
                     dtype=np.int64).reshape(-1, 2)
-    lanes = (perc_lanes(region, BASE_POINT_TIE) if model == "percolation"
-             else spin_lanes(region, 1))
-    chunk = max(1, lanes // len(params))
+    chunk = max(1, sweep_lanes(region, 1, BASE_POINT_TIE if model ==
+                               "percolation" else None) // len(params))
     values = []
     for i in range(0, len(subsets), chunk):
         part = subsets[i:i + chunk]
@@ -296,7 +293,7 @@ def exact_phi(model: str, lattice: LatticeSpec, region: Region,
               param: float, *,
               within: Iterable[Vertex] | None = None) -> PhiResult:
     """Exact phi of ``region`` at ``param`` from one :func:`phi_sweep`, as
-    a :class:`PhiResult`; ``CapExceeded`` past the caps of ``exact``."""
+    a :class:`PhiResult`; ``CapExceeded`` past the budget of ``exact``."""
     if region.lattice != lattice:
         raise ValueError("region was built on a different lattice")
     value = float(phi_sweep(model, region, param, within=within))
@@ -307,13 +304,13 @@ def exact_phi(model: str, lattice: LatticeSpec, region: Region,
 def compute_phi(model: str, lattice: LatticeSpec, region: Region,
                 param: float, *, samples: int = _DEFAULT_MC_SAMPLES,
                 seed: int = 0) -> PhiResult:
-    """phi by :func:`exact_phi` within the fixed caps of ``exact``.
+    """phi by :func:`exact_phi` within the memory budget of ``exact``.
 
-    Past the caps, percolation falls back to a Monte Carlo estimate
+    Past it, percolation falls back to a Monte Carlo estimate
     (``method="monte_carlo"``): ``samples`` cluster walks from ``seed``,
     with a Hoeffding upper bound.  It is an estimate only: certificates
     never call this.  Ising phi is exact only and raises ``CapExceeded``
-    past the spin cap, as :func:`certify_subcritical` does.
+    past the budget, as :func:`certify_subcritical` does.
     """
     model = _normalize_model(model)
     try:
@@ -335,7 +332,7 @@ def certify_subcritical(model: str, lattice: LatticeSpec, region: Region,
 
     A Refusal is not evidence of supercriticality; it only reports that
     this region failed to witness phi < 1 at this parameter.  A region
-    beyond the exact caps raises ``CapExceeded``.
+    beyond the exact budget raises ``CapExceeded``.
     """
     model = _normalize_model(model)
     phi = exact_phi(model, lattice, region, param)
@@ -384,7 +381,7 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
     the midpoint once three steps have not halved it, so it takes at most
     about four times the steps of bisection.  It stops at width ``tol``
     (which must be positive), when no float lies inside the bracket, or
-    after 200 steps.  A region beyond the exact caps raises ``CapExceeded``.
+    after 200 steps.  Past the exact budget it raises ``CapExceeded``.
 
     The bracket stays in the parameter t, but the secant runs in log-log
     coordinates s = log w(t) and g = log(phi / (1 - epsilon)), where w is
@@ -465,7 +462,7 @@ def best_bound(model: str, lattice: LatticeSpec, max_radius: int, *,
                tol: float = 1e-9) -> BestBound:
     """Max of critical_root over balls of radius 0..max_radius.
 
-    Every root is exact; a ball beyond the exact caps gets a ``skipped``
+    Every root is exact; a ball beyond the exact budget gets a ``skipped``
     row with a NaN root.  ball(0) always fits (no bonds, one spin).
     """
     model = _normalize_model(model)

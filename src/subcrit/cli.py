@@ -91,7 +91,7 @@ _CERTIFY_FIELDS = (
 )
 _PHI_FIELDS = _CERTIFY_FIELDS + [
     _Field("samples", "int", default=100_000,
-           help="MC samples if a percolation region exceeds the exact cap"),
+           help="MC samples if a percolation region exceeds the exact budget"),
     _Field("seed", "int", help="RNG seed (generated and recorded if absent)"),
 ]
 
@@ -241,13 +241,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("options",
                               "--config and individual option flags are "
                               "mutually exclusive")
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError("config", f"cannot read file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}")
+        raw = _read_json(args.config, "config")
         if not isinstance(raw, dict):
             raise ConfigError("config", "must be a JSON object")
         provided = raw
@@ -257,6 +251,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
+
+def _read_json(path: str, where: str, what: str = "file"):
+    """The JSON value in the file at ``path``; a ConfigError at ``where``
+    if the ``what`` cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(where, f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(where, f"invalid JSON: {exc}")
+
 
 def _build_lattice(opts: dict, default_mode: str) -> LatticeSpec:
     mode = opts.get("mode") or default_mode
@@ -282,13 +288,7 @@ def _load_region(opts: dict, lattice: LatticeSpec) -> Region:
         if radius < 0:
             raise ConfigError("options.ball", "radius must be non-negative")
         return ball(lattice, radius)
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("options.region", f"cannot read file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("options.region", f"invalid JSON: {exc}")
+    data = _read_json(path, "options.region")
     if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
         raise ConfigError("options.region",
                           "expected an object with a 'vertices' list")
@@ -562,13 +562,7 @@ def _scenario_number(scenario: dict, key: str) -> float:
 
 def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
-    try:
-        with open(opts["scenario"]) as fh:
-            scenario = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("options.scenario", f"cannot read file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("options.scenario", f"invalid JSON: {exc}")
+    scenario = _read_json(opts["scenario"], "options.scenario")
     graph = _scenario_graph(scenario)
     beta = _scenario_number(scenario, "beta")
     h = _scenario_number(scenario, "h")
@@ -642,13 +636,7 @@ def _cmd_report(cfg: RunConfig) -> tuple[int, list[str]]:
     sections: dict[str, dict] = {}
     for i, manifest_path in enumerate(opts["inputs"]):
         where = f"options.inputs[{i}]"
-        try:
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(where, f"cannot read manifest: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(where, f"invalid JSON: {exc}")
+        manifest = _read_json(manifest_path, where, "manifest")
         if not isinstance(manifest, dict):
             raise ConfigError(where, "expected a manifest object")
         sub = manifest.get("subcommand", "unknown")
@@ -757,7 +745,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "certify": "produce an exact subcriticality certificate "
                    "(exit 2 on refusal)",
         "phi": "evaluate phi on a region (a Monte Carlo estimate beyond "
-               "the exact caps)",
+               "the exact budget)",
         "best-bound": "best certified lower bound over balls of growing radius",
         "simulate-perc": "percolation Monte Carlo (exit, susceptibility, ghost)",
         "simulate-ising": "Ising Monte Carlo (Wolff dynamics)",

@@ -6,7 +6,8 @@ class SubcritError(Exception):
 
 
 class CapExceeded(SubcritError):
-    """An exact computation was requested beyond a fixed size cap.
+    """An exact computation was requested beyond a fixed bound, such as the
+    exact engines' memory budget ``exact.PLAN_BYTES``, before it was built.
 
     Carries ``needed`` (the size the request implies) and ``cap`` (the
     limit).  Certificates, roots and exact checks let it propagate;

@@ -53,16 +53,13 @@ bonds leaving S masked out and zero coefficients outside S, a lane
 computes on S (a spin outside S is free, and its factor 2 cancels from
 every ratio).
 
-Both engines refuse (``CapExceeded``) beyond fixed caps: a percolation
-frontier wider than ``FRONTIER_CAP`` vertices, checked before any state
-is built, a layer of more than ``BRANCH_CAP`` branch rows, checked before
-the layer is built, and a spin layer of more than ``SPIN_FRONTIER_CAP``
-rows times coefficient columns, checked before any row is built.  A
-parameter grid counts against the same caps, branch rows times parameters
-and rows times columns times parameters: it is split into chunks that
-fit, one sweep each, so a grid is refused only where one of its
-parameters alone would be (``perc_lanes`` and ``spin_lanes`` say how
-many lanes one sweep takes).
+Both engines refuse (``CapExceeded``) a plan that would hold more than
+``PLAN_BYTES``, before it does: the spin plan counts its bytes before it
+builds any row, the percolation plan its bytes so far plus the next
+layer's before each layer.  A percolation state key holds at most 15
+frontier vertices.  ``sweep_lanes`` splits a grid or a set of masks into
+sweeps of lanes that fit, so it is refused only where one lane alone
+would pass ``PLAN_BYTES``.
 Plain-Python enumerators (``naive_*``) are kept alongside as the oracles.
 """
 
@@ -80,17 +77,11 @@ import numpy as np
 from .errors import CapExceeded
 from .lattice import LatticeSpec, Region, ball, edge_weight
 
-# admits square ball(4) and triangular ball(3); bounds a layer by Bell(10) =
-# 115,975 states on any lattice
-FRONTIER_CAP = 9
-# branch rows (states x 2^ops) of one layer of the plan, about 1.5 KB of
-# temporaries each: a vertex with m ops branches 2^m ways, which the width
-# cap does not bound off the planar lattices.  The largest layer in use is
-# the exit plan of triangular ball(3), 22,880 rows
-BRANCH_CAP = 1 << 15
-# rows times coefficient columns of the widest spin layer: admits phi on
-# square ball(7) (2^15 rows) and all observables on ball(4) (2^9 x 41)
-SPIN_FRONTIER_CAP = 1 << 16
+# bytes one plan may hold: twice the largest plan in use (the Ising 25x13
+# box, 216 MiB), for a peak RSS of at most about 700 MB
+PLAN_BYTES = 512 << 20
+# rows of the widest layer times coefficient columns times lanes per sweep
+LANE_CELLS = 1 << 16
 # the tie that makes "reaches the tied set" mean "is connected to the base
 # point": an always-open bond from the base point (index 0)
 BASE_POINT_TIE = ((0, math.inf),)
@@ -115,7 +106,8 @@ def _sweep(region: Region, stay: int | None = None):
     indices in sweep order; per vertex, its bonds to vertices swept before
     it (in their sweep order) and the sweep position after which it leaves
     the frontier, its last neighbour's or its own (never, for ``stay``);
-    and the most vertices on the frontier at once, the one swept included.
+    and per sweep position, how many vertices are on the frontier, the one
+    swept included.
     """
     order = _vertex_order(region)
     pos = [0] * len(order)
@@ -135,7 +127,7 @@ def _sweep(region: Region, stay: int | None = None):
         cover[pos[v]] += 1
         cover[last[v] + 1] -= 1
     return (order, [[e for _, e in sorted(b)] for b in back], last,
-            max(itertools.accumulate(cover)))
+            list(itertools.accumulate(cover[:len(order)])))
 
 
 class _Step(NamedTuple):
@@ -167,13 +159,22 @@ class _Step(NamedTuple):
     n_slots: int
 
 
+class _Plan(NamedTuple):
+    """The steps of a sweep, and the rows of its widest layer (branch rows
+    or spin rows), against which a lane's columns are counted."""
+
+    steps: tuple
+    rows: int
+
+
 @lru_cache(maxsize=32)
 def _frontier_plan(region: Region, tied: tuple[int, ...],
-                   always_open: frozenset[int]) -> tuple[_Step, ...]:
-    """The parameter-free steps of the sweep of ``region`` with a tie on
+                   always_open: frozenset[int]) -> _Plan:
+    """The parameter-free plan of the sweep of ``region`` with a tie on
     every vertex of ``tied``, always open on those of ``always_open``;
-    ``CapExceeded`` past ``FRONTIER_CAP``, before any state is built, and
-    past ``BRANCH_CAP`` rows in a layer, before that layer is built.
+    ``CapExceeded`` past 15 frontier vertices, before any state is built,
+    and where the plan so far and the next layer's build would pass
+    ``PLAN_BYTES``, before that layer is built.
 
     A state is the partition of the frontier into blocks, in canonical
     labels: 0 for the block joined to the tied set, then 1, 2, ... in
@@ -181,23 +182,29 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
     """
     edges = region.internal_edges
     n_bonds = len(edges)
-    order, back, last, width = _sweep(region)
-    if width > FRONTIER_CAP:
-        raise CapExceeded("percolation frontier", width, FRONTIER_CAP)
+    order, back, last, widths = _sweep(region)
+    width = max(widths)
+    # a state key reads the labels as base-(width + 1) digits of an int64,
+    # so (width + 1) ** width must stay below 2^63: 15 vertices at most
+    if (width + 1) ** width >= 1 << 63:
+        raise CapExceeded("percolation frontier", width, 15)
 
     frontier: list[int] = []
     layer = np.zeros((1, 0), dtype=np.int64)  # one row of labels per state
     sizes = np.ones(1, dtype=np.int64)  # slots per state: 1 + largest label
     offsets = np.arange(2)  # of each state's slots, and their total
     steps = []
+    held = 0  # bytes of the steps built
     for t, v in enumerate(order):
         ops = list(back[v])
         if v in tied and v not in always_open:
             ops.insert(0, n_bonds + v)
         n = len(layer)
-        if n << len(ops) > BRANCH_CAP:
-            raise CapExceeded("percolation frontier branches", n << len(ops),
-                              BRANCH_CAP)
+        # at most 8 (6 w + 32) bytes per branch row to build a layer of w
+        # frontier vertices, its step included (tracemalloc)
+        need = held + (n << len(ops)) * 8 * (6 * widths[t] + 32)
+        if need > PLAN_BYTES:
+            raise CapExceeded("percolation plan bytes", need, PLAN_BYTES)
         entry = 0 * sizes if v in always_open else sizes
         labels = np.tile(np.hstack((layer, entry[:, None])),
                          (1 << len(ops), 1))
@@ -231,8 +238,7 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
             new = canon[index, column] < 0
             canon[index[new], column[new]] = count[new]
             count += new
-        # a row read as base-(len(keep) + 1) digits; below 2^63 for the
-        # widths FRONTIER_CAP admits
+        # a row read as base-(len(keep) + 1) digits
         base = len(keep) + 1
         digits = base ** np.arange(len(keep))
         keys, dst = np.unique(canon[rows, merged] @ digits,
@@ -254,8 +260,9 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
                                   next_offsets[dst[c]] + mine[c])),
             w_branch=np.concatenate((branch[r], branch[c])),
             n_states=len(layer), n_slots=int(next_offsets[-1])))
+        held += sum(a.nbytes for a in steps[-1] if isinstance(a, np.ndarray))
         offsets = next_offsets
-    return tuple(steps)
+    return _Plan(tuple(steps), max(len(step.p_dst) for step in steps))
 
 
 def _op_weights(region: Region, ties: tuple[tuple[int, float], ...],
@@ -296,20 +303,18 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
     bond that its row q leaves unmarked (open weight 0, closed weight 1);
     every other op keeps its weight, so a full row changes nothing.
     """
-    steps = _tied_plan(region, ties)
-    coeffs = np.asarray(coeffs, dtype=float)
     if isinstance(param, numbers.Real):
         if keep is not None:
             raise ValueError("a bond mask needs a sequence of parameters")
-        return _perc_sweep(steps, *_op_weights(region, ties, param), coeffs)
+        coeffs = _coefficients(region, None, coeffs)
+        sweep_lanes(region, coeffs.shape[1], ties)
+        return _perc_sweep(_tied_plan(region, ties).steps,
+                           *_op_weights(region, ties, param), coeffs)
     params = list(param)
-    if coeffs.ndim == 2:
-        coeffs = np.broadcast_to(coeffs, (len(params),) + coeffs.shape)
-    if not params or len(coeffs) != len(params):
-        raise ValueError("need one coefficient matrix per parameter, and "
-                         "at least one parameter")
+    coeffs = _coefficients(region, params, coeffs)
     n_params, n_vertices, k = coeffs.shape
-    chunk = perc_lanes(region, ties)
+    chunk = sweep_lanes(region, k, ties)
+    steps = _tied_plan(region, ties).steps
     return np.concatenate([
         _perc_sweep(steps, *_lane_weights(
             region, ties, params[i:i + chunk],
@@ -320,18 +325,44 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
 
 
 def _tied_plan(region: Region, ties: tuple[tuple[int, float], ...]
-               ) -> tuple[_Step, ...]:
+               ) -> _Plan:
     """The plan of ``region`` for the tied vertices of ``ties``."""
     return _frontier_plan(region, tuple(sorted({v for v, _ in ties})),
                           frozenset(v for v, j in ties if j == math.inf))
 
 
-def perc_lanes(region: Region, ties: tuple[tuple[int, float], ...]) -> int:
-    """How many lanes (parameters, or parameter and bond-mask pairs) one
-    sweep of ``region`` with ``ties`` takes: branch rows times lanes stay
-    within ``BRANCH_CAP``, and one lane always fits."""
-    steps = _tied_plan(region, ties)
-    return max(1, BRANCH_CAP // max(len(step.p_dst) for step in steps))
+def _coefficients(region: Region, params, coeffs) -> np.ndarray:
+    """``coeffs`` as floats of shape (vertices, columns) at one parameter
+    (``params`` None), or (K, vertices, columns) at the K of ``params``, a
+    (vertices, columns) matrix serving all K; ValueError, naming that
+    shape, unless it has it with at least one column, or if K is 0."""
+    coeffs, n = np.asarray(coeffs, dtype=float), len(region)
+    lead = () if params is None else (len(params),)
+    if lead == (0,):
+        raise ValueError("need at least one parameter")
+    given = coeffs.shape
+    if lead and coeffs.ndim == 2:
+        coeffs = np.broadcast_to(coeffs, lead + given)
+    if coeffs.shape[:-1] != lead + (n,) or coeffs.shape[-1] == 0:
+        want = f"({n}, columns)"
+        if lead:
+            want = f"({lead[0]}, {n}, columns) or {want}"
+        raise ValueError(f"coefficients must have shape {want} with at "
+                         f"least one column, not {given}")
+    return coeffs
+
+
+def sweep_lanes(region: Region, columns: int, ties=None) -> int:
+    """How many lanes of ``columns`` coefficient columns one percolation
+    sweep of ``region`` with ``ties`` (a spin sweep if None) takes: its
+    widest layer's rows times columns times lanes stay within
+    ``LANE_CELLS``, one lane at least; ``CapExceeded`` if that lane, at
+    256 bytes per row and column (tracemalloc), passes ``PLAN_BYTES``."""
+    plan = _spin_plan(region) if ties is None else _tied_plan(region, ties)
+    cells = plan.rows * columns
+    if 256 * cells > PLAN_BYTES:
+        raise CapExceeded("sweep lane bytes", 256 * cells, PLAN_BYTES)
+    return max(1, LANE_CELLS // cells)
 
 
 def _lane_weights(region: Region, ties: tuple[tuple[int, float], ...],
@@ -490,14 +521,18 @@ class _SpinStep(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _spin_plan(region: Region) -> tuple[_SpinStep, ...]:
-    """The parameter-free steps of the spin sweep of ``region``, the base
-    point (index 0) kept on the frontier to the end; ``CapExceeded`` past
-    ``SPIN_FRONTIER_CAP`` rows, before any row is built."""
+def _spin_plan(region: Region) -> _Plan:
+    """The parameter-free plan of the spin sweep of ``region``, the base
+    point (index 0) kept on the frontier to the end; ``CapExceeded`` where
+    they would hold more than ``PLAN_BYTES``, before any row is built."""
     edges = region.internal_edges
-    order, back, last, width = _sweep(region, stay=0)
-    if 1 << width > SPIN_FRONTIER_CAP:
-        raise CapExceeded("spin frontier", 1 << width, SPIN_FRONTIER_CAP)
+    order, back, last, widths = _sweep(region, stay=0)
+    # 2^w rows of 8 bytes in src, sign and each back bond's energy, and at
+    # most 2 (w + 4) rows of the widest layer more to build (tracemalloc)
+    need = (sum((8 << w) * (2 + len(back[v])) for w, v in zip(widths, order))
+            + max((16 << w) * (w + 4) for w in widths))
+    if need > PLAN_BYTES:
+        raise CapExceeded("spin plan bytes", need, PLAN_BYTES)
     frontier: list[int] = []
     steps = []
     for t, v in enumerate(order):
@@ -515,7 +550,7 @@ def _spin_plan(region: Region) -> tuple[_SpinStep, ...]:
                                1.0 - 2.0 * down[v],
                                len(inside) - len(stays)))
         frontier = stays
-    return tuple(steps)
+    return _Plan(tuple(steps), max(len(step.src) for step in steps))
 
 
 def _row_energy(step: _SpinStep, keep) -> np.ndarray:
@@ -541,41 +576,33 @@ def ising_sums(region: Region, beta, h, coeffs: np.ndarray,
                keep=None) -> tuple[np.ndarray, np.ndarray]:
     """Z and sum_x coeffs[x, k] sigma_x Z for every column k, split by the
     base point's spin (s = 0 for +1, 1 for -1): ``z[s]`` and ``acc[s, k]``,
-    weights relative to the all-plus state.  ``CapExceeded`` when the
-    widest layer's rows times the columns pass ``SPIN_FRONTIER_CAP``,
-    before any state is built.  At h = 0, ``z[1] == z[0]`` and ``acc[1] ==
+    weights relative to the all-plus state; ``CapExceeded`` as
+    :func:`sweep_lanes` says.  At h = 0, ``z[1] == z[0]`` and ``acc[1] ==
     -acc[0]`` exactly.
 
     ``beta`` and ``h`` may be sequences (or one a sequence, the other a
     number) giving K pairs, with ``coeffs`` of shape (K, vertices, columns),
     or (vertices, columns) for all of them: then ``z`` has shape (K, 2) and
     ``acc`` (K, 2, columns), row q bit for bit the sums at the q-th pair
-    alone, from as few sweeps as the cap allows (rows times columns times
-    pairs per sweep).  ``keep``, a (K, bonds) boolean array over
-    ``region.internal_edges``, sets J = 0 in lane q on every bond that its
-    row q leaves unmarked; a full row changes nothing.
+    alone, from as few sweeps as :func:`sweep_lanes` allows.  ``keep``, a
+    (K, bonds) boolean array over ``region.internal_edges``, sets J = 0 in
+    lane q on every bond that its row q leaves unmarked; a full row changes
+    nothing.
     """
     if isinstance(beta, numbers.Real) and isinstance(h, numbers.Real):
         if keep is not None:
             raise ValueError("a bond mask needs a sequence of (beta, h) "
                              "pairs")
         _check_spin_params([beta], [h])
-        coeffs = np.asarray(coeffs, dtype=float)
-        steps = _spin_plan(region)
-        _spin_cap(steps, coeffs.shape[1])
-        return _spin_sweep(steps, beta, h, coeffs, None)
+        coeffs = _coefficients(region, None, coeffs)
+        sweep_lanes(region, coeffs.shape[1])
+        return _spin_sweep(_spin_plan(region).steps, beta, h, coeffs, None)
     betas, hs = (a[:, None, None] for a in np.broadcast_arrays(
         np.asarray(beta, dtype=float), np.asarray(h, dtype=float)))
     _check_spin_params(betas.ravel().tolist(), hs.ravel().tolist())
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 2:
-        coeffs = np.broadcast_to(coeffs, (len(betas),) + coeffs.shape)
-    if not len(betas) or len(coeffs) != len(betas):
-        raise ValueError("need one coefficient matrix per (beta, h) pair, "
-                         "and at least one pair")
-    coeffs = coeffs.transpose(1, 0, 2)
-    steps = _spin_plan(region)
-    chunk = spin_lanes(region, coeffs.shape[2])
+    coeffs = _coefficients(region, betas, coeffs).transpose(1, 0, 2)
+    chunk = sweep_lanes(region, coeffs.shape[2])
+    steps = _spin_plan(region).steps
     # per bond, its J factor in each lane, shaped like the betas
     lane_keep = (None if keep is None
                  else np.asarray(keep, dtype=float).T[..., None, None])
@@ -585,22 +612,6 @@ def ising_sums(region: Region, beta, h, coeffs: np.ndarray,
             for i in range(0, len(betas), chunk)]
     return (np.concatenate([z for z, _ in sums]),
             np.concatenate([acc for _, acc in sums]))
-
-
-def spin_lanes(region: Region, columns: int) -> int:
-    """How many lanes ((beta, h) pairs, or pair and bond-mask lanes) with
-    ``columns`` coefficient columns one spin sweep of ``region`` takes
-    within ``SPIN_FRONTIER_CAP``; ``CapExceeded`` if not even one."""
-    return SPIN_FRONTIER_CAP // _spin_cap(_spin_plan(region), columns)
-
-
-def _spin_cap(steps: tuple[_SpinStep, ...], columns: int) -> int:
-    """Rows times ``columns`` of the widest layer; ``CapExceeded`` past
-    ``SPIN_FRONTIER_CAP``."""
-    need = max(len(step.src) for step in steps) * columns
-    if need > SPIN_FRONTIER_CAP:
-        raise CapExceeded("spin frontier", need, SPIN_FRONTIER_CAP)
-    return need
 
 
 def _spin_sweep(steps: tuple[_SpinStep, ...], beta, h, coeffs: np.ndarray,

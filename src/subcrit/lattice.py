@@ -236,6 +236,8 @@ class Region:
                 raise ValueError(f"vertex {v} has wrong dimension")
         self.vertices: tuple[Vertex, ...] = self._canonical_order(vset)
         self._index = {v: i for i, v in enumerate(self.vertices)}
+        # taken once: every plan lookup of the exact engines hashes a region
+        self._hash = hash((lattice, self.origin, self.vertices))
 
         internal: list[tuple[int, int, float]] = []
         boundary: list[tuple[int, Vertex, float]] = []
@@ -284,7 +286,7 @@ class Region:
                 and self.vertices == other.vertices)
 
     def __hash__(self) -> int:
-        return hash((self.lattice, self.origin, self.vertices))
+        return self._hash
 
     def __repr__(self) -> str:
         return (f"Region(|S|={len(self.vertices)}, edges={len(self.internal_edges)}, "

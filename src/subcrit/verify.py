@@ -144,7 +144,7 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
     One plan of ``region`` serves every subset: each (parameter, subset)
     pair is a lane of :func:`certificates.phi_sweep`, with every bond that
     leaves the subset closed (percolation) or decoupled (Ising), and a
-    sweep takes as many lanes as the caps of ``exact`` allow.  Bit k of a
+    sweep takes as many lanes as ``exact.sweep_lanes`` allows.  Bit k of a
     subset's mask includes region vertex k + 1; a tie goes to the first
     mask.  Every parameter is checked, finite and in range, before the
     first sweep; ``region`` must be built on ``lattice``.

@@ -151,14 +151,15 @@ def test_roots_refuse_a_non_positive_tolerance(tol):
 
 
 def test_certificates_need_exact_regions():
-    # square ball(5) sweeps a frontier of 11 vertices, past the cap of 9
+    # square ball(8) sweeps a frontier of 17 vertices and triangular
+    # ball(7) one of 16, past the 15 that the plan's state keys hold
     with pytest.raises(CapExceeded,
-                       match="percolation frontier: need 11, cap is 9"):
-        certify_subcritical("perc", P_LAT, ball(P_LAT, 5), 0.28)
+                       match="percolation frontier: need 17, cap is 15"):
+        certify_subcritical("perc", P_LAT, ball(P_LAT, 8), 0.28)
     tri = LatticeSpec.triangular(mode="p")
     with pytest.raises(CapExceeded,
-                       match="percolation frontier: need 10, cap is 9"):
-        critical_root("percolation", tri, ball(tri, 4))
+                       match="percolation frontier: need 16, cap is 15"):
+        critical_root("percolation", tri, ball(tri, 7))
 
 
 def test_best_bound_roots_certify_at_fine_tolerance():
@@ -341,13 +342,13 @@ def test_phi_percolation_mc_is_pinned():
     assert (phi.value, phi.upper_confidence) == (0.8104275, 0.8661813328327476)
 
 
-def test_phi_percolation_mc_upper_bound_not_below_mean(monkeypatch):
+def test_phi_percolation_mc_upper_bound_not_below_mean(monkeypatch,
+                                                       fresh_plans):
     # at p = 1 every sample is the full boundary weight W ~ 28, and the
     # plain per-sample sums can average to a hair above the fsum of W; the
     # Hoeffding bound adds to the mean, so it stays above it.  ball(3)'s
-    # frontier of 7 is put past the cap, so compute_phi samples.
-    monkeypatch.setattr(exact, "FRONTIER_CAP", 5)
-    exact._frontier_plan.cache_clear()
+    # plan is put past a budget of 64 KiB, so compute_phi samples.
+    monkeypatch.setattr(exact, "PLAN_BYTES", 1 << 16)
     phi = compute_phi("perc", P_LAT, ball(P_LAT, 3), 1.0, samples=2000, seed=1)
     assert phi.method == "monte_carlo"
     assert phi.upper_confidence >= phi.value
@@ -356,7 +357,7 @@ def test_phi_percolation_mc_upper_bound_not_below_mean(monkeypatch):
 def test_phi_percolation_mc_disabled_raises():
     # exact_phi is exact-only; the estimate lives in compute_phi
     with pytest.raises(CapExceeded):
-        exact_phi("percolation", P_LAT, ball(P_LAT, 5), 0.3)  # frontier 11 > cap 9
+        exact_phi("percolation", P_LAT, ball(P_LAT, 8), 0.3)  # frontier 17 > 15
 
 
 def test_certificates_do_not_load_the_wolff_layer():
@@ -412,8 +413,11 @@ def test_best_bound_table_percolation():
     assert len(result.region.vertices) == 13
 
 
-def test_best_bound_skips_over_cap_radii_without_budget():
-    # ball(5) is past the frontier cap; ball(3) and ball(4) are exact
+def test_best_bound_skips_over_cap_radii_without_budget(monkeypatch,
+                                                        fresh_plans):
+    # ball(5)'s plan (35 MiB) is past a budget of 16 MiB; ball(3) and
+    # ball(4) (2.2 MiB) are exact
+    monkeypatch.setattr(exact, "PLAN_BYTES", 16 << 20)
     result = best_bound("perc", P_LAT, 5)
     assert [row.method for row in result.rows] == ["exact"] * 5 + ["skipped"]
     assert math.isnan(result.rows[-1].root)

@@ -4,9 +4,11 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from subcrit import exact
 from subcrit import lattice as lattice_mod
 from subcrit.cli import (_SCHEMAS, EXIT_ERROR, EXIT_OK, EXIT_REFUSED,
                          MEASUREMENT_COLUMNS, TABLE_COLUMNS, RunConfig,
@@ -87,10 +89,33 @@ def test_certify_negative_ising_beta_exits_one(tmp_path, capsys):
 
 def test_certify_beyond_exact_cap_exits_one(tmp_path, capsys):
     code = run_cli("certify", "--model", "perc", "--param", "0.28",
-                   "--ball", "5", "--out", str(tmp_path))
+                   "--ball", "8", "--out", str(tmp_path))
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: percolation frontier: need 11, cap is 9"]
+    assert err == ["error: percolation frontier: need 17, cap is 15"]
+
+
+def test_certify_refuses_a_long_ising_box_before_building_it(tmp_path,
+                                                             capsys,
+                                                             fresh_plans):
+    # the spin plan of a 200x14 box would hold about 4 GiB; its bytes are
+    # counted from the sweep's frontier sizes before any row is built
+    region = tmp_path / "box.json"
+    region.write_text(json.dumps({"vertices": [[x, y] for x in range(200)
+                                               for y in range(14)]}))
+    tracemalloc.start()
+    try:
+        code = run_cli("certify", "--model", "ising", "--param", "0.4",
+                       "--region", str(region), "--out", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: spin plan bytes: "
+                                               "need "), err
+    assert err[0].endswith(f", cap is {exact.PLAN_BYTES}")
+    assert peak < 16 << 20
 
 
 def test_certify_and_best_bound_take_no_sampling_options(tmp_path):
@@ -115,10 +140,10 @@ def test_phi_reports_value(tmp_path):
 
 def test_phi_ising_is_exact_only(tmp_path, capsys):
     code = run_cli("phi", "--model", "ising", "--param", "0.3",
-                   "--ball", "8", "--seed", "1", "--out", str(tmp_path))
+                   "--ball", "10", "--seed", "1", "--out", str(tmp_path))
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: spin frontier:"), err
+    assert len(err) == 1 and err[0].startswith("error: spin plan bytes:"), err
     with pytest.raises(SystemExit) as exc:
         run_cli("phi", "--model", "ising", "--param", "0.3", "--ball", "1",
                 "--sweeps", "10", "--out", str(tmp_path))
@@ -184,9 +209,12 @@ def test_best_bound_table(tmp_path):
     assert payload["param_star"] == pytest.approx(12.0 ** -0.5, abs=1e-7)
 
 
-def test_best_bound_json_stays_valid_with_a_skipped_row(tmp_path):
-    # square ball(5) is past the percolation frontier cap, so its row is
-    # skipped; its NaN root is null in the JSON and nan in the CSV
+def test_best_bound_json_stays_valid_with_a_skipped_row(tmp_path,
+                                                        monkeypatch,
+                                                        fresh_plans):
+    # square ball(5)'s plan (35 MiB) is past a budget of 16 MiB, so its row
+    # is skipped; its NaN root is null in the JSON and nan in the CSV
+    monkeypatch.setattr(exact, "PLAN_BYTES", 16 << 20)
     code = run_cli("best-bound", "--model", "perc", "--max-radius", "5",
                    "--out", str(tmp_path), "--label", "bb")
     assert code == EXIT_OK
@@ -727,3 +755,28 @@ def test_module_entry_point_reports_version():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("subcrit ")
+
+
+@pytest.mark.parametrize("args, where, what", [
+    (("certify", "--config", "{}"), "config", "file"),
+    (("certify", "--model", "perc", "--param", "0.2", "--region", "{}",
+      "--out", "{out}"), "options.region", "file"),
+    (("current-lab", "--scenario", "{}", "--out", "{out}"), "options.scenario",
+     "file"),
+    (("report", "--inputs", "{}", "--out", "{out}"), "options.inputs[0]",
+     "manifest")],
+    ids=["config", "region", "scenario", "manifest"])
+def test_each_json_input_reports_a_missing_or_malformed_file(tmp_path,
+                                                             capsys, args,
+                                                             where, what):
+    missing, malformed = tmp_path / "missing.json", tmp_path / "bad.json"
+    malformed.write_text("{not json")
+    for path, message in (
+            (missing, f"cannot read {what}: [Errno 2] No such file or "
+                      f"directory: '{missing}'"),
+            (malformed, "invalid JSON: Expecting property name enclosed in "
+                        "double quotes: line 1 column 2 (char 1)")):
+        code = run_cli(*(a.format(path, out=tmp_path / "out") for a in args))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {where}: {message}"]

@@ -1,6 +1,7 @@
 """Exact engine versus naive reference enumerations."""
 
 import math
+import re
 import time
 import tracemalloc
 
@@ -39,6 +40,13 @@ def random_region(lattice, rng, n_vertices):
             vertices.add(w)
             frontier.append(w)
     return Region(lattice, vertices)
+
+
+def box(lattice, width, height, origin):
+    """The width x height box of ``lattice`` at (0, 0), based at
+    ``origin``."""
+    return Region(lattice, [(x, y) for x in range(width)
+                            for y in range(height)], origin)
 
 
 def test_connect_probs_match_naive_on_random_instances():
@@ -153,21 +161,23 @@ def test_reach_matches_naive_with_ties():
         assert got == pytest.approx(want, abs=1e-12), (trial, region, ties)
 
 
-def test_phi_does_not_depend_on_the_sweep_order(monkeypatch):
+def reverse_the_sweep(monkeypatch, fresh_plans):
+    """Sweep every region in the reverse of its usual vertex order, with
+    no plan built in the usual one left in the caches."""
+    reverse_order = exact._vertex_order
+    monkeypatch.setattr(exact, "_vertex_order",
+                        lambda region: reverse_order(region)[::-1])
+    fresh_plans()
+
+
+def test_phi_does_not_depend_on_the_sweep_order(monkeypatch, fresh_plans):
     lattice = LatticeSpec.square(mode="p")
     regions = [ball(lattice, 2), ball(lattice, 3),
                Region(lattice, [(x, y) for x in range(3) for y in range(4)],
                       (1, 1))]
     forward = [exact_phi("perc", lattice, r, 0.33).value for r in regions]
-    reverse_order = exact._vertex_order
-    monkeypatch.setattr(exact, "_vertex_order",
-                        lambda region: reverse_order(region)[::-1])
-    exact._frontier_plan.cache_clear()
-    try:
-        backward = [exact_phi("perc", lattice, r, 0.33).value
-                    for r in regions]
-    finally:
-        exact._frontier_plan.cache_clear()
+    reverse_the_sweep(monkeypatch, fresh_plans)
+    backward = [exact_phi("perc", lattice, r, 0.33).value for r in regions]
     for a, b in zip(forward, backward):
         assert abs(a - b) <= 1e-14
 
@@ -274,6 +284,28 @@ def test_a_bond_mask_needs_a_parameter_sequence():
         exact.ising_sums(region, 0.3, 0.0, coeffs, keep)
 
 
+@pytest.mark.parametrize("engine, param, shape, want", [
+    ("ising", [0.3, 0.4], (5, 0), "(2, 5, columns) or (5, columns)"),
+    ("perc", 0.3, (5, 0), "(5, columns)"),
+    ("perc", [0.3, 0.4], (6, 2), "(2, 5, columns) or (5, columns)"),
+    ("ising", 0.3, (4, 2), "(5, columns)")],
+    ids=["ising-no-column", "perc-no-column", "perc-extra-row",
+         "ising-missing-row"])
+def test_coefficients_of_the_wrong_shape_are_refused(engine, param, shape,
+                                                      want):
+    # each was a ZeroDivisionError, an IndexError or, for an extra row, a
+    # value that silently left the row out
+    region = ball(LatticeSpec.square(mode="beta"), 1)
+    coeffs = np.ones(shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"coefficients must have shape {want} with at least one "
+            f"column, not {shape}")):
+        if engine == "perc":
+            perc_reach(region, exact.BASE_POINT_TIE, param, coeffs)
+        else:
+            exact.ising_sums(region, param, 0.0, coeffs)
+
+
 def test_grid_past_the_caps_is_chunked_not_refused(monkeypatch):
     lattice = LatticeSpec.square(mode="beta")
     region = ball(lattice, 2)
@@ -293,13 +325,14 @@ def test_grid_past_the_caps_is_chunked_not_refused(monkeypatch):
                         counted("perc", exact._perc_sweep))
     monkeypatch.setattr(exact, "_spin_sweep",
                         counted("spin", exact._spin_sweep))
-    # room for one parameter's widest layer and a half, not for the grid
-    widest = max(len(step.p_dst) for step in exact._frontier_plan(
-        region, tuple(sorted({v for v, _ in ties})), frozenset()))
-    monkeypatch.setattr(exact, "BRANCH_CAP", widest * 3 // 2)
-    rows = max(len(step.src) for step in exact._spin_plan(region))
-    monkeypatch.setattr(exact, "SPIN_FRONTIER_CAP", rows * 2 * 3 // 2)
+    # room for one lane of the widest layer and a half, not for the grid
+    widest = exact._tied_plan(region, ties).rows
+    monkeypatch.setattr(exact, "LANE_CELLS", widest * 2 * 3 // 2)
+    assert exact.sweep_lanes(region, 2, ties) == 1
     assert (perc_reach(region, ties, GRID, coeffs) == perc_want).all()
+    rows = exact._spin_plan(region).rows
+    monkeypatch.setattr(exact, "LANE_CELLS", rows * 2 * 3 // 2)
+    assert exact.sweep_lanes(region, 2) == 1
     z, acc = exact.ising_sums(region, GRID, 0.1, coeffs)
     assert (z == spin_want[0]).all() and (acc == spin_want[1]).all()
     assert sweeps == {"perc": len(GRID), "spin": len(GRID)}
@@ -314,29 +347,46 @@ def test_square_percolation_roots_past_radius_two():
 
 
 def test_edge_cap_raises():
+    # a state key holds the frontier's labels as base-(w + 1) digits of an
+    # int64, so w = 15 is the widest: square ball(8) sweeps 17 vertices
+    # at once and the exit plan of ball(10) 21, each refused before any
+    # state is built
     lattice = LatticeSpec.square(mode="p")
-    # ball(5) sweeps a frontier of 11 vertices, past the cap of 9
-    with pytest.raises(CapExceeded, match="need 11, cap is 9"):
-        perc_connect_probs(ball(lattice, 5), 0.3)
-    with pytest.raises(CapExceeded, match="need 21, cap is 9"):
+    with pytest.raises(CapExceeded, match="need 17, cap is 15"):
+        perc_connect_probs(ball(lattice, 8), 0.3)
+    with pytest.raises(CapExceeded, match="need 21, cap is 15"):
         perc_exit_prob(lattice, 10, 0.3)
 
 
-def test_branch_cap_bounds_plan_memory_off_the_plane():
-    # a range-2 vertex has four bonds back into the sweep, so a layer
-    # branches 2^5 ways at a frontier of 9, inside FRONTIER_CAP; the plan
-    # is refused before such a layer is built (unbounded, the 4x6 plan
-    # allocated about 380 MB)
-    region = Region(RANGE_TWO, [(x, y) for x in range(4) for y in range(6)])
+def plan_peak(call):
+    """The CapExceeded that ``call`` raises, and its tracemalloc peak."""
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceeded, match="percolation frontier branches"
-                           f": need 80080, cap is {exact.BRANCH_CAP}"):
-            perc_connect_probs(region, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
+        with pytest.raises(CapExceeded) as refused:
+            call()
+        return refused.value, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2 ** 20
+
+
+@pytest.mark.parametrize("model, lattice, width, height", [
+    ("perc", LatticeSpec.square(mode="p"), 40, 8),
+    ("perc", RANGE_TWO, 4, 6),
+    ("ising", LatticeSpec.square(mode="beta"), 20, 14)],
+    ids=["percolation-40x8", "range-two-4x6", "ising-20x14"])
+def test_plan_budget_bounds_plan_memory(monkeypatch, fresh_plans, model,
+                                        lattice, width, height):
+    # whole, the 40x8 plan would hold 692 MiB, the range-2 4x6 plan (its
+    # layers branch 2^5 ways) 227 MiB and the Ising plan 356 MiB; a budget
+    # of 64 MiB refuses each before it passes it, the percolation plans a
+    # layer short of it and the spin plan before any row
+    monkeypatch.setattr(exact, "PLAN_BYTES", 64 << 20)
+    region = box(lattice, width, height, (0, 0))
+    what = "spin" if model == "ising" else "percolation"
+    refused, peak = plan_peak(lambda: exact_phi(model, lattice, region, 0.3))
+    assert refused.what == f"{what} plan bytes"
+    assert refused.cap == 64 << 20 < refused.needed
+    assert peak <= 80 << 20
 
 
 def test_spin_cap_bounds_plan_memory():
@@ -344,16 +394,32 @@ def test_spin_cap_bounds_plan_memory():
     # million rows of 24 bytes (about 1.4 GB), is refused before any row
     # is built
     lattice = LatticeSpec.square(mode="beta")
-    region = ball(lattice, 10)
+    refused, peak = plan_peak(
+        lambda: exact_phi("ising", lattice, ball(lattice, 10), 0.3))
+    assert str(refused).startswith("spin plan bytes: need ")
+    assert refused.needed > 1 << 30 and refused.cap == exact.PLAN_BYTES
+    assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("vertices", [
+    ball(LatticeSpec.square(mode="beta"), 7).vertices,
+    [(x, y) for x in range(13) for y in range(9)]],
+    ids=["ball-7", "box-13x9"])
+def test_spin_plan_bytes_bound_its_traced_peak(monkeypatch, fresh_plans,
+                                               vertices):
+    # the count the budget is checked against, taken before any row is
+    # built, is at least what building the plan allocates
+    region = Region(LatticeSpec.square(mode="beta"), vertices)
+    monkeypatch.setattr(exact, "PLAN_BYTES", 0)
+    counted = plan_peak(lambda: exact._spin_plan(region))[0].needed
+    monkeypatch.undo()
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceeded, match="spin frontier: need 2097152"
-                           f", cap is {exact.SPIN_FRONTIER_CAP}"):
-            exact_phi("ising", lattice, region, 0.3)
+        exact._spin_plan(region)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+    assert peak <= counted
 
 
 def test_ising_matches_naive_on_random_instances():
@@ -412,7 +478,7 @@ def test_ising_sums_match_naive_on_random_instances():
             assert (fast.magnetizations == 0.0).all()
 
 
-def test_ising_does_not_depend_on_the_sweep_order(monkeypatch):
+def test_ising_does_not_depend_on_the_sweep_order(monkeypatch, fresh_plans):
     lattice = LatticeSpec.square(mode="beta")
     regions = [ball(lattice, 2), ball(lattice, 4),
                Region(lattice, [(x, y) for x in range(3) for y in range(4)],
@@ -428,29 +494,26 @@ def test_ising_does_not_depend_on_the_sweep_order(monkeypatch):
         return out
 
     forward = values()
-    reverse_order = exact._vertex_order
-    monkeypatch.setattr(exact, "_vertex_order",
-                        lambda region: reverse_order(region)[::-1])
-    exact._spin_plan.cache_clear()
-    try:
-        backward = values()
-    finally:
-        exact._spin_plan.cache_clear()
+    reverse_the_sweep(monkeypatch, fresh_plans)
+    backward = values()
     for a, b in zip(forward, backward):
         assert abs(a - b) <= 1e-14
 
 
-def test_square_ising_roots_past_radius_two():
+def test_square_ising_roots_past_radius_two(fresh_plans):
     # each root was confirmed under the reversed sweep order as well
     lattice = LatticeSpec.square(mode="beta")
     pinned = [0.346447087, 0.359606496, 0.369248012, 0.376647553]
     for r, root in enumerate(pinned, start=3):
         assert critical_root("ising", lattice, ball(lattice, r)) == (
             pytest.approx(root, abs=1e-8))
+    # ball(8), a 145-spin plan of 85 MiB, is within the budget too
+    assert critical_root("ising", lattice, ball(lattice, 8)) == (
+        pytest.approx(0.387319420, abs=1e-8))
     # ROADMAP item 1's timing gate, not a correctness check: CPU time of
     # this process, plan build included, so load from other processes on
     # the host does not count against it
-    exact._spin_plan.cache_clear()
+    fresh_plans()
     start = time.process_time()
     root = critical_root("ising", lattice, ball(lattice, 7), tol=1e-9)
     elapsed = time.process_time() - start
@@ -458,29 +521,27 @@ def test_square_ising_roots_past_radius_two():
     assert elapsed < 2.0
 
 
-def test_square_box_roots_beat_the_best_balls(monkeypatch):
-    # the best balls within the caps reach 0.360480 (percolation ball(4))
-    # and 0.382525 (Ising ball(7)); each box root holds in both sweep orders
-    boxes = [("perc", LatticeSpec.square(mode="p"), 7, 7, (3, 3),
-              0.373152683),
-             ("ising", LatticeSpec.square(mode="beta"), 13, 9, (6, 4),
-              0.385496615)]
-    reverse_order = exact._vertex_order
-    for reverse in (False, True):
-        if reverse:
-            monkeypatch.setattr(exact, "_vertex_order",
-                                lambda region: reverse_order(region)[::-1])
-        exact._frontier_plan.cache_clear()
-        exact._spin_plan.cache_clear()
-        try:
-            for model, lattice, width, height, origin, root in boxes:
-                box = Region(lattice, [(x, y) for x in range(width)
-                                       for y in range(height)], origin)
-                assert critical_root(model, lattice, box) == pytest.approx(
-                    root, abs=1e-8), (model, reverse)
-        finally:
-            exact._frontier_plan.cache_clear()
-            exact._spin_plan.cache_clear()
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward",
+                                                       "reverse"])
+def test_square_box_roots_beat_the_best_balls(monkeypatch, fresh_plans,
+                                              reverse):
+    # each root holds in both sweep orders.  Percolation ball(5) (a 35 MiB
+    # plan) beats ball(4)'s 0.360480, and the Ising 25x13 box (216 MiB),
+    # the first exact witness past beta = 0.40, beats ball(8)'s 0.387319;
+    # it is the largest plan the budget is sized for
+    p_lattice, beta_lattice = (LatticeSpec.square(mode="p"),
+                               LatticeSpec.square(mode="beta"))
+    regions = [
+        ("perc", ball(p_lattice, 5), 0.372858691),
+        ("perc", box(p_lattice, 7, 7, (3, 3)), 0.373152683),
+        ("ising", box(beta_lattice, 13, 9, (6, 4)), 0.385496615),
+        ("ising", box(beta_lattice, 25, 13, (12, 6)), 0.400076948)]
+    if reverse:
+        reverse_the_sweep(monkeypatch, fresh_plans)
+    for model, region, root in regions:
+        assert critical_root(model, region.lattice, region) == (
+            pytest.approx(root, abs=1e-8)), (model, len(region))
+        fresh_plans()  # one large plan cached at a time
 
 
 def test_single_edge_two_point_is_tanh():
@@ -533,9 +594,13 @@ def test_ising_correlations_monotone_in_beta_and_volume():
 
 def test_ising_caps_and_validation():
     lattice = LatticeSpec.square(mode="beta")
-    # every vertex's observables on ball(5): 2^11 rows times 61 columns
-    with pytest.raises(CapExceeded, match="spin frontier: need 124928"):
-        ising_observables(ball(lattice, 5), 0.3, 0.0)
+    # one lane of 2^22 coefficient columns (a broadcast view, no memory)
+    # would hold 8 rows times 2^22 columns at 256 bytes each, past the
+    # budget: refused before the sweep
+    many = np.broadcast_to(1.0, (5, 1 << 22))
+    with pytest.raises(CapExceeded, match="^sweep lane bytes: need "
+                       f"{256 * 8 << 22}, cap is {exact.PLAN_BYTES}$"):
+        exact.ising_sums(ball(lattice, 1), 0.3, 0.0, many)
     with pytest.raises(CapExceeded):
         naive_ising_observables(ball(lattice, 3), 0.3, 0.0)  # 25 > naive cap 14
     with pytest.raises(ValueError):

@@ -458,8 +458,8 @@ def test_fit_decay_rate_degenerate_inputs():
     ("sweeps", lambda: estimate_magnetization(B_LAT, 4, 0.3, "free", 0, 1)),
     ("sweeps", lambda: estimate_two_point(B_LAT, 4, 0.3, [1], 0, 1)),
     ("sweeps", lambda: check_critical_divergence(B_LAT, 0.3, [2, 4], 0, 1)),
-    # ball(5) is past the exact cap, so compute_phi samples
-    ("samples", lambda: compute_phi("perc", P_LAT, ball(P_LAT, 5), 0.3,
+    # ball(8) is past the exact frontier, so compute_phi samples
+    ("samples", lambda: compute_phi("perc", P_LAT, ball(P_LAT, 8), 0.3,
                                     samples=0)),
 ], ids=["exit-samples", "exit-radii", "chi-samples", "chi-radii", "ghost",
         "magnetization", "two-point", "divergence", "phi"])
