@@ -1,5 +1,6 @@
 """Exact engine versus naive reference enumerations."""
 
+import hashlib
 import math
 import re
 import time
@@ -446,6 +447,54 @@ def disconnected_instance(lattice, rng):
         far = [(9, 9), (-9, 7), (11, -8)][:int(rng.integers(1, 3))]
         region = Region(lattice, list(region.vertices) + far)
     return region
+
+
+# sha256 of the bytes of ising_sums' z and acc, with a coefficient column
+# per vertex: the engine's arithmetic, sign bits included, is pinned
+SPIN_SUM_DIGESTS = {
+    ("square-ball-2", 0.3, 0.0):
+        "88dc594ea66248c11dd796a8b2769e4b5b2859acc0d3bf77f0b097a684ec680c",
+    ("square-ball-2", 0.41, 0.1):
+        "47b38fbe24971a251cf399995863125a7112305054008f605eeb73135ae875c9",
+    ("triangular-ball-2", 0.3, 0.0):
+        "e578dac21094bcf6c04cf512ac22830ebc0367f72cb69bb7057a307582c3d612",
+    ("triangular-ball-2", 0.41, 0.1):
+        "860a7e0ba11ba713f0b393d57f5db546a14ba42f8ad0017d01da36874801d799",
+    ("box-4x4", 0.3, 0.0):
+        "9add4da19f0b1def703f2bd69e8de737082811316fe1d0086ac04c579d93fd50",
+    ("box-4x4", 0.41, 0.1):
+        "cc4bf3b50ef15fc62c352d071c2961ab3521308646474056a2997693ed997116",
+    ("box-13x9", 0.3, 0.0):
+        "5deef41741861dad701cfae1c45d1cbdbe9548986ea1b21193cfa05c7fc016b1",
+    ("box-13x9", 0.41, 0.1):
+        "99894553f717e4d2da4dfeab75c5c12896c5060971e09510264739600f128c8e",
+}
+
+
+def spin_sum_digest(z, acc):
+    return hashlib.sha256(z.tobytes() + acc.tobytes()).hexdigest()
+
+
+def test_ising_sums_are_pinned_to_the_byte():
+    square, triangular = (LatticeSpec.square(mode="beta"),
+                          LatticeSpec.triangular(mode="beta"))
+    regions = {"square-ball-2": ball(square, 2),
+               "triangular-ball-2": ball(triangular, 2),
+               "box-4x4": box(square, 4, 4, (1, 1)),
+               "box-13x9": box(square, 13, 9, (6, 4))}
+    for (name, beta, h), digest in SPIN_SUM_DIGESTS.items():
+        region = regions[name]
+        assert spin_sum_digest(*exact.ising_sums(
+            region, beta, h, np.eye(len(region)))) == digest, (name, beta, h)
+    # three lanes, two of them with bonds masked out
+    region = regions["square-ball-2"]
+    keep = np.ones((3, len(region.internal_edges)), dtype=bool)
+    keep[1, ::3] = False
+    keep[2, 1::2] = False
+    z, acc = exact.ising_sums(region, [0.3, 0.41, 0.2], [0.0, 0.1, -0.3],
+                              np.eye(len(region)), keep)
+    assert spin_sum_digest(z, acc) == (
+        "b030e3d1f8541c211b77370ad3f0529e025ccaf83a5ec34d4b52055e6c16d481")
 
 
 def test_ising_sums_match_naive_on_random_instances():
