@@ -13,12 +13,12 @@ phi(S, t) = 1 in t is a certified lower bound on the critical point.
 
 :func:`phi_sweep` is the one evaluation of phi, for either model, at one
 parameter or at every parameter of a sequence in one sweep (and of
-subsets of the region, as lanes of the region's own plan), and
+subsets of the region, as lanes of the region's own sweep), and
 :func:`exact_phi` gives one of its values as a :class:`PhiResult`.  Both
-are exact only and raise ``CapExceeded`` where the exact engines' plan
-would hold more than ``exact.PLAN_BYTES`` (or a percolation frontier
-passes 15 vertices); certificates, roots and best-bound tables call
-:func:`exact_phi`.  Only :func:`compute_phi` falls back, and
+are exact only and raise ``CapExceeded`` where a percolation plan or a
+sweep's lane would hold more than ``exact.PLAN_BYTES`` (or a percolation
+frontier passes 15 vertices); certificates, roots and best-bound tables
+call :func:`exact_phi`.  Only :func:`compute_phi` falls back, and
 for percolation only, to a Monte Carlo estimate labelled
 ``method="monte_carlo"``, which proves nothing.
 Certificates are floating-point honest rather than interval arithmetic:
@@ -209,8 +209,8 @@ def phi_sweep(model: str, region: Region, param, *,
     ``subsets``, an (M, vertices) boolean array whose rows mark subsets
     containing the base point, gives phi of each: an (M,) array at one
     parameter, or an (M, K) array whose entry (m, q) is phi of the subset
-    of row m at ``param[q]``.  All come from the plan of ``region``, as
-    lanes of its sweeps, as many (subset, parameter) lanes per sweep as the
+    of row m at ``param[q]``.  All come from the sweeps of ``region``, as
+    lanes of them, as many (subset, parameter) lanes per sweep as the
     engine takes, each sweep's coefficients and bond masks built for its
     lanes alone: a bond with an end outside the lane's subset is closed
     (percolation) or has J = 0 (Ising), so a spin outside the subset is

@@ -22,44 +22,39 @@ Ising: with H(sigma) = -beta * sum_{internal pairs {x,y}} J_xy sigma_x
 sigma_y - h * sum_x sigma_x (each unordered pair counted once), a spin
 assignment weighs exp(-2 (beta * E + h * m)) relative to the all-plus
 state, E summing J over the unsatisfied pairs and m counting minus spins.
-A transfer matrix (Kramers-Wannier) sweeps the same order.  A state
-assigns the frontier spins, the base point's kept to the end, and carries
-Z and, per coefficient column c, sum_x c_x sigma_x Z over the swept spins;
-``_spin_plan`` builds the rows once per region.  A leaving spin is summed
-out by adding the rows' two halves, so a state and its flipped partner get
-the same sums in the same order: at h = 0 every magnetization is exactly 0.
+A transfer matrix (Kramers-Wannier) sweeps the same order, carrying Z
+and, per coefficient column c, sum_x c_x sigma_x Z in one array with a
+length-2 axis per frontier spin (the base point's kept to the end); a
+bond's energy is a 2x2 block on its ends' axes.  A leaving spin's axis is
+summed out, so a state and its flipped partner get the same sums in the
+same order: at h = 0 every magnetization is exactly 0.
 
 Both engines take a sequence of K parameters (for Ising, K (beta, h)
 pairs) in place of one, a lane each, with one coefficient matrix per
-parameter or one for all of them.  The parameter axis folds into the
-coefficient-column axis: parameter q's column c is column q * columns + c
-of one sweep,
-with branch (or row) weights per parameter, and each column is summed in
-the same order as in a sweep of its own, so the values are bit for bit
-the same.  One parameter runs the sweep with scalar weights, as before
-the axis existed.
-So does every observable built on them: ``perc_connect_probs``,
-``perc_exit_prob`` and ``ising_observables`` take one parameter or a
-sequence, and a sequence gives each array a leading parameter axis whose
-row q is bit for bit the call at parameter q.  Per-vertex observables are
-arrays in region-index order (``Region.index``).
+parameter or one for all of them.  A lane is an axis of the spin state;
+in percolation parameter q's column c is column q * columns + c of one
+sweep, with branch weights per parameter (scalar ones for one parameter).
+Each column is summed in the same order as in a sweep of its own, so the
+values are bit for bit the same.  So does every observable built on them:
+``perc_connect_probs``, ``perc_exit_prob`` and ``ising_observables`` take
+one parameter or a sequence, and a sequence gives each array a leading
+parameter axis whose row q is bit for bit the call at parameter q.
+Per-vertex observables are arrays in region-index order (``Region.index``).
 
 A lane may also carry a mask over the region's bonds (``keep``): a bond
 the mask leaves out is closed in that lane (percolation) or has J = 0
 (Ising), and a lane that keeps every bond is bit for bit its parameter's
-plain sweep.  A mask needs a sequence of parameters, one lane each, and
-is refused beside a single parameter.  So one plan serves every subset S of a region: with the
-bonds leaving S masked out and zero coefficients outside S, a lane
-computes on S (a spin outside S is free, and its factor 2 cancels from
-every ratio).
+plain sweep.  A mask needs a sequence of parameters, one row each.  So
+one sweep serves every subset S of a region: with the bonds leaving S
+masked out and zero coefficients outside S, a lane computes on S (a spin
+outside S is free, and its factor 2 cancels from every ratio).
 
-Both engines refuse (``CapExceeded``) a plan that would hold more than
-``PLAN_BYTES``, before it does: the spin plan counts its bytes before it
-builds any row, the percolation plan its bytes so far plus the next
-layer's before each layer.  A percolation state key holds at most 15
-frontier vertices.  ``sweep_lanes`` splits a grid or a set of masks into
-sweeps of lanes that fit, so it is refused only where one lane alone
-would pass ``PLAN_BYTES``.
+Both engines refuse (``CapExceeded``) work past ``PLAN_BYTES`` before it
+is done: the percolation plan counts its bytes so far plus the next
+layer's before each layer (and a state key holds 15 frontier vertices at
+most), and ``sweep_lanes`` splits a grid or a set of masks into sweeps of
+lanes that fit, refused only where one lane, counted from the widest
+layer's rows (2^(frontier spins) for Ising), would pass it.
 Plain-Python enumerators (``naive_*``) are kept alongside as the oracles.
 """
 
@@ -77,8 +72,9 @@ import numpy as np
 from .errors import CapExceeded
 from .lattice import LatticeSpec, Region, ball, edge_weight
 
-# bytes one plan may hold: twice the largest plan in use (the Ising 25x13
-# box, 216 MiB), for a peak RSS of at most about 700 MB
+# bytes a percolation plan, or a sweep's lane at 256 per row and column,
+# may hold: triangular ball(4)'s plan (208 MiB) and one column of 2^21
+# spin rows (square ball(10)) fit, for a peak RSS of about 700 MB at most
 PLAN_BYTES = 512 << 20
 # rows of the widest layer times coefficient columns times lanes per sweep
 LANE_CELLS = 1 << 16
@@ -160,8 +156,8 @@ class _Step(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """The steps of a sweep, and the rows of its widest layer (branch rows
-    or spin rows), against which a lane's columns are counted."""
+    """The steps of a percolation sweep, and the branch rows of its widest
+    layer, against which a lane's columns are counted."""
 
     steps: tuple
     rows: int
@@ -303,20 +299,17 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
     bond that its row q leaves unmarked (open weight 0, closed weight 1);
     every other op keeps its weight, so a full row changes nothing.
     """
-    if isinstance(param, numbers.Real):
-        if keep is not None:
-            raise ValueError("a bond mask needs a sequence of parameters")
-        coeffs = _coefficients(region, None, coeffs)
-        sweep_lanes(region, coeffs.shape[1], ties)
-        return _perc_sweep(_tied_plan(region, ties).steps,
-                           *_op_weights(region, ties, param), coeffs)
-    params = list(param)
-    coeffs = _coefficients(region, params, coeffs)
+    one = isinstance(param, numbers.Real)
+    params = None if one else list(param)
+    coeffs, keep = _lane_inputs(region, params, coeffs, keep)
+    plan = _tied_plan(region, ties)
+    chunk = _lanes(plan.rows, coeffs.shape[-1])
+    if one:
+        return _perc_sweep(plan.steps, *_op_weights(region, ties, param),
+                           coeffs)
     n_params, n_vertices, k = coeffs.shape
-    chunk = sweep_lanes(region, k, ties)
-    steps = _tied_plan(region, ties).steps
     return np.concatenate([
-        _perc_sweep(steps, *_lane_weights(
+        _perc_sweep(plan.steps, *_lane_weights(
             region, ties, params[i:i + chunk],
             None if keep is None else keep[i:i + chunk]),
             coeffs[i:i + chunk].transpose(1, 0, 2)
@@ -331,11 +324,13 @@ def _tied_plan(region: Region, ties: tuple[tuple[int, float], ...]
                           frozenset(v for v, j in ties if j == math.inf))
 
 
-def _coefficients(region: Region, params, coeffs) -> np.ndarray:
+def _lane_inputs(region: Region, params, coeffs, keep):
     """``coeffs`` as floats of shape (vertices, columns) at one parameter
     (``params`` None), or (K, vertices, columns) at the K of ``params``, a
-    (vertices, columns) matrix serving all K; ValueError, naming that
-    shape, unless it has it with at least one column, or if K is 0."""
+    (vertices, columns) matrix serving all K, and ``keep`` (or None) as a
+    (K, bonds) boolean array; ValueError, naming the shape, unless each
+    has it (with a column at least), if K is 0, or for a mask beside one
+    parameter."""
     coeffs, n = np.asarray(coeffs, dtype=float), len(region)
     lead = () if params is None else (len(params),)
     if lead == (0,):
@@ -349,17 +344,30 @@ def _coefficients(region: Region, params, coeffs) -> np.ndarray:
             want = f"({lead[0]}, {n}, columns) or {want}"
         raise ValueError(f"coefficients must have shape {want} with at "
                          f"least one column, not {given}")
-    return coeffs
+    if keep is None:
+        return coeffs, None
+    if not lead:
+        raise ValueError("a bond mask needs a sequence of parameters")
+    want = lead + (len(region.internal_edges),)
+    if np.shape(keep) != want:
+        raise ValueError(f"a bond mask must have shape {want}, not "
+                         f"{np.shape(keep)}")
+    return coeffs, np.asarray(keep, dtype=bool)
 
 
 def sweep_lanes(region: Region, columns: int, ties=None) -> int:
-    """How many lanes of ``columns`` coefficient columns one percolation
-    sweep of ``region`` with ``ties`` (a spin sweep if None) takes: its
-    widest layer's rows times columns times lanes stay within
-    ``LANE_CELLS``, one lane at least; ``CapExceeded`` if that lane, at
-    256 bytes per row and column (tracemalloc), passes ``PLAN_BYTES``."""
-    plan = _spin_plan(region) if ties is None else _tied_plan(region, ties)
-    cells = plan.rows * columns
+    """:func:`_lanes` of the percolation sweep of ``region`` with ``ties``
+    (the spin sweep if None)."""
+    plan = _spin_steps(region) if ties is None else _tied_plan(region, ties)
+    return _lanes(plan.rows, columns)
+
+
+def _lanes(rows: int, columns: int) -> int:
+    """Lanes of ``columns`` columns per sweep whose widest layer has
+    ``rows`` rows: rows times columns times lanes within ``LANE_CELLS``,
+    one at least; ``CapExceeded`` if one lane, at 256 bytes per row and
+    column (tracemalloc), passes ``PLAN_BYTES``."""
+    cells = rows * columns
     if 256 * cells > PLAN_BYTES:
         raise CapExceeded("sweep lane bytes", 256 * cells, PLAN_BYTES)
     return max(1, LANE_CELLS // cells)
@@ -376,7 +384,7 @@ def _lane_weights(region: Region, ties: tuple[tuple[int, float], ...],
     opened, closed = (np.array(w).T[:, lane] for w in zip(
         *(_op_weights(region, ties, t) for t in values.tolist())))
     if keep is not None:
-        kept = np.asarray(keep, dtype=bool).T
+        kept = keep.T
         opened[:len(kept)] = np.where(kept, opened[:len(kept)], 0.0)
         closed[:len(kept)] = np.where(kept, closed[:len(kept)], 1.0)
     return opened, closed
@@ -501,75 +509,60 @@ def naive_connect_probs(region: Region, param: float) -> np.ndarray:
 # Ising observables
 # ---------------------------------------------------------------------------
 
-class _SpinStep(NamedTuple):
-    """The sweep of one vertex.  A state assigns the frontier spins, bit i
-    of its index set iff spin i is minus; row r assigns the frontier and
-    the vertex, its low bits the next state and its top ``n_leave`` bits
-    the spins that leave.  Row r extends state ``src[r]``;
-    ``bond_energy[i][r]`` is -2 J of the vertex's i-th bond back into the
-    sweep, ``bonds[i]``, where row r leaves that bond unsatisfied and 0
-    elsewhere; ``sign`` is the vertex's spin.  A global flip maps row r to
-    len(src) - 1 - r.
+class _SpinLayout(NamedTuple):
+    """The spin sweep of a region as O(vertices) bookkeeping.  The state is
+    C-contiguous: lane, column, then a length-2 axis per frontier spin.
+
+    Per vertex, ``steps`` holds its region index; the transpose putting
+    the m spins it has bonds to first, in sweep order; the state's shape
+    past lane and column, as (2^m, 1, 2^rest) before the vertex's axis goes
+    in after the m and as length-2 axes once it is in; its window of 2^m
+    pairs; and the indexes of the two halves of each spin that leaves, the
+    last first.  Per pair and spin of the vertex, ``energy[i]`` is -2 J
+    [sigma_a != sigma_v] of its i-th back bond ``bonds[i]`` (0 past its
+    last).  ``rows`` is 2^(widest frontier, the vertex swept included).
     """
 
-    vertex: int
-    src: np.ndarray
-    bonds: tuple[int, ...]
-    bond_energy: tuple[np.ndarray, ...]
-    sign: np.ndarray
-    n_leave: int
+    steps: tuple
+    rows: int
+    energy: np.ndarray
+    bonds: np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _spin_plan(region: Region) -> _Plan:
-    """The parameter-free plan of the spin sweep of ``region``, the base
-    point (index 0) kept on the frontier to the end; ``CapExceeded`` where
-    they would hold more than ``PLAN_BYTES``, before any row is built."""
+def _spin_steps(region: Region) -> _SpinLayout:
+    """The spin sweep of ``region``, the base point (index 0) kept on the
+    frontier to the end."""
     edges = region.internal_edges
     order, back, last, widths = _sweep(region, stay=0)
-    # 2^w rows of 8 bytes in src, sign and each back bond's energy, and at
-    # most 2 (w + 4) rows of the widest layer more to build (tracemalloc)
-    need = (sum((8 << w) * (2 + len(back[v])) for w, v in zip(widths, order))
-            + max((16 << w) * (w + 4) for w in widths))
-    if need > PLAN_BYTES:
-        raise CapExceeded("spin plan bytes", need, PLAN_BYTES)
-    frontier: list[int] = []
-    steps = []
+    _lanes(1 << max(widths), 1)  # refuse a region too wide for one column
+    frontier: list[int] = []  # the state's spin axes, outermost first
+    steps, window = [], slice(0, 0)
     for t, v in enumerate(order):
-        inside = frontier + [v]
-        stays = [x for x in inside if last[x] > t]
-        # the row index's bits: the staying spins low, in frontier order,
-        # then the leaving ones
-        rows = np.arange(1 << len(inside))
-        down = {x: rows >> i & 1 for i, x in
-                enumerate(stays + [x for x in inside if last[x] <= t])}
-        src = sum((down[x] << i for i, x in enumerate(frontier)), 0 * rows)
-        bond_energy = tuple(-2.0 * j * (down[a] != down[b])
-                            for a, b, j in (edges[e] for e in back[v]))
-        steps.append(_SpinStep(v, src, tuple(back[v]), bond_energy,
-                               1.0 - 2.0 * down[v],
-                               len(inside) - len(stays)))
-        frontier = stays
-    return _Plan(tuple(steps), max(len(step.src) for step in steps))
-
-
-def _row_energy(step: _SpinStep, keep) -> np.ndarray:
-    """-2 times the sum of J over the vertex's unsatisfied back bonds, per
-    row: the arrays of ``step.bond_energy`` added in order, each scaled by
-    its bond's lane factors ``keep[bond]`` unless ``keep`` is None."""
-    terms = step.bond_energy
-    if keep is not None:
-        terms = [keep[bond] * term for bond, term in zip(step.bonds, terms)]
-    return sum(terms[1:], terms[0]) if terms else 0.0
-
-
-def _check_spin_params(betas: list[float], hs: list[float]) -> None:
-    """ValueError unless every beta is non-negative and every beta and h
-    finite (NaN is neither)."""
-    if any(b < 0.0 for b in betas):
-        raise ValueError("beta must be non-negative")
-    if not all(map(math.isfinite, betas + hs)):
-        raise ValueError("beta and h must be finite")
+        # back bonds run in sweep order, and every far end is on the frontier
+        near = [a if b == v else b for a, b, _ in (edges[e] for e in back[v])]
+        rest = [x for x in frontier if x not in near]
+        m, inside = len(near), near + [v]
+        window = slice(window.stop, window.stop + (1 << m))
+        steps.append((
+            v, (0, 1) + tuple(2 + frontier.index(x) for x in near + rest),
+            (1 << m, 1, 1 << len(rest)), (2,) * (m + 1 + len(rest)), window,
+            [((slice(None),) * (2 + i) + (0,), (slice(None),) * (2 + i) + (1,))
+             for i in reversed(range(m + 1)) if last[inside[i]] <= t]))
+        frontier = [x for x in inside if last[x] > t] + rest
+    # per pair of the windows: its step, its index in its window, and per
+    # back bond i of the step's vertex (J = 0 past the last) the far end's
+    # spin, bit m - 1 - i of that index
+    ms = np.array([len(back[v]) for v in order])
+    step = np.repeat(np.arange(len(order)), 1 << ms)
+    index = np.concatenate([np.arange(1 << m) for m in ms])
+    shift = np.maximum(ms[step] - 1 - np.arange(ms.max())[:, None], 0)
+    unequal = (index >> shift & 1)[..., None] != np.arange(2)
+    bonds = np.array([back[v] + [-1] * (ms.max() - len(back[v]))
+                      for v in order], dtype=int)[step].T
+    energy = -2.0 * np.array([j for _, _, j in edges] + [0.0])[bonds, None]
+    return _SpinLayout(tuple(steps), 1 << max(widths), (
+        energy * unequal)[..., None], bonds[:, None, :, None, None])
 
 
 def ising_sums(region: Region, beta, h, coeffs: np.ndarray,
@@ -589,54 +582,59 @@ def ising_sums(region: Region, beta, h, coeffs: np.ndarray,
     lane q on every bond that its row q leaves unmarked; a full row changes
     nothing.
     """
-    if isinstance(beta, numbers.Real) and isinstance(h, numbers.Real):
-        if keep is not None:
-            raise ValueError("a bond mask needs a sequence of (beta, h) "
-                             "pairs")
-        _check_spin_params([beta], [h])
-        coeffs = _coefficients(region, None, coeffs)
-        sweep_lanes(region, coeffs.shape[1])
-        return _spin_sweep(_spin_plan(region).steps, beta, h, coeffs, None)
-    betas, hs = (a[:, None, None] for a in np.broadcast_arrays(
+    one = isinstance(beta, numbers.Real) and isinstance(h, numbers.Real)
+    betas, hs = (a.reshape(-1, 1, 1, 1, 1) for a in np.broadcast_arrays(
         np.asarray(beta, dtype=float), np.asarray(h, dtype=float)))
-    _check_spin_params(betas.ravel().tolist(), hs.ravel().tolist())
-    coeffs = _coefficients(region, betas, coeffs).transpose(1, 0, 2)
-    chunk = sweep_lanes(region, coeffs.shape[2])
-    steps = _spin_plan(region).steps
-    # per bond, its J factor in each lane, shaped like the betas
-    lane_keep = (None if keep is None
-                 else np.asarray(keep, dtype=float).T[..., None, None])
-    sums = [_spin_sweep(steps, betas[i:i + chunk], hs[i:i + chunk],
-                        coeffs[:, i:i + chunk],
-                        None if keep is None else lane_keep[:, i:i + chunk])
-            for i in range(0, len(betas), chunk)]
-    return (np.concatenate([z for z, _ in sums]),
-            np.concatenate([acc for _, acc in sums]))
+    values = betas.ravel().tolist()
+    if any(b < 0.0 for b in values):  # NaN is neither this nor finite
+        raise ValueError("beta must be non-negative")
+    if not all(map(math.isfinite, values + hs.ravel().tolist())):
+        raise ValueError("beta and h must be finite")
+    coeffs, keep = _lane_inputs(region, None if one else betas, coeffs, keep)
+    coeffs = coeffs.reshape(len(betas), len(region), -1)
+    layout = _spin_steps(region)
+    chunk = _lanes(layout.rows, coeffs.shape[-1])
+    z, acc = (np.concatenate(part) for part in zip(*(
+        _spin_sweep(layout, betas[i:i + chunk], hs[i:i + chunk],
+                    coeffs[i:i + chunk],
+                    None if keep is None else keep[i:i + chunk])
+        for i in range(0, len(betas), chunk))))
+    return (z[0], acc[0]) if one else (z, acc)
 
 
-def _spin_sweep(steps: tuple[_SpinStep, ...], beta, h, coeffs: np.ndarray,
-                keep) -> tuple[np.ndarray, np.ndarray]:
-    """The spin sweep at one (beta, h), with ``coeffs`` of shape (vertices,
-    columns), or at K pairs given as (K, 1, 1) arrays, with ``coeffs`` of
-    shape (vertices, K, columns); the pairs lead every axis of the result.
-    ``keep``, None or per bond a (K, 1, 1) array of 0 and 1, scales each
-    bond's energy in each lane.
+def _spin_sweep(layout: _SpinLayout, beta: np.ndarray, h: np.ndarray,
+                coeffs: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The spin sweep of ``layout`` at K (beta, h) pairs, (K, 1, 1, 1, 1)
+    arrays, with ``coeffs`` (K, vertices, columns) and ``keep`` None or (K,
+    bonds) booleans: ``z`` (K, 2) and ``acc`` (K, 2, columns).  The state
+    holds Z in column 0 and the sums after it.  A vertex adds its axis and
+    Z sigma_v c_v to the sums (c = 0 leaves Z as it is; Z (sigma_v c_v) =
+    (Z sigma_v) c_v for sigma_v = +-1), multiplies by exp(beta E + h
+    (sigma_v - 1)), E its bonds' energies added in order (one exp for all
+    vertices), and sums out each leaving spin, + half plus - half.
     """
-    z = np.ones(np.shape(beta)[:-1] + (1,))  # per pair, one row
-    acc = np.zeros(coeffs.shape[1:] + (1,))  # one row per (pair,) column
-    for step in steps:
-        z = z[step.src] if z.ndim == 1 else z[..., step.src]
-        acc = acc.take(step.src, axis=-1)
-        acc += (z * step.sign) * coeffs[step.vertex][..., None]
-        weight = np.exp(beta * _row_energy(step, keep)
-                        + h * (step.sign - 1.0))
-        z *= weight
-        acc *= weight
-        for _ in range(step.n_leave):
-            half = z.shape[-1] // 2
-            z = z[..., :half] + z[..., half:]
-            acc = acc[..., :half] + acc[..., half:]
-    return z.reshape(acc.shape[:-2] + (2,)), np.swapaxes(acc, -1, -2)
+    lanes, n, columns = coeffs.shape
+    padded = np.zeros((n, lanes, 1 + columns, 1, 1, 1))
+    padded[:, :, 1:, 0, 0, 0] = coeffs.transpose(1, 0, 2)
+    sigma = np.array([[1.0], [-1.0]])
+    flips = padded * sigma
+    terms = list(layout.energy)
+    if keep is not None:
+        terms = [keep[:, b] * term for b, term in zip(layout.bonds, terms)]
+    # starting from +0 can only turn a -0 sum into +0: the same exp
+    energy = sum(terms, np.zeros(layout.energy.shape[1:]))
+    weight = np.exp(beta * energy + h * (sigma - 1.0))
+    lead = padded.shape[1:3]
+    state = np.eye(1, 1 + columns).repeat(lanes, axis=0)
+    for v, perm, tail, spins, window, leave in layout.steps:
+        state = state.transpose(perm).reshape(lead + tail)
+        grown = state[:, :1] * flips[v]  # one temporary, updated in place
+        grown += state
+        grown *= weight[:, :, window]
+        state = grown.reshape(lead + spins)
+        for plus, minus in leave:
+            state = state[plus] + state[minus]
+    return state[:, 0], state[:, 1:].transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)

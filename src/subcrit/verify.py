@@ -16,7 +16,7 @@ and in range, before the first sweep, and a NaN margin fails its report.
 
 The subset infima are taken over *all* subsets of the region that contain
 the base point, including disconnected ones (a disconnected subset can
-have a strictly smaller boundary functional).  One plan of the region
+have a strictly smaller boundary functional).  One sweep of the region
 serves them all: each (parameter, subset) pair is a lane of its sweep, in
 which every bond leaving the subset is closed (percolation) or decoupled
 (Ising), so an infimum over ball(1) at a whole grid is one sweep.
@@ -141,7 +141,7 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
     ``(value, subset)`` at one parameter, or a list of them at every
     parameter of a sequence.
 
-    One plan of ``region`` serves every subset: each (parameter, subset)
+    The sweeps of ``region`` serve every subset: each (parameter, subset)
     pair is a lane of :func:`certificates.phi_sweep`, with every bond that
     leaves the subset closed (percolation) or decoupled (Ising), and a
     sweep takes as many lanes as ``exact.sweep_lanes`` allows.  Bit k of a

@@ -95,14 +95,14 @@ def test_certify_beyond_exact_cap_exits_one(tmp_path, capsys):
     assert err == ["error: percolation frontier: need 17, cap is 15"]
 
 
-def test_certify_refuses_a_long_ising_box_before_building_it(tmp_path,
+def test_certify_refuses_a_wide_ising_box_before_building_it(tmp_path,
                                                              capsys,
                                                              fresh_plans):
-    # the spin plan of a 200x14 box would hold about 4 GiB; its bytes are
-    # counted from the sweep's frontier sizes before any row is built
+    # a 40x24 box sweeps 26 spins at once; its 2^26 rows are counted from
+    # the sweep's frontier sizes before any state is built
     region = tmp_path / "box.json"
-    region.write_text(json.dumps({"vertices": [[x, y] for x in range(200)
-                                               for y in range(14)]}))
+    region.write_text(json.dumps({"vertices": [[x, y] for x in range(40)
+                                               for y in range(24)]}))
     tracemalloc.start()
     try:
         code = run_cli("certify", "--model", "ising", "--param", "0.4",
@@ -112,9 +112,8 @@ def test_certify_refuses_a_long_ising_box_before_building_it(tmp_path,
         tracemalloc.stop()
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: spin plan bytes: "
-                                               "need "), err
-    assert err[0].endswith(f", cap is {exact.PLAN_BYTES}")
+    assert err == [f"error: sweep lane bytes: need {256 << 26}, cap is "
+                   f"{exact.PLAN_BYTES}"]
     assert peak < 16 << 20
 
 
@@ -140,10 +139,11 @@ def test_phi_reports_value(tmp_path):
 
 def test_phi_ising_is_exact_only(tmp_path, capsys):
     code = run_cli("phi", "--model", "ising", "--param", "0.3",
-                   "--ball", "10", "--seed", "1", "--out", str(tmp_path))
+                   "--ball", "11", "--seed", "1", "--out", str(tmp_path))
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: spin plan bytes:"), err
+    assert len(err) == 1 and err[0].startswith("error: sweep lane bytes:"), (
+        err)
     with pytest.raises(SystemExit) as exc:
         run_cli("phi", "--model", "ising", "--param", "0.3", "--ball", "1",
                 "--sweeps", "10", "--out", str(tmp_path))

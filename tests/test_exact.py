@@ -285,6 +285,23 @@ def test_a_bond_mask_needs_a_parameter_sequence():
         exact.ising_sums(region, 0.3, 0.0, coeffs, keep)
 
 
+@pytest.mark.parametrize("rows, bonds", [(1, 4), (2, 3), (3, 4)],
+                         ids=["one-row", "a-bond-short", "a-row-more"])
+def test_bond_masks_of_the_wrong_shape_are_refused(rows, bonds):
+    # a (1, bonds) mask was broadcast to every lane, and a mask a bond
+    # short left that bond open in perc_reach and raised IndexError in
+    # ising_sums
+    region = ball(LatticeSpec.square(mode="beta"), 1)
+    keep = np.ones((rows, bonds), dtype=bool)
+    coeffs = np.ones((len(region), 1))
+    want = re.escape(f"a bond mask must have shape (2, 4), not "
+                     f"{(rows, bonds)}")
+    with pytest.raises(ValueError, match=want):
+        perc_reach(region, exact.BASE_POINT_TIE, [0.3, 0.4], coeffs, keep)
+    with pytest.raises(ValueError, match=want):
+        exact.ising_sums(region, [0.3, 0.4], 0.0, coeffs, keep)
+
+
 @pytest.mark.parametrize("engine, param, shape, want", [
     ("ising", [0.3, 0.4], (5, 0), "(2, 5, columns) or (5, columns)"),
     ("perc", 0.3, (5, 0), "(5, columns)"),
@@ -331,7 +348,7 @@ def test_grid_past_the_caps_is_chunked_not_refused(monkeypatch):
     monkeypatch.setattr(exact, "LANE_CELLS", widest * 2 * 3 // 2)
     assert exact.sweep_lanes(region, 2, ties) == 1
     assert (perc_reach(region, ties, GRID, coeffs) == perc_want).all()
-    rows = exact._spin_plan(region).rows
+    rows = 1 << max(exact._sweep(region, stay=0)[3])
     monkeypatch.setattr(exact, "LANE_CELLS", rows * 2 * 3 // 2)
     assert exact.sweep_lanes(region, 2) == 1
     z, acc = exact.ising_sums(region, GRID, 0.1, coeffs)
@@ -370,35 +387,40 @@ def plan_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("model, lattice, width, height", [
-    ("perc", LatticeSpec.square(mode="p"), 40, 8),
-    ("perc", RANGE_TWO, 4, 6),
-    ("ising", LatticeSpec.square(mode="beta"), 20, 14)],
-    ids=["percolation-40x8", "range-two-4x6", "ising-20x14"])
+@pytest.mark.parametrize("model, lattice, width, height, what", [
+    ("perc", LatticeSpec.square(mode="p"), 40, 8, "percolation plan bytes"),
+    ("perc", RANGE_TWO, 4, 6, "percolation plan bytes"),
+    ("ising", LatticeSpec.square(mode="beta"), 30, 20, "sweep lane bytes")],
+    ids=["percolation-40x8", "range-two-4x6", "ising-30x20"])
 def test_plan_budget_bounds_plan_memory(monkeypatch, fresh_plans, model,
-                                        lattice, width, height):
-    # whole, the 40x8 plan would hold 692 MiB, the range-2 4x6 plan (its
-    # layers branch 2^5 ways) 227 MiB and the Ising plan 356 MiB; a budget
-    # of 64 MiB refuses each before it passes it, the percolation plans a
-    # layer short of it and the spin plan before any row
+                                        lattice, width, height, what):
+    # whole, the 40x8 plan would hold 692 MiB and the range-2 4x6 plan (its
+    # layers branch 2^5 ways) 227 MiB; a budget of 64 MiB refuses each a
+    # layer short of it.  The spin sweep of the 30x20 box, 2^22 rows wide,
+    # is refused before any state is built
     monkeypatch.setattr(exact, "PLAN_BYTES", 64 << 20)
     region = box(lattice, width, height, (0, 0))
-    what = "spin" if model == "ising" else "percolation"
     refused, peak = plan_peak(lambda: exact_phi(model, lattice, region, 0.3))
-    assert refused.what == f"{what} plan bytes"
+    assert refused.what == what
     assert refused.cap == 64 << 20 < refused.needed
     assert peak <= 80 << 20
 
 
-def test_spin_cap_bounds_plan_memory():
-    # phi on square ball(10) sweeps 21 spins at once; its plan, 57.7
-    # million rows of 24 bytes (about 1.4 GB), is refused before any row
-    # is built
+def test_spin_lane_bytes_refuse_a_wide_ball(fresh_plans):
+    # phi on square ball(11) sweeps 23 spins at once: 2^23 rows at 256
+    # bytes, past the budget, refused before any state is built; ball(10),
+    # 2^21 rows, is exactly at it.  A 100x100 box (102 spins at once) is
+    # refused before its sweep's bookkeeping is built
     lattice = LatticeSpec.square(mode="beta")
+    assert exact.sweep_lanes(ball(lattice, 10), 1) == 1
     refused, peak = plan_peak(
-        lambda: exact_phi("ising", lattice, ball(lattice, 10), 0.3))
-    assert str(refused).startswith("spin plan bytes: need ")
-    assert refused.needed > 1 << 30 and refused.cap == exact.PLAN_BYTES
+        lambda: exact_phi("ising", lattice, ball(lattice, 11), 0.3))
+    assert str(refused) == (f"sweep lane bytes: need {256 << 23}, cap is "
+                            f"{exact.PLAN_BYTES}")
+    assert peak < 10 * 2 ** 20
+    region = box(lattice, 100, 100, (0, 0))
+    refused, peak = plan_peak(lambda: exact.sweep_lanes(region, 1))
+    assert refused.needed == 256 << 102
     assert peak < 10 * 2 ** 20
 
 
@@ -406,17 +428,20 @@ def test_spin_cap_bounds_plan_memory():
     ball(LatticeSpec.square(mode="beta"), 7).vertices,
     [(x, y) for x in range(13) for y in range(9)]],
     ids=["ball-7", "box-13x9"])
-def test_spin_plan_bytes_bound_its_traced_peak(monkeypatch, fresh_plans,
-                                               vertices):
-    # the count the budget is checked against, taken before any row is
-    # built, is at least what building the plan allocates
+def test_spin_lane_bytes_bound_a_sweeps_traced_peak(monkeypatch, fresh_plans,
+                                                    vertices):
+    # the count the budget is checked against, 256 bytes per row and
+    # column, is at least what a spin sweep allocates
     region = Region(LatticeSpec.square(mode="beta"), vertices)
+    coeffs = np.ones((len(region), 1))
     monkeypatch.setattr(exact, "PLAN_BYTES", 0)
-    counted = plan_peak(lambda: exact._spin_plan(region))[0].needed
+    counted = plan_peak(lambda: exact.ising_sums(region, 0.4, 0.0,
+                                                 coeffs))[0].needed
     monkeypatch.undo()
+    fresh_plans()
     tracemalloc.start()
     try:
-        exact._spin_plan(region)
+        exact.ising_sums(region, 0.4, 0.0, coeffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -556,12 +581,10 @@ def test_square_ising_roots_past_radius_two(fresh_plans):
     for r, root in enumerate(pinned, start=3):
         assert critical_root("ising", lattice, ball(lattice, r)) == (
             pytest.approx(root, abs=1e-8))
-    # ball(8), a 145-spin plan of 85 MiB, is within the budget too
     assert critical_root("ising", lattice, ball(lattice, 8)) == (
         pytest.approx(0.387319420, abs=1e-8))
-    # ROADMAP item 1's timing gate, not a correctness check: CPU time of
-    # this process, plan build included, so load from other processes on
-    # the host does not count against it
+    # a bound on speed, not a correctness check: CPU time of this process,
+    # so load from other processes on the host does not count against it
     fresh_plans()
     start = time.process_time()
     root = critical_root("ising", lattice, ball(lattice, 7), tol=1e-9)
@@ -575,9 +598,9 @@ def test_square_ising_roots_past_radius_two(fresh_plans):
 def test_square_box_roots_beat_the_best_balls(monkeypatch, fresh_plans,
                                               reverse):
     # each root holds in both sweep orders.  Percolation ball(5) (a 35 MiB
-    # plan) beats ball(4)'s 0.360480, and the Ising 25x13 box (216 MiB),
-    # the first exact witness past beta = 0.40, beats ball(8)'s 0.387319;
-    # it is the largest plan the budget is sized for
+    # plan) beats ball(4)'s 0.360480, the Ising 25x13 box, the first exact
+    # witness past beta = 0.40, beats ball(8)'s 0.387319, and the 41x15
+    # box beats the 25x13 box
     p_lattice, beta_lattice = (LatticeSpec.square(mode="p"),
                                LatticeSpec.square(mode="beta"))
     regions = [
@@ -591,6 +614,19 @@ def test_square_box_roots_beat_the_best_balls(monkeypatch, fresh_plans,
         assert critical_root(model, region.lattice, region) == (
             pytest.approx(root, abs=1e-8)), (model, len(region))
         fresh_plans()  # one large plan cached at a time
+    # the 41x15 box sweeps 17 spins at once: a bound on speed and memory
+    # as well, in CPU time of this process and traced allocation
+    region = box(beta_lattice, 41, 15, (20, 7))
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        root = critical_root("ising", beta_lattice, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert root == pytest.approx(0.405284080, abs=1e-8)
+    assert time.process_time() - start < 30.0
+    assert peak < 64 << 20
 
 
 def test_single_edge_two_point_is_tanh():

@@ -250,21 +250,21 @@ def test_subset_lanes_on_ball_two_agree_with_own_plans(model, lattice):
         assert values == pytest.approx(own, rel=1e-13, abs=1e-13)
 
 
-def test_phi_infimum_plans_only_the_region(monkeypatch):
+def test_phi_infimum_plans_only_the_region(monkeypatch, fresh_plans):
+    # both engines lay out their sweeps with _sweep, so the regions it is
+    # called with are the regions swept
     planned = []
+    sweep = exact._sweep
 
-    def record(plan):
-        def run(region, *args):
-            planned.append(region)
-            return plan(region, *args)
-        return run
+    def record(region, *args, **kwargs):
+        planned.append(region)
+        return sweep(region, *args, **kwargs)
 
-    monkeypatch.setattr(exact, "_frontier_plan",
-                        record(exact._frontier_plan))
-    monkeypatch.setattr(exact, "_spin_plan", record(exact._spin_plan))
+    monkeypatch.setattr(exact, "_sweep", record)
     for model, lattice in (("percolation", P_LAT), ("ising", B_LAT)):
         region = ball(lattice, 2)
         planned.clear()
+        fresh_plans()
         phi_infimum(model, lattice, region, CONTRACT_GRID)
         assert planned and set(planned) == {region}
 
