@@ -13,10 +13,11 @@ block labelled 0, with each block's pending coefficient sum; a block's sum
 moves into T's slot when it joins T and is dropped when it leaves the
 frontier without T.  One sweep gives sum_v c_v P[v reaches the tied set]
 for every column of coefficients c.  The transitions do not depend on the
-parameter: ``_frontier_plan`` builds them once per (region, ties), and an
-evaluation is a few ``np.bincount`` calls per vertex.  Connection to the
-base point is one always-open tie there (``BASE_POINT_TIE``); the exit
-event ties every boundary pair of ball(n).
+parameter: ``_frontier_plan`` builds them once per (region, ties) and
+keeps them within ``PLAN_BYTES``; an evaluation is a few ``np.bincount``
+calls per vertex.  Connection to the base point is one
+always-open tie there (``BASE_POINT_TIE``); the exit event ties every
+boundary pair of ball(n).
 
 Ising: with H(sigma) = -beta * sum_{internal pairs {x,y}} J_xy sigma_x
 sigma_y - h * sum_x sigma_x (each unordered pair counted once), a spin
@@ -156,16 +157,44 @@ class _Step(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """The steps of a percolation sweep, and the branch rows of its widest
-    layer, against which a lane's columns are counted."""
+    """The steps of a percolation sweep, the branch rows of its widest
+    layer, against which a lane's columns are counted, and the bytes of
+    its steps' arrays."""
 
     steps: tuple
     rows: int
+    nbytes: int
 
 
-@lru_cache(maxsize=32)
+# the plans built, the least recently used first, holding PLAN_BYTES at most
+_plans: dict[tuple, _Plan] = {}
+
+
 def _frontier_plan(region: Region, tied: tuple[int, ...],
                    always_open: frozenset[int]) -> _Plan:
+    """:func:`_build_plan`, cached: the plans kept hold ``PLAN_BYTES`` at
+    most together (the newest plan always stays), and the least recently
+    used is dropped first; ``_frontier_plan.cache_clear()`` drops them
+    all."""
+    key = (region, tied, always_open)
+    plan = _plans.pop(key, None)
+    if plan is not None:
+        _plans[key] = plan  # now the most recently used
+        return plan
+    plan = _plans[key] = _build_plan(*key)
+    held = sum(kept.nbytes for kept in _plans.values())
+    for old in list(_plans)[:-1]:
+        if held <= PLAN_BYTES:
+            break
+        held -= _plans.pop(old).nbytes
+    return plan
+
+
+_frontier_plan.cache_clear = _plans.clear
+
+
+def _build_plan(region: Region, tied: tuple[int, ...],
+                always_open: frozenset[int]) -> _Plan:
     """The parameter-free plan of the sweep of ``region`` with a tie on
     every vertex of ``tied``, always open on those of ``always_open``;
     ``CapExceeded`` past 15 frontier vertices, before any state is built,
@@ -258,7 +287,7 @@ def _frontier_plan(region: Region, tied: tuple[int, ...],
             n_states=len(layer), n_slots=int(next_offsets[-1])))
         held += sum(a.nbytes for a in steps[-1] if isinstance(a, np.ndarray))
         offsets = next_offsets
-    return _Plan(tuple(steps), max(len(step.p_dst) for step in steps))
+    return _Plan(tuple(steps), max(len(step.p_dst) for step in steps), held)
 
 
 def _op_weights(region: Region, ties: tuple[tuple[int, float], ...],
@@ -307,6 +336,11 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
     if one:
         return _perc_sweep(plan.steps, *_op_weights(region, ties, param),
                            coeffs)
+    if len(params) == 1 and keep is None:
+        # the one lane's sweep in floats, as the lane path would run it
+        return _perc_sweep(plan.steps, *_op_weights(region, ties,
+                                                    float(params[0])),
+                           coeffs[0])[None]
     n_params, n_vertices, k = coeffs.shape
     return np.concatenate([
         _perc_sweep(plan.steps, *_lane_weights(

@@ -336,8 +336,23 @@ class BallLayout(NamedTuple):
     edge_j: np.ndarray   # float couplings
 
 
-def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
-    """The arrays of ``ball(lattice, n)`` and its shell, built with numpy.
+class BallChunk(NamedTuple):
+    """The nodes and edges one :meth:`BallBuilder.extend` step adds, each
+    numbered on from the last step's."""
+
+    keys: np.ndarray     # int64 keys of the new nodes
+    layer: np.ndarray    # int32 layer of each new node
+    edge_a: np.ndarray   # int32, the endpoint whose row numbered the edge
+    edge_b: np.ndarray   # int32
+    edge_j: np.ndarray   # float couplings
+    n_internal: int      # new edges before this index are internal
+    rows: int            # nodes before this index have every edge numbered
+    first_edge: int      # the lowest id of an edge of the rows added
+
+
+class BallBuilder:
+    """The layout of ``ball(lattice, n)`` and its shell, a few BFS layers at
+    a time.
 
     Vertices are int64 keys (coordinates in a mixed radix, so key order is
     lexicographic order).  A neighbor of BFS layer k lies in layer k - 1, k
@@ -345,67 +360,153 @@ def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
     sorted in place and deduplicated by adjacent differences, minus the
     last two layers.
 
-    Raises ValueError when the keys would overflow int64, and when the
-    layers built so far hold more than ``LAYOUT_VERTEX_CAP`` nodes; that
-    is checked before each next layer is built, so a refused ball costs
-    about what a ball at the cap costs.
+    ``extend(radius)`` numbers every edge of the nodes of layers below
+    ``radius`` (of every node, the shell's included, once ``radius``
+    exceeds n).  A node's edges are numbered in the order of ``ball(n)``'s
+    edges: internal edges by their lower endpoint, then offset; the edges
+    to the shell after all of them.  So for m < n the nodes of layers
+    <= m, and the edges of the nodes of layers < m with their ids, are the
+    same in ball(m) and ball(n): a prefix built for ball(n) is final, and
+    only the last step, which numbers the edges to the shell, waits for the
+    whole ball.  The builder keeps the keys of its last two layers and its
+    node and edge counts, and builds each layer once.
+
+    Raises ValueError when the keys would overflow int64 (on
+    construction), and when the layers built so far hold more than
+    ``LAYOUT_VERTEX_CAP`` nodes; that is checked before each next layer is
+    built, so a refused ball costs about what a ball at the cap costs.
     """
-    if n < 0:
-        raise ValueError("radius must be non-negative")
-    dim = lattice.dim
-    offsets = [o for o, _ in lattice.couplings]
-    reach = (n + 1) * max((abs(c) for o in offsets for c in o), default=0)
-    base = 2 * reach + 1
-    if base ** dim > np.iinfo(np.int64).max:
-        raise ValueError(f"ball({n}) spans {base}^{dim} coordinate values, "
-                         f"too many for int64 keys")
-    place = np.array([base ** (dim - 1 - i) for i in range(dim)], dtype=np.int64)
-    okeys = np.array(offsets, dtype=np.int64).reshape(-1, dim) @ place
-    js = np.array([j for _, j in lattice.couplings], dtype=float)
 
-    layers = [np.array([reach * int(place.sum())], dtype=np.int64)]
-    previous = layers[0][:0]
-    built = 1
-    for _ in range(n + 1):
-        current = layers[-1]
-        reached = (current[:, None] + okeys).ravel()
-        reached.sort()
-        reached = reached[np.concatenate(([True], reached[1:] != reached[:-1]))]
-        fresh = ~_sorted_member(current, reached)
-        if previous.size:
-            fresh &= ~_sorted_member(previous, reached)
-        previous = current
-        layers.append(reached[fresh])
-        built += layers[-1].size
-        if built > LAYOUT_VERTEX_CAP:
-            raise ValueError(f"ball({n}) with its shell has more than "
-                             f"{LAYOUT_VERTEX_CAP} nodes, the layout cap")
-    keys = np.concatenate(layers)
-    n_inside = keys.size - layers[-1].size
-    layer = np.repeat(np.arange(n + 2, dtype=np.int32), [k.size for k in layers])
-    coords = keys[:, None] // place % base - reach
+    def __init__(self, lattice: LatticeSpec, n: int):
+        if n < 0:
+            raise ValueError("radius must be non-negative")
+        dim = lattice.dim
+        offsets = [o for o, _ in lattice.couplings]
+        reach = (n + 1) * max((abs(c) for o in offsets for c in o), default=0)
+        base = 2 * reach + 1
+        if base ** dim > np.iinfo(np.int64).max:
+            raise ValueError(f"ball({n}) spans {base}^{dim} coordinate values, "
+                             f"too many for int64 keys")
+        self.n = n
+        # every node, the shell's included, lies in the key cube
+        self.node_bound = base ** dim
+        self.radius = 0  # layers whose nodes have every edge numbered
+        self.n_inside = None  # known once the shell is built
+        self._place = np.array([base ** (dim - 1 - i) for i in range(dim)],
+                               dtype=np.int64)
+        self._base, self._reach = base, reach
+        self._okeys = (np.array(offsets, dtype=np.int64).reshape(-1, dim)
+                       @ self._place)
+        self._js = np.array([j for _, j in lattice.couplings], dtype=float)
+        origin = np.array([reach * int(self._place.sum())], dtype=np.int64)
+        # the last two layers (an empty layer -1 first), from node _first on
+        self._layers = [origin[:0], origin]
+        self._first = 0
+        self._nodes = 1  # nodes built
+        self._reported = 0  # nodes returned by extend
+        self._edges = 0  # edges numbered
+        self._tail_edge = 0  # first edge of the last layer numbered
 
-    # every neighbor of a ball vertex is a node; look it up in the sorted
-    # keys, one offset at a time with sorted queries
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    inside = order[order < n_inside]  # inside nodes in key order
-    nbr = np.empty((n_inside, okeys.size), dtype=np.int64)
-    for k, okey in enumerate(okeys.tolist()):
-        nbr[inside, k] = order[np.searchsorted(sorted_keys,
-                                               keys[inside] + okey)]
-    src = np.broadcast_to(np.arange(n_inside)[:, None], nbr.shape)
-    jay = np.broadcast_to(js, nbr.shape)
-    internal = (nbr > src) & (nbr < n_inside)
-    boundary = nbr >= n_inside
+    @property
+    def done(self) -> bool:
+        return self.radius > self.n
+
+    def coords(self, keys: np.ndarray) -> np.ndarray:
+        """The coordinates of node keys, as a (len(keys), dim) array."""
+        return keys[:, None] // self._place % self._base - self._reach
+
+    def extend(self, radius: int) -> BallChunk:
+        """Number the edges of every node of the layers below ``radius``,
+        or of every node if ``radius`` exceeds n, building the layers they
+        reach; returns the nodes and edges added."""
+        n = self.n
+        if self.done:
+            raise ValueError(f"ball({n}) is built")
+        if radius <= self.radius:
+            raise ValueError(f"the layers below {self.radius} are built")
+        radius = min(radius, n + 1)
+        window = list(self._layers)
+        previous, current = window
+        while len(window) - 2 < radius - self.radius:
+            reached = (current[:, None] + self._okeys).ravel()
+            reached.sort()
+            reached = reached[np.concatenate(([True],
+                                              reached[1:] != reached[:-1]))]
+            fresh = ~_sorted_member(current, reached)
+            if previous.size:
+                fresh &= ~_sorted_member(previous, reached)
+            previous, current = current, reached[fresh]
+            window.append(current)
+            self._nodes += current.size
+            if self._nodes > LAYOUT_VERTEX_CAP:
+                raise ValueError(f"ball({n}) with its shell has more than "
+                                 f"{LAYOUT_VERTEX_CAP} nodes, the layout cap")
+        # window holds layers radius_before - 1 ... radius, from node _first;
+        # the rows numbered now are those of every layer but the first and
+        # the last
+        sizes = [w.size for w in window]
+        keys = np.concatenate(window)
+        lo, hi = sizes[0], keys.size - sizes[-1]
+        shell = radius > n
+        inside_end = self._first + (hi if shell else keys.size)
+
+        # every neighbor of a row's node is in the window; look it up in
+        # the sorted keys, one offset at a time with sorted queries
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        rows = order[(order >= lo) & (order < hi)]  # row nodes in key order
+        nbr = np.empty((hi - lo, self._okeys.size), dtype=np.int64)
+        for k, okey in enumerate(self._okeys.tolist()):
+            nbr[rows - lo, k] = order[np.searchsorted(sorted_keys,
+                                                      keys[rows] + okey)]
+        nbr += self._first
+        src = np.broadcast_to(
+            np.arange(self._first + lo, self._first + hi)[:, None], nbr.shape)
+        jay = np.broadcast_to(self._js, nbr.shape)
+        internal = (nbr > src) & (nbr < inside_end)
+        boundary = nbr >= inside_end
+        n_internal = int(np.count_nonzero(internal))
+        edge_a = np.concatenate([src[internal], src[boundary]]).astype(np.int32)
+
+        layer_ids = np.arange(self.radius - 1, self.radius - 1 + len(window),
+                              dtype=np.int32)
+        new = self._reported - self._first
+        chunk = BallChunk(
+            keys=keys[new:],
+            layer=np.repeat(layer_ids, sizes)[new:],
+            edge_a=edge_a,
+            edge_b=np.concatenate([nbr[internal],
+                                   nbr[boundary]]).astype(np.int32),
+            edge_j=np.concatenate([jay[internal], jay[boundary]]),
+            n_internal=n_internal,
+            rows=self._first + (keys.size if shell else hi),
+            first_edge=self._tail_edge)
+        if shell:
+            self.n_inside = self._first + hi
+        # the next rows' edges start at those of the last row layer
+        self._tail_edge = self._edges + int(
+            np.count_nonzero(internal[:hi - lo - sizes[-2]]))
+        self._edges += edge_a.size
+        self._first += hi - sizes[-2]
+        self._layers = window[-2:]
+        self._reported = self._nodes
+        self.radius = radius
+        return chunk
+
+
+def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
+    """The arrays of ``ball(lattice, n)`` and its shell, built with numpy:
+    a :class:`BallBuilder` run to the end in one step (its errors too)."""
+    builder = BallBuilder(lattice, n)
+    chunk = builder.extend(n + 1)
     return BallLayout(
-        coords=coords,
-        layer=layer,
-        n_inside=n_inside,
-        n_internal=int(np.count_nonzero(internal)),
-        edge_a=np.concatenate([src[internal], src[boundary]]).astype(np.int32),
-        edge_b=np.concatenate([nbr[internal], nbr[boundary]]).astype(np.int32),
-        edge_j=np.concatenate([jay[internal], jay[boundary]]),
+        coords=builder.coords(chunk.keys),
+        layer=chunk.layer,
+        n_inside=builder.n_inside,
+        n_internal=chunk.n_internal,
+        edge_a=chunk.edge_a,
+        edge_b=chunk.edge_b,
+        edge_j=chunk.edge_j,
     )
 
 
@@ -415,19 +516,29 @@ def _sorted_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return sorted_keys[np.minimum(pos, sorted_keys.size - 1)] == queries
 
 
-def incidence_csr(n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray
+def incidence_csr(n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray,
+                  first_node: int = 0, first_edge: int = 0
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adjacency of an edge list as CSR, each row in edge-id order.
 
     Returns ``(ptr, partner, edge_id)``: node v's incident edges are
     ``edge_id[ptr[v]:ptr[v + 1]]``, leading to ``partner[ptr[v]:ptr[v + 1]]``.
+    With ``first_node``, only the rows of nodes ``first_node`` to
+    ``n_nodes - 1`` are built (row i for node ``first_node + i``), and the
+    edges are numbered from ``first_edge`` on.
     """
     ends = np.concatenate([edge_a, edge_b])
-    eids = np.tile(np.arange(len(edge_a)), 2)
+    partner = np.concatenate([edge_b, edge_a])
+    eids = np.tile(np.arange(first_edge, first_edge + len(edge_a)), 2)
+    if first_node:
+        ends = ends - first_node
+    mine = (ends >= 0) & (ends < n_nodes - first_node)
+    if not mine.all():
+        ends, partner, eids = ends[mine], partner[mine], eids[mine]
     order = np.lexsort((eids, ends))
-    ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n_nodes), out=ptr[1:])
-    return ptr, np.concatenate([edge_b, edge_a])[order], eids[order]
+    ptr = np.zeros(n_nodes - first_node + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n_nodes - first_node), out=ptr[1:])
+    return ptr, partner[order], eids[order]
 
 
 def translate_region(region: Region, shift: Vertex) -> Region:

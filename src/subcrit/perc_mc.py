@@ -14,12 +14,18 @@ edge, and the draws are the same as if every word were drawn.  Estimates
 are reduced with compensated summation in sample order, so results are
 bit-reproducible regardless of batching.
 
-The box's arrays come from ``lattice.ball_layout``, and its walk is the
-``ClusterWalker`` that the Wolff chains and the Monte Carlo phi share too.
-The walker keeps the adjacency in numpy and mirrors a node's row into the
-Python lists its loop reads only once the walk has drawn that node's edge
-words, so a box costs what its walks reach: at p = 0.25 on ball(96) the
-walks of 800 susceptibility samples mirror about 1 % of the rows.
+A box is built as far as its walks reach: its ``lattice.BallBuilder``
+adds BFS layers, doubling the built radius, when a walk pops a node whose
+row is not built yet, and its walk is the ``ClusterWalker`` that the Wolff
+chains and the Monte Carlo phi share too.  The walker keeps the adjacency
+in numpy and mirrors a node's row into the Python lists its loop reads
+only once the walk has drawn that node's edge words.  At p = 0.25 on
+ball(96) the walks of 800 susceptibility samples build the rows of the
+first 16 layers (481 of the box's 19,013 nodes) and mirror 234.  A walk
+with a field (ghost words start after the box's last edge word), an exit
+walk that reaches the shell, and a Wolff system build the whole box, each
+layer once.
+
 Estimators walk the open cluster of the origin and stop once the event is
 decided: exit profiles at the first site beyond the largest radius, the
 ghost estimate at the first open ghost bond.  The susceptibility walks
@@ -40,15 +46,20 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import lattice as latticemod
 from . import rng as rngmod
 from .errors import DegenerateFit
-from .lattice import LatticeSpec, ball_layout, edge_weight, incidence_csr
+from .lattice import BallBuilder, LatticeSpec, edge_weight, incidence_csr
 from .stats import (MCEstimate, batch_means_stderr, binomial_stderr,
                     check_counts)
 
 # smallest prefix a walk draws: below about this many words, the cost of a
 # numpy call outweighs the draws it saves
 _FIRST_DRAW = 256
+# layers a box builds first; then each step doubles its built radius, up to
+# the whole box once that reaches n (a step costs a few hundred us of numpy
+# calls, so there are few of them)
+_FIRST_LAYERS = 8
 
 
 class ClusterWalker:
@@ -63,50 +74,101 @@ class ClusterWalker:
     a Wolff walk draws them all with ``draw_edges``, then walks them
     (``drawn_cluster``) or labels them in numpy with ``component``.
 
-    The adjacency is kept as numpy CSR arrays (``ptr``, ``nbr``, ``eid``:
-    node v's edges ``eid[ptr[v]:ptr[v + 1]]`` lead to ``nbr[...]``) next
-    to ``layer``.  The walk indexes Python lists mirrored from them, and
-    only for a prefix of the nodes: a walk extends the mirror when it draws
-    more edge words, to every node whose edges are then drawn, or when its
-    root lies past the prefix; the mirrored layers also cover every
-    neighbor of a mirrored row.  A walker built for a large box that its
-    walks barely leave converts only the rows near its roots.
+    The adjacency is kept as numpy CSR arrays (node v's edges
+    ``eid[ptr[v]:ptr[v + 1]]`` lead to ``nbr[...]``) next to the layers.
+    The walk indexes Python lists mirrored from them, and only for a prefix
+    of the nodes: a walk extends the mirror when it draws more edge words,
+    to every node whose edges are then drawn, or when its root lies past
+    the prefix; the mirrored layers also cover every neighbor of a
+    mirrored row.  A walker built for a large box that its walks barely
+    leave converts only the rows near its roots.
+
+    A subclass may hold only a prefix of the rows (``PercBox``): a walk
+    that pops a node whose row is not built calls ``_grow``, and every
+    public attribute (``n_nodes``, ``n_edges``, ``edge_a``, ``edge_b``,
+    ``layer``) first builds the whole graph (``_complete``).
     """
 
     def __init__(self, n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray,
                  layer: np.ndarray):
-        self.n_nodes = n_nodes
-        self.edge_a = edge_a
-        self.edge_b = edge_b
-        self.layer = layer
-        self.n_edges = len(edge_a)
+        self._start(int(layer.max(initial=0)) + 1)
+        self._add(layer, edge_a, edge_b, n_nodes, 0)
 
-        self.ptr, self.nbr, self.eid = ptr, nbr, eid = incidence_csr(
-            n_nodes, edge_a, edge_b)
-        self._no_stop = int(layer.max(initial=0)) + 1
-        # A row lists its edges in id order, so node v's edges are drawn once
-        # the first need[v] words are.  The running maximum makes need
-        # sorted: nodes v < bisect_right(need, drawn) have all their edges.
-        last = np.zeros(n_nodes, dtype=np.int64)
-        filled = ptr[1:] > ptr[:-1]
-        last[filled] = eid[ptr[1:][filled] - 1] + 1
-        self._need = np.maximum.accumulate(last).tolist()
+    def _start(self, no_stop: int) -> None:
+        """No node built yet; ``no_stop``, a layer past every node's, is
+        where a walk given no ``stop_layer`` stops."""
+        self._no_stop = no_stop
+        # the built prefix: every node's layer, the edges, and the CSR rows
+        # of the first len(_need) nodes.  A row lists its edges in id
+        # order, so node v's edges are drawn once the first _need[v] words
+        # are.  The running maximum makes _need sorted: nodes v <
+        # bisect_right(_need, drawn) have all their edges.
+        self._node_layer = self._edge_a = self._edge_b = None
+        self._csr = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                     np.zeros(0, dtype=np.int64))
+        self._need: list[int] = []
         # the rows of the first _mirrored nodes as Python lists (see the
         # class docstring)
         self._mirrored = 0
         self._ptr, self._nbr, self._eid, self._layer = [0], [], [], []
-
         # generators and draw buffers, reused by every walk (so one walker
         # serves one walk at a time); the masks are numpy views of the
         # bytearrays the walk indexes
         self._edge_gen = self._ghost_gen = None
-        self._edge_u = np.empty(self.n_edges)
-        self._open = bytearray(self.n_edges)
-        self._open_mask = np.frombuffer(self._open, dtype=np.bool_)
+        self._open = bytearray()
+        self.seen = bytearray()
+
+    def _add(self, layer: np.ndarray, edge_a: np.ndarray, edge_b: np.ndarray,
+             rows: int, first_edge: int) -> None:
+        """Append nodes (by their layers) and edges to the built prefix,
+        and the rows of the nodes before ``rows`` not built yet, whose
+        edges all have ids from ``first_edge`` on.  The draw buffers are
+        replaced, the drawn mask copied, and ``seen`` lengthened; a walk
+        under way re-reads its names for them."""
+        if self._node_layer is not None:
+            layer = np.concatenate((self._node_layer, layer))
+            edge_a = np.concatenate((self._edge_a, edge_a))
+            edge_b = np.concatenate((self._edge_b, edge_b))
+        self._node_layer, self._edge_a, self._edge_b = layer, edge_a, edge_b
+        n_nodes, n_edges = len(layer), len(edge_a)
+        built = len(self._need)
+        ptr, nbr, eid = incidence_csr(rows, edge_a[first_edge:],
+                                      edge_b[first_edge:], built, first_edge)
+        last = np.zeros(rows - built, dtype=np.int64)
+        filled = ptr[1:] > ptr[:-1]
+        last[filled] = eid[ptr[1:][filled] - 1] + 1
+        if built:
+            last[0] = max(last[0], self._need[-1])
+        self._need += np.maximum.accumulate(last).tolist()
+        old_ptr, old_nbr, old_eid = self._csr
+        self._csr = (np.concatenate((old_ptr, ptr[1:] + len(old_nbr))),
+                     np.concatenate((old_nbr, nbr)),
+                     np.concatenate((old_eid, eid)))
+
+        self._edge_u = np.empty(n_edges)
+        is_open = bytearray(n_edges)
+        is_open[:len(self._open)] = self._open
+        self._open = is_open
+        self._open_mask = np.frombuffer(is_open, dtype=np.bool_)
         self._ghost_u = np.empty(n_nodes)
         self._ghost_open = bytearray(n_nodes)
         self._ghost_mask = np.frombuffer(self._ghost_open, dtype=np.bool_)
-        self.seen = bytearray(n_nodes)
+        self.seen = self.seen + bytes(n_nodes - len(self.seen))
+
+    def _grow(self, node: int) -> None:
+        """Build the row of ``node``; a walker built from a whole edge list
+        has every row."""
+
+    def _complete(self) -> "ClusterWalker":
+        """Build every node and edge; returns the walker."""
+        return self
+
+    # the whole graph, built first
+    n_nodes = property(lambda self: len(self._complete()._node_layer))
+    n_edges = property(lambda self: len(self._complete()._edge_a))
+    edge_a = property(lambda self: self._complete()._edge_a)
+    edge_b = property(lambda self: self._complete()._edge_b)
+    layer = property(lambda self: self._complete()._node_layer)
 
     def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
                        index: int, h: float = 0.0,
@@ -116,13 +178,14 @@ class ClusterWalker:
         """Walk over the open cluster of ``root`` in one sample.
 
         Sample ``index`` of ``stream`` opens edge e when word e of its
-        stream is below ``weights[e]`` and, for h > 0, joins node v to the
-        ghost when word ``n_edges + v`` is below ``1 - exp(-h)``.  Words
-        are drawn as the walk first needs them, a doubling prefix at a time.
-        The walk is depth-first at h = 0 and breadth-first for h > 0: any
-        member's ghost bond decides that event, and the members nearest the
-        root have the lowest indices in the box layouts, so the walk reads
-        a shorter prefix of edge and ghost words.
+        stream is below ``weights[e]`` (or below ``weights`` itself, a
+        float) and, for h > 0, joins node v to the ghost when word
+        ``n_edges + v`` is below ``1 - exp(-h)``.  Words are drawn as the
+        walk first needs them, a doubling prefix at a time.  The walk is
+        depth-first at h = 0 and breadth-first for h > 0: any member's
+        ghost bond decides that event, and the members nearest the root
+        have the lowest indices in the box layouts, so the walk reads a
+        shorter prefix of edge and ghost words.
 
         ``blocked``, a bytearray over the nodes that the walk then owns,
         marks nodes it never enters, as if every edge into them were
@@ -141,12 +204,15 @@ class ClusterWalker:
             raise ValueError(f"h must be non-negative, got {h}")
         gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
                                                     gen=self._edge_gen)
-        if root >= self._mirrored:
-            self._mirror(root + 1)
         ghost_gen = None
         if h > 0.0:
+            # ghost words start after the last edge word
             ghost_gen = self._ghost_gen = rngmod.sample_stream(
                 seed, stream, index, start=self.n_edges, gen=self._ghost_gen)
+        if root >= len(self._need):
+            self._grow(root)
+        if root >= self._mirrored:
+            self._mirror(root + 1)
         return self._walk(root, stop_layer, blocked, gen, weights, ghost_gen,
                           h)
 
@@ -166,11 +232,11 @@ class ClusterWalker:
         from ``ghost_gen`` for h > 0."""
         # edge words drawn; nodes v < ready have all theirs
         drawn, ready = ((0, 0) if gen is not None
-                        else (self.n_edges, self.n_nodes))
+                        else (len(self._open), len(self._need)))
         ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
         need, is_open = self._need, self._open
         if blocked is None:
-            blocked = bytearray(self.n_nodes)
+            blocked = bytearray(len(self._node_layer))
         self.seen = seen = blocked
         seen[root] = 1
         members = [root]
@@ -191,6 +257,9 @@ class ClusterWalker:
         while todo:
             v = pop()
             if v >= ready:
+                if v >= len(need):
+                    self._grow(v)
+                    is_open, seen = self._open, self.seen
                 drawn = self._draw(gen, self._edge_u, self._open_mask, weights,
                                    drawn, need[v])
                 ready = bisect_right(need, drawn)
@@ -222,12 +291,13 @@ class ClusterWalker:
         ``drawn_cluster`` or ``component``; returns the sample's
         generator, from which a caller reads the words from ``n_edges`` on.
         """
+        self._complete()
         gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
                                                     gen=self._edge_gen)
         gen.random(out=self._edge_u)
         np.less(self._edge_u, weights, out=self._open_mask)
-        if self._mirrored < self.n_nodes:
-            self._mirror(self.n_nodes)
+        if self._mirrored < len(self._need):
+            self._mirror(len(self._need))
         return gen
 
     def component(self, keep: np.ndarray, root: int = 0) -> int:
@@ -240,8 +310,8 @@ class ClusterWalker:
         a Python step per member.
         """
         kept = self._open_mask & keep
-        a, b = self.edge_a[kept], self.edge_b[kept]
-        label = np.arange(self.n_nodes)
+        a, b = self._edge_a[kept], self._edge_b[kept]
+        label = np.arange(len(self._node_layer))
         while True:
             la, lb = label[a], label[b]
             differ = la != lb
@@ -264,21 +334,22 @@ class ClusterWalker:
         """Extend the Python rows to the first ``nodes`` nodes, and the
         Python layers to every neighbor of those rows.  The lists grow in
         place, so a walk's local names for them stay valid."""
-        start, stop = self.ptr[self._mirrored], self.ptr[nodes]
-        rows = self.nbr[start:stop]
-        self._ptr += self.ptr[self._mirrored + 1:nodes + 1].tolist()
+        ptr, nbr, eid = self._csr
+        start, stop = ptr[self._mirrored], ptr[nodes]
+        rows = nbr[start:stop]
+        self._ptr += ptr[self._mirrored + 1:nodes + 1].tolist()
         self._nbr += rows.tolist()
-        self._eid += self.eid[start:stop].tolist()
+        self._eid += eid[start:stop].tolist()
         top = max(nodes, int(rows.max(initial=-1)) + 1)
         if top > len(self._layer):
-            self._layer += self.layer[len(self._layer):top].tolist()
+            self._layer += self._node_layer[len(self._layer):top].tolist()
         self._mirrored = nodes
 
     @staticmethod
     def _draw(gen, uniforms, mask, weights, drawn, needed):
-        """Extend the drawn prefix to at least ``needed`` words; returns its
-        new length.  The prefix at least doubles, so a walk makes O(log)
-        numpy calls however far it goes."""
+        """Extend the drawn prefix to at least ``needed`` words, and at most
+        to the words built; returns its new length.  The prefix at least
+        doubles, so a walk makes O(log) numpy calls however far it goes."""
         end = min(len(uniforms), max(needed, 2 * drawn, _FIRST_DRAW))
         part = uniforms[drawn:end]
         gen.random(out=part)
@@ -288,17 +359,57 @@ class ClusterWalker:
 
 
 class PercBox(ClusterWalker):
-    """Sampling layout for ``ball(n)`` plus its outer shell."""
+    """Sampling layout for ``ball(n)`` plus its outer shell, built as far
+    as its walks reach.
+
+    The box holds the complete prefix of the layout that its
+    ``BallBuilder`` has built: the rows of the nodes of its first layers,
+    with their edges and edge words.  A walk that pops a node whose row is
+    not built doubles the built radius (``_FIRST_LAYERS`` first) until
+    the row is; since rows and edge ids are a prefix property of the
+    layout, every word stays word e of the sample's stream.  The whole box
+    is built by a walk with a field (ghost words start at ``n_edges``), an
+    exit walk that reaches the shell, ``draw_edges``, a public attribute,
+    and, on construction, a box whose key cube holds more than
+    ``LAYOUT_VERTEX_CAP`` nodes, so that a ball past the cap is refused
+    before any sample is drawn.
+    """
 
     def __init__(self, lattice: LatticeSpec, n: int):
         self.lattice = lattice
         self.n = n
-        layout = ball_layout(lattice, n)
-        self.edge_j = layout.edge_j
-        super().__init__(len(layout.layer), layout.edge_a, layout.edge_b,
-                         layout.layer)
+        self._builder = BallBuilder(lattice, n)
+        self._edge_j = np.zeros(0)
+        self._start(n + 2)  # the shell is layer n + 1
+        if self._builder.node_bound > latticemod.LAYOUT_VERTEX_CAP:
+            self._complete()
 
-    def open_probabilities(self, param: float) -> np.ndarray:
+    def _extend(self, radius: int) -> None:
+        chunk = self._builder.extend(radius)
+        self._edge_j = np.concatenate((self._edge_j, chunk.edge_j))
+        self._add(chunk.layer, chunk.edge_a, chunk.edge_b, chunk.rows,
+                  chunk.first_edge)
+
+    def _grow(self, node: int) -> None:
+        builder = self._builder
+        while node >= len(self._need) and not builder.done:
+            radius = max(2 * builder.radius, _FIRST_LAYERS)
+            self._extend(radius if radius < self.n else self.n + 1)
+
+    def _complete(self) -> "PercBox":
+        if not self._builder.done:
+            self._extend(self.n + 1)
+        return self
+
+    edge_j = property(lambda self: self._complete()._edge_j)
+
+    def open_probabilities(self, param: float) -> float | np.ndarray:
+        """The open probability of each edge at ``param``: one float on a
+        lattice with one coupling, which leaves the box as built, or an
+        array over the edges of the whole box."""
+        js = sorted({j for _, j in self.lattice.couplings})
+        if len(js) == 1:
+            return edge_weight(self.lattice, js[0], param)
         # one edge_weight call per distinct coupling
         js, inverse = np.unique(self.edge_j, return_inverse=True)
         weights = [edge_weight(self.lattice, j, param) for j in js.tolist()]

@@ -401,6 +401,21 @@ def test_simulate_refuses_a_box_past_the_layout_cap(tmp_path, capsys,
     assert len(err) == 1 and "layout cap" in err[0], err
 
 
+def test_simulate_refuses_a_susceptibility_box_past_the_layout_cap(
+        tmp_path, capsys, monkeypatch):
+    # clusters at p = 0.1 stay near the origin, so a box built only as far
+    # as its walks reach would run; the box's key cube is past the cap, so
+    # it is built whole, and refused, before any sample
+    monkeypatch.setattr(lattice_mod, "LAYOUT_VERTEX_CAP", 1000)
+    code = run_cli("simulate-perc", "--observable", "susceptibility",
+                   "--param", "0.1", "--n", "100000", "--samples", "1",
+                   "--seed", "1", "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "layout cap" in err[0], err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args, field", [
     (("simulate-ising", "--observable", "two-point", "--n", "2",
       "--distances", "1", "--h", "0.5", "--sweeps", "100"), "options.h"),

@@ -273,6 +273,52 @@ def test_full_mask_lanes_are_the_plain_sweeps():
     assert reach[1] == pytest.approx(alone @ coeffs[1], rel=1e-14)
 
 
+@pytest.mark.parametrize("lattice, n", [(LatticeSpec.square(), 2),
+                                        (LatticeSpec.triangular(), 1)],
+                         ids=["square", "triangular"])
+def test_one_parameter_sequence_is_the_scalar_sweep(monkeypatch, lattice, n):
+    # a one-element sequence without a mask skips the lane weights, and
+    # its row is bit for bit the call at that parameter
+    region = ball(lattice, n)
+    ties = tuple((i, j) for i, _, j in region.boundary_pairs)
+    coeffs = sample_stream(14, STREAM_TEST, 0).uniform(
+        0.0, 2.0, size=(len(region), 3))
+
+    def refused(*args):
+        raise AssertionError("a one-parameter sequence took the lane path")
+
+    monkeypatch.setattr(exact, "_lane_weights", refused)
+    for t in (exact.BASE_POINT_TIE, ties):
+        for p in (0.2, 0.45):
+            row = perc_reach(region, t, [p], coeffs)
+            assert row.shape == (1, 3)
+            assert row[0].tobytes() == perc_reach(region, t, p,
+                                                  coeffs).tobytes()
+            assert (perc_reach(region, t, [p], coeffs[None]).tobytes()
+                    == row.tobytes())
+
+
+def test_plan_cache_holds_at_most_the_plan_budget(monkeypatch, fresh_plans):
+    # two plans of square ball(2) that each fit the budget (42,152 and
+    # 17,920 bytes, built within 59,424 and 31,032) but not together: the
+    # second one drops the first, the least recently used, and keeps a
+    # small plan used since
+    monkeypatch.setattr(exact, "PLAN_BYTES", 60_000)
+    region = ball(LatticeSpec.square(), 2)
+    exit_ties = tuple((i, j) for i, _, j in region.boundary_pairs)
+    first = exact._tied_plan(region, exit_ties)
+    assert exact._tied_plan(region, exit_ties) is first
+    small = exact._tied_plan(region, exact.BASE_POINT_TIE)
+    second = exact._tied_plan(region, ((0, 1.0),))
+    assert first.nbytes + second.nbytes > exact.PLAN_BYTES
+    assert [id(p) for p in exact._plans.values()] == [id(small), id(second)]
+    assert sum(p.nbytes for p in exact._plans.values()) <= exact.PLAN_BYTES
+    rebuilt = exact._tied_plan(region, exit_ties)
+    assert rebuilt is not first and rebuilt.nbytes == first.nbytes
+    exact._frontier_plan.cache_clear()
+    assert not exact._plans
+
+
 def test_a_bond_mask_needs_a_parameter_sequence():
     # a single parameter has no lane axis for the mask to ride on, so a
     # mask beside it is refused rather than dropped

@@ -3,11 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from subcrit import lattice as lattice_mod
-from subcrit.lattice import (LatticeSpec, Region, ball, ball_layout,
-                             edge_weight, translate_region)
+from subcrit.lattice import (BallBuilder, LatticeSpec, Region, ball,
+                             ball_layout, edge_weight, translate_region)
 
 
 def bfs_ball(lattice, n):
@@ -189,6 +190,50 @@ def test_ball_layout_matches_ball(lattice, n):
     dist = lattice.distances_from_origin(nodes)
     assert layout.layer.tolist() == [dist[v] for v in nodes]
     assert set(layout.layer[len(region):].tolist()) <= {n + 1}
+
+
+@pytest.mark.parametrize("lattice", LAYOUT_LATTICES,
+                         ids=lambda lattice: lattice.family)
+def test_ball_builder_in_steps_is_ball_layout(lattice):
+    # a builder extended a few layers at a time adds, step by step, the
+    # nodes and edges of ball_layout's single step; after each step the
+    # nodes of the layers below the radius have every edge, and none of
+    # their edges lies before first_edge
+    n = 9
+    layout = ball_layout(lattice, n)
+    builder = BallBuilder(lattice, n)
+    chunks, edges = [], 0
+    for radius in (1, 2, 3, 5, 8, 9, 12):
+        chunk = builder.extend(radius)
+        assert builder.radius == min(radius, n + 1)
+        nodes = sum(len(c.keys) for c in chunks + [chunk])
+        if radius <= n:
+            assert chunk.rows == int((layout.layer < radius).sum())
+        else:
+            assert chunk.rows == nodes == len(layout.layer)
+        edges += len(chunk.edge_a)
+        rows = range(chunks[-1].rows if chunks else 0, chunk.rows)
+        touching = [e for e in range(edges)
+                    if layout.edge_a[e] in rows or layout.edge_b[e] in rows]
+        assert min(touching, default=chunk.first_edge) >= chunk.first_edge
+        assert all(layout.edge_a[e] < chunk.rows and layout.edge_b[e] < nodes
+                   for e in range(edges))
+        chunks.append(chunk)
+    assert builder.done and builder.n_inside == layout.n_inside
+    keys = np.concatenate([c.keys for c in chunks])
+    assert (builder.coords(keys) == layout.coords).all()
+    for name in ("layer", "edge_a", "edge_b", "edge_j"):
+        built = np.concatenate([getattr(c, name) for c in chunks])
+        assert built.dtype == getattr(layout, name).dtype
+        assert (built == getattr(layout, name)).all(), name
+    assert edges - len(chunks[-1].edge_a) + chunks[-1].n_internal == (
+        layout.n_internal)
+    with pytest.raises(ValueError, match=r"^ball\(9\) is built$"):
+        builder.extend(n + 5)
+    fresh = BallBuilder(lattice, n)
+    fresh.extend(3)
+    with pytest.raises(ValueError, match="^the layers below 3 are built$"):
+        fresh.extend(3)
 
 
 def test_ball_layout_rejects_keys_beyond_int64():

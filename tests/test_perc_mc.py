@@ -12,8 +12,10 @@ from subcrit.errors import DegenerateFit
 from subcrit.exact import naive_event_prob, perc_connect_probs, perc_exit_prob
 from subcrit.ising_mc import (SpinSystem, check_critical_divergence,
                               estimate_magnetization, estimate_two_point)
-from subcrit.lattice import LatticeSpec, Region, ball, incidence_csr
-from subcrit.perc_mc import (PercBox, estimate_ghost_magnetization,
+from subcrit.lattice import (LatticeSpec, Region, ball, ball_layout,
+                             incidence_csr)
+from subcrit.perc_mc import (ClusterWalker, PercBox,
+                             estimate_ghost_magnetization,
                              exit_profile, fit_decay_rate,
                              susceptibility_profile)
 from subcrit.stats import MCEstimate
@@ -332,6 +334,145 @@ def test_small_clusters_mirror_few_rows():
     assert len(box._ptr) - 1 < 0.05 * box.n_nodes
     assert len(box._nbr) < 0.05 * 2 * box.n_edges
     assert len(box._layer) < 0.05 * box.n_nodes
+
+
+def whole_walker(lattice, n):
+    layout = ball_layout(lattice, n)
+    return ClusterWalker(len(layout.layer), layout.edge_a, layout.edge_b,
+                         layout.layer), layout
+
+
+PREFIX_BALLS = [(P_LAT, 12), (T_LAT, 12), (LatticeSpec.hypercubic(3), 8),
+                (LONG_LAT, 12)]
+PREFIX_IDS = ["square", "triangular", "cubic", "custom"]
+
+
+@pytest.mark.parametrize("lattice, n", PREFIX_BALLS, ids=PREFIX_IDS)
+def test_ball_prefixes_are_final(lattice, n):
+    # for m < n, ball(m) and ball(n) share the nodes of layers <= m, and
+    # the rows, edge ids, couplings and need of the nodes of layers < m:
+    # what a box built to radius m holds is already ball(n)'s
+    big, big_layout = whole_walker(lattice, n)
+    for m in range(1, n):
+        small, small_layout = whole_walker(lattice, m)
+        nodes = int((small_layout.layer <= m).sum())
+        assert (small_layout.coords[:nodes] == big_layout.coords[:nodes]).all()
+        assert (small._node_layer[:nodes] == big._node_layer[:nodes]).all()
+        rows = int((small_layout.layer < m).sum())
+        assert small._need[:rows] == big._need[:rows]
+        ptr, nbr, eid = small._csr
+        big_ptr, big_nbr, big_eid = big._csr
+        assert (ptr[:rows + 1] == big_ptr[:rows + 1]).all()
+        assert (nbr[:ptr[rows]] == big_nbr[:ptr[rows]]).all()
+        assert (eid[:ptr[rows]] == big_eid[:ptr[rows]]).all()
+        edges = small._need[rows - 1]
+        assert edges == int(eid[:ptr[rows]].max()) + 1
+        for name in ("edge_a", "edge_b", "edge_j"):
+            assert (getattr(small_layout, name)[:edges]
+                    == getattr(big_layout, name)[:edges]).all()
+
+
+@pytest.mark.parametrize("lattice, n", PREFIX_BALLS, ids=PREFIX_IDS)
+def test_grown_box_is_the_whole_box(lattice, n, monkeypatch):
+    # a box grown a layer, then a doubling radius, at a time holds after
+    # each step a prefix of the whole box's arrays, and at the end all of
+    # them: CSR rows, need, layers and edges
+    monkeypatch.setattr(perc_mc, "_FIRST_LAYERS", 1)
+    whole, layout = whole_walker(lattice, n)
+    box = PercBox(lattice, n)
+    assert not box._need and box._node_layer is None
+    radii = []
+    while not box._builder.done:
+        box._grow(len(box._need))
+        radii.append(box._builder.radius)
+        rows, nodes, edges = (len(box._need), len(box._node_layer),
+                              len(box._edge_a))
+        assert box._need == whole._need[:rows]
+        ptr, nbr, eid = box._csr
+        assert len(ptr) == rows + 1 and len(nbr) == ptr[-1] == len(eid)
+        assert (ptr == whole._csr[0][:rows + 1]).all()
+        assert (nbr == whole._csr[1][:ptr[-1]]).all()
+        assert (eid == whole._csr[2][:ptr[-1]]).all()
+        assert (box._node_layer == layout.layer[:nodes]).all()
+        assert (box._edge_a == layout.edge_a[:edges]).all()
+        assert (box._edge_b == layout.edge_b[:edges]).all()
+        assert (box._edge_j == layout.edge_j[:edges]).all()
+        assert len(box._open) == len(box._edge_u) == edges
+        assert len(box.seen) == nodes
+    assert radii == [r for r in (1, 2, 4, 8) if r < n] + [n + 1]
+    ptr, nbr, eid = incidence_csr(len(layout.layer), layout.edge_a,
+                                  layout.edge_b)
+    assert all((a == b).all() for a, b in zip(box._csr, (ptr, nbr, eid)))
+    assert box.n_nodes == len(layout.layer)
+    assert box.n_edges == len(layout.edge_a)
+    for name in ("layer", "edge_a", "edge_b", "edge_j"):
+        assert (getattr(box, name) == getattr(layout, name)).all()
+
+
+@pytest.mark.parametrize("first_draw", [1, perc_mc._FIRST_DRAW])
+@pytest.mark.parametrize("lattice, n_box", LAZY_BOXES[:4],
+                         ids=["square", "triangular", "cubic", "custom3"])
+def test_lazy_box_walks_match_the_whole_box(lattice, n_box, first_draw,
+                                            monkeypatch):
+    # a box that grows as its walks reach gives every walk the result of a
+    # box built whole; with one first layer and one first word, growth
+    # and draws interleave at every step.  A field builds the whole box.
+    monkeypatch.setattr(perc_mc, "_FIRST_DRAW", first_draw)
+    monkeypatch.setattr(perc_mc, "_FIRST_LAYERS", 1)
+    whole = PercBox(lattice, n_box)
+    top = n_box + 1
+    roots = (0, whole.n_nodes // 3)
+    lazy = PercBox(lattice, n_box)
+    weights = lazy.open_probabilities(0.2)
+    assert lazy._node_layer is None
+    for i in range(40):
+        assert (lazy.origin_cluster(weights, 8, 3, i, stop_layer=2)
+                == whole.origin_cluster(weights, 8, 3, i, stop_layer=2))
+    assert not lazy._builder.done
+    for param in (0.25, 0.6):
+        weights = lazy.open_probabilities(param)
+        for i in range(30):
+            for root in roots:
+                for stop in (None, 1, (top - 1) // 2 + 1, top):
+                    assert (lazy.origin_cluster(weights, 8, 3, i,
+                                                stop_layer=stop, root=root)
+                            == whole.origin_cluster(weights, 8, 3, i,
+                                                    stop_layer=stop,
+                                                    root=root))
+    fresh = PercBox(lattice, n_box)
+    assert (fresh.origin_cluster(weights, 8, 3, 0, h=0.02)
+            == whole.origin_cluster(weights, 8, 3, 0, h=0.02))
+    assert fresh._builder.done
+
+
+def test_open_probabilities_per_coupling():
+    # one coupling gives one float and leaves the box unbuilt; several give
+    # an array over the edges of the whole box, one weight per coupling
+    box = PercBox(T_LAT, 3)
+    assert box.open_probabilities(0.3) == -math.expm1(-0.3)
+    assert box._node_layer is None
+    two_j = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
+                                ((0, 1), 0.5), ((0, -1), 0.5)])
+    box = PercBox(two_j, 3)
+    weights = box.open_probabilities(0.3)
+    assert box._builder.done
+    assert weights.tolist() == [-math.expm1(-0.3 * j)
+                                for j in box.edge_j.tolist()]
+    assert set(weights.tolist()) == {-math.expm1(-0.3), -math.expm1(-0.15)}
+
+
+def test_small_clusters_build_few_layers():
+    # at p = 0.25 the walks of 800 susceptibility samples on ball(96) never
+    # pass layer 13, so the box builds the rows of its first 16 layers:
+    # under 5 % of ball(96) and its shell (read without a public
+    # attribute, which would build the whole box)
+    perc_mc._box.cache_clear()
+    susceptibility_profile(P_LAT, 96, [96], 0.25, 800, 1)
+    box = perc_mc._box(P_LAT, 96)
+    nodes = len(ball_layout(P_LAT, 96).layer)
+    assert len(box._need) < 0.05 * nodes
+    assert len(box._node_layer) < 0.05 * nodes
+    assert not box._builder.done
 
 
 def test_fixed_seed_outputs_are_pinned():
