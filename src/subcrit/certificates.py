@@ -321,9 +321,9 @@ def compute_phi(model: str, lattice: LatticeSpec, region: Region,
         return _phi_percolation_mc(region, param, samples, seed)
 
 
-def _certifies(phi: PhiResult) -> bool:
+def _certifies(upper: float) -> bool:
     """The one decision rule: phi's upper bound is below 1 - epsilon."""
-    return phi.upper_confidence < 1.0 - EPSILON_CERT
+    return upper < 1.0 - EPSILON_CERT
 
 
 def certify_subcritical(model: str, lattice: LatticeSpec, region: Region,
@@ -336,7 +336,7 @@ def certify_subcritical(model: str, lattice: LatticeSpec, region: Region,
     """
     model = _normalize_model(model)
     phi = exact_phi(model, lattice, region, param)
-    if _certifies(phi):
+    if _certifies(phi.upper_confidence):
         return Certificate(model=model, lattice=lattice, region=region,
                            param=param, phi=phi)
     return Refusal(model=model, lattice=lattice, region=region, param=param,
@@ -399,14 +399,16 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
     model = _normalize_model(model)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if region.lattice != lattice:
+        raise ValueError("region was built on a different lattice")
     target = 1.0 - EPSILON_CERT
     lo, g_lo = 0.0, -math.inf  # phi = 0 at parameter 0 for both models
     hi = _param_max(model, lattice)
-    phi = exact_phi(model, lattice, region, hi)
+    phi = float(phi_sweep(model, region, hi))
     if _certifies(phi):
         raise NoRoot(f"phi stays below 1 - {EPSILON_CERT:g} up to "
                      f"param={hi:g}")
-    g_hi = _log(phi.upper_confidence / target)
+    g_hi = _log(phi / target)
     weight, param_of = _weight_axis(model, lattice)
     kept, slow, width = None, 0, hi - lo
     for _ in range(_MAX_STEPS):
@@ -422,8 +424,8 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
             t = param_of(w) if w < 1.0 else hi
         t = min(max(t, lo + 0.5 * tol, math.nextafter(lo, hi)),
                 hi - 0.5 * tol, math.nextafter(hi, lo))
-        phi = exact_phi(model, lattice, region, t)
-        g_t = _log(phi.upper_confidence / target)
+        phi = float(phi_sweep(model, region, t))
+        g_t = _log(phi / target)
         # Illinois: halve g at an end that stays for a second step running
         if _certifies(phi):
             if kept == "hi":
@@ -495,7 +497,7 @@ def chi_upper_bound(region: Region, param: float, phi: PhiResult) -> float:
     """
     if phi.param != param:
         raise ValueError("phi was evaluated at a different parameter")
-    if not _certifies(phi):
+    if not _certifies(phi.upper_confidence):
         raise ValueError("phi >= 1 - epsilon certifies nothing")
     return len(region.vertices) / (1.0 - phi.upper_confidence)
 
@@ -507,7 +509,7 @@ def decay_upper_bound(region: Region, phi: PhiResult, n: int) -> float:
     L is the region's reach (max vertex distance plus the coupling range);
     for n < L the floor is zero and the bound is the trivial 1.
     """
-    if not _certifies(phi):
+    if not _certifies(phi.upper_confidence):
         raise ValueError("phi >= 1 - epsilon certifies nothing")
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -336,11 +336,6 @@ def perc_reach(region: Region, ties: tuple[tuple[int, float], ...],
     if one:
         return _perc_sweep(plan.steps, *_op_weights(region, ties, param),
                            coeffs)
-    if len(params) == 1 and keep is None:
-        # the one lane's sweep in floats, as the lane path would run it
-        return _perc_sweep(plan.steps, *_op_weights(region, ties,
-                                                    float(params[0])),
-                           coeffs[0])[None]
     n_params, n_vertices, k = coeffs.shape
     return np.concatenate([
         _perc_sweep(plan.steps, *_lane_weights(

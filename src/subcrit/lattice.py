@@ -33,7 +33,7 @@ _FAMILIES = ("square", "triangular", "hypercubic")
 _TRIANGULAR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
 # Most nodes (ball plus shell) a ball_layout builds; the largest square ball
-# within it is ball(1446).  A box's arrays and its walker's mirrored rows
+# within it is ball(1446).  A box's arrays and its walker's Python rows
 # take a few hundred bytes a node, so the cap keeps a box near a gigabyte.
 LAYOUT_VERTEX_CAP = 1 << 22
 
@@ -398,9 +398,10 @@ class BallBuilder:
         self._okeys = (np.array(offsets, dtype=np.int64).reshape(-1, dim)
                        @ self._place)
         self._js = np.array([j for _, j in lattice.couplings], dtype=float)
-        origin = np.array([reach * int(self._place.sum())], dtype=np.int64)
+        self._origin = np.array([reach * int(self._place.sum())],
+                                dtype=np.int64)
         # the last two layers (an empty layer -1 first), from node _first on
-        self._layers = [origin[:0], origin]
+        self._layers = [self._origin[:0], self._origin]
         self._first = 0
         self._nodes = 1  # nodes built
         self._reported = 0  # nodes returned by extend
@@ -410,6 +411,34 @@ class BallBuilder:
     @property
     def done(self) -> bool:
         return self.radius > self.n
+
+    @cached_property
+    def n_edges(self) -> int:
+        """Edges of ball(n) and its shell from the BFS layers alone, no row
+        built: (|ball(n)| * deg + the pairs from layer n into the shell)
+        / 2, as an internal edge takes two (node, offset) pairs."""
+        previous, current = self._origin[:0], self._origin
+        inside = 1
+        for _ in range(self.n):
+            previous, current = current, self._next_layer(previous, current)
+            inside += current.size
+        shell = self._next_layer(previous, current)
+        pairs = np.count_nonzero(_sorted_member(
+            shell, (current[:, None] + self._okeys).ravel()))
+        return (inside * self._okeys.size + int(pairs)) // 2
+
+    def _next_layer(self, previous: np.ndarray,
+                    current: np.ndarray) -> np.ndarray:
+        """The sorted keys of the BFS layer after ``current``, whose layer
+        before is ``previous``."""
+        reached = (current[:, None] + self._okeys).ravel()
+        reached.sort()
+        reached = reached[np.concatenate(([True],
+                                          reached[1:] != reached[:-1]))]
+        fresh = ~_sorted_member(current, reached)
+        if previous.size:
+            fresh &= ~_sorted_member(previous, reached)
+        return reached[fresh]
 
     def coords(self, keys: np.ndarray) -> np.ndarray:
         """The coordinates of node keys, as a (len(keys), dim) array."""
@@ -426,18 +455,9 @@ class BallBuilder:
             raise ValueError(f"the layers below {self.radius} are built")
         radius = min(radius, n + 1)
         window = list(self._layers)
-        previous, current = window
         while len(window) - 2 < radius - self.radius:
-            reached = (current[:, None] + self._okeys).ravel()
-            reached.sort()
-            reached = reached[np.concatenate(([True],
-                                              reached[1:] != reached[:-1]))]
-            fresh = ~_sorted_member(current, reached)
-            if previous.size:
-                fresh &= ~_sorted_member(previous, reached)
-            previous, current = current, reached[fresh]
-            window.append(current)
-            self._nodes += current.size
+            window.append(self._next_layer(*window[-2:]))
+            self._nodes += window[-1].size
             if self._nodes > LAYOUT_VERTEX_CAP:
                 raise ValueError(f"ball({n}) with its shell has more than "
                                  f"{LAYOUT_VERTEX_CAP} nodes, the layout cap")

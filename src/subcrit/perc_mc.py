@@ -17,14 +17,14 @@ bit-reproducible regardless of batching.
 A box is built as far as its walks reach: its ``lattice.BallBuilder``
 adds BFS layers, doubling the built radius, when a walk pops a node whose
 row is not built yet, and its walk is the ``ClusterWalker`` that the Wolff
-chains and the Monte Carlo phi share too.  The walker keeps the adjacency
-in numpy and mirrors a node's row into the Python lists its loop reads
-only once the walk has drawn that node's edge words.  At p = 0.25 on
+chains and the Monte Carlo phi share too.  The walker turns each new row
+into the Python lists its loop reads as the row is built.  At p = 0.25 on
 ball(96) the walks of 800 susceptibility samples build the rows of the
-first 16 layers (481 of the box's 19,013 nodes) and mirror 234.  A walk
-with a field (ghost words start after the box's last edge word), an exit
-walk that reaches the shell, and a Wolff system build the whole box, each
-layer once.
+first 16 layers (481 of the box's 19,013 nodes).  A walk with a field
+grows the box the same way: its ghost words start at the box's edge
+count, which the builder counts from the BFS layers without building a
+row.  An exit walk that reaches the shell and a Wolff system build the
+whole box, each layer once.
 
 Estimators walk the open cluster of the origin and stop once the event is
 decided: exit profiles at the first site beyond the largest radius, the
@@ -74,19 +74,15 @@ class ClusterWalker:
     a Wolff walk draws them all with ``draw_edges``, then walks them
     (``drawn_cluster``) or labels them in numpy with ``component``.
 
-    The adjacency is kept as numpy CSR arrays (node v's edges
-    ``eid[ptr[v]:ptr[v + 1]]`` lead to ``nbr[...]``) next to the layers.
-    The walk indexes Python lists mirrored from them, and only for a prefix
-    of the nodes: a walk extends the mirror when it draws more edge words,
-    to every node whose edges are then drawn, or when its root lies past
-    the prefix; the mirrored layers also cover every neighbor of a
-    mirrored row.  A walker built for a large box that its walks barely
-    leave converts only the rows near its roots.
+    The walk indexes the layers and the adjacency as Python lists, each
+    row made once from numpy when it is added (``_add``); the edges stay
+    in numpy for ``component`` and the public attributes.
 
     A subclass may hold only a prefix of the rows (``PercBox``): a walk
     that pops a node whose row is not built calls ``_grow``, and every
     public attribute (``n_nodes``, ``n_edges``, ``edge_a``, ``edge_b``,
-    ``layer``) first builds the whole graph (``_complete``).
+    ``layer``) first builds the whole graph (``_complete``), except a
+    subclass's ``n_edges`` that it counts without building.
     """
 
     def __init__(self, n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray,
@@ -98,24 +94,22 @@ class ClusterWalker:
         """No node built yet; ``no_stop``, a layer past every node's, is
         where a walk given no ``stop_layer`` stops."""
         self._no_stop = no_stop
-        # the built prefix: every node's layer, the edges, and the CSR rows
-        # of the first len(_need) nodes.  A row lists its edges in id
-        # order, so node v's edges are drawn once the first _need[v] words
-        # are.  The running maximum makes _need sorted: nodes v <
-        # bisect_right(_need, drawn) have all their edges.
-        self._node_layer = self._edge_a = self._edge_b = None
-        self._csr = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                     np.zeros(0, dtype=np.int64))
-        self._need: list[int] = []
-        # the rows of the first _mirrored nodes as Python lists (see the
-        # class docstring)
-        self._mirrored = 0
+        # the built prefix: the edges, and as Python lists, which grow in
+        # place so that a walk's names for them stay valid, every node's
+        # layer and the rows of the first len(_need) nodes (node v's edges
+        # _eid[_ptr[v]:_ptr[v + 1]] lead to _nbr[...]).  A row lists its
+        # edges in id order, so node v's edges are drawn once the first
+        # _need[v] words are.  The running maximum makes _need sorted:
+        # nodes v < bisect_right(_need, drawn) have all their edges.
+        self._edge_a = self._edge_b = np.zeros(0, dtype=np.int32)
         self._ptr, self._nbr, self._eid, self._layer = [0], [], [], []
+        self._need: list[int] = []
         # generators and draw buffers, reused by every walk (so one walker
         # serves one walk at a time); the masks are numpy views of the
         # bytearrays the walk indexes
         self._edge_gen = self._ghost_gen = None
         self._open = bytearray()
+        self._ghost_open = bytearray()
         self.seen = bytearray()
 
     def _add(self, layer: np.ndarray, edge_a: np.ndarray, edge_b: np.ndarray,
@@ -123,14 +117,12 @@ class ClusterWalker:
         """Append nodes (by their layers) and edges to the built prefix,
         and the rows of the nodes before ``rows`` not built yet, whose
         edges all have ids from ``first_edge`` on.  The draw buffers are
-        replaced, the drawn mask copied, and ``seen`` lengthened; a walk
+        replaced, the drawn masks copied, and ``seen`` lengthened; a walk
         under way re-reads its names for them."""
-        if self._node_layer is not None:
-            layer = np.concatenate((self._node_layer, layer))
-            edge_a = np.concatenate((self._edge_a, edge_a))
-            edge_b = np.concatenate((self._edge_b, edge_b))
-        self._node_layer, self._edge_a, self._edge_b = layer, edge_a, edge_b
-        n_nodes, n_edges = len(layer), len(edge_a)
+        self._layer += layer.tolist()
+        edge_a = self._edge_a = np.concatenate((self._edge_a, edge_a))
+        edge_b = self._edge_b = np.concatenate((self._edge_b, edge_b))
+        n_nodes, n_edges = len(self._layer), len(edge_a)
         built = len(self._need)
         ptr, nbr, eid = incidence_csr(rows, edge_a[first_edge:],
                                       edge_b[first_edge:], built, first_edge)
@@ -140,18 +132,16 @@ class ClusterWalker:
         if built:
             last[0] = max(last[0], self._need[-1])
         self._need += np.maximum.accumulate(last).tolist()
-        old_ptr, old_nbr, old_eid = self._csr
-        self._csr = (np.concatenate((old_ptr, ptr[1:] + len(old_nbr))),
-                     np.concatenate((old_nbr, nbr)),
-                     np.concatenate((old_eid, eid)))
+        self._ptr += (ptr[1:] + len(self._nbr)).tolist()
+        self._nbr += nbr.tolist()
+        self._eid += eid.tolist()
 
         self._edge_u = np.empty(n_edges)
-        is_open = bytearray(n_edges)
-        is_open[:len(self._open)] = self._open
-        self._open = is_open
-        self._open_mask = np.frombuffer(is_open, dtype=np.bool_)
+        self._open = self._open + bytes(n_edges - len(self._open))
+        self._open_mask = np.frombuffer(self._open, dtype=np.bool_)
         self._ghost_u = np.empty(n_nodes)
-        self._ghost_open = bytearray(n_nodes)
+        self._ghost_open = self._ghost_open + bytes(
+            n_nodes - len(self._ghost_open))
         self._ghost_mask = np.frombuffer(self._ghost_open, dtype=np.bool_)
         self.seen = self.seen + bytes(n_nodes - len(self.seen))
 
@@ -164,18 +154,17 @@ class ClusterWalker:
         return self
 
     # the whole graph, built first
-    n_nodes = property(lambda self: len(self._complete()._node_layer))
+    n_nodes = property(lambda self: len(self._complete()._layer))
     n_edges = property(lambda self: len(self._complete()._edge_a))
     edge_a = property(lambda self: self._complete()._edge_a)
     edge_b = property(lambda self: self._complete()._edge_b)
-    layer = property(lambda self: self._complete()._node_layer)
+    layer = property(lambda self: np.array(self._complete()._layer))
 
     def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
                        index: int, h: float = 0.0,
-                       stop_layer: int | None = None, root: int = 0,
-                       blocked: bytearray | None = None
+                       stop_layer: int | None = None
                        ) -> tuple[list[int], int, bool]:
-        """Walk over the open cluster of ``root`` in one sample.
+        """Walk over the open cluster of node 0, the origin, in one sample.
 
         Sample ``index`` of ``stream`` opens edge e when word e of its
         stream is below ``weights[e]`` (or below ``weights`` itself, a
@@ -183,20 +172,16 @@ class ClusterWalker:
         ``n_edges + v`` is below ``1 - exp(-h)``.  Words are drawn as the
         walk first needs them, a doubling prefix at a time.  The walk is
         depth-first at h = 0 and breadth-first for h > 0: any member's
-        ghost bond decides that event, and the members nearest the root
+        ghost bond decides that event, and the members nearest the origin
         have the lowest indices in the box layouts, so the walk reads a
         shorter prefix of edge and ghost words.
 
-        ``blocked``, a bytearray over the nodes that the walk then owns,
-        marks nodes it never enters, as if every edge into them were
-        closed; it becomes the walk's ``self.seen``.
-
         Returns ``(members, max_layer, hit_ghost)``; ``members`` lists node
-        indices in discovery order, and ``self.seen`` marks them and the
-        blocked nodes until the next walk.  The walk returns as soon as the
-        event is decided: when a ghost bond of a member is open
-        (``hit_ghost`` is then True), or when it reaches a node of layer
-        ``stop_layer`` or beyond (``max_layer`` is then that node's layer).
+        indices in discovery order, and ``self.seen`` marks them until the
+        next walk.  The walk returns as soon as the event is decided: when
+        a ghost bond of a member is open (``hit_ghost`` is then True), or
+        when it reaches a node of layer ``stop_layer`` or beyond
+        (``max_layer`` is then that node's layer).
         Otherwise it covers the whole cluster and ``max_layer`` is the
         cluster's largest layer.
         """
@@ -209,34 +194,37 @@ class ClusterWalker:
             # ghost words start after the last edge word
             ghost_gen = self._ghost_gen = rngmod.sample_stream(
                 seed, stream, index, start=self.n_edges, gen=self._ghost_gen)
-        if root >= len(self._need):
-            self._grow(root)
-        if root >= self._mirrored:
-            self._mirror(root + 1)
-        return self._walk(root, stop_layer, blocked, gen, weights, ghost_gen,
-                          h)
+        if not self._need:
+            self._grow(0)
+        return self._walk(0, stop_layer, None, gen, weights, ghost_gen, h)
 
     def drawn_cluster(self, root: int = 0, stop_layer: int | None = None,
                       blocked: bytearray | None = None
                       ) -> tuple[list[int], int, bool]:
-        """:meth:`origin_cluster` at h = 0 on the edge words that
-        ``draw_edges`` drew for the sample, opening no stream."""
+        """:meth:`origin_cluster` at h = 0 from ``root`` on the edge words
+        that ``draw_edges`` drew for the sample, opening no stream.
+
+        ``blocked``, a bytearray over the nodes that the walk then owns,
+        marks nodes it never enters, as if every edge into them were
+        closed; it becomes the walk's ``self.seen``, which marks them and
+        the members until the next walk.
+        """
         return self._walk(root, stop_layer, blocked)
 
     def _walk(self, root: int, stop_layer: int | None,
               blocked: bytearray | None, gen=None, weights=None,
               ghost_gen=None, h: float = 0.0) -> tuple[list[int], int, bool]:
-        """The walk of :meth:`origin_cluster`, drawing edge words from
-        ``gen`` against ``weights``, or reading those ``draw_edges`` drew
-        (and the rows it mirrored) when ``gen`` is None, and ghost words
-        from ``ghost_gen`` for h > 0."""
+        """The walk of :meth:`origin_cluster` from ``root``, drawing edge
+        words from ``gen`` against ``weights``, or reading those
+        ``draw_edges`` drew when ``gen`` is None, and ghost words from
+        ``ghost_gen`` for h > 0."""
         # edge words drawn; nodes v < ready have all theirs
         drawn, ready = ((0, 0) if gen is not None
                         else (len(self._open), len(self._need)))
         ptr, nbr, eid, layer = self._ptr, self._nbr, self._eid, self._layer
         need, is_open = self._need, self._open
         if blocked is None:
-            blocked = bytearray(len(self._node_layer))
+            blocked = bytearray(len(self._layer))
         self.seen = seen = blocked
         seen[root] = 1
         members = [root]
@@ -260,11 +248,11 @@ class ClusterWalker:
                 if v >= len(need):
                     self._grow(v)
                     is_open, seen = self._open, self.seen
+                    if ghost is not None:
+                        ghost = self._ghost_open
                 drawn = self._draw(gen, self._edge_u, self._open_mask, weights,
                                    drawn, need[v])
                 ready = bisect_right(need, drawn)
-                if ready > self._mirrored:
-                    self._mirror(ready)
             for t in range(ptr[v], ptr[v + 1]):
                 if is_open[eid[t]]:
                     w = nbr[t]
@@ -296,8 +284,6 @@ class ClusterWalker:
                                                     gen=self._edge_gen)
         gen.random(out=self._edge_u)
         np.less(self._edge_u, weights, out=self._open_mask)
-        if self._mirrored < len(self._need):
-            self._mirror(len(self._need))
         return gen
 
     def component(self, keep: np.ndarray, root: int = 0) -> int:
@@ -311,7 +297,7 @@ class ClusterWalker:
         """
         kept = self._open_mask & keep
         a, b = self._edge_a[kept], self._edge_b[kept]
-        label = np.arange(len(self._node_layer))
+        label = np.arange(len(self._layer))
         while True:
             la, lb = label[a], label[b]
             differ = la != lb
@@ -329,21 +315,6 @@ class ClusterWalker:
         in_cluster = label == label[root]
         self.seen = bytearray(in_cluster.view(np.uint8))
         return int(np.count_nonzero(in_cluster))
-
-    def _mirror(self, nodes: int) -> None:
-        """Extend the Python rows to the first ``nodes`` nodes, and the
-        Python layers to every neighbor of those rows.  The lists grow in
-        place, so a walk's local names for them stay valid."""
-        ptr, nbr, eid = self._csr
-        start, stop = ptr[self._mirrored], ptr[nodes]
-        rows = nbr[start:stop]
-        self._ptr += ptr[self._mirrored + 1:nodes + 1].tolist()
-        self._nbr += rows.tolist()
-        self._eid += eid[start:stop].tolist()
-        top = max(nodes, int(rows.max(initial=-1)) + 1)
-        if top > len(self._layer):
-            self._layer += self._node_layer[len(self._layer):top].tolist()
-        self._mirrored = nodes
 
     @staticmethod
     def _draw(gen, uniforms, mask, weights, drawn, needed):
@@ -367,12 +338,13 @@ class PercBox(ClusterWalker):
     with their edges and edge words.  A walk that pops a node whose row is
     not built doubles the built radius (``_FIRST_LAYERS`` first) until
     the row is; since rows and edge ids are a prefix property of the
-    layout, every word stays word e of the sample's stream.  The whole box
-    is built by a walk with a field (ghost words start at ``n_edges``), an
-    exit walk that reaches the shell, ``draw_edges``, a public attribute,
-    and, on construction, a box whose key cube holds more than
-    ``LAYOUT_VERTEX_CAP`` nodes, so that a ball past the cap is refused
-    before any sample is drawn.
+    layout, every word stays word e of the sample's stream.  A walk with a
+    field grows the box like any other: ``n_edges``, where its ghost words
+    start, is the builder's count, which builds no row.  The whole box is
+    built by an exit walk that reaches the shell, ``draw_edges``, another
+    public attribute, and, on construction, a box whose key cube holds
+    more than ``LAYOUT_VERTEX_CAP`` nodes, so that a ball past the cap is
+    refused before any sample is drawn.
     """
 
     def __init__(self, lattice: LatticeSpec, n: int):
@@ -402,6 +374,7 @@ class PercBox(ClusterWalker):
         return self
 
     edge_j = property(lambda self: self._complete()._edge_j)
+    n_edges = property(lambda self: self._builder.n_edges)
 
     def open_probabilities(self, param: float) -> float | np.ndarray:
         """The open probability of each edge at ``param``: one float on a
@@ -468,7 +441,7 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
     box = _box(lattice, n_box)
     weights = box.open_probabilities(param)
     counts: dict[int, list[float]] = {r: [] for r in radii}
-    layer = box._layer  # mirrored for every member a walk returns
+    layer = box._layer  # built for every member a walk returns
     for i in range(samples):
         members, _, _ = box.origin_cluster(weights, seed,
                                            rngmod.STREAM_SUSCEPTIBILITY, i)

@@ -15,8 +15,9 @@ per-vertex values in region-index order.  Every grid is validated, finite
 and in range, before the first sweep, and a NaN margin fails its report.
 
 The subset infima are taken over *all* subsets of the region that contain
-the base point, including disconnected ones (a disconnected subset can
-have a strictly smaller boundary functional).  One sweep of the region
+the base point, disconnected ones included, though phi(S) = phi(S0) for S0
+the coupled component of S that holds the base point (no vertex of S0 is
+coupled to the rest of S, which adds zero).  One sweep of the region
 serves them all: each (parameter, subset) pair is a lane of its sweep, in
 which every bond leaving the subset is closed (percolation) or decoupled
 (Ising), so an infimum over ball(1) at a whole grid is one sweep.
@@ -139,7 +140,8 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
     """Exact infimum of phi(S) over every subset S of ``region`` containing
     the base point (2^(|region|-1) of them), with the minimizing subset:
     ``(value, subset)`` at one parameter, or a list of them at every
-    parameter of a sequence.
+    parameter of a sequence.  It equals, up to rounding, the infimum over
+    the connected subsets (see the module docstring).
 
     The sweeps of ``region`` serve every subset: each (parameter, subset)
     pair is a lane of :func:`certificates.phi_sweep`, with every bond that

@@ -254,13 +254,13 @@ def _root_cases():
 
 def _counted_phi(monkeypatch):
     params = []
-    evaluate = certificates.exact_phi
+    evaluate = certificates.phi_sweep
 
-    def counted(model, lattice, region, param):
+    def counted(model, region, param, **kwargs):
         params.append(param)
-        return evaluate(model, lattice, region, param)
+        return evaluate(model, region, param, **kwargs)
 
-    monkeypatch.setattr(certificates, "exact_phi", counted)
+    monkeypatch.setattr(certificates, "phi_sweep", counted)
     return params
 
 

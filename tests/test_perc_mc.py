@@ -238,12 +238,14 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                                                       monkeypatch):
     # with first_draw = 1 the prefix grows from a single word, so every
     # doubling step is exercised on these small graphs; the spin graphs
-    # carry a ghost node as their last node, in the last layer.  Labeling
-    # the edges draw_edges opened in numpy, all of them or those a random
-    # keep mask marks, marks the same cluster as the walk over those edges
+    # carry a ghost node as their last node, in the last layer.  A walk on
+    # the words draw_edges drew, from any root, is the walk over them, and
+    # labeling them in numpy, all of them or those a random keep mask
+    # marks, marks the same cluster as the walk over those edges
     monkeypatch.setattr(perc_mc, "_FIRST_DRAW", first_draw)
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
+    stops = (None, 1, (top - 1) // 2 + 1, top)
     h = 0.02
     for param in (0.25, 0.6):
         weights = open_probabilities(param)
@@ -252,18 +254,20 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
             keeps = (np.ones(walker.n_edges, dtype=bool),
                      rngmod.sample_stream(9, rngmod.STREAM_TEST, i).random(
                          walker.n_edges) < 0.7)
+            for stop in stops:
+                assert (walker.origin_cluster(weights, 8, 3, i,
+                                              stop_layer=stop)
+                        == full_mask_walk(walker, open_edges,
+                                          stop_layer=stop))
+            assert (walker.origin_cluster(weights, 8, 3, i, h=h)
+                    == full_mask_walk(walker, open_edges, ghost_open))
+            walker.draw_edges(weights, 8, 3, i)
             for root in (0, walker.n_nodes // 3, walker.n_nodes - 1):
-                for stop in (None, 1, (top - 1) // 2 + 1, top):
-                    assert (walker.origin_cluster(weights, 8, 3, i,
-                                                  stop_layer=stop, root=root)
+                for stop in stops:
+                    assert (walker.drawn_cluster(root, stop)
                             == full_mask_walk(walker, open_edges,
                                               stop_layer=stop, root=root))
-                assert (walker.origin_cluster(weights, 8, 3, i, h=h,
-                                              root=root)
-                        == full_mask_walk(walker, open_edges, ghost_open,
-                                          root=root))
                 for keep in keeps:
-                    walker.draw_edges(weights, 8, 3, i)
                     members, _, _ = full_mask_walk(walker, open_edges & keep,
                                                    root=root)
                     assert walker.component(keep, root=root) == len(members)
@@ -284,56 +288,56 @@ def test_blocked_and_predrawn_walks_match_full_mask_walk(make, args):
     for i in range(20):
         open_edges, _ = full_draw(walker, weights, 0.0, 8, 3, i)
         blocked = gen.random(walker.n_nodes) < 0.3
+        after = walker.draw_edges(weights, 8, 3, i).random()
+        assert after == rngmod.sample_stream(
+            8, 3, i, start=walker.n_edges).random()
+        assert walker.drawn_cluster() == walker.origin_cluster(weights, 8, 3,
+                                                               i)
+        walker.draw_edges(weights, 8, 3, i)
         for root in (0, walker.n_nodes // 3):
             blocked[root] = False
             expected = full_mask_walk(
                 walker, open_edges & ~blocked[a] & ~blocked[b], root=root)
-            assert walker.origin_cluster(
-                weights, 8, 3, i, root=root,
-                blocked=bytearray(blocked.view(np.uint8))) == expected
+            assert walker.drawn_cluster(
+                root, blocked=bytearray(blocked.view(np.uint8))) == expected
             assert np.flatnonzero(walker.seen).tolist() == sorted(
                 set(expected[0]) | set(np.flatnonzero(blocked).tolist()))
-            after = walker.draw_edges(weights, 8, 3, i).random()
-            assert after == rngmod.sample_stream(
-                8, 3, i, start=walker.n_edges).random()
             assert walker.drawn_cluster(root=root) == full_mask_walk(
                 walker, open_edges, root=root)
 
 
 @WALK_GRAPHS
 def test_first_walk_of_a_fresh_walker_matches_full_mask_walk(make, args):
-    # a fresh walker has no rows mirrored: its first walk extends the
-    # mirror from its root (the last node is a spin graph's ghost) and
-    # from the words it draws
+    # a fresh box has no layer built: its first walk, with a field or
+    # without, builds the rows it pops from nothing
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
-    roots = (0, walker.n_nodes // 3, walker.n_nodes - 1)
     cases = [dict(stop_layer=stop) for stop in (None, 1, (top - 1) // 2 + 1,
                                                 top)] + [dict(h=0.02)]
     for param in (0.25, 0.6):
         weights = open_probabilities(param)
         for i in range(4):
             open_edges, ghost_open = full_draw(walker, weights, 0.02, 8, 3, i)
-            for root in roots:
-                for case in cases:
-                    fresh, _ = make(*args)
-                    expected = full_mask_walk(
-                        walker, open_edges,
-                        ghost_open if "h" in case else None,
-                        stop_layer=case.get("stop_layer"), root=root)
-                    assert fresh.origin_cluster(weights, 8, 3, i, root=root,
-                                                **case) == expected
+            for case in cases:
+                fresh, _ = make(*args)
+                expected = full_mask_walk(
+                    walker, open_edges, ghost_open if "h" in case else None,
+                    stop_layer=case.get("stop_layer"))
+                assert fresh.origin_cluster(weights, 8, 3, i,
+                                            **case) == expected
 
 
-def test_small_clusters_mirror_few_rows():
+def test_small_clusters_build_few_python_rows():
     # at p = 0.25 the 800 clusters on ball(96) have about two sites, and
-    # the walks draw the edge words of about 1 % of the box's rows
+    # the walks build the Python rows and layers of under 5 % of the box's
+    # 19,013 nodes and 37,636 edges (read without a public attribute,
+    # which would build the whole box)
     perc_mc._box.cache_clear()
     susceptibility_profile(P_LAT, 96, [96], 0.25, 800, 1)
     box = perc_mc._box(P_LAT, 96)
-    assert len(box._ptr) - 1 < 0.05 * box.n_nodes
-    assert len(box._nbr) < 0.05 * 2 * box.n_edges
-    assert len(box._layer) < 0.05 * box.n_nodes
+    assert len(box._ptr) - 1 < 0.05 * 19_013
+    assert len(box._nbr) == len(box._eid) < 0.05 * 2 * 37_636
+    assert len(box._layer) < 0.05 * 19_013
 
 
 def whole_walker(lattice, n):
@@ -357,16 +361,15 @@ def test_ball_prefixes_are_final(lattice, n):
         small, small_layout = whole_walker(lattice, m)
         nodes = int((small_layout.layer <= m).sum())
         assert (small_layout.coords[:nodes] == big_layout.coords[:nodes]).all()
-        assert (small._node_layer[:nodes] == big._node_layer[:nodes]).all()
+        assert small._layer[:nodes] == big._layer[:nodes]
         rows = int((small_layout.layer < m).sum())
         assert small._need[:rows] == big._need[:rows]
-        ptr, nbr, eid = small._csr
-        big_ptr, big_nbr, big_eid = big._csr
-        assert (ptr[:rows + 1] == big_ptr[:rows + 1]).all()
-        assert (nbr[:ptr[rows]] == big_nbr[:ptr[rows]]).all()
-        assert (eid[:ptr[rows]] == big_eid[:ptr[rows]]).all()
+        ptr = small._ptr
+        assert ptr[:rows + 1] == big._ptr[:rows + 1]
+        assert small._nbr[:ptr[rows]] == big._nbr[:ptr[rows]]
+        assert small._eid[:ptr[rows]] == big._eid[:ptr[rows]]
         edges = small._need[rows - 1]
-        assert edges == int(eid[:ptr[rows]].max()) + 1
+        assert edges == max(small._eid[:ptr[rows]]) + 1
         for name in ("edge_a", "edge_b", "edge_j"):
             assert (getattr(small_layout, name)[:edges]
                     == getattr(big_layout, name)[:edges]).all()
@@ -376,33 +379,35 @@ def test_ball_prefixes_are_final(lattice, n):
 def test_grown_box_is_the_whole_box(lattice, n, monkeypatch):
     # a box grown a layer, then a doubling radius, at a time holds after
     # each step a prefix of the whole box's arrays, and at the end all of
-    # them: CSR rows, need, layers and edges
+    # them: Python rows, need, layers and edges
     monkeypatch.setattr(perc_mc, "_FIRST_LAYERS", 1)
     whole, layout = whole_walker(lattice, n)
     box = PercBox(lattice, n)
-    assert not box._need and box._node_layer is None
+    assert not box._need and not box._layer
     radii = []
     while not box._builder.done:
         box._grow(len(box._need))
         radii.append(box._builder.radius)
-        rows, nodes, edges = (len(box._need), len(box._node_layer),
+        rows, nodes, edges = (len(box._need), len(box._layer),
                               len(box._edge_a))
         assert box._need == whole._need[:rows]
-        ptr, nbr, eid = box._csr
-        assert len(ptr) == rows + 1 and len(nbr) == ptr[-1] == len(eid)
-        assert (ptr == whole._csr[0][:rows + 1]).all()
-        assert (nbr == whole._csr[1][:ptr[-1]]).all()
-        assert (eid == whole._csr[2][:ptr[-1]]).all()
-        assert (box._node_layer == layout.layer[:nodes]).all()
+        ptr = box._ptr
+        assert len(ptr) == rows + 1
+        assert len(box._nbr) == ptr[-1] == len(box._eid)
+        assert ptr == whole._ptr[:rows + 1]
+        assert box._nbr == whole._nbr[:ptr[-1]]
+        assert box._eid == whole._eid[:ptr[-1]]
+        assert box._layer == layout.layer[:nodes].tolist()
         assert (box._edge_a == layout.edge_a[:edges]).all()
         assert (box._edge_b == layout.edge_b[:edges]).all()
         assert (box._edge_j == layout.edge_j[:edges]).all()
         assert len(box._open) == len(box._edge_u) == edges
-        assert len(box.seen) == nodes
+        assert len(box.seen) == len(box._ghost_open) == nodes
     assert radii == [r for r in (1, 2, 4, 8) if r < n] + [n + 1]
     ptr, nbr, eid = incidence_csr(len(layout.layer), layout.edge_a,
                                   layout.edge_b)
-    assert all((a == b).all() for a, b in zip(box._csr, (ptr, nbr, eid)))
+    assert (box._ptr, box._nbr, box._eid) == (ptr.tolist(), nbr.tolist(),
+                                              eid.tolist())
     assert box.n_nodes == len(layout.layer)
     assert box.n_edges == len(layout.edge_a)
     for name in ("layer", "edge_a", "edge_b", "edge_j"):
@@ -416,33 +421,37 @@ def test_lazy_box_walks_match_the_whole_box(lattice, n_box, first_draw,
                                             monkeypatch):
     # a box that grows as its walks reach gives every walk the result of a
     # box built whole; with one first layer and one first word, growth
-    # and draws interleave at every step.  A field builds the whole box.
+    # and draws interleave at every step.  A walk with a field grows the
+    # box too, keeping the ghost words it drew across each growth step.
     monkeypatch.setattr(perc_mc, "_FIRST_DRAW", first_draw)
     monkeypatch.setattr(perc_mc, "_FIRST_LAYERS", 1)
     whole = PercBox(lattice, n_box)
+    whole._complete()
     top = n_box + 1
-    roots = (0, whole.n_nodes // 3)
     lazy = PercBox(lattice, n_box)
     weights = lazy.open_probabilities(0.2)
-    assert lazy._node_layer is None
+    assert not lazy._layer
     for i in range(40):
         assert (lazy.origin_cluster(weights, 8, 3, i, stop_layer=2)
                 == whole.origin_cluster(weights, 8, 3, i, stop_layer=2))
     assert not lazy._builder.done
+    grown_mid_walk = False
     for param in (0.25, 0.6):
         weights = lazy.open_probabilities(param)
+        ghost = PercBox(lattice, n_box)
         for i in range(30):
-            for root in roots:
-                for stop in (None, 1, (top - 1) // 2 + 1, top):
-                    assert (lazy.origin_cluster(weights, 8, 3, i,
-                                                stop_layer=stop, root=root)
-                            == whole.origin_cluster(weights, 8, 3, i,
-                                                    stop_layer=stop,
-                                                    root=root))
-    fresh = PercBox(lattice, n_box)
-    assert (fresh.origin_cluster(weights, 8, 3, 0, h=0.02)
-            == whole.origin_cluster(weights, 8, 3, 0, h=0.02))
-    assert fresh._builder.done
+            for stop in (None, 1, (top - 1) // 2 + 1, top):
+                assert (lazy.origin_cluster(weights, 8, 3, i,
+                                            stop_layer=stop)
+                        == whole.origin_cluster(weights, 8, 3, i,
+                                                stop_layer=stop))
+            # a walk builds layer 0's row before it draws a word; any
+            # later step comes mid-walk
+            radius = max(ghost._builder.radius, 1)
+            assert (ghost.origin_cluster(weights, 8, 3, i, h=0.1)
+                    == whole.origin_cluster(weights, 8, 3, i, h=0.1))
+            grown_mid_walk |= radius < ghost._builder.radius
+    assert grown_mid_walk
 
 
 def test_open_probabilities_per_coupling():
@@ -450,7 +459,7 @@ def test_open_probabilities_per_coupling():
     # an array over the edges of the whole box, one weight per coupling
     box = PercBox(T_LAT, 3)
     assert box.open_probabilities(0.3) == -math.expm1(-0.3)
-    assert box._node_layer is None
+    assert not box._layer
     two_j = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
                                 ((0, 1), 0.5), ((0, -1), 0.5)])
     box = PercBox(two_j, 3)
@@ -471,7 +480,18 @@ def test_small_clusters_build_few_layers():
     box = perc_mc._box(P_LAT, 96)
     nodes = len(ball_layout(P_LAT, 96).layer)
     assert len(box._need) < 0.05 * nodes
-    assert len(box._node_layer) < 0.05 * nodes
+    assert len(box._layer) < 0.05 * nodes
+    assert not box._builder.done
+
+
+def test_ghost_run_with_small_clusters_builds_few_layers():
+    # at p = 0.25 the clusters on ball(96) stay near the origin, so a walk
+    # with a field, whose ghost words start at the builder's edge count,
+    # builds the rows of under 5 % of the box's 19,013 nodes
+    perc_mc._box.cache_clear()
+    estimate_ghost_magnetization(P_LAT, 96, 0.25, 0.01, 800, 1)
+    box = perc_mc._box(P_LAT, 96)
+    assert len(box._need) < 0.05 * 19_013
     assert not box._builder.done
 
 

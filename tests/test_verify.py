@@ -140,6 +140,34 @@ def test_phi_infimum_keeps_the_base_point():
     assert subset == tuple(sorted((5 + x, 5 + y) for x, y in at_origin))
 
 
+@pytest.mark.parametrize("model, lattice", [("percolation", P_LAT),
+                                            ("ising", B_LAT)])
+def test_disconnected_subsets_have_the_phi_of_their_base_component(
+        model, lattice):
+    # phi(S) = phi(S0), S0 the coupled component of S holding the base
+    # point, over all 4,096 subsets of square ball(2) that hold it
+    region = ball(lattice, 2)
+    others = len(region) - 1
+    masks = np.arange(1 << others)
+    subsets = np.ones((len(masks), others + 1), dtype=bool)
+    for k in range(others):
+        subsets[:, k + 1] = masks >> k & 1
+    components = np.zeros_like(subsets)
+    for subset, component in zip(subsets, components):
+        component[0], todo = True, [0]
+        while todo:
+            v = todo.pop()
+            for a, b, _ in region.internal_edges:
+                w = b if a == v else a if b == v else None
+                if w is not None and subset[w] and not component[w]:
+                    component[w] = True
+                    todo.append(w)
+    assert (components != subsets).any()
+    phi = phi_sweep(model, region, 0.3, subsets=subsets)
+    assert phi_sweep(model, region, 0.3, subsets=components) == (
+        pytest.approx(phi, rel=0, abs=1e-12))
+
+
 def test_phi_infimum_guards():
     with pytest.raises(ValueError):
         phi_infimum("potts", P_LAT, ball(P_LAT, 1), 0.3)
