@@ -32,14 +32,13 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
 from .exact import BASE_POINT_TIE, ising_sums, perc_reach, sweep_lanes
-from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
+from .lattice import LatticeSpec, Region, ball, edge_weight
 from .perc_mc import ClusterWalker
 from .stats import check_counts
 
@@ -134,20 +133,15 @@ class Refusal:
                 "seed": self.phi.seed}
 
 
-def _boundary_coefficients(region: Region, param: float, model: str,
-                           within: Iterable[Vertex] | None = None
-                           ) -> np.ndarray:
+def _boundary_coefficients(region: Region, param: float,
+                           model: str) -> np.ndarray:
     """Per inside-vertex sum of boundary weights, one entry per region index.
 
     phi collapses to sum_i c_i * P[0 <-> v_i]: each inside endpoint x
     contributes once per outside partner, weighted by the pair weight.
-    ``within`` optionally restricts the outside partners to a vertex set.
     """
-    keep = None if within is None else {tuple(v) for v in within}
     coeff = np.zeros(len(region))
-    for i, outside, j in region.boundary_pairs:
-        if keep is not None and outside not in keep:
-            continue
+    for i, _, j in region.boundary_pairs:
         if model == "percolation":
             coeff[i] += edge_weight(region.lattice, j, param)
         else:
@@ -155,8 +149,7 @@ def _boundary_coefficients(region: Region, param: float, model: str,
     return coeff
 
 
-def _subset_coefficients(region: Region, params: list, model: str,
-                         within: Iterable[Vertex] | None):
+def _subset_coefficients(region: Region, params: list, model: str):
     """:func:`_boundary_coefficients` of subsets of ``region`` at every
     parameter, as a function of an (M, vertices) boolean array whose rows
     mark the subsets: it gives an (M, K, vertices) array in which a vertex
@@ -166,7 +159,6 @@ def _subset_coefficients(region: Region, params: list, model: str,
     loop of :func:`_boundary_coefficients` serves one region at the low
     per-call cost a root search needs."""
     lattice = region.lattice
-    keep = None if within is None else {tuple(v) for v in within}
     # (coupling, vertex): the neighbour's region index, or -1 outside it
     neighbours = [[tuple(a + b for a, b in zip(v, offset))
                    for v in region.vertices]
@@ -174,9 +166,6 @@ def _subset_coefficients(region: Region, params: list, model: str,
     partner = np.array([[region.index(w) if w in region else -1
                          for w in row] for row in neighbours],
                        dtype=np.int64).reshape(-1, len(region))
-    counted = np.array([[keep is None or w in keep for w in row]
-                        for row in neighbours],
-                       dtype=bool).reshape(partner.shape)
     # (coupling, subset, parameter, vertex)
     weights = np.array([[edge_weight(lattice, j, t) if model == "percolation"
                          else math.tanh(t * j) for t in params]
@@ -185,15 +174,13 @@ def _subset_coefficients(region: Region, params: list, model: str,
 
     def of(subsets: np.ndarray) -> np.ndarray:
         outside = (partner < 0) | ~subsets[:, np.maximum(partner, 0)]
-        terms = weights * (np.moveaxis(outside, 1, 0) & counted[:, None])[
-            :, :, None]
+        terms = weights * np.moveaxis(outside, 1, 0)[:, :, None]
         coeff = sum(terms, np.zeros(terms.shape[1:]))  # in coupling order
         return coeff * subsets[:, None]
     return of
 
 
 def phi_sweep(model: str, region: Region, param, *,
-              within: Iterable[Vertex] | None = None,
               subsets: np.ndarray | None = None):
     """Exact phi of ``region`` at ``param``, or an array of it at every
     parameter of a sequence, from one sweep with the boundary coefficients
@@ -203,8 +190,7 @@ def phi_sweep(model: str, region: Region, param, *,
     phi needs a beta-mode lattice and takes its correlations at zero field
     with free boundary.  ``region`` may be disconnected; connection
     probabilities (correlations) are then zero beyond the base point's
-    component.  ``within`` optionally restricts the outside endpoint of
-    each boundary pair to a given vertex set.
+    component.
 
     ``subsets``, an (M, vertices) boolean array whose rows mark subsets
     containing the base point, gives phi of each: an (M,) array at one
@@ -222,15 +208,13 @@ def phi_sweep(model: str, region: Region, param, *,
         raise ValueError("the Ising phi needs a beta-mode lattice")
     if subsets is None:
         if isinstance(param, numbers.Real):
-            coeffs = _boundary_coefficients(region, param, model,
-                                            within)[:, None]
+            coeffs = _boundary_coefficients(region, param, model)[:, None]
         else:
-            coeffs = np.array([_boundary_coefficients(region, t, model,
-                                                      within)
+            coeffs = np.array([_boundary_coefficients(region, t, model)
                                for t in param])[..., None]
         return _phi_values(model, region, param, coeffs, None)
     params = [param] if isinstance(param, numbers.Real) else list(param)
-    coefficients = _subset_coefficients(region, params, model, within)
+    coefficients = _subset_coefficients(region, params, model)
     ends = np.array([(a, b) for a, b, _ in region.internal_edges],
                     dtype=np.int64).reshape(-1, 2)
     chunk = max(1, sweep_lanes(region, 1, BASE_POINT_TIE if model ==
@@ -290,13 +274,12 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
 
 
 def exact_phi(model: str, lattice: LatticeSpec, region: Region,
-              param: float, *,
-              within: Iterable[Vertex] | None = None) -> PhiResult:
+              param: float) -> PhiResult:
     """Exact phi of ``region`` at ``param`` from one :func:`phi_sweep`, as
     a :class:`PhiResult`; ``CapExceeded`` past the budget of ``exact``."""
     if region.lattice != lattice:
         raise ValueError("region was built on a different lattice")
-    value = float(phi_sweep(model, region, param, within=within))
+    value = float(phi_sweep(model, region, param))
     return PhiResult(value=value, method="exact", upper_confidence=value,
                      param=param, region_id=region_id(region))
 

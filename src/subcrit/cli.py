@@ -488,6 +488,8 @@ def _cmd_simulate_ising(cfg: RunConfig) -> tuple[int, list[str]]:
             raise ConfigError("options.n", "two-point needs a single size")
         if not opts.get("distances"):
             raise ConfigError("options.distances", "required field missing")
+        if len(set(opts["distances"])) < len(opts["distances"]):
+            raise ConfigError("options.distances", "distances must be distinct")
         estimates = estimate_two_point(lattice, sizes[0], beta,
                                        opts["distances"], sweeps, seed,
                                        boundary=boundary)

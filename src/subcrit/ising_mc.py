@@ -51,7 +51,7 @@ from . import rng as rngmod
 from .lattice import LatticeSpec, Vertex, ball_layout
 from .perc_mc import ClusterWalker
 from .stats import (MCEstimate, batch_means_stderr, check_counts,
-                    integrated_autocorr_time)
+                    check_non_negative, integrated_autocorr_time)
 
 _KIND_SPIN = 0
 _KIND_FIELD = 1
@@ -337,6 +337,7 @@ def estimate_two_point(lattice: LatticeSpec, n: int, beta: float,
     correlations are resolved with binomial-scale noise.
     """
     check_counts(sweeps=sweeps)
+    check_non_negative("distances", distances)
     system = SpinSystem.box(lattice, n, boundary=boundary)
     targets = {}
     for d in distances:
@@ -384,6 +385,7 @@ def check_critical_divergence(lattice: LatticeSpec, beta: float,
     """
     radii = sorted(set(n_list))
     check_counts(sweeps=sweeps)
+    check_non_negative("radii", radii)
     if len(radii) < 2:
         raise ValueError(f"need at least two distinct radii, got {radii}")
     n_box = radii[-1]

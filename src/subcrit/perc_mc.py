@@ -51,7 +51,7 @@ from . import rng as rngmod
 from .errors import DegenerateFit
 from .lattice import BallBuilder, LatticeSpec, edge_weight, incidence_csr
 from .stats import (MCEstimate, batch_means_stderr, binomial_stderr,
-                    check_counts)
+                    check_counts, check_non_negative)
 
 # smallest prefix a walk draws: below about this many words, the cost of a
 # numpy call outweighs the draws it saves
@@ -405,6 +405,7 @@ def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
     """
     radii = sorted(set(radii))
     check_counts(samples=samples, radii=len(radii))
+    check_non_negative("radii", radii)
     if radii[-1] > n_box:
         raise ValueError("profile radius exceeds box radius")
     box = _box(lattice, n_box)
@@ -436,6 +437,7 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
     """
     radii = sorted(set(radii))
     check_counts(samples=samples, radii=len(radii))
+    check_non_negative("radii", radii)
     if radii[-1] > n_box:
         raise ValueError("profile radius exceeds box radius")
     box = _box(lattice, n_box)

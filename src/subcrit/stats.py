@@ -34,6 +34,12 @@ def check_counts(**counts: int) -> None:
             raise ValueError(f"{name}: need at least 1, got {n}")
 
 
+def check_non_negative(name: str, values) -> None:
+    """A one-line ValueError if any radius or distance is negative."""
+    if min(values, default=0) < 0:
+        raise ValueError(f"{name} must be non-negative, got {min(values)}")
+
+
 def binomial_stderr(p_hat: float, n: int) -> float:
     if n <= 0:
         raise ValueError("need at least one sample")

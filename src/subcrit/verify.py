@@ -14,13 +14,14 @@ parameter or a sequence, and a sequence gives one row per parameter, with
 per-vertex values in region-index order.  Every grid is validated, finite
 and in range, before the first sweep, and a NaN margin fails its report.
 
-The subset infima are taken over *all* subsets of the region that contain
-the base point, disconnected ones included, though phi(S) = phi(S0) for S0
-the coupled component of S that holds the base point (no vertex of S0 is
-coupled to the rest of S, which adds zero).  One sweep of the region
-serves them all: each (parameter, subset) pair is a lane of its sweep, in
-which every bond leaving the subset is closed (percolation) or decoupled
-(Ising), so an infimum over ball(1) at a whole grid is one sweep.
+The subset infimum of ``perc-diff`` is taken over *all* subsets of the
+region that contain the base point, disconnected ones included, though
+phi(S) = phi(S0) for S0 the coupled component of S that holds the base
+point (no vertex of S0 is coupled to the rest of S, which adds zero).  One
+sweep of the region serves them all: each (parameter, subset) pair is a
+lane of its sweep, in which every bond leaving the subset is closed
+(percolation) or decoupled (Ising), so an infimum over ball(1) at a whole
+grid is one sweep.  ``ising-diff`` takes no infimum (see its docstring).
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ def _make_report(name: str, grid: Sequence, lhs: Sequence[float],
 # subset infimum of phi
 # ---------------------------------------------------------------------------
 
-def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
-                within: Iterable[Vertex] | None = None):
+def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param):
     """Exact infimum of phi(S) over every subset S of ``region`` containing
     the base point (2^(|region|-1) of them), with the minimizing subset:
     ``(value, subset)`` at one parameter, or a list of them at every
@@ -151,7 +151,9 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
     mask.  Every parameter is checked, finite and in range, before the
     first sweep; ``region`` must be built on ``lattice``.
     """
-    _check_subsets(region)
+    if len(region) - 1 > _SUBSET_ENUM_CAP:
+        raise ValueError(f"subset infimum over 2^{len(region) - 1} sets is "
+                         f"too large")
     if region.lattice != lattice:
         raise ValueError("region was built on a different lattice")
     params = [param] if isinstance(param, numbers.Real) else list(param)
@@ -166,18 +168,12 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param, *,
     subsets = np.ones((len(masks), n_others + 1), dtype=bool)
     for k in range(n_others):
         subsets[:, k + 1] = masks >> k & 1
-    values = phi_sweep(model, region, params, within=within, subsets=subsets)
+    values = phi_sweep(model, region, params, subsets=subsets)
     # argmin takes the first least value: a tie goes to the lower mask
     found = [(float(values[m, q]), tuple(sorted(
         v for v, inside in zip(region.vertices, subsets[m]) if inside)))
         for q, m in enumerate(np.argmin(values, axis=0).tolist())]
     return found[0] if isinstance(param, numbers.Real) else found
-
-
-def _check_subsets(region: Region) -> None:
-    if len(region) - 1 > _SUBSET_ENUM_CAP:
-        raise ValueError(f"subset infimum over 2^{len(region) - 1} sets is "
-                         f"too large")
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +229,11 @@ def check_perc_differential(lattice: LatticeSpec, n: int = 1,
     if not all(0.0 < p < 1.0 for p in p_grid):
         raise ValueError("p grid must stay strictly inside (0, 1)")
     region = ball(lattice, n)
-    _check_subsets(region)
     betas = [-math.log1p(-p) for p in p_grid]
+    infima = phi_infimum("percolation", lattice, region, betas)
     # per grid point: its stencil, then the point itself
     points = [t for beta in betas for t in _stencil(beta, DELTA) + (beta,)]
     exits = perc_exit_prob(lattice, n, points).tolist()
-    infima = phi_infimum("percolation", lattice, region, betas)
     lhs, rhs, spread = [], [], 0.0
     for i, (beta, (inf_phi, _)) in enumerate(zip(betas, infima)):
         *stencil, prob = exits[5 * i:5 * i + 5]
@@ -317,48 +312,38 @@ def check_ising_differential(lattice: LatticeSpec, n: int = 1,
                              beta_grid: Sequence[float] = (0.1, 0.2, 0.3, 0.4,
                                                            0.5, 0.6, 0.7, 0.8),
                              h: float = 0.1) -> InequalityReport:
-    """d/dbeta <sigma_0>^2 >= (2 c / beta) * inf_S phi^(trunc)(S) * (1 - <sigma_0>^2).
+    """d/dbeta <sigma_0>^2 >= 0 on ball(n) at field h > 0, Griffiths' (GKS)
+    monotonicity; the right side is identically 0.0.
 
-    Here c = min_y <sigma_0>/<sigma_y> over the region at (beta, h), and the
-    boundary functional is truncated to the region: only coupled pairs with
-    both endpoints inside ball(n) enter (the form produced by
-    differentiating the finite-volume magnetization in beta).  S = ball(n)
-    itself contributes an empty boundary, so the infimum is at most 0 and
-    the check is sharp only through the nonnegativity of the derivative.
+    The paper's right side, inf_S phi(S), is 0 here: with phi truncated to
+    pairs inside ball(n), S = ball(n) has an empty boundary.
     """
     if not 0.0 < h < math.inf:
         raise ValueError("h must be positive (both sides vanish at h = 0) "
                          "and finite")
     if lattice.mode != "beta":
-        raise ValueError("the ising functional needs a beta-mode lattice")
+        raise ValueError("the ising magnetization needs a beta-mode lattice")
     if not beta_grid:
         raise ValueError("empty parameter grid")
     if not all(DELTA < b < math.inf for b in beta_grid):
         raise ValueError("beta grid must be finite and stay above the "
                          "difference step")
     region = ball(lattice, n)
-    _check_subsets(region)
-    inside = region.vertices
-    # per grid point: its stencil, then the point itself
-    points = [t for beta in beta_grid for t in _stencil(beta, DELTA) + (beta,)]
-    mags = ising_observables(region, points, h).magnetizations.tolist()
-    infima = phi_infimum("ising", lattice, region, beta_grid, within=inside)
-    lhs, rhs, spread = [], [], 0.0
-    for i, (beta, (inf_phi, _)) in enumerate(zip(beta_grid, infima)):
-        *stencil, at_beta = mags[5 * i:5 * i + 5]
-        d_full, d_half = _derivative_pair([m[0] ** 2 for m in stencil], DELTA)
-        m0 = at_beta[0]
-        c = min(m0 / m for m in at_beta)
+    # per grid point: its four stencil points
+    points = [t for beta in beta_grid for t in _stencil(beta, DELTA)]
+    m0 = ising_observables(region, points, h).magnetizations[:, 0].tolist()
+    lhs, spread = [], 0.0
+    for i in range(0, len(m0), 4):
+        d_full, d_half = _derivative_pair([m ** 2 for m in m0[i:i + 4]], DELTA)
         lhs.append(d_full)
-        rhs.append((2.0 * c / beta) * inf_phi * (1.0 - m0 * m0))
         spread = max(spread, abs(d_full - d_half))
-    notes = (f"h={h}; boundary pairs truncated to ball({n}); "
-             f"infimum over {1 << (len(region) - 1)} subsets")
+    notes = f"h={h}; d<sigma_0>^2/dbeta on ball({n}) against 0 (Griffiths)"
     if not region.internal_edges:
         notes += ("; region has no interacting pairs, which is outside the "
                   "inequality's intended scope (both sides vanish)")
-    return _make_report("ising-differential", tuple(beta_grid), lhs, rhs,
-                        TOL_DIFFERENTIAL, fd_spread=spread, notes=notes)
+    return _make_report("ising-differential", tuple(beta_grid), lhs,
+                        [0.0] * len(lhs), TOL_DIFFERENTIAL, fd_spread=spread,
+                        notes=notes)
 
 
 def check_modified_simon(lattice: LatticeSpec, lam_vertices: Iterable[Vertex],

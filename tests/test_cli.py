@@ -352,6 +352,22 @@ def test_simulate_ising_two_point_requires_distances(tmp_path, capsys):
     assert "options.distances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("distances, start", [
+    ("-1,0", "error: distances must be non-negative"),
+    ("1,1", "config error: options.distances: distances must be distinct"),
+], ids=["negative", "repeated"])
+def test_simulate_ising_two_point_refuses_bad_distances(tmp_path, capsys,
+                                                        distances, start):
+    # 1,1 once wrote two identical rows
+    code = run_cli("simulate-ising", "--observable", "two-point",
+                   "--param", "0.4", "--n", "2", f"--distances={distances}",
+                   "--sweeps", "400", "--seed", "3", "--out", str(tmp_path))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start), err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_ising_divergence_writes_increments(tmp_path):
     code = run_cli("simulate-ising", "--observable", "divergence",
                    "--param", "0.44", "--n-list", "2,4", "--sweeps", "300",

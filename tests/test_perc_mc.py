@@ -629,3 +629,17 @@ def test_empty_monte_carlo_runs_are_refused(what, call):
     # shared check, not a ZeroDivisionError (or an IndexError for no radii)
     with pytest.raises(ValueError, match=f"^{what}: need at least 1, got 0$"):
         call()
+
+
+@pytest.mark.parametrize("what, call", [
+    ("radii", lambda: exit_profile(P_LAT, 8, [-3, 2], 0.3, 10, 1)),
+    ("radii", lambda: susceptibility_profile(P_LAT, 4, [-1], 0.3, 10, 1)),
+    ("distances", lambda: estimate_two_point(B_LAT, 4, 0.3, [-2, 2], 10, 1)),
+    ("radii", lambda: check_critical_divergence(B_LAT, 0.3, [-1, 4], 10, 1)),
+], ids=["exit", "susceptibility", "two-point", "divergence"])
+def test_negative_radii_and_distances_are_refused(what, call):
+    # exit[n=-3] once read 1.0, and two_point[d=-2] was reported as a
+    # distance
+    with pytest.raises(ValueError, match=f"^{what} must be non-negative, "
+                                         f"got -[0-9]+$"):
+        call()

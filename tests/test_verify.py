@@ -24,7 +24,7 @@ P_LAT = LatticeSpec.square(mode="p")
 B_LAT = LatticeSpec.square(mode="beta")
 
 
-def hand_phi_percolation(lattice, subset, param, within=None):
+def hand_phi_percolation(lattice, subset, param):
     """Independent assembly: naive connection probs + neighbor scan."""
     region = Region(lattice, subset)
     probs = naive_connect_probs(region, param)
@@ -34,13 +34,11 @@ def hand_phi_percolation(lattice, subset, param, within=None):
         for y, j in lattice.neighbors(x):
             if y in members:
                 continue
-            if within is not None and y not in within:
-                continue
             total += edge_weight(lattice, j, param) * probs[region.index(x)]
     return total
 
 
-def hand_phi_ising(lattice, subset, beta, within=None):
+def hand_phi_ising(lattice, subset, beta):
     region = Region(lattice, subset)
     corr = naive_ising_observables(region, beta, 0.0).correlations
     members = set(region.vertices)
@@ -49,20 +47,16 @@ def hand_phi_ising(lattice, subset, beta, within=None):
         for y, j in lattice.neighbors(x):
             if y in members:
                 continue
-            if within is not None and y not in within:
-                continue
             total += math.tanh(beta * j) * corr[region.index(x)]
     return total
 
 
-def phi_p(subset, param, **kwargs):
-    return exact_phi("percolation", P_LAT, Region(P_LAT, subset), param,
-                     **kwargs).value
+def phi_p(subset, param):
+    return exact_phi("percolation", P_LAT, Region(P_LAT, subset), param).value
 
 
-def phi_b(subset, beta, **kwargs):
-    return exact_phi("ising", B_LAT, Region(B_LAT, subset), beta,
-                     **kwargs).value
+def phi_b(subset, beta):
+    return exact_phi("ising", B_LAT, Region(B_LAT, subset), beta).value
 
 
 def random_subset(rng, lattice, max_extra=5):
@@ -94,22 +88,6 @@ def test_phi_on_subset_matches_hand_assembly():
         beta = float(rng.uniform(0.1, 0.7))
         assert phi_b(subset, beta) == pytest.approx(
             hand_phi_ising(B_LAT, subset, beta), rel=1e-12, abs=1e-14)
-
-
-def test_phi_within_restriction():
-    rng = np.random.default_rng(4102)
-    inside = set(ball(P_LAT, 1).vertices)
-    for _ in range(5):
-        subset = random_subset(rng, P_LAT, max_extra=3)
-        p = float(rng.uniform(0.2, 0.8))
-        got = phi_p(subset, p, within=inside)
-        assert got == pytest.approx(
-            hand_phi_percolation(P_LAT, subset, p, within=inside),
-            rel=1e-12, abs=1e-14)
-        assert got <= phi_p(subset, p) + 1e-14
-    # truncating to the region itself kills every boundary term
-    lam = ball(B_LAT, 1)
-    assert phi_b(lam.vertices, 0.5, within=lam.vertices) == 0.0
 
 
 def test_phi_infimum_ising_needs_beta_mode():
@@ -222,11 +200,10 @@ def every_subset(region):
     return subsets
 
 
-def own_plan_phi(model, lattice, region, row, grid, within):
+def own_plan_phi(model, lattice, region, row, grid):
     """phi of the subset ``row`` marks, from a region and plan of its own."""
     subset = [v for v, kept in zip(region.vertices, row) if kept]
-    return phi_sweep(model, Region(lattice, subset, region.origin), grid,
-                     within=within)
+    return phi_sweep(model, Region(lattice, subset, region.origin), grid)
 
 
 def lane_regions(lattice):
@@ -241,16 +218,13 @@ def test_subset_lanes_equal_own_plan_sweeps(model, lattice):
     # every subset of the small regions, bit for bit; the infimum is the
     # first minimum in mask order, as a loop over the subsets finds it
     for region in lane_regions(lattice):
-        within = region.vertices if model == "ising" else None
         subsets = every_subset(region)
-        lanes = phi_sweep(model, region, CONTRACT_GRID, within=within,
-                          subsets=subsets)
-        own = [own_plan_phi(model, lattice, region, row, CONTRACT_GRID,
-                            within).tolist() for row in subsets]
+        lanes = phi_sweep(model, region, CONTRACT_GRID, subsets=subsets)
+        own = [own_plan_phi(model, lattice, region, row,
+                            CONTRACT_GRID).tolist() for row in subsets]
         assert lanes.tolist() == own
         # one parameter: the column of the grid's lanes
-        at_one = phi_sweep(model, region, CONTRACT_GRID[2], within=within,
-                           subsets=subsets)
+        at_one = phi_sweep(model, region, CONTRACT_GRID[2], subsets=subsets)
         assert at_one.tolist() == lanes[:, 2].tolist()
         want = []
         for q in range(len(CONTRACT_GRID)):
@@ -260,21 +234,18 @@ def test_subset_lanes_equal_own_plan_sweeps(model, lattice):
                     best = (values[q], tuple(sorted(
                         v for v, kept in zip(region.vertices, row) if kept)))
             want.append(best)
-        assert phi_infimum(model, lattice, region, CONTRACT_GRID,
-                           within=within) == want
+        assert phi_infimum(model, lattice, region, CONTRACT_GRID) == want
 
 
 @pytest.mark.parametrize("model, lattice", [("percolation", P_LAT),
                                             ("ising", B_LAT)])
 def test_subset_lanes_on_ball_two_agree_with_own_plans(model, lattice):
     region = ball(lattice, 2)
-    within = region.vertices if model == "ising" else None
     picks = np.random.default_rng(2402).choice(1 << 12, 200, replace=False)
     subsets = every_subset(region)[np.sort(picks)]
-    lanes = phi_sweep(model, region, CONTRACT_GRID, within=within,
-                      subsets=subsets)
+    lanes = phi_sweep(model, region, CONTRACT_GRID, subsets=subsets)
     for row, values in zip(subsets, lanes):
-        own = own_plan_phi(model, lattice, region, row, CONTRACT_GRID, within)
+        own = own_plan_phi(model, lattice, region, row, CONTRACT_GRID)
         assert values == pytest.approx(own, rel=1e-13, abs=1e-13)
 
 
@@ -418,10 +389,9 @@ def test_ising_differential_passes_on_small_grid():
     report = check_ising_differential(B_LAT, n=1, beta_grid=(0.2, 0.5, 0.8),
                                       h=0.1)
     assert report.passed
-    # the truncated infimum is <= 0 (S = region has empty boundary) while
-    # the derivative of m0^2 is nonnegative, so both sides bracket zero
+    # the derivative of m0^2 is nonnegative against a right side of 0
     assert all(l >= -1e-9 for l in report.lhs)
-    assert all(r <= 1e-9 for r in report.rhs)
+    assert report.rhs == (0.0, 0.0, 0.0)
 
 
 def test_ising_differential_single_vertex_is_flagged():
@@ -512,7 +482,7 @@ def test_default_report_names():
 DEFAULT_REPORT_SHA256 = {
     "perc-diff": "94612bf11f440d13840a70c9f41ddd58e69feb5885009cb53a969af0ffeaaedd",
     "bk": "016ce2473f1bf90e01ce58c5629066715c83fd4a2f0c83a37f0098c9e5333759",
-    "ising-diff": "5b1ad0c48c3b3a986a7df3326cc35a261ea8480f2eb916a46bb974de59ca97cb",
+    "ising-diff": "45574b0e86773160e746181f348bf5e8c1cd1621684084ddc21eef415ce6e2a1",
     "simon": "db1abc1a3df67aea67f0367f67b3294f9e4f8930031a54ddbdce4e22154066f6",
     "ghs": "5a8387e486c6c1e0ac82fbb9e3ab1fd1b4e2c951ea1fdec68295624978d88143",
 }
@@ -539,9 +509,9 @@ def test_each_check_sweeps_a_region_once_for_its_grid(monkeypatch):
     monkeypatch.setattr(exact, "_spin_sweep",
                         counted("spin", exact._spin_sweep))
     # (perc, spin) sweeps: the exit grid plus one for all subsets of
-    # ball(1) at every grid point; BK's two regions; the Simon check's S,
-    # Lam and one coupled pair
-    expected = {"perc-diff": (2, 0), "bk": (2, 0), "ising-diff": (0, 2),
+    # ball(1) at every grid point; BK's two regions; the magnetization
+    # grid; the Simon check's S, Lam and one coupled pair
+    expected = {"perc-diff": (2, 0), "bk": (2, 0), "ising-diff": (0, 1),
                 "simon": (0, 3), "ghs": (0, 1)}
     for name, counts in expected.items():
         sweeps.update(perc=0, spin=0)
@@ -553,6 +523,33 @@ def test_ising_differential_on_ball_two():
     report = check_ising_differential(B_LAT, n=2)
     assert report.passed
     assert report.min_margin == pytest.approx(0.1938773064457874, abs=1e-9)
+
+
+# lhs and fd_spread of the default ising-diff report (ball(1)), bit for bit
+# as the check wrote them when it also swept the point itself and a subset
+# infimum of the truncated phi
+ISING_DIFF_LHS = (
+    "0x1.b84e6f23cf193p-4", "0x1.0ceb7b5b5d460p-3", "0x1.2ff1dd1bf4720p-3",
+    "0x1.43cea8f492544p-3", "0x1.491393abea870p-3", "0x1.41d0d0f46ed60p-3",
+    "0x1.30e95c6455150p-3", "0x1.1972a8178bbb8p-3")
+ISING_DIFF_FD_SPREAD = "0x1.b774000000000p-37"
+
+
+def test_ising_differential_values_are_pinned():
+    report = default_report("ising-diff")
+    assert tuple(x.hex() for x in report.lhs) == ISING_DIFF_LHS
+    assert report.fd_spread.hex() == ISING_DIFF_FD_SPREAD
+    assert report.margins == report.lhs
+    assert report.rhs == (0.0,) * 8
+
+
+def test_ising_differential_on_ball_three():
+    # 25 spins: one sweep of the magnetization grid, no subset infimum
+    report = check_ising_differential(B_LAT, n=3)
+    assert report.passed
+    assert report.min_margin > 0.0
+    assert report.fd_spread < 1e-8
+    assert "ball(3)" in report.notes
 
 
 def test_perc_differential_on_ball_two():
@@ -572,7 +569,7 @@ def test_perc_differential_on_ball_two():
     (check_perc_differential, {"p_grid": (0.3, 1.5)}),
     (check_perc_differential, {"n": 3}),  # 2^24 subsets
     (check_ising_differential, {"beta_grid": (0.3, 1e-6)}),
-    (check_ising_differential, {"n": 3}),
+    (check_ising_differential, {"h": 0.0}),
     (check_ghs_differential, {"betas": (0.2, -0.1)}),
     (check_ghs_differential, {"h_grid": (0.3, 0.0)}),
 ])
