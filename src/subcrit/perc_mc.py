@@ -39,6 +39,7 @@ estimate depends on the walk order.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
@@ -240,8 +241,14 @@ class ClusterWalker:
         stop = self._no_stop if stop_layer is None else stop_layer
         if max_layer >= stop:
             return members, max_layer, False
-        todo = deque([root])
-        pop = todo.pop if ghost is None else todo.popleft
+        # a list pops faster than a deque; breadth-first needs its popleft
+        if ghost is None:
+            todo = [root]
+            pop = todo.pop
+        else:
+            todo = deque([root])
+            pop = todo.popleft
+        push = todo.append
         while todo:
             v = pop()
             if v >= ready:
@@ -270,7 +277,7 @@ class ClusterWalker:
                                 return members, max_layer, True
                         if max_layer >= stop:
                             return members, max_layer, False
-                        todo.append(w)
+                        push(w)
         return members, max_layer, False
 
     def draw_edges(self, weights: np.ndarray, seed: int, stream: int,
@@ -352,13 +359,19 @@ class PercBox(ClusterWalker):
         self.n = n
         self._builder = BallBuilder(lattice, n)
         self._edge_j = np.zeros(0)
+        # the per-edge weights open_probabilities handed out and a caller
+        # still holds, by parameter, each filled as far as the box is built
+        self._weights = weakref.WeakValueDictionary()
         self._start(n + 2)  # the shell is layer n + 1
         if self._builder.node_bound > latticemod.LAYOUT_VERTEX_CAP:
             self._complete()
 
     def _extend(self, radius: int) -> None:
         chunk = self._builder.extend(radius)
+        built = len(self._edge_j)
         self._edge_j = np.concatenate((self._edge_j, chunk.edge_j))
+        for param, weights in list(self._weights.items()):
+            self._fill(weights, param, built)
         self._add(chunk.layer, chunk.edge_a, chunk.edge_b, chunk.rows,
                   chunk.first_edge)
 
@@ -378,15 +391,28 @@ class PercBox(ClusterWalker):
 
     def open_probabilities(self, param: float) -> float | np.ndarray:
         """The open probability of each edge at ``param``: one float on a
-        lattice with one coupling, which leaves the box as built, or an
-        array over the edges of the whole box."""
-        js = sorted({j for _, j in self.lattice.couplings})
-        if len(js) == 1:
-            return edge_weight(self.lattice, js[0], param)
+        lattice with one coupling, or an array over the edges of the whole
+        box.  Neither builds the box: the array holds the weights of the
+        built edges, and NaN for the others until the box builds them,
+        which fills them in while the array is held.  Calls at one
+        ``param`` share one array."""
+        # one weight per coupling; a bad param is refused here
+        per_j = [edge_weight(self.lattice, j, param)
+                 for j in {j for _, j in self.lattice.couplings}]
+        if len(per_j) == 1:
+            return per_j[0]
+        weights = self._weights.get(param)
+        if weights is None:
+            weights = self._weights[param] = np.full(self.n_edges, np.nan)
+            self._fill(weights, param, 0)
+        return weights
+
+    def _fill(self, weights: np.ndarray, param: float, start: int) -> None:
+        """Set the weights of the built edges from ``start`` on."""
         # one edge_weight call per distinct coupling
-        js, inverse = np.unique(self.edge_j, return_inverse=True)
-        weights = [edge_weight(self.lattice, j, param) for j in js.tolist()]
-        return np.array(weights)[inverse]
+        js, inverse = np.unique(self._edge_j[start:], return_inverse=True)
+        values = [edge_weight(self.lattice, j, param) for j in js.tolist()]
+        weights[start:len(self._edge_j)] = np.array(values)[inverse]
 
 
 @lru_cache(maxsize=32)
@@ -445,8 +471,13 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
     counts: dict[int, list[float]] = {r: [] for r in radii}
     layer = box._layer  # built for every member a walk returns
     for i in range(samples):
-        members, _, _ = box.origin_cluster(weights, seed,
-                                           rngmod.STREAM_SUSCEPTIBILITY, i)
+        members, max_layer, _ = box.origin_cluster(
+            weights, seed, rngmod.STREAM_SUSCEPTIBILITY, i)
+        if max_layer <= radii[0]:
+            # the whole cluster lies in every ball, as most small ones do
+            for r in radii:
+                counts[r].append(len(members))
+            continue
         # counted in plain Python: on small clusters a numpy call per
         # sample costs more than the count itself
         ml = [layer[m] for m in members]

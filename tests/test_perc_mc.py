@@ -116,6 +116,13 @@ def test_reused_stream_matches_a_fresh_philox():
              (12345, rngmod.STREAM_GHOST, 2 ** 100 + 7, 6),
              (1, 0, 0, 3),
              (0, rngmod.STREAM_TEST, 2 ** 70, 4097)]
+    # the key is rewritten only when it changes, so one index runs under
+    # keys that differ only in seed, then only in stream; a word offset
+    # past 2**66 makes counter word 1 non-zero
+    cases += [(5, rngmod.STREAM_EXIT, 9, 0), (6, rngmod.STREAM_EXIT, 9, 0),
+              (6, rngmod.STREAM_GHOST, 9, 0), (6, rngmod.STREAM_GHOST, 9, 0),
+              (6, rngmod.STREAM_GHOST, 9, 2 ** 66 + 5),
+              (6, rngmod.STREAM_GHOST, 2 ** 64 + 1, 2 ** 129 + 4 * 2 ** 66)]
     reused = rngmod.sample_stream(3, 3, 3)
     for seed, stream, index, start in cases * 2:
         fresh = np.random.Generator(np.random.Philox(
@@ -124,6 +131,12 @@ def test_reused_stream_matches_a_fresh_philox():
         ours = rngmod.sample_stream(seed, stream, index, start=start,
                                     gen=reused)
         assert ours.random(9).tolist() == fresh.random(9).tolist()
+    # a negative index or start is refused though the key is unchanged
+    rngmod.sample_stream(6, rngmod.STREAM_GHOST, 9, gen=reused)
+    with pytest.raises(ValueError):
+        rngmod.sample_stream(6, rngmod.STREAM_GHOST, -1, gen=reused)
+    with pytest.raises(ValueError):
+        rngmod.sample_stream(6, rngmod.STREAM_GHOST, 9, start=-4, gen=reused)
 
 
 def reference_cluster(box, open_edges):
@@ -455,8 +468,8 @@ def test_lazy_box_walks_match_the_whole_box(lattice, n_box, first_draw,
 
 
 def test_open_probabilities_per_coupling():
-    # one coupling gives one float and leaves the box unbuilt; several give
-    # an array over the edges of the whole box, one weight per coupling
+    # one coupling gives one float; several give an array over the edges
+    # of the whole box, one weight per coupling; neither builds the box
     box = PercBox(T_LAT, 3)
     assert box.open_probabilities(0.3) == -math.expm1(-0.3)
     assert not box._layer
@@ -464,7 +477,9 @@ def test_open_probabilities_per_coupling():
                                 ((0, 1), 0.5), ((0, -1), 0.5)])
     box = PercBox(two_j, 3)
     weights = box.open_probabilities(0.3)
-    assert box._builder.done
+    assert not box._layer
+    assert len(weights) == box.n_edges
+    box.edge_j  # builds the box, which fills in the weights
     assert weights.tolist() == [-math.expm1(-0.3 * j)
                                 for j in box.edge_j.tolist()]
     assert set(weights.tolist()) == {-math.expm1(-0.3), -math.expm1(-0.15)}
