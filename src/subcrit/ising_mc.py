@@ -25,12 +25,14 @@ for a fixed seed.
 A walk of a whole cluster (every update, and the two-point and divergence
 measurements) is labeled in numpy (``ClusterWalker.component``, keeping the
 open bonds whose ends are aligned) once the chain's mean whole cluster so
-far exceeds max(256, n_bonds / 8) nodes, as in the ordered phase.  Smaller
-clusters, and walks that stop at a layer, are walked depth-first, with the
-nodes whose spin differs from the root's (the ghost counts as +1) marked
-seen before the walk starts, so it never crosses a bond between unaligned
-ends.  The words fix the open bonds, so both mark the same cluster and the
-chain does not depend on which one ran.
+far exceeds 48 + n_bonds / 20 nodes, as in the ordered phase (the plus
+ball(24) at 1.1 beta_c: 960 of 1,202 nodes, 2,500 bonds, labeled in about
+130-150 us against 1.4 ms walked).  Smaller clusters, and walks that stop
+at a layer, are walked depth-first, with the nodes whose spin differs
+from the root's (the ghost counts as +1) marked seen before the walk
+starts, so it never crosses a bond between unaligned ends.  The words fix
+the open bonds, so both mark the same cluster and the chain does not
+depend on which one ran.
 
 Measurements use the Edwards-Sokal coupling where it buys variance: walking
 a (non-flipping) cluster from the origin with the same activation rule, on
@@ -59,12 +61,14 @@ _KIND_FIELD = 1
 _INIT_INDEX = 1 << 62  # stream block reserved for initial states
 
 # After the bond words are drawn (about 8 us plus 0.01 us per bond), labeling
-# a cluster in numpy costs about 110 us plus 0.08 us per bond and walking it
-# 1.2 us per member (2-vCPU shared Xeon, Python 3.11, numpy 2.4).  Labeling
-# wins above about 95 + n_bonds / 15 nodes and loses on small clusters (231
-# against 108 us at n=16, beta_c), so a chain labels only once its mean whole
-# cluster exceeds max(_LABEL_MIN_NODES, n_bonds / 8), above that crossover.
-_LABEL_MIN_NODES = 256
+# a cluster in numpy costs about 47 us plus 0.055 us per bond and walking it
+# 1.4 us per member (2-vCPU shared Xeon, Python 3.11, numpy 2.4).  Labeling
+# wins above about 34 + n_bonds / 25 nodes: it loses on ball(12) at beta_c
+# (mean cluster 54, 576 bonds), about ties on ball(16) (86, 1,024) and wins
+# on ball(20) (141, 1,600) and on the plus ball(6) at 1.1 beta_c (72, 196).
+# A chain labels once its mean whole cluster exceeds
+# _LABEL_MIN_NODES + n_bonds / 20, just above that crossover.
+_LABEL_MIN_NODES = 48
 
 # bytes.translate tables over the spin bytes (+1 is byte 1, -1 byte 255),
 # keyed by the root's byte: each marks the nodes of the other sign with 1
@@ -82,11 +86,12 @@ class SpinSystem:
     def __init__(self, n_sites: int, bond_a: np.ndarray, bond_b: np.ndarray,
                  bond_kind: np.ndarray, bond_j: np.ndarray, layers: np.ndarray,
                  vertex_index: dict[Vertex, int]):
-        # bond e joins site bond_a[e] to a site or the ghost (id n_sites)
+        # bond e joins site bond_a[e] to a site or the ghost (id n_sites);
+        # intp ends, which numpy gathers with no per-call index conversion
         self.n_sites = n_sites
         self.ghost = n_sites
-        self.bond_a = bond_a.astype(np.int32)
-        self.bond_b = bond_b.astype(np.int32)
+        self.bond_a = bond_a.astype(np.intp)
+        self.bond_b = bond_b.astype(np.intp)
         self.bond_kind = bond_kind.astype(np.int8)
         self.bond_j = bond_j.astype(float)
         self.n_bonds = len(bond_a)
@@ -152,7 +157,7 @@ class WolffChain:
         self._mask_bytes = bytearray(n + 1)
         self._mask = np.frombuffer(self._mask_bytes, dtype=np.bool_)
         self._masked: list[int] = []
-        self.label_floor = max(_LABEL_MIN_NODES, system.n_bonds / 8)
+        self.label_floor = _LABEL_MIN_NODES + system.n_bonds / 20
         self._whole_walks = self._whole_nodes = 0
         plus = (system.bond_kind == _KIND_SPIN) & (system.bond_b == system.ghost)
         if not plus.any():

@@ -124,16 +124,21 @@ def test_ghost_stopped_measurement_decides_like_full_walk(boundary, h):
     assert 0 < hits < 300
 
 
-@pytest.mark.parametrize("n,beta,boundary", [(24, 1.1 * BETA_C, "plus"),
-                                              (8, BETA_C, "free")],
-                         ids=["ordered-plus", "critical-free"])
-def test_labeling_chain_equals_walking_chain(n, beta, boundary):
+@pytest.mark.parametrize("n,beta,boundary,h",
+                         [(24, 1.1 * BETA_C, "plus", 0.0),
+                          (8, BETA_C, "free", 0.0),
+                          (12, BETA_C, "free", 0.05)],
+                         ids=["ordered-plus", "critical-free", "field-free"])
+def test_labeling_chain_equals_walking_chain(n, beta, boundary, h):
     # a chain that labels every whole cluster after its first and one that
     # walks every cluster depth-first flip the same spins and read the same
-    # words, whatever their mean cluster size
-    system = SpinSystem.box(B_LAT, n, boundary=boundary)
-    labeling = WolffChain(system, beta, 0.0, 17)
-    walking = WolffChain(system, beta, 0.0, 17)
+    # words, whatever their mean cluster size; with a field, labeling
+    # crosses the field's ghost bonds, and the mean cluster is past the
+    # floor, so a chain left to its own rule labels too
+    system = SpinSystem.box(B_LAT, n, boundary=boundary, h=h)
+    labeling = WolffChain(system, beta, h, 17)
+    walking = WolffChain(system, beta, h, 17)
+    floor = labeling.label_floor
     labeling.label_floor, walking.label_floor = 0.0, math.inf
     for k in range(300):
         assert labeling.step() == walking.step()
@@ -142,6 +147,8 @@ def test_labeling_chain_equals_walking_chain(n, beta, boundary):
                     == walking.measure().tolist())
     assert labeling.spins.tolist() == walking.spins.tolist()
     assert labeling.stream_index == walking.stream_index
+    if h > 0.0:
+        assert labeling._whole_nodes > floor * labeling._whole_walks
 
 
 @pytest.mark.parametrize("label_floor", [math.inf, 0.0],

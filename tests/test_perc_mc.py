@@ -340,6 +340,47 @@ def test_first_walk_of_a_fresh_walker_matches_full_mask_walk(make, args):
                                             **case) == expected
 
 
+def adversarial_graph(kind):
+    # a 5,000-node path whose node ids fall along the edge order (edge e
+    # joins nodes n - 1 - e and n - 2 - e), so labels reach the far end
+    # only through many hooks and jumps; and a star whose hub is the last
+    # node, with every edge, as a Wolff system's ghost does, beside the
+    # isolated node 0
+    n = 5000
+    if kind == "path":
+        a, b = np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1)
+    else:
+        a, b = np.arange(1, n - 1), np.full(n - 2, n - 1)
+    return ClusterWalker(n, a, b, np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("kind", ["path", "star"])
+def test_component_matches_full_mask_walk_on_adversarial_graphs(kind):
+    # the size and the seen bytes of the labeled cluster are those of the
+    # walk over the kept open edges: every edge open or about half of them,
+    # every edge kept, none, or a random 70 %, from the first node (on the
+    # star, isolated), a middle one and the last one (the hub)
+    walker = adversarial_graph(kind)
+    n = walker.n_nodes
+    random_keep = rngmod.sample_stream(4, rngmod.STREAM_TEST, 0).random(
+        walker.n_edges) < 0.7
+    keeps = (np.ones(walker.n_edges, dtype=bool),
+             np.zeros(walker.n_edges, dtype=bool), random_keep)
+    for param in (1.0, 0.5):
+        weights = np.full(walker.n_edges, param)
+        open_edges, _ = full_draw(walker, weights, 0.0, 8, 3, 0)
+        walker.draw_edges(weights, 8, 3, 0)
+        for keep in keeps:
+            for root in (0, n // 2, n - 1):
+                members, _, _ = full_mask_walk(walker, open_edges & keep,
+                                               root=root)
+                expected = bytearray(n)
+                for m in members:
+                    expected[m] = 1
+                assert walker.component(keep, root=root) == len(members)
+                assert walker.seen == expected
+
+
 def test_small_clusters_build_few_python_rows():
     # at p = 0.25 the 800 clusters on ball(96) have about two sites, and
     # the walks build the Python rows and layers of under 5 % of the box's
@@ -468,11 +509,16 @@ def test_lazy_box_walks_match_the_whole_box(lattice, n_box, first_draw,
 
 
 def test_open_probabilities_per_coupling():
-    # one coupling gives one float; several give an array over the edges
+    # one coupling gives one 0-d array; several give an array over the edges
     # of the whole box, one weight per coupling; neither builds the box
     box = PercBox(T_LAT, 3)
-    assert box.open_probabilities(0.3) == -math.expm1(-0.3)
+    weight = box.open_probabilities(0.3)
+    assert weight.ndim == 0 and weight == -math.expm1(-0.3)
     assert not box._layer
+    # a walk given the weight as a plain float opens the same edges
+    for i in range(20):
+        assert (box.origin_cluster(float(weight), 8, 3, i, h=0.05)
+                == box.origin_cluster(weight, 8, 3, i, h=0.05))
     two_j = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
                                 ((0, 1), 0.5), ((0, -1), 0.5)])
     box = PercBox(two_j, 3)
