@@ -12,8 +12,7 @@ the parameter is at or below the critical point, so the root of
 phi(S, t) = 1 in t is a certified lower bound on the critical point.
 
 :func:`phi_sweep` is the one evaluation of phi, for either model, at one
-parameter or at every parameter of a sequence in one sweep (and of
-subsets of the region, as lanes of the region's own sweep), and
+parameter or at every parameter of a sequence in one sweep, and
 :func:`exact_phi` gives one of its values as a :class:`PhiResult`.  Both
 are exact only and raise ``CapExceeded`` where a percolation plan or a
 sweep's lane would hold more than ``exact.PLAN_BYTES`` (or a percolation
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import CapExceeded, NoRoot
-from .exact import BASE_POINT_TIE, ising_sums, perc_reach, sweep_lanes
+from .exact import BASE_POINT_TIE, ising_sums, perc_reach
 from .lattice import LatticeSpec, Region, ball, edge_weight
 from .perc_mc import ClusterWalker
 from .stats import check_counts
@@ -149,96 +148,29 @@ def _boundary_coefficients(region: Region, param: float,
     return coeff
 
 
-def _subset_coefficients(region: Region, params: list, model: str):
-    """:func:`_boundary_coefficients` of subsets of ``region`` at every
-    parameter, as a function of an (M, vertices) boolean array whose rows
-    mark the subsets: it gives an (M, K, vertices) array in which a vertex
-    of the subset counts its partners outside the subset, the region's
-    vertices among them, summed in the same coupling order, and every
-    other vertex gets 0.  One vectorized pass over the subsets, where the
-    loop of :func:`_boundary_coefficients` serves one region at the low
-    per-call cost a root search needs."""
-    lattice = region.lattice
-    # (coupling, vertex): the neighbour's region index, or -1 outside it
-    neighbours = [[tuple(a + b for a, b in zip(v, offset))
-                   for v in region.vertices]
-                  for offset, _ in lattice.couplings]
-    partner = np.array([[region.index(w) if w in region else -1
-                         for w in row] for row in neighbours],
-                       dtype=np.int64).reshape(-1, len(region))
-    # (coupling, subset, parameter, vertex)
-    weights = np.array([[edge_weight(lattice, j, t) if model == "percolation"
-                         else math.tanh(t * j) for t in params]
-                        for _, j in lattice.couplings],
-                       dtype=float).reshape(len(partner), 1, len(params), 1)
-
-    def of(subsets: np.ndarray) -> np.ndarray:
-        outside = (partner < 0) | ~subsets[:, np.maximum(partner, 0)]
-        terms = weights * np.moveaxis(outside, 1, 0)[:, :, None]
-        coeff = sum(terms, np.zeros(terms.shape[1:]))  # in coupling order
-        return coeff * subsets[:, None]
-    return of
-
-
-def phi_sweep(model: str, region: Region, param, *,
-              subsets: np.ndarray | None = None):
+def phi_sweep(model: str, region: Region, param):
     """Exact phi of ``region`` at ``param``, or an array of it at every
     parameter of a sequence, from one sweep with the boundary coefficients
-    as the column.
+    as the column: their sums over the base point's cluster (percolation)
+    or its correlations (Ising).
 
     ``model`` is "percolation" or "ising" (in any accepted spelling); Ising
     phi needs a beta-mode lattice and takes its correlations at zero field
     with free boundary.  ``region`` may be disconnected; connection
     probabilities (correlations) are then zero beyond the base point's
     component.
-
-    ``subsets``, an (M, vertices) boolean array whose rows mark subsets
-    containing the base point, gives phi of each: an (M,) array at one
-    parameter, or an (M, K) array whose entry (m, q) is phi of the subset
-    of row m at ``param[q]``.  All come from the sweeps of ``region``, as
-    lanes of them, as many (subset, parameter) lanes per sweep as the
-    engine takes, each sweep's coefficients and bond masks built for its
-    lanes alone: a bond with an end outside the lane's subset is closed
-    (percolation) or has J = 0 (Ising), so a spin outside the subset is
-    free and its factor 2 cancels from the correlations.  A full row gives
-    phi of ``region`` bit for bit.
     """
     model = _normalize_model(model)
     if model == "ising" and region.lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
-    if subsets is None:
-        if isinstance(param, numbers.Real):
-            coeffs = _boundary_coefficients(region, param, model)[:, None]
-        else:
-            coeffs = np.array([_boundary_coefficients(region, t, model)
-                               for t in param])[..., None]
-        return _phi_values(model, region, param, coeffs, None)
-    params = [param] if isinstance(param, numbers.Real) else list(param)
-    coefficients = _subset_coefficients(region, params, model)
-    ends = np.array([(a, b) for a, b, _ in region.internal_edges],
-                    dtype=np.int64).reshape(-1, 2)
-    chunk = max(1, sweep_lanes(region, 1, BASE_POINT_TIE if model ==
-                               "percolation" else None) // len(params))
-    values = []
-    for i in range(0, len(subsets), chunk):
-        part = subsets[i:i + chunk]
-        # lane m * K + q: subset m of the part at parameter q
-        values.append(_phi_values(
-            model, region, params * len(part),
-            coefficients(part).reshape(-1, len(region), 1),
-            np.repeat(part[:, ends[:, 0]] & part[:, ends[:, 1]],
-                      len(params), axis=0)))
-    values = np.concatenate(values).reshape(len(subsets), len(params))
-    return values[:, 0] if isinstance(param, numbers.Real) else values
-
-
-def _phi_values(model: str, region: Region, param, coeffs: np.ndarray,
-                keep) -> np.ndarray:
-    """phi from one engine call: the sums of ``coeffs`` over the base
-    point's cluster (percolation) or its correlations (Ising)."""
+    if isinstance(param, numbers.Real):
+        coeffs = _boundary_coefficients(region, param, model)[:, None]
+    else:
+        coeffs = np.array([_boundary_coefficients(region, t, model)
+                           for t in param])[..., None]
     if model == "percolation":
-        return perc_reach(region, BASE_POINT_TIE, param, coeffs, keep)[..., 0]
-    z, acc = ising_sums(region, param, 0.0, coeffs, keep)
+        return perc_reach(region, BASE_POINT_TIE, param, coeffs)[..., 0]
+    z, acc = ising_sums(region, param, 0.0, coeffs)
     return (acc[..., 0, 0] - acc[..., 1, 0]) / (z[..., 0] + z[..., 1])
 
 

@@ -42,20 +42,20 @@ one parameter or a sequence, and a sequence gives each array a leading
 parameter axis whose row q is bit for bit the call at parameter q.
 Per-vertex observables are arrays in region-index order (``Region.index``).
 
-A lane may also carry a mask over the region's bonds (``keep``): a bond
-the mask leaves out is closed in that lane (percolation) or has J = 0
-(Ising), and a lane that keeps every bond is bit for bit its parameter's
-plain sweep.  A mask needs a sequence of parameters, one row each.  So
-one sweep serves every subset S of a region: with the bonds leaving S
-masked out and zero coefficients outside S, a lane computes on S (a spin
-outside S is free, and its factor 2 cancels from every ratio).
+A percolation lane may also carry a mask over the region's bonds
+(``keep``): a bond the mask leaves out is closed in that lane, and a lane
+that keeps every bond is bit for bit its parameter's plain sweep.  A mask
+needs a sequence of parameters, one row each.  So one sweep serves every
+subset S of a region: with the bonds leaving S masked out and zero
+coefficients outside S, a lane computes on S.
 
 Both engines refuse (``CapExceeded``) work past ``PLAN_BYTES`` before it
 is done: the percolation plan counts its bytes so far plus the next
 layer's before each layer (and a state key holds 15 frontier vertices at
-most), and ``sweep_lanes`` splits a grid or a set of masks into sweeps of
-lanes that fit, refused only where one lane, counted from the widest
-layer's rows (2^(frontier spins) for Ising), would pass it.
+most), and ``_lanes`` splits a grid into sweeps of lanes that fit,
+refused only where one lane, counted from the widest layer's rows
+(2^(frontier spins) for Ising), would pass it; ``sweep_lanes`` gives
+that number of lanes for a percolation sweep.
 Plain-Python enumerators (``naive_*``) are kept alongside as the oracles.
 """
 
@@ -353,7 +353,7 @@ def _tied_plan(region: Region, ties: tuple[tuple[int, float], ...]
                           frozenset(v for v, j in ties if j == math.inf))
 
 
-def _lane_inputs(region: Region, params, coeffs, keep):
+def _lane_inputs(region: Region, params, coeffs, keep=None):
     """``coeffs`` as floats of shape (vertices, columns) at one parameter
     (``params`` None), or (K, vertices, columns) at the K of ``params``, a
     (vertices, columns) matrix serving all K, and ``keep`` (or None) as a
@@ -384,11 +384,11 @@ def _lane_inputs(region: Region, params, coeffs, keep):
     return coeffs, np.asarray(keep, dtype=bool)
 
 
-def sweep_lanes(region: Region, columns: int, ties=None) -> int:
-    """:func:`_lanes` of the percolation sweep of ``region`` with ``ties``
-    (the spin sweep if None)."""
-    plan = _spin_steps(region) if ties is None else _tied_plan(region, ties)
-    return _lanes(plan.rows, columns)
+def sweep_lanes(region: Region, columns: int,
+                ties: tuple[tuple[int, float], ...]) -> int:
+    """:func:`_lanes` of the percolation sweep of ``region`` with
+    ``ties``."""
+    return _lanes(_tied_plan(region, ties).rows, columns)
 
 
 def _lanes(rows: int, columns: int) -> int:
@@ -547,15 +547,14 @@ class _SpinLayout(NamedTuple):
     past lane and column, as (2^m, 1, 2^rest) before the vertex's axis goes
     in after the m and as length-2 axes once it is in; its window of 2^m
     pairs; and the indexes of the two halves of each spin that leaves, the
-    last first.  Per pair and spin of the vertex, ``energy[i]`` is -2 J
-    [sigma_a != sigma_v] of its i-th back bond ``bonds[i]`` (0 past its
-    last).  ``rows`` is 2^(widest frontier, the vertex swept included).
+    last first.  Per pair and spin of the vertex, ``energy`` is the sum
+    of -2 J [sigma_a != sigma_v] over its back bonds, added in order.
+    ``rows`` is 2^(widest frontier, the vertex swept included).
     """
 
     steps: tuple
     rows: int
     energy: np.ndarray
-    bonds: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -589,27 +588,26 @@ def _spin_steps(region: Region) -> _SpinLayout:
     unequal = (index >> shift & 1)[..., None] != np.arange(2)
     bonds = np.array([back[v] + [-1] * (ms.max() - len(back[v]))
                       for v in order], dtype=int)[step].T
-    energy = -2.0 * np.array([j for _, _, j in edges] + [0.0])[bonds, None]
-    return _SpinLayout(tuple(steps), 1 << max(widths), (
-        energy * unequal)[..., None], bonds[:, None, :, None, None])
+    couplings = np.array([j for _, _, j in edges] + [0.0])
+    terms = -2.0 * couplings[bonds, None] * unequal
+    # starting from +0 can only turn a -0 sum into +0: the same exp
+    energy = sum(terms, np.zeros(terms.shape[1:]))
+    return _SpinLayout(tuple(steps), 1 << max(widths), energy[..., None])
 
 
-def ising_sums(region: Region, beta, h, coeffs: np.ndarray,
-               keep=None) -> tuple[np.ndarray, np.ndarray]:
+def ising_sums(region: Region, beta, h,
+               coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z and sum_x coeffs[x, k] sigma_x Z for every column k, split by the
     base point's spin (s = 0 for +1, 1 for -1): ``z[s]`` and ``acc[s, k]``,
     weights relative to the all-plus state; ``CapExceeded`` as
-    :func:`sweep_lanes` says.  At h = 0, ``z[1] == z[0]`` and ``acc[1] ==
+    :func:`_lanes` says.  At h = 0, ``z[1] == z[0]`` and ``acc[1] ==
     -acc[0]`` exactly.
 
     ``beta`` and ``h`` may be sequences (or one a sequence, the other a
     number) giving K pairs, with ``coeffs`` of shape (K, vertices, columns),
     or (vertices, columns) for all of them: then ``z`` has shape (K, 2) and
     ``acc`` (K, 2, columns), row q bit for bit the sums at the q-th pair
-    alone, from as few sweeps as :func:`sweep_lanes` allows.  ``keep``, a
-    (K, bonds) boolean array over ``region.internal_edges``, sets J = 0 in
-    lane q on every bond that its row q leaves unmarked; a full row changes
-    nothing.
+    alone, from as few sweeps as :func:`_lanes` allows.
     """
     one = isinstance(beta, numbers.Real) and isinstance(h, numbers.Real)
     betas, hs = (a.reshape(-1, 1, 1, 1, 1) for a in np.broadcast_arrays(
@@ -619,40 +617,34 @@ def ising_sums(region: Region, beta, h, coeffs: np.ndarray,
         raise ValueError("beta must be non-negative")
     if not all(map(math.isfinite, values + hs.ravel().tolist())):
         raise ValueError("beta and h must be finite")
-    coeffs, keep = _lane_inputs(region, None if one else betas, coeffs, keep)
+    coeffs, _ = _lane_inputs(region, None if one else betas, coeffs)
     coeffs = coeffs.reshape(len(betas), len(region), -1)
     layout = _spin_steps(region)
     chunk = _lanes(layout.rows, coeffs.shape[-1])
     z, acc = (np.concatenate(part) for part in zip(*(
         _spin_sweep(layout, betas[i:i + chunk], hs[i:i + chunk],
-                    coeffs[i:i + chunk],
-                    None if keep is None else keep[i:i + chunk])
+                    coeffs[i:i + chunk])
         for i in range(0, len(betas), chunk))))
     return (z[0], acc[0]) if one else (z, acc)
 
 
 def _spin_sweep(layout: _SpinLayout, beta: np.ndarray, h: np.ndarray,
-                coeffs: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
+                coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The spin sweep of ``layout`` at K (beta, h) pairs, (K, 1, 1, 1, 1)
-    arrays, with ``coeffs`` (K, vertices, columns) and ``keep`` None or (K,
-    bonds) booleans: ``z`` (K, 2) and ``acc`` (K, 2, columns).  The state
-    holds Z in column 0 and the sums after it.  A vertex adds its axis and
-    Z sigma_v c_v to the sums (c = 0 leaves Z as it is; Z (sigma_v c_v) =
-    (Z sigma_v) c_v for sigma_v = +-1), multiplies by exp(beta E + h
-    (sigma_v - 1)), E its bonds' energies added in order (one exp for all
-    vertices), and sums out each leaving spin, + half plus - half.
+    arrays, with ``coeffs`` (K, vertices, columns): ``z`` (K, 2) and
+    ``acc`` (K, 2, columns).  The state holds Z in column 0 and the sums
+    after it.  A vertex adds its axis and Z sigma_v c_v to the sums (c = 0
+    leaves Z as it is; Z (sigma_v c_v) = (Z sigma_v) c_v for sigma_v =
+    +-1), multiplies by exp(beta E + h (sigma_v - 1)), E the layout's
+    energy of its bonds (one exp for all vertices), and sums out each
+    leaving spin, + half plus - half.
     """
     lanes, n, columns = coeffs.shape
     padded = np.zeros((n, lanes, 1 + columns, 1, 1, 1))
     padded[:, :, 1:, 0, 0, 0] = coeffs.transpose(1, 0, 2)
     sigma = np.array([[1.0], [-1.0]])
     flips = padded * sigma
-    terms = list(layout.energy)
-    if keep is not None:
-        terms = [keep[:, b] * term for b, term in zip(layout.bonds, terms)]
-    # starting from +0 can only turn a -0 sum into +0: the same exp
-    energy = sum(terms, np.zeros(layout.energy.shape[1:]))
-    weight = np.exp(beta * energy + h * (sigma - 1.0))
+    weight = np.exp(beta * layout.energy + h * (sigma - 1.0))
     lead = padded.shape[1:3]
     state = np.eye(1, 1 + columns).repeat(lanes, axis=0)
     for v, perm, tail, spins, window, leave in layout.steps:

@@ -8,20 +8,21 @@ function values; a step-halving comparison is recorded so derivative
 quality can be asserted independently of the inequality itself.  A check
 collects every stencil point of its whole grid and evaluates them in one
 exact sweep, and sweeps every other region once for its grid:
-``certificates.phi_sweep``, ``exact.perc_connect_probs``,
-``exact.perc_exit_prob`` and ``exact.ising_observables`` each take one
-parameter or a sequence, and a sequence gives one row per parameter, with
-per-vertex values in region-index order.  Every grid is validated, finite
-and in range, before the first sweep, and a NaN margin fails its report.
+``exact.perc_reach``, ``exact.perc_connect_probs``, ``exact.perc_exit_prob``
+and ``exact.ising_observables`` each take one parameter or a sequence, and
+a sequence gives one row per parameter, with per-vertex values in
+region-index order.  Every grid is validated, finite and in range, before
+the first sweep, and a NaN margin fails its report.
 
-The subset infimum of ``perc-diff`` is taken over *all* subsets of the
+The subset infimum of ``perc-diff`` (:func:`phi_infimum`, percolation
+only: no other check takes an infimum) is taken over *all* subsets of the
 region that contain the base point, disconnected ones included, though
 phi(S) = phi(S0) for S0 the coupled component of S that holds the base
 point (no vertex of S0 is coupled to the rest of S, which adds zero).  One
 sweep of the region serves them all: each (parameter, subset) pair is a
-lane of its sweep, in which every bond leaving the subset is closed
-(percolation) or decoupled (Ising), so an infimum over ball(1) at a whole
-grid is one sweep.  ``ising-diff`` takes no infimum (see its docstring).
+lane of its sweep, in which every bond leaving the subset is closed, so an
+infimum over ball(1) at a whole grid is one sweep.  ``ising-diff`` takes
+no infimum (see its docstring).
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certificates import phi_sweep
-from .exact import (ising_observables, perc_connect_probs, perc_exit_prob,
-                    perc_reach)
+from .exact import (BASE_POINT_TIE, ising_observables, perc_connect_probs,
+                    perc_exit_prob, perc_reach, sweep_lanes)
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
 
 __all__ = [
@@ -136,20 +136,17 @@ def _make_report(name: str, grid: Sequence, lhs: Sequence[float],
 # subset infimum of phi
 # ---------------------------------------------------------------------------
 
-def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param):
-    """Exact infimum of phi(S) over every subset S of ``region`` containing
-    the base point (2^(|region|-1) of them), with the minimizing subset:
-    ``(value, subset)`` at one parameter, or a list of them at every
-    parameter of a sequence.  It equals, up to rounding, the infimum over
-    the connected subsets (see the module docstring).
+def phi_infimum(lattice: LatticeSpec, region: Region, param):
+    """Exact infimum of percolation phi(S) over every subset S of
+    ``region`` containing the base point (2^(|region|-1) of them), with the
+    minimizing subset: ``(value, subset)`` at one parameter, or a list of
+    them at every parameter of a sequence.  It equals, up to rounding, the
+    infimum over the connected subsets (see the module docstring).
 
-    The sweeps of ``region`` serve every subset: each (parameter, subset)
-    pair is a lane of :func:`certificates.phi_sweep`, with every bond that
-    leaves the subset closed (percolation) or decoupled (Ising), and a
-    sweep takes as many lanes as ``exact.sweep_lanes`` allows.  Bit k of a
-    subset's mask includes region vertex k + 1; a tie goes to the first
-    mask.  Every parameter is checked, finite and in range, before the
-    first sweep; ``region`` must be built on ``lattice``.
+    The values come from :func:`_subset_phi`.  Bit k of a subset's mask
+    includes region vertex k + 1; a tie goes to the first mask.  Every
+    parameter is checked, finite and in range, before the first sweep;
+    ``region`` must be built on ``lattice``.
     """
     if len(region) - 1 > _SUBSET_ENUM_CAP:
         raise ValueError(f"subset infimum over 2^{len(region) - 1} sets is "
@@ -168,12 +165,57 @@ def phi_infimum(model: str, lattice: LatticeSpec, region: Region, param):
     subsets = np.ones((len(masks), n_others + 1), dtype=bool)
     for k in range(n_others):
         subsets[:, k + 1] = masks >> k & 1
-    values = phi_sweep(model, region, params, subsets=subsets)
+    values = _subset_phi(region, params, subsets)
     # argmin takes the first least value: a tie goes to the lower mask
     found = [(float(values[m, q]), tuple(sorted(
         v for v, inside in zip(region.vertices, subsets[m]) if inside)))
         for q, m in enumerate(np.argmin(values, axis=0).tolist())]
     return found[0] if isinstance(param, numbers.Real) else found
+
+
+def _subset_phi(region: Region, params: list,
+                subsets: np.ndarray) -> np.ndarray:
+    """Percolation phi of the subsets of ``region`` that the rows of the
+    (M, vertices) boolean array ``subsets`` mark, each holding the base
+    point, at every parameter of ``params``: an (M, K) array whose entry
+    (m, q) is phi of the subset of row m at ``params[q]``.
+
+    All come from the sweeps of ``region``, as lanes of them, as many
+    (subset, parameter) lanes per sweep as ``exact.sweep_lanes`` allows,
+    each sweep's coefficients and bond masks built for its lanes alone: a
+    vertex of the subset counts its partners outside it, the region's
+    vertices among them, and a bond with an end outside it is closed.  A
+    full row gives ``certificates.phi_sweep`` of ``region`` bit for bit.
+    """
+    lattice = region.lattice
+    # (coupling, vertex): the neighbour's region index, or -1 outside it
+    neighbours = [[tuple(a + b for a, b in zip(v, offset))
+                   for v in region.vertices]
+                  for offset, _ in lattice.couplings]
+    partner = np.array([[region.index(w) if w in region else -1
+                         for w in row] for row in neighbours],
+                       dtype=np.int64).reshape(-1, len(region))
+    # (coupling, subset, parameter, vertex)
+    weights = np.array([[edge_weight(lattice, j, t) for t in params]
+                        for _, j in lattice.couplings],
+                       dtype=float).reshape(len(partner), 1, len(params), 1)
+    ends = np.array([(a, b) for a, b, _ in region.internal_edges],
+                    dtype=np.int64).reshape(-1, 2)
+    chunk = max(1, sweep_lanes(region, 1, BASE_POINT_TIE) // len(params))
+    values = []
+    for i in range(0, len(subsets), chunk):
+        part = subsets[i:i + chunk]
+        outside = (partner < 0) | ~part[:, np.maximum(partner, 0)]
+        terms = weights * np.moveaxis(outside, 1, 0)[:, :, None]
+        # summed in coupling order, as certificates._boundary_coefficients
+        coeffs = sum(terms, np.zeros(terms.shape[1:])) * part[:, None]
+        # lane m * K + q: subset m of the part at parameter q
+        values.append(perc_reach(
+            region, BASE_POINT_TIE, params * len(part),
+            coeffs.reshape(-1, len(region), 1),
+            np.repeat(part[:, ends[:, 0]] & part[:, ends[:, 1]],
+                      len(params), axis=0))[:, 0])
+    return np.concatenate(values).reshape(len(subsets), len(params))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +272,7 @@ def check_perc_differential(lattice: LatticeSpec, n: int = 1,
         raise ValueError("p grid must stay strictly inside (0, 1)")
     region = ball(lattice, n)
     betas = [-math.log1p(-p) for p in p_grid]
-    infima = phi_infimum("percolation", lattice, region, betas)
+    infima = phi_infimum(lattice, region, betas)
     # per grid point: its stencil, then the point itself
     points = [t for beta in betas for t in _stencil(beta, DELTA) + (beta,)]
     exits = perc_exit_prob(lattice, n, points).tolist()

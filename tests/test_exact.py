@@ -259,12 +259,9 @@ def test_full_mask_lanes_are_the_plain_sweeps():
     keep[::2] = True
     keep[1] = False
     reach = perc_reach(region, ties, GRID, coeffs, keep)
-    z, acc = exact.ising_sums(region, GRID, 0.1, coeffs, keep)
     for q in range(0, len(GRID), 2):
         assert (reach[q] == perc_reach(region, ties, GRID[q],
                                        coeffs[q])).all()
-        z1, acc1 = exact.ising_sums(region, GRID[q], 0.1, coeffs[q])
-        assert (z[q] == z1).all() and (acc[q] == acc1).all()
     alone = [1.0 - math.prod(1.0 - edge_weight(lattice, j, GRID[1])
                              for i, j in ties if i == v)
              for v in range(len(region))]
@@ -320,16 +317,13 @@ def test_a_bond_mask_needs_a_parameter_sequence():
     coeffs = np.ones((len(region), 1))
     with pytest.raises(ValueError, match="^a bond mask needs a sequence"):
         perc_reach(region, exact.BASE_POINT_TIE, 0.3, coeffs, keep)
-    with pytest.raises(ValueError, match="^a bond mask needs a sequence"):
-        exact.ising_sums(region, 0.3, 0.0, coeffs, keep)
 
 
 @pytest.mark.parametrize("rows, bonds", [(1, 4), (2, 3), (3, 4)],
                          ids=["one-row", "a-bond-short", "a-row-more"])
 def test_bond_masks_of_the_wrong_shape_are_refused(rows, bonds):
     # a (1, bonds) mask was broadcast to every lane, and a mask a bond
-    # short left that bond open in perc_reach and raised IndexError in
-    # ising_sums
+    # short left that bond open
     region = ball(LatticeSpec.square(mode="beta"), 1)
     keep = np.ones((rows, bonds), dtype=bool)
     coeffs = np.ones((len(region), 1))
@@ -337,8 +331,6 @@ def test_bond_masks_of_the_wrong_shape_are_refused(rows, bonds):
                      f"{(rows, bonds)}")
     with pytest.raises(ValueError, match=want):
         perc_reach(region, exact.BASE_POINT_TIE, [0.3, 0.4], coeffs, keep)
-    with pytest.raises(ValueError, match=want):
-        exact.ising_sums(region, [0.3, 0.4], 0.0, coeffs, keep)
 
 
 @pytest.mark.parametrize("engine, param, shape, want", [
@@ -389,7 +381,7 @@ def test_grid_past_the_caps_is_chunked_not_refused(monkeypatch):
     assert (perc_reach(region, ties, GRID, coeffs) == perc_want).all()
     rows = 1 << max(exact._sweep(region, stay=0)[3])
     monkeypatch.setattr(exact, "LANE_CELLS", rows * 2 * 3 // 2)
-    assert exact.sweep_lanes(region, 2) == 1
+    assert exact._lanes(exact._spin_steps(region).rows, 2) == 1
     z, acc = exact.ising_sums(region, GRID, 0.1, coeffs)
     assert (z == spin_want[0]).all() and (acc == spin_want[1]).all()
     assert sweeps == {"perc": len(GRID), "spin": len(GRID)}
@@ -451,14 +443,14 @@ def test_spin_lane_bytes_refuse_a_wide_ball(fresh_plans):
     # 2^21 rows, is exactly at it.  A 100x100 box (102 spins at once) is
     # refused before its sweep's bookkeeping is built
     lattice = LatticeSpec.square(mode="beta")
-    assert exact.sweep_lanes(ball(lattice, 10), 1) == 1
+    assert exact._lanes(exact._spin_steps(ball(lattice, 10)).rows, 1) == 1
     refused, peak = plan_peak(
         lambda: exact_phi("ising", lattice, ball(lattice, 11), 0.3))
     assert str(refused) == (f"sweep lane bytes: need {256 << 23}, cap is "
                             f"{exact.PLAN_BYTES}")
     assert peak < 10 * 2 ** 20
     region = box(lattice, 100, 100, (0, 0))
-    refused, peak = plan_peak(lambda: exact.sweep_lanes(region, 1))
+    refused, peak = plan_peak(lambda: exact._spin_steps(region))
     assert refused.needed == 256 << 102
     assert peak < 10 * 2 ** 20
 
@@ -550,15 +542,6 @@ def test_ising_sums_are_pinned_to_the_byte():
         region = regions[name]
         assert spin_sum_digest(*exact.ising_sums(
             region, beta, h, np.eye(len(region)))) == digest, (name, beta, h)
-    # three lanes, two of them with bonds masked out
-    region = regions["square-ball-2"]
-    keep = np.ones((3, len(region.internal_edges)), dtype=bool)
-    keep[1, ::3] = False
-    keep[2, 1::2] = False
-    z, acc = exact.ising_sums(region, [0.3, 0.41, 0.2], [0.0, 0.1, -0.3],
-                              np.eye(len(region)), keep)
-    assert spin_sum_digest(z, acc) == (
-        "b030e3d1f8541c211b77370ad3f0529e025ccaf83a5ec34d4b52055e6c16d481")
 
 
 def test_ising_sums_match_naive_on_random_instances():

@@ -90,15 +90,9 @@ def test_phi_on_subset_matches_hand_assembly():
             hand_phi_ising(B_LAT, subset, beta), rel=1e-12, abs=1e-14)
 
 
-def test_phi_infimum_ising_needs_beta_mode():
-    with pytest.raises(ValueError):
-        phi_infimum("ising", P_LAT, Region(P_LAT, [(0, 0)]), 0.3)
-
-
 def test_phi_infimum_consistency():
     region = ball(P_LAT, 1)
-    value, subset = phi_infimum("percolation", P_LAT, region, 0.4)
-    assert phi_infimum("perc", P_LAT, region, 0.4) == (value, subset)
+    value, subset = phi_infimum(P_LAT, region, 0.4)
     assert (0, 0) in subset
     assert phi_p(subset, 0.4) == pytest.approx(value)
     rng = np.random.default_rng(4103)
@@ -111,19 +105,17 @@ def test_phi_infimum_consistency():
 def test_phi_infimum_keeps_the_base_point():
     shape = [(0, 0), (1, 0), (0, 1)]
     moved = Region(P_LAT, [(5 + x, 5 + y) for x, y in shape], (5, 5))
-    value, subset = phi_infimum("percolation", P_LAT, moved, 0.3)
-    expected, at_origin = phi_infimum("percolation", P_LAT,
-                                      Region(P_LAT, shape), 0.3)
+    value, subset = phi_infimum(P_LAT, moved, 0.3)
+    expected, at_origin = phi_infimum(P_LAT, Region(P_LAT, shape), 0.3)
     assert value == expected
     assert subset == tuple(sorted((5 + x, 5 + y) for x, y in at_origin))
 
 
-@pytest.mark.parametrize("model, lattice", [("percolation", P_LAT),
-                                            ("ising", B_LAT)])
-def test_disconnected_subsets_have_the_phi_of_their_base_component(
-        model, lattice):
+@pytest.mark.parametrize("lattice", [P_LAT, B_LAT], ids=["p", "beta"])
+def test_disconnected_subsets_have_the_phi_of_their_base_component(lattice):
     # phi(S) = phi(S0), S0 the coupled component of S holding the base
-    # point, over all 4,096 subsets of square ball(2) that hold it
+    # point, over all 4,096 subsets of square ball(2) that hold it, with
+    # the edge weight read as p or as 1 - e^{-beta}
     region = ball(lattice, 2)
     others = len(region) - 1
     masks = np.arange(1 << others)
@@ -141,16 +133,14 @@ def test_disconnected_subsets_have_the_phi_of_their_base_component(
                     component[w] = True
                     todo.append(w)
     assert (components != subsets).any()
-    phi = phi_sweep(model, region, 0.3, subsets=subsets)
-    assert phi_sweep(model, region, 0.3, subsets=components) == (
+    phi = verify._subset_phi(region, [0.3], subsets)
+    assert verify._subset_phi(region, [0.3], components) == (
         pytest.approx(phi, rel=0, abs=1e-12))
 
 
 def test_phi_infimum_guards():
     with pytest.raises(ValueError):
-        phi_infimum("potts", P_LAT, ball(P_LAT, 1), 0.3)
-    with pytest.raises(ValueError):
-        phi_infimum("percolation", P_LAT, ball(P_LAT, 5), 0.3)
+        phi_infimum(P_LAT, ball(P_LAT, 5), 0.3)
 
 
 # one parameter or a sequence: row q of a grid is the call at parameter q
@@ -180,11 +170,11 @@ def test_ising_observables_grid_rows_equal_single_calls():
 
 
 def test_phi_infimum_grid_rows_equal_single_calls():
-    for model, lattice in (("percolation", P_LAT), ("ising", B_LAT)):
+    for lattice in (P_LAT, B_LAT):
         for region in (ball(lattice, 1), Region(lattice, DISCONNECTED),
                        ball(lattice, 2)):
-            rows = phi_infimum(model, lattice, region, CONTRACT_GRID)
-            assert rows == [phi_infimum(model, lattice, region, t)
+            rows = phi_infimum(lattice, region, CONTRACT_GRID)
+            assert rows == [phi_infimum(lattice, region, t)
                             for t in CONTRACT_GRID]
 
 
@@ -200,10 +190,11 @@ def every_subset(region):
     return subsets
 
 
-def own_plan_phi(model, lattice, region, row, grid):
+def own_plan_phi(lattice, region, row, grid):
     """phi of the subset ``row`` marks, from a region and plan of its own."""
     subset = [v for v, kept in zip(region.vertices, row) if kept]
-    return phi_sweep(model, Region(lattice, subset, region.origin), grid)
+    return phi_sweep("percolation", Region(lattice, subset, region.origin),
+                     grid)
 
 
 def lane_regions(lattice):
@@ -212,20 +203,19 @@ def lane_regions(lattice):
             Region(lattice, [(5 + x, 5 + y) for x, y in shape], (5, 5)))
 
 
-@pytest.mark.parametrize("model, lattice", [("percolation", P_LAT),
-                                            ("ising", B_LAT)])
-def test_subset_lanes_equal_own_plan_sweeps(model, lattice):
+@pytest.mark.parametrize("lattice", [P_LAT, B_LAT], ids=["p", "beta"])
+def test_subset_lanes_equal_own_plan_sweeps(lattice):
     # every subset of the small regions, bit for bit; the infimum is the
     # first minimum in mask order, as a loop over the subsets finds it
     for region in lane_regions(lattice):
         subsets = every_subset(region)
-        lanes = phi_sweep(model, region, CONTRACT_GRID, subsets=subsets)
-        own = [own_plan_phi(model, lattice, region, row,
-                            CONTRACT_GRID).tolist() for row in subsets]
+        lanes = verify._subset_phi(region, CONTRACT_GRID, subsets)
+        own = [own_plan_phi(lattice, region, row, CONTRACT_GRID).tolist()
+               for row in subsets]
         assert lanes.tolist() == own
         # one parameter: the column of the grid's lanes
-        at_one = phi_sweep(model, region, CONTRACT_GRID[2], subsets=subsets)
-        assert at_one.tolist() == lanes[:, 2].tolist()
+        at_one = verify._subset_phi(region, CONTRACT_GRID[2:3], subsets)
+        assert at_one.tolist() == lanes[:, 2:3].tolist()
         want = []
         for q in range(len(CONTRACT_GRID)):
             best = (math.inf, None)
@@ -234,23 +224,22 @@ def test_subset_lanes_equal_own_plan_sweeps(model, lattice):
                     best = (values[q], tuple(sorted(
                         v for v, kept in zip(region.vertices, row) if kept)))
             want.append(best)
-        assert phi_infimum(model, lattice, region, CONTRACT_GRID) == want
+        assert phi_infimum(lattice, region, CONTRACT_GRID) == want
 
 
-@pytest.mark.parametrize("model, lattice", [("percolation", P_LAT),
-                                            ("ising", B_LAT)])
-def test_subset_lanes_on_ball_two_agree_with_own_plans(model, lattice):
+@pytest.mark.parametrize("lattice", [P_LAT, B_LAT], ids=["p", "beta"])
+def test_subset_lanes_on_ball_two_agree_with_own_plans(lattice):
     region = ball(lattice, 2)
     picks = np.random.default_rng(2402).choice(1 << 12, 200, replace=False)
     subsets = every_subset(region)[np.sort(picks)]
-    lanes = phi_sweep(model, region, CONTRACT_GRID, subsets=subsets)
+    lanes = verify._subset_phi(region, CONTRACT_GRID, subsets)
     for row, values in zip(subsets, lanes):
-        own = own_plan_phi(model, lattice, region, row, CONTRACT_GRID)
+        own = own_plan_phi(lattice, region, row, CONTRACT_GRID)
         assert values == pytest.approx(own, rel=1e-13, abs=1e-13)
 
 
 def test_phi_infimum_plans_only_the_region(monkeypatch, fresh_plans):
-    # both engines lay out their sweeps with _sweep, so the regions it is
+    # the percolation plan is laid out with _sweep, so the regions it is
     # called with are the regions swept
     planned = []
     sweep = exact._sweep
@@ -260,11 +249,11 @@ def test_phi_infimum_plans_only_the_region(monkeypatch, fresh_plans):
         return sweep(region, *args, **kwargs)
 
     monkeypatch.setattr(exact, "_sweep", record)
-    for model, lattice in (("percolation", P_LAT), ("ising", B_LAT)):
+    for lattice in (P_LAT, B_LAT):
         region = ball(lattice, 2)
         planned.clear()
         fresh_plans()
-        phi_infimum(model, lattice, region, CONTRACT_GRID)
+        phi_infimum(lattice, region, CONTRACT_GRID)
         assert planned and set(planned) == {region}
 
 
@@ -273,7 +262,26 @@ def test_phi_infimum_refuses_a_region_of_another_lattice():
     # another one than the lattice named is refused, not evaluated on it
     region = ball(LatticeSpec.square(mode="p"), 1)
     with pytest.raises(ValueError, match="^region was built on a different"):
+        phi_infimum(B_LAT, region, 0.3)
+
+
+def test_only_percolation_lanes_take_subset_masks():
+    # the one subset infimum is percolation's, so neither the spin engine
+    # nor phi_sweep takes a mask or a set of subsets, and the infimum takes
+    # no model
+    region = ball(B_LAT, 1)
+    keep = np.ones((2, len(region.internal_edges)), dtype=bool)
+    coeffs = np.ones((len(region), 1))
+    with pytest.raises(TypeError):
+        exact.ising_sums(region, [0.3, 0.4], 0.0, coeffs, keep)
+    with pytest.raises(TypeError):
+        exact.ising_sums(region, [0.3, 0.4], 0.0, coeffs, keep=keep)
+    with pytest.raises(TypeError):
+        phi_sweep("ising", region, [0.3, 0.4],
+                  subsets=every_subset(region))
+    with pytest.raises(TypeError):
         phi_infimum("percolation", B_LAT, region, 0.3)
+    assert "bonds" not in exact._SpinLayout._fields
 
 
 # --- report container -----------------------------------------------------------
@@ -603,9 +611,9 @@ LAM = [(x, y) for x in range(-1, 3) for y in range(-1, 2)]
                                  (2, 1), h=NAN),
     lambda: check_ghs_differential(B_LAT, betas=(0.2, NAN)),
     lambda: check_ghs_differential(B_LAT, h_grid=(0.3, NAN)),
-    lambda: phi_infimum("percolation", B_LAT, ball(B_LAT, 1), NAN),
-    lambda: phi_infimum("ising", B_LAT, ball(B_LAT, 1), [0.3, math.inf]),
-    lambda: phi_infimum("percolation", B_LAT, ball(B_LAT, 1), []),
+    lambda: phi_infimum(B_LAT, ball(B_LAT, 1), NAN),
+    lambda: phi_infimum(B_LAT, ball(B_LAT, 1), [0.3, math.inf]),
+    lambda: phi_infimum(B_LAT, ball(B_LAT, 1), []),
     lambda: check_ising_differential(B_LAT, 1, beta_grid=()),
 ], ids=["perc-diff", "ising-diff", "ising-diff-inf", "ising-diff-h", "bk",
         "bk-inf", "simon", "simon-h", "ghs", "ghs-h", "phi-infimum",
