@@ -154,15 +154,6 @@ class RunConfig:
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
-    def to_json(self) -> dict:
-        return json.loads(self.canonical())
-
-    @classmethod
-    def from_json(cls, obj) -> "RunConfig":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj["subcommand"], dict(obj["options"]))
-
 
 def _coerce(field: _Field, value, where: str):
     def fail(msg: str):

@@ -178,23 +178,33 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 8)],
                      dtype=np.int64)
 
 
-def _check_state_space(graph: CurrentGraph, radix: int, n_pairs: int) -> int:
+def _check_state_space(graph: CurrentGraph, radix: int, n_pairs: int) -> None:
     if graph.n_vertices > MAX_VERTICES:
         raise CapExceeded("current-lab vertices", graph.n_vertices,
                           MAX_VERTICES)
     states = radix ** n_pairs
     if states > STATE_GUARD:
         raise StateSpaceTooLarge(states, STATE_GUARD)
-    return states
 
 
-def _digit_decoder(radix: int, n_pairs: int):
-    pows = radix ** np.arange(n_pairs, dtype=np.int64)
-
-    def decode(idx: np.ndarray) -> np.ndarray:
-        return (idx[:, None] // pows) % radix
-
-    return decode
+def _class_vectors(masks: np.ndarray, sources: int) -> Iterator[np.ndarray]:
+    """The class vectors whose source set is the vertex mask ``sources``,
+    one row each (digit p the class of the pair with vertex mask
+    ``masks[p]``), a chunk of ``_CHUNK`` enumeration indices at a time; a
+    chunk with no such vector yields nothing."""
+    states = _CLASSES ** len(masks)
+    pows = _CLASSES ** np.arange(len(masks), dtype=np.int64)
+    for start in range(0, states, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, states), dtype=np.int64)
+        digits = (idx[:, None] // pows) % _CLASSES
+        parity_mask = np.bitwise_xor.reduce(
+            np.where(digits == 1, masks, 0), axis=1)
+        # handshake parity: every current has an even number of odd-degree
+        # vertices, ghost included
+        assert (_POPCOUNT[parity_mask] % 2 == 0).all()
+        keep = parity_mask == sources
+        if keep.any():
+            yield digits[keep]
 
 
 def _class_tables(table: np.ndarray) -> np.ndarray:
@@ -213,8 +223,7 @@ def source_sum(graph: CurrentGraph, sources: Iterable[int], beta: float,
     pairs, bases = graph.pair_bases(beta, h)
     if not pairs:
         return 1.0 if _source_mask(sources, graph.n_vertices + 1) == 0 else 0.0
-    n_pairs = len(pairs)
-    states = _check_state_space(graph, _CLASSES, n_pairs)
+    _check_state_space(graph, _CLASSES, len(pairs))
     target = _source_mask(sources, graph.n_vertices + 1)
     masks = _vertex_masks(pairs)
     # w_table[p, k] = base_p^k / k!, summed within each multiplicity class
@@ -222,20 +231,9 @@ def source_sum(graph: CurrentGraph, sources: Iterable[int], beta: float,
     w_table = np.power(np.asarray(bases)[:, None], ks) / \
         np.array([float(math.factorial(k)) for k in range(cap + 1)])
     class_w = _class_tables(w_table)
-    decode = _digit_decoder(_CLASSES, n_pairs)
     pieces = []
-    for start in range(0, states, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, states), dtype=np.int64)
-        digits = decode(idx)
-        parity_mask = np.bitwise_xor.reduce(
-            np.where(digits == 1, masks, 0), axis=1)
-        # handshake parity: every current has an even number of odd-degree
-        # vertices, ghost included
-        assert (_POPCOUNT[parity_mask] % 2 == 0).all()
-        keep = parity_mask == target
-        if not keep.any():
-            continue
-        w = np.take_along_axis(class_w, digits[keep].T, axis=1).prod(axis=0)
+    for digits in _class_vectors(masks, target):
+        w = np.take_along_axis(class_w, digits.T, axis=1).prod(axis=0)
         pieces.append(math.fsum(w))
     return math.fsum(pieces)
 
@@ -366,7 +364,7 @@ def switching_check(graph: CurrentGraph, sources: Iterable[int], u: int,
     n_slots = graph.n_vertices + 1
     a_mask = _source_mask(sources, n_slots)
     uv_mask = _source_mask((u, v), n_slots)
-    states = _check_state_space(graph, _CLASSES, n_pairs)
+    _check_state_space(graph, _CLASSES, n_pairs)
     masks = _vertex_masks(pairs)
 
     # split_table[parity, p, k] = base_p^k * sum_{j<=k, j=parity mod 2}
@@ -400,17 +398,9 @@ def switching_check(graph: CurrentGraph, sources: Iterable[int], u: int,
                                                axis=1).prod(axis=0)
         return total / (1 << n_slots)
 
-    decode = _digit_decoder(_CLASSES, n_pairs)
     lhs_pieces, rhs_pieces = [], []
-    for start in range(0, states, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, states), dtype=np.int64)
-        digits = decode(idx)
-        parity_mask = np.bitwise_xor.reduce(
-            np.where(digits == 1, masks, 0), axis=1)
-        keep = parity_mask == a_mask  # both sides force sources(m) = A
-        if not keep.any():
-            continue
-        digits = digits[keep]
+    # both sides force sources(m) = A
+    for digits in _class_vectors(masks, a_mask):
         f_vals = f(digits, pairs, graph)
         lhs_pieces.append(math.fsum(
             f_vals * constrained_split(digits, a_mask ^ uv_mask)))

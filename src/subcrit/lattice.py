@@ -6,6 +6,11 @@ with ``J(o) > 0``; all distances (in particular the balls ``ball(n)``) are
 graph distances in that coupling graph.  Only translation symmetry is
 assumed anywhere in the package.
 
+One breadth-first walk, :func:`layers`, yields that graph's distance
+layers; ``ball``, the canonical vertex order of a :class:`Region` and
+``LatticeSpec.distances_from_origin`` (hence ``Region.radius_l``) all read
+it.  ``BallBuilder`` is the numpy walk that lays out large balls as arrays.
+
 Two parameterizations are supported and kept deliberately explicit:
 
 * ``mode="p"``   -- Bernoulli(p) bond percolation, all couplings unit;
@@ -17,9 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -161,32 +167,29 @@ class LatticeSpec:
         return (0,) * self.dim
 
     def distances_from_origin(self, targets: Iterable[Vertex]) -> dict[Vertex, int]:
-        """Graph distances from the origin to each target (BFS).
+        """Graph distances from the origin to each target, read off
+        :func:`layers`.
 
-        Raises ValueError if some target is unreachable within a generous
-        search radius (cannot happen for the built-in families).
+        Raises ValueError if some target is unreachable.  The walk stops at
+        the first layer with no vertex in the box |v|_inf <= (d + 1)(R + m),
+        R the largest |t|_inf of a target, m the largest |offset|_inf and d
+        the dimension: the steps of a shortest path to a target t, less t/L
+        each, sum to zero, so by the Steinitz lemma in the sharp form of
+        Grinberg and Sevastyanov (1980) some order of them keeps every
+        prefix within d(R + m) of the segment to t.  That order is again a
+        shortest path, and its k-th prefix lies in layer k inside the box,
+        so every layer up to a reachable target's meets the box.
         """
         todo = set(targets)
+        reach = max((abs(c) for v in todo for c in v), default=0)
+        step = max((abs(c) for o, _ in self.couplings for c in o), default=0)
+        box = (self.dim + 1) * (reach + step)
         dist: dict[Vertex, int] = {}
-        origin = self.origin()
-        seen = {origin: 0}
-        frontier = deque([origin])
-        if origin in todo:
-            dist[origin] = 0
-            todo.discard(origin)
-        guard = 0
-        while todo and frontier:
-            v = frontier.popleft()
-            d = seen[v]
-            for w, _ in self.neighbors(v):
-                if w not in seen:
-                    seen[w] = d + 1
-                    frontier.append(w)
-                    if w in todo:
-                        dist[w] = d + 1
-                        todo.discard(w)
-            guard += 1
-            if guard > 20_000_000:
+        for k, layer in enumerate(layers(self, self.origin())):
+            for v in todo.intersection(layer):
+                dist[v] = k
+            todo.difference_update(layer)
+            if not todo or all(max(map(abs, v)) > box for v in layer):
                 break
         if todo:
             raise ValueError(f"vertices unreachable from origin: {sorted(todo)[:4]}")
@@ -217,6 +220,9 @@ class Region:
     stably.  ``internal_edges`` lists each unordered coupled pair inside the
     region exactly once; ``boundary_pairs`` lists every ordered
     (inside index, outside vertex) coupled pair leaving the region.
+    ``partners`` is the region's adjacency table, a read-only int64 array
+    of shape (couplings, vertices): entry (c, i) is the index of vertex i's
+    partner along coupling c, or -1 if that partner lies outside.
 
     ``radius_l`` is the smallest ``n`` such that the region fits inside
     ``ball(n - 1)`` around its base point, so every coupled pair leaving it
@@ -234,39 +240,31 @@ class Region:
         for v in vset:
             if len(v) != lattice.dim:
                 raise ValueError(f"vertex {v} has wrong dimension")
-        self.vertices: tuple[Vertex, ...] = self._canonical_order(vset)
+        # vertices the base point cannot reach inside the set come last
+        order = [v for layer in layers(lattice, self.origin, vset) for v in layer]
+        self.vertices: tuple[Vertex, ...] = tuple(
+            order + sorted(vset.difference(order)))
         self._index = {v: i for i, v in enumerate(self.vertices)}
         # taken once: every plan lookup of the exact engines hashes a region
         self._hash = hash((lattice, self.origin, self.vertices))
 
         internal: list[tuple[int, int, float]] = []
         boundary: list[tuple[int, Vertex, float]] = []
+        rows = []
         for i, v in enumerate(self.vertices):
+            row = []
             for w, j in lattice.neighbors(v):
-                k = self._index.get(w)
-                if k is None:
+                k = self._index.get(w, -1)
+                row.append(k)
+                if k < 0:
                     boundary.append((i, w, j))
                 elif i < k:
                     internal.append((i, k, j))
+            rows.append(row)
         self.internal_edges: tuple[tuple[int, int, float], ...] = tuple(internal)
         self.boundary_pairs: tuple[tuple[int, Vertex, float], ...] = tuple(boundary)
-
-    def _canonical_order(self, vset: set[Vertex]) -> tuple[Vertex, ...]:
-        order = [self.origin]
-        seen = {self.origin}
-        frontier = [self.origin]
-        while frontier:
-            nxt = set()
-            for v in frontier:
-                for w, _ in self.lattice.neighbors(v):
-                    if w in vset and w not in seen:
-                        nxt.add(w)
-            frontier = sorted(nxt)
-            order.extend(frontier)
-            seen.update(nxt)
-        # vertices not reachable from the base point inside the set
-        order.extend(sorted(vset - seen))
-        return tuple(order)
+        self.partners: np.ndarray = np.array(rows, dtype=np.int64).T
+        self.partners.flags.writeable = False
 
     # -- derived quantities -------------------------------------------------
 
@@ -300,22 +298,32 @@ class Region:
         return max(dist.values()) + 1
 
 
+def layers(lattice: LatticeSpec, start: Vertex,
+           within: set[Vertex] | None = None) -> Iterator[list[Vertex]]:
+    """The breadth-first layers of the coupling graph from ``start``, each
+    sorted: layer k holds the vertices at graph distance k.  With
+    ``within``, the walk never leaves that vertex set.  Without it, the
+    walk never ends on a lattice with couplings."""
+    offsets = [o for o, _ in lattice.couplings]
+    seen = {start}
+    layer = [start]
+    while layer:
+        yield layer
+        nxt = {tuple(map(add, v, o)) for v in layer for o in offsets}
+        nxt -= seen
+        if within is not None:
+            nxt &= within
+        seen |= nxt
+        layer = sorted(nxt)
+
+
 def ball(lattice: LatticeSpec, n: int) -> Region:
     """The graph-distance ball of radius ``n`` around the origin."""
     if n < 0:
         raise ValueError("radius must be non-negative")
     origin = lattice.origin()
-    seen = {origin}
-    frontier = [origin]
-    for _ in range(n):
-        nxt = set()
-        for v in frontier:
-            for w, _ in lattice.neighbors(v):
-                if w not in seen:
-                    nxt.add(w)
-        seen.update(nxt)
-        frontier = sorted(nxt)
-    return Region(lattice, seen, origin)
+    walk = islice(layers(lattice, origin), n + 1)
+    return Region(lattice, [v for layer in walk for v in layer], origin)
 
 
 class BallLayout(NamedTuple):

@@ -30,13 +30,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .exact import (BASE_POINT_TIE, ising_observables, perc_connect_probs,
                     perc_exit_prob, perc_reach, sweep_lanes)
-from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight
+from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight, layers
 
 __all__ = [
     "InequalityReport",
@@ -182,19 +183,14 @@ def _subset_phi(region: Region, params: list,
 
     All come from the sweeps of ``region``, as lanes of them, as many
     (subset, parameter) lanes per sweep as ``exact.sweep_lanes`` allows,
-    each sweep's coefficients and bond masks built for its lanes alone: a
-    vertex of the subset counts its partners outside it, the region's
-    vertices among them, and a bond with an end outside it is closed.  A
-    full row gives ``certificates.phi_sweep`` of ``region`` bit for bit.
+    each sweep's coefficients and bond masks built for its lanes alone,
+    from ``region.partners``: a vertex counts its partners outside the
+    subset, the region's vertices among them, and a bond with an end
+    outside it is closed.  A full row gives ``certificates.phi_sweep`` of
+    ``region`` bit for bit.
     """
     lattice = region.lattice
-    # (coupling, vertex): the neighbour's region index, or -1 outside it
-    neighbours = [[tuple(a + b for a, b in zip(v, offset))
-                   for v in region.vertices]
-                  for offset, _ in lattice.couplings]
-    partner = np.array([[region.index(w) if w in region else -1
-                         for w in row] for row in neighbours],
-                       dtype=np.int64).reshape(-1, len(region))
+    partner = region.partners
     # (coupling, subset, parameter, vertex)
     weights = np.array([[edge_weight(lattice, j, t) for t in params]
                         for _, j in lattice.couplings],
@@ -207,8 +203,9 @@ def _subset_phi(region: Region, params: list,
         part = subsets[i:i + chunk]
         outside = (partner < 0) | ~part[:, np.maximum(partner, 0)]
         terms = weights * np.moveaxis(outside, 1, 0)[:, :, None]
-        # summed in coupling order, as certificates._boundary_coefficients
-        coeffs = sum(terms, np.zeros(terms.shape[1:])) * part[:, None]
+        # summed in coupling order, as certificates._boundary_coefficients;
+        # a vertex outside the subset reaches nothing, so adds exactly 0
+        coeffs = sum(terms, np.zeros(terms.shape[1:]))
         # lane m * K + q: subset m of the part at parameter q
         values.append(perc_reach(
             region, BASE_POINT_TIE, params * len(part),
@@ -260,9 +257,10 @@ def check_perc_differential(lattice: LatticeSpec, n: int = 1,
     """d/dbeta P[0 <-> ball(n)^c] >= inf_S phi(S) * (1 - P) / beta.
 
     The grid is given as bond densities p = 1 - exp(-beta) and converted to
-    the beta at which both sides are evaluated.  The infimum runs over all
-    subsets of ball(n) containing the origin, with the full boundary
-    functional (outside endpoints unrestricted).
+    the beta at which both sides are evaluated; a p whose beta is not above
+    the difference step ``DELTA`` is refused before any sweep.  The infimum
+    runs over all subsets of ball(n) containing the origin, with the full
+    boundary functional (outside endpoints unrestricted).
     """
     if lattice.mode != "beta":
         raise ValueError("the beta-derivative needs a beta-mode lattice")
@@ -270,8 +268,12 @@ def check_perc_differential(lattice: LatticeSpec, n: int = 1,
         raise ValueError("empty parameter grid")
     if not all(0.0 < p < 1.0 for p in p_grid):
         raise ValueError("p grid must stay strictly inside (0, 1)")
-    region = ball(lattice, n)
     betas = [-math.log1p(-p) for p in p_grid]
+    for p, beta in zip(p_grid, betas):
+        if not beta > DELTA:
+            raise ValueError(f"p={p} gives beta={beta:.3g}, not above the "
+                             f"difference step {DELTA}")
+    region = ball(lattice, n)
     infima = phi_infimum(lattice, region, betas)
     # per grid point: its stencil, then the point itself
     points = [t for beta in betas for t in _stencil(beta, DELTA) + (beta,)]
@@ -492,9 +494,8 @@ CHECK_NAMES = ("perc-diff", "bk", "ising-diff", "simon", "ghs")
 
 
 def _sphere_vertices(lattice: LatticeSpec, n: int) -> list[Vertex]:
-    """Vertices at graph distance exactly n from the origin."""
-    inner = set(ball(lattice, n - 1).vertices) if n > 0 else set()
-    return [v for v in ball(lattice, n).vertices if v not in inner]
+    """Vertices at graph distance exactly n from the origin, sorted."""
+    return next(islice(layers(lattice, lattice.origin()), n, None))
 
 
 def default_report(name: str) -> InequalityReport:

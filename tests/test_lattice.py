@@ -2,13 +2,15 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from subcrit import lattice as lattice_mod
 from subcrit.lattice import (BallBuilder, LatticeSpec, Region, ball,
-                             ball_layout, edge_weight, translate_region)
+                             ball_layout, edge_weight, layers,
+                             translate_region)
 
 
 def bfs_ball(lattice, n):
@@ -23,6 +25,18 @@ def bfs_ball(lattice, n):
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def bfs_layers(lattice, n):
+    """Layers 0 to n of a plain breadth-first walk, each unsorted."""
+    seen, frontier, out = {lattice.origin()}, [lattice.origin()], []
+    for _ in range(n + 1):
+        out.append(frontier)
+        frontier = [w for w in {w for v in frontier
+                                for w, _ in lattice.neighbors(v)}
+                    if w not in seen]
+        seen.update(frontier)
+    return out
 
 
 def test_square_ball_sizes_match_closed_form_and_bfs():
@@ -156,6 +170,54 @@ def test_distances_from_origin():
     lattice = LatticeSpec.square()
     dist = lattice.distances_from_origin([(0, 0), (1, 2), (-3, 1)])
     assert dist == {(0, 0): 0, (1, 2): 3, (-3, 1): 4}
+
+
+def test_distances_need_paths_that_leave_the_targets_box():
+    # offsets +-3 and +-5 reach 1 only as 3 + 3 - 5, which passes 6
+    lattice = LatticeSpec.custom([((3,), 1.0), ((-3,), 1.0),
+                                  ((5,), 1.0), ((-5,), 1.0)])
+    expected = {}
+    for k, layer in enumerate(bfs_layers(lattice, 12)):
+        for v in layer:
+            expected.setdefault(v, k)
+    targets = [(x,) for x in range(-20, 21)]
+    assert lattice.distances_from_origin(targets) == {
+        v: expected[v] for v in targets}
+    assert lattice.distances_from_origin([(1,)]) == {(1,): 3}
+
+
+def test_an_unreachable_vertex_is_refused_at_once():
+    # offsets +-2 never reach (1,); the walk stops once a layer leaves the
+    # box every shortest path to a target stays in
+    lattice = LatticeSpec.custom([((2,), 1.0), ((-2,), 1.0)])
+    region = Region(lattice, [(0,), (1,)])
+    start = time.process_time()
+    with pytest.raises(ValueError) as info:
+        region.radius_l
+    assert time.process_time() - start < 1.0
+    assert "unreachable" in str(info.value) and "\n" not in str(info.value)
+
+
+def test_layers_stay_within_a_set():
+    lattice = LatticeSpec.square()
+    assert list(layers(lattice, (0, 0), {(0, 0), (1, 0), (2, 0), (5, 5)})) \
+        == [[(0, 0)], [(1, 0)], [(2, 0)]]
+    walk = layers(lattice, (0, 0))
+    assert [sorted(next(walk)) for _ in range(4)] == [
+        sorted(layer) for layer in bfs_layers(lattice, 3)]
+
+
+def test_partners_are_the_region_adjacency():
+    lattice = LatticeSpec.triangular()
+    region = Region(lattice, ball(lattice, 2).vertices[:12] + ((4, 4),))
+    assert region.partners.shape == (len(lattice.couplings), len(region))
+    for c, (offset, _) in enumerate(lattice.couplings):
+        for i, v in enumerate(region.vertices):
+            w = tuple(a + b for a, b in zip(v, offset))
+            assert region.partners[c, i] == (region.index(w) if w in region
+                                             else -1)
+    with pytest.raises(ValueError):
+        region.partners[0, 0] = 0
 
 
 LAYOUT_LATTICES = (

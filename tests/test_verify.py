@@ -580,6 +580,8 @@ def test_perc_differential_on_ball_two():
     (check_ising_differential, {"h": 0.0}),
     (check_ghs_differential, {"betas": (0.2, -0.1)}),
     (check_ghs_differential, {"h_grid": (0.3, 0.0)}),
+    # beta = 1e-6 lies below the difference step
+    (check_perc_differential, {"p_grid": (1e-6, 0.5)}),
 ])
 def test_a_bad_grid_point_computes_nothing(monkeypatch, check, kwargs):
     def refuse(*args):
