@@ -15,12 +15,19 @@ the complement is flipped instead (flip the cluster, then restore the ghost
 to +1 by a global flip), so every proposal is accepted and detailed balance
 holds for the Gibbs weight exp(-H).  Clusters are walked by
 ``perc_mc.ClusterWalker`` over the sites plus the ghost node, which sits one
-layer past the last site.  Update k reads sample k of the chain's stream:
-word e is bond e's uniform and word ``n_bonds`` picks the seed site.  Every
-walk draws all the bond words against ``p_act`` in one call
-(``ClusterWalker.draw_edges``), which leaves the stream at word
+layer past the last site.  Each update or measurement reads the next sample
+of the chain's stream: word e is bond e's uniform and word ``n_bonds``
+picks the seed site.  Every walk draws all the bond words against ``p_act``
+in one call (``ClusterWalker.draw_edges``), which leaves the stream at word
 ``n_bonds``, and then walks or labels them, so runs are bit-reproducible
 for a fixed seed.
+
+A chain burns in (``equilibrate``) with Swendsen-Wang updates
+(``WolffChain.swendsen_wang``), each one lattice sweep: one numpy labeling
+flips every cluster of one bond draw, whatever the cluster size, where
+Wolff updates need n / <|C|> walks per sweep.  On the free ball(16) at
+beta_c, 100 sweeps took about 690 walked updates and 55 ms, against 13 ms
+for 100 Swendsen-Wang updates (2-vCPU shared host).
 
 A walk of a whole cluster (every update, and the two-point and divergence
 measurements) is labeled in numpy (``ClusterWalker.component``, keeping the
@@ -75,7 +82,8 @@ _LABEL_MIN_NODES = 48
 _BLOCK_OTHER_SIGN = {1: bytes.maketrans(b"\x01\xff", b"\x00\x01"),
                      255: bytes.maketrans(b"\x01\xff", b"\x01\x00")}
 
-# burn-in: this many lattice sweeps, extended to this many tau_int updates
+# burn-in: this many Swendsen-Wang updates (lattice sweeps), extended to
+# this many tau_int of them
 _BURN_IN_SWEEPS = 100
 _BURN_IN_TAUS = 20.0
 
@@ -139,6 +147,14 @@ class WolffChain:
         if not (beta >= 0.0 and h >= 0.0):
             raise ValueError(f"beta and h must be non-negative, got beta={beta} "
                              f"and h={h}")
+        # the field acts only through field bonds, and their p_act only
+        # through h: a mismatch would drop h, or close every field bond
+        has_field = bool((system.bond_kind == _KIND_FIELD).any())
+        if h > 0.0 and not has_field:
+            raise ValueError(f"h={h} needs a system with field bonds "
+                             f"(SpinSystem.box(..., h=h))")
+        if has_field and h == 0.0:
+            raise ValueError("the system has field bonds but h = 0")
         self.system = system
         self.seed = int(seed)
         self.stream_index = 0  # sample_stream index of the next update
@@ -274,33 +290,55 @@ class WolffChain:
         self._masked = members
         return self._mask
 
-    def run(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
+    def swendsen_wang(self) -> None:
+        """One Swendsen-Wang update on the next sample of the stream: every
+        cluster of one bond draw that does not hold the ghost flips with
+        probability 1/2.
+
+        One ``draw_edges`` call draws every bond word against ``p_act``;
+        bond e is open, as in ``_walk``, when word e is below ``p_act[e]``
+        and its ends are aligned.  ``ClusterWalker.labels`` labels every
+        node by the smallest node L of its cluster, and the cluster flips
+        when word ``n_bonds + L`` is below 1/2.  Given the open bonds of the
+        Edwards-Sokal coupling, every cluster off the ghost takes either
+        sign with probability 1/2, independently, and the ghost's keeps +1,
+        so the update leaves the Gibbs weight exp(-H) stationary (Swendsen
+        and Wang, PRL 58, 86 (1987)).  It costs one numpy labeling,
+        whatever the cluster size.
+        """
+        sysm = self.system
+        walker = sysm.walker
+        gen = walker.draw_edges(self.p_act, self.seed, rngmod.STREAM_WOLFF,
+                                self.stream_index)
+        self.stream_index += 1
+        ext = self._ext
+        label = walker.labels(ext[sysm.bond_a] == ext[sysm.bond_b])
+        flip = gen.random(sysm.n_sites + 1)[label] < 0.5
+        flip &= label != label[sysm.ghost]
+        np.negative(ext, where=flip, out=ext)
 
 
 def equilibrate(chain: WolffChain) -> int:
-    """Burn in for 100 lattice sweeps, then to 20 tau_int updates.
+    """Burn in for 100 Swendsen-Wang updates, then to 20 tau_int of them.
 
-    Phase one runs updates until their cluster sizes add up to 100 times
-    the number of sites, so the burn-in covers the lattice the same number
-    of times whatever the typical cluster size.  The integrated
-    autocorrelation time of the |mean spin| series of those updates is then
+    A Swendsen-Wang update (``WolffChain.swendsen_wang``) resamples every
+    cluster of one bond draw, so it covers the lattice once whatever the
+    typical cluster size: one update is one lattice sweep.  The integrated
+    autocorrelation time of the |mean spin| series of the first 100 is
     measured, and the burn-in is extended to 20 tau_int updates if that is
-    longer.  Returns the number of updates consumed.
+    longer.  Returns the number of Swendsen-Wang updates run, each of which
+    read one sample of the chain's stream.
     """
     n = chain.system.n_sites
     series = []
-    covered = 0
-    while covered < _BURN_IN_SWEEPS * n:
-        covered += chain.step()
+    for _ in range(_BURN_IN_SWEEPS):
+        chain.swendsen_wang()
         series.append(abs(float(chain.spins.sum())) / n)
-    steps = len(series)
     tau = integrated_autocorr_time(np.array(series))
-    extra = int(max(0.0, _BURN_IN_TAUS * tau - steps))
-    if extra > 0:
-        chain.run(extra)
-    return steps + extra
+    extra = int(max(0.0, _BURN_IN_TAUS * tau - _BURN_IN_SWEEPS))
+    for _ in range(extra):
+        chain.swendsen_wang()
+    return _BURN_IN_SWEEPS + extra
 
 
 def estimate_magnetization(lattice: LatticeSpec, n: int, beta: float,

@@ -61,7 +61,7 @@ _FIRST_DRAW = 256
 # the whole box once that reaches n (a step costs a few hundred us of numpy
 # calls, so there are few of them)
 _FIRST_LAYERS = 8
-# pointer jumps per labeling round in ``ClusterWalker.component``: on the
+# pointer jumps per labeling round in ``ClusterWalker.labels``: on the
 # ordered-phase Wolff clusters of ball(24), one jump takes 6.4 rounds, two
 # 3.9 and three or more 3.3; two and three time fastest there, two on
 # critical clusters
@@ -78,11 +78,12 @@ class ClusterWalker:
     measurements and the Monte Carlo phi all grow their clusters with this
     class: ``origin_cluster`` draws the words a walk reads as it goes, and
     a Wolff walk draws them all with ``draw_edges``, then walks them
-    (``drawn_cluster``) or labels them in numpy with ``component``.
+    (``drawn_cluster``) or labels them in numpy with ``component``, and a
+    Swendsen-Wang update labels every cluster of them with ``labels``.
 
     The walk indexes the layers and the adjacency as Python lists, each
     row made once from numpy when it is added (``_add``); the edges stay
-    in numpy for ``component`` and the public attributes.
+    in numpy for ``labels`` and the public attributes.
 
     A subclass may hold only a prefix of the rows (``PercBox``): a walk
     that pops a node whose row is not built calls ``_grow``, and every
@@ -291,7 +292,7 @@ class ClusterWalker:
     def draw_edges(self, weights: np.ndarray, seed: int, stream: int,
                    index: int) -> np.random.Generator:
         """Draw every edge word of sample ``index`` in one call, for
-        ``drawn_cluster`` or ``component``; returns the sample's
+        ``drawn_cluster``, ``component`` or ``labels``; returns the sample's
         generator, from which a caller reads the words from ``n_edges`` on.
         """
         self._complete()
@@ -301,25 +302,27 @@ class ClusterWalker:
         np.less(self._edge_u, weights, out=self._open_mask)
         return gen
 
-    def component(self, keep: np.ndarray, root: int = 0) -> int:
-        """Label the cluster of ``root`` over the edges that ``draw_edges``
-        opened and ``keep`` marks, in numpy, without drawing; marks it in
-        ``self.seen`` and returns its size.
+    def labels(self, keep: np.ndarray) -> np.ndarray:
+        """Label every node by the smallest node of its cluster over the
+        edges that ``draw_edges`` opened and ``keep`` marks, in numpy,
+        without drawing; returns the labels, an intp array over the nodes.
 
         Every node starts as its own label.  A round hooks, across every
         kept open edge with end labels la and lb, the entry of the larger
         down to the smaller (``np.minimum.at``), then makes
         ``_JUMPS_PER_ROUND`` pointer jumps, label <- label[label]; rounds
-        repeat until every kept edge has equal end labels, which then
-        single out the clusters.  Labels only decrease, and each is a node
-        of its own cluster, no larger than the node (so no cycle forms).  A
-        round that is not the last lowers some label: if la and lb are both
-        roots (label[l] == l), the hook lowers the larger; otherwise one of
-        them, say la, has label[la] < la, and the first jump lowers the
-        label of that edge end.  The sum of the labels thus falls every
-        round, so the loop ends.  The kept edges are found once; each round
-        is a fixed handful of O(edges) numpy calls instead of a Python step
-        per member.
+        repeat until every kept edge has equal end labels.  Labels only
+        decrease, and each is a node of its own cluster, no larger than the
+        node (so no cycle forms).  A round that is not the last lowers some
+        label: if la and lb are both roots (label[l] == l), the hook lowers
+        the larger; otherwise one of them, say la, has label[la] < la, and
+        the first jump lowers the label of that edge end.  The sum of the
+        labels thus falls every round, so the loop ends.  It ends at the
+        smallest node: the kept edges join the nodes of a cluster, so they
+        share one label L, a node of the cluster and so no smaller than its
+        smallest node m; m's own label, L, is no larger than m, so L = m.
+        The kept edges are found once; each round is a fixed handful of
+        O(edges) numpy calls instead of a Python step per member.
         """
         kept = np.flatnonzero(self._open_mask & keep)
         # intp indices: numpy converts any other index dtype on every gather
@@ -332,6 +335,13 @@ class ClusterWalker:
             for _ in range(_JUMPS_PER_ROUND):
                 label = label[label]
             la, lb = label[a], label[b]
+        return label
+
+    def component(self, keep: np.ndarray, root: int = 0) -> int:
+        """Label the cluster of ``root`` over the edges that ``draw_edges``
+        opened and ``keep`` marks (``labels``); marks it in ``self.seen``
+        and returns its size."""
+        label = self.labels(keep)
         in_cluster = label == label[root]
         self.seen = bytearray(in_cluster.view(np.uint8))
         return int(np.count_nonzero(in_cluster))

@@ -12,6 +12,7 @@ from subcrit.ising_mc import (SpinSystem, WolffChain, check_critical_divergence,
                               equilibrate, estimate_magnetization,
                               estimate_two_point)
 from subcrit.lattice import LatticeSpec, ball
+from subcrit.stats import MCEstimate, batch_means_stderr
 
 B_LAT = LatticeSpec.square(mode="beta")
 BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
@@ -50,12 +51,11 @@ def test_field_magnetization_matches_exact_small_box():
     assert_within_sigmas(est, obs.magnetizations[0])
 
 
-def test_plus_boundary_magnetization_matches_exact_small_box():
+def exact_plus_magnetization(n, beta):
     # plus boundary acts through a ghost spin pinned to +1, one bond per
-    # crossing coupling: enumerate ball(1) with a per-site field equal to
+    # crossing coupling: enumerate ball(n) with a per-site field equal to
     # the number of crossing bonds times J
-    beta = 0.3
-    region = exact_ball_region(1)
+    region = exact_ball_region(n)
     crossing = {}
     for i, _, j in region.boundary_pairs:
         crossing[i] = crossing.get(i, 0.0) + j
@@ -69,18 +69,58 @@ def test_plus_boundary_magnetization_matches_exact_small_box():
         weight = math.exp(energy)
         den += weight
         num += weight * spins[0]
+    return num / den
+
+
+def test_plus_boundary_magnetization_matches_exact_small_box():
+    beta = 0.3
     est = estimate_magnetization(B_LAT, 1, beta, "plus", sweeps=30_000,
                                  seed=41)
-    assert_within_sigmas(est, num / den)
+    assert_within_sigmas(est, exact_plus_magnetization(1, beta))
+
+
+@pytest.mark.parametrize("observable,boundary,beta,h,seed",
+                         [("two-point", "free", 0.3, 0.0, 43),
+                          ("magnetization", "plus", 0.5, 0.0, 47),
+                          ("magnetization", "free", 0.3, 0.2, 53)],
+                         ids=["free", "plus", "field"])
+def test_swendsen_wang_chain_matches_exact_small_box(observable, boundary,
+                                                     beta, h, seed):
+    # a chain advanced by Swendsen-Wang updates alone, burn-in included,
+    # samples the Gibbs measure of ball(2) (13 spins): the plain averages
+    # of sigma_0 sigma_e1 and of sigma_0
+    region = exact_ball_region(2)
+    system = SpinSystem.box(B_LAT, 2, boundary=boundary, h=h)
+    if observable == "two-point":
+        exact = ising_observables(region, beta, h).correlations[
+            region.index((1, 0))]
+        partner = system.vertex_index[(1, 0)]
+    elif boundary == "plus":
+        exact = exact_plus_magnetization(2, beta)
+    else:
+        exact = ising_observables(region, beta, h).magnetizations[0]
+    chain = WolffChain(system, beta, h, seed)
+    equilibrate(chain)
+    spins = chain.spins.tolist
+    values = []
+    for _ in range(30_000):
+        chain.swendsen_wang()
+        s = spins()
+        values.append(float(s[0] * s[partner] if observable == "two-point"
+                            else s[0]))
+    est = MCEstimate(observable, math.fsum(values) / len(values),
+                     batch_means_stderr(values), len(values), seed)
+    assert_within_sigmas(est, exact)
 
 
 def test_two_point_respects_griffiths_floor_on_large_box():
     # <sigma_0 sigma_e1> >= tanh(beta) on every ferromagnetic graph holding
-    # the bond (Griffiths).  On the free ball(32) a cluster has about 7 of
-    # 2113 sites, so the burn-in has to be counted in lattice sweeps, not in
-    # updates.  Between two measurements the spins near the origin rarely
-    # change, so 4,000 sweeps leave the mean about 0.1 wide while the
-    # batch-means stderr reads 0.04; 20,000 make the check meaningful
+    # the bond (Griffiths).  On the free ball(32) a Wolff cluster has about
+    # 7 of 2113 sites, so the burn-in runs Swendsen-Wang updates, each of
+    # which covers the lattice, not Wolff updates.  Between two
+    # measurements the spins near the origin rarely change, so 4,000
+    # sweeps leave the mean about 0.1 wide while the batch-means stderr
+    # reads 0.04; 20,000 make the check meaningful
     beta = 0.3
     est = estimate_two_point(B_LAT, 32, beta, [1], sweeps=20_000, seed=1)[1]
     assert est.mean >= math.tanh(beta) - 3.0 * est.stderr
@@ -155,25 +195,54 @@ def test_labeling_chain_equals_walking_chain(n, beta, boundary, h):
                          ids=["walked", "labeled"])
 def test_each_update_and_measurement_opens_one_stream(label_floor,
                                                       monkeypatch):
-    # free ball(16) has 1,024 bonds; whether a walk walks or labels, it
-    # draws its bond words and the seed-site word from the one Philox
-    # stream of its sample, opened at word 0
+    # free ball(16) has 1,024 bonds; each Swendsen-Wang update of the
+    # burn-in, and each update and measurement after it, whether it walks
+    # or labels, draws its bond words and its coin or seed-site words from
+    # the one Philox stream of its sample, opened at word 0
     chain = WolffChain(SpinSystem.box(B_LAT, 16), BETA_C, 0.0, 17)
     chain.label_floor = label_floor
-    opened = []
+    opened, taus = [], []
     sample_stream = rngmod.sample_stream
+    autocorr_time = ising_mc.integrated_autocorr_time
 
     def counting(*args, **kwargs):
         opened.append((args, kwargs.get("start", 0)))
         return sample_stream(*args, **kwargs)
 
+    def recording(series):
+        taus.append(autocorr_time(series))
+        return taus[-1]
+
     monkeypatch.setattr(rngmod, "sample_stream", counting)
+    monkeypatch.setattr(ising_mc, "integrated_autocorr_time", recording)
+    burn_in = equilibrate(chain)
+    assert 20.0 * taus[0] <= 100.0 and burn_in == 100
+    assert opened == [((17, rngmod.STREAM_WOLFF, k), 0) for k in range(100)]
     for _ in range(200):
         chain.step()
-    assert len(opened) == 200
+    assert len(opened) == 300
     for _ in range(200):
         chain.measure()
-    assert opened == [((17, rngmod.STREAM_WOLFF, k), 0) for k in range(400)]
+    assert opened == [((17, rngmod.STREAM_WOLFF, k), 0) for k in range(500)]
+    # a longer tau_int extends the burn-in to 20 tau_int updates, each on
+    # one more sample
+    chain = WolffChain(SpinSystem.box(B_LAT, 16), BETA_C, 0.0, 17)
+    opened.clear()
+    monkeypatch.setattr(ising_mc, "integrated_autocorr_time",
+                        lambda series: 6.0)
+    assert equilibrate(chain) == 120
+    assert opened == [((17, rngmod.STREAM_WOLFF, k), 0) for k in range(120)]
+
+
+@pytest.mark.parametrize("system_h,chain_h", [(0.1, 0.0), (0.0, 0.5)],
+                         ids=["field-bonds-at-h-0", "h-without-field-bonds"])
+def test_chain_refuses_a_field_its_system_does_not_carry(system_h, chain_h):
+    # the field acts through the system's field bonds at the chain's h: a
+    # system built with h = 0.1 run at h = 0 once closed every field bond,
+    # and one built without them run at h = 0.5 once dropped the field
+    system = SpinSystem.box(B_LAT, 2, h=system_h)
+    with pytest.raises(ValueError, match="field bonds"):
+        WolffChain(system, 0.3, chain_h, 1)
 
 
 def test_assigned_spins_must_be_signs():
@@ -269,44 +338,44 @@ def test_chain_refuses_a_negative_or_nan_parameter(beta, h):
 
 
 def test_fixed_seed_outputs_are_pinned():
-    # re-recorded when updates and measurements moved to the shared cluster
-    # walker, which moved the update and measurement draws on purpose (word
-    # e is bond e, word n_bonds picks the seed site) and the burn-in to
-    # lattice sweeps; any later change to the Wolff draws must re-record
-    # them on purpose too
+    # re-recorded when the burn-in moved to Swendsen-Wang updates, which
+    # moved every draw after it on purpose (burn-in update k reads sample k,
+    # word e is bond e and word n_bonds + L the coin of the cluster whose
+    # smallest node is L); any later change to the Wolff draws must
+    # re-record them on purpose too
     mag = estimate_magnetization(B_LAT, 4, 0.4, "plus", sweeps=1_500, seed=101)
-    assert (mag.mean, mag.stderr) == (0.7106666666666667, 0.01584826614336406)
+    assert (mag.mean, mag.stderr) == (0.7133333333333334, 0.01664368631055655)
     two_point = estimate_two_point(B_LAT, 3, 0.35, [1, 2], sweeps=1_500,
                                    seed=103)
     assert ((two_point[1].mean, two_point[1].stderr),
             (two_point[2].mean, two_point[2].stderr)) == (
-        (0.412, 0.01467220848756434), (0.186, 0.011298698176563995))
+        (0.41533333333333333, 0.013445972613505565),
+        (0.18533333333333332, 0.0103697945125501))
     report = check_critical_divergence(B_LAT, BETA_C, [1, 3], sweeps=1_000,
                                        seed=107)
     assert ((report.estimates[1].mean, report.estimates[1].stderr),
             (report.estimates[3].mean, report.estimates[3].stderr)) == (
-        (3.31, 0.05659891403481559), (9.437, 0.263323529344209))
+        (3.389, 0.04120036699585085), (9.685, 0.21119993489284325))
     # free ball(16) has 1,024 bonds and these clusters stay below the
     # labeling floor, so every update and measurement is walked on a large
-    # system; recorded when such walks read the seed-site word from a
-    # second stream
+    # system
     report = check_critical_divergence(B_LAT, BETA_C, [8, 16], sweeps=300,
                                        seed=131)
     assert ((report.estimates[8].mean, report.estimates[8].stderr),
             (report.estimates[16].mean, report.estimates[16].stderr)) == (
-        (64.43333333333334, 4.078276736134932),
-        (152.63, 11.45940441121948))
+        (57.06666666666667, 3.701787301951973),
+        (125.96666666666667, 9.368954309773425))
 
 
 def test_fixed_seed_outputs_that_label_are_pinned():
     # n=24 chains at 1.1 beta_c have mean clusters far above the labeling
-    # floor, so these runs go through ClusterWalker.component; recorded
-    # before the labeling existed, when every cluster was walked
+    # floor, so these runs go through ClusterWalker.component; re-recorded
+    # when the burn-in moved to Swendsen-Wang updates
     mag = estimate_magnetization(B_LAT, 24, 1.1 * BETA_C, "plus", sweeps=300,
                                  seed=113)
-    assert (mag.mean, mag.stderr) == (0.8833333333333333, 0.01955255085970794)
+    assert (mag.mean, mag.stderr) == (0.87, 0.018956696234802894)
     two_point = estimate_two_point(B_LAT, 24, 1.1 * BETA_C, [1, 12],
                                    sweeps=300, seed=127)
     assert ((two_point[1].mean, two_point[1].stderr),
             (two_point[12].mean, two_point[12].stderr)) == (
-        (0.82, 0.028111791114786722), (0.7066666666666667, 0.03332189730647918))
+        (0.84, 0.023853319668747038), (0.7166666666666667, 0.028194676182461305))

@@ -381,6 +381,53 @@ def test_component_matches_full_mask_walk_on_adversarial_graphs(kind):
                 assert walker.seen == expected
 
 
+def smallest_node_labels(walker, open_edges):
+    # each node's label, the smallest node of its cluster: a walk from each
+    # node not yet labeled, in increasing order, so each walk starts at the
+    # smallest node of its cluster
+    ptr, nbr, eid = incidence_csr(walker.n_nodes, walker.edge_a,
+                                  walker.edge_b)
+    label = [-1] * walker.n_nodes
+    for v in range(walker.n_nodes):
+        if label[v] < 0:
+            label[v], todo = v, [v]
+            while todo:
+                u = todo.pop()
+                for t in range(ptr[u], ptr[u + 1]):
+                    w = int(nbr[t])
+                    if open_edges[eid[t]] and label[w] < 0:
+                        label[w] = v
+                        todo.append(w)
+    return label
+
+
+@pytest.mark.parametrize("kind", ["path", "star"])
+def test_labels_give_every_node_the_smallest_node_of_its_cluster(kind):
+    # over the kept open edges of the adversarial graphs, every node's
+    # label is the smallest node of its cluster, and the nodes that share
+    # the label of a root are the walk's members from it
+    walker = adversarial_graph(kind)
+    n = walker.n_nodes
+    random_keep = rngmod.sample_stream(4, rngmod.STREAM_TEST, 0).random(
+        walker.n_edges) < 0.7
+    keeps = (np.ones(walker.n_edges, dtype=bool),
+             np.zeros(walker.n_edges, dtype=bool), random_keep)
+    for param in (1.0, 0.5):
+        weights = np.full(walker.n_edges, param)
+        open_edges, _ = full_draw(walker, weights, 0.0, 8, 3, 0)
+        walker.draw_edges(weights, 8, 3, 0)
+        for keep in keeps:
+            label = walker.labels(keep)
+            assert label.tolist() == smallest_node_labels(walker,
+                                                          open_edges & keep)
+            for root in (0, n // 2, n - 1):
+                members, _, _ = full_mask_walk(walker, open_edges & keep,
+                                               root=root)
+                assert label[root] == min(members)
+                assert (np.flatnonzero(label == label[root]).tolist()
+                        == sorted(members))
+
+
 def test_small_clusters_build_few_python_rows():
     # at p = 0.25 the 800 clusters on ball(96) have about two sites, and
     # the walks build the Python rows and layers of under 5 % of the box's
