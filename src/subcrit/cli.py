@@ -463,6 +463,8 @@ def _cmd_simulate_ising(cfg: RunConfig) -> tuple[int, list[str]]:
     sweeps, boundary, seed = opts["sweeps"], opts["boundary"], opts["seed"]
     if observable != "magnetization" and h != 0.0:
         raise ConfigError("options.h", f"{observable} is measured at zero field")
+    if observable != "two-point" and opts["distances"] is not None:
+        raise ConfigError("options.distances", "only two-point takes distances")
     if observable == "divergence" and boundary != "free":
         raise ConfigError("options.boundary",
                           "divergence is measured with free boundary")

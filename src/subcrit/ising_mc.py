@@ -31,13 +31,14 @@ for 100 Swendsen-Wang updates (2-vCPU shared host).
 
 A walk of a whole cluster (every update, and the two-point and divergence
 measurements) is labeled in numpy (``ClusterWalker.component``, keeping the
-open bonds whose ends are aligned) once the chain's mean whole cluster so
-far exceeds 48 + n_bonds / 20 nodes, as in the ordered phase (the plus
-ball(24) at 1.1 beta_c: 960 of 1,202 nodes, 2,500 bonds, labeled in about
-130-150 us against 1.4 ms walked).  Smaller clusters, and walks that stop
-at a layer, are walked depth-first, with the nodes whose spin differs
-from the root's (the ghost counts as +1) marked seen before the walk
-starts, so it never crosses a bond between unaligned ends.  The words fix
+open bonds whose ends are aligned) when the burn-in measured the cluster a
+uniformly chosen node sees at 48 + n_bonds / 20 nodes or more, as in the
+ordered phase (the plus ball(24) at 1.1 beta_c: 960 of 1,202 nodes, 2,500
+bonds, labeled in about 130-150 us against 1.4 ms walked).  Smaller
+clusters, and walks that stop at a layer, are walked depth-first, with the
+nodes whose spin differs from the root's (the ghost counts as +1) marked
+seen before the walk starts, so it never crosses a bond between unaligned
+ends.  The words fix
 the open bonds, so both mark the same cluster and the chain does not
 depend on which one ran.
 
@@ -52,12 +53,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
-from .lattice import LatticeSpec, Vertex, ball_layout
+from .lattice import BallBuilder, LatticeSpec, Vertex
 from .perc_mc import ClusterWalker
 from .stats import (MCEstimate, batch_means_stderr, check_counts,
                     check_non_negative, integrated_autocorr_time)
@@ -73,7 +74,7 @@ _INIT_INDEX = 1 << 62  # stream block reserved for initial states
 # wins above about 34 + n_bonds / 25 nodes: it loses on ball(12) at beta_c
 # (mean cluster 54, 576 bonds), about ties on ball(16) (86, 1,024) and wins
 # on ball(20) (141, 1,600) and on the plus ball(6) at 1.1 beta_c (72, 196).
-# A chain labels once its mean whole cluster exceeds
+# A chain labels when its burn-in measured a mean cluster of at least
 # _LABEL_MIN_NODES + n_bonds / 20, just above that crossover.
 _LABEL_MIN_NODES = 48
 
@@ -117,9 +118,10 @@ class SpinSystem:
             h: float = 0.0) -> "SpinSystem":
         if boundary not in ("free", "plus"):
             raise ValueError(f"unknown boundary condition {boundary!r}")
-        layout = ball_layout(lattice, n)
-        sites, m = layout.n_inside, layout.n_internal
-        a, b, j = layout.edge_a, layout.edge_b, layout.edge_j
+        builder = BallBuilder(lattice, n)
+        chunk = builder.extend(n + 1)
+        sites, m = builder.n_inside, chunk.n_internal
+        a, b, j = chunk.edge_a, chunk.edge_b, chunk.edge_j
         # (site, other end, J, kind) per group of bonds, in bond order
         groups = [(a[:m], b[:m], j[:m], _KIND_SPIN)]
         if boundary == "plus":
@@ -130,8 +132,8 @@ class SpinSystem:
         bond_a, bond_b, bond_j, bond_kind = (
             np.concatenate(column)
             for column in zip(*(np.broadcast_arrays(*g) for g in groups)))
-        layers = layout.layer[:sites]
-        coords = layout.coords[:sites].tolist()
+        layers = chunk.layer[:sites]
+        coords = builder.coords(chunk.keys[:sites]).tolist()
         index = {tuple(v): i for i, v in enumerate(coords)}
         return cls(sites, bond_a, bond_b, bond_kind, bond_j, layers, index)
 
@@ -174,7 +176,7 @@ class WolffChain:
         self._mask = np.frombuffer(self._mask_bytes, dtype=np.bool_)
         self._masked: list[int] = []
         self.label_floor = _LABEL_MIN_NODES + system.n_bonds / 20
-        self._whole_walks = self._whole_nodes = 0
+        self.burn_in_cluster = 0.0  # measured by equilibrate
         plus = (system.bond_kind == _KIND_SPIN) & (system.bond_b == system.ghost)
         if not plus.any():
             gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF, _INIT_INDEX)
@@ -204,10 +206,10 @@ class WolffChain:
         n_sites) for the next word, ``n_bonds``.  Bond e is open when word
         e is below ``p_act[e]`` and its ends are aligned.  A whole-cluster
         walk labels the drawn words in numpy, keeping the aligned bonds,
-        once the chain's mean whole cluster so far exceeds ``label_floor``
-        nodes; otherwise it walks them with every node whose spin differs
-        from the root's (the ghost counts as +1) blocked in the walker's
-        ``seen``.  Both cross exactly the open bonds.
+        when ``burn_in_cluster`` reaches ``label_floor``; otherwise it
+        walks them with every node whose spin differs from the root's (the
+        ghost counts as +1) blocked in the walker's ``seen``.  Both cross
+        exactly the open bonds.
 
         Returns ``(size, members)``: the number of nodes in the cluster,
         and the walk's member list, or None for a labeled cluster, which
@@ -220,21 +222,15 @@ class WolffChain:
         self.stream_index += 1
         if root is None:
             root = int(gen.random() * sysm.n_sites)
-        whole = stop_layer is None
-        if whole and self._whole_nodes > self.label_floor * self._whole_walks:
+        if stop_layer is None and self.burn_in_cluster >= self.label_floor:
             ext = self._ext
             size = walker.component(ext[sysm.bond_a] == ext[sysm.bond_b],
                                     root)
-            members = None
-        else:
-            spin_bytes = self._spin_bytes
-            blocked = spin_bytes.translate(_BLOCK_OTHER_SIGN[spin_bytes[root]])
-            members = walker.drawn_cluster(root, stop_layer, blocked)[0]
-            size = len(members)
-        if whole:
-            self._whole_walks += 1
-            self._whole_nodes += size
-        return size, members
+            return size, None
+        spin_bytes = self._spin_bytes
+        blocked = spin_bytes.translate(_BLOCK_OTHER_SIGN[spin_bytes[root]])
+        members = walker.drawn_cluster(root, stop_layer, blocked)[0]
+        return len(members), members
 
     def step(self) -> int:
         """One Wolff update; returns the cluster size in real sites.
@@ -290,10 +286,10 @@ class WolffChain:
         self._masked = members
         return self._mask
 
-    def swendsen_wang(self) -> None:
+    def swendsen_wang(self) -> np.ndarray:
         """One Swendsen-Wang update on the next sample of the stream: every
         cluster of one bond draw that does not hold the ghost flips with
-        probability 1/2.
+        probability 1/2.  Returns the clusters' labels over the nodes.
 
         One ``draw_edges`` call draws every bond word against ``p_act``;
         bond e is open, as in ``_walk``, when word e is below ``p_act[e]``
@@ -316,6 +312,7 @@ class WolffChain:
         flip = gen.random(sysm.n_sites + 1)[label] < 0.5
         flip &= label != label[sysm.ghost]
         np.negative(ext, where=flip, out=ext)
+        return label
 
 
 def equilibrate(chain: WolffChain) -> int:
@@ -326,19 +323,45 @@ def equilibrate(chain: WolffChain) -> int:
     typical cluster size: one update is one lattice sweep.  The integrated
     autocorrelation time of the |mean spin| series of the first 100 is
     measured, and the burn-in is extended to 20 tau_int updates if that is
-    longer.  Returns the number of Swendsen-Wang updates run, each of which
-    read one sample of the chain's stream.
+    longer.  The updates' labels give the chain's ``burn_in_cluster``: the
+    mean of sum |C|^2 / nodes, the cluster a uniformly chosen node sees.
+    Returns the number of Swendsen-Wang updates run, each of which read
+    one sample of the chain's stream.
     """
+    def sweep() -> int:
+        sizes = np.bincount(chain.swendsen_wang())
+        return int(sizes @ sizes)
+
     n = chain.system.n_sites
-    series = []
+    squares, series = 0, []
     for _ in range(_BURN_IN_SWEEPS):
-        chain.swendsen_wang()
+        squares += sweep()
         series.append(abs(float(chain.spins.sum())) / n)
     tau = integrated_autocorr_time(np.array(series))
-    extra = int(max(0.0, _BURN_IN_TAUS * tau - _BURN_IN_SWEEPS))
-    for _ in range(extra):
-        chain.swendsen_wang()
-    return _BURN_IN_SWEEPS + extra
+    sweeps = max(_BURN_IN_SWEEPS, int(_BURN_IN_TAUS * tau))
+    for _ in range(sweeps - _BURN_IN_SWEEPS):
+        squares += sweep()
+    chain.burn_in_cluster = squares / (sweeps * (n + 1))
+    return sweeps
+
+
+def _measured(system: SpinSystem, beta: float, h: float, sweeps: int,
+              seed: int) -> Iterator[WolffChain]:
+    """The chain of ``system`` at (beta, h) from ``seed``, burned in
+    (``equilibrate``), then yielded after each of ``sweeps`` Wolff updates
+    for one measurement."""
+    chain = WolffChain(system, beta, h, seed)
+    equilibrate(chain)
+    for _ in range(sweeps):
+        chain.step()
+        yield chain
+
+
+def _estimate(name: str, values: list[float], seed: int) -> MCEstimate:
+    """The mean of one value per measured update, with its batch-means
+    stderr."""
+    return MCEstimate(name, math.fsum(values) / len(values),
+                      batch_means_stderr(values), len(values), seed)
 
 
 def estimate_magnetization(lattice: LatticeSpec, n: int, beta: float,
@@ -355,20 +378,13 @@ def estimate_magnetization(lattice: LatticeSpec, n: int, beta: float,
     """
     check_counts(sweeps=sweeps)
     system = SpinSystem.box(lattice, n, boundary=boundary, h=h)
-    chain = WolffChain(system, beta, h, seed)
-    equilibrate(chain)
-    has_ghost = boundary == "plus" or h > 0.0
-    values = []
-    for _ in range(sweeps):
-        chain.step()
-        if has_ghost:
-            mask = chain.measure(stop_layer=system.ghost_layer)
-            values.append(1.0 if mask[system.ghost] else 0.0)
-        else:
-            values.append(float(chain.spins[0]))
-    mean = math.fsum(values) / len(values)
-    return MCEstimate(f"magnetization[n={n},{boundary}]", mean,
-                      batch_means_stderr(values), sweeps, seed)
+    chains = _measured(system, beta, h, sweeps, seed)
+    if boundary == "plus" or h > 0.0:
+        ghost, stop = system.ghost, system.ghost_layer
+        values = [float(chain.measure(stop)[ghost]) for chain in chains]
+    else:
+        values = [float(chain.spins[0]) for chain in chains]
+    return _estimate(f"magnetization[n={n},{boundary}]", values, seed)
 
 
 def estimate_two_point(lattice: LatticeSpec, n: int, beta: float,
@@ -388,21 +404,13 @@ def estimate_two_point(lattice: LatticeSpec, n: int, beta: float,
         if v not in system.vertex_index:
             raise ValueError(f"distance {d} leaves the box")
         targets[d] = system.vertex_index[v]
-    chain = WolffChain(system, beta, 0.0, seed)
-    equilibrate(chain)
     hits: dict[int, list[float]] = {d: [] for d in targets}
-    for _ in range(sweeps):
-        chain.step()
+    for chain in _measured(system, beta, 0.0, sweeps, seed):
         mask = chain.measure()
         for d, t in targets.items():
             hits[d].append(1.0 if mask[t] else 0.0)
-    out = {}
-    for d in sorted(targets):
-        vals = hits[d]
-        out[d] = MCEstimate(f"two_point[d={d},n={n}]",
-                            math.fsum(vals) / sweeps,
-                            batch_means_stderr(vals), sweeps, seed)
-    return out
+    return {d: _estimate(f"two_point[d={d},n={n}]", hits[d], seed)
+            for d in sorted(targets)}
 
 
 @dataclass(frozen=True)
@@ -431,31 +439,19 @@ def check_critical_divergence(lattice: LatticeSpec, beta: float,
     check_non_negative("radii", radii)
     if len(radii) < 2:
         raise ValueError(f"need at least two distinct radii, got {radii}")
-    n_box = radii[-1]
-    system = SpinSystem.box(lattice, n_box, boundary="free")
-    layers = system.layers
-    chain = WolffChain(system, beta, 0.0, seed)
-    equilibrate(chain)
+    system = SpinSystem.box(lattice, radii[-1], boundary="free")
     counts: dict[int, list[float]] = {r: [] for r in radii}
-    for _ in range(sweeps):
-        chain.step()
-        mask = chain.measure()
-        member_layers = layers[mask[:system.n_sites]]
+    for chain in _measured(system, beta, 0.0, sweeps, seed):
+        member_layers = system.layers[chain.measure()[:system.n_sites]]
         for r in radii:
             counts[r].append(float(np.count_nonzero(member_layers <= r)))
-    estimates = {}
-    for r in radii:
-        vals = counts[r]
-        estimates[r] = MCEstimate(f"partial_chi[n={r}]",
-                                  math.fsum(vals) / sweeps,
-                                  batch_means_stderr(vals), sweeps, seed)
+    estimates = {r: _estimate(f"partial_chi[n={r}]", counts[r], seed)
+                 for r in radii}
     increments = []
-    increasing = True
     for r1, r2 in zip(radii, radii[1:]):
-        delta_vals = [b - a for a, b in zip(counts[r1], counts[r2])]
-        delta = math.fsum(delta_vals) / sweeps
-        sigma = batch_means_stderr(delta_vals)
-        increments.append((r1, r2, delta, sigma))
-        if delta <= 3.0 * sigma:
-            increasing = False
+        delta = _estimate(f"increment[n={r1},{r2}]",
+                          [b - a for a, b in zip(counts[r1], counts[r2])],
+                          seed)
+        increments.append((r1, r2, delta.mean, delta.stderr))
+    increasing = all(delta > 3.0 * sigma for _, _, delta, sigma in increments)
     return DivergenceReport(beta, estimates, tuple(increments), increasing)

@@ -38,7 +38,7 @@ _FAMILIES = ("square", "triangular", "hypercubic")
 # origin.  Closed under negation.
 _TRIANGULAR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
-# Most nodes (ball plus shell) a ball_layout builds; the largest square ball
+# Most nodes (ball plus shell) a BallBuilder builds; the largest square ball
 # within it is ball(1446).  A box's arrays and its walker's Python rows
 # take a few hundred bytes a node, so the cap keeps a box near a gigabyte.
 LAYOUT_VERTEX_CAP = 1 << 22
@@ -326,24 +326,6 @@ def ball(lattice: LatticeSpec, n: int) -> Region:
     return Region(lattice, [v for layer in walk for v in layer], origin)
 
 
-class BallLayout(NamedTuple):
-    """``ball(n)`` plus its one-vertex shell as flat arrays.
-
-    Nodes are the ball's vertices in ``Region`` order (BFS layers,
-    lexicographic within a layer), then the shell in sorted order.  Edges
-    are ``ball(n).internal_edges`` followed by its ``boundary_pairs``, with
-    the outside endpoint replaced by its shell node index.
-    """
-
-    coords: np.ndarray   # (n_nodes, dim) int64
-    layer: np.ndarray    # (n_nodes,) int32 graph distance; the shell is n + 1
-    n_inside: int
-    n_internal: int      # edges before this index are internal
-    edge_a: np.ndarray   # int32, the inside endpoint
-    edge_b: np.ndarray   # int32
-    edge_j: np.ndarray   # float couplings
-
-
 class BallChunk(NamedTuple):
     """The nodes and edges one :meth:`BallBuilder.extend` step adds, each
     numbered on from the last step's."""
@@ -361,6 +343,10 @@ class BallChunk(NamedTuple):
 class BallBuilder:
     """The layout of ``ball(lattice, n)`` and its shell, a few BFS layers at
     a time.
+
+    Nodes are numbered in ``Region`` order (BFS layers, lexicographic
+    within a layer), then the shell in sorted order.  ``extend(n + 1)`` on
+    a new builder lays the whole ball out in one step.
 
     Vertices are int64 keys (coordinates in a mixed radix, so key order is
     lexicographic order).  A neighbor of BFS layer k lies in layer k - 1, k
@@ -520,22 +506,6 @@ class BallBuilder:
         self._reported = self._nodes
         self.radius = radius
         return chunk
-
-
-def ball_layout(lattice: LatticeSpec, n: int) -> BallLayout:
-    """The arrays of ``ball(lattice, n)`` and its shell, built with numpy:
-    a :class:`BallBuilder` run to the end in one step (its errors too)."""
-    builder = BallBuilder(lattice, n)
-    chunk = builder.extend(n + 1)
-    return BallLayout(
-        coords=builder.coords(chunk.keys),
-        layer=chunk.layer,
-        n_inside=builder.n_inside,
-        n_internal=chunk.n_internal,
-        edge_a=chunk.edge_a,
-        edge_b=chunk.edge_b,
-        edge_j=chunk.edge_j,
-    )
 
 
 def _sorted_member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:

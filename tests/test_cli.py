@@ -439,20 +439,27 @@ def test_simulate_refuses_a_susceptibility_box_past_the_layout_cap(
       "--h", "0.5", "--sweeps", "100"), "options.h"),
     (("simulate-ising", "--observable", "divergence", "--n-list", "2,4",
       "--boundary", "plus", "--sweeps", "100"), "options.boundary"),
+    (("simulate-ising", "--observable", "magnetization", "--n", "2",
+      "--distances", "1,2", "--sweeps", "100"), "options.distances"),
+    (("simulate-ising", "--observable", "divergence", "--n-list", "2,4",
+      "--distances", "1,2", "--sweeps", "100"), "options.distances"),
     (("simulate-perc", "--observable", "exit", "--n", "2", "--h", "0.5",
       "--samples", "100"), "options.h"),
     (("simulate-perc", "--observable", "susceptibility", "--n", "2",
       "--h", "0.5", "--samples", "100"), "options.h"),
-], ids=["two-point-h", "divergence-h", "divergence-plus", "exit-h",
+], ids=["two-point-h", "divergence-h", "divergence-plus",
+        "magnetization-distances", "divergence-distances", "exit-h",
         "susceptibility-h"])
 def test_simulate_rejects_options_the_observable_ignores(tmp_path, capsys,
                                                          args, field):
+    # --distances without two-point was once accepted, ignored, and
+    # recorded in the config hash
     code = run_cli(*args, "--param", "0.3", "--seed", "1",
                    "--out", str(tmp_path))
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field}"), err
-    assert not (tmp_path / f"{args[0]}.csv").exists()
+    assert not list(tmp_path.iterdir())
 
 
 # --- verify --------------------------------------------------------------------------

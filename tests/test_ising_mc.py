@@ -18,6 +18,29 @@ B_LAT = LatticeSpec.square(mode="beta")
 BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
 
 
+@pytest.fixture
+def burned_in(monkeypatch):
+    # every chain that the estimators burn in, in order, so that a run can
+    # tell whether it labeled or walked its whole clusters
+    chains = []
+
+    def recording(chain):
+        sweeps = equilibrate(chain)
+        chains.append(chain)
+        return sweeps
+
+    monkeypatch.setattr(ising_mc, "equilibrate", recording)
+    return chains
+
+
+def labeled(chains):
+    # whether the one chain of the last run labels its whole clusters: its
+    # burn-in measured a mean cluster at or above its floor
+    (chain,) = chains
+    chains.clear()
+    return chain.burn_in_cluster >= chain.label_floor
+
+
 def assert_within_sigmas(estimate, truth, sigmas=4.0, floor=2e-3):
     width = max(sigmas * estimate.stderr, floor)
     assert abs(estimate.mean - truth) <= width, (
@@ -170,15 +193,14 @@ def test_ghost_stopped_measurement_decides_like_full_walk(boundary, h):
                           (12, BETA_C, "free", 0.05)],
                          ids=["ordered-plus", "critical-free", "field-free"])
 def test_labeling_chain_equals_walking_chain(n, beta, boundary, h):
-    # a chain that labels every whole cluster after its first and one that
-    # walks every cluster depth-first flip the same spins and read the same
-    # words, whatever their mean cluster size; with a field, labeling
-    # crosses the field's ghost bonds, and the mean cluster is past the
+    # a chain that labels every whole cluster and one that walks every
+    # cluster depth-first flip the same spins and read the same words,
+    # whatever their mean cluster size; with a field, labeling crosses the
+    # field's ghost bonds, and the burn-in measures a mean cluster past the
     # floor, so a chain left to its own rule labels too
     system = SpinSystem.box(B_LAT, n, boundary=boundary, h=h)
     labeling = WolffChain(system, beta, h, 17)
     walking = WolffChain(system, beta, h, 17)
-    floor = labeling.label_floor
     labeling.label_floor, walking.label_floor = 0.0, math.inf
     for k in range(300):
         assert labeling.step() == walking.step()
@@ -188,7 +210,34 @@ def test_labeling_chain_equals_walking_chain(n, beta, boundary, h):
     assert labeling.spins.tolist() == walking.spins.tolist()
     assert labeling.stream_index == walking.stream_index
     if h > 0.0:
-        assert labeling._whole_nodes > floor * labeling._whole_walks
+        burned = WolffChain(system, beta, h, 17)
+        equilibrate(burned)
+        assert burned.burn_in_cluster >= burned.label_floor
+
+
+def test_first_update_after_the_burn_in_labels(monkeypatch):
+    # on the plus ball(24) at 1.1 beta_c the burn-in measures a mean cluster
+    # of about 975 of 1,202 nodes, so the first whole cluster after it is
+    # labeled; the walk/label rule once counted measured walks alone, and
+    # that first cluster was walked, however large.  A chain never burned
+    # in walks
+    system = SpinSystem.box(B_LAT, 24, boundary="plus")
+    walks = []
+    drawn_cluster = system.walker.drawn_cluster
+
+    def counting(root, *args):
+        walks.append(root)
+        return drawn_cluster(root, *args)
+
+    monkeypatch.setattr(system.walker, "drawn_cluster", counting)
+    fresh = WolffChain(system, 1.1 * BETA_C, 0.0, 17)
+    fresh.step()
+    assert len(walks) == 1
+    chain = WolffChain(system, 1.1 * BETA_C, 0.0, 17)
+    equilibrate(chain)
+    assert chain.step() > 0
+    chain.measure()
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("label_floor", [math.inf, 0.0],
@@ -337,45 +386,51 @@ def test_chain_refuses_a_negative_or_nan_parameter(beta, h):
         estimate_magnetization(B_LAT, 2, beta, "free", sweeps=100, seed=1, h=h)
 
 
-def test_fixed_seed_outputs_are_pinned():
+def test_fixed_seed_outputs_are_pinned(burned_in):
     # re-recorded when the burn-in moved to Swendsen-Wang updates, which
     # moved every draw after it on purpose (burn-in update k reads sample k,
     # word e is bond e and word n_bonds + L the coin of the cluster whose
     # smallest node is L); any later change to the Wolff draws must
-    # re-record them on purpose too
+    # re-record them on purpose too.  Every run here walks its clusters
     mag = estimate_magnetization(B_LAT, 4, 0.4, "plus", sweeps=1_500, seed=101)
     assert (mag.mean, mag.stderr) == (0.7133333333333334, 0.01664368631055655)
+    assert not labeled(burned_in)
     two_point = estimate_two_point(B_LAT, 3, 0.35, [1, 2], sweeps=1_500,
                                    seed=103)
     assert ((two_point[1].mean, two_point[1].stderr),
             (two_point[2].mean, two_point[2].stderr)) == (
         (0.41533333333333333, 0.013445972613505565),
         (0.18533333333333332, 0.0103697945125501))
+    assert not labeled(burned_in)
     report = check_critical_divergence(B_LAT, BETA_C, [1, 3], sweeps=1_000,
                                        seed=107)
     assert ((report.estimates[1].mean, report.estimates[1].stderr),
             (report.estimates[3].mean, report.estimates[3].stderr)) == (
         (3.389, 0.04120036699585085), (9.685, 0.21119993489284325))
-    # free ball(16) has 1,024 bonds and these clusters stay below the
-    # labeling floor, so every update and measurement is walked on a large
-    # system
+    assert not labeled(burned_in)
+    # free ball(16) has 1,024 bonds, a labeling floor of 99.2 nodes, and
+    # the burn-in measures a mean cluster of 95.2, so every update and
+    # measurement is walked on a large system
     report = check_critical_divergence(B_LAT, BETA_C, [8, 16], sweeps=300,
                                        seed=131)
     assert ((report.estimates[8].mean, report.estimates[8].stderr),
             (report.estimates[16].mean, report.estimates[16].stderr)) == (
         (57.06666666666667, 3.701787301951973),
         (125.96666666666667, 9.368954309773425))
+    assert not labeled(burned_in)
 
 
-def test_fixed_seed_outputs_that_label_are_pinned():
+def test_fixed_seed_outputs_that_label_are_pinned(burned_in):
     # n=24 chains at 1.1 beta_c have mean clusters far above the labeling
     # floor, so these runs go through ClusterWalker.component; re-recorded
     # when the burn-in moved to Swendsen-Wang updates
     mag = estimate_magnetization(B_LAT, 24, 1.1 * BETA_C, "plus", sweeps=300,
                                  seed=113)
     assert (mag.mean, mag.stderr) == (0.87, 0.018956696234802894)
+    assert labeled(burned_in)
     two_point = estimate_two_point(B_LAT, 24, 1.1 * BETA_C, [1, 12],
                                    sweeps=300, seed=127)
     assert ((two_point[1].mean, two_point[1].stderr),
             (two_point[12].mean, two_point[12].stderr)) == (
         (0.84, 0.023853319668747038), (0.7166666666666667, 0.028194676182461305))
+    assert labeled(burned_in)

@@ -9,8 +9,7 @@ import pytest
 
 from subcrit import lattice as lattice_mod
 from subcrit.lattice import (BallBuilder, LatticeSpec, Region, ball,
-                             ball_layout, edge_weight, layers,
-                             translate_region)
+                             edge_weight, layers, translate_region)
 
 
 def bfs_ball(lattice, n):
@@ -230,20 +229,26 @@ LAYOUT_LATTICES = (
 )
 
 
+def one_step(lattice, n):
+    # ball(n) and its shell laid out by a builder in one step
+    builder = BallBuilder(lattice, n)
+    return builder, builder.extend(n + 1)
+
+
 @pytest.mark.parametrize(
     "lattice,n",
     [(lattice, n) for lattice in LAYOUT_LATTICES for n in (0, 1, 2, 5, 12)]
     + [(LAYOUT_LATTICES[0], 33), (LAYOUT_LATTICES[1], 33),
        (LAYOUT_LATTICES[3], 20)],
     ids=lambda arg: arg.family if isinstance(arg, LatticeSpec) else str(arg))
-def test_ball_layout_matches_ball(lattice, n):
+def test_ball_builder_in_one_step_matches_ball(lattice, n):
     region = ball(lattice, n)
     shell = sorted({w for _, w, _ in region.boundary_pairs})
     nodes = list(region.vertices) + shell
     index = {v: i for i, v in enumerate(nodes)}
-    layout = ball_layout(lattice, n)
-    assert [tuple(c) for c in layout.coords.tolist()] == nodes
-    assert layout.n_inside == len(region)
+    builder, layout = one_step(lattice, n)
+    assert [tuple(c) for c in builder.coords(layout.keys).tolist()] == nodes
+    assert builder.n_inside == len(region)
     assert layout.n_internal == len(region.internal_edges)
     edges = list(region.internal_edges)
     edges += [(i, index[w], j) for i, w, j in region.boundary_pairs]
@@ -258,13 +263,13 @@ def test_ball_layout_matches_ball(lattice, n):
 
 @pytest.mark.parametrize("lattice", LAYOUT_LATTICES,
                          ids=lambda lattice: lattice.family)
-def test_ball_builder_in_steps_is_ball_layout(lattice):
+def test_ball_builder_in_steps_is_one_step(lattice):
     # a builder extended a few layers at a time adds, step by step, the
-    # nodes and edges of ball_layout's single step; after each step the
-    # nodes of the layers below the radius have every edge, and none of
-    # their edges lies before first_edge
+    # nodes and edges of a single step; after each step the nodes of the
+    # layers below the radius have every edge, and none of their edges
+    # lies before first_edge
     n = 9
-    layout = ball_layout(lattice, n)
+    whole, layout = one_step(lattice, n)
     builder = BallBuilder(lattice, n)
     chunks, edges = [], 0
     for radius in (1, 2, 3, 5, 8, 9, 12):
@@ -283,10 +288,8 @@ def test_ball_builder_in_steps_is_ball_layout(lattice):
         assert all(layout.edge_a[e] < chunk.rows and layout.edge_b[e] < nodes
                    for e in range(edges))
         chunks.append(chunk)
-    assert builder.done and builder.n_inside == layout.n_inside
-    keys = np.concatenate([c.keys for c in chunks])
-    assert (builder.coords(keys) == layout.coords).all()
-    for name in ("layer", "edge_a", "edge_b", "edge_j"):
+    assert builder.done and builder.n_inside == whole.n_inside
+    for name in ("keys", "layer", "edge_a", "edge_b", "edge_j"):
         built = np.concatenate([getattr(c, name) for c in chunks])
         assert built.dtype == getattr(layout, name).dtype
         assert (built == getattr(layout, name)).all(), name
@@ -300,23 +303,23 @@ def test_ball_builder_in_steps_is_ball_layout(lattice):
         fresh.extend(3)
 
 
-def test_ball_layout_rejects_keys_beyond_int64():
+def test_ball_builder_rejects_keys_beyond_int64():
     wide = LatticeSpec.custom([((1 << 40, 0), 1.0), ((-(1 << 40), 0), 1.0)])
     for lattice, n in ((wide, 1), (LatticeSpec.hypercubic(20), 10)):
         with pytest.raises(ValueError, match="int64") as info:
-            ball_layout(lattice, n)
+            one_step(lattice, n)
         assert "\n" not in str(info.value)
-    assert ball_layout(LatticeSpec.hypercubic(20), 1).n_inside == 41
+    assert one_step(LatticeSpec.hypercubic(20), 1)[0].n_inside == 41
 
 
-def test_ball_layout_refuses_balls_past_the_vertex_cap(monkeypatch):
+def test_ball_builder_refuses_balls_past_the_vertex_cap(monkeypatch):
     # square ball(n) with its shell has 2n^2 + 6n + 5 nodes: 85 at n = 5,
     # 113 at n = 6; ball(10^5) has about 2 * 10^10 and is refused within
     # a dozen layers
     monkeypatch.setattr(lattice_mod, "LAYOUT_VERTEX_CAP", 100)
     square = LatticeSpec.square()
-    assert len(ball_layout(square, 5).layer) == 85
+    assert len(one_step(square, 5)[1].layer) == 85
     for n in (6, 100_000):
         with pytest.raises(ValueError, match="layout cap") as info:
-            ball_layout(square, n)
+            one_step(square, n)
         assert "\n" not in str(info.value)

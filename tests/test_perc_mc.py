@@ -12,7 +12,7 @@ from subcrit.errors import DegenerateFit
 from subcrit.exact import naive_event_prob, perc_connect_probs, perc_exit_prob
 from subcrit.ising_mc import (SpinSystem, check_critical_divergence,
                               estimate_magnetization, estimate_two_point)
-from subcrit.lattice import (LatticeSpec, Region, ball, ball_layout,
+from subcrit.lattice import (BallBuilder, LatticeSpec, Region, ball,
                              incidence_csr)
 from subcrit.perc_mc import (ClusterWalker, PercBox,
                              estimate_ghost_magnetization,
@@ -442,9 +442,12 @@ def test_small_clusters_build_few_python_rows():
 
 
 def whole_walker(lattice, n):
-    layout = ball_layout(lattice, n)
-    return ClusterWalker(len(layout.layer), layout.edge_a, layout.edge_b,
-                         layout.layer), layout
+    # a walker over ball(n) and its shell laid out in one builder step,
+    # that step, and the coordinates of its nodes
+    builder = BallBuilder(lattice, n)
+    layout = builder.extend(n + 1)
+    return (ClusterWalker(len(layout.layer), layout.edge_a, layout.edge_b,
+                          layout.layer), layout, builder.coords(layout.keys))
 
 
 PREFIX_BALLS = [(P_LAT, 12), (T_LAT, 12), (LatticeSpec.hypercubic(3), 8),
@@ -457,11 +460,11 @@ def test_ball_prefixes_are_final(lattice, n):
     # for m < n, ball(m) and ball(n) share the nodes of layers <= m, and
     # the rows, edge ids, couplings and need of the nodes of layers < m:
     # what a box built to radius m holds is already ball(n)'s
-    big, big_layout = whole_walker(lattice, n)
+    big, big_layout, big_coords = whole_walker(lattice, n)
     for m in range(1, n):
-        small, small_layout = whole_walker(lattice, m)
+        small, small_layout, small_coords = whole_walker(lattice, m)
         nodes = int((small_layout.layer <= m).sum())
-        assert (small_layout.coords[:nodes] == big_layout.coords[:nodes]).all()
+        assert (small_coords[:nodes] == big_coords[:nodes]).all()
         assert small._layer[:nodes] == big._layer[:nodes]
         rows = int((small_layout.layer < m).sum())
         assert small._need[:rows] == big._need[:rows]
@@ -482,7 +485,7 @@ def test_grown_box_is_the_whole_box(lattice, n, monkeypatch):
     # each step a prefix of the whole box's arrays, and at the end all of
     # them: Python rows, need, layers and edges
     monkeypatch.setattr(perc_mc, "_FIRST_LAYERS", 1)
-    whole, layout = whole_walker(lattice, n)
+    whole, layout, _ = whole_walker(lattice, n)
     box = PercBox(lattice, n)
     assert not box._need and not box._layer
     radii = []
@@ -586,7 +589,7 @@ def test_small_clusters_build_few_layers():
     perc_mc._box.cache_clear()
     susceptibility_profile(P_LAT, 96, [96], 0.25, 800, 1)
     box = perc_mc._box(P_LAT, 96)
-    nodes = len(ball_layout(P_LAT, 96).layer)
+    nodes = len(BallBuilder(P_LAT, 96).extend(97).layer)
     assert len(box._need) < 0.05 * nodes
     assert len(box._layer) < 0.05 * nodes
     assert not box._builder.done
