@@ -283,6 +283,9 @@ def _load_region(opts: dict, lattice: LatticeSpec) -> Region:
     if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
         raise ConfigError("options.region",
                           "expected an object with a 'vertices' list")
+    unknown = sorted(data.keys() - {"vertices", "origin"})
+    if unknown:
+        raise ConfigError("options.region", f"unknown key {unknown[0]!r}")
     dim = lattice.dim
     origin = _region_vertex(data["origin"], dim) if "origin" in data else None
     return Region(lattice, [_region_vertex(v, dim) for v in data["vertices"]],

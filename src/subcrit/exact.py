@@ -13,11 +13,10 @@ block labelled 0, with each block's pending coefficient sum; a block's sum
 moves into T's slot when it joins T and is dropped when it leaves the
 frontier without T.  One sweep gives sum_v c_v P[v reaches the tied set]
 for every column of coefficients c.  The transitions do not depend on the
-parameter: ``_frontier_plan`` builds them once per (region, ties) and
-keeps them within ``PLAN_BYTES``; an evaluation is a few ``np.bincount``
-calls per vertex.  Connection to the base point is one
-always-open tie there (``BASE_POINT_TIE``); the exit event ties every
-boundary pair of ball(n).
+parameter: ``_frontier_plan`` builds them once per (region, ties); an
+evaluation is a few ``np.bincount`` calls per vertex.  Connection to the
+base point is one always-open tie there (``BASE_POINT_TIE``); the exit
+event ties every boundary pair of ball(n).
 
 Ising: with H(sigma) = -beta * sum_{internal pairs {x,y}} J_xy sigma_x
 sigma_y - h * sum_x sigma_x (each unordered pair counted once), a spin
@@ -55,7 +54,9 @@ layer's before each layer (and a state key holds 15 frontier vertices at
 most), and ``_lanes`` splits a grid into sweeps of lanes that fit,
 refused only where one lane, counted from the widest layer's rows
 (2^(frontier spins) for Ising), would pass it; ``sweep_lanes`` gives
-that number of lanes for a percolation sweep.
+that number of lanes for a percolation sweep.  Each engine keeps only its
+last plan or spin layout: every caller sweeps one region (and tie set) at
+a time, so the one plan held is within ``PLAN_BYTES`` as built.
 Plain-Python enumerators (``naive_*``) are kept alongside as the oracles.
 """
 
@@ -75,7 +76,8 @@ from .lattice import LatticeSpec, Region, ball, edge_weight
 
 # bytes a percolation plan, or a sweep's lane at 256 per row and column,
 # may hold: triangular ball(4)'s plan (208 MiB) and one column of 2^21
-# spin rows (square ball(10)) fit, for a peak RSS of about 700 MB at most
+# spin rows (square ball(10)) fit, for a peak RSS of about 700 MB at most;
+# only the last plan and the last spin layout are kept
 PLAN_BYTES = 512 << 20
 # rows of the widest layer times coefficient columns times lanes per sweep
 LANE_CELLS = 1 << 16
@@ -157,49 +159,21 @@ class _Step(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """The steps of a percolation sweep, the branch rows of its widest
-    layer, against which a lane's columns are counted, and the bytes of
-    its steps' arrays."""
+    """The steps of a percolation sweep, and the branch rows of its widest
+    layer, against which a lane's columns are counted."""
 
     steps: tuple
     rows: int
-    nbytes: int
 
 
-# the plans built, the least recently used first, holding PLAN_BYTES at most
-_plans: dict[tuple, _Plan] = {}
-
-
+@lru_cache(maxsize=1)
 def _frontier_plan(region: Region, tied: tuple[int, ...],
                    always_open: frozenset[int]) -> _Plan:
-    """:func:`_build_plan`, cached: the plans kept hold ``PLAN_BYTES`` at
-    most together (the newest plan always stays), and the least recently
-    used is dropped first; ``_frontier_plan.cache_clear()`` drops them
-    all."""
-    key = (region, tied, always_open)
-    plan = _plans.pop(key, None)
-    if plan is not None:
-        _plans[key] = plan  # now the most recently used
-        return plan
-    plan = _plans[key] = _build_plan(*key)
-    held = sum(kept.nbytes for kept in _plans.values())
-    for old in list(_plans)[:-1]:
-        if held <= PLAN_BYTES:
-            break
-        held -= _plans.pop(old).nbytes
-    return plan
-
-
-_frontier_plan.cache_clear = _plans.clear
-
-
-def _build_plan(region: Region, tied: tuple[int, ...],
-                always_open: frozenset[int]) -> _Plan:
     """The parameter-free plan of the sweep of ``region`` with a tie on
     every vertex of ``tied``, always open on those of ``always_open``;
     ``CapExceeded`` past 15 frontier vertices, before any state is built,
     and where the plan so far and the next layer's build would pass
-    ``PLAN_BYTES``, before that layer is built.
+    ``PLAN_BYTES``, before that layer is built.  The last plan is kept.
 
     A state is the partition of the frontier into blocks, in canonical
     labels: 0 for the block joined to the tied set, then 1, 2, ... in
@@ -287,7 +261,7 @@ def _build_plan(region: Region, tied: tuple[int, ...],
             n_states=len(layer), n_slots=int(next_offsets[-1])))
         held += sum(a.nbytes for a in steps[-1] if isinstance(a, np.ndarray))
         offsets = next_offsets
-    return _Plan(tuple(steps), max(len(step.p_dst) for step in steps), held)
+    return _Plan(tuple(steps), max(len(step.p_dst) for step in steps))
 
 
 def _op_weights(region: Region, ties: tuple[tuple[int, float], ...],
@@ -557,7 +531,7 @@ class _SpinLayout(NamedTuple):
     energy: np.ndarray
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _spin_steps(region: Region) -> _SpinLayout:
     """The spin sweep of ``region``, the base point (index 0) kept on the
     frontier to the end."""

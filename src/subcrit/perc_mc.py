@@ -439,8 +439,10 @@ class PercBox(ClusterWalker):
         weights[start:len(self._edge_j)] = np.array(values)[inverse]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _box(lattice: LatticeSpec, n: int) -> PercBox:
+    """The box every profile of ``n`` on ``lattice`` samples: the last one
+    is kept, so a profile builds its box once."""
     return PercBox(lattice, n)
 
 

@@ -195,6 +195,18 @@ def test_certify_region_file_with_bad_vertices(tmp_path, capsys, content):
     assert len(err) == 1 and err[0].startswith("config error: options.region")
 
 
+def test_certify_refuses_unknown_region_keys(tmp_path, capsys):
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"vertices": [[0, 0], [1, 0]], "extra": 1}))
+    out = tmp_path / "out"
+    code = run_cli("certify", "--model", "perc", "--param", "0.2",
+                   "--region", str(region), "--out", str(out))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: options.region: unknown key 'extra'"]
+    assert not out.exists() or not list(out.iterdir())
+
+
 # --- best-bound -----------------------------------------------------------------
 
 def test_best_bound_table(tmp_path):
@@ -529,6 +541,21 @@ def test_current_lab_backbone(tmp_path):
     assert code == EXIT_OK
     result = read_json(tmp_path / "bb.json")["result"]
     assert result["path"] == [[0, 1], [1, 2]]
+
+
+def test_current_lab_backbone_needs_no_beta(tmp_path):
+    # beta defaults to 0, where every current on a real pair weighs 0
+    scenario = {"graph": {"n_vertices": 3, "edges": [[0, 1], [1, 2]]},
+                "task": {"kind": "backbone",
+                         "multiplicities": [[[0, 1], 1], [[1, 2], 1]]}}
+    scenario_file = tmp_path / "bb_in.json"
+    scenario_file.write_text(json.dumps(scenario))
+    code = run_cli("current-lab", "--scenario", str(scenario_file),
+                   "--out", str(tmp_path), "--label", "bb")
+    assert code == EXIT_OK
+    result = read_json(tmp_path / "bb.json")["result"]
+    assert result["path"] == [[0, 1], [1, 2]]
+    assert result["weight"] == 0.0
 
 
 def test_current_lab_rejects_malformed_scenarios(tmp_path, capsys):

@@ -90,8 +90,7 @@ def test_weight_is_product_of_powers_over_factorials():
 def test_weight_rejects_bad_inputs():
     g = CurrentGraph.path(2)
     cur = Current(g, (((0, 1), 1),))
-    with pytest.raises(ValueError):
-        weight(cur, 0.0, 0.0)
+    assert weight(cur, 0.0, 0.0) == 0.0  # beta = 0: only the empty current
     with pytest.raises(ValueError):
         weight(cur, 0.5, -0.1)
     ghostly = Current(g, (((0, 2), 1),))

@@ -288,25 +288,22 @@ def test_one_parameter_sequence_is_the_scalar_sweep(lattice, n):
                     == row.tobytes())
 
 
-def test_plan_cache_holds_at_most_the_plan_budget(monkeypatch, fresh_plans):
-    # two plans of square ball(2) that each fit the budget (42,152 and
-    # 17,920 bytes, built within 59,424 and 31,032) but not together: the
-    # second one drops the first, the least recently used, and keeps a
-    # small plan used since
-    monkeypatch.setattr(exact, "PLAN_BYTES", 60_000)
+def test_plan_cache_keeps_the_last_plan(fresh_plans):
+    # one plan is kept: a repeated (region, ties) returns the plan object
+    # built for it, a new one replaces it, and cache_clear drops it
     region = ball(LatticeSpec.square(), 2)
     exit_ties = tuple((i, j) for i, _, j in region.boundary_pairs)
     first = exact._tied_plan(region, exit_ties)
     assert exact._tied_plan(region, exit_ties) is first
-    small = exact._tied_plan(region, exact.BASE_POINT_TIE)
-    second = exact._tied_plan(region, ((0, 1.0),))
-    assert first.nbytes + second.nbytes > exact.PLAN_BYTES
-    assert [id(p) for p in exact._plans.values()] == [id(small), id(second)]
-    assert sum(p.nbytes for p in exact._plans.values()) <= exact.PLAN_BYTES
+    second = exact._tied_plan(region, exact.BASE_POINT_TIE)
+    assert second is not first
+    assert exact._tied_plan(region, exact.BASE_POINT_TIE) is second
+    assert exact._frontier_plan.cache_info().currsize == 1
     rebuilt = exact._tied_plan(region, exit_ties)
-    assert rebuilt is not first and rebuilt.nbytes == first.nbytes
+    assert rebuilt is not first and rebuilt.rows == first.rows
     exact._frontier_plan.cache_clear()
-    assert not exact._plans
+    assert exact._frontier_plan.cache_info().currsize == 0
+    assert exact._tied_plan(region, exit_ties) is not rebuilt
 
 
 def test_a_bond_mask_needs_a_parameter_sequence():

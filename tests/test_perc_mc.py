@@ -428,6 +428,18 @@ def test_labels_give_every_node_the_smallest_node_of_its_cluster(kind):
                         == sorted(members))
 
 
+@pytest.mark.parametrize("profile", [
+    lambda: exit_profile(P_LAT, 8, [1, 2, 8], 0.45, 50, 1),
+    lambda: susceptibility_profile(P_LAT, 8, [2, 8], 0.45, 50, 1),
+    lambda: estimate_ghost_magnetization(P_LAT, 8, 0.45, 0.1, 50, 1)],
+    ids=["exit", "susceptibility", "ghost"])
+def test_one_kept_box_serves_a_whole_profile(profile):
+    # the last box is kept, and a profile samples one box: built once
+    perc_mc._box.cache_clear()
+    profile()
+    assert perc_mc._box.cache_info().misses == 1
+
+
 def test_small_clusters_build_few_python_rows():
     # at p = 0.25 the 800 clusters on ball(96) have about two sites, and
     # the walks build the Python rows and layers of under 5 % of the box's

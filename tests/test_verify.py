@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from subcrit import exact, verify
-from subcrit.certificates import exact_phi, phi_sweep
+from subcrit.certificates import (best_bound, critical_root, exact_phi,
+                                  phi_sweep)
 from subcrit.exact import (ising_observables, naive_connect_probs,
                            naive_event_prob, naive_ising_observables,
                            perc_connect_probs)
@@ -255,6 +256,25 @@ def test_phi_infimum_plans_only_the_region(monkeypatch, fresh_plans):
         fresh_plans()
         phi_infimum(lattice, region, CONTRACT_GRID)
         assert planned and set(planned) == {region}
+
+
+@pytest.mark.parametrize("compute, plans, layouts", [
+    (lambda: critical_root("percolation", P_LAT, ball(P_LAT, 2)), 1, 0),
+    (lambda: critical_root("ising", B_LAT, ball(B_LAT, 2)), 0, 1),
+    (lambda: best_bound("percolation", P_LAT, 2), 3, 0),
+    (lambda: default_report("perc-diff"), 2, 0),
+    (lambda: default_report("bk"), 2, 0),
+    (lambda: default_report("ising-diff"), 0, 1),
+    (lambda: default_report("simon"), 0, 3),
+    (lambda: default_report("ghs"), 0, 1)],
+    ids=["perc-root", "ising-root", "perc-best-bound", *CHECK_NAMES])
+def test_one_kept_plan_builds_each_plan_once(fresh_plans, compute, plans,
+                                             layouts):
+    # each engine keeps its last plan or layout only, and every computation
+    # sweeps its regions (and tie sets) one at a time: each is built once
+    compute()
+    assert exact._frontier_plan.cache_info().misses == plans
+    assert exact._spin_steps.cache_info().misses == layouts
 
 
 def test_phi_infimum_refuses_a_region_of_another_lattice():
