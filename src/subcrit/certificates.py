@@ -192,6 +192,9 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
                            np.array([a for a, _, _ in edges], dtype=np.int64),
                            np.array([b for _, b, _ in edges], dtype=np.int64),
                            np.zeros(len(region.vertices), dtype=np.int64))
+    # every cluster walked, with no budget: on these regions (ball(10) at
+    # p = 0.4: 221 nodes, a budget of 32 members) the clusters just past any
+    # budget are common, and labeling them cost 26 us a sample against 20
     values = []
     for s in range(samples):
         members, _, _ = walker.origin_cluster(weights, seed, rngmod.STREAM_PHI,

@@ -270,6 +270,13 @@ def _default_mode(opts: dict) -> str:
     return "beta" if opts.get("model") == "ising" else "p"
 
 
+def _refuse_unknown(data: dict, known: set, field: str) -> None:
+    """A ConfigError naming the first key of ``data`` outside ``known``."""
+    unknown = sorted(data.keys() - known)
+    if unknown:
+        raise ConfigError(field, f"unknown key {unknown[0]!r}")
+
+
 def _load_region(opts: dict, lattice: LatticeSpec) -> Region:
     radius, path = opts.get("ball"), opts.get("region")
     if (radius is None) == (path is None):
@@ -283,9 +290,7 @@ def _load_region(opts: dict, lattice: LatticeSpec) -> Region:
     if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
         raise ConfigError("options.region",
                           "expected an object with a 'vertices' list")
-    unknown = sorted(data.keys() - {"vertices", "origin"})
-    if unknown:
-        raise ConfigError("options.region", f"unknown key {unknown[0]!r}")
+    _refuse_unknown(data, {"vertices", "origin"}, "options.region")
     dim = lattice.dim
     origin = _region_vertex(data["origin"], dim) if "origin" in data else None
     return Region(lattice, [_region_vertex(v, dim) for v in data["vertices"]],
@@ -551,6 +556,15 @@ def _scenario_f(spec):
                       "expected 'one', 'even-total', or ['connect', a, b]")
 
 
+# the keys a scenario file and each kind of task may hold
+_SCENARIO_KEYS = {"graph", "beta", "h", "truncation", "task"}
+_TASK_KEYS = {"switching": {"sources", "u", "v", "f"},
+              "correlation": {"x", "y"},
+              "expectation": {"sources"},
+              "source-sum": {"sources"},
+              "backbone": {"multiplicities"}}
+
+
 def _scenario_number(scenario: dict, key: str) -> float:
     try:
         return float(scenario.get(key, 0.0))
@@ -562,6 +576,7 @@ def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     scenario = _read_json(opts["scenario"], "options.scenario")
     graph = _scenario_graph(scenario)
+    _refuse_unknown(scenario, _SCENARIO_KEYS, "scenario")
     beta = _scenario_number(scenario, "beta")
     h = _scenario_number(scenario, "h")
     trunc = scenario.get("truncation")
@@ -569,11 +584,11 @@ def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     if not isinstance(task, dict) or "kind" not in task:
         raise ConfigError("scenario.task", "expected an object with 'kind'")
     kind = task["kind"]
-    if kind not in ("switching", "correlation", "expectation", "source-sum",
-                    "backbone"):
+    if not isinstance(kind, str) or kind not in _TASK_KEYS:
         raise ConfigError("scenario.task.kind",
                           "expected switching, correlation, expectation, "
                           "source-sum, or backbone")
+    _refuse_unknown(task, _TASK_KEYS[kind] | {"kind"}, "scenario.task")
     if kind != "backbone" and not isinstance(trunc, int):
         raise ConfigError("scenario.truncation", "expected an integer cap")
     # read every task field before computing, so that a malformed field is

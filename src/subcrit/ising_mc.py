@@ -30,17 +30,22 @@ beta_c, 100 sweeps took about 690 walked updates and 55 ms, against 13 ms
 for 100 Swendsen-Wang updates (2-vCPU shared host).
 
 A walk of a whole cluster (every update, and the two-point and divergence
-measurements) is labeled in numpy (``ClusterWalker.component``, keeping the
-open bonds whose ends are aligned) when the burn-in measured the cluster a
-uniformly chosen node sees at 48 + n_bonds / 20 nodes or more, as in the
-ordered phase (the plus ball(24) at 1.1 beta_c: 960 of 1,202 nodes, 2,500
-bonds, labeled in about 130-150 us against 1.4 ms walked).  Smaller
-clusters, and walks that stop at a layer, are walked depth-first, with the
-nodes whose spin differs from the root's (the ghost counts as +1) marked
-seen before the walk starts, so it never crosses a bond between unaligned
-ends.  The words fix
-the open bonds, so both mark the same cluster and the chain does not
-depend on which one ran.
+measurements) goes depth-first, with the nodes whose spin differs from the
+root's (the ghost counts as +1) marked seen before it starts, so it never
+crosses a bond between unaligned ends, until it finds more members than
+the chain's budget; the cluster is then labeled in numpy instead
+(``ClusterWalker.component``, keeping the open bonds whose ends are
+aligned).  The burn-in sets the budget from the clusters of its last
+Swendsen-Wang updates (``ClusterWalker.walk_budget``): the one that
+minimizes the mean cost of walking the cluster a uniformly chosen node
+sees, at about 0.7 us per member, and labeling those that pass it, at
+about 10 us plus 0.025 us per bond.  That labels every cluster past 2
+members on the plus ball(24) at 1.1 beta_c, whose clusters hold most of
+the box, past 5 to 11 on the free ball(16) at beta_c, and none on ball(2)
+at beta = 0.3, which has no budget.  A chain never burned in has none
+either.  Walks that stop at a layer (the magnetization's, at the ghost)
+always walk.  The words fix the open bonds, so both mark the same cluster
+and the chain does not depend on which one ran.
 
 Measurements use the Edwards-Sokal coupling where it buys variance: walking
 a (non-flipping) cluster from the origin with the same activation rule, on
@@ -52,6 +57,7 @@ resolves small correlations far better than the plain spin product.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -68,25 +74,17 @@ _KIND_FIELD = 1
 
 _INIT_INDEX = 1 << 62  # stream block reserved for initial states
 
-# After the bond words are drawn (about 8 us plus 0.01 us per bond), labeling
-# a cluster in numpy costs about 47 us plus 0.055 us per bond and walking it
-# 1.4 us per member (2-vCPU shared Xeon, Python 3.11, numpy 2.4).  Labeling
-# wins above about 34 + n_bonds / 25 nodes: it loses on ball(12) at beta_c
-# (mean cluster 54, 576 bonds), about ties on ball(16) (86, 1,024) and wins
-# on ball(20) (141, 1,600) and on the plus ball(6) at 1.1 beta_c (72, 196).
-# A chain labels when its burn-in measured a mean cluster of at least
-# _LABEL_MIN_NODES + n_bonds / 20, just above that crossover.
-_LABEL_MIN_NODES = 48
-
 # bytes.translate tables over the spin bytes (+1 is byte 1, -1 byte 255),
 # keyed by the root's byte: each marks the nodes of the other sign with 1
 _BLOCK_OTHER_SIGN = {1: bytes.maketrans(b"\x01\xff", b"\x00\x01"),
                      255: bytes.maketrans(b"\x01\xff", b"\x01\x00")}
 
 # burn-in: this many Swendsen-Wang updates (lattice sweeps), extended to
-# this many tau_int of them
+# this many tau_int of them; the clusters of its last _BUDGET_SWEEPS set the
+# chain's walk budget
 _BURN_IN_SWEEPS = 100
 _BURN_IN_TAUS = 20.0
+_BUDGET_SWEEPS = 20
 
 
 class SpinSystem:
@@ -175,8 +173,8 @@ class WolffChain:
         self._mask_bytes = bytearray(n + 1)
         self._mask = np.frombuffer(self._mask_bytes, dtype=np.bool_)
         self._masked: list[int] = []
-        self.label_floor = _LABEL_MIN_NODES + system.n_bonds / 20
-        self.burn_in_cluster = 0.0  # measured by equilibrate
+        # the member budget of whole-cluster walks, set by equilibrate
+        self.budget: int | None = None
         plus = (system.bond_kind == _KIND_SPIN) & (system.bond_b == system.ghost)
         if not plus.any():
             gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF, _INIT_INDEX)
@@ -204,11 +202,12 @@ class WolffChain:
         One ``draw_edges`` call draws every bond word against ``p_act``; a
         ``root`` of None then takes the update's seed site, floor(u *
         n_sites) for the next word, ``n_bonds``.  Bond e is open when word
-        e is below ``p_act[e]`` and its ends are aligned.  A whole-cluster
-        walk labels the drawn words in numpy, keeping the aligned bonds,
-        when ``burn_in_cluster`` reaches ``label_floor``; otherwise it
-        walks them with every node whose spin differs from the root's (the
-        ghost counts as +1) blocked in the walker's ``seen``.  Both cross
+        e is below ``p_act[e]`` and its ends are aligned.  The walk blocks
+        every node whose spin differs from the root's (the ghost counts as
+        +1) in the walker's ``seen``, and a whole-cluster walk (no
+        ``stop_layer``) takes the chain's ``budget``: once it finds more
+        members, or at once for a budget of 0, the cluster is labeled in
+        numpy instead, keeping the bonds with aligned ends.  Both cross
         exactly the open bonds.
 
         Returns ``(size, members)``: the number of nodes in the cluster,
@@ -222,15 +221,16 @@ class WolffChain:
         self.stream_index += 1
         if root is None:
             root = int(gen.random() * sysm.n_sites)
-        if stop_layer is None and self.burn_in_cluster >= self.label_floor:
-            ext = self._ext
-            size = walker.component(ext[sysm.bond_a] == ext[sysm.bond_b],
-                                    root)
-            return size, None
-        spin_bytes = self._spin_bytes
-        blocked = spin_bytes.translate(_BLOCK_OTHER_SIGN[spin_bytes[root]])
-        members = walker.drawn_cluster(root, stop_layer, blocked)[0]
-        return len(members), members
+        budget = self.budget if stop_layer is None else None
+        if budget != 0:
+            spin_bytes = self._spin_bytes
+            blocked = spin_bytes.translate(_BLOCK_OTHER_SIGN[spin_bytes[root]])
+            found = walker.drawn_cluster(root, stop_layer, blocked, budget)
+            if found is not None:
+                return len(found[0]), found[0]
+        ext = self._ext
+        return walker.component(ext[sysm.bond_a] == ext[sysm.bond_b],
+                                root), None
 
     def step(self) -> int:
         """One Wolff update; returns the cluster size in real sites.
@@ -323,25 +323,24 @@ def equilibrate(chain: WolffChain) -> int:
     typical cluster size: one update is one lattice sweep.  The integrated
     autocorrelation time of the |mean spin| series of the first 100 is
     measured, and the burn-in is extended to 20 tau_int updates if that is
-    longer.  The updates' labels give the chain's ``burn_in_cluster``: the
-    mean of sum |C|^2 / nodes, the cluster a uniformly chosen node sees.
-    Returns the number of Swendsen-Wang updates run, each of which read
-    one sample of the chain's stream.
+    longer.  The clusters of the last 20 updates set the chain's
+    ``budget`` (``ClusterWalker.walk_budget``).  Returns the number of
+    Swendsen-Wang updates run, each of which read one sample of the
+    chain's stream.
     """
-    def sweep() -> int:
-        sizes = np.bincount(chain.swendsen_wang())
-        return int(sizes @ sizes)
-
     n = chain.system.n_sites
-    squares, series = 0, []
+    series, last = [], deque(maxlen=_BUDGET_SWEEPS)
     for _ in range(_BURN_IN_SWEEPS):
-        squares += sweep()
+        last.append(chain.swendsen_wang())
         series.append(abs(float(chain.spins.sum())) / n)
     tau = integrated_autocorr_time(np.array(series))
     sweeps = max(_BURN_IN_SWEEPS, int(_BURN_IN_TAUS * tau))
     for _ in range(sweeps - _BURN_IN_SWEEPS):
-        squares += sweep()
-    chain.burn_in_cluster = squares / (sweeps * (n + 1))
+        last.append(chain.swendsen_wang())
+    # seen[s]: the nodes in clusters of s nodes
+    sizes = np.concatenate([np.bincount(label) for label in last])
+    seen = np.bincount(sizes, weights=sizes)
+    chain.budget = chain.system.walker.walk_budget(seen, drawn=True)
     return sweeps
 
 

@@ -29,11 +29,16 @@ whole box, each layer once.
 Estimators walk the open cluster of the origin and stop once the event is
 decided: exit profiles at the first site beyond the largest radius, the
 ghost estimate at the first open ghost bond.  The susceptibility walks
-whole clusters.  A walk with a field goes breadth-first, every other walk
-depth-first: any member's open ghost bond decides the ghost event, and a
-breadth-first walk stays near the origin, whose edge and ghost words lead
-the drawn prefix.  Which edges are open does not depend on the walk, so no
-estimate depends on the walk order.
+whole clusters, up to a member budget: past it, the rest of the sample's
+words are drawn and the cluster is labeled in numpy.  Its first 100
+clusters are walked whole, and their sizes set the budget of the rest
+(``ClusterWalker.walk_budget``): 122 members on ball(64) at p = 0.5, where
+72 % of the clusters pass it, and none at p = 0.25 and 0.45.  A walk
+with a field goes breadth-first, every other walk depth-first: any
+member's open ghost bond decides the ghost event, and a breadth-first walk
+stays near the origin, whose edge and ghost words lead the drawn prefix.
+Which edges are open does not depend on the walk, nor on whether the
+cluster was walked or labeled, so no estimate depends on either.
 """
 
 from __future__ import annotations
@@ -66,6 +71,32 @@ _FIRST_LAYERS = 8
 # 3.9 and three or more 3.3; two and three time fastest there, two on
 # critical clusters
 _JUMPS_PER_ROUND = 2
+# The walk/label switch (``ClusterWalker.walk_budget``) weighs these costs,
+# in us, measured as medians on a 2-vCPU shared Xeon (Python 3.11, numpy
+# 2.4).  A walk costs _WALK_US per member: 0.61-0.78 on Wolff systems up
+# to ball(32) and percolation boxes up to ball(64), 1.05-1.15 from ball(64)
+# on, where the nodes leave the cache.  Starting one on words draw_edges
+# drew, with a Wolff chain's blocked nodes, costs _START_US +
+# _START_US_PER_NODE per node: 1.2 on ball(2), 25.6 on the plus ball(128).
+# Labeling every word (``component``) costs _LABEL_US + _LABEL_US_PER_EDGE
+# per edge: 11 on ball(2) (16 bonds), 38 on ball(16) at beta_c (1,024), 78
+# on the plus ball(24) at 1.1 beta_c (2,500), 363 on ball(64) at beta_c
+# (16,384), 2,200 on the plus ball(128) (66,564).  Drawing every word costs
+# _DRAW_US_PER_EDGE per edge more: 90 of the 437 that drawing and labeling
+# take on the ball(64) box at p = 0.5 (16,900 edges).
+_WALK_US = 0.7
+_START_US = 1.2
+_START_US_PER_NODE = 0.0007
+_LABEL_US = 10.0
+_LABEL_US_PER_EDGE = 0.025
+_DRAW_US_PER_EDGE = 0.006
+# the susceptibility walks this many clusters whole, and their sizes set
+# the walk budget of the rest
+_BUDGET_SAMPLES = 100
+
+
+class _OverBudget(Exception):
+    """A walk found more members than its budget."""
 
 
 class ClusterWalker:
@@ -80,6 +111,11 @@ class ClusterWalker:
     a Wolff walk draws them all with ``draw_edges``, then walks them
     (``drawn_cluster``) or labels them in numpy with ``component``, and a
     Swendsen-Wang update labels every cluster of them with ``labels``.
+
+    A walk may take a member budget: a walk that finds more members than
+    its budget stops, and its caller labels the cluster instead, on the
+    same words.  The words fix the open edges, so the cluster does not
+    depend on which of the two marked it; only the cost does.
 
     The walk indexes the layers and the adjacency as Python lists, each
     row made once from numpy when it is added (``_add``); the edges stay
@@ -110,6 +146,7 @@ class ClusterWalker:
         # nodes v < bisect_right(_need, drawn) have all their edges.
         self._edge_a = self._edge_b = np.zeros(0, dtype=np.int32)
         self._ptr, self._nbr, self._eid, self._layer = [0], [], [], []
+        self._layers = np.zeros(0, dtype=np.int32)  # _layer in numpy
         self._need: list[int] = []
         # generators and draw buffers, reused by every walk (so one walker
         # serves one walk at a time); the masks are numpy views of the
@@ -127,6 +164,7 @@ class ClusterWalker:
         replaced, the drawn masks copied, and ``seen`` lengthened; a walk
         under way re-reads its names for them."""
         self._layer += layer.tolist()
+        self._layers = np.concatenate((self._layers, layer))
         edge_a = self._edge_a = np.concatenate((self._edge_a, edge_a))
         edge_b = self._edge_b = np.concatenate((self._edge_b, edge_b))
         n_nodes, n_edges = len(self._layer), len(edge_a)
@@ -165,12 +203,13 @@ class ClusterWalker:
     n_edges = property(lambda self: len(self._complete()._edge_a))
     edge_a = property(lambda self: self._complete()._edge_a)
     edge_b = property(lambda self: self._complete()._edge_b)
-    layer = property(lambda self: np.array(self._complete()._layer))
+    layer = property(lambda self: self._complete()._layers.copy())
 
     def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
                        index: int, h: float = 0.0,
-                       stop_layer: int | None = None
-                       ) -> tuple[list[int], int, bool]:
+                       stop_layer: int | None = None,
+                       budget: int | None = None
+                       ) -> tuple[list[int] | np.ndarray, int, bool]:
         """Walk over the open cluster of node 0, the origin, in one sample.
 
         Sample ``index`` of ``stream`` opens edge e when word e of its
@@ -191,6 +230,14 @@ class ClusterWalker:
         (``max_layer`` is then that node's layer).
         Otherwise it covers the whole cluster and ``max_layer`` is the
         cluster's largest layer.
+
+        A walk that finds more than ``budget`` members stops, and the
+        cluster is labeled (``component``) on every word of the sample, which
+        ``draw_edges`` draws, the prefix the walk read included.  A labeled
+        cluster is whole: ``members`` is then an array of its nodes in
+        increasing order, ``max_layer`` their largest layer and
+        ``hit_ghost`` whether any of their ghost bonds is open.  Every
+        event the walk would decide reads the same.
         """
         if not h >= 0.0:
             raise ValueError(f"h must be non-negative, got {h}")
@@ -206,28 +253,50 @@ class ClusterWalker:
         if isinstance(weights, float):
             # numpy compares a drawn prefix faster against a 0-d array
             weights = np.array(weights)
-        return self._walk(0, stop_layer, None, gen, weights, ghost_gen, h)
+        try:
+            return self._walk(0, stop_layer, None, budget, gen, weights,
+                              ghost_gen, h)
+        except _OverBudget:
+            pass
+        self.draw_edges(weights, seed, stream, index)
+        self.component(None)
+        members = np.flatnonzero(np.frombuffer(self.seen, dtype=np.bool_))
+        hit = False
+        if h > 0.0:
+            ghost_gen = self._ghost_gen = rngmod.sample_stream(
+                seed, stream, index, start=self.n_edges, gen=ghost_gen)
+            ghost_gen.random(out=self._ghost_u)
+            hit = bool((self._ghost_u[members] < -math.expm1(-h)).any())
+        return members, int(self._layers[members].max()), hit
 
     def drawn_cluster(self, root: int = 0, stop_layer: int | None = None,
-                      blocked: bytearray | None = None
-                      ) -> tuple[list[int], int, bool]:
+                      blocked: bytearray | None = None,
+                      budget: int | None = None
+                      ) -> tuple[list[int], int, bool] | None:
         """:meth:`origin_cluster` at h = 0 from ``root`` on the edge words
         that ``draw_edges`` drew for the sample, opening no stream.
 
         ``blocked``, a bytearray over the nodes that the walk then owns,
         marks nodes it never enters, as if every edge into them were
         closed; it becomes the walk's ``self.seen``, which marks them and
-        the members until the next walk.
+        the members until the next walk.  A walk that finds more than
+        ``budget`` members stops and returns None: the caller labels the
+        cluster (``component``).
         """
-        return self._walk(root, stop_layer, blocked)
+        try:
+            return self._walk(root, stop_layer, blocked, budget)
+        except _OverBudget:
+            return None
 
     def _walk(self, root: int, stop_layer: int | None,
-              blocked: bytearray | None, gen=None, weights=None,
-              ghost_gen=None, h: float = 0.0) -> tuple[list[int], int, bool]:
+              blocked: bytearray | None, budget: int | None = None,
+              gen=None, weights=None, ghost_gen=None, h: float = 0.0
+              ) -> tuple[list[int], int, bool]:
         """The walk of :meth:`origin_cluster` from ``root``, drawing edge
         words from ``gen`` against ``weights``, or reading those
         ``draw_edges`` drew when ``gen`` is None, and ghost words from
-        ``ghost_gen`` for h > 0."""
+        ``ghost_gen`` for h > 0.  A walk that finds more members than
+        ``budget`` raises ``_OverBudget``."""
         # edge words drawn; nodes v < ready have all theirs
         drawn, ready = ((0, 0) if gen is not None
                         else (len(self._open), len(self._need)))
@@ -258,6 +327,13 @@ class ClusterWalker:
             todo = deque([root])
             pop = todo.popleft
         push = todo.append
+        if budget is not None:
+            # checked as members are pushed, so that a walk without a
+            # budget pays nothing for it
+            def push(w, append=push):
+                if len(members) > budget:
+                    raise _OverBudget
+                append(w)
         while todo:
             v = pop()
             if v >= ready:
@@ -289,6 +365,35 @@ class ClusterWalker:
                         push(w)
         return members, max_layer, False
 
+    # whether every row is built
+    built = True
+
+    def walk_budget(self, seen: np.ndarray, drawn: bool) -> int | None:
+        """The member budget of whole-cluster walks whose cluster has s
+        nodes with probability proportional to ``seen[s]``, on words
+        ``draw_edges`` drew if ``drawn``, else on words drawn as the walk
+        goes: the B that minimizes the mean cost W E[min(S, B)] +
+        L P(S > B), W the walk's cost per member and L the cost of
+        labeling every word, and of drawing them unless ``drawn``, plus,
+        on drawn words, the cost of starting a walk, which a budget of 0
+        skips.  None, no budget, when the best one is the largest s seen,
+        which no seen cluster passes, and on words drawn as the walk goes
+        when not every row is ``built``: labeling would build them all,
+        and no seen walk reached them.
+        """
+        if not (drawn or self.built):
+            return None
+        # every row is built, so the built lists count the whole graph
+        per_edge = _LABEL_US_PER_EDGE + (0.0 if drawn else _DRAW_US_PER_EDGE)
+        cum = np.cumsum(seen)
+        tail = (cum[-1] - cum) / cum[-1]  # P(S > B)
+        cost = _WALK_US * (np.cumsum(tail) - tail)  # W E[min(S, B)]
+        cost += (_LABEL_US + per_edge * len(self._edge_a)) * tail
+        if drawn:
+            cost[1:] += _START_US + _START_US_PER_NODE * len(self._layer)
+        budget = int(np.argmin(cost))
+        return None if budget == len(seen) - 1 else budget
+
     def draw_edges(self, weights: np.ndarray, seed: int, stream: int,
                    index: int) -> np.random.Generator:
         """Draw every edge word of sample ``index`` in one call, for
@@ -302,42 +407,51 @@ class ClusterWalker:
         np.less(self._edge_u, weights, out=self._open_mask)
         return gen
 
-    def labels(self, keep: np.ndarray) -> np.ndarray:
+    def labels(self, keep: np.ndarray | None) -> np.ndarray:
         """Label every node by the smallest node of its cluster over the
-        edges that ``draw_edges`` opened and ``keep`` marks, in numpy,
-        without drawing; returns the labels, an intp array over the nodes.
+        edges that ``draw_edges`` opened and ``keep`` marks (every open
+        edge when ``keep`` is None), in numpy, without drawing; returns the
+        labels, an intp array over the nodes.
 
-        Every node starts as its own label.  A round hooks, across every
-        kept open edge with end labels la and lb, the entry of the larger
-        down to the smaller (``np.minimum.at``), then makes
-        ``_JUMPS_PER_ROUND`` pointer jumps, label <- label[label]; rounds
-        repeat until every kept edge has equal end labels.  Labels only
-        decrease, and each is a node of its own cluster, no larger than the
-        node (so no cycle forms).  A round that is not the last lowers some
-        label: if la and lb are both roots (label[l] == l), the hook lowers
-        the larger; otherwise one of them, say la, has label[la] < la, and
-        the first jump lowers the label of that edge end.  The sum of the
-        labels thus falls every round, so the loop ends.  It ends at the
-        smallest node: the kept edges join the nodes of a cluster, so they
-        share one label L, a node of the cluster and so no smaller than its
-        smallest node m; m's own label, L, is no larger than m, so L = m.
-        The kept edges are found once; each round is a fixed handful of
-        O(edges) numpy calls instead of a Python step per member.
+        Every node starts as its own label.  Each round hooks across every
+        kept open edge, then makes ``_JUMPS_PER_ROUND`` pointer jumps,
+        label <- label[label], and rounds repeat until every kept edge has
+        equal end labels la and lb.  The first round hooks each edge's end
+        b down to its end a (``np.minimum.at``), as a single call: the box
+        and spin-system edges all have a < b, and on an edge with a > b
+        the hook leaves label[b] = b.  Each later round hooks, across every
+        kept edge, the entry of the larger end label down to the smaller.
+        Labels only decrease, and each is a node of its own cluster, no
+        larger than the node (so no cycle forms).  A round after the first
+        lowers some label when an edge's end labels differ before it: if
+        la and lb are both roots (label[l] == l), the hook lowers the
+        larger; otherwise one of them, say la, has label[la] < la, and the
+        first jump lowers the label of that edge end.  The sum of the
+        labels thus falls every round from the second until the last, so
+        the loop ends.  It ends at the smallest node: the kept edges join
+        the nodes of a cluster, so they share one label L, a node of the
+        cluster and so no smaller than its smallest node m; m's own label,
+        L, is no larger than m, so L = m.  The kept edges are found once;
+        each round is a fixed handful of O(edges) numpy calls instead of a
+        Python step per member.
         """
-        kept = np.flatnonzero(self._open_mask & keep)
+        kept = np.flatnonzero(self._open_mask if keep is None
+                              else self._open_mask & keep)
         # intp indices: numpy converts any other index dtype on every gather
         a = self._edge_a[kept].astype(np.intp, copy=False)
         b = self._edge_b[kept].astype(np.intp, copy=False)
         label = np.arange(len(self._layer))
-        la, lb = a, b
-        while not np.array_equal(la, lb):
-            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        high, low = b, a
+        while True:
+            np.minimum.at(label, high, low)
             for _ in range(_JUMPS_PER_ROUND):
                 label = label[label]
             la, lb = label[a], label[b]
-        return label
+            if (la == lb).all():
+                return label
+            high, low = np.maximum(la, lb), np.minimum(la, lb)
 
-    def component(self, keep: np.ndarray, root: int = 0) -> int:
+    def component(self, keep: np.ndarray | None, root: int = 0) -> int:
         """Label the cluster of ``root`` over the edges that ``draw_edges``
         opened and ``keep`` marks (``labels``); marks it in ``self.seen``
         and returns its size."""
@@ -411,6 +525,7 @@ class PercBox(ClusterWalker):
 
     edge_j = property(lambda self: self._complete()._edge_j)
     n_edges = property(lambda self: self._builder.n_edges)
+    built = property(lambda self: self._builder.done)
 
     def open_probabilities(self, param: float) -> np.ndarray:
         """The open probability of each edge at ``param``: a 0-d float64
@@ -495,20 +610,22 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
     box = _box(lattice, n_box)
     weights = box.open_probabilities(param)
     counts: dict[int, list[float]] = {r: [] for r in radii}
-    layer = box._layer  # built for every member a walk returns
+    budget, first = None, []
     for i in range(samples):
         members, max_layer, _ = box.origin_cluster(
-            weights, seed, rngmod.STREAM_SUSCEPTIBILITY, i)
+            weights, seed, rngmod.STREAM_SUSCEPTIBILITY, i, budget=budget)
+        if i < _BUDGET_SAMPLES:
+            first.append(len(members))
+            if i == _BUDGET_SAMPLES - 1:
+                budget = box.walk_budget(np.bincount(first), drawn=False)
         if max_layer <= radii[0]:
             # the whole cluster lies in every ball, as most small ones do
             for r in radii:
                 counts[r].append(len(members))
             continue
-        # counted in plain Python: on small clusters a numpy call per
-        # sample costs more than the count itself
-        ml = [layer[m] for m in members]
+        member_layers = box._layers[members]  # built for every member
         for r in radii:
-            counts[r].append(len([x for x in ml if x <= r]))
+            counts[r].append(int(np.count_nonzero(member_layers <= r)))
     out = {}
     for r in radii:
         vals = counts[r]

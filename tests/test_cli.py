@@ -564,9 +564,10 @@ def test_current_lab_rejects_malformed_scenarios(tmp_path, capsys):
     assert run_cli("current-lab", "--scenario", str(missing_graph),
                    "--out", str(tmp_path)) == EXIT_ERROR
     bad_kind = tmp_path / "bad2.json"
-    bad_kind.write_text(json.dumps(triangle_scenario(kind="teleport")))
-    assert run_cli("current-lab", "--scenario", str(bad_kind),
-                   "--out", str(tmp_path)) == EXIT_ERROR
+    for kind in ("teleport", ["switching"]):
+        bad_kind.write_text(json.dumps(triangle_scenario(kind=kind)))
+        assert run_cli("current-lab", "--scenario", str(bad_kind),
+                       "--out", str(tmp_path)) == EXIT_ERROR
     no_trunc = triangle_scenario(kind="source-sum", sources=[0, 1])
     del no_trunc["truncation"]
     missing_trunc = tmp_path / "bad3.json"
@@ -609,6 +610,24 @@ def test_current_lab_rejects_malformed_scenarios(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(
             "config error: scenario.task:"), (entry, err)
+
+
+@pytest.mark.parametrize("where,key", [("top", "betta"), ("task", "typo"),
+                                       ("task", "u")],
+                         ids=["top-level", "task", "other-kinds-key"])
+def test_current_lab_refuses_unknown_keys(tmp_path, capsys, where, key):
+    # a misspelt "beta" once ran the scenario at beta = 0 and exited 0;
+    # "u" belongs to a switching task, not to a source sum
+    scenario = triangle_scenario(kind="source-sum", sources=[0, 1])
+    (scenario if where == "top" else scenario["task"])[key] = 0.5
+    scenario_file = tmp_path / "typo.json"
+    scenario_file.write_text(json.dumps(scenario))
+    assert run_cli("current-lab", "--scenario", str(scenario_file),
+                   "--out", str(tmp_path)) == EXIT_ERROR
+    field = "scenario" if where == "top" else "scenario.task"
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: {field}: unknown key {key!r}"]
+    assert [path.name for path in tmp_path.iterdir()] == ["typo.json"]
 
 
 def test_current_lab_refuses_negative_field(tmp_path, capsys):

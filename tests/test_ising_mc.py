@@ -12,6 +12,7 @@ from subcrit.ising_mc import (SpinSystem, WolffChain, check_critical_divergence,
                               equilibrate, estimate_magnetization,
                               estimate_two_point)
 from subcrit.lattice import LatticeSpec, ball
+from subcrit.perc_mc import ClusterWalker
 from subcrit.stats import MCEstimate, batch_means_stderr
 
 B_LAT = LatticeSpec.square(mode="beta")
@@ -21,7 +22,7 @@ BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
 @pytest.fixture
 def burned_in(monkeypatch):
     # every chain that the estimators burn in, in order, so that a run can
-    # tell whether it labeled or walked its whole clusters
+    # tell which walk budget its whole-cluster walks took
     chains = []
 
     def recording(chain):
@@ -33,12 +34,27 @@ def burned_in(monkeypatch):
     return chains
 
 
-def labeled(chains):
-    # whether the one chain of the last run labels its whole clusters: its
-    # burn-in measured a mean cluster at or above its floor
+def budget(chains):
+    # the walk budget of the one chain of the last run, which its burn-in
+    # set: None walks every cluster, 0 labels every whole cluster
     (chain,) = chains
     chains.clear()
-    return chain.burn_in_cluster >= chain.label_floor
+    return chain.budget
+
+
+@pytest.fixture
+def labels_calls(monkeypatch):
+    # every ClusterWalker.labels call, counted: a walk that stays within
+    # its budget makes none
+    calls = []
+    labels = ClusterWalker.labels
+
+    def counting(self, *args):
+        calls.append(self)
+        return labels(self, *args)
+
+    monkeypatch.setattr(ClusterWalker, "labels", counting)
+    return calls
 
 
 def assert_within_sigmas(estimate, truth, sigmas=4.0, floor=2e-3):
@@ -193,63 +209,97 @@ def test_ghost_stopped_measurement_decides_like_full_walk(boundary, h):
                           (12, BETA_C, "free", 0.05)],
                          ids=["ordered-plus", "critical-free", "field-free"])
 def test_labeling_chain_equals_walking_chain(n, beta, boundary, h):
-    # a chain that labels every whole cluster and one that walks every
-    # cluster depth-first flip the same spins and read the same words,
-    # whatever their mean cluster size; with a field, labeling crosses the
-    # field's ghost bonds, and the burn-in measures a mean cluster past the
-    # floor, so a chain left to its own rule labels too
+    # chains that label every whole cluster (budget 0), hand a walk over to
+    # the labeler past 1 or 8 members, or walk every cluster depth-first
+    # (no budget) flip the same spins and read the same words, whatever
+    # their mean cluster size; with a field, labeling crosses the field's
+    # ghost bonds.  A chain left to its own rule takes a budget from its
+    # burn-in, small on these systems
     system = SpinSystem.box(B_LAT, n, boundary=boundary, h=h)
-    labeling = WolffChain(system, beta, h, 17)
-    walking = WolffChain(system, beta, h, 17)
-    labeling.label_floor, walking.label_floor = 0.0, math.inf
+    chains = [WolffChain(system, beta, h, 17) for _ in range(4)]
+    for chain, walk_budget in zip(chains, (None, 0, 1, 8)):
+        chain.budget = walk_budget
+    walking = chains[0]
     for k in range(300):
-        assert labeling.step() == walking.step()
+        sizes = [chain.step() for chain in chains]
+        assert sizes == [sizes[0]] * 4
         if k % 10 == 0:
-            assert (labeling.measure().tolist()
-                    == walking.measure().tolist())
-    assert labeling.spins.tolist() == walking.spins.tolist()
-    assert labeling.stream_index == walking.stream_index
-    if h > 0.0:
-        burned = WolffChain(system, beta, h, 17)
-        equilibrate(burned)
-        assert burned.burn_in_cluster >= burned.label_floor
+            expected = walking.measure().tolist()
+            for chain in chains[1:]:
+                assert chain.measure().tolist() == expected
+    for chain in chains[1:]:
+        assert chain.spins.tolist() == walking.spins.tolist()
+        assert chain.stream_index == walking.stream_index
+    burned = WolffChain(system, beta, h, 17)
+    equilibrate(burned)
+    assert burned.budget is not None and burned.budget <= 8
 
 
-def test_first_update_after_the_burn_in_labels(monkeypatch):
-    # on the plus ball(24) at 1.1 beta_c the burn-in measures a mean cluster
-    # of about 975 of 1,202 nodes, so the first whole cluster after it is
-    # labeled; the walk/label rule once counted measured walks alone, and
-    # that first cluster was walked, however large.  A chain never burned
-    # in walks
+def test_first_update_after_the_burn_in_labels(labels_calls):
+    # on the plus ball(24) at 1.1 beta_c a cluster holds most of the box,
+    # so the burn-in sets a budget of a few members and the first whole
+    # cluster after it, and the next whole measurement, are labeled.  A
+    # chain never burned in has no budget and walks
     system = SpinSystem.box(B_LAT, 24, boundary="plus")
-    walks = []
-    drawn_cluster = system.walker.drawn_cluster
-
-    def counting(root, *args):
-        walks.append(root)
-        return drawn_cluster(root, *args)
-
-    monkeypatch.setattr(system.walker, "drawn_cluster", counting)
     fresh = WolffChain(system, 1.1 * BETA_C, 0.0, 17)
+    assert fresh.budget is None
     fresh.step()
-    assert len(walks) == 1
+    assert labels_calls == []
     chain = WolffChain(system, 1.1 * BETA_C, 0.0, 17)
     equilibrate(chain)
-    assert chain.step() > 0
-    chain.measure()
-    assert len(walks) == 1
+    labels_calls.clear()
+    assert chain.step() > chain.budget
+    assert chain.measure().sum() > chain.budget
+    assert len(labels_calls) == 2
 
 
-@pytest.mark.parametrize("label_floor", [math.inf, 0.0],
-                         ids=["walked", "labeled"])
-def test_each_update_and_measurement_opens_one_stream(label_floor,
+def test_a_step_within_its_budget_makes_no_labeling(labels_calls):
+    # criterion 08's chain, the plus ball(128) at 1.1 beta_c from seed 53:
+    # a cluster holds most of the box or is an island of a few sites, so
+    # the burn-in sets a budget of a few members.  A step whose cluster is
+    # within it is walked, with no labeling call; a larger one makes one
+    system = SpinSystem.box(B_LAT, 128, boundary="plus")
+    chain = WolffChain(system, 1.1 * BETA_C, 0.0, 53)
+    equilibrate(chain)
+    assert 0 < chain.budget <= 64
+    walked = labeled = 0
+    for _ in range(300):
+        labels_calls.clear()
+        size = chain.step()
+        if size <= chain.budget:
+            assert labels_calls == []
+            walked += 1
+        else:
+            assert len(labels_calls) <= 1
+            labeled += len(labels_calls)
+        if walked >= 3 and labeled >= 3:
+            break
+    assert walked >= 3 and labeled >= 3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_ball_two_chain_never_labels_after_its_burn_in(labels_calls, seed):
+    # ball(2) at beta = 0.3 has 14 nodes and clusters of about 3: walking
+    # any of them costs less than one labeling, so the burn-in sets no
+    # budget, and no update or measurement after it labels
+    chain = WolffChain(SpinSystem.box(B_LAT, 2), 0.3, 0.0, seed)
+    equilibrate(chain)
+    assert chain.budget is None
+    labels_calls.clear()
+    for _ in range(1_000):
+        chain.step()
+        chain.measure()
+    assert labels_calls == []
+
+
+@pytest.mark.parametrize("walk_budget", [None, 0], ids=["walked", "labeled"])
+def test_each_update_and_measurement_opens_one_stream(walk_budget,
                                                       monkeypatch):
     # free ball(16) has 1,024 bonds; each Swendsen-Wang update of the
     # burn-in, and each update and measurement after it, whether it walks
     # or labels, draws its bond words and its coin or seed-site words from
     # the one Philox stream of its sample, opened at word 0
     chain = WolffChain(SpinSystem.box(B_LAT, 16), BETA_C, 0.0, 17)
-    chain.label_floor = label_floor
     opened, taus = [], []
     sample_stream = rngmod.sample_stream
     autocorr_time = ising_mc.integrated_autocorr_time
@@ -267,6 +317,7 @@ def test_each_update_and_measurement_opens_one_stream(label_floor,
     burn_in = equilibrate(chain)
     assert 20.0 * taus[0] <= 100.0 and burn_in == 100
     assert opened == [((17, rngmod.STREAM_WOLFF, k), 0) for k in range(100)]
+    chain.budget = walk_budget
     for _ in range(200):
         chain.step()
     assert len(opened) == 300
@@ -391,46 +442,46 @@ def test_fixed_seed_outputs_are_pinned(burned_in):
     # moved every draw after it on purpose (burn-in update k reads sample k,
     # word e is bond e and word n_bonds + L the coin of the cluster whose
     # smallest node is L); any later change to the Wolff draws must
-    # re-record them on purpose too.  Every run here walks its clusters
+    # re-record them on purpose too.  The plus ball(4) labels every whole
+    # cluster, the ball(3) runs walk every cluster, and the ball(16) run
+    # hands its walks over to the labeler past a few members
     mag = estimate_magnetization(B_LAT, 4, 0.4, "plus", sweeps=1_500, seed=101)
     assert (mag.mean, mag.stderr) == (0.7133333333333334, 0.01664368631055655)
-    assert not labeled(burned_in)
+    assert budget(burned_in) == 0
     two_point = estimate_two_point(B_LAT, 3, 0.35, [1, 2], sweeps=1_500,
                                    seed=103)
     assert ((two_point[1].mean, two_point[1].stderr),
             (two_point[2].mean, two_point[2].stderr)) == (
         (0.41533333333333333, 0.013445972613505565),
         (0.18533333333333332, 0.0103697945125501))
-    assert not labeled(burned_in)
+    assert budget(burned_in) is None
     report = check_critical_divergence(B_LAT, BETA_C, [1, 3], sweeps=1_000,
                                        seed=107)
     assert ((report.estimates[1].mean, report.estimates[1].stderr),
             (report.estimates[3].mean, report.estimates[3].stderr)) == (
         (3.389, 0.04120036699585085), (9.685, 0.21119993489284325))
-    assert not labeled(burned_in)
-    # free ball(16) has 1,024 bonds, a labeling floor of 99.2 nodes, and
-    # the burn-in measures a mean cluster of 95.2, so every update and
-    # measurement is walked on a large system
+    assert budget(burned_in) is None
     report = check_critical_divergence(B_LAT, BETA_C, [8, 16], sweeps=300,
                                        seed=131)
     assert ((report.estimates[8].mean, report.estimates[8].stderr),
             (report.estimates[16].mean, report.estimates[16].stderr)) == (
         (57.06666666666667, 3.701787301951973),
         (125.96666666666667, 9.368954309773425))
-    assert not labeled(burned_in)
+    assert 0 < budget(burned_in) <= 16
 
 
 def test_fixed_seed_outputs_that_label_are_pinned(burned_in):
-    # n=24 chains at 1.1 beta_c have mean clusters far above the labeling
-    # floor, so these runs go through ClusterWalker.component; re-recorded
-    # when the burn-in moved to Swendsen-Wang updates
+    # n=24 chains at 1.1 beta_c have clusters that hold most of the box and
+    # budgets of a few members, so these runs go through
+    # ClusterWalker.component; re-recorded when the burn-in moved to
+    # Swendsen-Wang updates
     mag = estimate_magnetization(B_LAT, 24, 1.1 * BETA_C, "plus", sweeps=300,
                                  seed=113)
     assert (mag.mean, mag.stderr) == (0.87, 0.018956696234802894)
-    assert labeled(burned_in)
+    assert budget(burned_in) <= 8
     two_point = estimate_two_point(B_LAT, 24, 1.1 * BETA_C, [1, 12],
                                    sweeps=300, seed=127)
     assert ((two_point[1].mean, two_point[1].stderr),
             (two_point[12].mean, two_point[12].stderr)) == (
         (0.84, 0.023853319668747038), (0.7166666666666667, 0.028194676182461305))
-    assert labeled(burned_in)
+    assert budget(burned_in) <= 8

@@ -340,6 +340,64 @@ def test_first_walk_of_a_fresh_walker_matches_full_mask_walk(make, args):
                                             **case) == expected
 
 
+@pytest.mark.parametrize("walk_budget", [0, 1, 8])
+@WALK_GRAPHS
+def test_budgeted_walks_mark_the_walks_cluster_and_event(make, args,
+                                                         walk_budget):
+    # a walk that passes its budget hands the cluster over to the labeler:
+    # the labeled cluster is the walk's whole cluster, with its largest
+    # layer and the same stop and ghost events, on a fresh box whose rows
+    # are built from nothing or on one a walk already built
+    walker, open_probabilities = make(*args)
+    top = max(walker.layer.tolist())
+    stops = (1, (top - 1) // 2 + 1, top)
+    h = 0.02
+    for param in (0.25, 0.6):
+        weights = open_probabilities(param)
+        for i in range(12):
+            open_edges, ghost_open = full_draw(walker, weights, h, 8, 3, i)
+            members, max_layer, _ = full_mask_walk(walker, open_edges)
+            box, probabilities = ((walker, open_probabilities) if i >= 3
+                                  else make(*args))
+            got, got_layer, hit = box.origin_cluster(
+                probabilities(param), 8, 3, i, budget=walk_budget)
+            assert (sorted(got.tolist() if isinstance(got, np.ndarray)
+                           else got), got_layer, hit) == (sorted(members),
+                                                          max_layer, False)
+            assert np.flatnonzero(box.seen).tolist() == sorted(members)
+            for stop in stops:
+                _, got_layer, _ = box.origin_cluster(
+                    probabilities(param), 8, 3, i, stop_layer=stop,
+                    budget=walk_budget)
+                assert got_layer >= stop if max_layer >= stop else (
+                    got_layer == max_layer)
+            _, _, hit = box.origin_cluster(probabilities(param), 8, 3, i, h=h,
+                                           budget=walk_budget)
+            assert hit == full_mask_walk(walker, open_edges, ghost_open)[2]
+
+
+@pytest.mark.parametrize("walk_budget", [0, 1, 8, None],
+                         ids=["label", "one", "eight", "walk"])
+def test_estimates_do_not_depend_on_the_walk_budget(walk_budget,
+                                                    monkeypatch):
+    # every walk of every estimator, taking budget 0 (label every
+    # cluster), 1, 8 or none (walk every cluster), gives the estimates
+    # the estimators give with their own budgets
+    def estimates():
+        return (exit_profile(P_LAT, 16, [1, 4, 8, 16], 0.5, 300, 3),
+                susceptibility_profile(P_LAT, 16, [2, 8, 16], 0.5, 300, 3),
+                estimate_ghost_magnetization(P_LAT, 16, 0.5, 0.05, 300, 3))
+
+    expected = estimates()
+    origin_cluster = ClusterWalker.origin_cluster
+
+    def budgeted(self, *args, budget=None, **kwargs):
+        return origin_cluster(self, *args, budget=walk_budget, **kwargs)
+
+    monkeypatch.setattr(ClusterWalker, "origin_cluster", budgeted)
+    assert estimates() == expected
+
+
 def adversarial_graph(kind):
     # a 5,000-node path whose node ids fall along the edge order (edge e
     # joins nodes n - 1 - e and n - 2 - e), so labels reach the far end
