@@ -532,6 +532,13 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[str]]:
     return (EXIT_OK if all(r.passed for r in reports) else EXIT_ERROR), [path]
 
 
+def _typed(value, kind: str, where: str):
+    """A scenario value typed as the ``--config`` options are: an "int"
+    that is a JSON integer, or a "float" that is a finite JSON number;
+    booleans and strings are refused."""
+    return _coerce(_Field(where, kind), value, where)
+
+
 def _scenario_graph(data: dict) -> CurrentGraph:
     if not isinstance(data, dict) or "graph" not in data:
         raise ConfigError("scenario.graph", "required field missing")
@@ -539,10 +546,12 @@ def _scenario_graph(data: dict) -> CurrentGraph:
     try:
         edges = []
         for edge in graph["edges"]:
-            x, y = int(edge[0]), int(edge[1])
-            j = float(edge[2]) if len(edge) > 2 else 1.0
+            x, y = (_typed(end, "int", "scenario.graph") for end in edge[:2])
+            j = (_typed(edge[2], "float", "scenario.graph") if len(edge) > 2
+                 else 1.0)
             edges.append((x, y, j))
-        return CurrentGraph(int(graph["n_vertices"]), tuple(edges))
+        return CurrentGraph(_typed(graph["n_vertices"], "int",
+                                   "scenario.graph"), tuple(edges))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError("scenario.graph", f"malformed graph: {exc}")
 
@@ -551,7 +560,8 @@ def _scenario_f(spec):
     if isinstance(spec, str):
         return spec.replace("-", "_")
     if isinstance(spec, list) and len(spec) == 3 and spec[0] == "connect":
-        return ("connect", int(spec[1]), int(spec[2]))
+        return ("connect", *(_typed(end, "int", "scenario.task.f")
+                             for end in spec[1:]))
     raise ConfigError("scenario.task.f",
                       "expected 'one', 'even-total', or ['connect', a, b]")
 
@@ -565,21 +575,13 @@ _TASK_KEYS = {"switching": {"sources", "u", "v", "f"},
               "backbone": {"multiplicities"}}
 
 
-def _scenario_number(scenario: dict, key: str) -> float:
-    try:
-        return float(scenario.get(key, 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario.{key}", f"expected a number: {exc}")
-
-
 def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     opts = cfg.options
     scenario = _read_json(opts["scenario"], "options.scenario")
     graph = _scenario_graph(scenario)
     _refuse_unknown(scenario, _SCENARIO_KEYS, "scenario")
-    beta = _scenario_number(scenario, "beta")
-    h = _scenario_number(scenario, "h")
-    trunc = scenario.get("truncation")
+    beta, h = (_typed(scenario.get(key, 0.0), "float", f"scenario.{key}")
+               for key in ("beta", "h"))
     task = scenario.get("task")
     if not isinstance(task, dict) or "kind" not in task:
         raise ConfigError("scenario.task", "expected an object with 'kind'")
@@ -589,18 +591,22 @@ def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
                           "expected switching, correlation, expectation, "
                           "source-sum, or backbone")
     _refuse_unknown(task, _TASK_KEYS[kind] | {"kind"}, "scenario.task")
-    if kind != "backbone" and not isinstance(trunc, int):
-        raise ConfigError("scenario.truncation", "expected an integer cap")
+    if kind != "backbone" or "truncation" in scenario:  # backbone needs none
+        trunc = _typed(scenario.get("truncation"), "int",
+                       "scenario.truncation")
+    def vertex(value):
+        return _typed(value, "int", "scenario.task")
+
     # read every task field before computing, so that a malformed field is
     # a config error and the engine's own refusals keep their messages
     try:
         if kind in ("switching", "expectation", "source-sum"):
-            sources = [int(s) for s in task["sources"]]
+            sources = [vertex(s) for s in task["sources"]]
         if kind == "switching":
-            u, v = int(task["u"]), int(task["v"])
+            u, v = vertex(task["u"]), vertex(task["v"])
             f_spec = _scenario_f(task.get("f", "one"))
         elif kind == "correlation":
-            x, y = int(task["x"]), int(task["y"])
+            x, y = vertex(task["x"]), vertex(task["y"])
         elif kind == "backbone":
             mults = tuple(((x, y), k) for (x, y), k in task["multiplicities"])
             if any(type(v) is not int for pair, k in mults for v in (*pair, k)):
@@ -619,15 +625,15 @@ def _cmd_current_lab(cfg: RunConfig) -> tuple[int, list[str]]:
     elif kind == "correlation":
         value = correlation_via_currents(graph, x, y, beta, h, trunc)
         result = {"kind": kind, "value": value}
-        line = f"correlation({task['x']},{task['y']}) = {value:.17g}"
+        line = f"correlation({x},{y}) = {value:.17g}"
     elif kind == "expectation":
         value = expectation_via_currents(graph, sources, beta, h, trunc)
         result = {"kind": kind, "value": value}
-        line = f"expectation{tuple(task['sources'])} = {value:.17g}"
+        line = f"expectation{tuple(sources)} = {value:.17g}"
     elif kind == "source-sum":
         value = source_sum(graph, sources, beta, h, trunc)
         result = {"kind": kind, "value": value}
-        line = f"source sum{tuple(task['sources'])} = {value:.17g}"
+        line = f"source sum{tuple(sources)} = {value:.17g}"
     else:
         current = Current(graph, mults)
         path_edges = extract_backbone(current, h)

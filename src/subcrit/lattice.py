@@ -406,21 +406,6 @@ class BallBuilder:
     def done(self) -> bool:
         return self.radius > self.n
 
-    @cached_property
-    def n_edges(self) -> int:
-        """Edges of ball(n) and its shell from the BFS layers alone, no row
-        built: (|ball(n)| * deg + the pairs from layer n into the shell)
-        / 2, as an internal edge takes two (node, offset) pairs."""
-        previous, current = self._origin[:0], self._origin
-        inside = 1
-        for _ in range(self.n):
-            previous, current = current, self._next_layer(previous, current)
-            inside += current.size
-        shell = self._next_layer(previous, current)
-        pairs = np.count_nonzero(_sorted_member(
-            shell, (current[:, None] + self._okeys).ravel()))
-        return (inside * self._okeys.size + int(pairs)) // 2
-
     def _next_layer(self, previous: np.ndarray,
                     current: np.ndarray) -> np.ndarray:
         """The sorted keys of the BFS layer after ``current``, whose layer

@@ -7,11 +7,12 @@ vertex joins the ghost independently with probability ``1 - exp(-h)``.
 
 Per-sample randomness comes from a counter-based stream keyed by
 (seed, observable stream, sample index).  Edge e's uniform is word e of the
-sample's stream and box vertex v's ghost uniform is word ``n_edges + v``.
-A sample draws only the prefix of edge words (and of ghost words) that its
-walk reads, so a small cluster costs a few hundred draws, not one per box
-edge, and the draws are the same as if every word were drawn.  Estimates
-are reduced with compensated summation in sample order, so results are
+sample's stream and box vertex v's ghost uniform is word
+``_GHOST_WORD + v``, a fixed word past every box's edge words.  A sample
+draws only the prefix of edge words (and of ghost words) that its walk
+reads, so a small cluster costs a few hundred draws, not one per box edge,
+and the draws are the same as if every word were drawn.  Estimates are
+reduced with compensated summation in sample order, so results are
 bit-reproducible regardless of batching.
 
 A box is built as far as its walks reach: its ``lattice.BallBuilder``
@@ -21,10 +22,9 @@ chains and the Monte Carlo phi share too.  The walker turns each new row
 into the Python lists its loop reads as the row is built.  At p = 0.25 on
 ball(96) the walks of 800 susceptibility samples build the rows of the
 first 16 layers (481 of the box's 19,013 nodes).  A walk with a field
-grows the box the same way: its ghost words start at the box's edge
-count, which the builder counts from the BFS layers without building a
-row.  An exit walk that reaches the shell and a Wolff system build the
-whole box, each layer once.
+grows the box the same way, since its ghost words do not depend on the
+box's size.  An exit walk that reaches the shell, a lattice with several
+couplings and a Wolff system build the whole box, each layer once.
 
 Estimators walk the open cluster of the origin and stop once the event is
 decided: exit profiles at the first site beyond the largest radius, the
@@ -44,7 +44,6 @@ cluster was walked or labeled, so no estimate depends on either.
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
@@ -62,6 +61,11 @@ from .stats import (MCEstimate, batch_means_stderr, binomial_stderr,
 # smallest prefix a walk draws: below about this many words, the cost of a
 # numpy call outweighs the draws it saves
 _FIRST_DRAW = 256
+# node v's ghost uniform is word _GHOST_WORD + v of the sample's stream: a
+# fixed word, so a walk with a field needs no edge count of a box it has not
+# built, and past the edge words of any box (a layout holds at most
+# LAYOUT_VERTEX_CAP = 2**22 nodes, and a sample owns 2**128 words)
+_GHOST_WORD = 1 << 64
 # layers a box builds first; then each step doubles its built radius, up to
 # the whole box once that reaches n (a step costs a few hundred us of numpy
 # calls, so there are few of them)
@@ -124,8 +128,7 @@ class ClusterWalker:
     A subclass may hold only a prefix of the rows (``PercBox``): a walk
     that pops a node whose row is not built calls ``_grow``, and every
     public attribute (``n_nodes``, ``n_edges``, ``edge_a``, ``edge_b``,
-    ``layer``) first builds the whole graph (``_complete``), except a
-    subclass's ``n_edges`` that it counts without building.
+    ``layer``) first builds the whole graph (``_complete``).
     """
 
     def __init__(self, n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray,
@@ -215,7 +218,7 @@ class ClusterWalker:
         Sample ``index`` of ``stream`` opens edge e when word e of its
         stream is below ``weights[e]`` (or below ``weights`` itself, a
         float or a 0-d array) and, for h > 0, joins node v to the ghost
-        when word ``n_edges + v`` is below ``1 - exp(-h)``.  Words are
+        when word ``_GHOST_WORD + v`` is below ``1 - exp(-h)``.  Words are
         drawn as the walk first needs them, a doubling prefix at a time.
         The walk is depth-first at h = 0 and breadth-first for h > 0: any
         member's ghost bond decides that event, and the members nearest the
@@ -245,9 +248,8 @@ class ClusterWalker:
                                                     gen=self._edge_gen)
         ghost_gen = None
         if h > 0.0:
-            # ghost words start after the last edge word
             ghost_gen = self._ghost_gen = rngmod.sample_stream(
-                seed, stream, index, start=self.n_edges, gen=self._ghost_gen)
+                seed, stream, index, start=_GHOST_WORD, gen=self._ghost_gen)
         if not self._need:
             self._grow(0)
         if isinstance(weights, float):
@@ -264,7 +266,7 @@ class ClusterWalker:
         hit = False
         if h > 0.0:
             ghost_gen = self._ghost_gen = rngmod.sample_stream(
-                seed, stream, index, start=self.n_edges, gen=ghost_gen)
+                seed, stream, index, start=_GHOST_WORD, gen=ghost_gen)
             ghost_gen.random(out=self._ghost_u)
             hit = bool((self._ghost_u[members] < -math.expm1(-h)).any())
         return members, int(self._layers[members].max()), hit
@@ -483,12 +485,12 @@ class PercBox(ClusterWalker):
     not built doubles the built radius (``_FIRST_LAYERS`` first) until
     the row is; since rows and edge ids are a prefix property of the
     layout, every word stays word e of the sample's stream.  A walk with a
-    field grows the box like any other: ``n_edges``, where its ghost words
-    start, is the builder's count, which builds no row.  The whole box is
-    built by an exit walk that reaches the shell, ``draw_edges``, another
-    public attribute, and, on construction, a box whose key cube holds
-    more than ``LAYOUT_VERTEX_CAP`` nodes, so that a ball past the cap is
-    refused before any sample is drawn.
+    field grows the box like any other, its ghost words starting at the
+    fixed ``_GHOST_WORD``.  The whole box is built by an exit walk that
+    reaches the shell, ``draw_edges``, ``open_probabilities`` on a lattice
+    with several couplings, any public attribute, and, on construction, a
+    box whose key cube holds more than ``LAYOUT_VERTEX_CAP`` nodes, so that
+    a ball past the cap is refused before any sample is drawn.
     """
 
     def __init__(self, lattice: LatticeSpec, n: int):
@@ -496,19 +498,13 @@ class PercBox(ClusterWalker):
         self.n = n
         self._builder = BallBuilder(lattice, n)
         self._edge_j = np.zeros(0)
-        # the per-edge weights open_probabilities handed out and a caller
-        # still holds, by parameter, each filled as far as the box is built
-        self._weights = weakref.WeakValueDictionary()
         self._start(n + 2)  # the shell is layer n + 1
         if self._builder.node_bound > latticemod.LAYOUT_VERTEX_CAP:
             self._complete()
 
     def _extend(self, radius: int) -> None:
         chunk = self._builder.extend(radius)
-        built = len(self._edge_j)
         self._edge_j = np.concatenate((self._edge_j, chunk.edge_j))
-        for param, weights in list(self._weights.items()):
-            self._fill(weights, param, built)
         self._add(chunk.layer, chunk.edge_a, chunk.edge_b, chunk.rows,
                   chunk.first_edge)
 
@@ -524,34 +520,20 @@ class PercBox(ClusterWalker):
         return self
 
     edge_j = property(lambda self: self._complete()._edge_j)
-    n_edges = property(lambda self: self._builder.n_edges)
     built = property(lambda self: self._builder.done)
 
     def open_probabilities(self, param: float) -> np.ndarray:
         """The open probability of each edge at ``param``: a 0-d float64
         array on a lattice with one coupling (a walk compares its draws
-        against that faster than against a float), or an array over the
-        edges of the whole box.  Neither builds the box: the array over the
-        edges holds the weights of the built edges, and NaN for the others
-        until the box builds them, which fills them in while the array is
-        held.  Calls at one ``param`` share that array."""
+        against that faster than against a float), which builds nothing,
+        or, with several couplings, an array over the edges of the whole
+        box, which builds it."""
         # one weight per coupling; a bad param is refused here
-        per_j = [edge_weight(self.lattice, j, param)
-                 for j in {j for _, j in self.lattice.couplings}]
-        if len(per_j) == 1:
-            return np.array(per_j[0])
-        weights = self._weights.get(param)
-        if weights is None:
-            weights = self._weights[param] = np.full(self.n_edges, np.nan)
-            self._fill(weights, param, 0)
-        return weights
-
-    def _fill(self, weights: np.ndarray, param: float, start: int) -> None:
-        """Set the weights of the built edges from ``start`` on."""
-        # one edge_weight call per distinct coupling
-        js, inverse = np.unique(self._edge_j[start:], return_inverse=True)
-        values = [edge_weight(self.lattice, j, param) for j in js.tolist()]
-        weights[start:len(self._edge_j)] = np.array(values)[inverse]
+        js = sorted({j for _, j in self.lattice.couplings})
+        per_j = np.array([edge_weight(self.lattice, j, param) for j in js])
+        if len(js) == 1:
+            return per_j.reshape(())
+        return per_j[np.searchsorted(js, self.edge_j)]
 
 
 @lru_cache(maxsize=1)

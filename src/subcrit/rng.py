@@ -13,7 +13,8 @@ Within one sample block, each uniform is one 64-bit word, so word k of a
 sample depends on k alone, which pins down the "(seed, sample index, edge
 index)" keying.  A cluster walk reads edge e's uniform from word e and, in
 a percolation sample with a field, node v's ghost uniform from word
-``n_edges + v``; a Wolff update picks its seed site with word ``n_bonds``.
+2**64 + v (``perc_mc._GHOST_WORD``); a Wolff update picks its seed site
+with word ``n_bonds``.
 A walk draws only the prefix it reads; ``sample_stream(..., start=k)``
 opens word k directly.
 """

@@ -610,6 +610,42 @@ def test_current_lab_rejects_malformed_scenarios(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(
             "config error: scenario.task:"), (entry, err)
+    # strings, booleans and non-integral numbers were once coerced: beta
+    # "0.5" with h and truncation true printed correlation(0,2) = 1, an
+    # edge [1, 2.7, "1.0"] was read as (1, 2, 1.0), and x = 0.9 as vertex 0
+    corr = {"kind": "correlation", "x": 0, "y": 2}
+    graph = {"n_vertices": 3, "edges": [[0, 1], [1, 2.7, "1.0"]]}
+    probes = [
+        ({"beta": "0.5", "h": True, "truncation": True}, corr, "scenario.beta"),
+        ({"h": True}, corr, "scenario.h"),
+        ({"truncation": True}, corr, "scenario.truncation"),
+        ({"truncation": 6.5}, corr, "scenario.truncation"),
+        ({"truncation": "6"}, {"kind": "backbone",
+                               "multiplicities": [[[0, 1], 1]]},
+         "scenario.truncation"),
+        ({"graph": graph}, corr, "scenario.graph"),
+        ({"graph": {"n_vertices": 3, "edges": [[0, 1], [1, 2, "1.0"]]}}, corr,
+         "scenario.graph"),
+        ({"graph": {"n_vertices": "3", "edges": [[0, 1]]}}, corr,
+         "scenario.graph"),
+        ({}, {**corr, "x": 0.9}, "scenario.task"),
+        ({}, {**corr, "y": "2"}, "scenario.task"),
+        ({}, {"kind": "source-sum", "sources": [0, True]}, "scenario.task"),
+        ({}, {"kind": "switching", "sources": [0, 1], "u": True, "v": 1},
+         "scenario.task"),
+        ({}, {"kind": "switching", "sources": [0, 1], "u": 0, "v": 1,
+              "f": ["connect", 0, 2.5]}, "scenario.task.f"),
+    ]
+    out = tmp_path / "probe_out"
+    for top, task, field in probes:
+        probe = tmp_path / "probe.json"
+        probe.write_text(json.dumps({**triangle_scenario(**task), **top}))
+        assert run_cli("current-lab", "--scenario", str(probe),
+                       "--out", str(out)) == EXIT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"config error: {field}:"), (top, task, err)
+        assert not out.exists() or not list(out.iterdir())
 
 
 @pytest.mark.parametrize("where,key", [("top", "betta"), ("task", "typo"),

@@ -86,11 +86,13 @@ def test_profiles_count_a_repeated_radius_once():
 
 
 def full_draw(box, weights, h, seed, stream, index):
-    # every word of the sample at once: n_edges edge words, then n_nodes
-    # ghost words
-    gen = rngmod.sample_stream(seed, stream, index)
-    open_edges = gen.random(box.n_edges) < weights
-    ghost_open = gen.random(box.n_nodes) < -math.expm1(-h)
+    # every word of the sample at once: n_edges edge words from word 0, and
+    # n_nodes ghost words from word _GHOST_WORD
+    open_edges = rngmod.sample_stream(seed, stream, index).random(
+        box.n_edges) < weights
+    ghost_open = rngmod.sample_stream(
+        seed, stream, index, start=perc_mc._GHOST_WORD).random(
+            box.n_nodes) < -math.expm1(-h)
     return open_edges, ghost_open
 
 
@@ -204,9 +206,8 @@ def test_early_exit_walk_decides_like_full_walk(lattice):
             assert hit == any(ghost_open[m] for m in cluster)
 
 
-# square and nearest-neighbor Z^3 boxes have n_edges = 0 mod 4 and the
-# triangular one 2 mod 4; Z^2 with diagonal and (2, 0) bonds gives 1 and 3,
-# so the ghost words start at every offset within a Philox block
+# Z^2 with diagonal and (2, 0) bonds added: a custom lattice with longer
+# bonds
 LONG_LAT = LatticeSpec.custom(
     [(o, 1.0) for o in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1),
                         (2, 0), (-2, 0))], mode="p")
@@ -231,9 +232,28 @@ def lazy_spin_graph(boundary, h):
     return system.walker, lambda param: np.where(aligned, param, 0.0)
 
 
-def test_lazy_boxes_cover_every_ghost_offset():
-    assert {PercBox(lattice, n).n_edges % 4 for lattice, n in LAZY_BOXES} == {
-        0, 1, 2, 3}
+def test_ghost_words_sit_at_a_fixed_word():
+    # node v's ghost uniform is word _GHOST_WORD + v of the sample's stream,
+    # whatever the box's size and however far it is built.  With every edge
+    # open the walk is breadth-first over the box and stops at the first
+    # node whose ghost bond is open, a node of ball(8): ball(8) and
+    # ball(16), grown lazily or built whole, stop at the same node
+    boxes = []
+    for n_box in (8, 16):
+        lazy, whole = PercBox(P_LAT, n_box), PercBox(P_LAT, n_box)
+        whole._complete()
+        boxes += [lazy, whole]
+    inner = len(ball(P_LAT, 8))
+    h = 0.1
+    for i in range(20):
+        open_edges, ghost_open = full_draw(boxes[1], 1.0, h, 8,
+                                           rngmod.STREAM_GHOST, i)
+        expected = full_mask_walk(boxes[1], open_edges, ghost_open)
+        assert expected[2] and expected[0][-1] < inner
+        for box in boxes:
+            assert box.origin_cluster(box.open_probabilities(1.0), 8,
+                                      rngmod.STREAM_GHOST, i,
+                                      h=h) == expected
 
 
 WALK_GRAPHS = pytest.mark.parametrize(
@@ -629,8 +649,8 @@ def test_lazy_box_walks_match_the_whole_box(lattice, n_box, first_draw,
 
 
 def test_open_probabilities_per_coupling():
-    # one coupling gives one 0-d array; several give an array over the edges
-    # of the whole box, one weight per coupling; neither builds the box
+    # one coupling gives one 0-d array, and builds nothing; several give
+    # one weight per edge of the box, which they build
     box = PercBox(T_LAT, 3)
     weight = box.open_probabilities(0.3)
     assert weight.ndim == 0 and weight == -math.expm1(-0.3)
@@ -643,12 +663,17 @@ def test_open_probabilities_per_coupling():
                                 ((0, 1), 0.5), ((0, -1), 0.5)])
     box = PercBox(two_j, 3)
     weights = box.open_probabilities(0.3)
-    assert not box._layer
-    assert len(weights) == box.n_edges
-    box.edge_j  # builds the box, which fills in the weights
+    assert box.built
     assert weights.tolist() == [-math.expm1(-0.3 * j)
                                 for j in box.edge_j.tolist()]
     assert set(weights.tolist()) == {-math.expm1(-0.3), -math.expm1(-0.15)}
+    # recorded while the per-edge weights were filled in as the box grew
+    exit_hits = exit_profile(two_j, 10, [2, 5, 10], 0.9, 2000, 7)
+    assert {r: round(e.mean * 2000) for r, e in exit_hits.items()} == {
+        2: 1667, 5: 1499, 10: 1329}
+    chi = susceptibility_profile(two_j, 8, [2, 4, 8], 0.9, 1000, 41)
+    assert {r: e.mean for r, e in chi.items()} == {2: 8.032, 4: 20.13,
+                                                   8: 48.606}
 
 
 def test_small_clusters_build_few_layers():
@@ -667,8 +692,8 @@ def test_small_clusters_build_few_layers():
 
 def test_ghost_run_with_small_clusters_builds_few_layers():
     # at p = 0.25 the clusters on ball(96) stay near the origin, so a walk
-    # with a field, whose ghost words start at the builder's edge count,
-    # builds the rows of under 5 % of the box's 19,013 nodes
+    # with a field, whose ghost words start at a fixed word, builds the
+    # rows of under 5 % of the box's 19,013 nodes
     perc_mc._box.cache_clear()
     estimate_ghost_magnetization(P_LAT, 96, 0.25, 0.01, 800, 1)
     box = perc_mc._box(P_LAT, 96)
@@ -679,7 +704,8 @@ def test_ghost_run_with_small_clusters_builds_few_layers():
 def test_fixed_seed_outputs_are_pinned():
     # recorded before the numpy box layout, the early-exit walk and the
     # prefix-lazy draws, none of which changed a draw; a change of the
-    # draws themselves (another stream layout) must move these on purpose
+    # draws themselves (another stream layout) must move these on purpose,
+    # as the ghost pins moved when the ghost words went to _GHOST_WORD
     exit_hits = {
         (P_LAT, 12, 0.5, 3000, 7): {2: 2605, 5: 2453, 12: 2253},
         (P_LAT, 10, 0.6, 2000, 8): {3: 1907, 10: 1902},
@@ -697,9 +723,9 @@ def test_fixed_seed_outputs_are_pinned():
                                          samples, seed)
         assert {r: e.mean for r, e in profile.items()} == means
     ghost = estimate_ghost_magnetization(P_LAT, 6, 0.45, 0.05, 2000, 61)
-    assert round(ghost.mean * 2000) == 1235
+    assert round(ghost.mean * 2000) == 1246
     ghost = estimate_ghost_magnetization(T_LAT, 4, 0.2, 0.1, 1000, 62)
-    assert round(ghost.mean * 1000) == 338
+    assert round(ghost.mean * 1000) == 351
 
 
 def test_ghost_magnetization_matches_exact_line():
@@ -726,10 +752,11 @@ def test_ghost_magnetization_monotone_in_field():
 
 def test_ghost_pin_where_walk_orders_diverge():
     # clusters at p_c on ball(24) reach far enough for the breadth-first
-    # and depth-first walks to stop at different members; recorded with
-    # the depth-first ghost walk
+    # and depth-first walks to stop at different members; first recorded
+    # with the depth-first ghost walk, and again when the ghost words went
+    # to _GHOST_WORD
     ghost = estimate_ghost_magnetization(P_LAT, 24, 0.5, 0.01, 2000, 5)
-    assert round(ghost.mean * 2000) == 1483
+    assert round(ghost.mean * 2000) == 1488
 
 
 def test_ghost_walk_draws_the_words_near_the_origin(monkeypatch):
@@ -745,7 +772,7 @@ def test_ghost_walk_draws_the_words_near_the_origin(monkeypatch):
 
     monkeypatch.setattr(perc_mc.ClusterWalker, "_draw", staticmethod(counted))
     ghost = estimate_ghost_magnetization(P_LAT, 96, 0.5, 0.01, 600, 5)
-    assert round(ghost.mean * 600) == 451
+    assert round(ghost.mean * 600) == 453
     assert sum(words) <= 3_339_190 // 2
     assert sum(words) <= 2_000 * 600
 
