@@ -12,7 +12,9 @@ the parameter is at or below the critical point, so the root of
 phi(S, t) = 1 in t is a certified lower bound on the critical point.
 
 :func:`phi_sweep` is the one evaluation of phi, for either model, at one
-parameter or at every parameter of a sequence in one sweep, and
+parameter or at every parameter of a sequence in one sweep, with the
+coefficients of :func:`boundary_coefficients`, which the Monte Carlo phi
+and the subset lanes of ``verify.phi_infimum`` take too.
 :func:`exact_phi` gives one of its values as a :class:`PhiResult`.  Both
 are exact only and raise ``CapExceeded`` where a percolation plan or a
 sweep's lane would hold more than ``exact.PLAN_BYTES`` (or a percolation
@@ -31,6 +33,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -132,27 +135,40 @@ class Refusal:
                 "seed": self.phi.seed}
 
 
-def _boundary_coefficients(region: Region, param: float,
-                           model: str) -> np.ndarray:
-    """Per inside-vertex sum of boundary weights, one entry per region index.
+def _pair_weight(model: str, lattice: LatticeSpec, j: float,
+                 param: float) -> float:
+    """The weight of a coupled pair in phi: ``edge_weight``, or tanh(beta J)
+    for Ising."""
+    if model == "ising":
+        return math.tanh(param * j)
+    return edge_weight(lattice, j, param)
 
-    phi collapses to sum_i c_i * P[0 <-> v_i]: each inside endpoint x
-    contributes once per outside partner, weighted by the pair weight.
-    """
-    coeff = np.zeros(len(region))
-    for i, _, j in region.boundary_pairs:
-        if model == "percolation":
-            coeff[i] += edge_weight(region.lattice, j, param)
-        else:
-            coeff[i] += math.tanh(param * j)
-    return coeff
+
+def boundary_coefficients(model: str, region: Region, params,
+                          subsets: np.ndarray | None = None) -> np.ndarray:
+    """phi's coefficients c_i, phi = sum_i c_i P[0 <-> v_i] (for Ising,
+    <sigma_0 sigma_v_i>): the pair weights of vertex i's partners outside S
+    in coupling order.  A (K, vertices) array, a row per parameter, for S
+    the region, or (M, K, vertices) for the subsets that the rows of the
+    (M, vertices) boolean ``subsets`` mark (a vertex outside one reaches
+    nothing, whatever its c_i)."""
+    model = _normalize_model(model)
+    lattice = region.lattice
+    weights = np.array([[_pair_weight(model, lattice, j, t) for t in params]
+                        for _, j in lattice.couplings], dtype=float)[..., None]
+    outside = region.partners < 0  # ([subsets,] couplings, vertices)
+    if subsets is not None:  # a partner -1 is outside already
+        outside = outside | ~subsets[:, region.partners]
+    terms = np.where(outside[..., None, :], weights, 0.0)
+    # summed in coupling order; + 0.0 makes a sum of -0.0 (p = -0.0) +0
+    return np.add.accumulate(terms, axis=-3)[..., -1, :, :] + 0.0
 
 
 def phi_sweep(model: str, region: Region, param):
     """Exact phi of ``region`` at ``param``, or an array of it at every
-    parameter of a sequence, from one sweep with the boundary coefficients
-    as the column: their sums over the base point's cluster (percolation)
-    or its correlations (Ising).
+    parameter of a sequence, from one sweep with the coefficients of
+    :func:`boundary_coefficients` as the column: their sums over the base
+    point's cluster (percolation) or its correlations (Ising).
 
     ``model`` is "percolation" or "ising" (in any accepted spelling); Ising
     phi needs a beta-mode lattice and takes its correlations at zero field
@@ -163,11 +179,9 @@ def phi_sweep(model: str, region: Region, param):
     model = _normalize_model(model)
     if model == "ising" and region.lattice.mode != "beta":
         raise ValueError("the Ising phi needs a beta-mode lattice")
-    if isinstance(param, numbers.Real):
-        coeffs = _boundary_coefficients(region, param, model)[:, None]
-    else:
-        coeffs = np.array([_boundary_coefficients(region, t, model)
-                           for t in param])[..., None]
+    one = isinstance(param, numbers.Real)
+    coeffs = boundary_coefficients(model, region, [param] if one else param)
+    coeffs = (coeffs[0] if one else coeffs)[..., None]
     if model == "percolation":
         return perc_reach(region, BASE_POINT_TIE, param, coeffs)[..., 0]
     z, acc = ising_sums(region, param, 0.0, coeffs)
@@ -183,7 +197,7 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
     mean + W sqrt(ln(1000) / (2 samples)), which is never below the mean.
     """
     check_counts(samples=samples)
-    coeff = _boundary_coefficients(region, param, "percolation").tolist()
+    coeff = boundary_coefficients("percolation", region, [param])[0].tolist()
     total_w = math.fsum(coeff)
     edges = region.internal_edges
     weights = np.array([edge_weight(region.lattice, j, param)
@@ -277,13 +291,12 @@ def _weight_axis(model: str, lattice: LatticeSpec):
     """The pair weight at the lattice's mean coupling as a function of the
     parameter, and its inverse on [0, 1)."""
     j_bar = lattice.total_coupling / len(lattice.couplings)
+    weight = partial(_pair_weight, model, lattice, j_bar)
     if model == "ising":
-        return ((lambda t: math.tanh(t * j_bar)),
-                (lambda w: math.atanh(w) / j_bar))
+        return weight, (lambda w: math.atanh(w) / j_bar)
     if lattice.mode == "p":
-        return (lambda t: t), (lambda w: w)
-    return ((lambda t: -math.expm1(-t * j_bar)),
-            (lambda w: -math.log1p(-w) / j_bar))
+        return weight, (lambda w: w)
+    return weight, (lambda w: -math.log1p(-w) / j_bar)
 
 
 def critical_root(model: str, lattice: LatticeSpec, region: Region,

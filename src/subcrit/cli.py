@@ -258,12 +258,8 @@ def _read_json(path: str, where: str, what: str = "file"):
 def _build_lattice(opts: dict, default_mode: str) -> LatticeSpec:
     mode = opts.get("mode") or default_mode
     opts["mode"] = mode  # resolved value enters the manifest
-    family = opts["lattice"]
-    if family == "square":
-        return LatticeSpec.square(mode)
-    if family == "triangular":
-        return LatticeSpec.triangular(mode)
-    return LatticeSpec.hypercubic(opts["dim"], mode)
+    return LatticeSpec.from_json({"family": opts["lattice"],
+                                  "dim": opts["dim"], "mode": mode})
 
 
 def _default_mode(opts: dict) -> str:
@@ -682,6 +678,10 @@ def _cmd_report(cfg: RunConfig) -> tuple[int, list[str]]:
                 reader = csv.reader(fh)
                 header = tuple(next(reader, ()))
                 body = [tuple(row) for row in reader]
+            for line, row in enumerate(body, start=2):
+                if len(row) != len(header):
+                    raise ConfigError(where, f"{name} line {line} has {len(row)}"
+                                             f" fields, its header {len(header)}")
             if header == MEASUREMENT_COLUMNS:
                 for row in body:
                     measurements.append((label, sub) + row)

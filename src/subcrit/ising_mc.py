@@ -1,7 +1,7 @@
 """Wolff-cluster Monte Carlo for the Ising model on finite boxes.
 
-External conditions are represented by a single *ghost spin* pinned to +1
-and never flipped:
+External conditions belong to the system (``SpinSystem.box``), and are
+represented by a single *ghost spin* pinned to +1 and never flipped:
 
 * plus boundary: every coupling leaving ``ball(n)`` becomes a bond between
   its inside endpoint and the ghost (activation ``1 - exp(-2 beta J)``);
@@ -69,9 +69,6 @@ from .perc_mc import ClusterWalker
 from .stats import (MCEstimate, batch_means_stderr, check_counts,
                     check_non_negative, integrated_autocorr_time)
 
-_KIND_SPIN = 0
-_KIND_FIELD = 1
-
 _INIT_INDEX = 1 << 62  # stream block reserved for initial states
 
 # bytes.translate tables over the spin bytes (+1 is byte 1, -1 byte 255),
@@ -88,10 +85,13 @@ _BUDGET_SWEEPS = 20
 
 
 class SpinSystem:
-    """Bond structure for one finite Ising system (sites + ghost)."""
+    """Bond structure for one finite Ising system (sites + ghost), with its
+    field ``h`` and whether it has a plus boundary (``plus``): the spin
+    bonds, bond e at coupling ``bond_j[e]``, then at h > 0 one field bond
+    per site."""
 
     def __init__(self, n_sites: int, bond_a: np.ndarray, bond_b: np.ndarray,
-                 bond_kind: np.ndarray, bond_j: np.ndarray, layers: np.ndarray,
+                 bond_j: np.ndarray, h: float, plus: bool, layers: np.ndarray,
                  vertex_index: dict[Vertex, int]):
         # bond e joins site bond_a[e] to a site or the ghost (id n_sites);
         # intp ends, which numpy gathers with no per-call index conversion
@@ -99,9 +99,10 @@ class SpinSystem:
         self.ghost = n_sites
         self.bond_a = bond_a.astype(np.intp)
         self.bond_b = bond_b.astype(np.intp)
-        self.bond_kind = bond_kind.astype(np.int8)
         self.bond_j = bond_j.astype(float)
         self.n_bonds = len(bond_a)
+        self.h = h
+        self.plus = plus
         self.layers = layers
         self.vertex_index = vertex_index
         # one walker over sites plus the ghost node: measurement clusters
@@ -116,52 +117,44 @@ class SpinSystem:
             h: float = 0.0) -> "SpinSystem":
         if boundary not in ("free", "plus"):
             raise ValueError(f"unknown boundary condition {boundary!r}")
+        if not h >= 0.0:  # NaN is not
+            raise ValueError(f"h must be non-negative, got h={h}")
         builder = BallBuilder(lattice, n)
         chunk = builder.extend(n + 1)
         sites, m = builder.n_inside, chunk.n_internal
         a, b, j = chunk.edge_a, chunk.edge_b, chunk.edge_j
-        # (site, other end, J, kind) per group of bonds, in bond order
-        groups = [(a[:m], b[:m], j[:m], _KIND_SPIN)]
-        if boundary == "plus":
-            # one ghost bond per crossing coupling keeps multiplicities honest
-            groups.append((a[m:], sites, j[m:], _KIND_SPIN))
-        if h > 0.0:
-            groups.append((np.arange(sites), sites, 0.0, _KIND_FIELD))
-        bond_a, bond_b, bond_j, bond_kind = (
-            np.concatenate(column)
-            for column in zip(*(np.broadcast_arrays(*g) for g in groups)))
+        plus = boundary == "plus"
+        # the internal bonds; with a plus boundary one ghost bond per
+        # crossing coupling, which keeps multiplicities honest; at h > 0
+        # one field bond per site, also to the ghost
+        bond_j = j if plus else j[:m]
+        bond_a = np.concatenate((a[:len(bond_j)],
+                                 np.arange(sites if h > 0.0 else 0)))
+        bond_b = np.concatenate((b[:m], np.full(len(bond_a) - m, sites)))
         layers = chunk.layer[:sites]
         coords = builder.coords(chunk.keys[:sites]).tolist()
         index = {tuple(v): i for i, v in enumerate(coords)}
-        return cls(sites, bond_a, bond_b, bond_kind, bond_j, layers, index)
+        return cls(sites, bond_a, bond_b, bond_j, h, plus, layers, index)
 
 
 class WolffChain:
-    """Wolff cluster dynamics of one system at (beta, h) from ``seed``.
+    """Wolff cluster dynamics of one system at inverse temperature ``beta``
+    from ``seed``, in the field the system carries.
 
-    A system with a plus boundary (spin bonds to the ghost) starts all-plus;
-    any other starts from random spins drawn from the seed.
+    A system with a plus boundary starts all-plus; any other starts from
+    random spins drawn from the seed.
     """
 
-    def __init__(self, system: SpinSystem, beta: float, h: float, seed: int):
-        if not (beta >= 0.0 and h >= 0.0):
-            raise ValueError(f"beta and h must be non-negative, got beta={beta} "
-                             f"and h={h}")
-        # the field acts only through field bonds, and their p_act only
-        # through h: a mismatch would drop h, or close every field bond
-        has_field = bool((system.bond_kind == _KIND_FIELD).any())
-        if h > 0.0 and not has_field:
-            raise ValueError(f"h={h} needs a system with field bonds "
-                             f"(SpinSystem.box(..., h=h))")
-        if has_field and h == 0.0:
-            raise ValueError("the system has field bonds but h = 0")
+    def __init__(self, system: SpinSystem, beta: float, seed: int):
+        if not beta >= 0.0:  # NaN is not
+            raise ValueError(f"beta must be non-negative, got beta={beta}")
         self.system = system
         self.seed = int(seed)
         self.stream_index = 0  # sample_stream index of the next update
-        self.p_act = np.where(
-            system.bond_kind == _KIND_SPIN,
-            -np.expm1(-2.0 * beta * system.bond_j),
-            -math.expm1(-2.0 * h))
+        # the spin bonds at -expm1(-2 beta J), then the field bonds
+        self.p_act = np.append(-np.expm1(-2.0 * beta * system.bond_j),
+                               np.full(system.n_bonds - len(system.bond_j),
+                                       -math.expm1(-2.0 * system.h)))
         # the spins of the sites and the ghost (+1), one byte each: numpy
         # views for whole-array work, a signed memoryview for single sites
         n = system.n_sites
@@ -175,8 +168,7 @@ class WolffChain:
         self._masked: list[int] = []
         # the member budget of whole-cluster walks, set by equilibrate
         self.budget: int | None = None
-        plus = (system.bond_kind == _KIND_SPIN) & (system.bond_b == system.ghost)
-        if not plus.any():
+        if not system.plus:
             gen = rngmod.sample_stream(self.seed, rngmod.STREAM_WOLFF, _INIT_INDEX)
             self.spins = np.where(gen.random(n) < 0.5, 1, -1)
 
@@ -344,12 +336,12 @@ def equilibrate(chain: WolffChain) -> int:
     return sweeps
 
 
-def _measured(system: SpinSystem, beta: float, h: float, sweeps: int,
+def _measured(system: SpinSystem, beta: float, sweeps: int,
               seed: int) -> Iterator[WolffChain]:
-    """The chain of ``system`` at (beta, h) from ``seed``, burned in
+    """The chain of ``system`` at ``beta`` from ``seed``, burned in
     (``equilibrate``), then yielded after each of ``sweeps`` Wolff updates
     for one measurement."""
-    chain = WolffChain(system, beta, h, seed)
+    chain = WolffChain(system, beta, seed)
     equilibrate(chain)
     for _ in range(sweeps):
         chain.step()
@@ -377,7 +369,7 @@ def estimate_magnetization(lattice: LatticeSpec, n: int, beta: float,
     """
     check_counts(sweeps=sweeps)
     system = SpinSystem.box(lattice, n, boundary=boundary, h=h)
-    chains = _measured(system, beta, h, sweeps, seed)
+    chains = _measured(system, beta, sweeps, seed)
     if boundary == "plus" or h > 0.0:
         ghost, stop = system.ghost, system.ghost_layer
         values = [float(chain.measure(stop)[ghost]) for chain in chains]
@@ -404,7 +396,7 @@ def estimate_two_point(lattice: LatticeSpec, n: int, beta: float,
             raise ValueError(f"distance {d} leaves the box")
         targets[d] = system.vertex_index[v]
     hits: dict[int, list[float]] = {d: [] for d in targets}
-    for chain in _measured(system, beta, 0.0, sweeps, seed):
+    for chain in _measured(system, beta, sweeps, seed):
         mask = chain.measure()
         for d, t in targets.items():
             hits[d].append(1.0 if mask[t] else 0.0)
@@ -440,7 +432,7 @@ def check_critical_divergence(lattice: LatticeSpec, beta: float,
         raise ValueError(f"need at least two distinct radii, got {radii}")
     system = SpinSystem.box(lattice, radii[-1], boundary="free")
     counts: dict[int, list[float]] = {r: [] for r in radii}
-    for chain in _measured(system, beta, 0.0, sweeps, seed):
+    for chain in _measured(system, beta, sweeps, seed):
         member_layers = system.layers[chain.measure()[:system.n_sites]]
         for r in radii:
             counts[r].append(float(np.count_nonzero(member_layers <= r)))

@@ -20,9 +20,10 @@ region that contain the base point, disconnected ones included, though
 phi(S) = phi(S0) for S0 the coupled component of S that holds the base
 point (no vertex of S0 is coupled to the rest of S, which adds zero).  One
 sweep of the region serves them all: each (parameter, subset) pair is a
-lane of its sweep, in which every bond leaving the subset is closed, so an
-infimum over ball(1) at a whole grid is one sweep.  ``ising-diff`` takes
-no infimum (see its docstring).
+lane of its sweep, with the subset's coefficients from
+``certificates.boundary_coefficients``, in which every bond leaving the
+subset is closed, so an infimum over ball(1) at a whole grid is one
+sweep.  ``ising-diff`` takes no infimum (see its docstring).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .certificates import boundary_coefficients
 from .exact import (BASE_POINT_TIE, ising_observables, perc_connect_probs,
                     perc_exit_prob, perc_reach, sweep_lanes)
 from .lattice import LatticeSpec, Region, Vertex, ball, edge_weight, layers
@@ -182,30 +184,19 @@ def _subset_phi(region: Region, params: list,
     (m, q) is phi of the subset of row m at ``params[q]``.
 
     All come from the sweeps of ``region``, as lanes of them, as many
-    (subset, parameter) lanes per sweep as ``exact.sweep_lanes`` allows,
-    each sweep's coefficients and bond masks built for its lanes alone,
-    from ``region.partners``: a vertex counts its partners outside the
-    subset, the region's vertices among them, and a bond with an end
-    outside it is closed.  A full row gives ``certificates.phi_sweep`` of
-    ``region`` bit for bit.
+    (subset, parameter) lanes per sweep as ``exact.sweep_lanes`` allows.
+    Each sweep takes its lanes' coefficients from
+    ``certificates.boundary_coefficients`` and closes every bond with an
+    end outside the lane's subset.  A full row gives
+    ``certificates.phi_sweep`` of ``region`` bit for bit.
     """
-    lattice = region.lattice
-    partner = region.partners
-    # (coupling, subset, parameter, vertex)
-    weights = np.array([[edge_weight(lattice, j, t) for t in params]
-                        for _, j in lattice.couplings],
-                       dtype=float).reshape(len(partner), 1, len(params), 1)
     ends = np.array([(a, b) for a, b, _ in region.internal_edges],
                     dtype=np.int64).reshape(-1, 2)
     chunk = max(1, sweep_lanes(region, 1, BASE_POINT_TIE) // len(params))
     values = []
     for i in range(0, len(subsets), chunk):
         part = subsets[i:i + chunk]
-        outside = (partner < 0) | ~part[:, np.maximum(partner, 0)]
-        terms = weights * np.moveaxis(outside, 1, 0)[:, :, None]
-        # summed in coupling order, as certificates._boundary_coefficients;
-        # a vertex outside the subset reaches nothing, so adds exactly 0
-        coeffs = sum(terms, np.zeros(terms.shape[1:]))
+        coeffs = boundary_coefficients("percolation", region, params, part)
         # lane m * K + q: subset m of the part at parameter q
         values.append(perc_reach(
             region, BASE_POINT_TIE, params * len(part),

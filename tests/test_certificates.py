@@ -5,16 +5,17 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from subcrit import certificates, exact
 from subcrit.certificates import (Certificate, PhiResult, Refusal,
-                                  _phi_percolation_mc,
-                                  best_bound, certify_subcritical,
+                                  _phi_percolation_mc, best_bound,
+                                  boundary_coefficients, certify_subcritical,
                                   chi_upper_bound, compute_phi, critical_root,
                                   decay_upper_bound, exact_phi, region_id)
 from subcrit.errors import CapExceeded
-from subcrit.lattice import LatticeSpec, Region, ball
+from subcrit.lattice import LatticeSpec, Region, ball, edge_weight
 
 P_LAT = LatticeSpec.square(mode="p")
 B_LAT = LatticeSpec.square(mode="beta")
@@ -23,6 +24,50 @@ B_LAT = LatticeSpec.square(mode="beta")
 # ---------------------------------------------------------------------------
 # exact phi values
 # ---------------------------------------------------------------------------
+
+def pairwise_coefficients(model, region, param):
+    """phi's coefficients as a plain in-order sum over
+    ``region.boundary_pairs``, one pair weight at a time from +0."""
+    coeff = [0.0] * len(region)
+    for i, _, j in region.boundary_pairs:
+        coeff[i] += (math.tanh(param * j) if model == "ising"
+                     else edge_weight(region.lattice, j, param))
+    return coeff
+
+
+# anisotropic: every vertex mixes partners at J = 1 and J = 0.5
+MIXED = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
+                            ((0, 1), 0.5), ((0, -1), 0.5)])
+
+
+@pytest.mark.parametrize("model,lattice", [
+    ("percolation", MIXED), ("ising", MIXED),
+    ("percolation", LatticeSpec.triangular(mode="p")),
+    ("ising", LatticeSpec.triangular(mode="beta")),
+], ids=["perc-mixed", "ising-mixed", "perc-tri", "ising-tri"])
+def test_boundary_coefficients_equal_the_pairwise_sum(model, lattice):
+    # one builder for the whole region and for subset rows: bit for bit
+    # the per-pair sum, at one parameter and on a grid; a subset row's
+    # entries on its subset are the pairwise sum of the subset's own region
+    region = ball(lattice, 2)
+    grid = [0.05, 0.3, 0.7, 1.0]
+    assert boundary_coefficients(model, region, [0.3]).tolist() == [
+        pairwise_coefficients(model, region, 0.3)]
+    assert boundary_coefficients(model, region, grid).tolist() == [
+        pairwise_coefficients(model, region, t) for t in grid]
+    picks = np.random.default_rng(39).random((8, len(region))) < 0.6
+    picks[:, 0] = True
+    picks[0] = True
+    rows = boundary_coefficients(model, region, grid, picks)
+    assert rows.shape == (len(picks), len(grid), len(region))
+    for row, coeffs in zip(picks, rows.tolist()):
+        inside = [i for i, kept in enumerate(row) if kept]
+        own = Region(lattice, [region.vertices[i] for i in inside])
+        for t, values in zip(grid, coeffs):
+            want = pairwise_coefficients(model, own, t)
+            assert [values[i] for i in inside] == [
+                want[own.index(region.vertices[i])] for i in inside]
+
 
 def test_phi_single_vertex_percolation():
     region = ball(P_LAT, 0)

@@ -808,6 +808,28 @@ def test_report_malformed_manifest(tmp_path, capsys, manifest):
     assert len(err) == 1 and err[0].startswith("config error: options.inputs[0]")
 
 
+@pytest.mark.parametrize("header,row", [
+    (MEASUREMENT_COLUMNS, ("exit", "8", "0.4")),
+    (TABLE_COLUMNS, ("perc", "0", "1", "exact", "0.25", "extra")),
+], ids=["measurement-short", "table-long"])
+def test_report_refuses_a_row_unlike_its_header(tmp_path, capsys, header,
+                                                 row):
+    # a short measurement row was once merged under the 10-column header
+    with open(tmp_path / "a.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, row])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"subcommand": "simulate-perc",
+                                "config": {"label": "x"},
+                                "artifacts": ["a.csv"]}))
+    out = tmp_path / "out"
+    code = run_cli("report", "--inputs", str(path), "--out", str(out))
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: options.inputs[0]: a.csv line 2")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_report_with_no_inputs(tmp_path):
     code = run_cli("report", "--out", str(tmp_path), "--label", "empty")
     assert code == EXIT_OK

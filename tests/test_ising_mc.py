@@ -138,7 +138,7 @@ def test_swendsen_wang_chain_matches_exact_small_box(observable, boundary,
         exact = exact_plus_magnetization(2, beta)
     else:
         exact = ising_observables(region, beta, h).magnetizations[0]
-    chain = WolffChain(system, beta, h, seed)
+    chain = WolffChain(system, beta, seed)
     equilibrate(chain)
     spins = chain.spins.tolist
     values = []
@@ -172,7 +172,7 @@ def test_ghost_stopped_measurement_decides_like_full_walk(boundary, h):
     # draws, the magnetization walk stopped at the ghost layer reaches the
     # ghost exactly when the whole cluster of the origin contains it
     system = SpinSystem.box(B_LAT, 4, boundary=boundary, h=h)
-    chain = WolffChain(system, 0.4, h, 5)
+    chain = WolffChain(system, 0.4, 5)
     gen = rngmod.sample_stream(5, rngmod.STREAM_TEST, 0)
     start = np.where(gen.random(system.n_sites) < 0.5, 1, -1).astype(np.int8)
     chain.spins = start
@@ -216,7 +216,7 @@ def test_labeling_chain_equals_walking_chain(n, beta, boundary, h):
     # ghost bonds.  A chain left to its own rule takes a budget from its
     # burn-in, small on these systems
     system = SpinSystem.box(B_LAT, n, boundary=boundary, h=h)
-    chains = [WolffChain(system, beta, h, 17) for _ in range(4)]
+    chains = [WolffChain(system, beta, 17) for _ in range(4)]
     for chain, walk_budget in zip(chains, (None, 0, 1, 8)):
         chain.budget = walk_budget
     walking = chains[0]
@@ -230,7 +230,7 @@ def test_labeling_chain_equals_walking_chain(n, beta, boundary, h):
     for chain in chains[1:]:
         assert chain.spins.tolist() == walking.spins.tolist()
         assert chain.stream_index == walking.stream_index
-    burned = WolffChain(system, beta, h, 17)
+    burned = WolffChain(system, beta, 17)
     equilibrate(burned)
     assert burned.budget is not None and burned.budget <= 8
 
@@ -241,11 +241,11 @@ def test_first_update_after_the_burn_in_labels(labels_calls):
     # cluster after it, and the next whole measurement, are labeled.  A
     # chain never burned in has no budget and walks
     system = SpinSystem.box(B_LAT, 24, boundary="plus")
-    fresh = WolffChain(system, 1.1 * BETA_C, 0.0, 17)
+    fresh = WolffChain(system, 1.1 * BETA_C, 17)
     assert fresh.budget is None
     fresh.step()
     assert labels_calls == []
-    chain = WolffChain(system, 1.1 * BETA_C, 0.0, 17)
+    chain = WolffChain(system, 1.1 * BETA_C, 17)
     equilibrate(chain)
     labels_calls.clear()
     assert chain.step() > chain.budget
@@ -259,7 +259,7 @@ def test_a_step_within_its_budget_makes_no_labeling(labels_calls):
     # the burn-in sets a budget of a few members.  A step whose cluster is
     # within it is walked, with no labeling call; a larger one makes one
     system = SpinSystem.box(B_LAT, 128, boundary="plus")
-    chain = WolffChain(system, 1.1 * BETA_C, 0.0, 53)
+    chain = WolffChain(system, 1.1 * BETA_C, 53)
     equilibrate(chain)
     assert 0 < chain.budget <= 64
     walked = labeled = 0
@@ -282,7 +282,7 @@ def test_a_ball_two_chain_never_labels_after_its_burn_in(labels_calls, seed):
     # ball(2) at beta = 0.3 has 14 nodes and clusters of about 3: walking
     # any of them costs less than one labeling, so the burn-in sets no
     # budget, and no update or measurement after it labels
-    chain = WolffChain(SpinSystem.box(B_LAT, 2), 0.3, 0.0, seed)
+    chain = WolffChain(SpinSystem.box(B_LAT, 2), 0.3, seed)
     equilibrate(chain)
     assert chain.budget is None
     labels_calls.clear()
@@ -299,7 +299,7 @@ def test_each_update_and_measurement_opens_one_stream(walk_budget,
     # burn-in, and each update and measurement after it, whether it walks
     # or labels, draws its bond words and its coin or seed-site words from
     # the one Philox stream of its sample, opened at word 0
-    chain = WolffChain(SpinSystem.box(B_LAT, 16), BETA_C, 0.0, 17)
+    chain = WolffChain(SpinSystem.box(B_LAT, 16), BETA_C, 17)
     opened, taus = [], []
     sample_stream = rngmod.sample_stream
     autocorr_time = ising_mc.integrated_autocorr_time
@@ -326,7 +326,7 @@ def test_each_update_and_measurement_opens_one_stream(walk_budget,
     assert opened == [((17, rngmod.STREAM_WOLFF, k), 0) for k in range(500)]
     # a longer tau_int extends the burn-in to 20 tau_int updates, each on
     # one more sample
-    chain = WolffChain(SpinSystem.box(B_LAT, 16), BETA_C, 0.0, 17)
+    chain = WolffChain(SpinSystem.box(B_LAT, 16), BETA_C, 17)
     opened.clear()
     monkeypatch.setattr(ising_mc, "integrated_autocorr_time",
                         lambda series: 6.0)
@@ -334,19 +334,8 @@ def test_each_update_and_measurement_opens_one_stream(walk_budget,
     assert opened == [((17, rngmod.STREAM_WOLFF, k), 0) for k in range(120)]
 
 
-@pytest.mark.parametrize("system_h,chain_h", [(0.1, 0.0), (0.0, 0.5)],
-                         ids=["field-bonds-at-h-0", "h-without-field-bonds"])
-def test_chain_refuses_a_field_its_system_does_not_carry(system_h, chain_h):
-    # the field acts through the system's field bonds at the chain's h: a
-    # system built with h = 0.1 run at h = 0 once closed every field bond,
-    # and one built without them run at h = 0.5 once dropped the field
-    system = SpinSystem.box(B_LAT, 2, h=system_h)
-    with pytest.raises(ValueError, match="field bonds"):
-        WolffChain(system, 0.3, chain_h, 1)
-
-
 def test_assigned_spins_must_be_signs():
-    chain = WolffChain(SpinSystem.box(B_LAT, 2), 0.3, 0.0, seed=1)
+    chain = WolffChain(SpinSystem.box(B_LAT, 2), 0.3, seed=1)
     before = chain.spins.copy()
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
         chain.spins = np.zeros(chain.system.n_sites, dtype=np.int8)
@@ -374,7 +363,7 @@ def test_magnetization_deterministic_per_seed():
 
 def test_wolff_chain_preserves_spin_support():
     system = SpinSystem.box(B_LAT, 3, boundary="plus")
-    chain = WolffChain(system, 0.6, 0.0, 3)
+    chain = WolffChain(system, 0.6, 3)
     equilibrate(chain)
     for _ in range(50):
         chain.step()
@@ -430,9 +419,15 @@ def test_boundary_name_validated():
 @pytest.mark.parametrize("beta,h", [(math.nan, 0.0), (0.4, math.nan),
                                     (-0.1, 0.0), (0.4, -0.1)])
 def test_chain_refuses_a_negative_or_nan_parameter(beta, h):
-    # a NaN field once ran the chain quietly at zero field
-    with pytest.raises(ValueError, match="must be non-negative"):
-        WolffChain(SpinSystem.box(B_LAT, 2), beta, h, seed=1)
+    # a NaN field once ran the chain quietly at zero field, and a box built
+    # at h = NaN or -1 once dropped its field bonds: the chain refuses beta
+    # and the box, which carries the field, refuses h
+    if h == 0.0:
+        with pytest.raises(ValueError, match="beta must be non-negative"):
+            WolffChain(SpinSystem.box(B_LAT, 2), beta, seed=1)
+    else:
+        with pytest.raises(ValueError, match="h must be non-negative"):
+            SpinSystem.box(B_LAT, 2, h=h)
     with pytest.raises(ValueError, match="must be non-negative"):
         estimate_magnetization(B_LAT, 2, beta, "free", sweeps=100, seed=1, h=h)
 
