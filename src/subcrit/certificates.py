@@ -211,8 +211,7 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
     # budget are common, and labeling them cost 26 us a sample against 20
     values = []
     for s in range(samples):
-        members, _, _ = walker.origin_cluster(weights, seed, rngmod.STREAM_PHI,
-                                              s)
+        members, _ = walker.origin_cluster(weights, seed, rngmod.STREAM_PHI, s)
         # a plain sum in discovery order: the fixed-seed values depend on it
         values.append(sum(coeff[m] for m in members))
     mean = math.fsum(values) / samples

@@ -3,42 +3,38 @@
 Boxes are graph-distance balls ``ball(n)`` together with the one-vertex
 shell outside them; every lattice edge with at least one endpoint inside the
 box is sampled.  An optional ghost vertex models an external field: each box
-vertex joins the ghost independently with probability ``1 - exp(-h)``.
+vertex joins it with probability ``1 - exp(-h)``, so the origin reaches it
+when its cluster holds K members, K geometric with P[K > k] = exp(-hk).
 
 Per-sample randomness comes from a counter-based stream keyed by
 (seed, observable stream, sample index).  Edge e's uniform is word e of the
-sample's stream and box vertex v's ghost uniform is word
-``_GHOST_WORD + v``, a fixed word past every box's edge words.  A sample
-draws only the prefix of edge words (and of ghost words) that its walk
-reads, so a small cluster costs a few hundred draws, not one per box edge,
-and the draws are the same as if every word were drawn.  Estimates are
-reduced with compensated summation in sample order, so results are
-bit-reproducible regardless of batching.
+sample's stream, and a ghost sample's K comes from word ``_GHOST_WORD``.  A
+walk draws only the prefix of edge words it reads, the same words as if
+every word were drawn.  Estimates are reduced with compensated summation
+in sample order, so results are bit-reproducible regardless of batching.
 
 A box is built as far as its walks reach: its ``lattice.BallBuilder``
 adds BFS layers, doubling the built radius, when a walk pops a node whose
 row is not built yet, and its walk is the ``ClusterWalker`` that the Wolff
 chains and the Monte Carlo phi share too.  The walker turns each new row
-into the Python lists its loop reads as the row is built.  At p = 0.25 on
-ball(96) the walks of 800 susceptibility samples build the rows of the
-first 16 layers (481 of the box's 19,013 nodes).  A walk with a field
-grows the box the same way, since its ghost words do not depend on the
-box's size.  An exit walk that reaches the shell, a lattice with several
-couplings and a Wolff system build the whole box, each layer once.
+into the Python lists its loop reads as the row is built.  On ball(96) the
+walks of 800 susceptibility samples at p = 0.25 build the rows of the first
+16 layers (481 of the box's 19,013 nodes), 600 ghost samples at p = 0.5 and
+h = 0.01 build 8,065.  An exit walk that reaches the shell, a lattice with
+several couplings and a Wolff system build the whole box, each layer once.
 
 Estimators walk the open cluster of the origin and stop once the event is
 decided: exit profiles at the first site beyond the largest radius, the
-ghost estimate at the first open ghost bond.  The susceptibility walks
-whole clusters, up to a member budget: past it, the rest of the sample's
-words are drawn and the cluster is labeled in numpy.  Its first 100
-clusters are walked whole, and their sizes set the budget of the rest
+ghost estimate at the K-th member.  The susceptibility walks whole
+clusters, up to a member budget: past it, the rest of the sample's words
+are drawn and the cluster is labeled in numpy.  Its first 100 clusters are
+walked whole, and their sizes set the budget of the rest
 (``ClusterWalker.walk_budget``): 122 members on ball(64) at p = 0.5, where
-72 % of the clusters pass it, and none at p = 0.25 and 0.45.  A walk
-with a field goes breadth-first, every other walk depth-first: any
-member's open ghost bond decides the ghost event, and a breadth-first walk
-stays near the origin, whose edge and ghost words lead the drawn prefix.
-Which edges are open does not depend on the walk, nor on whether the
-cluster was walked or labeled, so no estimate depends on either.
+72 % of the clusters pass it, and none at p = 0.25 and 0.45.  A ghost walk
+goes breadth-first, staying near the origin, whose edge words lead the
+drawn prefix (1,031 words a sample in that ghost run); every other walk
+goes depth-first.  Neither the walk nor labeling changes which edges are
+open, so no estimate depends on them.
 """
 
 from __future__ import annotations
@@ -61,10 +57,9 @@ from .stats import (MCEstimate, batch_means_stderr, binomial_stderr,
 # smallest prefix a walk draws: below about this many words, the cost of a
 # numpy call outweighs the draws it saves
 _FIRST_DRAW = 256
-# node v's ghost uniform is word _GHOST_WORD + v of the sample's stream: a
-# fixed word, so a walk with a field needs no edge count of a box it has not
-# built, and past the edge words of any box (a layout holds at most
-# LAYOUT_VERTEX_CAP = 2**22 nodes, and a sample owns 2**128 words)
+# a ghost sample's size stop K comes from word _GHOST_WORD of its stream,
+# past the edge words of any box (a layout holds at most LAYOUT_VERTEX_CAP =
+# 2**22 nodes, and a sample owns 2**128 words)
 _GHOST_WORD = 1 << 64
 # layers a box builds first; then each step doubles its built radius, up to
 # the whole box once that reaches n (a step costs a few hundred us of numpy
@@ -101,6 +96,10 @@ _BUDGET_SAMPLES = 100
 
 class _OverBudget(Exception):
     """A walk found more members than its budget."""
+
+
+class _SizeReached(Exception):
+    """A walk holds its ``stop_size`` members."""
 
 
 class ClusterWalker:
@@ -151,12 +150,10 @@ class ClusterWalker:
         self._ptr, self._nbr, self._eid, self._layer = [0], [], [], []
         self._layers = np.zeros(0, dtype=np.int32)  # _layer in numpy
         self._need: list[int] = []
-        # generators and draw buffers, reused by every walk (so one walker
-        # serves one walk at a time); the masks are numpy views of the
-        # bytearrays the walk indexes
-        self._edge_gen = self._ghost_gen = None
+        # the generator and draw buffers, reused by every walk (so one
+        # walker serves one walk at a time); the mask views _open in numpy
+        self._edge_gen = None
         self._open = bytearray()
-        self._ghost_open = bytearray()
         self.seen = bytearray()
 
     def _add(self, layer: np.ndarray, edge_a: np.ndarray, edge_b: np.ndarray,
@@ -187,10 +184,6 @@ class ClusterWalker:
         self._edge_u = np.empty(n_edges)
         self._open = self._open + bytes(n_edges - len(self._open))
         self._open_mask = np.frombuffer(self._open, dtype=np.bool_)
-        self._ghost_u = np.empty(n_nodes)
-        self._ghost_open = self._ghost_open + bytes(
-            n_nodes - len(self._ghost_open))
-        self._ghost_mask = np.frombuffer(self._ghost_open, dtype=np.bool_)
         self.seen = self.seen + bytes(n_nodes - len(self.seen))
 
     def _grow(self, node: int) -> None:
@@ -209,47 +202,35 @@ class ClusterWalker:
     layer = property(lambda self: self._complete()._layers.copy())
 
     def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
-                       index: int, h: float = 0.0,
-                       stop_layer: int | None = None,
+                       index: int, stop_layer: int | None = None,
+                       stop_size: int | None = None,
                        budget: int | None = None
-                       ) -> tuple[list[int] | np.ndarray, int, bool]:
+                       ) -> tuple[list[int] | np.ndarray, int]:
         """Walk over the open cluster of node 0, the origin, in one sample.
 
         Sample ``index`` of ``stream`` opens edge e when word e of its
         stream is below ``weights[e]`` (or below ``weights`` itself, a
-        float or a 0-d array) and, for h > 0, joins node v to the ghost
-        when word ``_GHOST_WORD + v`` is below ``1 - exp(-h)``.  Words are
-        drawn as the walk first needs them, a doubling prefix at a time.
-        The walk is depth-first at h = 0 and breadth-first for h > 0: any
-        member's ghost bond decides that event, and the members nearest the
-        origin have the lowest indices in the box layouts, so the walk
-        reads a shorter prefix of edge and ghost words.
+        float or a 0-d array).  Words are drawn as the walk first needs
+        them, a doubling prefix at a time.
 
-        Returns ``(members, max_layer, hit_ghost)``; ``members`` lists node
-        indices in discovery order, and ``self.seen`` marks them until the
-        next walk.  The walk returns as soon as the event is decided: when
-        a ghost bond of a member is open (``hit_ghost`` is then True), or
-        when it reaches a node of layer ``stop_layer`` or beyond
-        (``max_layer`` is then that node's layer).
-        Otherwise it covers the whole cluster and ``max_layer`` is the
-        cluster's largest layer.
+        Returns ``(members, max_layer)``; ``members`` lists node indices in
+        discovery order, and ``self.seen`` marks them until the next walk.
+        The walk returns as soon as the event is decided: when it reaches a
+        node of layer ``stop_layer`` or beyond (``max_layer`` is then that
+        node's layer), or when it holds ``stop_size`` members, found
+        breadth-first near the origin, whose edges lead the words.
+        Otherwise it covers the whole cluster (depth-first without a
+        ``stop_size``) and ``max_layer`` is the cluster's largest layer.
 
         A walk that finds more than ``budget`` members stops, and the
         cluster is labeled (``component``) on every word of the sample, which
         ``draw_edges`` draws, the prefix the walk read included.  A labeled
         cluster is whole: ``members`` is then an array of its nodes in
-        increasing order, ``max_layer`` their largest layer and
-        ``hit_ghost`` whether any of their ghost bonds is open.  Every
+        increasing order and ``max_layer`` their largest layer.  Every
         event the walk would decide reads the same.
         """
-        if not h >= 0.0:
-            raise ValueError(f"h must be non-negative, got {h}")
         gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
                                                     gen=self._edge_gen)
-        ghost_gen = None
-        if h > 0.0:
-            ghost_gen = self._ghost_gen = rngmod.sample_stream(
-                seed, stream, index, start=_GHOST_WORD, gen=self._ghost_gen)
         if not self._need:
             self._grow(0)
         if isinstance(weights, float):
@@ -257,26 +238,20 @@ class ClusterWalker:
             weights = np.array(weights)
         try:
             return self._walk(0, stop_layer, None, budget, gen, weights,
-                              ghost_gen, h)
+                              stop_size)
         except _OverBudget:
             pass
         self.draw_edges(weights, seed, stream, index)
         self.component(None)
         members = np.flatnonzero(np.frombuffer(self.seen, dtype=np.bool_))
-        hit = False
-        if h > 0.0:
-            ghost_gen = self._ghost_gen = rngmod.sample_stream(
-                seed, stream, index, start=_GHOST_WORD, gen=ghost_gen)
-            ghost_gen.random(out=self._ghost_u)
-            hit = bool((self._ghost_u[members] < -math.expm1(-h)).any())
-        return members, int(self._layers[members].max()), hit
+        return members, int(self._layers[members].max())
 
     def drawn_cluster(self, root: int = 0, stop_layer: int | None = None,
                       blocked: bytearray | None = None,
                       budget: int | None = None
-                      ) -> tuple[list[int], int, bool] | None:
-        """:meth:`origin_cluster` at h = 0 from ``root`` on the edge words
-        that ``draw_edges`` drew for the sample, opening no stream.
+                      ) -> tuple[list[int], int] | None:
+        """:meth:`origin_cluster` from ``root`` on the edge words that
+        ``draw_edges`` drew for the sample, opening no stream.
 
         ``blocked``, a bytearray over the nodes that the walk then owns,
         marks nodes it never enters, as if every edge into them were
@@ -292,13 +267,12 @@ class ClusterWalker:
 
     def _walk(self, root: int, stop_layer: int | None,
               blocked: bytearray | None, budget: int | None = None,
-              gen=None, weights=None, ghost_gen=None, h: float = 0.0
-              ) -> tuple[list[int], int, bool]:
+              gen=None, weights=None, stop_size: int | None = None
+              ) -> tuple[list[int], int]:
         """The walk of :meth:`origin_cluster` from ``root``, drawing edge
         words from ``gen`` against ``weights``, or reading those
-        ``draw_edges`` drew when ``gen`` is None, and ghost words from
-        ``ghost_gen`` for h > 0.  A walk that finds more members than
-        ``budget`` raises ``_OverBudget``."""
+        ``draw_edges`` drew when ``gen`` is None.  A walk that finds more
+        members than ``budget`` raises ``_OverBudget``."""
         # edge words drawn; nodes v < ready have all theirs
         drawn, ready = ((0, 0) if gen is not None
                         else (len(self._open), len(self._need)))
@@ -310,62 +284,53 @@ class ClusterWalker:
         seen[root] = 1
         members = [root]
         max_layer = layer[root]
-        ghost = None
-        if ghost_gen is not None:
-            ghost, ghost_weight = self._ghost_open, np.array(-math.expm1(-h))
-            ghost_drawn = self._draw(ghost_gen, self._ghost_u,
-                                     self._ghost_mask, ghost_weight, 0,
-                                     root + 1)
-            if ghost[root]:
-                return members, max_layer, True
         stop = self._no_stop if stop_layer is None else stop_layer
-        if max_layer >= stop:
-            return members, max_layer, False
+        if max_layer >= stop or (stop_size is not None and stop_size <= 1):
+            return members, max_layer
         # a list pops faster than a deque; breadth-first needs its popleft
-        if ghost is None:
+        if stop_size is None:
             todo = [root]
             pop = todo.pop
         else:
             todo = deque([root])
             pop = todo.popleft
         push = todo.append
+        # the budget and the size stop are checked as members are pushed,
+        # so that a walk without them pays nothing for them
         if budget is not None:
-            # checked as members are pushed, so that a walk without a
-            # budget pays nothing for it
             def push(w, append=push):
                 if len(members) > budget:
                     raise _OverBudget
                 append(w)
-        while todo:
-            v = pop()
-            if v >= ready:
-                if v >= len(need):
-                    self._grow(v)
-                    is_open, seen = self._open, self.seen
-                    if ghost is not None:
-                        ghost = self._ghost_open
-                drawn = self._draw(gen, self._edge_u, self._open_mask, weights,
-                                   drawn, need[v])
-                ready = bisect_right(need, drawn)
-            for t in range(ptr[v], ptr[v + 1]):
-                if is_open[eid[t]]:
-                    w = nbr[t]
-                    if not seen[w]:
-                        seen[w] = 1
-                        members.append(w)
-                        if layer[w] > max_layer:
-                            max_layer = layer[w]
-                        if ghost is not None:
-                            if w >= ghost_drawn:
-                                ghost_drawn = self._draw(
-                                    ghost_gen, self._ghost_u, self._ghost_mask,
-                                    ghost_weight, ghost_drawn, w + 1)
-                            if ghost[w]:
-                                return members, max_layer, True
-                        if max_layer >= stop:
-                            return members, max_layer, False
-                        push(w)
-        return members, max_layer, False
+        if stop_size is not None:
+            def push(w, append=push):
+                if len(members) >= stop_size:
+                    raise _SizeReached
+                append(w)
+        try:
+            while todo:
+                v = pop()
+                if v >= ready:
+                    if v >= len(need):
+                        self._grow(v)
+                        is_open, seen = self._open, self.seen
+                    drawn = self._draw(gen, self._edge_u, self._open_mask,
+                                       weights, drawn, need[v])
+                    ready = bisect_right(need, drawn)
+                for t in range(ptr[v], ptr[v + 1]):
+                    if is_open[eid[t]]:
+                        w = nbr[t]
+                        if not seen[w]:
+                            seen[w] = 1
+                            members.append(w)
+                            if layer[w] > max_layer:
+                                max_layer = layer[w]
+                            if max_layer >= stop:
+                                return members, max_layer
+                            push(w)
+        except _SizeReached:
+            pass
+        return members, max_layer
 
     # whether every row is built
     built = True
@@ -484,13 +449,12 @@ class PercBox(ClusterWalker):
     with their edges and edge words.  A walk that pops a node whose row is
     not built doubles the built radius (``_FIRST_LAYERS`` first) until
     the row is; since rows and edge ids are a prefix property of the
-    layout, every word stays word e of the sample's stream.  A walk with a
-    field grows the box like any other, its ghost words starting at the
-    fixed ``_GHOST_WORD``.  The whole box is built by an exit walk that
-    reaches the shell, ``draw_edges``, ``open_probabilities`` on a lattice
-    with several couplings, any public attribute, and, on construction, a
-    box whose key cube holds more than ``LAYOUT_VERTEX_CAP`` nodes, so that
-    a ball past the cap is refused before any sample is drawn.
+    layout, every word stays word e of the sample's stream.  The whole box
+    is built by an exit walk that reaches the shell, ``draw_edges``,
+    ``open_probabilities`` on a lattice with several couplings, any public
+    attribute, and, on construction, a box whose key cube holds more than
+    ``LAYOUT_VERTEX_CAP`` nodes, so that a ball past the cap is refused
+    before any sample is drawn.
     """
 
     def __init__(self, lattice: LatticeSpec, n: int):
@@ -562,8 +526,8 @@ def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
     stop = radii[-1] + 1  # every indicator max_layer > r is decided there
     hits = {r: 0 for r in radii}
     for i in range(samples):
-        _, max_layer, _ = box.origin_cluster(weights, seed, rngmod.STREAM_EXIT,
-                                             i, stop_layer=stop)
+        _, max_layer = box.origin_cluster(weights, seed, rngmod.STREAM_EXIT, i,
+                                          stop_layer=stop)
         for r in radii:
             if max_layer > r:
                 hits[r] += 1
@@ -594,7 +558,7 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
     counts: dict[int, list[float]] = {r: [] for r in radii}
     budget, first = None, []
     for i in range(samples):
-        members, max_layer, _ = box.origin_cluster(
+        members, max_layer = box.origin_cluster(
             weights, seed, rngmod.STREAM_SUSCEPTIBILITY, i, budget=budget)
         if i < _BUDGET_SAMPLES:
             first.append(len(members))
@@ -618,18 +582,25 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
 
 def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
                                  h: float, samples: int, seed: int) -> MCEstimate:
-    """P[origin connected to the ghost] with field h on box ball(n)."""
+    """P[origin connected to the ghost] with field h on box ball(n): P[|C|
+    >= K] for the origin's cluster C and K = floor(-log(1 - u) / h) + 1,
+    u word ``_GHOST_WORD`` of the sample's stream.  K is capped past any
+    box's node count, so a subnormal h cannot overflow it."""
     if not h > 0.0:
         raise ValueError(f"ghost magnetization needs h > 0, got {h}")
     check_counts(samples=samples)
     box = _box(lattice, n)
     weights = box.open_probabilities(param)
     hits = 0
+    gen = None
     for i in range(samples):
-        _, _, hit = box.origin_cluster(weights, seed, rngmod.STREAM_GHOST, i,
-                                       h=h)
-        if hit:
-            hits += 1
+        gen = rngmod.sample_stream(seed, rngmod.STREAM_GHOST, i,
+                                   start=_GHOST_WORD, gen=gen)
+        size = math.floor(min(-math.log1p(-gen.random()) / h,
+                              latticemod.LAYOUT_VERTEX_CAP)) + 1
+        members, _ = box.origin_cluster(weights, seed, rngmod.STREAM_GHOST, i,
+                                        stop_size=size)
+        hits += len(members) >= size
     mean = hits / samples
     return MCEstimate(f"ghost_m[n={n},h={h:g}]", mean,
                       binomial_stderr(mean, samples), samples, seed)

@@ -11,10 +11,10 @@ block counter positioned at the sample (or step) index.  Two consequences:
 
 Within one sample block, each uniform is one 64-bit word, so word k of a
 sample depends on k alone, which pins down the "(seed, sample index, edge
-index)" keying.  A cluster walk reads edge e's uniform from word e and, in
-a percolation sample with a field, node v's ghost uniform from word
-2**64 + v (``perc_mc._GHOST_WORD``); a Wolff update picks its seed site
-with word ``n_bonds``.
+index)" keying.  A cluster walk reads edge e's uniform from word e; a
+percolation sample with a field reads the one uniform behind its cluster
+size stop from word 2**64 (``perc_mc._GHOST_WORD``), and a Wolff update
+picks its seed site with word ``n_bonds``.
 A walk draws only the prefix it reads; ``sample_stream(..., start=k)``
 opens word k directly.
 """

@@ -253,9 +253,12 @@ def test_best_bound_refuses_a_zero_tolerance(tmp_path, capsys):
 
 # --- simulate-perc ----------------------------------------------------------------
 
-def test_simulate_perc_rerun_is_byte_identical(tmp_path):
-    args = ("simulate-perc", "--observable", "exit", "--param", "0.3",
-            "--n-list", "1,2", "--samples", "2000", "--seed", "11")
+@pytest.mark.parametrize("observable, field", [
+    ("exit", ()), ("susceptibility", ()), ("ghost", ("--h", "0.1"))],
+    ids=["exit", "susceptibility", "ghost"])
+def test_simulate_perc_rerun_is_byte_identical(tmp_path, observable, field):
+    args = ("simulate-perc", "--observable", observable, "--param", "0.3",
+            "--n-list", "1,2", "--samples", "2000", "--seed", "11", *field)
     for label, out in (("a", tmp_path / "a"), ("b", tmp_path / "b")):
         assert run_cli(*args, "--out", str(out), "--label", "run") == EXIT_OK
     first = (tmp_path / "a" / "run.csv").read_bytes()
@@ -263,7 +266,7 @@ def test_simulate_perc_rerun_is_byte_identical(tmp_path):
     assert first == second
     header, rows = read_csv(tmp_path / "a" / "run.csv")
     assert header == MEASUREMENT_COLUMNS
-    assert [row[0] for row in rows] == ["exit", "exit"]
+    assert [row[0] for row in rows] == [observable, observable]
     assert [row[1] for row in rows] == ["1", "2"]
 
 
@@ -288,6 +291,15 @@ def test_simulate_perc_ghost_requires_field(tmp_path, capsys):
                    "--out", str(tmp_path))
     assert code == EXIT_ERROR
     assert "options.h" in capsys.readouterr().err
+    # any positive field runs, a subnormal one too: its ghost is never
+    # reached within the box
+    code = run_cli("simulate-perc", "--observable", "ghost", "--param", "0.5",
+                   "--n", "4", "--h", "5e-324", "--samples", "10",
+                   "--seed", "1", "--out", str(tmp_path), "--label", "tiny")
+    assert code == EXIT_OK
+    header, rows = read_csv(tmp_path / "tiny.csv")
+    assert len(rows) == 1
+    assert float(rows[0][header.index("mean")]) == 0.0
 
 
 def test_simulate_perc_rejects_bad_samples(tmp_path, capsys):

@@ -85,15 +85,10 @@ def test_profiles_count_a_repeated_radius_once():
         susceptibility_profile(P_LAT, 4, [2, 4], 0.5, 10, 1))
 
 
-def full_draw(box, weights, h, seed, stream, index):
-    # every word of the sample at once: n_edges edge words from word 0, and
-    # n_nodes ghost words from word _GHOST_WORD
-    open_edges = rngmod.sample_stream(seed, stream, index).random(
+def full_draw(box, weights, seed, stream, index):
+    # every edge word of the sample at once, from word 0
+    return rngmod.sample_stream(seed, stream, index).random(
         box.n_edges) < weights
-    ghost_open = rngmod.sample_stream(
-        seed, stream, index, start=perc_mc._GHOST_WORD).random(
-            box.n_nodes) < -math.expm1(-h)
-    return open_edges, ghost_open
 
 
 def test_sample_stream_opens_at_any_word():
@@ -157,53 +152,57 @@ def reference_cluster(box, open_edges):
     return seen
 
 
-def full_mask_walk(box, open_edges, ghost_open=None, stop_layer=None, root=0):
-    # the sampler's walk, on masks drawn whole: breadth-first with a ghost
-    # mask, depth-first without
+def full_mask_walk(box, open_edges, stop_size=None, stop_layer=None, root=0):
+    # the sampler's walk, on masks drawn whole: breadth-first, stopping at
+    # its stop_size-th member, with a stop size, depth-first without
     ptr, nbr, eid = incidence_csr(box.n_nodes, box.edge_a, box.edge_b)
     layer = box.layer.tolist()
     members, max_layer = [root], layer[root]
-    if ghost_open is not None and ghost_open[root]:
-        return members, max_layer, True
     stop = max(layer) + 1 if stop_layer is None else stop_layer
-    if max_layer >= stop:
-        return members, max_layer, False
+    size = math.inf if stop_size is None else stop_size
+    if max_layer >= stop or len(members) >= size:
+        return members, max_layer
     seen, todo = {root}, [root]
     while todo:
-        v = todo.pop(0) if ghost_open is not None else todo.pop()
+        v = todo.pop(0) if stop_size is not None else todo.pop()
         for t in range(ptr[v], ptr[v + 1]):
             w = int(nbr[t])
             if open_edges[eid[t]] and w not in seen:
                 seen.add(w)
                 members.append(w)
                 max_layer = max(max_layer, layer[w])
-                if ghost_open is not None and ghost_open[w]:
-                    return members, max_layer, True
-                if max_layer >= stop:
-                    return members, max_layer, False
+                if max_layer >= stop or len(members) >= size:
+                    return members, max_layer
                 todo.append(w)
-    return members, max_layer, False
+    return members, max_layer
+
+
+# the ghost walks' size stops K: the origin alone, a few members, and more
+# than most clusters of the small test graphs hold
+STOP_SIZES = (1, 4, 40)
 
 
 @pytest.mark.parametrize("lattice", [P_LAT, T_LAT], ids=["square", "triangular"])
 def test_early_exit_walk_decides_like_full_walk(lattice):
     # same draws walked to the end, stopped past the largest radius, and
-    # stopped at the first ghost bond; the profile includes r = n_box
+    # stopped at the K-th member; the profile includes r = n_box
     n_box, radii = 6, [0, 1, 3, 6]
     box = PercBox(lattice, n_box)
     for param in (0.3, 0.5):
         weights = box.open_probabilities(param)
         for i in range(200):
-            open_edges, ghost_open = full_draw(box, weights, 0.05, 5, 1, i)
-            members, full, _ = box.origin_cluster(weights, 5, 1, i)
+            open_edges = full_draw(box, weights, 5, 1, i)
+            members, full = box.origin_cluster(weights, 5, 1, i)
             cluster = reference_cluster(box, open_edges)
             assert set(members) == cluster
             assert full == max(box.layer[m] for m in cluster)
-            _, early, _ = box.origin_cluster(weights, 5, 1, i,
-                                             stop_layer=radii[-1] + 1)
+            _, early = box.origin_cluster(weights, 5, 1, i,
+                                          stop_layer=radii[-1] + 1)
             assert [early > r for r in radii] == [full > r for r in radii]
-            _, _, hit = box.origin_cluster(weights, 5, 1, i, h=0.05)
-            assert hit == any(ghost_open[m] for m in cluster)
+            for size in STOP_SIZES:
+                stopped, _ = box.origin_cluster(weights, 5, 1, i,
+                                                stop_size=size)
+                assert (len(stopped) >= size) == (len(cluster) >= size)
 
 
 # Z^2 with diagonal and (2, 0) bonds added: a custom lattice with longer
@@ -232,30 +231,6 @@ def lazy_spin_graph(boundary, h):
     return system.walker, lambda param: np.where(aligned, param, 0.0)
 
 
-def test_ghost_words_sit_at_a_fixed_word():
-    # node v's ghost uniform is word _GHOST_WORD + v of the sample's stream,
-    # whatever the box's size and however far it is built.  With every edge
-    # open the walk is breadth-first over the box and stops at the first
-    # node whose ghost bond is open, a node of ball(8): ball(8) and
-    # ball(16), grown lazily or built whole, stop at the same node
-    boxes = []
-    for n_box in (8, 16):
-        lazy, whole = PercBox(P_LAT, n_box), PercBox(P_LAT, n_box)
-        whole._complete()
-        boxes += [lazy, whole]
-    inner = len(ball(P_LAT, 8))
-    h = 0.1
-    for i in range(20):
-        open_edges, ghost_open = full_draw(boxes[1], 1.0, h, 8,
-                                           rngmod.STREAM_GHOST, i)
-        expected = full_mask_walk(boxes[1], open_edges, ghost_open)
-        assert expected[2] and expected[0][-1] < inner
-        for box in boxes:
-            assert box.origin_cluster(box.open_probabilities(1.0), 8,
-                                      rngmod.STREAM_GHOST, i,
-                                      h=h) == expected
-
-
 WALK_GRAPHS = pytest.mark.parametrize(
     "make,args",
     [(lazy_box, box) for box in LAZY_BOXES]
@@ -279,11 +254,10 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
     stops = (None, 1, (top - 1) // 2 + 1, top)
-    h = 0.02
     for param in (0.25, 0.6):
         weights = open_probabilities(param)
         for i in range(60):
-            open_edges, ghost_open = full_draw(walker, weights, h, 8, 3, i)
+            open_edges = full_draw(walker, weights, 8, 3, i)
             keeps = (np.ones(walker.n_edges, dtype=bool),
                      rngmod.sample_stream(9, rngmod.STREAM_TEST, i).random(
                          walker.n_edges) < 0.7)
@@ -292,8 +266,10 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                                               stop_layer=stop)
                         == full_mask_walk(walker, open_edges,
                                           stop_layer=stop))
-            assert (walker.origin_cluster(weights, 8, 3, i, h=h)
-                    == full_mask_walk(walker, open_edges, ghost_open))
+            for size in STOP_SIZES:
+                assert (walker.origin_cluster(weights, 8, 3, i,
+                                              stop_size=size)
+                        == full_mask_walk(walker, open_edges, stop_size=size))
             walker.draw_edges(weights, 8, 3, i)
             for root in (0, walker.n_nodes // 3, walker.n_nodes - 1):
                 for stop in stops:
@@ -301,8 +277,8 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                             == full_mask_walk(walker, open_edges,
                                               stop_layer=stop, root=root))
                 for keep in keeps:
-                    members, _, _ = full_mask_walk(walker, open_edges & keep,
-                                                   root=root)
+                    members, _ = full_mask_walk(walker, open_edges & keep,
+                                                root=root)
                     assert walker.component(keep, root=root) == len(members)
                     assert (np.flatnonzero(walker.seen).tolist()
                             == sorted(members))
@@ -319,7 +295,7 @@ def test_blocked_and_predrawn_walks_match_full_mask_walk(make, args):
     a, b = walker.edge_a, walker.edge_b
     gen = rngmod.sample_stream(7, rngmod.STREAM_TEST, 0)
     for i in range(20):
-        open_edges, _ = full_draw(walker, weights, 0.0, 8, 3, i)
+        open_edges = full_draw(walker, weights, 8, 3, i)
         blocked = gen.random(walker.n_nodes) < 0.3
         after = walker.draw_edges(weights, 8, 3, i).random()
         assert after == rngmod.sample_stream(
@@ -341,21 +317,20 @@ def test_blocked_and_predrawn_walks_match_full_mask_walk(make, args):
 
 @WALK_GRAPHS
 def test_first_walk_of_a_fresh_walker_matches_full_mask_walk(make, args):
-    # a fresh box has no layer built: its first walk, with a field or
+    # a fresh box has no layer built: its first walk, with a size stop or
     # without, builds the rows it pops from nothing
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
     cases = [dict(stop_layer=stop) for stop in (None, 1, (top - 1) // 2 + 1,
-                                                top)] + [dict(h=0.02)]
+                                                top)]
+    cases += [dict(stop_size=size) for size in STOP_SIZES]
     for param in (0.25, 0.6):
         weights = open_probabilities(param)
         for i in range(4):
-            open_edges, ghost_open = full_draw(walker, weights, 0.02, 8, 3, i)
+            open_edges = full_draw(walker, weights, 8, 3, i)
             for case in cases:
                 fresh, _ = make(*args)
-                expected = full_mask_walk(
-                    walker, open_edges, ghost_open if "h" in case else None,
-                    stop_layer=case.get("stop_layer"))
+                expected = full_mask_walk(walker, open_edges, **case)
                 assert fresh.origin_cluster(weights, 8, 3, i,
                                             **case) == expected
 
@@ -366,34 +341,34 @@ def test_budgeted_walks_mark_the_walks_cluster_and_event(make, args,
                                                          walk_budget):
     # a walk that passes its budget hands the cluster over to the labeler:
     # the labeled cluster is the walk's whole cluster, with its largest
-    # layer and the same stop and ghost events, on a fresh box whose rows
+    # layer and the same stop and size events, on a fresh box whose rows
     # are built from nothing or on one a walk already built
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
     stops = (1, (top - 1) // 2 + 1, top)
-    h = 0.02
     for param in (0.25, 0.6):
         weights = open_probabilities(param)
         for i in range(12):
-            open_edges, ghost_open = full_draw(walker, weights, h, 8, 3, i)
-            members, max_layer, _ = full_mask_walk(walker, open_edges)
+            open_edges = full_draw(walker, weights, 8, 3, i)
+            members, max_layer = full_mask_walk(walker, open_edges)
             box, probabilities = ((walker, open_probabilities) if i >= 3
                                   else make(*args))
-            got, got_layer, hit = box.origin_cluster(
+            got, got_layer = box.origin_cluster(
                 probabilities(param), 8, 3, i, budget=walk_budget)
             assert (sorted(got.tolist() if isinstance(got, np.ndarray)
-                           else got), got_layer, hit) == (sorted(members),
-                                                          max_layer, False)
+                           else got), got_layer) == (sorted(members),
+                                                     max_layer)
             assert np.flatnonzero(box.seen).tolist() == sorted(members)
             for stop in stops:
-                _, got_layer, _ = box.origin_cluster(
+                _, got_layer = box.origin_cluster(
                     probabilities(param), 8, 3, i, stop_layer=stop,
                     budget=walk_budget)
                 assert got_layer >= stop if max_layer >= stop else (
                     got_layer == max_layer)
-            _, _, hit = box.origin_cluster(probabilities(param), 8, 3, i, h=h,
-                                           budget=walk_budget)
-            assert hit == full_mask_walk(walker, open_edges, ghost_open)[2]
+            for size in STOP_SIZES:
+                got, _ = box.origin_cluster(probabilities(param), 8, 3, i,
+                                            stop_size=size, budget=walk_budget)
+                assert (len(got) >= size) == (len(members) >= size)
 
 
 @pytest.mark.parametrize("walk_budget", [0, 1, 8, None],
@@ -446,12 +421,12 @@ def test_component_matches_full_mask_walk_on_adversarial_graphs(kind):
              np.zeros(walker.n_edges, dtype=bool), random_keep)
     for param in (1.0, 0.5):
         weights = np.full(walker.n_edges, param)
-        open_edges, _ = full_draw(walker, weights, 0.0, 8, 3, 0)
+        open_edges = full_draw(walker, weights, 8, 3, 0)
         walker.draw_edges(weights, 8, 3, 0)
         for keep in keeps:
             for root in (0, n // 2, n - 1):
-                members, _, _ = full_mask_walk(walker, open_edges & keep,
-                                               root=root)
+                members, _ = full_mask_walk(walker, open_edges & keep,
+                                            root=root)
                 expected = bytearray(n)
                 for m in members:
                     expected[m] = 1
@@ -492,15 +467,15 @@ def test_labels_give_every_node_the_smallest_node_of_its_cluster(kind):
              np.zeros(walker.n_edges, dtype=bool), random_keep)
     for param in (1.0, 0.5):
         weights = np.full(walker.n_edges, param)
-        open_edges, _ = full_draw(walker, weights, 0.0, 8, 3, 0)
+        open_edges = full_draw(walker, weights, 8, 3, 0)
         walker.draw_edges(weights, 8, 3, 0)
         for keep in keeps:
             label = walker.labels(keep)
             assert label.tolist() == smallest_node_labels(walker,
                                                           open_edges & keep)
             for root in (0, n // 2, n - 1):
-                members, _, _ = full_mask_walk(walker, open_edges & keep,
-                                               root=root)
+                members, _ = full_mask_walk(walker, open_edges & keep,
+                                            root=root)
                 assert label[root] == min(members)
                 assert (np.flatnonzero(label == label[root]).tolist()
                         == sorted(members))
@@ -596,7 +571,7 @@ def test_grown_box_is_the_whole_box(lattice, n, monkeypatch):
         assert (box._edge_b == layout.edge_b[:edges]).all()
         assert (box._edge_j == layout.edge_j[:edges]).all()
         assert len(box._open) == len(box._edge_u) == edges
-        assert len(box.seen) == len(box._ghost_open) == nodes
+        assert len(box.seen) == nodes
     assert radii == [r for r in (1, 2, 4, 8) if r < n] + [n + 1]
     ptr, nbr, eid = incidence_csr(len(layout.layer), layout.edge_a,
                                   layout.edge_b)
@@ -615,8 +590,8 @@ def test_lazy_box_walks_match_the_whole_box(lattice, n_box, first_draw,
                                             monkeypatch):
     # a box that grows as its walks reach gives every walk the result of a
     # box built whole; with one first layer and one first word, growth
-    # and draws interleave at every step.  A walk with a field grows the
-    # box too, keeping the ghost words it drew across each growth step.
+    # and draws interleave at every step.  A walk with a size stop grows
+    # the box too, breadth-first.
     monkeypatch.setattr(perc_mc, "_FIRST_DRAW", first_draw)
     monkeypatch.setattr(perc_mc, "_FIRST_LAYERS", 1)
     whole = PercBox(lattice, n_box)
@@ -642,8 +617,8 @@ def test_lazy_box_walks_match_the_whole_box(lattice, n_box, first_draw,
             # a walk builds layer 0's row before it draws a word; any
             # later step comes mid-walk
             radius = max(ghost._builder.radius, 1)
-            assert (ghost.origin_cluster(weights, 8, 3, i, h=0.1)
-                    == whole.origin_cluster(weights, 8, 3, i, h=0.1))
+            assert (ghost.origin_cluster(weights, 8, 3, i, stop_size=10)
+                    == whole.origin_cluster(weights, 8, 3, i, stop_size=10))
             grown_mid_walk |= radius < ghost._builder.radius
     assert grown_mid_walk
 
@@ -657,8 +632,8 @@ def test_open_probabilities_per_coupling():
     assert not box._layer
     # a walk given the weight as a plain float opens the same edges
     for i in range(20):
-        assert (box.origin_cluster(float(weight), 8, 3, i, h=0.05)
-                == box.origin_cluster(weight, 8, 3, i, h=0.05))
+        assert (box.origin_cluster(float(weight), 8, 3, i, stop_size=20)
+                == box.origin_cluster(weight, 8, 3, i, stop_size=20))
     two_j = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
                                 ((0, 1), 0.5), ((0, -1), 0.5)])
     box = PercBox(two_j, 3)
@@ -691,9 +666,9 @@ def test_small_clusters_build_few_layers():
 
 
 def test_ghost_run_with_small_clusters_builds_few_layers():
-    # at p = 0.25 the clusters on ball(96) stay near the origin, so a walk
-    # with a field, whose ghost words start at a fixed word, builds the
-    # rows of under 5 % of the box's 19,013 nodes
+    # at p = 0.25 the clusters on ball(96) stay near the origin, so a ghost
+    # walk, whose size stop K comes from a fixed word, builds the rows of
+    # under 5 % of the box's 19,013 nodes
     perc_mc._box.cache_clear()
     estimate_ghost_magnetization(P_LAT, 96, 0.25, 0.01, 800, 1)
     box = perc_mc._box(P_LAT, 96)
@@ -705,7 +680,8 @@ def test_fixed_seed_outputs_are_pinned():
     # recorded before the numpy box layout, the early-exit walk and the
     # prefix-lazy draws, none of which changed a draw; a change of the
     # draws themselves (another stream layout) must move these on purpose,
-    # as the ghost pins moved when the ghost words went to _GHOST_WORD
+    # as the ghost pins moved when the ghost words went to _GHOST_WORD, and
+    # again when one size stop K per sample replaced them (1246 and 351)
     exit_hits = {
         (P_LAT, 12, 0.5, 3000, 7): {2: 2605, 5: 2453, 12: 2253},
         (P_LAT, 10, 0.6, 2000, 8): {3: 1907, 10: 1902},
@@ -723,9 +699,9 @@ def test_fixed_seed_outputs_are_pinned():
                                          samples, seed)
         assert {r: e.mean for r, e in profile.items()} == means
     ghost = estimate_ghost_magnetization(P_LAT, 6, 0.45, 0.05, 2000, 61)
-    assert round(ghost.mean * 2000) == 1246
+    assert round(ghost.mean * 2000) == 1261
     ghost = estimate_ghost_magnetization(T_LAT, 4, 0.2, 0.1, 1000, 62)
-    assert round(ghost.mean * 1000) == 351
+    assert round(ghost.mean * 1000) == 340
 
 
 def test_ghost_magnetization_matches_exact_line():
@@ -753,15 +729,18 @@ def test_ghost_magnetization_monotone_in_field():
 def test_ghost_pin_where_walk_orders_diverge():
     # clusters at p_c on ball(24) reach far enough for the breadth-first
     # and depth-first walks to stop at different members; first recorded
-    # with the depth-first ghost walk, and again when the ghost words went
-    # to _GHOST_WORD
+    # with the depth-first ghost walk, again when the ghost words went to
+    # _GHOST_WORD (1488), and again for one size stop K per sample
     ghost = estimate_ghost_magnetization(P_LAT, 24, 0.5, 0.01, 2000, 5)
-    assert round(ghost.mean * 2000) == 1488
+    assert round(ghost.mean * 2000) == 1478
 
 
 def test_ghost_walk_draws_the_words_near_the_origin(monkeypatch):
     # the depth-first ghost walk drew 3,339,190 edge and ghost words in
-    # this run, 5,565 a sample, to read about 400
+    # this run, 5,565 a sample, to read about 400; the breadth-first walk
+    # with a ghost word per node drew 903,843 in 2,284 numpy calls, and the
+    # walk to K members draws 618,752 edge words, besides one K word a
+    # sample, in 1,307
     words = []
     draw = perc_mc.ClusterWalker._draw
 
@@ -772,9 +751,33 @@ def test_ghost_walk_draws_the_words_near_the_origin(monkeypatch):
 
     monkeypatch.setattr(perc_mc.ClusterWalker, "_draw", staticmethod(counted))
     ghost = estimate_ghost_magnetization(P_LAT, 96, 0.5, 0.01, 600, 5)
-    assert round(ghost.mean * 600) == 453
-    assert sum(words) <= 3_339_190 // 2
-    assert sum(words) <= 2_000 * 600
+    assert round(ghost.mean * 600) == 455
+    assert sum(words) <= 618_752
+    assert len(words) <= 1_307
+
+
+def test_stopped_ghost_walk_decides_like_the_whole_cluster():
+    # each sample's event |C| >= K, read from a walk stopped at its K-th
+    # member on a lazily grown or a whole box, is the event read from the
+    # whole cluster, labeled on every word of the sample
+    h, seed, stream = 0.01, 5, rngmod.STREAM_GHOST
+    lazy, whole = PercBox(P_LAT, 96), PercBox(P_LAT, 96)
+    whole._complete()
+    weights = lazy.open_probabilities(0.5)
+    hits = 0
+    for i in range(600):
+        u = rngmod.sample_stream(seed, stream, i,
+                                 start=perc_mc._GHOST_WORD).random()
+        size = math.floor(-math.log1p(-u) / h) + 1
+        whole.draw_edges(weights, seed, stream, i)
+        reached = whole.component(None) >= size
+        for box in (lazy, whole):
+            members, _ = box.origin_cluster(weights, seed, stream, i,
+                                            stop_size=size)
+            assert (len(members) >= size) == reached
+        hits += reached
+    assert hits == round(estimate_ghost_magnetization(
+        P_LAT, 96, 0.5, h, 600, seed).mean * 600)
 
 
 def test_ghost_magnetization_rejects_bad_field():
@@ -783,12 +786,12 @@ def test_ghost_magnetization_rejects_bad_field():
         with pytest.raises(ValueError, match="needs h > 0"):
             estimate_ghost_magnetization(P_LAT, 4, 0.5, h, samples=100,
                                          seed=1)
-
-
-def test_walk_rejects_a_nan_field():
-    box = PercBox(P_LAT, 2)
-    with pytest.raises(ValueError, match="h must be non-negative"):
-        box.origin_cluster(box.open_probabilities(0.5), 1, 1, 0, h=math.nan)
+    # the extreme fields the guard lets through stay defined: a subnormal
+    # field's K is capped, not overflowed, and an infinite one joins the
+    # origin itself to the ghost
+    for h, mean in ((5e-324, 0.0), (math.inf, 1.0)):
+        assert estimate_ghost_magnetization(P_LAT, 4, 0.5, h, samples=100,
+                                            seed=1).mean == mean
 
 
 @pytest.mark.parametrize("seed,stream", [(-1, 1), (2 ** 64, 1), (1, -1),
