@@ -311,7 +311,8 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
     the midpoint once three steps have not halved it, so it takes at most
     about four times the steps of bisection.  It stops at width ``tol``
     (which must be positive), when no float lies inside the bracket, or
-    after 200 steps.  Past the exact budget it raises ``CapExceeded``.
+    after 200 steps.  Past the exact budget it raises ``CapExceeded``, and
+    a tol so coarse that no evaluated parameter certifies ``ValueError``.
 
     The bracket stays in the parameter t, but the secant runs in log-log
     coordinates s = log w(t) and g = log(phi / (1 - epsilon)), where w is
@@ -367,6 +368,8 @@ def critical_root(model: str, lattice: LatticeSpec, region: Region,
             hi, g_hi, kept = t, g_t, "lo"
         slow = 0 if hi - lo <= 0.5 * width else slow + 1
         width = width if slow else hi - lo  # width when last halved
+    if lo == 0.0:
+        raise ValueError(f"tol={tol:g} is too coarse: no parameter certified")
     return lo
 
 

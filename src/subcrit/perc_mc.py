@@ -31,17 +31,16 @@ are drawn and the cluster is labeled in numpy.  Its first 100 clusters are
 walked whole, and their sizes set the budget of the rest
 (``ClusterWalker.walk_budget``): 122 members on ball(64) at p = 0.5, where
 72 % of the clusters pass it, and none at p = 0.25 and 0.45.  A ghost walk
-goes breadth-first, staying near the origin, whose edge words lead the
-drawn prefix (1,031 words a sample in that ghost run); every other walk
-goes depth-first.  Neither the walk nor labeling changes which edges are
-open, so no estimate depends on them.
+goes breadth-first on its own loop (``walk_to_size``), near the origin,
+whose edge words lead the drawn prefix (1,031 words a sample in that
+ghost run); every other walk goes depth-first.  Neither the walk nor
+labeling changes which edges are open, so no estimate depends on them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -98,10 +97,6 @@ class _OverBudget(Exception):
     """A walk found more members than its budget."""
 
 
-class _SizeReached(Exception):
-    """A walk holds its ``stop_size`` members."""
-
-
 class ClusterWalker:
     """Prefix-lazy cluster walks, and numpy labeling, on one graph.
 
@@ -120,9 +115,10 @@ class ClusterWalker:
     same words.  The words fix the open edges, so the cluster does not
     depend on which of the two marked it; only the cost does.
 
-    The walk indexes the layers and the adjacency as Python lists, each
+    The walks index the layers and the adjacency as Python lists, each
     row made once from numpy when it is added (``_add``); the edges stay
-    in numpy for ``labels`` and the public attributes.
+    in numpy for ``labels`` and the public attributes.  ``walk_to_size``
+    reads rows as (edge, neighbour) pairs built at first pop (README).
 
     A subclass may hold only a prefix of the rows (``PercBox``): a walk
     that pops a node whose row is not built calls ``_grow``, and every
@@ -148,6 +144,7 @@ class ClusterWalker:
         # nodes v < bisect_right(_need, drawn) have all their edges.
         self._edge_a = self._edge_b = np.zeros(0, dtype=np.int32)
         self._ptr, self._nbr, self._eid, self._layer = [0], [], [], []
+        self._rows: list[tuple | None] = []  # walk_to_size's pair rows
         self._layers = np.zeros(0, dtype=np.int32)  # _layer in numpy
         self._need: list[int] = []
         # the generator and draw buffers, reused by every walk (so one
@@ -180,6 +177,7 @@ class ClusterWalker:
         self._ptr += (ptr[1:] + len(self._nbr)).tolist()
         self._nbr += nbr.tolist()
         self._eid += eid.tolist()
+        self._rows += [None] * (rows - built)
 
         self._edge_u = np.empty(n_edges)
         self._open = self._open + bytes(n_edges - len(self._open))
@@ -203,7 +201,6 @@ class ClusterWalker:
 
     def origin_cluster(self, weights: np.ndarray, seed: int, stream: int,
                        index: int, stop_layer: int | None = None,
-                       stop_size: int | None = None,
                        budget: int | None = None
                        ) -> tuple[list[int] | np.ndarray, int]:
         """Walk over the open cluster of node 0, the origin, in one sample.
@@ -215,12 +212,10 @@ class ClusterWalker:
 
         Returns ``(members, max_layer)``; ``members`` lists node indices in
         discovery order, and ``self.seen`` marks them until the next walk.
-        The walk returns as soon as the event is decided: when it reaches a
-        node of layer ``stop_layer`` or beyond (``max_layer`` is then that
-        node's layer), or when it holds ``stop_size`` members, found
-        breadth-first near the origin, whose edges lead the words.
-        Otherwise it covers the whole cluster (depth-first without a
-        ``stop_size``) and ``max_layer`` is the cluster's largest layer.
+        The walk, depth-first, returns as soon as it reaches a node of
+        layer ``stop_layer`` or beyond (``max_layer`` is then that node's
+        layer); otherwise it covers the whole cluster and ``max_layer`` is
+        the cluster's largest layer.
 
         A walk that finds more than ``budget`` members stops, and the
         cluster is labeled (``component``) on every word of the sample, which
@@ -233,18 +228,50 @@ class ClusterWalker:
                                                     gen=self._edge_gen)
         if not self._need:
             self._grow(0)
-        if isinstance(weights, float):
-            # numpy compares a drawn prefix faster against a 0-d array
-            weights = np.array(weights)
         try:
-            return self._walk(0, stop_layer, None, budget, gen, weights,
-                              stop_size)
+            return self._walk(0, stop_layer, None, budget, gen, weights)
         except _OverBudget:
             pass
         self.draw_edges(weights, seed, stream, index)
         self.component(None)
         members = np.flatnonzero(np.frombuffer(self.seen, dtype=np.bool_))
         return members, int(self._layers[members].max())
+
+    def walk_to_size(self, weights: np.ndarray, seed: int, stream: int,
+                     index: int, size: int) -> list[int]:
+        """The first ``size`` members of the origin's open cluster in a
+        sample of :meth:`origin_cluster`, found breadth-first (near the
+        origin, whose edges lead the words), in discovery order; the whole
+        cluster if smaller.  ``self.seen`` marks every node it found."""
+        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
+                                                    gen=self._edge_gen)
+        if not self._need:
+            self._grow(0)
+        drawn = ready = 0  # edge words drawn; nodes v < ready have all theirs
+        ptr, nbr, eid, rows = self._ptr, self._nbr, self._eid, self._rows
+        need, is_open = self._need, self._open
+        self.seen = seen = bytearray(len(self._layer))
+        seen[0] = 1
+        members = [0]
+        for v in members:  # the member list is the queue
+            if len(members) >= size:
+                return members[:size]
+            if v >= ready:
+                if v >= len(need):
+                    self._grow(v)
+                    is_open, seen = self._open, self.seen
+                drawn = self._draw(gen, self._edge_u, self._open_mask,
+                                   weights, drawn, need[v])
+                ready = bisect_right(need, drawn)
+            row = rows[v]
+            if row is None:
+                row = rows[v] = tuple(zip(eid[ptr[v]:ptr[v + 1]],
+                                          nbr[ptr[v]:ptr[v + 1]]))
+            for e, w in row:
+                if is_open[e] and not seen[w]:
+                    seen[w] = 1
+                    members.append(w)
+        return members
 
     def drawn_cluster(self, root: int = 0, stop_layer: int | None = None,
                       blocked: bytearray | None = None,
@@ -267,8 +294,7 @@ class ClusterWalker:
 
     def _walk(self, root: int, stop_layer: int | None,
               blocked: bytearray | None, budget: int | None = None,
-              gen=None, weights=None, stop_size: int | None = None
-              ) -> tuple[list[int], int]:
+              gen=None, weights=None) -> tuple[list[int], int]:
         """The walk of :meth:`origin_cluster` from ``root``, drawing edge
         words from ``gen`` against ``weights``, or reading those
         ``draw_edges`` drew when ``gen`` is None.  A walk that finds more
@@ -285,51 +311,37 @@ class ClusterWalker:
         members = [root]
         max_layer = layer[root]
         stop = self._no_stop if stop_layer is None else stop_layer
-        if max_layer >= stop or (stop_size is not None and stop_size <= 1):
+        if max_layer >= stop:
             return members, max_layer
-        # a list pops faster than a deque; breadth-first needs its popleft
-        if stop_size is None:
-            todo = [root]
-            pop = todo.pop
-        else:
-            todo = deque([root])
-            pop = todo.popleft
-        push = todo.append
-        # the budget and the size stop are checked as members are pushed,
-        # so that a walk without them pays nothing for them
+        todo = [root]
+        pop, push = todo.pop, todo.append
+        # the budget is checked as members are pushed, so that a walk
+        # without one pays nothing for it
         if budget is not None:
             def push(w, append=push):
                 if len(members) > budget:
                     raise _OverBudget
                 append(w)
-        if stop_size is not None:
-            def push(w, append=push):
-                if len(members) >= stop_size:
-                    raise _SizeReached
-                append(w)
-        try:
-            while todo:
-                v = pop()
-                if v >= ready:
-                    if v >= len(need):
-                        self._grow(v)
-                        is_open, seen = self._open, self.seen
-                    drawn = self._draw(gen, self._edge_u, self._open_mask,
-                                       weights, drawn, need[v])
-                    ready = bisect_right(need, drawn)
-                for t in range(ptr[v], ptr[v + 1]):
-                    if is_open[eid[t]]:
-                        w = nbr[t]
-                        if not seen[w]:
-                            seen[w] = 1
-                            members.append(w)
-                            if layer[w] > max_layer:
-                                max_layer = layer[w]
-                            if max_layer >= stop:
-                                return members, max_layer
-                            push(w)
-        except _SizeReached:
-            pass
+        while todo:
+            v = pop()
+            if v >= ready:
+                if v >= len(need):
+                    self._grow(v)
+                    is_open, seen = self._open, self.seen
+                drawn = self._draw(gen, self._edge_u, self._open_mask,
+                                   weights, drawn, need[v])
+                ready = bisect_right(need, drawn)
+            for t in range(ptr[v], ptr[v + 1]):
+                if is_open[eid[t]]:
+                    w = nbr[t]
+                    if not seen[w]:
+                        seen[w] = 1
+                        members.append(w)
+                        if layer[w] > max_layer:
+                            max_layer = layer[w]
+                        if max_layer >= stop:
+                            return members, max_layer
+                        push(w)
         return members, max_layer
 
     # whether every row is built
@@ -435,7 +447,7 @@ class ClusterWalker:
         end = min(len(uniforms), max(needed, 2 * drawn, _FIRST_DRAW))
         part = uniforms[drawn:end]
         gen.random(out=part)
-        bound = weights if weights.ndim == 0 else weights[drawn:end]
+        bound = weights[drawn:end] if getattr(weights, "ndim", 0) else weights
         np.less(part, bound, out=mask[drawn:end])
         return end
 
@@ -583,9 +595,10 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
 def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
                                  h: float, samples: int, seed: int) -> MCEstimate:
     """P[origin connected to the ghost] with field h on box ball(n): P[|C|
-    >= K] for the origin's cluster C and K = floor(-log(1 - u) / h) + 1,
-    u word ``_GHOST_WORD`` of the sample's stream.  K is capped past any
-    box's node count, so a subnormal h cannot overflow it."""
+    >= K], C the origin's cluster, walked to K members by ``walk_to_size``;
+    K = floor(-log(1 - u) / h) + 1, u word ``_GHOST_WORD`` of the sample's
+    stream, capped past any box's node count (a subnormal h cannot
+    overflow it)."""
     if not h > 0.0:
         raise ValueError(f"ghost magnetization needs h > 0, got {h}")
     check_counts(samples=samples)
@@ -598,9 +611,8 @@ def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
                                    start=_GHOST_WORD, gen=gen)
         size = math.floor(min(-math.log1p(-gen.random()) / h,
                               latticemod.LAYOUT_VERTEX_CAP)) + 1
-        members, _ = box.origin_cluster(weights, seed, rngmod.STREAM_GHOST, i,
-                                        stop_size=size)
-        hits += len(members) >= size
+        hits += len(box.walk_to_size(weights, seed, rngmod.STREAM_GHOST, i,
+                                     size)) >= size
     mean = hits / samples
     return MCEstimate(f"ghost_m[n={n},h={h:g}]", mean,
                       binomial_stderr(mean, samples), samples, seed)

@@ -195,6 +195,17 @@ def test_roots_refuse_a_non_positive_tolerance(tol):
         best_bound("perc", P_LAT, 1, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [2.0, 0.6])
+def test_roots_refuse_a_tolerance_that_certifies_nothing(tol):
+    # a bracket closed before any evaluated parameter certified once
+    # returned its lower end, 0, as a root
+    for model, lattice in (("perc", P_LAT), ("ising", B_LAT)):
+        with pytest.raises(ValueError, match=f"tol={tol:g} is too coarse"):
+            critical_root(model, lattice, ball(lattice, 1), tol)
+        with pytest.raises(ValueError, match=f"tol={tol:g} is too coarse"):
+            best_bound(model, lattice, 1, tol=tol)
+
+
 def test_certificates_need_exact_regions():
     # square ball(8) sweeps a frontier of 17 vertices and triangular
     # ball(7) one of 16, past the 15 that the plan's state keys hold

@@ -251,6 +251,20 @@ def test_best_bound_refuses_a_zero_tolerance(tmp_path, capsys):
         "error: tol must be positive"]
 
 
+@pytest.mark.parametrize("model, tol", [("perc", "2"), ("ising", "0.6")])
+def test_best_bound_refuses_a_tolerance_that_certifies_nothing(tmp_path,
+                                                               capsys, model,
+                                                               tol):
+    # such a tolerance once wrote every root as 0 and exited 0
+    out = tmp_path / "out"
+    code = run_cli("best-bound", "--model", model, "--max-radius", "1",
+                   "--tol", tol, "--out", str(out))
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: tol={tol} is too coarse: no parameter certified"]
+    assert not out.exists()
+
+
 # --- simulate-perc ----------------------------------------------------------------
 
 @pytest.mark.parametrize("observable, field", [

@@ -200,8 +200,7 @@ def test_early_exit_walk_decides_like_full_walk(lattice):
                                           stop_layer=radii[-1] + 1)
             assert [early > r for r in radii] == [full > r for r in radii]
             for size in STOP_SIZES:
-                stopped, _ = box.origin_cluster(weights, 5, 1, i,
-                                                stop_size=size)
+                stopped = box.walk_to_size(weights, 5, 1, i, size)
                 assert (len(stopped) >= size) == (len(cluster) >= size)
 
 
@@ -267,9 +266,9 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
                         == full_mask_walk(walker, open_edges,
                                           stop_layer=stop))
             for size in STOP_SIZES:
-                assert (walker.origin_cluster(weights, 8, 3, i,
-                                              stop_size=size)
-                        == full_mask_walk(walker, open_edges, stop_size=size))
+                assert (walker.walk_to_size(weights, 8, 3, i, size)
+                        == full_mask_walk(walker, open_edges,
+                                          stop_size=size)[0])
             walker.draw_edges(weights, 8, 3, i)
             for root in (0, walker.n_nodes // 3, walker.n_nodes - 1):
                 for stop in stops:
@@ -317,22 +316,23 @@ def test_blocked_and_predrawn_walks_match_full_mask_walk(make, args):
 
 @WALK_GRAPHS
 def test_first_walk_of_a_fresh_walker_matches_full_mask_walk(make, args):
-    # a fresh box has no layer built: its first walk, with a size stop or
-    # without, builds the rows it pops from nothing
+    # a fresh box has no layer built: its first walk, depth-first or to a
+    # size, builds the rows it pops from nothing
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
-    cases = [dict(stop_layer=stop) for stop in (None, 1, (top - 1) // 2 + 1,
-                                                top)]
-    cases += [dict(stop_size=size) for size in STOP_SIZES]
     for param in (0.25, 0.6):
         weights = open_probabilities(param)
         for i in range(4):
             open_edges = full_draw(walker, weights, 8, 3, i)
-            for case in cases:
+            for stop in (None, 1, (top - 1) // 2 + 1, top):
                 fresh, _ = make(*args)
-                expected = full_mask_walk(walker, open_edges, **case)
+                expected = full_mask_walk(walker, open_edges, stop_layer=stop)
                 assert fresh.origin_cluster(weights, 8, 3, i,
-                                            **case) == expected
+                                            stop_layer=stop) == expected
+            for size in STOP_SIZES:
+                fresh, _ = make(*args)
+                expected, _ = full_mask_walk(walker, open_edges, stop_size=size)
+                assert fresh.walk_to_size(weights, 8, 3, i, size) == expected
 
 
 @pytest.mark.parametrize("walk_budget", [0, 1, 8])
@@ -341,8 +341,8 @@ def test_budgeted_walks_mark_the_walks_cluster_and_event(make, args,
                                                          walk_budget):
     # a walk that passes its budget hands the cluster over to the labeler:
     # the labeled cluster is the walk's whole cluster, with its largest
-    # layer and the same stop and size events, on a fresh box whose rows
-    # are built from nothing or on one a walk already built
+    # layer and the same stop events, on a fresh box whose rows are built
+    # from nothing or on one a walk already built
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
     stops = (1, (top - 1) // 2 + 1, top)
@@ -365,10 +365,6 @@ def test_budgeted_walks_mark_the_walks_cluster_and_event(make, args,
                     budget=walk_budget)
                 assert got_layer >= stop if max_layer >= stop else (
                     got_layer == max_layer)
-            for size in STOP_SIZES:
-                got, _ = box.origin_cluster(probabilities(param), 8, 3, i,
-                                            stop_size=size, budget=walk_budget)
-                assert (len(got) >= size) == (len(members) >= size)
 
 
 @pytest.mark.parametrize("walk_budget", [0, 1, 8, None],
@@ -617,8 +613,10 @@ def test_lazy_box_walks_match_the_whole_box(lattice, n_box, first_draw,
             # a walk builds layer 0's row before it draws a word; any
             # later step comes mid-walk
             radius = max(ghost._builder.radius, 1)
-            assert (ghost.origin_cluster(weights, 8, 3, i, stop_size=10)
-                    == whole.origin_cluster(weights, 8, 3, i, stop_size=10))
+            assert (ghost.walk_to_size(weights, 8, 3, i, 10)
+                    == whole.walk_to_size(weights, 8, 3, i, 10)
+                    == full_mask_walk(whole, full_draw(whole, weights, 8, 3, i),
+                                      stop_size=10)[0])
             grown_mid_walk |= radius < ghost._builder.radius
     assert grown_mid_walk
 
@@ -632,8 +630,10 @@ def test_open_probabilities_per_coupling():
     assert not box._layer
     # a walk given the weight as a plain float opens the same edges
     for i in range(20):
-        assert (box.origin_cluster(float(weight), 8, 3, i, stop_size=20)
-                == box.origin_cluster(weight, 8, 3, i, stop_size=20))
+        assert (box.walk_to_size(float(weight), 8, 3, i, 20)
+                == box.walk_to_size(weight, 8, 3, i, 20)
+                == full_mask_walk(box, full_draw(box, weight, 8, 3, i),
+                                  stop_size=20)[0])
     two_j = LatticeSpec.custom([((1, 0), 1.0), ((-1, 0), 1.0),
                                 ((0, 1), 0.5), ((0, -1), 0.5)])
     box = PercBox(two_j, 3)
@@ -649,6 +649,9 @@ def test_open_probabilities_per_coupling():
     chi = susceptibility_profile(two_j, 8, [2, 4, 8], 0.9, 1000, 41)
     assert {r: e.mean for r, e in chi.items()} == {2: 8.032, 4: 20.13,
                                                    8: 48.606}
+    # the ghost walk reads the same per-edge weights
+    ghost = estimate_ghost_magnetization(two_j, 8, 0.9, 0.05, 2000, 43)
+    assert round(ghost.mean * 2000) == 1510
 
 
 def test_small_clusters_build_few_layers():
@@ -752,8 +755,8 @@ def test_ghost_walk_draws_the_words_near_the_origin(monkeypatch):
     monkeypatch.setattr(perc_mc.ClusterWalker, "_draw", staticmethod(counted))
     ghost = estimate_ghost_magnetization(P_LAT, 96, 0.5, 0.01, 600, 5)
     assert round(ghost.mean * 600) == 455
-    assert sum(words) <= 618_752
-    assert len(words) <= 1_307
+    assert sum(words) == 618_752
+    assert len(words) == 1_307
 
 
 def test_stopped_ghost_walk_decides_like_the_whole_cluster():
@@ -772,8 +775,7 @@ def test_stopped_ghost_walk_decides_like_the_whole_cluster():
         whole.draw_edges(weights, seed, stream, i)
         reached = whole.component(None) >= size
         for box in (lazy, whole):
-            members, _ = box.origin_cluster(weights, seed, stream, i,
-                                            stop_size=size)
+            members = box.walk_to_size(weights, seed, stream, i, size)
             assert (len(members) >= size) == reached
         hits += reached
     assert hits == round(estimate_ghost_magnetization(
