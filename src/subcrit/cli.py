@@ -38,8 +38,7 @@ from .errors import ConfigError, SubcritError
 from .ising_mc import (check_critical_divergence, estimate_magnetization,
                        estimate_two_point)
 from .lattice import LatticeSpec, Region, ball
-from .perc_mc import (estimate_ghost_magnetization, exit_profile,
-                      susceptibility_profile)
+from .perc_mc import exit_profile, ghost_profile, susceptibility_profile
 from .verify import CHECK_NAMES, default_reports
 
 EXIT_OK = 0
@@ -440,20 +439,17 @@ def _cmd_simulate_perc(cfg: RunConfig) -> tuple[int, list[str]]:
     if observable != "ghost" and h != 0.0:
         raise ConfigError("options.h", f"{observable} is measured at zero field")
     sizes = _resolve_sizes(opts)
-    rows = []
     if observable in ("exit", "susceptibility"):
         profile = exit_profile if observable == "exit" else susceptibility_profile
         estimates = profile(lattice, max(sizes), sizes, param, samples, seed)
         rows = [_measurement_row(observable, n, param, 0.0, estimates[n])
                 for n in sizes]
-    else:  # ghost
+    else:  # ghost: one box per size
         if h <= 0.0:
             raise ConfigError("options.h",
                               "ghost magnetization needs a positive field")
-        for n in sizes:
-            est = estimate_ghost_magnetization(lattice, n, param, h,
-                                               samples, seed)
-            rows.append(_measurement_row("ghost", n, param, h, est))
+        rows = [_measurement_row("ghost", n, param, h, ghost_profile(
+            lattice, n, param, [h], samples, seed)[h]) for n in sizes]
     csv_path = _artifact(opts, ".csv")
     _write_csv(csv_path, MEASUREMENT_COLUMNS, rows)
     print(f"wrote {len(rows)} row(s) to {csv_path}")

@@ -23,18 +23,19 @@ walks of 800 susceptibility samples at p = 0.25 build the rows of the first
 h = 0.01 build 8,065.  An exit walk that reaches the shell, a lattice with
 several couplings and a Wolff system build the whole box, each layer once.
 
-Estimators walk the open cluster of the origin and stop once the event is
-decided: exit profiles at the first site beyond the largest radius, the
-ghost estimate at the K-th member.  The susceptibility walks whole
-clusters, up to a member budget: past it, the rest of the sample's words
-are drawn and the cluster is labeled in numpy.  Its first 100 clusters are
-walked whole, and their sizes set the budget of the rest
+Every estimator is a profile, one pass over shared samples deciding each
+of its radii or fields.  Its walks stop once every event is decided: exit
+walks at the first site beyond the largest radius, ghost walks at the K-th
+member for the smallest field, whose K is largest.  Susceptibility walks
+whole clusters, up to a member budget: past it, the rest of the sample's
+words are drawn and the cluster is labeled in numpy.  Its first 100
+clusters are walked whole, and their sizes set the budget of the rest
 (``ClusterWalker.walk_budget``): 122 members on ball(64) at p = 0.5, where
 72 % of the clusters pass it, and none at p = 0.25 and 0.45.  A ghost walk
 goes breadth-first on its own loop (``walk_to_size``), near the origin,
-whose edge words lead the drawn prefix (1,031 words a sample in that
-ghost run); every other walk goes depth-first.  Neither the walk nor
-labeling changes which edges are open, so no estimate depends on them.
+whose edge words lead the drawn prefix (1,031 words a sample in that ghost
+run); every other walk goes depth-first.  Neither the walk nor labeling
+changes which edges are open, so no estimate depends on them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from . import lattice as latticemod
 from . import rng as rngmod
 from .errors import DegenerateFit
 from .lattice import BallBuilder, LatticeSpec, edge_weight, incidence_csr
-from .stats import (MCEstimate, batch_means_stderr, binomial_stderr,
+from .stats import (MCEstimate, batch_means_stderr, binomial_estimate,
                     check_counts, check_non_negative)
 
 # smallest prefix a walk draws: below about this many words, the cost of a
@@ -514,8 +515,8 @@ class PercBox(ClusterWalker):
 
 @lru_cache(maxsize=1)
 def _box(lattice: LatticeSpec, n: int) -> PercBox:
-    """The box every profile of ``n`` on ``lattice`` samples: the last one
-    is kept, so a profile builds its box once."""
+    """The box every profile of ``n`` on ``lattice`` samples, for all its
+    radii or fields: the last one is kept, so a profile builds it once."""
     return PercBox(lattice, n)
 
 
@@ -543,12 +544,8 @@ def exit_profile(lattice: LatticeSpec, n_box: int, radii: Sequence[int],
         for r in radii:
             if max_layer > r:
                 hits[r] += 1
-    out = {}
-    for r in radii:
-        mean = hits[r] / samples
-        out[r] = MCEstimate(f"exit[n={r}]", mean, binomial_stderr(mean, samples),
-                            samples, seed)
-    return out
+    return {r: binomial_estimate(f"exit[n={r}]", hits[r], samples, seed)
+            for r in radii}
 
 
 def susceptibility_profile(lattice: LatticeSpec, n_box: int,
@@ -584,38 +581,42 @@ def susceptibility_profile(lattice: LatticeSpec, n_box: int,
         member_layers = box._layers[members]  # built for every member
         for r in radii:
             counts[r].append(int(np.count_nonzero(member_layers <= r)))
-    out = {}
-    for r in radii:
-        vals = counts[r]
-        out[r] = MCEstimate(f"susceptibility[n={r}]", math.fsum(vals) / samples,
-                            batch_means_stderr(vals), samples, seed)
-    return out
+    return {r: MCEstimate(f"susceptibility[n={r}]",
+                          math.fsum(counts[r]) / samples,
+                          batch_means_stderr(counts[r]), samples, seed)
+            for r in radii}
 
 
-def estimate_ghost_magnetization(lattice: LatticeSpec, n: int, param: float,
-                                 h: float, samples: int, seed: int) -> MCEstimate:
-    """P[origin connected to the ghost] with field h on box ball(n): P[|C|
-    >= K], C the origin's cluster, walked to K members by ``walk_to_size``;
-    K = floor(-log(1 - u) / h) + 1, u word ``_GHOST_WORD`` of the sample's
-    stream, capped past any box's node count (a subnormal h cannot
-    overflow it)."""
-    if not h > 0.0:
-        raise ValueError(f"ghost magnetization needs h > 0, got {h}")
-    check_counts(samples=samples)
+def ghost_profile(lattice: LatticeSpec, n: int, param: float,
+                  fields: Sequence[float], samples: int,
+                  seed: int) -> dict[float, MCEstimate]:
+    """P[origin connected to the ghost] on box ball(n) for every distinct
+    field h, shared samples: P[|C| >= K_h], C the origin's cluster;
+    K_h = floor(-log(1 - u) / h) + 1, u word ``_GHOST_WORD`` of the sample's
+    stream, capped past any box's node count (a subnormal h cannot overflow
+    it).  One ``walk_to_size`` to the largest K_h, the smallest field's,
+    decides every field."""
+    fields = sorted(set(fields))
+    check_counts(samples=samples, fields=len(fields))
+    for h in fields:
+        if not h > 0.0:
+            raise ValueError(f"ghost magnetization needs h > 0, got {h}")
     box = _box(lattice, n)
     weights = box.open_probabilities(param)
-    hits = 0
+    hits = [0] * len(fields)
     gen = None
     for i in range(samples):
         gen = rngmod.sample_stream(seed, rngmod.STREAM_GHOST, i,
                                    start=_GHOST_WORD, gen=gen)
-        size = math.floor(min(-math.log1p(-gen.random()) / h,
-                              latticemod.LAYOUT_VERTEX_CAP)) + 1
-        hits += len(box.walk_to_size(weights, seed, rngmod.STREAM_GHOST, i,
-                                     size)) >= size
-    mean = hits / samples
-    return MCEstimate(f"ghost_m[n={n},h={h:g}]", mean,
-                      binomial_stderr(mean, samples), samples, seed)
+        t = -math.log1p(-gen.random())
+        sizes = [math.floor(min(t / h, latticemod.LAYOUT_VERTEX_CAP)) + 1
+                 for h in fields]
+        found = len(box.walk_to_size(weights, seed, rngmod.STREAM_GHOST, i,
+                                     sizes[0]))
+        for k, size in enumerate(sizes):
+            hits[k] += found >= size
+    return {h: binomial_estimate(f"ghost_m[n={n},h={h:g}]", hit, samples,
+                                 seed) for h, hit in zip(fields, hits)}
 
 
 class DecayFit(NamedTuple):

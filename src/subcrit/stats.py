@@ -28,7 +28,7 @@ class MCEstimate:
 
 def check_counts(**counts: int) -> None:
     """The one refusal of an empty Monte Carlo run: a one-line ValueError
-    unless every count (samples, sweeps, radii) is at least 1."""
+    unless every count (samples, sweeps, radii, fields) is at least 1."""
     for name, n in counts.items():
         if n < 1:
             raise ValueError(f"{name}: need at least 1, got {n}")
@@ -40,10 +40,12 @@ def check_non_negative(name: str, values) -> None:
         raise ValueError(f"{name} must be non-negative, got {min(values)}")
 
 
-def binomial_stderr(p_hat: float, n: int) -> float:
-    if n <= 0:
-        raise ValueError("need at least one sample")
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+def binomial_estimate(observable: str, hits: int, samples: int,
+                      seed: int) -> MCEstimate:
+    """The frequency of an event seen in ``hits`` of ``samples``."""
+    mean = hits / samples
+    return MCEstimate(observable, mean,
+                      math.sqrt(mean * (1.0 - mean) / samples), samples, seed)
 
 
 def batch_means_stderr(values) -> float:

@@ -14,9 +14,8 @@ from subcrit.ising_mc import (SpinSystem, check_critical_divergence,
                               estimate_magnetization, estimate_two_point)
 from subcrit.lattice import (BallBuilder, LatticeSpec, Region, ball,
                              incidence_csr)
-from subcrit.perc_mc import (ClusterWalker, PercBox,
-                             estimate_ghost_magnetization,
-                             exit_profile, fit_decay_rate,
+from subcrit.perc_mc import (ClusterWalker, PercBox, exit_profile,
+                             fit_decay_rate, ghost_profile,
                              susceptibility_profile)
 from subcrit.stats import MCEstimate
 
@@ -83,6 +82,8 @@ def test_profiles_count_a_repeated_radius_once():
         P_LAT, 4, [4], 0.5, 10, 1)
     assert susceptibility_profile(P_LAT, 4, [2, 2, 4], 0.5, 10, 1) == (
         susceptibility_profile(P_LAT, 4, [2, 4], 0.5, 10, 1))
+    assert ghost_profile(P_LAT, 4, 0.5, [0.1, 0.05, 0.1], 10, 1) == (
+        ghost_profile(P_LAT, 4, 0.5, [0.05, 0.1], 10, 1))
 
 
 def full_draw(box, weights, seed, stream, index):
@@ -371,13 +372,13 @@ def test_budgeted_walks_mark_the_walks_cluster_and_event(make, args,
                          ids=["label", "one", "eight", "walk"])
 def test_estimates_do_not_depend_on_the_walk_budget(walk_budget,
                                                     monkeypatch):
-    # every walk of every estimator, taking budget 0 (label every
-    # cluster), 1, 8 or none (walk every cluster), gives the estimates
-    # the estimators give with their own budgets
+    # every origin_cluster walk of every estimator, taking budget 0 (label
+    # every cluster), 1, 8 or none (walk every cluster), gives the
+    # estimates the estimators give with their own budgets (ghost walks
+    # take no budget: test_stopped_ghost_walk_decides_like_the_whole_cluster)
     def estimates():
         return (exit_profile(P_LAT, 16, [1, 4, 8, 16], 0.5, 300, 3),
-                susceptibility_profile(P_LAT, 16, [2, 8, 16], 0.5, 300, 3),
-                estimate_ghost_magnetization(P_LAT, 16, 0.5, 0.05, 300, 3))
+                susceptibility_profile(P_LAT, 16, [2, 8, 16], 0.5, 300, 3))
 
     expected = estimates()
     origin_cluster = ClusterWalker.origin_cluster
@@ -480,7 +481,7 @@ def test_labels_give_every_node_the_smallest_node_of_its_cluster(kind):
 @pytest.mark.parametrize("profile", [
     lambda: exit_profile(P_LAT, 8, [1, 2, 8], 0.45, 50, 1),
     lambda: susceptibility_profile(P_LAT, 8, [2, 8], 0.45, 50, 1),
-    lambda: estimate_ghost_magnetization(P_LAT, 8, 0.45, 0.1, 50, 1)],
+    lambda: ghost_profile(P_LAT, 8, 0.45, [0.1, 0.02, 0.5], 50, 1)],
     ids=["exit", "susceptibility", "ghost"])
 def test_one_kept_box_serves_a_whole_profile(profile):
     # the last box is kept, and a profile samples one box: built once
@@ -650,7 +651,7 @@ def test_open_probabilities_per_coupling():
     assert {r: e.mean for r, e in chi.items()} == {2: 8.032, 4: 20.13,
                                                    8: 48.606}
     # the ghost walk reads the same per-edge weights
-    ghost = estimate_ghost_magnetization(two_j, 8, 0.9, 0.05, 2000, 43)
+    ghost = ghost_profile(two_j, 8, 0.9, [0.05], 2000, 43)[0.05]
     assert round(ghost.mean * 2000) == 1510
 
 
@@ -673,7 +674,7 @@ def test_ghost_run_with_small_clusters_builds_few_layers():
     # walk, whose size stop K comes from a fixed word, builds the rows of
     # under 5 % of the box's 19,013 nodes
     perc_mc._box.cache_clear()
-    estimate_ghost_magnetization(P_LAT, 96, 0.25, 0.01, 800, 1)
+    ghost_profile(P_LAT, 96, 0.25, [0.01], 800, 1)
     box = perc_mc._box(P_LAT, 96)
     assert len(box._need) < 0.05 * 19_013
     assert not box._builder.done
@@ -701,9 +702,9 @@ def test_fixed_seed_outputs_are_pinned():
         profile = susceptibility_profile(lattice, n_box, list(means), param,
                                          samples, seed)
         assert {r: e.mean for r, e in profile.items()} == means
-    ghost = estimate_ghost_magnetization(P_LAT, 6, 0.45, 0.05, 2000, 61)
+    ghost = ghost_profile(P_LAT, 6, 0.45, [0.05], 2000, 61)[0.05]
     assert round(ghost.mean * 2000) == 1261
-    ghost = estimate_ghost_magnetization(T_LAT, 4, 0.2, 0.1, 1000, 62)
+    ghost = ghost_profile(T_LAT, 4, 0.2, [0.1], 1000, 62)[0.1]
     assert round(ghost.mean * 1000) == 340
 
 
@@ -717,14 +718,14 @@ def test_ghost_magnetization_matches_exact_line():
     edges = [(0, 1, p), (0, 2, p), (1, 3, p), (2, 4, p)]
     edges += [(i, 5, wh) for i in range(5)]
     truth = naive_event_prob(6, edges, 0, [5])[5]
-    est = estimate_ghost_magnetization(line, 1, p, h, samples=60_000, seed=51)
+    est = ghost_profile(line, 1, p, [h], samples=60_000, seed=51)[h]
     assert_within_sigmas(est, truth)
 
 
 def test_ghost_magnetization_monotone_in_field():
-    means = [estimate_ghost_magnetization(P_LAT, 4, 0.5, h, samples=20_000,
-                                          seed=61).mean
-             for h in (0.01, 0.1, 1.0)]
+    profile = ghost_profile(P_LAT, 4, 0.5, [1.0, 0.1, 0.01], samples=20_000,
+                            seed=61)
+    means = [est.mean for est in profile.values()]  # in increasing field
     assert means[0] < means[1] < means[2]
     assert means[2] > 0.9
 
@@ -734,8 +735,27 @@ def test_ghost_pin_where_walk_orders_diverge():
     # and depth-first walks to stop at different members; first recorded
     # with the depth-first ghost walk, again when the ghost words went to
     # _GHOST_WORD (1488), and again for one size stop K per sample
-    ghost = estimate_ghost_magnetization(P_LAT, 24, 0.5, 0.01, 2000, 5)
+    ghost = ghost_profile(P_LAT, 24, 0.5, [0.01], 2000, 5)[0.01]
     assert round(ghost.mean * 2000) == 1478
+
+
+def test_one_ghost_walk_a_sample_decides_every_field(monkeypatch):
+    # a sample's edge words, its K word and the breadth-first member order
+    # do not depend on h, so the walk to the smallest field's K, the
+    # largest, decides every field as five separate profiles do
+    fields = [0.002, 0.01, 0.05, 0.2, 1.0]
+    alone = {h: ghost_profile(P_LAT, 24, 0.5, [h], 2000, 5)[h]
+             for h in fields}
+    calls = []
+    walk = ClusterWalker.walk_to_size
+
+    def counted(self, *args):
+        calls.append(args[3])  # the sample index
+        return walk(self, *args)
+
+    monkeypatch.setattr(ClusterWalker, "walk_to_size", counted)
+    assert ghost_profile(P_LAT, 24, 0.5, fields, 2000, 5) == alone
+    assert calls == list(range(2000))
 
 
 def test_ghost_walk_draws_the_words_near_the_origin(monkeypatch):
@@ -753,7 +773,7 @@ def test_ghost_walk_draws_the_words_near_the_origin(monkeypatch):
         return end
 
     monkeypatch.setattr(perc_mc.ClusterWalker, "_draw", staticmethod(counted))
-    ghost = estimate_ghost_magnetization(P_LAT, 96, 0.5, 0.01, 600, 5)
+    ghost = ghost_profile(P_LAT, 96, 0.5, [0.01], 600, 5)[0.01]
     assert round(ghost.mean * 600) == 455
     assert sum(words) == 618_752
     assert len(words) == 1_307
@@ -778,22 +798,23 @@ def test_stopped_ghost_walk_decides_like_the_whole_cluster():
             members = box.walk_to_size(weights, seed, stream, i, size)
             assert (len(members) >= size) == reached
         hits += reached
-    assert hits == round(estimate_ghost_magnetization(
-        P_LAT, 96, 0.5, h, 600, seed).mean * 600)
+    assert hits == round(ghost_profile(
+        P_LAT, 96, 0.5, [h], 600, seed)[h].mean * 600)
 
 
 def test_ghost_magnetization_rejects_bad_field():
-    # a NaN field once passed the guard and estimated 0 with stderr 0
+    # a NaN field once passed the guard and estimated 0 with stderr 0; one
+    # bad field among good ones refuses the whole profile
     for h in (-0.1, 0.0, math.nan):
         with pytest.raises(ValueError, match="needs h > 0"):
-            estimate_ghost_magnetization(P_LAT, 4, 0.5, h, samples=100,
-                                         seed=1)
+            ghost_profile(P_LAT, 4, 0.5, [0.1, h], samples=100, seed=1)
     # the extreme fields the guard lets through stay defined: a subnormal
     # field's K is capped, not overflowed, and an infinite one joins the
     # origin itself to the ghost
-    for h, mean in ((5e-324, 0.0), (math.inf, 1.0)):
-        assert estimate_ghost_magnetization(P_LAT, 4, 0.5, h, samples=100,
-                                            seed=1).mean == mean
+    profile = ghost_profile(P_LAT, 4, 0.5, [5e-324, math.inf], samples=100,
+                            seed=1)
+    assert {h: est.mean for h, est in profile.items()} == {5e-324: 0.0,
+                                                           math.inf: 1.0}
 
 
 @pytest.mark.parametrize("seed,stream", [(-1, 1), (2 ** 64, 1), (1, -1),
@@ -827,8 +848,8 @@ def test_fit_decay_rate_degenerate_inputs():
     ("radii", lambda: exit_profile(P_LAT, 4, [], 0.3, 10, 1)),
     ("samples", lambda: susceptibility_profile(P_LAT, 4, [2], 0.3, 0, 1)),
     ("radii", lambda: susceptibility_profile(P_LAT, 4, [], 0.3, 10, 1)),
-    ("samples",
-     lambda: estimate_ghost_magnetization(P_LAT, 4, 0.3, 0.1, 0, 1)),
+    ("samples", lambda: ghost_profile(P_LAT, 4, 0.3, [0.1], 0, 1)),
+    ("fields", lambda: ghost_profile(P_LAT, 4, 0.3, [], 10, 1)),
     ("sweeps", lambda: estimate_magnetization(B_LAT, 4, 0.3, "free", 0, 1)),
     ("sweeps", lambda: estimate_two_point(B_LAT, 4, 0.3, [1], 0, 1)),
     ("sweeps", lambda: check_critical_divergence(B_LAT, 0.3, [2, 4], 0, 1)),
@@ -836,7 +857,7 @@ def test_fit_decay_rate_degenerate_inputs():
     ("samples", lambda: compute_phi("perc", P_LAT, ball(P_LAT, 8), 0.3,
                                     samples=0)),
 ], ids=["exit-samples", "exit-radii", "chi-samples", "chi-radii", "ghost",
-        "magnetization", "two-point", "divergence", "phi"])
+        "ghost-fields", "magnetization", "two-point", "divergence", "phi"])
 def test_empty_monte_carlo_runs_are_refused(what, call):
     # an empty run has no mean: one line of ValueError, raised by the one
     # shared check, not a ZeroDivisionError (or an IndexError for no radii)
