@@ -29,7 +29,6 @@ from .errors import (
     DegenerateFit,
     NoPath,
     NoRoot,
-    StateSpaceTooLarge,
     SubcritError,
 )
 from .lattice import LatticeSpec, Region, ball, edge_weight, translate_region
@@ -47,7 +46,6 @@ __all__ = [
     "PhiResult",
     "Refusal",
     "Region",
-    "StateSpaceTooLarge",
     "SubcritError",
     "ball",
     "best_bound",

@@ -212,8 +212,7 @@ def _phi_percolation_mc(region: Region, param: float, samples: int,
     values = []
     for s in range(samples):
         members, _ = walker.origin_cluster(weights, seed, rngmod.STREAM_PHI, s)
-        # a plain sum in discovery order: the fixed-seed values depend on it
-        values.append(sum(coeff[m] for m in members))
+        values.append(math.fsum(coeff[m] for m in members))
     mean = math.fsum(values) / samples
     upper = mean + total_w * math.sqrt(math.log(1000.0) / (2.0 * samples))
     return PhiResult(value=mean, method="monte_carlo", upper_confidence=upper,

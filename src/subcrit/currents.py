@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NoPath, StateSpaceTooLarge
+from .errors import CapExceeded, NoPath
 
 # admits 3^13 class vectors: a switching_check over them took about 1.4 s
 # on a 2-core x86 host, 3^14 about 5 s
@@ -182,7 +182,7 @@ def _check_state_space(graph: CurrentGraph, radix: int, n_pairs: int) -> None:
                           MAX_VERTICES)
     states = radix ** n_pairs
     if states > STATE_GUARD:
-        raise StateSpaceTooLarge(states, STATE_GUARD)
+        raise CapExceeded("current-lab class vectors", states, STATE_GUARD)
 
 
 def _class_vectors(masks: np.ndarray, sources: int) -> Iterator[np.ndarray]:

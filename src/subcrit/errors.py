@@ -38,15 +38,6 @@ class NoPath(SubcritError):
     """A backbone was requested for a current with no path between its sources."""
 
 
-class StateSpaceTooLarge(SubcritError):
-    """A current-lab enumeration would exceed the state-space guard."""
-
-    def __init__(self, states: int, guard: int):
-        self.states = states
-        self.guard = guard
-        super().__init__(f"enumeration of {states} states exceeds guard {guard}")
-
-
 class ConfigError(SubcritError):
     """A run configuration failed validation.
 

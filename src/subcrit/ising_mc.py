@@ -29,14 +29,14 @@ Wolff updates need n / <|C|> walks per sweep.  On the free ball(16) at
 beta_c, 100 sweeps took about 690 walked updates and 55 ms, against 13 ms
 for 100 Swendsen-Wang updates (2-vCPU shared host).
 
-A walk of a whole cluster (every update, and the two-point and divergence
-measurements) goes depth-first, with the nodes whose spin differs from the
-root's (the ghost counts as +1) marked seen before it starts, so it never
-crosses a bond between unaligned ends, until it finds more members than
-the chain's budget; the cluster is then labeled in numpy instead
-(``ClusterWalker.component``, keeping the open bonds whose ends are
-aligned).  The burn-in sets the budget from the clusters of its last
-Swendsen-Wang updates (``ClusterWalker.walk_budget``): the one that
+A walk marks the nodes whose spin differs from the root's (the ghost
+counts as +1) seen before it starts, so it never crosses a bond between
+unaligned ends.  A walk of a whole cluster (every update, and the
+two-point and divergence measurements) goes breadth-first until it finds
+more members than the chain's budget; the cluster is then labeled in
+numpy instead (``ClusterWalker.component``, keeping the open bonds whose
+ends are aligned).  The burn-in sets the budget from the clusters of its
+last Swendsen-Wang updates (``ClusterWalker.walk_budget``): the one that
 minimizes the mean cost of walking the cluster a uniformly chosen node
 sees, at about 0.7 us per member, and labeling those that pass it, at
 about 10 us plus 0.025 us per bond.  That labels every cluster past 2
@@ -44,8 +44,8 @@ members on the plus ball(24) at 1.1 beta_c, whose clusters hold most of
 the box, past 5 to 11 on the free ball(16) at beta_c, and none on ball(2)
 at beta = 0.3, which has no budget.  A chain never burned in has none
 either.  Walks that stop at a layer (the magnetization's, at the ghost)
-always walk.  The words fix the open bonds, so both mark the same cluster
-and the chain does not depend on which one ran.
+go depth-first and always walk.  The words fix the open bonds, so both
+mark the same cluster and the chain does not depend on which one ran.
 
 Measurements use the Edwards-Sokal coupling where it buys variance: walking
 a (non-flipping) cluster from the origin with the same activation rule, on
@@ -217,9 +217,9 @@ class WolffChain:
         if budget != 0:
             spin_bytes = self._spin_bytes
             blocked = spin_bytes.translate(_BLOCK_OTHER_SIGN[spin_bytes[root]])
-            found = walker.drawn_cluster(root, stop_layer, blocked, budget)
-            if found is not None:
-                return len(found[0]), found[0]
+            members = walker.walk(root, stop_layer, blocked, budget)
+            if members is not None:
+                return len(members), members
         ext = self._ext
         return walker.component(ext[sysm.bond_a] == ext[sysm.bond_b],
                                 root), None

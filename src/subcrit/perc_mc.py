@@ -25,22 +25,23 @@ several couplings and a Wolff system build the whole box, each layer once.
 
 Every estimator is a profile, one pass over shared samples deciding each
 of its radii or fields.  Its walks stop once every event is decided: exit
-walks at the first site beyond the largest radius, ghost walks at the K-th
-member for the smallest field, whose K is largest.  Susceptibility walks
-whole clusters, up to a member budget: past it, the rest of the sample's
-words are drawn and the cluster is labeled in numpy.  Its first 100
-clusters are walked whole, and their sizes set the budget of the rest
-(``ClusterWalker.walk_budget``): 122 members on ball(64) at p = 0.5, where
-72 % of the clusters pass it, and none at p = 0.25 and 0.45.  A ghost walk
-goes breadth-first on its own loop (``walk_to_size``), near the origin,
-whose edge words lead the drawn prefix (1,031 words a sample in that ghost
-run); every other walk goes depth-first.  Neither the walk nor labeling
-changes which edges are open, so no estimate depends on them.
+walks, depth-first, at the first site beyond the largest radius; ghost
+walks, breadth-first, at the K-th member for the smallest field, whose K
+is largest.  Susceptibility walks whole clusters breadth-first, up to a
+member budget: past it, the rest of the sample's words are drawn and the
+cluster is labeled in numpy.  Its first 100 clusters are walked whole, and
+their sizes set the budget of the rest (``ClusterWalker.walk_budget``):
+122 members on ball(64) at p = 0.5, where 72 % of the clusters pass it,
+and none at p = 0.25 and 0.45.  A breadth-first walk stays near the
+origin, whose edge words lead the drawn prefix (1,031 words a sample in
+that ghost run).  Neither the walk nor labeling changes which edges are
+open, so no estimate depends on them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -94,10 +95,6 @@ _DRAW_US_PER_EDGE = 0.006
 _BUDGET_SAMPLES = 100
 
 
-class _OverBudget(Exception):
-    """A walk found more members than its budget."""
-
-
 class ClusterWalker:
     """Prefix-lazy cluster walks, and numpy labeling, on one graph.
 
@@ -106,20 +103,24 @@ class ClusterWalker:
     Edge e is open in a sample when word e of the sample's stream is below
     its weight.  Percolation boxes, Wolff updates, Edwards-Sokal
     measurements and the Monte Carlo phi all grow their clusters with this
-    class: ``origin_cluster`` draws the words a walk reads as it goes, and
-    a Wolff walk draws them all with ``draw_edges``, then walks them
-    (``drawn_cluster``) or labels them in numpy with ``component``, and a
-    Swendsen-Wang update labels every cluster of them with ``labels``.
+    class: ``origin_cluster`` and ``walk_to_size`` draw the words a walk
+    reads as it goes, and a Wolff walk draws them all with ``draw_edges``,
+    then walks them (``walk``) or labels them in numpy with ``component``,
+    and a Swendsen-Wang update labels every cluster of them with
+    ``labels``.
 
-    A walk may take a member budget: a walk that finds more members than
-    its budget stops, and its caller labels the cluster instead, on the
+    Each walk has one stop rule, run by one of two loops.  A walk to a
+    ``stop_layer`` (exit walks, and the Wolff magnetization's walk to the
+    ghost) goes depth-first over Python lists of the rows, made when they
+    are added (``_add``), and stops at its first member of that layer or
+    beyond.  Every other walk goes breadth-first over (edge, neighbour)
+    rows built at first pop (README), and stops once it holds a member
+    count: a ghost walk's K, or B + 1 for a whole-cluster walk with a
+    member budget B, whose caller then labels the cluster instead, on the
     same words.  The words fix the open edges, so the cluster does not
-    depend on which of the two marked it; only the cost does.
-
-    The walks index the layers and the adjacency as Python lists, each
-    row made once from numpy when it is added (``_add``); the edges stay
-    in numpy for ``labels`` and the public attributes.  ``walk_to_size``
-    reads rows as (edge, neighbour) pairs built at first pop (README).
+    depend on which loop or the labeler marked it; only the cost and the
+    member order do.  The edges stay in numpy for ``labels`` and the
+    public attributes.
 
     A subclass may hold only a prefix of the rows (``PercBox``): a walk
     that pops a node whose row is not built calls ``_grow``, and every
@@ -129,13 +130,11 @@ class ClusterWalker:
 
     def __init__(self, n_nodes: int, edge_a: np.ndarray, edge_b: np.ndarray,
                  layer: np.ndarray):
-        self._start(int(layer.max(initial=0)) + 1)
+        self._start()
         self._add(layer, edge_a, edge_b, n_nodes, 0)
 
-    def _start(self, no_stop: int) -> None:
-        """No node built yet; ``no_stop``, a layer past every node's, is
-        where a walk given no ``stop_layer`` stops."""
-        self._no_stop = no_stop
+    def _start(self) -> None:
+        """No node built yet."""
         # the built prefix: the edges, and as Python lists, which grow in
         # place so that a walk's names for them stay valid, every node's
         # layer and the rows of the first len(_need) nodes (node v's edges
@@ -145,7 +144,7 @@ class ClusterWalker:
         # nodes v < bisect_right(_need, drawn) have all their edges.
         self._edge_a = self._edge_b = np.zeros(0, dtype=np.int32)
         self._ptr, self._nbr, self._eid, self._layer = [0], [], [], []
-        self._rows: list[tuple | None] = []  # walk_to_size's pair rows
+        self._rows: list[tuple | None] = []  # _count_walk's pair rows
         self._layers = np.zeros(0, dtype=np.int32)  # _layer in numpy
         self._need: list[int] = []
         # the generator and draw buffers, reused by every walk (so one
@@ -213,26 +212,25 @@ class ClusterWalker:
 
         Returns ``(members, max_layer)``; ``members`` lists node indices in
         discovery order, and ``self.seen`` marks them until the next walk.
-        The walk, depth-first, returns as soon as it reaches a node of
-        layer ``stop_layer`` or beyond (``max_layer`` is then that node's
-        layer); otherwise it covers the whole cluster and ``max_layer`` is
-        the cluster's largest layer.
+        A walk with a ``stop_layer`` goes depth-first and returns as soon
+        as it reaches a node of that layer or beyond (``max_layer`` is then
+        that node's layer).  Any other walk goes breadth-first over the
+        whole cluster, and ``max_layer`` is the cluster's largest layer.
 
-        A walk that finds more than ``budget`` members stops, and the
-        cluster is labeled (``component``) on every word of the sample, which
-        ``draw_edges`` draws, the prefix the walk read included.  A labeled
-        cluster is whole: ``members`` is then an array of its nodes in
-        increasing order and ``max_layer`` their largest layer.  Every
-        event the walk would decide reads the same.
+        A whole-cluster walk that finds more than ``budget`` members stops,
+        and the cluster is labeled (``component``) on every word of the
+        sample, which ``draw_edges`` draws, the prefix the walk read
+        included.  A labeled cluster is whole: ``members`` is then an array
+        of its nodes in increasing order and ``max_layer`` their largest
+        layer.  Every event the walk would decide reads the same.
         """
-        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
-                                                    gen=self._edge_gen)
-        if not self._need:
-            self._grow(0)
-        try:
-            return self._walk(0, stop_layer, None, budget, gen, weights)
-        except _OverBudget:
-            pass
+        gen = self._stream(seed, stream, index)
+        if stop_layer is not None:
+            return self._layer_walk(0, stop_layer, None, gen, weights)
+        limit = sys.maxsize if budget is None else budget + 1
+        members = self._count_walk(0, None, limit, gen, weights)
+        if len(members) != limit:
+            return members, max(map(self._layer.__getitem__, members))
         self.draw_edges(weights, seed, stream, index)
         self.component(None)
         members = np.flatnonzero(np.frombuffer(self.seen, dtype=np.bool_))
@@ -244,62 +242,44 @@ class ClusterWalker:
         sample of :meth:`origin_cluster`, found breadth-first (near the
         origin, whose edges lead the words), in discovery order; the whole
         cluster if smaller.  ``self.seen`` marks every node it found."""
-        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
-                                                    gen=self._edge_gen)
-        if not self._need:
-            self._grow(0)
-        drawn = ready = 0  # edge words drawn; nodes v < ready have all theirs
-        ptr, nbr, eid, rows = self._ptr, self._nbr, self._eid, self._rows
-        need, is_open = self._need, self._open
-        self.seen = seen = bytearray(len(self._layer))
-        seen[0] = 1
-        members = [0]
-        for v in members:  # the member list is the queue
-            if len(members) >= size:
-                return members[:size]
-            if v >= ready:
-                if v >= len(need):
-                    self._grow(v)
-                    is_open, seen = self._open, self.seen
-                drawn = self._draw(gen, self._edge_u, self._open_mask,
-                                   weights, drawn, need[v])
-                ready = bisect_right(need, drawn)
-            row = rows[v]
-            if row is None:
-                row = rows[v] = tuple(zip(eid[ptr[v]:ptr[v + 1]],
-                                          nbr[ptr[v]:ptr[v + 1]]))
-            for e, w in row:
-                if is_open[e] and not seen[w]:
-                    seen[w] = 1
-                    members.append(w)
-        return members
+        return self._count_walk(0, None, size,
+                                self._stream(seed, stream, index), weights)
 
-    def drawn_cluster(self, root: int = 0, stop_layer: int | None = None,
-                      blocked: bytearray | None = None,
-                      budget: int | None = None
-                      ) -> tuple[list[int], int] | None:
-        """:meth:`origin_cluster` from ``root`` on the edge words that
-        ``draw_edges`` drew for the sample, opening no stream.
+    def walk(self, root: int = 0, stop_layer: int | None = None,
+             blocked: bytearray | None = None,
+             budget: int | None = None) -> list[int] | None:
+        """The members of :meth:`origin_cluster`'s walk from ``root`` on
+        the edge words that ``draw_edges`` drew for the sample, opening no
+        stream; None, for the caller to label (``component``), when a
+        whole-cluster walk finds more than ``budget`` members.
 
         ``blocked``, a bytearray over the nodes that the walk then owns,
         marks nodes it never enters, as if every edge into them were
         closed; it becomes the walk's ``self.seen``, which marks them and
-        the members until the next walk.  A walk that finds more than
-        ``budget`` members stops and returns None: the caller labels the
-        cluster (``component``).
+        the members until the next walk.
         """
-        try:
-            return self._walk(root, stop_layer, blocked, budget)
-        except _OverBudget:
-            return None
+        if stop_layer is not None:
+            return self._layer_walk(root, stop_layer, blocked)[0]
+        limit = sys.maxsize if budget is None else budget + 1
+        members = self._count_walk(root, blocked, limit)
+        return None if len(members) == limit else members
 
-    def _walk(self, root: int, stop_layer: int | None,
-              blocked: bytearray | None, budget: int | None = None,
-              gen=None, weights=None) -> tuple[list[int], int]:
-        """The walk of :meth:`origin_cluster` from ``root``, drawing edge
-        words from ``gen`` against ``weights``, or reading those
-        ``draw_edges`` drew when ``gen`` is None.  A walk that finds more
-        members than ``budget`` raises ``_OverBudget``."""
+    def _stream(self, seed: int, stream: int, index: int):
+        """The generator of sample ``index`` of ``stream``, reusing the
+        walker's, with the origin's row built."""
+        if not self._need:
+            self._grow(0)
+        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
+                                                    gen=self._edge_gen)
+        return gen
+
+    def _layer_walk(self, root: int, stop_layer: int,
+                    blocked: bytearray | None, gen=None,
+                    weights=None) -> tuple[list[int], int]:
+        """The depth-first walk from ``root`` to ``stop_layer``, drawing
+        edge words from ``gen`` against ``weights``, or reading those
+        ``draw_edges`` drew when ``gen`` is None; returns ``(members,
+        max_layer)``."""
         # edge words drawn; nodes v < ready have all theirs
         drawn, ready = ((0, 0) if gen is not None
                         else (len(self._open), len(self._need)))
@@ -311,18 +291,10 @@ class ClusterWalker:
         seen[root] = 1
         members = [root]
         max_layer = layer[root]
-        stop = self._no_stop if stop_layer is None else stop_layer
-        if max_layer >= stop:
+        if max_layer >= stop_layer:
             return members, max_layer
         todo = [root]
         pop, push = todo.pop, todo.append
-        # the budget is checked as members are pushed, so that a walk
-        # without one pays nothing for it
-        if budget is not None:
-            def push(w, append=push):
-                if len(members) > budget:
-                    raise _OverBudget
-                append(w)
         while todo:
             v = pop()
             if v >= ready:
@@ -340,10 +312,44 @@ class ClusterWalker:
                         members.append(w)
                         if layer[w] > max_layer:
                             max_layer = layer[w]
-                        if max_layer >= stop:
+                        if max_layer >= stop_layer:
                             return members, max_layer
                         push(w)
         return members, max_layer
+
+    def _count_walk(self, root: int, blocked: bytearray | None,
+                    limit: int, gen=None, weights=None) -> list[int]:
+        """The breadth-first walk from ``root``, drawing as
+        :meth:`_layer_walk` does; returns the first ``limit`` members in
+        discovery order, or the whole cluster if smaller."""
+        drawn, ready = ((0, 0) if gen is not None
+                        else (len(self._open), len(self._need)))
+        ptr, nbr, eid, rows = self._ptr, self._nbr, self._eid, self._rows
+        need, is_open = self._need, self._open
+        if blocked is None:
+            blocked = bytearray(len(self._layer))
+        self.seen = seen = blocked
+        seen[root] = 1
+        members = [root]
+        for v in members:  # the member list is the queue
+            if len(members) >= limit:
+                return members[:limit]
+            if v >= ready:
+                if v >= len(need):
+                    self._grow(v)
+                    is_open, seen = self._open, self.seen
+                drawn = self._draw(gen, self._edge_u, self._open_mask,
+                                   weights, drawn, need[v])
+                ready = bisect_right(need, drawn)
+            row = rows[v]
+            if row is None:
+                row = rows[v] = tuple(zip(eid[ptr[v]:ptr[v + 1]],
+                                          nbr[ptr[v]:ptr[v + 1]]))
+            for e, w in row:
+                if is_open[e] and not seen[w]:
+                    seen[w] = 1
+                    members.append(w)
+        return members
 
     # whether every row is built
     built = True
@@ -377,12 +383,10 @@ class ClusterWalker:
     def draw_edges(self, weights: np.ndarray, seed: int, stream: int,
                    index: int) -> np.random.Generator:
         """Draw every edge word of sample ``index`` in one call, for
-        ``drawn_cluster``, ``component`` or ``labels``; returns the sample's
+        ``walk``, ``component`` or ``labels``; returns the sample's
         generator, from which a caller reads the words from ``n_edges`` on.
         """
-        self._complete()
-        gen = self._edge_gen = rngmod.sample_stream(seed, stream, index,
-                                                    gen=self._edge_gen)
+        gen = self._complete()._stream(seed, stream, index)
         gen.random(out=self._edge_u)
         np.less(self._edge_u, weights, out=self._open_mask)
         return gen
@@ -475,7 +479,7 @@ class PercBox(ClusterWalker):
         self.n = n
         self._builder = BallBuilder(lattice, n)
         self._edge_j = np.zeros(0)
-        self._start(n + 2)  # the shell is layer n + 1
+        self._start()
         if self._builder.node_bound > latticemod.LAYOUT_VERTEX_CAP:
             self._complete()
 

@@ -16,6 +16,7 @@ from subcrit.certificates import (Certificate, PhiResult, Refusal,
                                   decay_upper_bound, exact_phi, region_id)
 from subcrit.errors import CapExceeded
 from subcrit.lattice import LatticeSpec, Region, ball, edge_weight
+from subcrit.perc_mc import ClusterWalker
 
 P_LAT = LatticeSpec.square(mode="p")
 B_LAT = LatticeSpec.square(mode="beta")
@@ -390,18 +391,36 @@ def test_phi_percolation_mc_matches_exact():
 
 
 def test_phi_percolation_mc_is_pinned():
-    # recorded with the Monte Carlo phi's own breadth-first walk over all
-    # drawn words; the shared cluster walker reads the same words in the
-    # same discovery order, so a change here means the draws moved; the
-    # upper value is the Hoeffding bound mean + 6 sqrt(ln(1000) / 80000)
+    # each sample's coefficients are summed with fsum, so the value does
+    # not depend on the order in which the walk finds the members: a
+    # change here means the draws moved; the upper value is the Hoeffding
+    # bound mean + 6 sqrt(ln(1000) / 80000)
     phi = _phi_percolation_mc(ball(P_LAT, 2), 0.3, 40_000, 91)
     assert (phi.value, phi.upper_confidence) == (0.8104275, 0.8661813328327476)
+
+
+def test_phi_percolation_mc_does_not_depend_on_walk_order(monkeypatch):
+    # on triangular ball(8) at p = 0.6, plain sums over each sample's
+    # members in increasing node order read a few ulp above the sums in
+    # walk order; the fsum of each sample reads the same in any order
+    region = ball(LatticeSpec.triangular(mode="p"), 8)
+    expected = _phi_percolation_mc(region, 0.6, 200, 1)
+    walk = ClusterWalker.origin_cluster
+
+    def sorted_walk(self, *args, **kwargs):
+        members, max_layer = walk(self, *args, **kwargs)
+        return sorted(members), max_layer
+
+    monkeypatch.setattr(ClusterWalker, "origin_cluster", sorted_walk)
+    phi = _phi_percolation_mc(region, 0.6, 200, 1)
+    assert (phi.value, phi.upper_confidence) == (expected.value,
+                                                 expected.upper_confidence)
 
 
 def test_phi_percolation_mc_upper_bound_not_below_mean(monkeypatch,
                                                        fresh_plans):
     # at p = 1 every sample is the full boundary weight W ~ 28, and the
-    # plain per-sample sums can average to a hair above the fsum of W; the
+    # per-sample sums can average to a hair above the fsum of W; the
     # Hoeffding bound adds to the mean, so it stays above it.  ball(3)'s
     # plan is put past a budget of 64 KiB, so compute_phi samples.
     monkeypatch.setattr(exact, "PLAN_BYTES", 1 << 16)

@@ -10,7 +10,7 @@ from subcrit.currents import (MAX_CAP, Current, CurrentGraph, _cap,
                               expectation_via_currents, extract_backbone,
                               f_connect, oriented_edge_order, resolve_f,
                               source_sum, switching_check, weight)
-from subcrit.errors import CapExceeded, NoPath, StateSpaceTooLarge
+from subcrit.errors import CapExceeded, NoPath
 
 
 def spin_expectation(graph, targets, beta, h):
@@ -410,9 +410,10 @@ def test_state_space_guard():
     with pytest.raises(CapExceeded, match="current-lab vertices: need 6, cap is 5"):
         source_sum(CurrentGraph.complete(6), (), 0.5, 0.0, 2)
     # with a field, complete(5) has 15 pairs: 3^15 class vectors
-    with pytest.raises(StateSpaceTooLarge, match="14348907 states"):
+    with pytest.raises(CapExceeded, match="current-lab class vectors: "
+                       "need 14348907, cap is 1594323"):
         source_sum(CurrentGraph.complete(5), (), 0.5, 0.1, 8)
-    with pytest.raises(StateSpaceTooLarge):
+    with pytest.raises(CapExceeded, match="current-lab class vectors"):
         switching_check(CurrentGraph.complete(5), (), 0, 1, "one",
                         0.5, 0.1, 8)
 

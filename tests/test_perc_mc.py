@@ -154,8 +154,9 @@ def reference_cluster(box, open_edges):
 
 
 def full_mask_walk(box, open_edges, stop_size=None, stop_layer=None, root=0):
-    # the sampler's walk, on masks drawn whole: breadth-first, stopping at
-    # its stop_size-th member, with a stop size, depth-first without
+    # the sampler's walk, on masks drawn whole: depth-first, stopping at
+    # stop_layer, with a stop layer, breadth-first without, stopping at its
+    # stop_size-th member with a stop size
     ptr, nbr, eid = incidence_csr(box.n_nodes, box.edge_a, box.edge_b)
     layer = box.layer.tolist()
     members, max_layer = [root], layer[root]
@@ -165,7 +166,7 @@ def full_mask_walk(box, open_edges, stop_size=None, stop_layer=None, root=0):
         return members, max_layer
     seen, todo = {root}, [root]
     while todo:
-        v = todo.pop(0) if stop_size is not None else todo.pop()
+        v = todo.pop() if stop_layer is not None else todo.pop(0)
         for t in range(ptr[v], ptr[v + 1]):
             w = int(nbr[t])
             if open_edges[eid[t]] and w not in seen:
@@ -273,9 +274,9 @@ def test_lazy_walk_is_bit_identical_to_full_mask_walk(make, args, first_draw,
             walker.draw_edges(weights, 8, 3, i)
             for root in (0, walker.n_nodes // 3, walker.n_nodes - 1):
                 for stop in stops:
-                    assert (walker.drawn_cluster(root, stop)
+                    assert (walker.walk(root, stop)
                             == full_mask_walk(walker, open_edges,
-                                              stop_layer=stop, root=root))
+                                              stop_layer=stop, root=root)[0])
                 for keep in keeps:
                     members, _ = full_mask_walk(walker, open_edges & keep,
                                                 root=root)
@@ -300,25 +301,24 @@ def test_blocked_and_predrawn_walks_match_full_mask_walk(make, args):
         after = walker.draw_edges(weights, 8, 3, i).random()
         assert after == rngmod.sample_stream(
             8, 3, i, start=walker.n_edges).random()
-        assert walker.drawn_cluster() == walker.origin_cluster(weights, 8, 3,
-                                                               i)
+        assert walker.walk() == walker.origin_cluster(weights, 8, 3, i)[0]
         walker.draw_edges(weights, 8, 3, i)
         for root in (0, walker.n_nodes // 3):
             blocked[root] = False
-            expected = full_mask_walk(
+            expected, _ = full_mask_walk(
                 walker, open_edges & ~blocked[a] & ~blocked[b], root=root)
-            assert walker.drawn_cluster(
+            assert walker.walk(
                 root, blocked=bytearray(blocked.view(np.uint8))) == expected
             assert np.flatnonzero(walker.seen).tolist() == sorted(
-                set(expected[0]) | set(np.flatnonzero(blocked).tolist()))
-            assert walker.drawn_cluster(root=root) == full_mask_walk(
-                walker, open_edges, root=root)
+                set(expected) | set(np.flatnonzero(blocked).tolist()))
+            assert walker.walk(root) == full_mask_walk(
+                walker, open_edges, root=root)[0]
 
 
 @WALK_GRAPHS
 def test_first_walk_of_a_fresh_walker_matches_full_mask_walk(make, args):
-    # a fresh box has no layer built: its first walk, depth-first or to a
-    # size, builds the rows it pops from nothing
+    # a fresh box has no layer built: its first walk, to a layer, whole or
+    # to a size, builds the rows it pops from nothing
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
     for param in (0.25, 0.6):
@@ -336,36 +336,60 @@ def test_first_walk_of_a_fresh_walker_matches_full_mask_walk(make, args):
                 assert fresh.walk_to_size(weights, 8, 3, i, size) == expected
 
 
-@pytest.mark.parametrize("walk_budget", [0, 1, 8])
+# a whole walk's member budget, from the size s of the cluster it walks:
+# fixed ones, and the boundary, where a cluster of exactly the budget is
+# walked and one of budget + 1 members (a lone origin at budget 0) labeled
+BUDGETS = pytest.mark.parametrize(
+    "budget_of", [lambda s: 0, lambda s: 1, lambda s: 8, lambda s: s,
+                  lambda s: s - 1],
+    ids=["0", "1", "8", "cluster", "one-short"])
+
+
+@BUDGETS
 @WALK_GRAPHS
 def test_budgeted_walks_mark_the_walks_cluster_and_event(make, args,
-                                                         walk_budget):
+                                                         budget_of):
     # a walk that passes its budget hands the cluster over to the labeler:
     # the labeled cluster is the walk's whole cluster, with its largest
     # layer and the same stop events, on a fresh box whose rows are built
-    # from nothing or on one a walk already built
+    # from nothing or on one a walk already built.  A walk holding at most
+    # its budget returns its members, in breadth-first order, and one past
+    # it an array, or None on words draw_edges drew, with blocked nodes
     walker, open_probabilities = make(*args)
     top = max(walker.layer.tolist())
     stops = (1, (top - 1) // 2 + 1, top)
+    gen = rngmod.sample_stream(7, rngmod.STREAM_TEST, 0)
     for param in (0.25, 0.6):
         weights = open_probabilities(param)
         for i in range(12):
             open_edges = full_draw(walker, weights, 8, 3, i)
             members, max_layer = full_mask_walk(walker, open_edges)
+            budget = budget_of(len(members))
             box, probabilities = ((walker, open_probabilities) if i >= 3
                                   else make(*args))
             got, got_layer = box.origin_cluster(
-                probabilities(param), 8, 3, i, budget=walk_budget)
-            assert (sorted(got.tolist() if isinstance(got, np.ndarray)
-                           else got), got_layer) == (sorted(members),
+                probabilities(param), 8, 3, i, budget=budget)
+            if len(members) <= budget:
+                assert (got, got_layer) == (members, max_layer)
+            else:
+                assert isinstance(got, np.ndarray)
+                assert (got.tolist(), got_layer) == (sorted(members),
                                                      max_layer)
             assert np.flatnonzero(box.seen).tolist() == sorted(members)
             for stop in stops:
                 _, got_layer = box.origin_cluster(
                     probabilities(param), 8, 3, i, stop_layer=stop,
-                    budget=walk_budget)
+                    budget=budget)
                 assert got_layer >= stop if max_layer >= stop else (
                     got_layer == max_layer)
+            blocked = gen.random(walker.n_nodes) < 0.3
+            blocked[0] = False
+            kept = open_edges & ~blocked[walker.edge_a] & ~blocked[walker.edge_b]
+            members, _ = full_mask_walk(walker, kept)
+            budget = budget_of(len(members))
+            box.draw_edges(probabilities(param), 8, 3, i)
+            got = box.walk(0, None, bytearray(blocked.view(np.uint8)), budget)
+            assert got == (members if len(members) <= budget else None)
 
 
 @pytest.mark.parametrize("walk_budget", [0, 1, 8, None],
